@@ -21,6 +21,7 @@ from .trigpoly import (
     KIND_ANGULAR,
     Coordinate,
     Expr,
+    _coord_index,
     parse_expression,
 )
 
@@ -97,7 +98,7 @@ class NumericScalar:
         return fd
 
     def partial(self, name: str) -> "NumericScalar":
-        i = _index_of(self.coords, name)
+        i = _coord_index(self.coords, name)
         return NumericScalar(self.coords, self.partial_fn(i))
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -108,13 +109,6 @@ class NumericScalar:
             return np.broadcast_to(np.asarray(fn(pts), float), pts.shape[:-1]).copy()
 
         return wrapped
-
-    def evaluate(self, values: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
-        arrays = [np.asarray(values[c.name], float) for c in self.coords]
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        pts = np.stack([np.broadcast_to(a, shape) for a in arrays], axis=-1)
-        out = np.asarray(self.fn(pts), float)
-        return float(out) if out.ndim == 0 else out
 
     # arithmetic chains value and derivative closures together
 
@@ -141,13 +135,6 @@ class NumericScalar:
 
 
 ScalarLike = Union[Expr, NumericScalar]
-
-
-def _index_of(coords: tuple[Coordinate, ...], name: str) -> int:
-    for i, c in enumerate(coords):
-        if c.name == name:
-            return i
-    raise KeyError(f"no coordinate named {name!r}")
 
 
 def _lift(x: "ScalarLike | float | int", coords: tuple[Coordinate, ...]) -> NumericScalar:
@@ -233,10 +220,6 @@ def scalar_sub(a: ScalarLike, b: ScalarLike) -> ScalarLike:
     return scalar_add(a, scalar_neg(b))
 
 
-def is_exact(x: ScalarLike) -> bool:
-    return isinstance(x, Expr)
-
-
 # -- charts -------------------------------------------------------------------
 
 
@@ -279,7 +262,7 @@ class Chart:
         return len(self.coords)
 
     def index(self, name: str) -> int:
-        return _index_of(self.coords, name)
+        return _coord_index(self.coords, name)
 
     def coord_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.coords)
@@ -301,26 +284,24 @@ class Chart:
     # field and form builders
 
     def vector_field(self, components: Mapping[str, ScalarLike | str | float], label: str = "") -> "VectorField":
-        comps = [self.zero()] * self.dim
-        for cname, value in components.items():
-            comps[self.index(cname)] = self._as_scalar(value)
-        return VectorField(self, tuple(comps), label)
+        return VectorField(self, self._components(components), label)
 
     def one_form(self, components: Mapping[str, ScalarLike | str | float], label: str = "") -> "OneForm":
-        comps = [self.zero()] * self.dim
-        for cname, value in components.items():
-            comps[self.index(cname)] = self._as_scalar(value)
-        return OneForm(self, tuple(comps), label)
+        return OneForm(self, self._components(components), label)
 
     def basis_vector(self, name: str, label: str = "") -> "VectorField":
         return self.vector_field({name: 1.0}, label or f"d/d{name}")
 
-    def _as_scalar(self, value) -> ScalarLike:
-        if isinstance(value, (Expr, NumericScalar)):
-            return value
-        if isinstance(value, str):
-            return self.parse(value)
-        return self.const(float(value))
+    def _components(self, components: Mapping[str, ScalarLike | str | float]) -> tuple[ScalarLike, ...]:
+        """Components by coordinate name: scalars, expression strings or constants; zero elsewhere."""
+        comps: list[ScalarLike] = [self.zero()] * self.dim
+        for cname, value in components.items():
+            if isinstance(value, str):
+                value = self.parse(value)
+            elif not isinstance(value, (Expr, NumericScalar)):
+                value = self.const(float(value))
+            comps[self.index(cname)] = value
+        return tuple(comps)
 
     # sampling
 
@@ -350,21 +331,45 @@ class Chart:
             cols.append(rng.uniform(lo, hi, size=n))
         return np.stack(cols, axis=-1)
 
-    def values_at(self, pts: np.ndarray) -> dict[str, np.ndarray]:
-        pts = np.asarray(pts, float)
-        return {c.name: pts[..., i] for i, c in enumerate(self.coords)}
-
 
 # -- fields and forms ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """Coordinate components of a vector field on one chart."""
+class _Components:
+    """Coordinate components of a field or form on one chart."""
 
     chart: Chart
     components: tuple[ScalarLike, ...]
     label: str = ""
+
+    def __add__(self, other):
+        return type(self)(
+            self.chart,
+            tuple(scalar_add(a, b) for a, b in zip(self.components, other.components)),
+        )
+
+    def __sub__(self, other):
+        return self + other.scaled(-1.0)
+
+    def scaled(self, s: "ScalarLike | float"):
+        if isinstance(s, (int, float)):
+            s = self.chart.const(float(s))
+        return type(self)(self.chart, tuple(scalar_mul(s, c) for c in self.components))
+
+    def compile(self) -> Callable[[np.ndarray], np.ndarray]:
+        fns = [c.compile() for c in self.components]
+
+        def fn(pts: np.ndarray) -> np.ndarray:
+            pts = np.asarray(pts, float)
+            return np.stack([f(pts) for f in fns], axis=-1)
+
+        return fn
+
+
+@dataclass(frozen=True)
+class VectorField(_Components):
+    """Coordinate components of a vector field on one chart."""
 
     def apply(self, f: ScalarLike) -> ScalarLike:
         """Directional derivative X(f)."""
@@ -373,69 +378,16 @@ class VectorField:
             out = scalar_add(out, scalar_mul(comp, f.partial(c.name)))
         return out
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.chart,
-            tuple(scalar_add(a, b) for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, s: "ScalarLike | float") -> "VectorField":
-        if isinstance(s, (int, float)):
-            s = self.chart.const(float(s))
-        return VectorField(self.chart, tuple(scalar_mul(s, c) for c in self.components))
-
-    def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        fns = [c.compile() for c in self.components]
-
-        def fn(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, float)
-            return np.stack([f(pts) for f in fns], axis=-1)
-
-        return fn
-
-    def evaluate(self, values: Mapping[str, float]) -> np.ndarray:
-        return np.array([float(c.evaluate(values)) for c in self.components])
-
 
 @dataclass(frozen=True)
-class OneForm:
+class OneForm(_Components):
     """Coordinate components of a one-form on one chart."""
-
-    chart: Chart
-    components: tuple[ScalarLike, ...]
-    label: str = ""
 
     def apply(self, X: VectorField) -> ScalarLike:
         out: ScalarLike = self.chart.zero()
         for a, x in zip(self.components, X.components):
             out = scalar_add(out, scalar_mul(a, x))
         return out
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(
-            self.chart,
-            tuple(scalar_add(a, b) for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, s: "ScalarLike | float") -> "OneForm":
-        if isinstance(s, (int, float)):
-            s = self.chart.const(float(s))
-        return OneForm(self.chart, tuple(scalar_mul(s, c) for c in self.components))
-
-    def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        fns = [c.compile() for c in self.components]
-
-        def fn(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, float)
-            return np.stack([f(pts) for f in fns], axis=-1)
-
-        return fn
 
 
 @dataclass(frozen=True)
@@ -652,8 +604,11 @@ def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray,
     """Numeric rank and rank gap of a batch of matrices.
 
     The gap at a point is the smallest singular value still counted toward
-    the rank, i.e. the margin by which the rank certificate holds.
+    the rank, i.e. the margin by which the rank certificate holds.  A
+    negative ``tol`` would count zero singular values and is rejected.
     """
+    if not tol >= 0:
+        raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
     mats = np.asarray(mats, float)
     s = np.linalg.svd(mats, compute_uv=False)
     ranks = (s > tol).sum(axis=-1)

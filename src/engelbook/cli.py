@@ -17,6 +17,7 @@ import numpy as np
 from .foliation import construct_xi_prime
 from .invariants import Path
 from .models import (
+    _form_check,
     assemble,
     build_binding_engel,
     build_collar_engel,
@@ -24,7 +25,6 @@ from .models import (
     looseness_probe,
     model_catalog,
 )
-from .verify import contact_structure_check, even_contact_form_check
 from .modelfile import dump_model
 from .reports import (
     TOLERANCE_DEFAULTS,
@@ -175,6 +175,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Reject counts below 1 and negative (or NaN) tolerances."""
+    for dest in ("samples", "turn_samples", "grid"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")
+    for dest in ("rank_tol", "zero_tol", "slope_tol", "residual_tol"):
+        value = getattr(args, dest, None)
+        if value is not None and not value >= 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
+
+
 def _fail(code: str, message: str) -> None:
     print(f"error[{code}] {message}", file=sys.stderr)
 
@@ -212,18 +224,7 @@ def _sampled_form_checks(model, samples: int, seed: int) -> list:
     def visit(piece):
         if piece.form is not None:
             pts = piece.chart.sample_random(max(samples, 8), rng)
-            if piece.chart.dim == 3:
-                out.append(
-                    contact_structure_check(
-                        piece.form, points=pts, name=f"{piece.name}:sampled_contact"
-                    )
-                )
-            else:
-                out.append(
-                    even_contact_form_check(
-                        piece.form, points=pts, name=f"{piece.name}:sampled_even_contact"
-                    )
-                )
+            out.append(_form_check(piece, ("sampled_contact", "sampled_even_contact"), points=pts))
         if piece.core is not None:
             visit(piece.core)
 
@@ -259,19 +260,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    report = assemble(
+def _assemble(args: argparse.Namespace, min_points: int):
+    return assemble(
         args.lam,
         args.k,
         a=args.a,
         r0=args.r0,
-        min_points=args.samples,
+        min_points=min_points,
         n_samples=args.turn_samples,
         rank_tol=args.rank_tol,
         symbol_tol=args.zero_tol,
         slope_tol=args.slope_tol,
         residual_tol=args.residual_tol,
     )
+
+
+def _cmd_construct(args: argparse.Namespace) -> int:
+    report = _assemble(args, args.samples)
     config = {
         "command": "construct",
         "samples": args.samples,
@@ -300,18 +305,7 @@ def _cmd_foliation(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    report = assemble(
-        args.lam,
-        args.k,
-        a=args.a,
-        r0=args.r0,
-        min_points=256,
-        n_samples=args.turn_samples,
-        rank_tol=args.rank_tol,
-        symbol_tol=args.zero_tol,
-        slope_tol=args.slope_tol,
-        residual_tol=args.residual_tol,
-    )
+    report = _assemble(args, 256)
     config = {
         "command": "invariants",
         "turn_samples": args.turn_samples,
@@ -389,6 +383,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         _fail("EB-PARAM", str(exc))

@@ -41,14 +41,12 @@ from .charts import (
     TwoForm,
     VectorField,
     batch_eval_scalars,
-    scalar_neg,
 )
 from .trigpoly import (
     KIND_ANGULAR,
     KIND_POLYNOMIAL,
     Expr,
     Mode,
-    TrigTerm,
 )
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "SliceEmbedding",
     "annulus_foliation_check",
     "boundary_winding_vs_index",
-    "characteristic_direction",
     "classifier_boundary_winding",
     "construct_xi_prime",
     "find_and_classify",
@@ -69,29 +66,6 @@ __all__ = [
 
 
 # -- embeddings ----------------------------------------------------------------
-
-
-def _reindex_expr(expr: Expr, surface: Chart, name_map: Mapping[str, str]) -> Expr:
-    """Transplant an expression onto surface coordinates via a name map."""
-    positions = []
-    for c in expr.coords:
-        target = name_map[c.name]
-        j = surface.index(target)
-        if surface.coords[j].kind != c.kind:
-            raise ValueError(
-                f"cannot transplant {c.name!r} ({c.kind}) onto "
-                f"{target!r} ({surface.coords[j].kind})"
-            )
-        positions.append(j)
-    terms = []
-    for t in expr.terms:
-        powers = [0] * surface.dim
-        freqs = [0] * surface.dim
-        for src, dst in enumerate(positions):
-            powers[dst] += t.powers[src]
-            freqs[dst] += t.freqs[src]
-        terms.append(TrigTerm(t.coeff, tuple(powers), t.mode, tuple(freqs), t.phase))
-    return Expr.from_terms(surface.coords, terms)
 
 
 @dataclass(frozen=True)
@@ -149,7 +123,7 @@ class SliceEmbedding:
                 raise ValueError("exact pullback needs exact components")
             restricted = a.substitute_constants(consts) if consts else a
             j = self.surface.index(target)
-            comps[j] = comps[j] + _reindex_expr(restricted, self.surface, name_map)
+            comps[j] = comps[j] + restricted.with_coords(self.surface.coords, name_map)
         return OneForm(self.surface, tuple(comps), alpha.label)
 
     def pullback_twoform(self, omega: TwoForm) -> Expr:
@@ -171,7 +145,7 @@ class SliceEmbedding:
                 raise ValueError("exact pullback needs exact components")
             restricted = w.substitute_constants(consts) if consts else w
             sign = 1.0 if (ti, tj) == (u_name, v_name) else -1.0
-            out = out + sign * _reindex_expr(restricted, self.surface, name_map)
+            out = out + sign * restricted.with_coords(self.surface.coords, name_map)
         return out
 
 
@@ -234,7 +208,7 @@ class NumericEmbedding:
         return NumericScalar(self.surface.coords, coeff)
 
 
-# -- torus slopes and characteristic directions ---------------------------------
+# -- torus slopes ----------------------------------------------------------------
 
 
 def torus_slope(pulled: OneForm, tol: float = 1e-9, samples: int = 16) -> float:
@@ -272,15 +246,6 @@ def torus_slope(pulled: OneForm, tol: float = 1e-9, samples: int = 16) -> float:
     if abs(c2) <= tol:
         return math.inf
     return -c1 / c2
-
-
-def characteristic_direction(pulled: OneForm) -> VectorField:
-    """Kernel direction (-c2, c1) of a 1-form c1 du + c2 dv on a surface."""
-    chart = pulled.chart
-    if chart.dim != 2:
-        raise ValueError("characteristic_direction expects a 2-dimensional chart")
-    c1, c2 = pulled.components
-    return VectorField(chart, (scalar_neg(c2), c1), label="char-direction")
 
 
 # -- leaf tracing on annuli ------------------------------------------------------
@@ -471,12 +436,7 @@ def find_and_classify(
     of the Jacobian determinant (positive: elliptic, negative: hyperbolic)
     and the sign of the level function.
     """
-    axis = np.linspace(-0.98 * radius, 0.98 * radius, grid_n)
-    P, Q = np.meshgrid(axis, axis, indexing="ij")
-    seeds = np.stack([P.reshape(-1), Q.reshape(-1)], axis=-1)
-    seeds = seeds[np.linalg.norm(seeds, axis=-1) <= 0.98 * radius]
-
-    z = seeds.copy()
+    z = _disk_grid(0.98 * radius, grid_n)
     alive = np.ones(len(z), dtype=bool)
     for _ in range(newton_iters):
         V = classifier.value(z)
@@ -1083,13 +1043,9 @@ def _build_disk_form(
     # boundary exactness: u == 1 and beta == p dq - q dp outside the radius
     exact_radius = float(params["exact_radius"])
     ann = _annulus_grid(exact_radius, 1.0, 24, 128)
-    rho = np.hypot(ann[:, 0], ann[:, 1])
-    safe = np.maximum(rho, 1e-30)
-    g = pieces.grad_u(ann)
-    c = pieces.c(rho)
-    s = pieces.s(rho)
-    b1 = g[:, 1] - c * ann[:, 1] + s * ann[:, 0] / safe
-    b2 = -g[:, 0] + c * ann[:, 0] + s * ann[:, 1] / safe
+    b1s, b2s = _beta_scalars(pieces, bundle.coords)
+    ann3 = np.insert(ann, 0, 0.0, axis=1)  # x = 0 on the bundle chart
+    b1, b2 = b1s.fn(ann3), b2s.fn(ann3)
     boundary_residual = float(
         max(
             np.abs(b1 - (-ann[:, 1])).max(),
@@ -1125,8 +1081,6 @@ def _build_disk_form(
         and abs(boundary_turns - 1.0) < 0.05
         and vmin_boundary > 1e-3
     )
-
-    b1s, b2s = _beta_scalars(pieces, bundle.coords)
 
     def u3(pts3):
         return pieces.u(np.asarray(pts3, float)[..., 1:])

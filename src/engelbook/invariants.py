@@ -136,14 +136,11 @@ def _winding(
     n_samples: int,
     turn_tol: float,
 ) -> WindingResult:
-    c1, c2 = frame
     n = n_samples
     while True:
         pts = path.sample(n)
-        xv = field_matrix([field], pts)[:, 0, :]
-        c1v = field_matrix([c1], pts)[:, 0, :]
-        c2v = field_matrix([c2], pts)[:, 0, :]
-        a, b, proj = _project_onto_frame(xv, c1v, c2v)
+        mats = field_matrix([field, *frame], pts)
+        a, b, proj = _project_onto_frame(mats[:, 0], mats[:, 1], mats[:, 2])
         turns = _turns(a, b, path.closed)
         value = int(round(turns))
         residual = abs(turns - value)
@@ -237,16 +234,14 @@ def delta_homomorphism(
     the residual is the distance to that integer.
     """
     pts = path.sample(n_samples)
-    framev1 = field_matrix([frame[0]], pts)[:, 0, :]
-    framev2 = field_matrix([frame[1]], pts)[:, 0, :]
+    framev = field_matrix(list(frame), pts)
 
     turns = []
     for basis in (d_first, d_second):
         coeffs = _null_line_coeffs(basis, rows, pts)
-        b1 = field_matrix([basis[0]], pts)[:, 0, :]
-        b2 = field_matrix([basis[1]], pts)[:, 0, :]
-        line = coeffs[:, :1] * b1 + coeffs[:, 1:] * b2
-        a, b, _ = _project_onto_frame(line, framev1, framev2)
+        bv = field_matrix(list(basis), pts)
+        line = coeffs[:, :1] * bv[:, 0] + coeffs[:, 1:] * bv[:, 1]
+        a, b, _ = _project_onto_frame(line, framev[:, 0], framev[:, 1])
         turns.append(_turns(a, b, path.closed))
 
     diff = turns[1] - turns[0]

@@ -28,7 +28,7 @@ from .trigpoly import (
     Expr,
 )
 
-__all__ = ["dump_model", "load_model", "read_model", "save_model"]
+__all__ = ["dump_model", "load_model"]
 
 _KIND_WORDS = (KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL)
 
@@ -214,11 +214,6 @@ def dump_model(model: OpenBookModel) -> str:
     while out and out[-1] == "":
         out.pop()
     return "\n".join(out) + "\n"
-
-
-def save_model(model: OpenBookModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_model(model))
 
 
 # -- reader ---------------------------------------------------------------
@@ -427,8 +422,3 @@ def load_model(text: str) -> OpenBookModel:
         gluings=tuple(gluings),
         binding_note=note,
     )
-
-
-def read_model(path: str) -> OpenBookModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())

@@ -111,20 +111,6 @@ def _wave(chart: Chart, mode: Mode, freqs: Mapping[str, int], phase: float = 0.0
     return Expr.term(chart.coords, 1.0, None, mode, tuple(vec), phase)
 
 
-def _extend_to_chart(e: Expr, chart: Chart) -> Expr:
-    """Extend an expression to a larger chart by matching coordinate names."""
-    idx = {c.name: chart.index(c.name) for c in e.coords}
-    out = chart.zero()
-    for t in e.terms:
-        powers = [0] * chart.dim
-        freqs = [0] * chart.dim
-        for i, c in enumerate(e.coords):
-            powers[idx[c.name]] = t.powers[i]
-            freqs[idx[c.name]] = t.freqs[i]
-        out = out + Expr.term(chart.coords, t.coeff, tuple(powers), t.mode, tuple(freqs), t.phase)
-    return out
-
-
 # -- declared piece data -------------------------------------------------------
 
 
@@ -271,6 +257,14 @@ def _adaptedness_ready(piece: ModelPiece) -> bool:
     return False
 
 
+def _form_check(piece: ModelPiece, names: tuple[str, str], **kwargs) -> CheckReport:
+    """The contact certificate of a 3-chart piece's form, or the even contact
+    certificate on a 4-chart, named ``piece:names[0]`` or ``piece:names[1]``."""
+    if piece.chart.dim == 3:
+        return contact_structure_check(piece.form, name=f"{piece.name}:{names[0]}", **kwargs)
+    return even_contact_form_check(piece.form, name=f"{piece.name}:{names[1]}", **kwargs)
+
+
 def piece_checks(
     piece: ModelPiece,
     min_points: int = DEFAULT_MIN_POINTS,
@@ -284,18 +278,9 @@ def piece_checks(
     name = piece.name
     rank = {} if tol is None else {"tol": tol}
     if piece.form is not None:
-        if piece.chart.dim == 3:
-            out.append(
-                contact_structure_check(
-                    piece.form, min_points=min_points, name=f"{name}:contact_structure"
-                )
-            )
-        else:
-            out.append(
-                even_contact_form_check(
-                    piece.form, min_points=min_points, name=f"{name}:even_contact_form"
-                )
-            )
+        out.append(
+            _form_check(piece, ("contact_structure", "even_contact_form"), min_points=min_points)
+        )
     if piece.pair is not None:
         out.append(engel_check(piece.pair, min_points=min_points, name=f"{name}:engel", **rank))
         w, x = piece.pair
@@ -1161,8 +1146,7 @@ def _transplanted_binding_pair(
     # rebuild the binding plane on the collar chart through the slot frame
     chart = collar.chart
     s_field = collar.named_fields["S"]
-    c_slot = _extend_to_chart(binding.interface.slots[0], chart)
-    s_slot = _extend_to_chart(binding.interface.slots[1], chart)
+    c_slot, s_slot = (slot.with_coords(chart.coords) for slot in binding.interface.slots)
     comps = [
         s_slot * s_field.components[0],
         s_slot * s_field.components[1],

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .foliation import DiskContactForm
+from .foliation import DiskContactForm, _disk_grid
 from .models import PipelineReport
 from .verify import CheckReport
 
@@ -100,10 +100,7 @@ def portrait_rows(disk: DiskContactForm, grid_n: int = 41) -> list[tuple]:
     Rows are (u, v, direction_u, direction_v, singular_flag) in row-major
     order; directions are unit vectors, zero where the field vanishes.
     """
-    axis = np.linspace(-0.98, 0.98, grid_n)
-    P, Q = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([P.reshape(-1), Q.reshape(-1)], axis=-1)
-    pts = pts[np.linalg.norm(pts, axis=-1) <= 0.98]
+    pts = _disk_grid(0.98, grid_n)
     vec = disk.classifier.value(pts)
     norm = np.linalg.norm(vec, axis=-1)
     singular = norm < 1e-8

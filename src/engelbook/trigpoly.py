@@ -238,17 +238,6 @@ class Expr:
 
     # -- structure --------------------------------------------------------
 
-    @property
-    def is_constant(self) -> bool:
-        return all(
-            t.mode == Mode.CONST and not any(t.powers) and not any(t.freqs) for t in self.terms
-        )
-
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError("expression is not constant")
-        return sum(t.coeff for t in self.terms)
-
     def max_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
@@ -346,21 +335,9 @@ class Expr:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, values: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
-        arrays = [np.asarray(values[c.name], dtype=float) for c in self.coords]
-        shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
-        out = np.zeros(shape)
-        for t in self.terms:
-            acc = np.full(shape, t.coeff)
-            for i, p in enumerate(t.powers):
-                if p:
-                    acc = acc * arrays[i] ** p
-            if t.mode != Mode.CONST:
-                arg = np.full(shape, t.phase)
-                for i, k in enumerate(t.freqs):
-                    if k:
-                        arg = arg + k * arrays[i]
-                acc = acc * (np.cos(arg) if t.mode == Mode.COS else np.sin(arg))
-            out = out + acc
+        """Evaluate at coordinate values given by name; arrays broadcast."""
+        arrays = np.broadcast_arrays(*(np.asarray(values[c.name], dtype=float) for c in self.coords))
+        out = self.compile()(np.stack(arrays, axis=-1) if arrays else np.zeros(0))
         return float(out) if out.ndim == 0 else out
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -494,15 +471,36 @@ class Expr:
             out.append(TrigTerm(coeff, tuple(powers), t.mode, tuple(freqs), phase))
         return Expr.from_terms(self.coords, out)
 
-    def with_coords(self, new_coords: Sequence[Coordinate]) -> "Expr":
-        """Rename coordinates positionally; kinds must match."""
+    def with_coords(
+        self, new_coords: Sequence[Coordinate], name_map: Mapping[str, str] | None = None
+    ) -> "Expr":
+        """Transplant onto another coordinate tuple.
+
+        Each coordinate of this expression lands on the target coordinate
+        named ``name_map[name]``, or on the one with the same name when no
+        map is given; kinds must match.  Target coordinates that receive
+        nothing enter every term with power and frequency zero.
+        """
         new_coords = tuple(new_coords)
-        if len(new_coords) != len(self.coords):
-            raise ValueError("coordinate tuples differ in length")
-        for old, new in zip(self.coords, new_coords):
-            if old.kind != new.kind:
-                raise ValueError(f"kind mismatch renaming {old.name!r} to {new.name!r}")
-        return Expr(new_coords, self.terms)
+        positions = []
+        for c in self.coords:
+            target = c.name if name_map is None else name_map[c.name]
+            j = _coord_index(new_coords, target)
+            if new_coords[j].kind != c.kind:
+                raise ValueError(
+                    f"cannot transplant {c.name!r} ({c.kind}) onto "
+                    f"{target!r} ({new_coords[j].kind})"
+                )
+            positions.append(j)
+        terms = []
+        for t in self.terms:
+            powers = [0] * len(new_coords)
+            freqs = [0] * len(new_coords)
+            for src, dst in enumerate(positions):
+                powers[dst] += t.powers[src]
+                freqs[dst] += t.freqs[src]
+            terms.append(TrigTerm(t.coeff, tuple(powers), t.mode, tuple(freqs), t.phase))
+        return Expr.from_terms(new_coords, terms)
 
     # -- output -----------------------------------------------------------
 

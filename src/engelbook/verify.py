@@ -177,11 +177,10 @@ def even_contact_span_check(
         raise ValueError("even_contact_span_check expects a 4-dimensional chart")
     pts = _grid(chart, points, min_points, margin)
 
-    mats3 = field_matrix(list(frame), pts)
-    ranks3, gaps3 = pointwise_rank(mats3, tol)
     brackets = [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
-    mats4 = field_matrix(list(frame) + brackets, pts)
-    ranks4, gaps4 = pointwise_rank(mats4, tol)
+    mats = field_matrix(list(frame) + brackets, pts)
+    ranks3, gaps3 = pointwise_rank(mats[:, :3], tol)
+    ranks4, gaps4 = pointwise_rank(mats, tol)
 
     bad = (ranks3 != 3) | (ranks4 != 4)
     gaps = np.minimum(gaps3, gaps4)
@@ -220,9 +219,10 @@ def engel_check(
     x112 = lie_bracket(x1, x12)
     x212 = lie_bracket(x2, x12)
 
-    ranks2, gaps2 = pointwise_rank(field_matrix([x1, x2], pts), tol)
-    ranks3, gaps3 = pointwise_rank(field_matrix([x1, x2, x12], pts), tol)
-    ranks4, gaps4 = pointwise_rank(field_matrix([x1, x2, x12, x112, x212], pts), tol)
+    mats = field_matrix([x1, x2, x12, x112, x212], pts)
+    ranks2, gaps2 = pointwise_rank(mats[:, :2], tol)
+    ranks3, gaps3 = pointwise_rank(mats[:, :3], tol)
+    ranks4, gaps4 = pointwise_rank(mats, tol)
 
     bad = (ranks2 != 2) | (ranks3 != 3) | (ranks4 != 4)
     gaps = np.minimum(np.minimum(gaps2, gaps3), gaps4)
@@ -260,7 +260,8 @@ def isotropic_line_check(
     pts = _grid(chart, points, min_points, margin)
     omega = exterior_derivative(alpha)
 
-    residual_scalars = [alpha.apply(w)]
+    alpha_w = alpha.apply(w)
+    residual_scalars = [alpha_w]
     residual_scalars.extend(omega.apply(w, e) for e in spanning)
     residuals = np.abs(batch_eval_scalars(residual_scalars, pts))
     worst_residual = float(residuals.max())
@@ -273,7 +274,7 @@ def isotropic_line_check(
         "pairing_residual": worst_residual,
     }
     if _all_exact(w.components) and _all_exact(alpha.components):
-        exact_zero = isinstance(alpha.apply(w), Expr) and alpha.apply(w).is_zero(tol)
+        exact_zero = isinstance(alpha_w, Expr) and alpha_w.is_zero(tol)
         details["alpha_w_exact_zero"] = bool(exact_zero)
     return CheckReport(
         name=name,
@@ -430,11 +431,12 @@ def adaptedness_check(
     - ``"page"``: the kernel line must be transverse to the declared
       fibration form (``piece.fibration_form``, ``piece.w_field``).
     - ``"collar"``: the kernel line must be tangent to the boundary tori
-      (``piece.torus_normal`` pairs to zero) and nonvanishing, and each
-      declared torus slope must match the computed one.
+      (``piece.torus_normal`` pairs to zero) and nonvanishing (norm above
+      ``DEFAULT_THRESHOLD``), and each declared torus slope must match the
+      computed one.
     - ``"binding"``: the kernel line must be tangent to the binding locus
       (transverse components vanish on ``piece.binding_locus``) and
-      nonvanishing there.
+      nonvanishing there, sampled on a grid of the locus coordinates.
     """
     role = getattr(piece, "role")
     if role == "page":
@@ -474,8 +476,8 @@ def _adapted_collar(piece, points, min_points, tol, margin) -> CheckReport:
         slope_errors.append(abs(computed - torus.declared_slope))
     slope_residual = max(slope_errors) if slope_errors else 0.0
 
-    passed = residual <= tol and slope_residual <= max(tol, 1e-9) and norms.min() > 0
-    bad = norms <= 0
+    bad = norms <= DEFAULT_THRESHOLD
+    passed = residual <= tol and slope_residual <= max(tol, 1e-9) and not bad.any()
     return CheckReport(
         name="adapted_collar",
         passed=passed,
@@ -498,46 +500,29 @@ def _adapted_binding(piece, points, min_points, tol, margin) -> CheckReport:
     # restrict W to the binding locus and drop the transverse directions
     transverse = [chart.index(nm) for nm in locus]
     restricted = []
-    for i, comp in enumerate(w.components):
+    for comp in w.components:
         if not isinstance(comp, Expr):
             raise ValueError("binding adaptedness needs exact components")
         restricted.append(comp.substitute_constants(locus))
 
-    sub_coords = restricted[0].coords
-    sub_names = [c.name for c in sub_coords]
     # sample the binding locus itself
-    sub_chart_axes = []
-    for c, b in zip(chart.coords, chart.bounds):
-        if c.name in sub_names:
-            sub_chart_axes.append((c, b))
-    n = max(2, int(round(min_points ** (1.0 / max(len(sub_chart_axes), 1)))))
-    axes = []
-    for c, b in sub_chart_axes:
-        if c.is_angular:
-            axes.append(np.linspace(b.lo, b.hi, n, endpoint=False))
-        else:
-            lo, hi = b.sample_range(margin)
-            axes.append(np.linspace(lo, hi, n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    keep = [i for i, c in enumerate(chart.coords) if c.name not in locus]
+    sub_chart = Chart(
+        chart.name, tuple(chart.coords[i] for i in keep), tuple(chart.bounds[i] for i in keep)
+    )
+    pts = sub_chart.grid_for_min_points(min_points, margin)
 
     vals = np.stack([r.compile()(pts) for r in restricted], axis=-1)
     trans_vals = vals[:, transverse]
     residual = float(np.abs(trans_vals).max()) if transverse else 0.0
-    tangent_idx = [i for i in range(chart.dim) if i not in transverse]
-    norms = np.linalg.norm(vals[:, tangent_idx], axis=-1)
+    norms = np.linalg.norm(vals[:, keep], axis=-1)
 
-    passed = residual <= tol and bool((norms > 0).all())
-    bad = norms <= 0
-    failures = tuple(
-        {"point": {nm: float(pts[i, k]) for k, nm in enumerate(sub_names)}, "value": float(norms[i])}
-        for i in np.nonzero(bad)[0][:MAX_FAILURES]
-    )
+    bad = norms <= DEFAULT_THRESHOLD
     return CheckReport(
         name="adapted_binding",
-        passed=passed,
+        passed=residual <= tol and not bad.any(),
         n_points=len(pts),
         min_gap=float(norms.min()),
-        failures=failures,
+        failures=_failures(sub_chart, pts, bad, norms),
         details={"tangency_residual": residual, "locus": {k: float(v) for k, v in sorted(locus.items())}},
     )

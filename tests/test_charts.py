@@ -271,6 +271,8 @@ class TestSamplingAndRank:
         assert (ranks == 2).all()
         # smallest counted singular value of this fixed frame is 1
         assert np.allclose(gaps, 1.0)
+        with pytest.raises(ValueError):
+            pointwise_rank(mats, tol=-1.0)
 
     def test_numeric_scalar_analytic_partial_survives_arithmetic(self):
         coords = DARBOUX.coords

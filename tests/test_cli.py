@@ -8,7 +8,7 @@ import pytest
 
 import engelbook
 from engelbook.cli import run
-from engelbook.modelfile import read_model
+from engelbook.modelfile import load_model
 
 SCHEMA_KEYS = {
     "tool_version",
@@ -59,6 +59,27 @@ def test_verify_unknown_model_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "error[EB-PARAM]" in err
     assert "unknown model" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "binding_Eb", "--samples", "0"],
+        ["verify", "--model", "binding_Eb", "--rank-tol=-1e-9"],
+        ["verify", "--model", "binding_Eb", "--zero-tol", "-1"],
+        ["construct", "--lambda", "2", "--k", "3", "--turn-samples", "0"],
+        ["construct", "--lambda", "2", "--k", "3", "--slope-tol", "nan"],
+        ["invariants", "--lambda", "2", "--k", "3", "--residual-tol", "-0.25"],
+        ["foliation", "--k", "3", "--grid", "0"],
+        ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "binding", "--circle", "y",
+         "--samples", "-5"],
+    ],
+)
+def test_invalid_counts_and_tolerances_are_rejected(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    flag = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+    assert f"error[EB-PARAM] {flag} must be" in err
 
 
 def test_construct_writes_report_with_derived_l(tmp_path):
@@ -115,7 +136,7 @@ def test_construct_writes_model_file(tmp_path):
         ]
     )
     assert code == 0
-    model = read_model(str(model_file))
+    model = load_model(model_file.read_text())
     assert [p.name for p in model.pieces] == ["collar", "binding"]
     assert model.gluings[0].map is not None
 

@@ -19,7 +19,6 @@ from engelbook.foliation import (
     SliceEmbedding,
     annulus_foliation_check,
     boundary_winding_vs_index,
-    characteristic_direction,
     classifier_boundary_winding,
     construct_xi_prime,
     find_and_classify,
@@ -245,12 +244,6 @@ def test_nonconstant_pullback_is_rejected():
     wavy = TORUS.one_form({"x": "cos(x)", "y": 1.0})
     with pytest.raises(ValueError):
         torus_slope(wavy)
-
-
-def test_characteristic_direction_annihilates_the_form():
-    form = TORUS.one_form({"x": "cos(x + y)", "y": "2 + sin(x)"})
-    v = characteristic_direction(form)
-    assert canonical_equal(form.apply(v), TORUS.zero())
 
 
 # -- leaf tracing ----------------------------------------------------------------

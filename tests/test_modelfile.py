@@ -5,7 +5,7 @@ import math
 import pytest
 
 from engelbook.charts import NumericScalar, VectorField
-from engelbook.modelfile import dump_model, load_model, read_model, save_model
+from engelbook.modelfile import dump_model, load_model
 from engelbook.models import (
     ModelPiece,
     OpenBookModel,
@@ -68,14 +68,6 @@ def test_loaded_binding_core_keeps_locus_checks():
     reports = piece_checks(core, min_points=300)
     assert any(r.name == "adapted_binding" for r in reports)
     assert all(r.passed for r in reports)
-
-
-def test_file_round_trip_through_disk(tmp_path):
-    model = model_catalog("collar_xi")
-    path = tmp_path / "collar.model"
-    save_model(model, str(path))
-    back = read_model(str(path))
-    assert dump_model(back) == dump_model(model)
 
 
 HAND_WRITTEN = """\

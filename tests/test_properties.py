@@ -1,0 +1,128 @@
+"""Property tests for expression evaluation, calculus and coordinate transplants.
+
+Every property is checked through evaluation at random points, so it holds
+for the functions the expressions denote and not only for their term lists.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from engelbook.trigpoly import (
+    KIND_ANGULAR,
+    KIND_LINEAR,
+    KIND_POLYNOMIAL,
+    Coordinate,
+    Expr,
+    Mode,
+    canonical_equal,
+    parse_expression,
+)
+
+MIX = (
+    Coordinate("x", KIND_ANGULAR),
+    Coordinate("y", KIND_ANGULAR),
+    Coordinate("r", KIND_LINEAR),
+    Coordinate("s", KIND_POLYNOMIAL),
+)
+N_POINTS = 16
+
+quick = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def terms(draw):
+    powers = (0, 0, draw(st.integers(0, 2)), draw(st.integers(-1, 2)))
+    freqs = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(-1, 1)), 0)
+    return Expr.term(
+        MIX,
+        draw(st.floats(-2.0, 2.0)),
+        powers,
+        draw(st.sampled_from(list(Mode))),
+        freqs,
+        draw(st.floats(0.0, math.tau)),
+    )
+
+
+exprs = st.lists(terms(), min_size=0, max_size=4).map(lambda ts: sum(ts, Expr.zero(MIX)))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def points(seed):
+    # polynomial and linear coordinates stay away from 0 so s^-1 is finite
+    rng = np.random.default_rng(seed)
+    lo = np.array([0.0, 0.0, 0.3, 0.3])
+    hi = np.array([math.tau, math.tau, 2.0, 2.0])
+    return rng.uniform(lo, hi, size=(N_POINTS, len(MIX)))
+
+
+def values(pts, coords=MIX):
+    return {c.name: pts[:, i] for i, c in enumerate(coords)}
+
+
+def close(a, b):
+    scale = 1.0 + max(np.abs(a).max(), np.abs(b).max())
+    return np.abs(a - b).max() <= 1e-9 * scale
+
+
+@quick
+@given(exprs, seeds)
+def test_evaluate_agrees_with_compile(e, seed):
+    pts = points(seed)
+    assert np.array_equal(e.evaluate(values(pts)), e.compile()(pts))
+
+
+@quick
+@given(exprs, exprs, exprs, seeds)
+def test_ring_laws(a, b, c, seed):
+    pts = points(seed)
+    av, bv, cv = (f.compile()(pts) for f in (a, b, c))
+    assert close((a + b).compile()(pts), av + bv)
+    assert close((a - b).compile()(pts), av - bv)
+    assert close((a * b).compile()(pts), av * bv)
+    assert canonical_equal(a + b, b + a, tol=1e-12)
+    assert close((a * (b + c)).compile()(pts), (a * b + a * c).compile()(pts))
+    assert close(((a * b) * c).compile()(pts), (a * (b * c)).compile()(pts))
+
+
+@quick
+@given(exprs, exprs, st.sampled_from([c.name for c in MIX]), seeds)
+def test_partial_obeys_leibniz(a, b, name, seed):
+    pts = points(seed)
+    lhs = (a * b).partial(name).compile()(pts)
+    rhs = (a.partial(name) * b + a * b.partial(name)).compile()(pts)
+    assert close(lhs, rhs)
+
+
+@quick
+@given(exprs, st.permutations(range(len(MIX))), seeds)
+def test_transplant_commutes_with_evaluation(e, order, seed):
+    # rename every coordinate, reorder the target chart and add an unused one
+    name_map = {c.name: f"{c.name}_new" for c in MIX}
+    target = tuple(Coordinate(name_map[MIX[i].name], MIX[i].kind) for i in order)
+    target += (Coordinate("extra", KIND_POLYNOMIAL),)
+    moved = e.with_coords(target, name_map)
+    pts = points(seed)
+    vals = {name_map[n]: v for n, v in values(pts).items()}
+    vals["extra"] = np.full(N_POINTS, 1.7)
+    assert close(moved.evaluate(vals), e.evaluate(values(pts)))
+
+
+@quick
+@given(exprs)
+def test_transplant_rejects_kind_mismatch(e):
+    wrong = (MIX[0], MIX[1], Coordinate("r", KIND_POLYNOMIAL), MIX[3])
+    with pytest.raises(ValueError):
+        e.with_coords(wrong)
+
+
+@quick
+@given(exprs, seeds)
+def test_parse_inverts_to_string(e, seed):
+    back = parse_expression(e.to_string(), MIX)
+    assert canonical_equal(back, e, tol=1e-9)
+    pts = points(seed)
+    assert close(back.compile()(pts), e.compile()(pts))

@@ -232,13 +232,15 @@ class TestSubstitution:
             e.substitute_integer_affine({"s": ({"s": 1, "r": 1}, 0.0)})
 
     def test_rename_keeps_kinds(self):
-        e = parse("cos(x + y)", XY)
-        renamed = e.with_coords(
-            (Coordinate("u", KIND_ANGULAR), Coordinate("v", KIND_ANGULAR))
-        )
-        assert renamed.evaluate({"u": 0.2, "v": 0.3}) == pytest.approx(math.cos(0.5))
+        e = parse("cos(x + 2*y)", XY)
+        uv = (Coordinate("u", KIND_ANGULAR), Coordinate("v", KIND_ANGULAR))
+        renamed = e.with_coords(uv, {"x": "u", "y": "v"})
+        assert renamed.evaluate({"u": 0.2, "v": 0.3}) == pytest.approx(math.cos(0.8))
+        # by name onto a larger, reordered chart
+        wider = e.with_coords((Coordinate("s", KIND_POLYNOMIAL),) + XY[::-1])
+        assert wider.evaluate({"s": 5.0, "x": 0.2, "y": 0.3}) == pytest.approx(math.cos(0.8))
         with pytest.raises(ValueError):
-            e.with_coords((Coordinate("u", KIND_LINEAR), Coordinate("v", KIND_ANGULAR)))
+            e.with_coords((Coordinate("u", KIND_LINEAR), uv[1]), {"x": "u", "y": "v"})
 
 
 class TestParser:

@@ -1,13 +1,16 @@
 """Unit tests for the pointwise verification certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from engelbook.charts import Chart, Interval
+from engelbook.models import model_catalog
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL
 from engelbook.verify import (
+    adaptedness_check,
     contact_structure_check,
     contact_vector_field_check,
     even_contact_form_check,
@@ -130,6 +133,9 @@ class TestEngelAndIsotropic:
     def test_commuting_pair_is_not_engel(self):
         report = engel_check([DISK3.basis_vector("theta"), DISK3.basis_vector("x")])
         assert not report.passed
+        # a negative tolerance would count zero singular values toward the rank
+        with pytest.raises(ValueError):
+            engel_check([R4.basis_vector("x"), R4.basis_vector("y")], min_points=16, tol=-1.0)
 
     def test_isotropic_line_darboux_even(self):
         alpha = R4.one_form({"z": 1.0, "x": "-y"})
@@ -221,3 +227,21 @@ class TestFibrationAndFamilies:
         report = family_slice_check("family", slice_report, np.linspace(0.0, 1.0, 11))
         assert report.passed
         assert report.details["slices"] == 11
+
+
+class TestAdaptedness:
+    def test_binding_locus_grid_reaches_min_points(self):
+        core = model_catalog("binding_Eb").piece("binding-core")
+        report = adaptedness_check(core, min_points=300)
+        assert report.name == "adapted_binding"
+        assert report.passed
+        assert report.n_points >= 300
+
+    def test_collar_kernel_line_below_threshold_fails(self):
+        collar = model_catalog("binding_Eb").piece("boundary-annulus")
+        faint = dataclasses.replace(collar, w_field=collar.w_field.scaled(1e-11))
+        report = adaptedness_check(faint, min_points=256)
+        assert report.name == "adapted_collar"
+        assert 0.0 < report.min_gap < 1e-9
+        assert not report.passed
+        assert report.failures
