@@ -376,8 +376,35 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1e-9`` into ``--flag=-1e-9``.
+
+    argparse takes a space-separated value that starts with ``-`` for an
+    option unless it looks like a plain decimal, so negative numbers in
+    scientific notation would stop in a usage error instead of reaching
+    the range checks.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if arg.startswith("-") and prev.startswith("--") and "=" not in prev and _is_number(arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -435,37 +435,31 @@ def find_and_classify(
     Jacobian; converged points are deduplicated and classified by the sign
     of the Jacobian determinant (positive: elliptic, negative: hyperbolic)
     and the sign of the level function.
-    """
-    z = _disk_grid(0.98 * radius, grid_n)
-    alive = np.ones(len(z), dtype=bool)
-    for _ in range(newton_iters):
-        V = classifier.value(z)
-        if not alive.any():
-            break
-        J = classifier.jacobian(z)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        ok = np.abs(det) > 1e-300
-        inv_det = np.where(ok, det, 1.0)
-        step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
-        step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
-        step = np.stack([step_p, step_q], axis=-1)
-        step[~ok] = 0.0
-        alive &= ok & (np.linalg.norm(z, axis=-1) < 2.0 * radius)
-        z = np.where(alive[:, None], z - step, z)
 
+    Each round evaluates the field only on the active seeds.  A seed leaves
+    the active set when it dies (singular Jacobian, or ``|z| >= 2 radius``)
+    or when a round leaves its ``z`` bitwise unchanged, and seeds that land
+    on the bitwise same point continue as one.  The field is evaluated
+    pointwise, so a fixed seed would take the same zero step in every later
+    round and merged seeds would take the same steps.  The final points are
+    therefore bit-identical to iterating every seed for all
+    ``newton_iters`` rounds.
+    """
+    z = _newton_points(classifier, radius, grid_n, newton_iters)
     V = classifier.value(z)
     good = (
         np.isfinite(z).all(axis=-1)
         & (np.linalg.norm(V, axis=-1) <= residual_tol)
         & (np.linalg.norm(z, axis=-1) < radius)
     )
-    zs = z[good]
 
-    # dedupe by spatial proximity
+    # dedupe by spatial proximity: keep the first remaining point in grid
+    # order and drop every point within dedupe_tol of it
+    rest = z[good]
     unique: list[np.ndarray] = []
-    for p in zs:
-        if all(np.linalg.norm(p - q) > dedupe_tol for q in unique):
-            unique.append(p)
+    while len(rest):
+        unique.append(rest[0])
+        rest = rest[np.linalg.norm(rest - rest[0], axis=-1) > dedupe_tol]
     unique.sort(key=lambda p: (round(float(p[0]), 9), round(float(p[1]), 9)))
 
     zeros = []
@@ -498,6 +492,46 @@ def find_and_classify(
     euler = counts["e_plus"] + counts["e_minus"] - counts["h_plus"] - counts["h_minus"]
     relative = counts["e_plus"] - counts["e_minus"] - counts["h_plus"] + counts["h_minus"]
     return SingularityReport(tuple(zeros), counts, euler, relative, degenerate)
+
+
+_ROW_BYTES = np.dtype((np.void, 16))  # one (p, q) float64 row as raw bytes
+
+
+def _newton_points(
+    classifier: ClassifierField, radius: float, grid_n: int, newton_iters: int
+) -> np.ndarray:
+    """Where each disk grid seed is after the Newton rounds (active-set rule
+    in ``find_and_classify``)."""
+    z = _disk_grid(0.98 * radius, grid_n)
+    lead = np.arange(len(z))
+    active = np.arange(len(z))
+    for _ in range(newton_iters):
+        if not active.size:
+            break
+        za = z[active]
+        V = classifier.value(za)
+        J = classifier.jacobian(za)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        ok = np.abs(det) > 1e-300
+        inv_det = np.where(ok, det, 1.0)
+        step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
+        step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
+        step = np.stack([step_p, step_q], axis=-1)
+        alive = ok & (np.linalg.norm(za, axis=-1) < 2.0 * radius)
+        za, step, active = za[alive], step[alive], active[alive]
+        moved = za - step
+        z[active] = moved
+        active = active[(moved.view(np.int64) != za.view(np.int64)).any(axis=-1)]
+        # seeds that landed on the same point follow the first of them
+        _, first, inverse = np.unique(
+            z[active].view(_ROW_BYTES).ravel(), return_index=True, return_inverse=True
+        )
+        lead[active] = active[first][inverse]
+        active = active[np.sort(first)]
+    # a lead that later merged points to its own lead
+    while (lead[lead] != lead).any():
+        lead = lead[lead]
+    return z[lead]
 
 
 def classifier_boundary_winding(
@@ -583,10 +617,26 @@ def _gaussian_bundle(
 
     Each bump is exp(-d^2 / 2 w^2) faded to exactly zero between t0*w and
     t1*w away from its center by a reversed smoothstep.
+
+    A bump is evaluated only on the points inside the box of half-width
+    ``1.001 * t1 * w`` around its center.  Outside that box the fade
+    parameter is at least 1, so the bump and its derivatives are signed
+    zeros, and adding them would leave every sum bitwise unchanged.  The
+    0.1% margin keeps rounding in ``hypot`` from leaving a point with fade
+    parameter just below 1 outside the box.  Contributions accumulate in
+    center order, so the sums match a dense all-points evaluation bit for bit.
     """
     w2 = width * width
     fade_lo = t0 * width
     fade_w = (t1 - t0) * width
+    reach = 1.001 * t1 * width
+
+    def local(flat: np.ndarray):
+        """Per center: the indices of the points in reach and the bump there."""
+        p, q = flat.T.copy()
+        for center in centers:
+            idx = np.flatnonzero((np.abs(p - center[0]) <= reach) & (np.abs(q - center[1]) <= reach))
+            yield idx, per_bump(flat[idx], center)
 
     def per_bump(pts: np.ndarray, center: np.ndarray):
         dp = pts[..., 0] - center[0]
@@ -605,24 +655,25 @@ def _gaussian_bundle(
         return dp, dq, d, g, g1, g2
 
     def value(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[:-1])
-        for center in centers:
-            out = out + amplitude * per_bump(pts, center)[3]
-        return out
+        flat = pts.reshape(-1, 2)
+        out = np.zeros(len(flat))
+        for idx, (_, _, _, g, _, _) in local(flat):
+            out[idx] += amplitude * g
+        return out.reshape(pts.shape[:-1])
 
     def grad(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[:-1] + (2,))
-        for center in centers:
-            dp, dq, d, _, g1, _ = per_bump(pts, center)
+        flat = pts.reshape(-1, 2)
+        out = np.zeros((len(flat), 2))
+        for idx, (dp, dq, d, _, g1, _) in local(flat):
             safe = np.maximum(d, 1e-30)
-            out[..., 0] += amplitude * g1 * dp / safe
-            out[..., 1] += amplitude * g1 * dq / safe
-        return out
+            out[idx, 0] += amplitude * g1 * dp / safe
+            out[idx, 1] += amplitude * g1 * dq / safe
+        return out.reshape(pts.shape)
 
     def hess(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[:-1] + (2, 2))
-        for center in centers:
-            dp, dq, d, _, g1, g2 = per_bump(pts, center)
+        flat = pts.reshape(-1, 2)
+        out = np.zeros((len(flat), 2, 2))
+        for idx, (dp, dq, d, _, g1, g2) in local(flat):
             near = d < 1e-9
             safe = np.maximum(d, 1e-30)
             up, uq = dp / safe, dq / safe
@@ -630,11 +681,11 @@ def _gaussian_bundle(
             hpp = np.where(near, g2, g2 * up * up + radial * uq * uq)
             hqq = np.where(near, g2, g2 * uq * uq + radial * up * up)
             hpq = np.where(near, 0.0, (g2 - radial) * up * uq)
-            out[..., 0, 0] += amplitude * hpp
-            out[..., 1, 1] += amplitude * hqq
-            out[..., 0, 1] += amplitude * hpq
-            out[..., 1, 0] += amplitude * hpq
-        return out
+            out[idx, 0, 0] += amplitude * hpp
+            out[idx, 1, 1] += amplitude * hqq
+            out[idx, 0, 1] += amplitude * hpq
+            out[idx, 1, 0] += amplitude * hpq
+        return out.reshape(pts.shape + (2,))
 
     return value, grad, hess
 

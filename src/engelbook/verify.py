@@ -437,6 +437,8 @@ def adaptedness_check(
     - ``"binding"``: the kernel line must be tangent to the binding locus
       (transverse components vanish on ``piece.binding_locus``) and
       nonvanishing there, sampled on a grid of the locus coordinates.
+      Given ``points`` are projected onto the locus: their locus
+      coordinates are replaced by the locus values.
     """
     role = getattr(piece, "role")
     if role == "page":
@@ -505,12 +507,19 @@ def _adapted_binding(piece, points, min_points, tol, margin) -> CheckReport:
             raise ValueError("binding adaptedness needs exact components")
         restricted.append(comp.substitute_constants(locus))
 
-    # sample the binding locus itself
+    # sample the binding locus itself; given points keep their non-locus coordinates
     keep = [i for i, c in enumerate(chart.coords) if c.name not in locus]
     sub_chart = Chart(
         chart.name, tuple(chart.coords[i] for i in keep), tuple(chart.bounds[i] for i in keep)
     )
-    pts = sub_chart.grid_for_min_points(min_points, margin)
+    if points is not None:
+        points = np.asarray(points, float)
+        if points.ndim != 2 or points.shape[1] != chart.dim:
+            raise ValueError(
+                f"binding points must have shape (n, {chart.dim}), got {points.shape}"
+            )
+        points = points[:, keep]
+    pts = _grid(sub_chart, points, min_points, margin)
 
     vals = np.stack([r.compile()(pts) for r in restricted], axis=-1)
     trans_vals = vals[:, transverse]

@@ -73,6 +73,8 @@ def test_verify_unknown_model_is_usage_error(capsys):
         ["foliation", "--k", "3", "--grid", "0"],
         ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "binding", "--circle", "y",
          "--samples", "-5"],
+        ["verify", "--model", "binding_Eb", "--rank-tol", "-1e-9"],
+        ["verify", "--model", "binding_Eb", "--residual-tol", "-2.5e-1"],
     ],
 )
 def test_invalid_counts_and_tolerances_are_rejected(capsys, argv):

@@ -14,9 +14,19 @@ from engelbook.charts import (
     wedge_top,
 )
 from engelbook.foliation import (
+    ClassifierField,
     NumericEmbedding,
     SingularityReport,
     SliceEmbedding,
+    _assemble_pieces,
+    _classifier_from_pieces,
+    _default_disk_params,
+    _disk_grid,
+    _gaussian_bundle,
+    _newton_points,
+    _smoothstep,
+    _smoothstep_d1,
+    _smoothstep_d2,
     annulus_foliation_check,
     boundary_winding_vs_index,
     classifier_boundary_winding,
@@ -373,6 +383,117 @@ def test_boundary_winding_comparison():
     assert not boundary_winding_vs_index(field, (e1, e2), loop, off)["match"]
 
 
+def dense_newton_points(classifier, newton_iters):
+    """Reference Newton rounds on the unit disk: every seed in every round."""
+    z = _disk_grid(0.98, 161)
+    alive = np.ones(len(z), dtype=bool)
+    for _ in range(newton_iters):
+        V = classifier.value(z)
+        if not alive.any():
+            break
+        J = classifier.jacobian(z)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        ok = np.abs(det) > 1e-300
+        inv_det = np.where(ok, det, 1.0)
+        step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
+        step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
+        step = np.stack([step_p, step_q], axis=-1)
+        step[~ok] = 0.0
+        alive &= ok & (np.linalg.norm(z, axis=-1) < 2.0)
+        z = np.where(alive[:, None], z - step, z)
+    return z
+
+
+def dense_classify(classifier, z):
+    """Reference dedupe and classification: pairwise greedy dedupe in grid order."""
+    V = classifier.value(z)
+    good = (
+        np.isfinite(z).all(axis=-1)
+        & (np.linalg.norm(V, axis=-1) <= 1e-10)
+        & (np.linalg.norm(z, axis=-1) < 1.0)
+    )
+    unique = []
+    for p in z[good]:
+        if all(np.linalg.norm(p - q) > 1e-6 for q in unique):
+            unique.append(p)
+    unique.sort(key=lambda p: (round(float(p[0]), 9), round(float(p[1]), 9)))
+
+    zeros = []
+    counts = {"e_plus": 0, "e_minus": 0, "h_plus": 0, "h_minus": 0}
+    degenerate = False
+    if unique:
+        arr = np.stack(unique)
+        jac = classifier.jacobian(arr)
+        dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        levels = classifier.level(arr)
+        residuals = np.linalg.norm(classifier.value(arr), axis=-1)
+        for p, det, lev, res in zip(arr, dets, levels, residuals):
+            degenerate |= abs(det) < 1e-8 or abs(lev) < 1e-8
+            kind = "elliptic" if det > 0 else "hyperbolic"
+            sign = 1 if lev > 0 else -1
+            counts[kind[0] + ("_plus" if sign > 0 else "_minus")] += 1
+            zeros.append(
+                {
+                    "p": float(p[0]),
+                    "q": float(p[1]),
+                    "type": kind,
+                    "sign": sign,
+                    "det": float(det),
+                    "level": float(lev),
+                    "residual": float(res),
+                }
+            )
+    return tuple(zeros), counts, degenerate
+
+
+def fold_field():
+    """V = (p^2 - 1/4, q): seeds on p = 0 have a singular Jacobian, and
+    seeds near it are thrown past |z| = 2 by their first step."""
+
+    def value(pts):
+        pts = np.asarray(pts, float)
+        return np.stack([pts[..., 0] ** 2 - 0.25, pts[..., 1]], axis=-1)
+
+    def jacobian(pts):
+        pts = np.asarray(pts, float)
+        J = np.zeros(pts.shape[:-1] + (2, 2))
+        J[..., 0, 0] = 2.0 * pts[..., 0]
+        J[..., 1, 1] = 1.0
+        return J
+
+    def level(pts):
+        return np.ones(np.asarray(pts, float).shape[:-1])
+
+    return ClassifierField(value, jacobian, level)
+
+
+@functools.lru_cache(maxsize=None)
+def search_field(name):
+    if name == "sink":
+        return radial_sink()
+    if name == "fold":
+        return fold_field()
+    k = int(name[1:])
+    return _classifier_from_pieces(_assemble_pieces(k, _default_disk_params(k)))
+
+
+@pytest.mark.parametrize("newton_iters", [1, 2, 60])
+@pytest.mark.parametrize("name", ["k3", "k7", "sink", "fold"])
+def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
+    classifier = search_field(name)
+    dense_z = dense_newton_points(classifier, newton_iters)
+    z = _newton_points(classifier, 1.0, 161, newton_iters)
+    assert np.array_equal(z.view(np.int64), dense_z.view(np.int64))
+
+    report = find_and_classify(classifier, newton_iters=newton_iters)
+    zeros, counts, degenerate = dense_classify(classifier, dense_z)
+    assert repr(report.zeros) == repr(zeros)
+    assert report.counts == counts
+    assert report.degenerate == degenerate
+    if newton_iters == 60:
+        assert len(zeros) == {"k3": 3, "k7": 7, "sink": 1, "fold": 2}[name]
+
+
 # -- the disk constructor -----------------------------------------------------------
 
 
@@ -423,6 +544,91 @@ def test_hand_coefficient_matches_wedge_route():
     coeffs = wedge_top(d.alpha, exterior_derivative(d.alpha))
     wedge_vals = batch_eval_scalars([c for _, c in coeffs], pts3)[:, 0]
     assert np.abs(F(pts3[:, 1:]) - wedge_vals).max() <= 1e-10
+
+
+def dense_gaussian_bundle(centers, amplitude, width, t0, t1):
+    """Reference bundle: every bump evaluated at every point."""
+    w2 = width * width
+    fade_lo = t0 * width
+    fade_w = (t1 - t0) * width
+
+    def per_bump(pts, center):
+        dp = pts[..., 0] - center[0]
+        dq = pts[..., 1] - center[1]
+        d = np.hypot(dp, dq)
+        E = np.exp(-0.5 * d * d / w2)
+        t = (d - fade_lo) / fade_w
+        chi = 1.0 - _smoothstep(t)
+        chi_d1 = -_smoothstep_d1(t) / fade_w
+        chi_d2 = -_smoothstep_d2(t) / (fade_w * fade_w)
+        E_d1 = -(d / w2) * E
+        E_d2 = (d * d / (w2 * w2) - 1.0 / w2) * E
+        g = E * chi
+        g1 = E_d1 * chi + E * chi_d1
+        g2 = E_d2 * chi + 2.0 * E_d1 * chi_d1 + E * chi_d2
+        return dp, dq, d, g, g1, g2
+
+    def value(pts):
+        out = np.zeros(pts.shape[:-1])
+        for center in centers:
+            out = out + amplitude * per_bump(pts, center)[3]
+        return out
+
+    def grad(pts):
+        out = np.zeros(pts.shape[:-1] + (2,))
+        for center in centers:
+            dp, dq, d, _, g1, _ = per_bump(pts, center)
+            safe = np.maximum(d, 1e-30)
+            out[..., 0] += amplitude * g1 * dp / safe
+            out[..., 1] += amplitude * g1 * dq / safe
+        return out
+
+    def hess(pts):
+        out = np.zeros(pts.shape[:-1] + (2, 2))
+        for center in centers:
+            dp, dq, d, _, g1, g2 = per_bump(pts, center)
+            near = d < 1e-9
+            safe = np.maximum(d, 1e-30)
+            up, uq = dp / safe, dq / safe
+            radial = g1 / safe
+            hpp = np.where(near, g2, g2 * up * up + radial * uq * uq)
+            hqq = np.where(near, g2, g2 * uq * uq + radial * up * up)
+            hpq = np.where(near, 0.0, (g2 - radial) * up * uq)
+            out[..., 0, 0] += amplitude * hpp
+            out[..., 1, 1] += amplitude * hqq
+            out[..., 0, 1] += amplitude * hpq
+            out[..., 1, 0] += amplitude * hpq
+        return out
+
+    return value, grad, hess
+
+
+@pytest.mark.parametrize("layout", ["disk-k7", "scattered"])
+def test_local_gaussian_bundle_is_bit_identical_to_dense_sum(layout):
+    rng = np.random.default_rng(5)
+    params = _default_disk_params(7)
+    width = params["width"]
+    t0, t1 = params["trunc"]
+    if layout == "disk-k7":
+        offsets = (np.arange(4) - 1.5) * params["spacing"] * width
+        centers = np.stack([offsets, np.zeros(4)], axis=-1)
+    else:
+        centers = rng.uniform(-0.5, 0.5, (5, 2))
+    # uniform points, points just inside and just outside each bump's reach,
+    # far points, and the centers themselves
+    angles = rng.uniform(0.0, math.tau, (len(centers), 200))
+    radii = t1 * width * (1.0 + 1e-12 * rng.choice([-1.0, 1.0], angles.shape))
+    rim = centers[:, None, :] + radii[..., None] * np.stack([np.cos(angles), np.sin(angles)], -1)
+    far = rng.uniform(2.0, 50.0, (300, 1)) * rng.choice([-1.0, 1.0], (300, 2))
+    pts = np.concatenate([rng.uniform(-1.0, 1.0, (2000, 2)), rim.reshape(-1, 2), far, centers])
+
+    local = _gaussian_bundle(centers, 0.85, width, t0, t1)
+    dense = dense_gaussian_bundle(centers, 0.85, width, t0, t1)
+    for fast, ref in zip(local, dense):
+        for batch in (pts, pts[:2000].reshape(40, 50, 2)):  # flat and batched shapes
+            a, b = fast(batch), ref(batch)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_disk_form_k1_is_exact():

@@ -237,6 +237,30 @@ class TestAdaptedness:
         assert report.passed
         assert report.n_points >= 300
 
+    def test_binding_honours_given_points(self):
+        core = model_catalog("binding_Eb").piece("binding-core")
+        # on the locus u = v = 0 this W has norm |sin(x)|
+        faded = dataclasses.replace(
+            core, w_field=core.chart.vector_field({"y": "sin(x)", "u": "-v", "v": "u"})
+        )
+        # the u, v columns are off the locus and must be ignored
+        pts = np.array(
+            [[0.5 * math.pi, 0.1, 0.3, -0.2], [1.0, 2.0, 0.0, 0.1], [2.0, 3.0, 0.2, 0.2]]
+        )
+        report = adaptedness_check(faded, points=pts)
+        assert report.name == "adapted_binding"
+        assert report.passed
+        assert report.n_points == 3
+        assert report.min_gap == pytest.approx(math.sin(1.0), abs=1e-15)
+
+        pts[1, 0] = 0.0
+        report = adaptedness_check(faded, points=pts)
+        assert not report.passed
+        assert report.failures == ({"point": {"x": 0.0, "y": 2.0}, "value": 0.0},)
+
+        with pytest.raises(ValueError):
+            adaptedness_check(faded, points=pts[:, :2])
+
     def test_collar_kernel_line_below_threshold_fails(self):
         collar = model_catalog("binding_Eb").piece("boundary-annulus")
         faint = dataclasses.replace(collar, w_field=collar.w_field.scaled(1e-11))
