@@ -62,7 +62,7 @@ segment = Path.coordinate_segment(chart, "phi", base, 0.0, 0.3)
 print(f"collar probe on a short segment: {looseness_probe(collar, segment)} turns")
 
 # a path tangent to the kernel direction is rejected rather than miscounted
-tube = model_catalog("engel_darboux_loose", N=2).piece("loose-tube")
+tube = model_catalog("engel_darboux_loose").piece("loose-tube")
 bad = Path.coordinate_circle(tube.chart, "theta", {})
 try:
     looseness_probe(tube, bad)

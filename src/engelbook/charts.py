@@ -46,6 +46,7 @@ __all__ = [
 
 FD_STEP = 1e-6
 RANK_TOL = 1e-9
+_SAMPLE_MARGIN = 1e-3  # share of an open interval's span kept clear of each open end
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,10 @@ class Interval:
     lo_open: bool = True
     hi_open: bool = True
 
-    def sample_range(self, margin: float) -> tuple[float, float]:
+    def sample_range(self) -> tuple[float, float]:
         span = self.hi - self.lo
-        lo = self.lo + margin * span if self.lo_open else self.lo
-        hi = self.hi - margin * span if self.hi_open else self.hi
+        lo = self.lo + _SAMPLE_MARGIN * span if self.lo_open else self.lo
+        hi = self.hi - _SAMPLE_MARGIN * span if self.hi_open else self.hi
         return lo, hi
 
 
@@ -305,29 +306,29 @@ class Chart:
 
     # sampling
 
-    def sample_axes(self, n_per_axis: int, margin: float = 1e-3) -> list[np.ndarray]:
+    def sample_axes(self, n_per_axis: int) -> list[np.ndarray]:
         axes = []
         for c, b in zip(self.coords, self.bounds):
             if c.is_angular:
                 axes.append(np.linspace(b.lo, b.hi, n_per_axis, endpoint=False))
             else:
-                lo, hi = b.sample_range(margin)
+                lo, hi = b.sample_range()
                 axes.append(np.linspace(lo, hi, n_per_axis))
         return axes
 
-    def sample_grid(self, n_per_axis: int, margin: float = 1e-3) -> np.ndarray:
-        axes = self.sample_axes(n_per_axis, margin)
+    def sample_grid(self, n_per_axis: int) -> np.ndarray:
+        axes = self.sample_axes(n_per_axis)
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
-    def grid_for_min_points(self, min_points: int, margin: float = 1e-3) -> np.ndarray:
+    def grid_for_min_points(self, min_points: int) -> np.ndarray:
         n = max(2, math.ceil(min_points ** (1.0 / self.dim)))
-        return self.sample_grid(n, margin)
+        return self.sample_grid(n)
 
-    def sample_random(self, n: int, rng: np.random.Generator, margin: float = 1e-3) -> np.ndarray:
+    def sample_random(self, n: int, rng: np.random.Generator) -> np.ndarray:
         cols = []
         for c, b in zip(self.coords, self.bounds):
-            lo, hi = (b.lo, b.hi) if c.is_angular else b.sample_range(margin)
+            lo, hi = (b.lo, b.hi) if c.is_angular else b.sample_range()
             cols.append(rng.uniform(lo, hi, size=n))
         return np.stack(cols, axis=-1)
 

@@ -376,22 +376,17 @@ _COMMANDS = {
 }
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join ``--flag -1e-9`` into ``--flag=-1e-9``.
+def _shield_negative_numbers(argv: list[str]) -> list[str]:
+    """Prefix a space to every argument that is a negative number.
 
-    argparse takes a space-separated value that starts with ``-`` for an
-    option unless it looks like a plain decimal, so negative numbers in
-    scientific notation would stop in a usage error instead of reaching
-    the range checks.
+    argparse takes an argument that starts with ``-`` for an option unless
+    it looks like a plain decimal, so negative numbers in scientific
+    notation would stop in a usage error instead of reaching the range
+    checks.  An argument that starts with a space is always a value, for
+    single- and multi-value options alike, and ``int`` and ``float`` ignore
+    the space.
     """
-    out: list[str] = []
-    for arg in argv:
-        prev = out[-1] if out else ""
-        if arg.startswith("-") and prev.startswith("--") and "=" not in prev and _is_number(arg):
-            out[-1] = f"{prev}={arg}"
-        else:
-            out.append(arg)
-    return out
+    return [f" {arg}" if arg.startswith("-") and _is_number(arg) else arg for arg in argv]
 
 
 def _is_number(text: str) -> bool:
@@ -404,7 +399,7 @@ def _is_number(text: str) -> bool:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+    argv = _shield_negative_numbers(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,8 +9,7 @@ form on a disk bundle with a prescribed odd number of boundary twists.
 
 The constructor realizes the form
 
-    alpha = u dx + beta,
-    beta  = (u_q - c q + s p / rho) dp + (-u_p + c p + s q / rho) dq,
+    alpha = u dx + beta,    beta = V_q dp - V_p dq,
 
 with u a chain of truncated Gaussian peaks over a negative floor, lifted
 back to 1 through a radial wall, and c, s radial profiles that keep the
@@ -18,7 +17,9 @@ contact coefficient positive while steering the classifier field
 
     V = grad(u) - c rho e_rho + s e_theta
 
-so that its zeros are exactly the prescribed singularities.  Outside a
+so that its zeros are exactly the prescribed singularities.  The page
+foliation is directed by V and beta = -i_V(dp ^ dq), so beta and its
+partials are read off the classifier's value and Jacobian.  Outside a
 stated radius u is exactly 1, c is exactly 1, and s is exactly 0, so beta
 agrees with p dq - q dp to the last float bit.  All certificates (contact
 positivity, boundary exactness, singularity counts, index identities) are
@@ -40,7 +41,6 @@ from .charts import (
     OneForm,
     TwoForm,
     VectorField,
-    batch_eval_scalars,
 )
 from .trigpoly import (
     KIND_ANGULAR,
@@ -63,6 +63,17 @@ __all__ = [
     "torus_slope",
     "trace_leaf",
 ]
+
+_SLOPE_CONST_TOL = 1e-9  # largest non-constant part of a torus pullback
+_LEAF_SEEDS = 8  # leaves traced per annulus
+_LEAF_STEP = 1e-3
+_LEAF_ARC_FACTOR = 50.0  # arc budget per leaf, in annulus widths
+_RETRACE_TOL = 1e-4
+_DISK_RADIUS = 1.0  # the page disk on which singularities are searched
+_ZERO_RESIDUAL = 1e-10  # |V| at an accepted zero
+_DEDUPE_TOL = 1e-6
+_WINDING_SAMPLES = 2048
+_CONTACT_GRID_N = 281
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -211,39 +222,31 @@ class NumericEmbedding:
 # -- torus slopes ----------------------------------------------------------------
 
 
-def torus_slope(pulled: OneForm, tol: float = 1e-9, samples: int = 16) -> float:
+def torus_slope(pulled: OneForm) -> float:
     """Slope of the linear kernel foliation of a constant form on a 2-torus.
 
-    The pulled-back form must have constant coefficients (c1, c2) within
-    ``tol``; the kernel line of c1 du + c2 dv has slope dv/du = -c1/c2,
-    infinite when c2 vanishes.
+    The pulled-back form (an exact slice pullback) must have constant
+    coefficients (c1, c2) within 1e-9; the kernel line of c1 du + c2 dv has
+    slope dv/du = -c1/c2, infinite when c2 vanishes.
     """
-    chart = pulled.chart
-    if chart.dim != 2:
+    if pulled.chart.dim != 2:
         raise ValueError("torus_slope expects a 2-dimensional chart")
     values = []
     for comp in pulled.components:
-        if isinstance(comp, Expr):
-            # bound |non-constant part| by its coefficient sum; valid because
-            # torus coordinates are angular, so terms carry no monomial factors
-            const = 0.0
-            drift = 0.0
-            for t in comp.terms:
-                if t.mode == Mode.CONST and not any(t.powers) and not any(t.freqs):
-                    const += t.coeff
-                else:
-                    drift += abs(t.coeff)
-            if drift > tol:
-                raise ValueError("pulled-back form is not constant: not a linear foliation")
-            values.append(const)
-        else:
-            pts = chart.sample_grid(samples)
-            vals = batch_eval_scalars([comp], pts)[:, 0]
-            if vals.max() - vals.min() > tol:
-                raise ValueError("pulled-back form is not constant: not a linear foliation")
-            values.append(float(vals.mean()))
+        # bound |non-constant part| by its coefficient sum; valid because
+        # torus coordinates are angular, so terms carry no monomial factors
+        const = 0.0
+        drift = 0.0
+        for t in comp.terms:
+            if t.mode == Mode.CONST and not any(t.powers) and not any(t.freqs):
+                const += t.coeff
+            else:
+                drift += abs(t.coeff)
+        if drift > _SLOPE_CONST_TOL:
+            raise ValueError("pulled-back form is not constant: not a linear foliation")
+        values.append(const)
     c1, c2 = values
-    if abs(c2) <= tol:
+    if abs(c2) <= _SLOPE_CONST_TOL:
         return math.inf
     return -c1 / c2
 
@@ -302,26 +305,22 @@ def trace_leaf(
 def annulus_foliation_check(
     pulled: OneForm,
     v_range: tuple[float, float],
-    n_seeds: int = 8,
-    step: float = 1e-3,
-    arc_factor: float = 50.0,
-    retrace_tol: float = 1e-4,
     name: str = "annulus_foliation",
 ):
     """Every leaf of the kernel foliation must cross the annulus.
 
-    Traces the normalized kernel direction forward and backward from seeds
-    on the middle circle; a passing foliation exits through both boundary
-    components, and re-integrating backward from the forward endpoint
-    reproduces the seed within ``retrace_tol``.  Closed or trapped leaves
+    Traces the normalized kernel direction forward and backward from 8
+    seeds on the middle circle; a passing foliation exits through both
+    boundary components, and re-integrating backward from the forward
+    endpoint reproduces the seed within 1e-4.  Closed or trapped leaves
     fail.
     """
     from .verify import CheckReport
 
     chart = pulled.chart
     lo, hi = v_range
-    width = hi - lo
-    max_arc = arc_factor * width
+    step = _LEAF_STEP
+    max_arc = _LEAF_ARC_FACTOR * (hi - lo)
     c1, c2 = (c.compile() for c in pulled.components)
 
     def direction(pts: np.ndarray) -> np.ndarray:
@@ -337,7 +336,7 @@ def annulus_foliation_check(
     headroom = math.inf
     mid = 0.5 * (lo + hi)
     wrap = (chart.coords[0].is_angular, chart.coords[1].is_angular)
-    for u0 in np.linspace(0.0, math.tau, n_seeds, endpoint=False):
+    for u0 in np.linspace(0.0, math.tau, _LEAF_SEEDS, endpoint=False):
         seed = np.array([u0, mid])
         fwd_end, fwd_exit, fwd_steps = trace_leaf(
             direction, seed, step, max_arc, inside, wrap
@@ -363,7 +362,7 @@ def annulus_foliation_check(
                 wrap,
                 max_steps=fwd_steps,
             )
-            retrace_ok = bool(np.linalg.norm(back - seed) <= retrace_tol)
+            retrace_ok = bool(np.linalg.norm(back - seed) <= _RETRACE_TOL)
         if not (crossed and retrace_ok):
             failures.append(
                 {
@@ -378,7 +377,7 @@ def annulus_foliation_check(
     return CheckReport(
         name=name,
         passed=passed,
-        n_points=n_seeds,
+        n_points=_LEAF_SEEDS,
         min_gap=0.0 if not passed else float(headroom),
         failures=tuple(failures[:5]),
         details={"step": step, "max_arc": max_arc},
@@ -423,21 +422,21 @@ class SingularityReport:
 
 def find_and_classify(
     classifier: ClassifierField,
-    radius: float = 1.0,
     grid_n: int = 161,
     newton_iters: int = 60,
-    residual_tol: float = 1e-10,
-    dedupe_tol: float = 1e-6,
 ) -> SingularityReport:
-    """Locate and classify the zeros of a plane direction field on a disk.
+    """Locate and classify the zeros of a plane direction field on the unit disk.
 
-    Every grid point seeds a batched Newton iteration with the analytic
-    Jacobian; converged points are deduplicated and classified by the sign
-    of the Jacobian determinant (positive: elliptic, negative: hyperbolic)
-    and the sign of the level function.
+    The points of a ``grid_n`` x ``grid_n`` grid inside the disk seed a
+    batched Newton iteration of ``newton_iters`` rounds with the analytic
+    Jacobian.  Points inside the disk with ``|V| <= 1e-10`` are
+    deduplicated (the first in grid order stands for every point within
+    1e-6 of it) and classified by the sign of the Jacobian determinant
+    (positive: elliptic, negative: hyperbolic) and the sign of the level
+    function.
 
     Each round evaluates the field only on the active seeds.  A seed leaves
-    the active set when it dies (singular Jacobian, or ``|z| >= 2 radius``)
+    the active set when it dies (singular Jacobian, or ``|z| >= 2``)
     or when a round leaves its ``z`` bitwise unchanged, and seeds that land
     on the bitwise same point continue as one.  The field is evaluated
     pointwise, so a fixed seed would take the same zero step in every later
@@ -445,21 +444,19 @@ def find_and_classify(
     therefore bit-identical to iterating every seed for all
     ``newton_iters`` rounds.
     """
-    z = _newton_points(classifier, radius, grid_n, newton_iters)
+    z = _newton_points(classifier, grid_n, newton_iters)
     V = classifier.value(z)
     good = (
         np.isfinite(z).all(axis=-1)
-        & (np.linalg.norm(V, axis=-1) <= residual_tol)
-        & (np.linalg.norm(z, axis=-1) < radius)
+        & (np.linalg.norm(V, axis=-1) <= _ZERO_RESIDUAL)
+        & (np.linalg.norm(z, axis=-1) < _DISK_RADIUS)
     )
 
-    # dedupe by spatial proximity: keep the first remaining point in grid
-    # order and drop every point within dedupe_tol of it
     rest = z[good]
     unique: list[np.ndarray] = []
     while len(rest):
         unique.append(rest[0])
-        rest = rest[np.linalg.norm(rest - rest[0], axis=-1) > dedupe_tol]
+        rest = rest[np.linalg.norm(rest - rest[0], axis=-1) > _DEDUPE_TOL]
     unique.sort(key=lambda p: (round(float(p[0]), 9), round(float(p[1]), 9)))
 
     zeros = []
@@ -497,12 +494,10 @@ def find_and_classify(
 _ROW_BYTES = np.dtype((np.void, 16))  # one (p, q) float64 row as raw bytes
 
 
-def _newton_points(
-    classifier: ClassifierField, radius: float, grid_n: int, newton_iters: int
-) -> np.ndarray:
+def _newton_points(classifier: ClassifierField, grid_n: int, newton_iters: int) -> np.ndarray:
     """Where each disk grid seed is after the Newton rounds (active-set rule
     in ``find_and_classify``)."""
-    z = _disk_grid(0.98 * radius, grid_n)
+    z = _disk_grid(0.98 * _DISK_RADIUS, grid_n)
     lead = np.arange(len(z))
     active = np.arange(len(z))
     for _ in range(newton_iters):
@@ -517,7 +512,7 @@ def _newton_points(
         step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
         step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
         step = np.stack([step_p, step_q], axis=-1)
-        alive = ok & (np.linalg.norm(za, axis=-1) < 2.0 * radius)
+        alive = ok & (np.linalg.norm(za, axis=-1) < 2.0 * _DISK_RADIUS)
         za, step, active = za[alive], step[alive], active[alive]
         moved = za - step
         z[active] = moved
@@ -534,11 +529,10 @@ def _newton_points(
     return z[lead]
 
 
-def classifier_boundary_winding(
-    classifier: ClassifierField, radius: float, n_samples: int = 2048
-) -> float:
-    """Turns of the field along the positively oriented circle of a radius."""
-    t = np.linspace(0.0, math.tau, n_samples, endpoint=False)
+def classifier_boundary_winding(classifier: ClassifierField, radius: float) -> float:
+    """Turns of the field along the positively oriented circle of a radius,
+    sampled at 2048 points."""
+    t = np.linspace(0.0, math.tau, _WINDING_SAMPLES, endpoint=False)
     circle = radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
     V = classifier.value(circle)
     ang = np.arctan2(V[:, 1], V[:, 0])
@@ -855,61 +849,21 @@ def _contact_coefficient(pieces: _DiskPieces) -> Callable[[np.ndarray], np.ndarr
     return F
 
 
-def _beta_scalars(pieces: _DiskPieces, coords) -> tuple[NumericScalar, NumericScalar]:
-    """beta components on the bundle chart (x, p, q) with analytic partials."""
+def _bundle_scalar(coords, fn: Callable, grad: Callable) -> NumericScalar:
+    """The scalar on the bundle chart (x, p, q) given by a page function of
+    (p, q) and its page gradient; it does not depend on x."""
 
-    def split(pts3: np.ndarray) -> np.ndarray:
-        return np.asarray(pts3, float)[..., 1:]
-
-    def beta1(pts3):
-        pts = split(pts3)
-        p, q = pts[..., 0], pts[..., 1]
-        rho = np.hypot(p, q)
-        safe = np.maximum(rho, 1e-30)
-        return pieces.grad_u(pts)[..., 1] - pieces.c(rho) * q + pieces.s(rho) * p / safe
-
-    def beta2(pts3):
-        pts = split(pts3)
-        p, q = pts[..., 0], pts[..., 1]
-        rho = np.hypot(p, q)
-        safe = np.maximum(rho, 1e-30)
-        return -pieces.grad_u(pts)[..., 0] + pieces.c(rho) * p + pieces.s(rho) * q / safe
-
-    def d_beta(pts3, which: int, by: int) -> np.ndarray:
-        pts = split(pts3)
-        p, q = pts[..., 0], pts[..., 1]
-        rho = np.hypot(p, q)
-        safe = np.maximum(rho, 1e-30)
-        r2 = safe * safe
-        r3 = r2 * safe
-        H = pieces.hess_u(pts)
-        c = pieces.c(rho)
-        c1 = pieces.c1(rho)
-        s = pieces.s(rho)
-        s1 = pieces.s1(rho)
-        if which == 1 and by == 1:  # d beta1 / dp
-            return H[..., 1, 0] - c1 * p * q / safe + s1 * p * p / r2 + s * (1.0 / safe - p * p / r3)
-        if which == 1 and by == 2:  # d beta1 / dq
-            return H[..., 1, 1] - c - c1 * q * q / safe + s1 * p * q / r2 - s * p * q / r3
-        if which == 2 and by == 1:  # d beta2 / dp
-            return -H[..., 0, 0] + c + c1 * p * p / safe + s1 * p * q / r2 - s * q * p / r3
-        # d beta2 / dq
-        return -H[..., 0, 1] + c1 * q * p / safe + s1 * q * q / r2 + s * (1.0 / safe - q * q / r3)
+    def on_page(f):
+        return lambda pts3: f(np.asarray(pts3, float)[..., 1:])
 
     def zero(pts3):
         return np.zeros(np.asarray(pts3, float).shape[:-1])
 
-    b1 = NumericScalar(
+    return NumericScalar(
         coords,
-        beta1,
-        (zero, lambda pts3: d_beta(pts3, 1, 1), lambda pts3: d_beta(pts3, 1, 2)),
+        on_page(fn),
+        (zero, on_page(lambda z: grad(z)[..., 0]), on_page(lambda z: grad(z)[..., 1])),
     )
-    b2 = NumericScalar(
-        coords,
-        beta2,
-        (zero, lambda pts3: d_beta(pts3, 2, 1), lambda pts3: d_beta(pts3, 2, 2)),
-    )
-    return b1, b2
 
 
 @dataclass(frozen=True)
@@ -1034,22 +988,19 @@ def _annulus_grid(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:
     return np.stack([(R * np.cos(T)).reshape(-1), (R * np.sin(T)).reshape(-1)], axis=-1)
 
 
-def construct_xi_prime(
-    k: int,
-    overrides: Mapping[str, object] | None = None,
-    contact_grid_n: int = 281,
-    classify_grid_n: int = 161,
-) -> DiskContactForm:
+def construct_xi_prime(k: int) -> DiskContactForm:
     """Build a verified contact form on the disk bundle with k boundary twists.
 
     k must be a positive odd integer.  The singularity counts of the page
     foliation come out as (k+1)/2 positive elliptic and (k-1)/2 negative
     hyperbolic points, the index identities hold, the contact coefficient is
-    positive on a dense grid, and outside ``boundary_exact_radius`` the form
-    agrees with dx + p dq - q dp exactly.  A short retry schedule over the
-    shape parameters guards the certificates; the first passing parameter
-    set wins.  If every attempt fails the best attempt is returned with
-    ``passed`` False and the failure recorded in ``certificates``.
+    positive on a 281 x 281 disk grid, and outside
+    ``boundary_exact_radius`` the form agrees with dx + p dq - q dp exactly.
+    The shape parameters start from ``_default_disk_params(k)`` and follow
+    the retry schedule ``_RETRY_TWEAKS``; the first passing parameter set
+    wins.  If every attempt fails the attempt with the largest contact
+    margin is returned with ``passed`` False and the failure recorded in
+    ``certificates``.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
@@ -1059,57 +1010,44 @@ def construct_xi_prime(
     expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
     best: DiskContactForm | None = None
     for tweak in _RETRY_TWEAKS:
-        params = _default_disk_params(k)
-        tweak = dict(tweak)
-        if overrides:
-            tweak.update(overrides)
-        scale = tweak.pop("width_scale", None)
-        params.update(tweak)
-        if scale is not None:
-            params["width"] *= float(scale)
-        attempt = _build_disk_form(k, params, expected, contact_grid_n, classify_grid_n)
+        params = {**_default_disk_params(k), **tweak}
+        params["width"] *= params.pop("width_scale", 1.0)
+        attempt = _build_disk_form(k, params, expected)
         if attempt.passed:
             return attempt
         if best is None or attempt.contact_margin > best.contact_margin:
             best = attempt
-        if overrides:
-            break  # explicit overrides are not retried away
     assert best is not None
     return best
 
 
-def _build_disk_form(
-    k: int, params: dict, expected: dict, contact_grid_n: int, classify_grid_n: int
-) -> DiskContactForm:
+def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     bundle, page = _disk_charts()
     pieces = _assemble_pieces(k, params)
     classifier = _classifier_from_pieces(pieces)
     F = _contact_coefficient(pieces)
 
     # contact positivity on a dense disk grid
-    pts = _disk_grid(1.0, contact_grid_n)
+    pts = _disk_grid(1.0, _CONTACT_GRID_N)
     f_vals = F(pts)
     contact_min = float(f_vals.min())
 
-    # boundary exactness: u == 1 and beta == p dq - q dp outside the radius
+    # boundary exactness: u == 1 and beta = (V_q, -V_p) == (-q, p) outside
+    # the radius; the same V gives the boundary speed
     exact_radius = float(params["exact_radius"])
     ann = _annulus_grid(exact_radius, 1.0, 24, 128)
-    b1s, b2s = _beta_scalars(pieces, bundle.coords)
-    ann3 = np.insert(ann, 0, 0.0, axis=1)  # x = 0 on the bundle chart
-    b1, b2 = b1s.fn(ann3), b2s.fn(ann3)
+    V = classifier.value(ann)
     boundary_residual = float(
         max(
-            np.abs(b1 - (-ann[:, 1])).max(),
-            np.abs(b2 - ann[:, 0]).max(),
+            np.abs(V[:, 1] - (-ann[:, 1])).max(),
+            np.abs(-V[:, 0] - ann[:, 0]).max(),
             np.abs(pieces.u(ann) - 1.0).max(),
         )
     )
+    vmin_boundary = float(np.linalg.norm(V, axis=-1).min())
 
-    report = find_and_classify(classifier, grid_n=classify_grid_n)
+    report = find_and_classify(classifier)
     boundary_turns = classifier_boundary_winding(classifier, 0.5 * (exact_radius + 1.0))
-    vmin_boundary = float(
-        np.linalg.norm(classifier.value(ann), axis=-1).min()
-    )
 
     certificates = {
         "contact_min": contact_min,
@@ -1133,20 +1071,18 @@ def _build_disk_form(
         and vmin_boundary > 1e-3
     )
 
-    def u3(pts3):
-        return pieces.u(np.asarray(pts3, float)[..., 1:])
-
-    def u3_dp(pts3):
-        return pieces.grad_u(np.asarray(pts3, float)[..., 1:])[..., 0]
-
-    def u3_dq(pts3):
-        return pieces.grad_u(np.asarray(pts3, float)[..., 1:])[..., 1]
-
-    def zero3(pts3):
-        return np.zeros(np.asarray(pts3, float).shape[:-1])
-
-    u_scalar = NumericScalar(bundle.coords, u3, (zero3, u3_dp, u3_dq))
-    alpha = OneForm(bundle, (u_scalar, b1s, b2s), label=f"disk-form-k{k}")
+    # beta = V_q dp - V_p dq, with partials from the rows of the Jacobian
+    value, jac = classifier.value, classifier.jacobian
+    pages = (
+        (pieces.u, pieces.grad_u),
+        (lambda z: value(z)[..., 1], lambda z: jac(z)[..., 1, :]),
+        (lambda z: -value(z)[..., 0], lambda z: -jac(z)[..., 0, :]),
+    )
+    alpha = OneForm(
+        bundle,
+        tuple(_bundle_scalar(bundle.coords, fn, grad) for fn, grad in pages),
+        label=f"disk-form-k{k}",
+    )
 
     return DiskContactForm(
         k=k,

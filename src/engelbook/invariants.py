@@ -134,7 +134,6 @@ def _winding(
     frame: Sequence[VectorField],
     path: Path,
     n_samples: int,
-    turn_tol: float,
 ) -> WindingResult:
     n = n_samples
     while True:
@@ -144,7 +143,7 @@ def _winding(
         turns = _turns(a, b, path.closed)
         value = int(round(turns))
         residual = abs(turns - value)
-        if residual < turn_tol or n >= MAX_SAMPLES:
+        if residual < TURN_TOL or n >= MAX_SAMPLES:
             return WindingResult(value, turns, residual, n, proj)
         n = MAX_SAMPLES
 
@@ -154,7 +153,6 @@ def twisting_number(
     frame: Sequence[VectorField],
     path: Path,
     n_samples: int = DEFAULT_SAMPLES,
-    turn_tol: float = TURN_TOL,
 ) -> WindingResult:
     """Rotation count of a field against a 2-frame along a curve.
 
@@ -162,7 +160,7 @@ def twisting_number(
     to the frame; on an open segment the fractional turn count is rounded,
     so short segments report zero.
     """
-    return _winding(field, frame, path, n_samples, turn_tol)
+    return _winding(field, frame, path, n_samples)
 
 
 def rotation_number(
@@ -170,14 +168,13 @@ def rotation_number(
     plane_frame: Sequence[VectorField],
     path: Path,
     n_samples: int = DEFAULT_SAMPLES,
-    turn_tol: float = TURN_TOL,
 ) -> WindingResult:
     """Winding of a field inside an oriented plane bundle along a curve.
 
     The plane frame (C, JC) fixes the orientation and the angle zero; the
     computation is the shared least-squares angle unwrap.
     """
-    return _winding(field, plane_frame, path, n_samples, turn_tol)
+    return _winding(field, plane_frame, path, n_samples)
 
 
 # -- the boundary homomorphism -------------------------------------------------

@@ -13,6 +13,7 @@ construction, ``gluing_check`` certifies their interface symbolically, and
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -428,10 +429,7 @@ def _model_darboux_even() -> OpenBookModel:
     )
 
 
-def _model_engel_darboux_loose(N: int = 1, theta0: float = 0.0) -> OpenBookModel:
-    N = _as_int(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+def _model_engel_darboux_loose(theta0: float = 0.0) -> OpenBookModel:
     theta0 = float(theta0)
     chart = Chart.make(
         "loose-tube",
@@ -449,7 +447,7 @@ def _model_engel_darboux_loose(N: int = 1, theta0: float = 0.0) -> OpenBookModel
         name="loose-tube",
         role="whole",
         chart=chart,
-        params={"N": N, "theta0": theta0},
+        params={"theta0": theta0},
         form=beta,
         w_field=v1,
         pair=(v1, v2),
@@ -462,7 +460,7 @@ def _model_engel_darboux_loose(N: int = 1, theta0: float = 0.0) -> OpenBookModel
     return OpenBookModel(
         name="engel_darboux_loose",
         summary="straight tube whose plane field spins once per angular turn",
-        params={"N": N, "theta0": theta0},
+        params={"theta0": theta0},
         pieces=(piece,),
     )
 
@@ -858,6 +856,13 @@ def model_catalog(name: str, **params) -> OpenBookModel:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown model {name!r}; known models: {known}")
     _, builder = _REGISTRY[name]
+    accepted = tuple(inspect.signature(builder).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"model {name!r} has no parameter {', '.join(map(repr, unknown))}; "
+            f"it accepts {', '.join(accepted) or 'none'}"
+        )
     return builder(**params)
 
 

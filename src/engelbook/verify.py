@@ -74,10 +74,10 @@ class CheckReport:
         }
 
 
-def _grid(chart: Chart, points, min_points: int, margin: float) -> np.ndarray:
+def _grid(chart: Chart, points, min_points: int) -> np.ndarray:
     if points is not None:
         return np.asarray(points, float)
-    return chart.grid_for_min_points(min_points, margin)
+    return chart.grid_for_min_points(min_points)
 
 
 def _failures(chart: Chart, pts: np.ndarray, bad: np.ndarray, values: np.ndarray) -> tuple[dict, ...]:
@@ -100,8 +100,6 @@ def contact_structure_check(
     alpha: OneForm,
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
-    threshold: float = DEFAULT_THRESHOLD,
-    margin: float = 1e-3,
     name: str = "contact_structure",
 ) -> CheckReport:
     """Positive contact condition on a 3-chart: alpha ^ dalpha > 0.
@@ -111,10 +109,10 @@ def contact_structure_check(
     chart = alpha.chart
     if chart.dim != 3:
         raise ValueError("contact_structure_check expects a 3-dimensional chart")
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
     (_, coeff), = wedge_top(alpha, exterior_derivative(alpha))
     vals = batch_eval_scalars([coeff], pts)[:, 0]
-    bad = vals <= threshold
+    bad = vals <= DEFAULT_THRESHOLD
     return CheckReport(
         name=name,
         passed=not bad.any(),
@@ -129,8 +127,6 @@ def even_contact_form_check(
     alpha: OneForm,
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
-    threshold: float = DEFAULT_THRESHOLD,
-    margin: float = 1e-3,
     name: str = "even_contact_form",
 ) -> CheckReport:
     """Even contact condition on a 4-chart through the form route.
@@ -141,11 +137,11 @@ def even_contact_form_check(
     chart = alpha.chart
     if chart.dim != 4:
         raise ValueError("even_contact_form_check expects a 4-dimensional chart")
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
     coeffs = [c for _, c in wedge_top(alpha, exterior_derivative(alpha))]
     vals = batch_eval_scalars(coeffs, pts)
     norms = np.linalg.norm(vals, axis=-1)
-    bad = norms <= threshold
+    bad = norms <= DEFAULT_THRESHOLD
     return CheckReport(
         name=name,
         passed=not bad.any(),
@@ -161,7 +157,6 @@ def even_contact_span_check(
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
     tol: float = DEFAULT_THRESHOLD,
-    margin: float = 1e-3,
     name: str = "even_contact_span",
 ) -> CheckReport:
     """Even contact condition through the span route.
@@ -175,7 +170,7 @@ def even_contact_span_check(
     chart = frame[0].chart
     if chart.dim != 4:
         raise ValueError("even_contact_span_check expects a 4-dimensional chart")
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
 
     brackets = [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
     mats = field_matrix(list(frame) + brackets, pts)
@@ -203,7 +198,6 @@ def engel_check(
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
     tol: float = DEFAULT_THRESHOLD,
-    margin: float = 1e-3,
     name: str = "engel",
 ) -> CheckReport:
     """Engel condition for a 2-frame: ranks grow 2 -> 3 -> 4 under brackets."""
@@ -213,7 +207,7 @@ def engel_check(
     chart = x1.chart
     if chart.dim != 4:
         raise ValueError("engel_check expects a 4-dimensional chart")
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
 
     x12 = lie_bracket(x1, x2)
     x112 = lie_bracket(x1, x12)
@@ -247,8 +241,6 @@ def isotropic_line_check(
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
     tol: float = DEFAULT_TOL,
-    threshold: float = DEFAULT_THRESHOLD,
-    margin: float = 1e-3,
     name: str = "isotropic_line",
 ) -> CheckReport:
     """W spans the kernel line of dalpha restricted to ker(alpha).
@@ -257,7 +249,7 @@ def isotropic_line_check(
     the kernel distribution, and W itself nonvanishing.
     """
     chart = alpha.chart
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
     omega = exterior_derivative(alpha)
 
     alpha_w = alpha.apply(w)
@@ -268,7 +260,7 @@ def isotropic_line_check(
 
     wmat = field_matrix([w], pts)[:, 0, :]
     norms = np.linalg.norm(wmat, axis=-1)
-    bad = (residuals.max(axis=-1) > tol) | (norms <= threshold)
+    bad = (residuals.max(axis=-1) > tol) | (norms <= DEFAULT_THRESHOLD)
     details = {
         "alpha_w_residual": float(residuals[:, 0].max()),
         "pairing_residual": worst_residual,
@@ -309,7 +301,6 @@ def contact_vector_field_check(
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
     tol: float = DEFAULT_TOL,
-    margin: float = 1e-3,
     name: str = "contact_vector_field",
 ) -> CheckReport:
     """Whether the flow of L preserves ker(alpha).
@@ -320,7 +311,7 @@ def contact_vector_field_check(
     verdicts must agree.
     """
     chart = alpha.chart
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
     lie = lie_derivative_oneform(L, alpha)
     wedge = _oneform_wedge(lie, alpha)
     vals = np.abs(batch_eval_scalars(list(wedge.components), pts))
@@ -356,8 +347,6 @@ def fibration_transversality_check(
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
     tol: float = DEFAULT_TOL,
-    threshold: float = DEFAULT_THRESHOLD,
-    margin: float = 1e-3,
     name: str = "fibration_transversality",
 ) -> CheckReport:
     """W is transverse to the fibers of a closed fibration form.
@@ -365,7 +354,7 @@ def fibration_transversality_check(
     Requires d(theta) = 0 and theta(W) bounded away from zero with one sign.
     """
     chart = theta.chart
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
 
     dtheta = exterior_derivative(theta)
     closed_residual = float(np.abs(batch_eval_scalars(list(dtheta.components), pts)).max())
@@ -373,7 +362,7 @@ def fibration_transversality_check(
     pairing = batch_eval_scalars([theta.apply(w)], pts)[:, 0]
     margins = np.abs(pairing)
     same_sign = bool((pairing > 0).all() or (pairing < 0).all())
-    bad = margins <= threshold
+    bad = margins <= DEFAULT_THRESHOLD
     passed = closed_residual <= tol and same_sign and not bad.any()
     return CheckReport(
         name=name,
@@ -422,7 +411,6 @@ def adaptedness_check(
     points: np.ndarray | None = None,
     min_points: int = DEFAULT_MIN_POINTS,
     tol: float = DEFAULT_TOL,
-    margin: float = 1e-3,
 ) -> CheckReport:
     """Dispatch the role-appropriate adaptedness certificate for a piece.
 
@@ -448,21 +436,20 @@ def adaptedness_check(
             points=points,
             min_points=min_points,
             tol=tol,
-            margin=margin,
             name="adapted_page",
         )
     if role == "collar":
-        return _adapted_collar(piece, points, min_points, tol, margin)
+        return _adapted_collar(piece, points, min_points, tol)
     if role == "binding":
-        return _adapted_binding(piece, points, min_points, tol, margin)
+        return _adapted_binding(piece, points, min_points, tol)
     raise ValueError(f"unknown piece role {role!r}")
 
 
-def _adapted_collar(piece, points, min_points, tol, margin) -> CheckReport:
+def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
     from .foliation import torus_slope
 
     chart = piece.chart
-    pts = _grid(chart, points, min_points, margin)
+    pts = _grid(chart, points, min_points)
     w = piece.w_field
 
     # tangency to the tori: the normal coordinate component of W vanishes
@@ -494,7 +481,7 @@ def _adapted_collar(piece, points, min_points, tol, margin) -> CheckReport:
     )
 
 
-def _adapted_binding(piece, points, min_points, tol, margin) -> CheckReport:
+def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
     chart = piece.chart
     locus: dict[str, float] = dict(piece.binding_locus)
     w = piece.w_field
@@ -519,7 +506,7 @@ def _adapted_binding(piece, points, min_points, tol, margin) -> CheckReport:
                 f"binding points must have shape (n, {chart.dim}), got {points.shape}"
             )
         points = points[:, keep]
-    pts = _grid(sub_chart, points, min_points, margin)
+    pts = _grid(sub_chart, points, min_points)
 
     vals = np.stack([r.compile()(pts) for r in restricted], axis=-1)
     trans_vals = vals[:, transverse]

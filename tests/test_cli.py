@@ -62,6 +62,20 @@ def test_verify_unknown_model_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, accepts",
+    [
+        (["verify", "--model", "darboux_even", "--param", "foo=1"], "it accepts none"),
+        (["verify", "--model", "binding_Eb", "--param", "r=1.2"], "it accepts r0"),
+    ],
+)
+def test_verify_unknown_parameter_is_usage_error(capsys, argv, accepts):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[EB-PARAM] model ")
+    assert accepts in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--model", "binding_Eb", "--samples", "0"],
@@ -184,6 +198,11 @@ def test_invariants_reports_singularity_counts(tmp_path):
         (
             ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar",
              "--segment", "phi", "0.0", "0.3"],
+            "0",
+        ),
+        (
+            ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar",
+             "--segment", "phi", "-1e-3", "0.5"],
             "0",
         ),
     ],

@@ -482,7 +482,7 @@ def search_field(name):
 def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
     classifier = search_field(name)
     dense_z = dense_newton_points(classifier, newton_iters)
-    z = _newton_points(classifier, 1.0, 161, newton_iters)
+    z = _newton_points(classifier, 161, newton_iters)
     assert np.array_equal(z.view(np.int64), dense_z.view(np.int64))
 
     report = find_and_classify(classifier, newton_iters=newton_iters)
@@ -544,6 +544,53 @@ def test_hand_coefficient_matches_wedge_route():
     coeffs = wedge_top(d.alpha, exterior_derivative(d.alpha))
     wedge_vals = batch_eval_scalars([c for _, c in coeffs], pts3)[:, 0]
     assert np.abs(F(pts3[:, 1:]) - wedge_vals).max() <= 1e-10
+
+
+def central_difference(fn, pts, h=1e-6):
+    """d fn / d(p, q) at (n, 2) points, stacked on a new last axis."""
+    cols = []
+    for i in range(2):
+        shift = np.zeros(2)
+        shift[i] = h
+        cols.append((fn(pts + shift) - fn(pts - shift)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("k", [3, 19])
+def test_disk_classifier_derivatives_match_central_differences(k):
+    # the disk form's beta and its partials are read off V and J, so J must
+    # be the derivative of V, and u's closures must be consistent
+    params = _default_disk_params(k)
+    pieces = _assemble_pieces(k, params)
+    classifier = _classifier_from_pieces(pieces)
+    width = params["width"]
+    e = (k + 1) // 2
+    offsets = (np.arange(e) - 0.5 * (e - 1)) * params["spacing"] * width
+    rng = np.random.default_rng(k)
+
+    def ring(r_lo, r_hi, n, center=(0.0, 0.0)):
+        r = rng.uniform(r_lo, r_hi, n)
+        t = rng.uniform(0.0, math.tau, n)
+        return np.asarray(center) + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+    regions = {
+        "bump cluster": np.concatenate(
+            [ring(0.05 * width, params["trunc"][1] * width, 50, (p, 0.0)) for p in offsets]
+        ),
+        "c/s transition band": ring(params["c_on"][0] * width, params["c_on"][1] * width, 200),
+        "wall ramp": ring(*params["wall"], 200),
+        "exact region": ring(params["exact_radius"], 1.0, 200),
+    }
+    pairs = {
+        "jacobian": (classifier.value, classifier.jacobian),
+        "hess_u": (pieces.grad_u, pieces.hess_u),
+        "grad_u": (pieces.u, pieces.grad_u),
+    }
+    for region, pts in regions.items():
+        for name, (fn, derivative) in pairs.items():
+            exact = derivative(pts)
+            err = np.abs(central_difference(fn, pts) - exact).max()
+            assert err <= 1e-7 * max(1.0, np.abs(exact).max()), (region, name, err)
 
 
 def dense_gaussian_bundle(centers, amplitude, width, t0, t1):

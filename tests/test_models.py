@@ -65,8 +65,8 @@ def test_catalog_model_checks_pass(name):
 @pytest.mark.parametrize(
     "name, params",
     [
-        ("engel_darboux_loose", {"N": 0}),
-        ("engel_darboux_loose", {"N": 1.5}),
+        ("engel_darboux_loose", {"N": 1}),  # unknown names are rejected too
+        ("engel_darboux_loose", {"theta": 0.0}),
         ("prolongation_Eeps", {"eps": -0.5}),
         ("engel_prolongation_Dk", {"k": 0}),
         ("engel_prolongation_Dk", {"k": 1, "eps": 0.0}),
@@ -319,7 +319,7 @@ def test_probe_requires_probe_data():
 
 def test_probe_loose_tube_rejects_kernel_circle():
     # the tube spins along its own kernel direction, so the probe refuses
-    model = model_catalog("engel_darboux_loose", N=2)
+    model = model_catalog("engel_darboux_loose")
     piece = model.piece("loose-tube")
     path = Path.coordinate_circle(
         piece.chart, "theta", {"x": 0.0, "y": 0.0, "z": 0.3, "theta": 0.0}, turns=2
@@ -331,7 +331,7 @@ def test_probe_loose_tube_rejects_kernel_circle():
 def test_loose_tube_twist_counts_turns():
     from engelbook.invariants import twisting_number
 
-    model = model_catalog("engel_darboux_loose", N=2)
+    model = model_catalog("engel_darboux_loose")
     piece = model.piece("loose-tube")
     path = Path.coordinate_circle(
         piece.chart, "theta", {"x": 0.0, "y": 0.0, "z": 0.3, "theta": 0.0}, turns=2
