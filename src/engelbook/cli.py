@@ -384,9 +384,17 @@ def _shield_negative_numbers(argv: list[str]) -> list[str]:
     notation would stop in a usage error instead of reaching the range
     checks.  An argument that starts with a space is always a value, for
     single- and multi-value options alike, and ``int`` and ``float`` ignore
-    the space.
+    the space; ``_unshield`` takes it off the values kept as strings.
     """
     return [f" {arg}" if arg.startswith("-") and _is_number(arg) else arg for arg in argv]
+
+
+def _unshield(value):
+    if isinstance(value, list):
+        return [_unshield(v) for v in value]
+    if isinstance(value, str) and value.startswith(" -") and _is_number(value):
+        return value[1:]
+    return value
 
 
 def _is_number(text: str) -> bool:
@@ -404,6 +412,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for dest, value in vars(args).items():
+        setattr(args, dest, _unshield(value))
     try:
         _check_ranges(args)
         return _COMMANDS[args.command](args)

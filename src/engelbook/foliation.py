@@ -254,52 +254,98 @@ def torus_slope(pulled: OneForm) -> float:
 # -- leaf tracing on annuli ------------------------------------------------------
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # the stacked matmul reduces each row with the same dot routine as
+    # np.linalg.norm of a single vector, so one leaf traced alone or in a
+    # batch takes the same bits
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _trace_leaves(
+    direction: Callable[[np.ndarray], np.ndarray],
+    starts: np.ndarray,
+    signs: np.ndarray,
+    step: float,
+    max_steps: np.ndarray,
+    inside: Callable[[np.ndarray], np.ndarray],
+    wrap: tuple[bool, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-step RK4 on every row of ``starts`` at once.
+
+    Row j follows ``signs[j] * direction``, normalized, for at most
+    ``max_steps[j]`` steps.  ``inside`` maps (m, 2) points to an (m,) mask.
+    A row stops when it leaves ``inside``, when it returns within half a
+    step of its start after more than 100 steps, or when its budget is
+    spent; a stopped row is frozen and no longer evaluated.  Returns the
+    end points, the exit flags and the step counts, one row per leaf.
+    """
+    z = np.array(starts, float)
+    exited = np.zeros(len(z), bool)
+    n_steps = np.array(max_steps, int)
+    rows = np.flatnonzero(n_steps > 0)
+    za, z0, sa, budget = z[rows], z[rows], signs[rows, None], n_steps[rows]
+    angular = [i for i, w in enumerate(wrap) if w]
+
+    def unit(p: np.ndarray) -> np.ndarray:
+        v = sa * np.asarray(direction(p), float)
+        n = _row_norms(v)
+        if (n < 1e-14).any():
+            raise ValueError("direction field vanishes on the traced leaf")
+        return v / n[:, None]
+
+    i = 0
+    while len(rows):
+        i += 1
+        k1 = unit(za)
+        k2 = unit(za + 0.5 * step * k1)
+        k3 = unit(za + 0.5 * step * k2)
+        k4 = unit(za + step * k3)
+        za = za + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out = ~inside(za)
+        done = out | (budget == i)
+        # closed-leaf detection once the trace is clearly under way
+        if i > 100:
+            d = za - z0
+            d[:, angular] = (d[:, angular] + math.pi) % math.tau - math.pi
+            done |= _row_norms(d) < 0.5 * step
+        if done.any():
+            stop = rows[done]
+            z[stop] = za[done]
+            exited[stop] = out[done]
+            n_steps[stop] = i
+            keep = ~done
+            rows, za, z0, sa, budget = rows[keep], za[keep], z0[keep], sa[keep], budget[keep]
+    return z, exited, n_steps
+
+
 def trace_leaf(
     direction: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
     step: float,
     max_arc: float,
-    inside: Callable[[np.ndarray], np.ndarray],
+    inside: Callable[[np.ndarray], bool],
     wrap: tuple[bool, ...] = (False, False),
     max_steps: "int | None" = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Fixed-step RK4 integration of a normalized direction field.
 
-    Returns (end_point, exited, n_steps).  ``exited`` is False when the
-    leaf either closed up (returned to its start) or exhausted ``max_arc``.
-    ``wrap`` marks angular coordinates so closure is detected modulo their
-    period.
+    ``inside`` takes one point and returns a bool.  Returns (end_point,
+    exited, n_steps), a point, a bool and an int.  ``exited`` is False
+    when the leaf either closed up (returned to its start) or exhausted
+    ``max_arc``.  ``wrap`` marks angular coordinates so closure is
+    detected modulo their period.
     """
-    z = np.asarray(start, float).copy()
-    z0 = z.copy()
     n_max = max_steps if max_steps is not None else int(math.ceil(max_arc / step))
-
-    def unit(p: np.ndarray) -> np.ndarray:
-        v = np.asarray(direction(p[None, :]), float)[0]
-        n = np.linalg.norm(v)
-        if n < 1e-14:
-            raise ValueError("direction field vanishes on the traced leaf")
-        return v / n
-
-    def separation(a: np.ndarray, b: np.ndarray) -> float:
-        d = a - b
-        for i, w in enumerate(wrap):
-            if w:
-                d[i] = (d[i] + math.pi) % math.tau - math.pi
-        return float(np.linalg.norm(d))
-
-    for i in range(1, n_max + 1):
-        k1 = unit(z)
-        k2 = unit(z + 0.5 * step * k1)
-        k3 = unit(z + 0.5 * step * k2)
-        k4 = unit(z + step * k3)
-        z = z + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not inside(z):
-            return z, True, i
-        # closed-leaf detection once the trace is clearly under way
-        if i > 100 and separation(z, z0) < 0.5 * step:
-            return z, False, i
-    return z, False, n_max
+    z, exited, n_steps = _trace_leaves(
+        direction,
+        np.asarray(start, float)[None, :],
+        np.ones(1),
+        step,
+        np.array([n_max]),
+        lambda pts: np.array([bool(inside(p)) for p in pts]),
+        wrap,
+    )
+    return z[0], bool(exited[0]), int(n_steps[0])
 
 
 def annulus_foliation_check(
@@ -313,9 +359,10 @@ def annulus_foliation_check(
     seeds on the middle circle; a passing foliation exits through both
     boundary components, and re-integrating backward from the forward
     endpoint reproduces the seed within 1e-4.  Closed or trapped leaves
-    fail.
+    fail.  The 16 leaves are traced as one batch, and the retraces of the
+    exited forward leaves as a second.
     """
-    from .verify import CheckReport
+    from .verify import MAX_FAILURES, CheckReport
 
     chart = pulled.chart
     lo, hi = v_range
@@ -326,47 +373,58 @@ def annulus_foliation_check(
     def direction(pts: np.ndarray) -> np.ndarray:
         return np.stack([-c2(pts), c1(pts)], axis=-1)
 
-    def neg_direction(pts: np.ndarray) -> np.ndarray:
-        return -direction(pts)
+    def inside(z: np.ndarray) -> np.ndarray:
+        return (lo < z[:, 1]) & (z[:, 1] < hi)
 
-    def inside(z: np.ndarray) -> bool:
-        return bool(lo < z[1] < hi)
+    def anywhere(z: np.ndarray) -> np.ndarray:
+        return np.ones(len(z), bool)
+
+    n = _LEAF_SEEDS
+    mid = 0.5 * (lo + hi)
+    wrap = (chart.coords[0].is_angular, chart.coords[1].is_angular)
+    seeds = np.stack(
+        [np.linspace(0.0, math.tau, n, endpoint=False), np.full(n, mid)], axis=-1
+    )
+    # forward leaves in rows :n, backward leaves in rows n:
+    ends, exits, steps = _trace_leaves(
+        direction,
+        np.concatenate([seeds, seeds]),
+        np.repeat([1.0, -1.0], n),
+        step,
+        np.full(2 * n, int(math.ceil(max_arc / step))),
+        inside,
+        wrap,
+    )
+    # reversibility: integrating each exited forward leaf back over its
+    # own step count must reproduce its seed
+    retraced = np.flatnonzero(exits[:n])
+    backs, _, _ = _trace_leaves(
+        direction,
+        ends[retraced],
+        np.full(len(retraced), -1.0),
+        step,
+        steps[retraced],
+        anywhere,
+        wrap,
+    )
+    retrace_ok = np.ones(n, bool)
+    for j, back in zip(retraced, backs):
+        retrace_ok[j] = np.linalg.norm(back - seeds[j]) <= _RETRACE_TOL
 
     failures = []
     headroom = math.inf
-    mid = 0.5 * (lo + hi)
-    wrap = (chart.coords[0].is_angular, chart.coords[1].is_angular)
-    for u0 in np.linspace(0.0, math.tau, _LEAF_SEEDS, endpoint=False):
-        seed = np.array([u0, mid])
-        fwd_end, fwd_exit, fwd_steps = trace_leaf(
-            direction, seed, step, max_arc, inside, wrap
-        )
-        bwd_end, bwd_exit, bwd_steps = trace_leaf(
-            neg_direction, seed, step, max_arc, inside, wrap
-        )
+    for j, seed in enumerate(seeds):
+        fwd_end, fwd_exit, fwd_steps = ends[j], bool(exits[j]), int(steps[j])
+        bwd_end, bwd_exit, bwd_steps = ends[n + j], bool(exits[n + j]), int(steps[n + j])
         crossed = (
             fwd_exit
             and bwd_exit
             and ((fwd_end[1] >= hi) != (bwd_end[1] >= hi))
         )
-        # reversibility: integrating back over the same step count must
-        # reproduce the seed
-        retrace_ok = True
-        if fwd_exit:
-            back, _, _ = trace_leaf(
-                neg_direction,
-                fwd_end,
-                step,
-                max_arc,
-                lambda z: True,
-                wrap,
-                max_steps=fwd_steps,
-            )
-            retrace_ok = bool(np.linalg.norm(back - seed) <= _RETRACE_TOL)
-        if not (crossed and retrace_ok):
+        if not (crossed and retrace_ok[j]):
             failures.append(
                 {
-                    "point": {"u": float(u0), "v": float(mid)},
+                    "point": {"u": float(seed[0]), "v": float(mid)},
                     "value": float(fwd_end[1] if fwd_exit else math.nan),
                 }
             )
@@ -377,9 +435,9 @@ def annulus_foliation_check(
     return CheckReport(
         name=name,
         passed=passed,
-        n_points=_LEAF_SEEDS,
+        n_points=n,
         min_gap=0.0 if not passed else float(headroom),
-        failures=tuple(failures[:5]),
+        failures=tuple(failures[:MAX_FAILURES]),
         details={"step": step, "max_arc": max_arc},
     )
 

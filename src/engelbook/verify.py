@@ -80,8 +80,21 @@ def _grid(chart: Chart, points, min_points: int) -> np.ndarray:
     return chart.grid_for_min_points(min_points)
 
 
-def _failures(chart: Chart, pts: np.ndarray, bad: np.ndarray, values: np.ndarray) -> tuple[dict, ...]:
-    idx = np.nonzero(bad)[0][:MAX_FAILURES]
+def _failures(
+    chart: Chart,
+    pts: np.ndarray,
+    bad: np.ndarray,
+    values: np.ndarray,
+    margins: np.ndarray | None = None,
+) -> tuple[dict, ...]:
+    """The ``MAX_FAILURES`` worst bad points and their ``values``.
+
+    Worst means the smallest margin; ``margins`` defaults to ``values``.
+    Points with equal margins keep their grid order.
+    """
+    idx = np.nonzero(bad)[0]
+    rank = values if margins is None else margins
+    idx = idx[np.argsort(rank[idx], kind="stable")][:MAX_FAILURES]
     out = []
     for i in idx:
         point = {c.name: float(pts[i, k]) for k, c in enumerate(chart.coords)}
@@ -333,7 +346,7 @@ def contact_vector_field_check(
         passed=passed,
         n_points=len(pts),
         min_gap=float(residual.max()),
-        failures=_failures(chart, pts, bad, residual),
+        failures=_failures(chart, pts, bad, residual, margins=-residual),
         details=details,
     )
 
@@ -369,7 +382,7 @@ def fibration_transversality_check(
         passed=passed,
         n_points=len(pts),
         min_gap=float(margins.min()),
-        failures=_failures(chart, pts, bad, pairing),
+        failures=_failures(chart, pts, bad, pairing, margins=margins),
         details={
             "closed_residual": closed_residual,
             "sign": "positive" if pairing.max() > 0 else "negative",

@@ -75,20 +75,33 @@ def test_verify_unknown_parameter_is_usage_error(capsys, argv, accepts):
     assert accepts in err
 
 
+# The case ids are fixed strings, so deleting a case leaves the ids of the
+# others as they are; they keep the positional names first given to them.
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--model", "binding_Eb", "--samples", "0"],
-        ["verify", "--model", "binding_Eb", "--rank-tol=-1e-9"],
-        ["verify", "--model", "binding_Eb", "--zero-tol", "-1"],
-        ["construct", "--lambda", "2", "--k", "3", "--turn-samples", "0"],
-        ["construct", "--lambda", "2", "--k", "3", "--slope-tol", "nan"],
-        ["invariants", "--lambda", "2", "--k", "3", "--residual-tol", "-0.25"],
-        ["foliation", "--k", "3", "--grid", "0"],
-        ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "binding", "--circle", "y",
-         "--samples", "-5"],
-        ["verify", "--model", "binding_Eb", "--rank-tol", "-1e-9"],
-        ["verify", "--model", "binding_Eb", "--residual-tol", "-2.5e-1"],
+        pytest.param(["verify", "--model", "binding_Eb", "--samples", "0"], id="argv0"),
+        pytest.param(["verify", "--model", "binding_Eb", "--rank-tol=-1e-9"], id="argv1"),
+        pytest.param(["verify", "--model", "binding_Eb", "--zero-tol", "-1"], id="argv2"),
+        pytest.param(
+            ["construct", "--lambda", "2", "--k", "3", "--turn-samples", "0"], id="argv3"
+        ),
+        pytest.param(
+            ["construct", "--lambda", "2", "--k", "3", "--slope-tol", "nan"], id="argv4"
+        ),
+        pytest.param(
+            ["invariants", "--lambda", "2", "--k", "3", "--residual-tol", "-0.25"], id="argv5"
+        ),
+        pytest.param(["foliation", "--k", "3", "--grid", "0"], id="argv6"),
+        pytest.param(
+            ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "binding", "--circle",
+             "y", "--samples", "-5"],
+            id="argv7",
+        ),
+        pytest.param(["verify", "--model", "binding_Eb", "--rank-tol", "-1e-9"], id="argv8"),
+        pytest.param(
+            ["verify", "--model", "binding_Eb", "--residual-tol", "-2.5e-1"], id="argv9"
+        ),
     ],
 )
 def test_invalid_counts_and_tolerances_are_rejected(capsys, argv):
@@ -96,6 +109,12 @@ def test_invalid_counts_and_tolerances_are_rejected(capsys, argv):
     err = capsys.readouterr().err
     flag = [a for a in argv if a.startswith("--")][-1].split("=")[0]
     assert f"error[EB-PARAM] {flag} must be" in err
+
+
+def test_string_option_takes_negative_number_verbatim(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["verify", "--model", "darboux_even", "--out", "-1"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["-1"]
 
 
 def test_construct_writes_report_with_derived_l(tmp_path):
@@ -190,20 +209,31 @@ def test_invariants_reports_singularity_counts(tmp_path):
     assert names == ["gluing", "twisting_invariants", "boundary_euler_chain"]
 
 
+# fixed case ids, as for test_invalid_counts_and_tolerances_are_rejected
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "binding", "--circle", "y"], "5"),
-        (["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar", "--circle", "phi"], "3"),
-        (
+        pytest.param(
+            ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "binding", "--circle", "y"],
+            "5",
+            id="argv0-5",
+        ),
+        pytest.param(
+            ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar", "--circle", "phi"],
+            "3",
+            id="argv1-3",
+        ),
+        pytest.param(
             ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar",
              "--segment", "phi", "0.0", "0.3"],
             "0",
+            id="argv2-0",
         ),
-        (
+        pytest.param(
             ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar",
              "--segment", "phi", "-1e-3", "0.5"],
             "0",
+            id="argv3-0",
         ),
     ],
 )

@@ -27,21 +27,24 @@ from engelbook.foliation import (
     _smoothstep,
     _smoothstep_d1,
     _smoothstep_d2,
+    _trace_leaves,
     annulus_foliation_check,
     boundary_winding_vs_index,
     classifier_boundary_winding,
     construct_xi_prime,
     find_and_classify,
     torus_slope,
+    trace_leaf,
 )
 from engelbook.invariants import Path
+from engelbook.models import model_catalog
 from engelbook.trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
     KIND_POLYNOMIAL,
     canonical_equal,
 )
-from engelbook.verify import contact_structure_check
+from engelbook.verify import MAX_FAILURES, CheckReport, contact_structure_check
 
 PROLONG = Chart.make(
     "prolong",
@@ -279,6 +282,224 @@ def test_closed_leaves_fail_the_crossing_check():
     assert not report.passed
     assert report.min_gap == 0.0
     assert len(report.failures) > 0
+
+
+def dense_trace_leaf(direction, start, step, n_max, inside, wrap):
+    """Reference tracer: the one-leaf RK4 loop, one direction call per stage."""
+    z = np.asarray(start, float).copy()
+    z0 = z.copy()
+
+    def unit(p):
+        v = np.asarray(direction(p[None, :]), float)[0]
+        n = np.linalg.norm(v)
+        if n < 1e-14:
+            raise ValueError("direction field vanishes on the traced leaf")
+        return v / n
+
+    def separation(a, b):
+        d = a - b
+        for i, w in enumerate(wrap):
+            if w:
+                d[i] = (d[i] + math.pi) % math.tau - math.pi
+        return float(np.linalg.norm(d))
+
+    for i in range(1, n_max + 1):
+        k1 = unit(z)
+        k2 = unit(z + 0.5 * step * k1)
+        k3 = unit(z + 0.5 * step * k2)
+        k4 = unit(z + step * k3)
+        z = z + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not inside(z):
+            return z, True, i
+        if i > 100 and separation(z, z0) < 0.5 * step:
+            return z, False, i
+    return z, False, n_max
+
+
+def signed(direction, sign):
+    return lambda pts: sign * direction(pts)
+
+
+def kernel_direction(pulled):
+    c1, c2 = (c.compile() for c in pulled.components)
+    return lambda pts: np.stack([-c2(pts), c1(pts)], axis=-1)
+
+
+def dense_annulus_check(pulled, v_range):
+    """Reference annulus check on the reference tracer.
+
+    Returns the traces of the forward then backward leaves, the traces of
+    the retraces, and the report.
+    """
+    lo, hi = v_range
+    step = 1e-3
+    max_arc = 50.0 * (hi - lo)
+    n_max = int(math.ceil(max_arc / step))
+    direction = kernel_direction(pulled)
+    backward = signed(direction, -1.0)
+    wrap = tuple(c.is_angular for c in pulled.chart.coords)
+    fwd, bwd, retraces, failures = [], [], [], []
+    headroom = math.inf
+    for u0 in np.linspace(0.0, math.tau, 8, endpoint=False):
+        seed = np.array([u0, 0.5 * (lo + hi)])
+        f = dense_trace_leaf(direction, seed, step, n_max, lambda z: lo < z[1] < hi, wrap)
+        b = dense_trace_leaf(backward, seed, step, n_max, lambda z: lo < z[1] < hi, wrap)
+        fwd.append(f)
+        bwd.append(b)
+        crossed = f[1] and b[1] and ((f[0][1] >= hi) != (b[0][1] >= hi))
+        retrace_ok = True
+        if f[1]:
+            r = dense_trace_leaf(backward, f[0], step, f[2], lambda z: True, wrap)
+            retraces.append(r)
+            retrace_ok = bool(np.linalg.norm(r[0] - seed) <= 1e-4)
+        if not (crossed and retrace_ok):
+            failures.append(
+                {"point": {"u": float(u0), "v": float(seed[1])},
+                 "value": float(f[0][1] if f[1] else math.nan)}
+            )
+        else:
+            headroom = min(headroom, 1.0 - (f[2] + b[2]) * step / max_arc)
+    report = CheckReport(
+        name="annulus_foliation",
+        passed=not failures,
+        n_points=8,
+        min_gap=0.0 if failures else float(headroom),
+        failures=tuple(failures[:MAX_FAILURES]),
+        details={"step": step, "max_arc": max_arc},
+    )
+    return fwd + bwd, retraces, report
+
+
+def assert_same_traces(batch, dense):
+    ends, exited, n_steps = batch
+    dense_ends = np.array([d[0] for d in dense]).reshape(-1, 2)
+    assert np.array_equal(ends.view(np.int64), dense_ends.view(np.int64))
+    assert exited.tolist() == [d[1] for d in dense]
+    assert n_steps.tolist() == [d[2] for d in dense]
+
+
+def catalog_annulus(name):
+    (annulus,) = [a for piece in model_catalog(name).pieces for a in piece.annuli]
+    return annulus.pullback(), annulus.v_range
+
+
+LEAF_CASES = {
+    "transverse": lambda: (
+        SliceEmbedding(
+            ANNULUS, PROLONG, {"t": "u", "r": "v", "phi1": 0.0, "phi2": 0.0}
+        ).pullback_oneform(fibered_form(PROLONG)),
+        (0.05, 0.95),
+    ),
+    "slanted": lambda: (ANNULUS.one_form({"u": -0.3, "v": 1.0}), (0.05, 0.95)),
+    "closed": lambda: (ANNULUS.one_form({"v": 1.0}), (0.05, 0.95)),
+    # both components vary, so every row norm sums two nonzero squares
+    "wavy": lambda: (
+        ANNULUS.one_form({"u": "1 + 0.2*cos(u)", "v": "0.3*v*sin(u)"}),
+        (0.05, 0.95),
+    ),
+    "s3_openbook": lambda: catalog_annulus("s3_openbook"),
+    "stabilization_local": lambda: catalog_annulus("stabilization_local"),
+}
+
+
+@pytest.mark.parametrize("case", LEAF_CASES)
+def test_batched_tracer_is_bit_identical_to_one_leaf_loop(case):
+    pulled, (lo, hi) = LEAF_CASES[case]()
+    leaves, retraces, dense_report = dense_annulus_check(pulled, (lo, hi))
+    direction = kernel_direction(pulled)
+    wrap = tuple(c.is_angular for c in pulled.chart.coords)
+    seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, 0.5 * (lo + hi))], -1)
+    n_max = int(math.ceil(50.0 * (hi - lo) / 1e-3))
+
+    batch = _trace_leaves(
+        direction,
+        np.concatenate([seeds, seeds]),
+        np.repeat([1.0, -1.0], 8),
+        1e-3,
+        np.full(16, n_max),
+        lambda z: (lo < z[:, 1]) & (z[:, 1] < hi),
+        wrap,
+    )
+    assert_same_traces(batch, leaves)
+    ends, exited, n_steps = batch
+    back = _trace_leaves(
+        direction,
+        ends[:8][exited[:8]],
+        np.full(exited[:8].sum(), -1.0),
+        1e-3,
+        n_steps[:8][exited[:8]],
+        lambda z: np.ones(len(z), bool),
+        wrap,
+    )
+    assert_same_traces(back, retraces)
+
+    report = annulus_foliation_check(pulled, (lo, hi))
+    assert repr(report) == repr(dense_report)
+    assert report.passed == (case != "closed")
+
+
+def mixed_direction(pts):
+    # leaves on v = 0.5 circle the annulus and close up; forward leaves off
+    # that circle drift away from it and exit, backward ones are drawn onto it
+    u, v = pts[..., 0], pts[..., 1]
+    return np.stack([1.0 + 0.25 * np.cos(u), 3.0 * (v - 0.5) * (1.0 + 0.5 * np.sin(u))], -1)
+
+
+def test_mixed_batch_exits_closes_and_runs_out_like_one_leaf_loop():
+    starts = np.array(
+        [[0.0, 0.6], [1.0, 0.5], [2.0, 0.55], [3.0, 0.45], [4.0, 0.5], [5.0, 0.7], [0.5, 0.52]]
+    )
+    signs = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
+    budgets = np.array([2000, 2000, 50, 2000, 2000, 0, 2000])
+    step, wrap = 1e-2, (True, False)
+
+    batch = _trace_leaves(
+        mixed_direction, starts, signs, step, budgets,
+        lambda z: (0.1 < z[:, 1]) & (z[:, 1] < 0.9), wrap,
+    )
+    dense = [
+        dense_trace_leaf(signed(mixed_direction, s), z, step, int(n), lambda z: 0.1 < z[1] < 0.9, wrap)
+        for z, s, n in zip(starts, signs, budgets)
+    ]
+    assert_same_traces(batch, dense)
+    _, exited, n_steps = batch
+    # every way of finishing occurs in the one call: rows 0 and 6 exit,
+    # rows 1 and 4 close up after one turn, rows 2, 3 and 5 spend their
+    # budgets
+    assert exited.tolist() == [True, False, False, False, False, False, True]
+    assert n_steps.tolist() == [61, 628, 50, 2000, 628, 0, 96]
+
+    # trace_leaf is the one-row call of the same loop
+    for z, s, n, d in zip(starts, signs, budgets, dense):
+        end, out, steps = trace_leaf(
+            signed(mixed_direction, s), z, step, 1.0, lambda z: 0.1 < z[1] < 0.9, wrap, int(n)
+        )
+        assert_same_traces((end[None, :], np.array([out]), np.array([steps])), [d])
+        assert type(out) is bool and type(steps) is int
+
+
+def test_field_vanishing_on_one_leaf_raises():
+    # V = (0, v - 0.3) vanishes on the circle v = 0.3 only
+    def direction(pts):
+        return np.stack([np.zeros(pts.shape[:-1]), pts[..., 1] - 0.3], -1)
+
+    starts = np.array([[0.0, 0.6], [1.0, 0.3], [2.0, 0.8]])
+    with pytest.raises(ValueError, match="vanishes"):
+        _trace_leaves(
+            direction, starts, np.ones(3), 1e-3, np.full(3, 10),
+            lambda z: np.ones(len(z), bool), (True, False),
+        )
+    with pytest.raises(ValueError, match="vanishes"):
+        dense_trace_leaf(direction, starts[1], 1e-3, 10, lambda z: True, (True, False))
+    for z in starts[[0, 2]]:
+        dense_trace_leaf(direction, z, 1e-3, 10, lambda z: True, (True, False))
+
+    # 1 + cos(u) vanishes at the seed u = pi, one of the eight
+    vanishing = ANNULUS.one_form({"u": "1 + cos(u)", "v": 0.0})
+    with pytest.raises(ValueError, match="vanishes"):
+        dense_annulus_check(vanishing, (0.05, 0.95))
+    with pytest.raises(ValueError, match="vanishes"):
+        annulus_foliation_check(vanishing, (0.05, 0.95))
 
 
 # -- singularity classification ----------------------------------------------------

@@ -62,16 +62,21 @@ def test_catalog_model_checks_pass(name):
     assert failed == []
 
 
+# The case ids are fixed strings, so deleting a case leaves the ids of the
+# others as they are; they keep the positional names first given to them.
 @pytest.mark.parametrize(
     "name, params",
     [
-        ("engel_darboux_loose", {"N": 1}),  # unknown names are rejected too
-        ("engel_darboux_loose", {"theta": 0.0}),
-        ("prolongation_Eeps", {"eps": -0.5}),
-        ("engel_prolongation_Dk", {"k": 0}),
-        ("engel_prolongation_Dk", {"k": 1, "eps": 0.0}),
-        ("collar_xi", {"a": 2.0}),
-        ("binding_Eb", {"r0": -1.0}),
+        # unknown names are rejected too
+        pytest.param("engel_darboux_loose", {"N": 1}, id="engel_darboux_loose-params0"),
+        pytest.param("engel_darboux_loose", {"theta": 0.0}, id="engel_darboux_loose-params1"),
+        pytest.param("prolongation_Eeps", {"eps": -0.5}, id="prolongation_Eeps-params2"),
+        pytest.param("engel_prolongation_Dk", {"k": 0}, id="engel_prolongation_Dk-params3"),
+        pytest.param(
+            "engel_prolongation_Dk", {"k": 1, "eps": 0.0}, id="engel_prolongation_Dk-params4"
+        ),
+        pytest.param("collar_xi", {"a": 2.0}, id="collar_xi-params5"),
+        pytest.param("binding_Eb", {"r0": -1.0}, id="binding_Eb-params6"),
     ],
 )
 def test_catalog_rejects_bad_parameters(name, params):

@@ -199,6 +199,32 @@ class TestContactVectorFields:
         assert report.min_gap > 1e-3
 
 
+class TestFailureOrdering:
+    def test_contact_check_lists_smallest_margins_first(self):
+        # alpha ^ dalpha = (1 - 3x^2) dx dy dz: negative for |x| > 1/sqrt(3),
+        # most negative at x = -1 and x = 1, which tie
+        alpha = R3.one_form({"y": "x - x^3", "z": 1.0})
+        xs = [0.9, 0.0, -1.0, 0.7, 0.95, 0.8, 0.6, 1.0, 0.99]
+        pts = np.array([[x, 0.1, 0.2] for x in xs])
+        report = contact_structure_check(alpha, points=pts)
+        assert not report.passed
+        assert [f["point"]["x"] for f in report.failures] == [-1.0, 1.0, 0.99, 0.95, 0.9]
+        values = [f["value"] for f in report.failures]
+        assert values == sorted(values)
+        assert values[0] == report.min_gap == -2.0
+
+    def test_contact_field_check_lists_largest_residuals_first(self):
+        # the residual of L = x d/dy for alpha = dz - y dx is |x|
+        alpha = R3.one_form({"z": 1.0, "x": "-y"})
+        xs = [0.1, -0.5, 0.9, 0.3, -0.95, 0.7, 0.2]
+        pts = np.array([[x, 0.4, -0.3] for x in xs])
+        report = contact_vector_field_check(R3.vector_field({"y": "x"}), alpha, points=pts)
+        assert not report.passed
+        assert [f["point"]["x"] for f in report.failures] == [-0.95, 0.9, 0.7, -0.5, 0.3]
+        assert [f["value"] for f in report.failures] == [0.95, 0.9, 0.7, 0.5, 0.3]
+        assert report.min_gap == 0.95
+
+
 class TestFibrationAndFamilies:
     def test_transversality_direct(self):
         eps = 0.25
