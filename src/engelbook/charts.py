@@ -46,6 +46,7 @@ __all__ = [
 
 FD_STEP = 1e-6
 RANK_TOL = 1e-9
+_HASH_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
 _SAMPLE_MARGIN = 1e-3  # share of an open interval's span kept clear of each open end
 
 
@@ -601,17 +602,55 @@ def field_matrix(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
+def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group an (n, r, d) stack by the bytes of each matrix.
+
+    Returns ``first``, the index of one matrix per group, and ``inverse``,
+    each matrix's position in ``first``.  Matrices are keyed by a 64-bit
+    hash of their bytes, so the sort moves 8 bytes a matrix, and no copy
+    of the stack is made.  A matrix whose bytes differ from the first one
+    with its key (a hash collision) gets a group of its own.
+    """
+    n, r, d = flat.shape
+    bits = flat.view(np.uint64)
+    words = [bits[:, i, j] for i in range(r) for j in range(d)]
+    key = np.zeros(n, np.uint64)
+    for w in words:
+        key = (key ^ w) * _HASH_PRIME
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    clash = np.zeros(n, dtype=bool)
+    for w in words:
+        clash |= w[rep] != w
+    extra = np.flatnonzero(clash)
+    inverse[extra] = len(first) + np.arange(len(extra))
+    return np.concatenate([first, extra]), inverse
+
+
 def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Numeric rank and rank gap of a batch of matrices.
 
     The gap at a point is the smallest singular value still counted toward
     the rank, i.e. the margin by which the rank certificate holds.  A
     negative ``tol`` would count zero singular values and is rejected.
+
+    Matrices with the same bytes share one SVD: each distinct matrix is
+    decomposed once and its singular values are scattered back to every
+    repeat.  A matrix's SVD does not depend on the rest of its batch, so
+    the result is bitwise equal to decomposing every matrix.  A matrix
+    with a non-finite entry gets rank 0 and gap 0, so it fails any rank
+    certificate instead of passing it or raising.
     """
     if not tol >= 0:
         raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
-    mats = np.asarray(mats, float)
-    s = np.linalg.svd(mats, compute_uv=False)
+    mats = np.asarray(mats, dtype=float)
+    *batch, r, d = mats.shape
+    flat = mats.reshape(-1, r, d)
+    first, inverse = _distinct_matrices(flat)
+    distinct = flat[first]
+    # a zero matrix stands in for a non-finite one: its singular values are 0
+    distinct[~np.isfinite(distinct).all(axis=(-2, -1))] = 0.0
+    s = np.linalg.svd(distinct, compute_uv=False)[inverse].reshape(*batch, min(r, d))
     ranks = (s > tol).sum(axis=-1)
     idx = np.maximum(ranks - 1, 0)
     gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)

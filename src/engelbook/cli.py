@@ -9,6 +9,7 @@ Errors go to stderr as ``error[CODE] message`` lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -405,11 +406,16 @@ def _is_number(text: str) -> bool:
     return True
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     argv = _shield_negative_numbers(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     for dest, value in vars(args).items():

@@ -207,9 +207,18 @@ def _null_line_coeffs(
     M = np.stack(entries, axis=-2)  # (N, 2, 2)
     _, _, vh = np.linalg.svd(M)
     coeffs = vh[:, -1, :]  # smallest right singular vector per point
-    for i in range(1, len(coeffs)):
-        if np.dot(coeffs[i], coeffs[i - 1]) < 0.0:
-            coeffs[i] = -coeffs[i]
+    # Align each vector with its aligned predecessor, as a loop over the
+    # samples would.  With d the dot of a row and its unaligned predecessor,
+    # d < 0 flips the running sign, d > 0 keeps it, and d == 0 or NaN leaves
+    # the row unflipped, so the running sign restarts at +1.  The stacked
+    # matmul uses the routine of np.dot, so every d has np.dot's bits.
+    dots = (coeffs[1:, None, :] @ coeffs[:-1, :, None])[:, 0, 0]
+    negative = dots < 0.0
+    restart = ~(negative | (dots > 0.0))
+    flips = np.concatenate(([0], np.cumsum(negative)))
+    start = np.maximum.accumulate(np.where(restart, np.arange(1, len(coeffs)), 0))
+    odd = (flips[1:] - flips[start]) % 2 == 1
+    coeffs[1:][odd] = -coeffs[1:][odd]
     return coeffs
 
 

@@ -27,7 +27,6 @@ from .charts import (
     OneForm,
     VectorField,
     field_matrix,
-    lie_bracket,
 )
 from .foliation import (
     SliceEmbedding,
@@ -46,10 +45,10 @@ from .trigpoly import (
 )
 from .verify import (
     CheckReport,
+    _engel_and_bracket_span,
     adaptedness_check,
     contact_structure_check,
     contact_vector_field_check,
-    engel_check,
     even_contact_form_check,
     even_contact_span_check,
     fibration_transversality_check,
@@ -283,16 +282,8 @@ def piece_checks(
             _form_check(piece, ("contact_structure", "even_contact_form"), min_points=min_points)
         )
     if piece.pair is not None:
-        out.append(engel_check(piece.pair, min_points=min_points, name=f"{name}:engel", **rank))
-        w, x = piece.pair
-        out.append(
-            even_contact_span_check(
-                (w, x, lie_bracket(w, x)),
-                min_points=min_points,
-                name=f"{name}:bracket_span",
-                **rank,
-            )
-        )
+        names = (f"{name}:engel", f"{name}:bracket_span")
+        out.extend(_engel_and_bracket_span(piece.pair, names, min_points=min_points, **rank))
     elif piece.spanning and piece.chart.dim == 4:
         out.append(
             even_contact_span_check(

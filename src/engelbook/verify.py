@@ -89,17 +89,29 @@ def _failures(
 ) -> tuple[dict, ...]:
     """The ``MAX_FAILURES`` worst bad points and their ``values``.
 
-    Worst means the smallest margin; ``margins`` defaults to ``values``.
-    Points with equal margins keep their grid order.
+    Worst means the smallest margin; ``margins`` defaults to ``values``,
+    and a non-finite margin is the worst of all.  Points with equal margins
+    keep their grid order.
     """
     idx = np.nonzero(bad)[0]
     rank = values if margins is None else margins
+    rank = np.where(np.isfinite(rank), rank, -np.inf)
     idx = idx[np.argsort(rank[idx], kind="stable")][:MAX_FAILURES]
     out = []
     for i in idx:
         point = {c.name: float(pts[i, k]) for k, c in enumerate(chart.coords)}
         out.append({"point": point, "value": float(values[i])})
     return tuple(out)
+
+
+def _below(margins: np.ndarray, threshold: float) -> np.ndarray:
+    """Bad points of a margin: at most ``threshold``, or not finite."""
+    return ~(np.isfinite(margins) & (margins > threshold))
+
+
+def _above(residuals: np.ndarray, tol: float) -> np.ndarray:
+    """Bad points of a residual: above ``tol``, or not finite."""
+    return ~(np.isfinite(residuals) & (residuals <= tol))
 
 
 def _all_exact(comps: Iterable) -> bool:
@@ -125,7 +137,7 @@ def contact_structure_check(
     pts = _grid(chart, points, min_points)
     (_, coeff), = wedge_top(alpha, exterior_derivative(alpha))
     vals = batch_eval_scalars([coeff], pts)[:, 0]
-    bad = vals <= DEFAULT_THRESHOLD
+    bad = _below(vals, DEFAULT_THRESHOLD)
     return CheckReport(
         name=name,
         passed=not bad.any(),
@@ -154,7 +166,7 @@ def even_contact_form_check(
     coeffs = [c for _, c in wedge_top(alpha, exterior_derivative(alpha))]
     vals = batch_eval_scalars(coeffs, pts)
     norms = np.linalg.norm(vals, axis=-1)
-    bad = norms <= DEFAULT_THRESHOLD
+    bad = _below(norms, DEFAULT_THRESHOLD)
     return CheckReport(
         name=name,
         passed=not bad.any(),
@@ -187,23 +199,8 @@ def even_contact_span_check(
 
     brackets = [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
     mats = field_matrix(list(frame) + brackets, pts)
-    ranks3, gaps3 = pointwise_rank(mats[:, :3], tol)
-    ranks4, gaps4 = pointwise_rank(mats, tol)
-
-    bad = (ranks3 != 3) | (ranks4 != 4)
-    gaps = np.minimum(gaps3, gaps4)
-    return CheckReport(
-        name=name,
-        passed=not bad.any(),
-        n_points=len(pts),
-        min_gap=float(gaps.min()),
-        failures=_failures(chart, pts, bad, gaps),
-        details={
-            "route": "span",
-            "rank3_gap": float(gaps3.min()),
-            "rank4_gap": float(gaps4.min()),
-        },
-    )
+    steps = {3: pointwise_rank(mats[:, :3], tol), 4: pointwise_rank(mats, tol)}
+    return _rank_report(name, chart, pts, {"route": "span"}, steps)
 
 
 def engel_check(
@@ -214,6 +211,40 @@ def engel_check(
     name: str = "engel",
 ) -> CheckReport:
     """Engel condition for a 2-frame: ranks grow 2 -> 3 -> 4 under brackets."""
+    chart, pts, _, steps = _engel_stack(pair, points, min_points, tol)
+    return _rank_report(name, chart, pts, {}, steps)
+
+
+# rows of the Engel stack (x1, x2, x12, x112, x212) that make the bracket
+# span matrix of the frame (x1, x2, x12): the frame, then its pairwise
+# brackets [x1,x2], [x1,x12], [x2,x12]
+_BRACKET_SPAN_ROWS = [0, 1, 2, 2, 3, 4]
+
+
+def _engel_and_bracket_span(
+    pair: Sequence[VectorField],
+    names: tuple[str, str],
+    min_points: int,
+    tol: float = DEFAULT_THRESHOLD,
+) -> tuple[CheckReport, CheckReport]:
+    """``engel_check(pair)`` and ``even_contact_span_check((w, x, [w, x]))``
+    from one evaluation of the Engel stack.
+
+    The span frame's brackets are Engel's x12, x112 and x212, so its matrix
+    is a row selection of the Engel stack with the same bits, and its rank-3
+    step is Engel's.  Both reports equal those of the two public checks.
+    """
+    chart, pts, mats, steps = _engel_stack(pair, None, min_points, tol)
+    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol)}
+    return (
+        _rank_report(names[0], chart, pts, {}, steps),
+        _rank_report(names[1], chart, pts, {"route": "span"}, span_steps),
+    )
+
+
+def _engel_stack(pair, points, min_points, tol):
+    """Chart, grid, the (n, 5, 4) stack of x1, x2 and their brackets x12,
+    x112, x212, and its rank steps {2, 3, 4: (ranks, gaps)}."""
     if len(pair) != 2:
         raise ValueError("engel_check expects a pair of fields")
     x1, x2 = pair
@@ -227,23 +258,34 @@ def engel_check(
     x212 = lie_bracket(x2, x12)
 
     mats = field_matrix([x1, x2, x12, x112, x212], pts)
-    ranks2, gaps2 = pointwise_rank(mats[:, :2], tol)
-    ranks3, gaps3 = pointwise_rank(mats[:, :3], tol)
-    ranks4, gaps4 = pointwise_rank(mats, tol)
+    steps = {
+        2: pointwise_rank(mats[:, :2], tol),
+        3: pointwise_rank(mats[:, :3], tol),
+        4: pointwise_rank(mats, tol),
+    }
+    return chart, pts, mats, steps
 
-    bad = (ranks2 != 2) | (ranks3 != 3) | (ranks4 != 4)
-    gaps = np.minimum(np.minimum(gaps2, gaps3), gaps4)
+
+def _rank_report(name, chart, pts, details, steps) -> CheckReport:
+    """A rank-growth certificate from ``{expected rank: (ranks, gaps)}``.
+
+    A point is bad where any step misses its rank; its margin is its
+    smallest gap over the steps, and ``details["rank<r>_gap"]`` is each
+    step's worst gap.
+    """
+    bad = np.zeros(len(pts), dtype=bool)
+    gaps = None
+    for want, (ranks, step_gaps) in steps.items():
+        bad |= ranks != want
+        gaps = step_gaps if gaps is None else np.minimum(gaps, step_gaps)
+        details[f"rank{want}_gap"] = float(step_gaps.min())
     return CheckReport(
         name=name,
         passed=not bad.any(),
         n_points=len(pts),
         min_gap=float(gaps.min()),
         failures=_failures(chart, pts, bad, gaps),
-        details={
-            "rank2_gap": float(gaps2.min()),
-            "rank3_gap": float(gaps3.min()),
-            "rank4_gap": float(gaps4.min()),
-        },
+        details=details,
     )
 
 
@@ -273,7 +315,7 @@ def isotropic_line_check(
 
     wmat = field_matrix([w], pts)[:, 0, :]
     norms = np.linalg.norm(wmat, axis=-1)
-    bad = (residuals.max(axis=-1) > tol) | (norms <= DEFAULT_THRESHOLD)
+    bad = _above(residuals.max(axis=-1), tol) | _below(norms, DEFAULT_THRESHOLD)
     details = {
         "alpha_w_residual": float(residuals[:, 0].max()),
         "pairing_residual": worst_residual,
@@ -340,7 +382,7 @@ def contact_vector_field_check(
             details["routes_disagree"] = True
             passed = False
 
-    bad = residual > tol
+    bad = _above(residual, tol)
     return CheckReport(
         name=name,
         passed=passed,
@@ -375,7 +417,7 @@ def fibration_transversality_check(
     pairing = batch_eval_scalars([theta.apply(w)], pts)[:, 0]
     margins = np.abs(pairing)
     same_sign = bool((pairing > 0).all() or (pairing < 0).all())
-    bad = margins <= DEFAULT_THRESHOLD
+    bad = _below(margins, DEFAULT_THRESHOLD)
     passed = closed_residual <= tol and same_sign and not bad.any()
     return CheckReport(
         name=name,
@@ -478,7 +520,7 @@ def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
         slope_errors.append(abs(computed - torus.declared_slope))
     slope_residual = max(slope_errors) if slope_errors else 0.0
 
-    bad = norms <= DEFAULT_THRESHOLD
+    bad = _below(norms, DEFAULT_THRESHOLD)
     passed = residual <= tol and slope_residual <= max(tol, 1e-9) and not bad.any()
     return CheckReport(
         name="adapted_collar",
@@ -526,7 +568,7 @@ def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
     residual = float(np.abs(trans_vals).max()) if transverse else 0.0
     norms = np.linalg.norm(vals[:, keep], axis=-1)
 
-    bad = norms <= DEFAULT_THRESHOLD
+    bad = _below(norms, DEFAULT_THRESHOLD)
     return CheckReport(
         name="adapted_binding",
         passed=residual <= tol and not bad.any(),

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from engelbook import charts
 from engelbook.charts import (
     Chart,
     IntegerAffineMap,
@@ -291,3 +294,105 @@ class TestSamplingAndRank:
         pts = np.array([[1.5, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
         got = g.partial("x").compile()(pts)
         assert np.allclose(got, 4.0 * pts[:, 0] ** 3, atol=1e-12)
+
+
+def svd_loop_rank(mats, tol=1e-9):
+    """Reference rank and gap: one SVD per matrix, in batch order."""
+    mats = np.asarray(mats, float)
+    *batch, r, d = mats.shape
+    flat = mats.reshape(-1, r, d)
+    s = np.zeros((len(flat), min(r, d)))
+    for i, m in enumerate(flat):
+        s[i] = np.linalg.svd(m, compute_uv=False)
+    s = s.reshape(*batch, min(r, d))
+    ranks = (s > tol).sum(axis=-1)
+    idx = np.maximum(ranks - 1, 0)
+    gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)
+    return ranks, gaps
+
+
+def _stack_with_repeats(n=60, rows=5, cols=4, distinct=7, seed=0):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, rows, cols))
+    return base[rng.integers(0, distinct, size=n)]
+
+
+def _signed_zeros():
+    mats = _stack_with_repeats()
+    mats[::3, 1, 2] = 0.0
+    mats[1::3, 1, 2] = -0.0
+    return mats
+
+
+def _rank_deficient():
+    mats = _stack_with_repeats()
+    mats[::2, 2] = mats[::2, 0] + mats[::2, 1]  # rank 3 of 4
+    mats[::5, 1:] = 0.0  # rank 1
+    mats[7] = 0.0  # rank 0
+    return mats
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        pytest.param(_stack_with_repeats(), id="repeats"),
+        pytest.param(_signed_zeros(), id="signed-zeros"),
+        pytest.param(_stack_with_repeats()[:, :3], id="non-contiguous-slice"),
+        pytest.param(_stack_with_repeats().reshape(6, 10, 5, 4), id="2d-batch"),
+        pytest.param(np.zeros((0, 5, 4)), id="empty"),
+        pytest.param(_rank_deficient(), id="rank-deficient"),
+    ],
+)
+def test_pointwise_rank_is_bitwise_equal_to_svd_loop(mats):
+    ranks, gaps = pointwise_rank(mats)
+    want_ranks, want_gaps = svd_loop_rank(mats)
+    assert ranks.shape == gaps.shape == mats.shape[:-2]
+    assert np.array_equal(ranks, want_ranks)
+    assert gaps.dtype == want_gaps.dtype and gaps.tobytes() == want_gaps.tobytes()
+
+
+def test_pointwise_rank_survives_hash_collisions(monkeypatch):
+    # a zero multiplier hashes every matrix to 0: each matrix whose bytes
+    # differ from the first one's must still get its own SVD
+    monkeypatch.setattr(charts, "_HASH_PRIME", np.uint64(0))
+    for mats in (_stack_with_repeats(), _signed_zeros(), _rank_deficient()):
+        ranks, gaps = pointwise_rank(mats)
+        want_ranks, want_gaps = svd_loop_rank(mats)
+        assert np.array_equal(ranks, want_ranks)
+        assert gaps.tobytes() == want_gaps.tobytes()
+
+
+def test_pointwise_rank_gives_non_finite_matrices_rank_zero():
+    mats = _stack_with_repeats(n=6)
+    mats[1, 0, 0] = np.nan
+    mats[3, 2, 1] = np.inf
+    mats[4, 4, 3] = -np.inf
+    ranks, gaps = pointwise_rank(mats)
+    finite = [0, 2, 5]
+    assert ranks.tolist() == [4, 0, 4, 0, 0, 4]
+    assert gaps[[1, 3, 4]].tolist() == [0.0, 0.0, 0.0]
+    want_ranks, want_gaps = svd_loop_rank(mats[finite])
+    assert np.array_equal(ranks[finite], want_ranks)
+    assert gaps[finite].tobytes() == want_gaps.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.lists(st.integers(0, 39), max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_pointwise_rank_with_repeats_matches_svd_loop(n, rows, cols, copies, seed):
+    # repeated matrices share one SVD; the result must not show it
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(n, rows, cols))
+    zero = rng.random(mats.shape) < 0.2
+    mats[zero] = np.copysign(0.0, mats[zero])  # signed zeros are distinct keys
+    for i, j in zip(copies, copies[1:]):
+        mats[j % n] = mats[i % n]
+    ranks, gaps = pointwise_rank(mats)
+    want_ranks, want_gaps = svd_loop_rank(mats)
+    assert np.array_equal(ranks, want_ranks)
+    assert gaps.tobytes() == want_gaps.tobytes()

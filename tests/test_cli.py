@@ -117,6 +117,21 @@ def test_string_option_takes_negative_number_verbatim(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["-1"]
 
 
+def test_parser_reuse_keeps_runs_apart(monkeypatch):
+    # run parses with one parser per process; an append option's default
+    # list must not carry values from one run into the next
+    from engelbook import cli
+
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: seen.append(args) or 0)
+    assert run(["verify", "--model", "binding_Eb", "--param", "r0=1.2", "--param", "k=3"]) == 0
+    assert run(["verify", "--model", "collar_xi"]) == 0
+    assert run(["verify", "--model", "collar_xi", "--param", "a=0.5"]) == 0
+    assert [a.param for a in seen] == [["r0=1.2", "k=3"], [], ["a=0.5"]]
+    assert [a.model for a in seen] == ["binding_Eb", "collar_xi", "collar_xi"]
+    assert cli._parser() is cli._parser()
+
+
 def test_construct_writes_report_with_derived_l(tmp_path):
     out = tmp_path / "report.json"
     code = run(["construct", "--lambda", "2", "--k", "3", "--out", str(out)])

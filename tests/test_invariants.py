@@ -8,6 +8,7 @@ import pytest
 from engelbook.charts import Chart, Interval, batch_eval_scalars
 from engelbook.invariants import (
     Path,
+    _null_line_coeffs,
     delta_homomorphism,
     frame_gram,
     quaternion_frame,
@@ -115,6 +116,72 @@ class TestDelta:
         result = delta_homomorphism(d1, d1, xi_frame(), (alpha, theta), T_CIRCLE)
         assert result.value == 0
         assert result.residual < 1e-9
+
+
+def null_line_coeffs_loop(basis, rows, pts):
+    """Reference: the nullspace vectors, sign-aligned one sample at a time."""
+    x1, x2 = basis
+    entries = [batch_eval_scalars([row.apply(x1), row.apply(x2)], pts) for row in rows]
+    _, _, vh = np.linalg.svd(np.stack(entries, axis=-2))
+    coeffs = vh[:, -1, :]
+    for i in range(1, len(coeffs)):
+        if np.dot(coeffs[i], coeffs[i - 1]) < 0.0:
+            coeffs[i] = -coeffs[i]
+    return coeffs
+
+
+SU = Chart.make("su", [("s", KIND_POLYNOMIAL, BOX), ("u", KIND_POLYNOMIAL, BOX)])
+SU_BASIS = (SU.basis_vector("s"), SU.basis_vector("u"))
+
+
+def _prolongation_case(k):
+    eps = 0.25
+    w = PROLONG.vector_field({"t": 1.0, "phi1": eps, "phi2": eps})
+    alpha = PROLONG.one_form({"phi1": "r^2", "phi2": "1 - r^2", "t": -eps})
+    theta = PROLONG.one_form({"phi1": 1.0, "phi2": 1.0})
+    return (w, twisted_field(k)), (alpha, theta), T_CIRCLE.sample(512)
+
+
+def _orthogonal_jumps_case():
+    # rows (s, 1 - s): the null line is the u axis at s = 0 and the s axis at
+    # s = 1, so neighbouring samples at s = 0 and s = 1 have an exact-zero dot;
+    # -0.5, 1.0, 0.0 meets one after a flip, where the running sign is -1
+    row = SU.one_form({"s": "s", "u": "1 - s"})
+    s = [0.3, 0.0, 1.0, 0.5, 0.2, 0.7, 1.0, 1.0, 0.0, -0.5, 1.0, 0.0, 0.0, 1.0, -0.9]
+    pts = np.array([[v, 0.0] for v in s])
+    return SU_BASIS, (row, row), pts
+
+
+def _random_lines_case():
+    # null lines at random angles: dots of both signs in any order
+    row = SU.one_form({"s": "u", "u": "s"})
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(300, 2))
+    return SU_BASIS, (row, row), pts
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _prolongation_case(1), id="prolongation-k1"),
+        pytest.param(lambda: _prolongation_case(4), id="prolongation-k4"),
+        pytest.param(_orthogonal_jumps_case, id="exact-zero-dots"),
+        pytest.param(_random_lines_case, id="random-lines"),
+    ],
+)
+def test_null_line_sign_alignment_matches_loop(case):
+    basis, rows, pts = case()
+    got = _null_line_coeffs(basis, rows, pts)
+    want = null_line_coeffs_loop(basis, rows, pts)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_exact_zero_dot_case_has_zero_and_negative_dots():
+    basis, rows, pts = _orthogonal_jumps_case()
+    x1, x2 = basis
+    entries = [batch_eval_scalars([row.apply(x1), row.apply(x2)], pts) for row in rows]
+    raw = np.linalg.svd(np.stack(entries, axis=-2))[2][:, -1, :]
+    dots = np.array([np.dot(raw[i], raw[i - 1]) for i in range(1, len(raw))])
+    assert (dots == 0.0).sum() >= 3 and (dots < 0.0).sum() >= 1
 
 
 class TestQuaternionFrame:

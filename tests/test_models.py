@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from engelbook.charts import lie_bracket
 from engelbook.invariants import Path, delta_homomorphism
 from engelbook.models import (
     GLUE_TORUS,
@@ -23,6 +24,7 @@ from engelbook.models import (
     piece_checks,
 )
 from engelbook.trigpoly import Mode, canonical_equal
+from engelbook.verify import engel_check, even_contact_span_check
 from engelbook.models import _wave
 
 CATALOG_NAMES = (
@@ -442,3 +444,39 @@ def test_pipeline_report_to_dict_shape():
     }
     assert report["overall_pass"] is True
     assert all({"name", "pass", "points", "min_gap"} <= set(c) for c in report["checks"])
+
+
+def _pieces_with_pairs():
+    pieces = []
+    for name in CATALOG_NAMES:
+        stack = list(model_catalog(name).pieces)
+        while stack:
+            piece = stack.pop()
+            if piece.pair is not None:
+                pieces.append(piece)
+            if piece.core is not None:
+                stack.append(piece.core)
+    return pieces + [build_collar_engel(1, 3), build_binding_engel(1, 3)]
+
+
+@pytest.mark.parametrize("tol", [None, 0.99], ids=["default-tol", "failing-tol"])
+def test_shared_pair_reports_equal_separate_checks(tol):
+    # piece_checks builds :engel and :bracket_span from one Engel stack
+    pieces = _pieces_with_pairs()
+    assert [p.name for p in pieces] == ["loose-tube", "spinning-prolongation", "collar", "binding"]
+    rank = {} if tol is None else {"tol": tol}
+    for piece in pieces:
+        w, x = piece.pair
+        separate = [
+            engel_check(piece.pair, name=f"{piece.name}:engel", **rank),
+            even_contact_span_check(
+                (w, x, lie_bracket(w, x)), name=f"{piece.name}:bracket_span", **rank
+            ),
+        ]
+        reports = piece_checks(piece, tol=tol)
+        names = [r.name for r in reports]
+        i = names.index(f"{piece.name}:engel")
+        assert names[i + 1] == f"{piece.name}:bracket_span"
+        assert repr(reports[i : i + 2]) == repr(separate)
+        if tol is not None:
+            assert not separate[0].passed and separate[0].failures

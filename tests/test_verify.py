@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from engelbook.charts import Chart, Interval
+from engelbook.charts import Chart, Interval, NumericScalar
 from engelbook.models import model_catalog
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL
 from engelbook.verify import (
@@ -223,6 +223,95 @@ class TestFailureOrdering:
         assert [f["point"]["x"] for f in report.failures] == [-0.95, 0.9, 0.7, -0.5, 0.3]
         assert [f["value"] for f in report.failures] == [0.95, 0.9, 0.7, 0.5, 0.3]
         assert report.min_gap == 0.95
+
+
+def _nan_at_x_half(pts):
+    return np.where(pts[..., 0] == 0.5, np.nan, 1.0)
+
+
+def _zero(pts):
+    return np.zeros(pts.shape[:-1])
+
+
+def _nan_scale(chart):
+    """1 everywhere but NaN where x = 0.5, with zero partials."""
+    return NumericScalar(chart.coords, _nan_at_x_half, (_zero,) * chart.dim)
+
+
+class TestNonFiniteValuesFail:
+    """A non-finite margin or residual is a bad point, listed first."""
+
+    def test_nan_contact_margin_fails(self):
+        alpha = R3.one_form({"y": "x + x^3", "z": 1.0})
+        report = contact_structure_check(alpha, points=[[np.nan, 0.0, 0.0], [0.1, 0.2, 0.3]])
+        assert not report.passed
+        assert len(report.failures) == 1
+        assert math.isnan(report.failures[0]["point"]["x"])
+        # a non-finite margin ranks below every finite one
+        alpha = R3.one_form({"y": "x - x^3", "z": 1.0})
+        report = contact_structure_check(alpha, points=[[1.0, 0.1, 0.2], [np.nan, 0.0, 0.0]])
+        assert [f["point"]["x"] for f in report.failures][1:] == [1.0]
+        assert math.isnan(report.failures[0]["point"]["x"])
+
+    def test_engel_field_nan_at_one_point_fails(self):
+        # the pair of test_disk3_engel_pair, with theta's coefficient NaN at x = 0.5
+        t0 = 0.3
+        v1 = DISK3.basis_vector("theta").scaled(_nan_scale(DISK3))
+        v2 = DISK3.vector_field(
+            {
+                "x": f"cos(theta - {t0})",
+                "y": f"z*cos(theta - {t0})",
+                "z": f"sin(theta - {t0})",
+            }
+        )
+        pts = np.array([[0.1, 0.2, 0.3, 1.0], [0.5, 0.2, 0.3, 1.0], [-0.4, 0.1, 0.6, 2.0]])
+        report = engel_check([v1, v2], points=pts)
+        assert not report.passed
+        assert report.min_gap == 0.0
+        assert [f["point"]["x"] for f in report.failures] == [0.5]
+        assert engel_check([v1, v2], points=pts[[0, 2]]).passed
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            pytest.param(
+                lambda pts: even_contact_form_check(
+                    R4.one_form({"z": _nan_scale(R4), "x": "-y", "w": "x^2"}),
+                    points=np.append(pts, np.zeros((len(pts), 1)), axis=1),
+                ),
+                id="even_contact_form",
+            ),
+            pytest.param(
+                lambda pts: isotropic_line_check(
+                    R3.basis_vector("x").scaled(_nan_scale(R3)),
+                    R3.one_form({"z": 1.0}),
+                    [R3.basis_vector("x")],
+                    points=pts,
+                ),
+                id="isotropic_line",
+            ),
+            pytest.param(
+                lambda pts: contact_vector_field_check(
+                    R3.basis_vector("z").scaled(_nan_scale(R3)),
+                    R3.one_form({"z": 1.0, "x": "-y"}),
+                    points=pts,
+                ),
+                id="contact_vector_field",
+            ),
+            pytest.param(
+                lambda pts: fibration_transversality_check(
+                    R3.one_form({"x": 1.0}), R3.basis_vector("x").scaled(_nan_scale(R3)), points=pts
+                ),
+                id="fibration_transversality",
+            ),
+        ],
+    )
+    def test_nan_point_fails(self, check):
+        pts = np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3], [0.1, 0.2, 0.3]])
+        assert check(pts[[0, 2]]).passed
+        report = check(pts)
+        assert not report.passed
+        assert [f["point"]["x"] for f in report.failures] == [0.5]
 
 
 class TestFibrationAndFamilies:
