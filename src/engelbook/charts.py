@@ -404,11 +404,6 @@ class TwoForm:
     pairs: tuple[tuple[int, int], ...]
     components: tuple[ScalarLike, ...]
 
-    @classmethod
-    def zero(cls, chart: Chart) -> "TwoForm":
-        pairs = tuple(itertools.combinations(range(chart.dim), 2))
-        return cls(chart, pairs, tuple(chart.zero() for _ in pairs))
-
     def component(self, i: int, j: int) -> ScalarLike:
         if i == j:
             return self.chart.zero()

@@ -42,6 +42,7 @@ from .charts import (
     TwoForm,
     VectorField,
 )
+from .invariants import _turns, twisting_number
 from .trigpoly import (
     KIND_ANGULAR,
     KIND_POLYNOMIAL,
@@ -593,11 +594,7 @@ def classifier_boundary_winding(classifier: ClassifierField, radius: float) -> f
     t = np.linspace(0.0, math.tau, _WINDING_SAMPLES, endpoint=False)
     circle = radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
     V = classifier.value(circle)
-    ang = np.arctan2(V[:, 1], V[:, 0])
-    ang = np.concatenate([ang, ang[:1]])
-    d = np.diff(ang)
-    d = (d + math.pi) % math.tau - math.pi
-    return float(d.sum() / math.tau)
+    return _turns(V[:, 0], V[:, 1], True)
 
 
 def boundary_winding_vs_index(
@@ -608,8 +605,6 @@ def boundary_winding_vs_index(
     n_samples: int = 1024,
 ) -> dict:
     """Compare a boundary field's frame winding against the relative index sum."""
-    from .invariants import twisting_number
-
     w = twisting_number(boundary_field, frame, loop, n_samples=n_samples)
     return {
         "winding": int(w.value),
@@ -929,29 +924,39 @@ class DiskContactForm:
     """A verified contact form on the disk bundle with k boundary twists."""
 
     k: int
-    bundle_chart: Chart
-    page_chart: Chart
     alpha: OneForm
     classifier: ClassifierField
     singularities: SingularityReport
-    contact_margin: float
-    boundary_exact_radius: float
-    boundary_residual: float
     params: dict
     certificates: dict
     passed: bool
     exact: bool
 
 
-def _default_disk_params(k: int) -> dict:
+_MAX_K = 19  # no parameter set below is known to pass for a larger k
+
+
+def _disk_params(k: int) -> dict:
+    """The shape parameters of the disk with k twists, 3 <= k <= 19.
+
+    With the base set an extra negative pair of singularities appears at
+    k = 17 and 19, just beyond the outermost bump; narrower bumps, and at
+    k = 19 closer spacing and a deeper c dip, keep it off the disk.
+    """
     e = (k + 1) // 2
     width = 0.3 / (1.6 * (e - 1) + 6.0)
+    spacing, c_dip = 3.2, 0.2
+    if k == 17:
+        width *= 0.9
+    elif k == 19:
+        width *= 0.85
+        spacing, c_dip = 3.0, 0.25
     return {
         "width": width,
-        "spacing": 3.2,
+        "spacing": spacing,
         "amplitude": 0.85,
         "floor": 0.6,
-        "c_dip": 0.2,
+        "c_dip": c_dip,
         "swirl": 0.3,
         "c_on": (2.5, 5.0),  # transition band radii, in widths from the origin
         "wall": (0.40, 0.60),
@@ -962,32 +967,17 @@ def _default_disk_params(k: int) -> dict:
     }
 
 
-_RETRY_TWEAKS: tuple[dict, ...] = (
-    {},
-    {"amplitude": 0.9, "floor": 0.55},
-    {"width_scale": 0.9},
-    {"spacing": 3.4},
-    {"width_scale": 0.85, "spacing": 3.0, "c_dip": 0.25},
-)
-
-
-def _disk_charts() -> tuple[Chart, Chart]:
+def _bundle_chart() -> Chart:
     box = Interval(-1.0, 1.0)
-    bundle = Chart.make(
+    return Chart.make(
         "disk-bundle",
         [("x", KIND_ANGULAR), ("p", KIND_POLYNOMIAL, box), ("q", KIND_POLYNOMIAL, box)],
     )
-    page = Chart.make(
-        "page-disk",
-        [("p", KIND_POLYNOMIAL, box), ("q", KIND_POLYNOMIAL, box)],
-    )
-    return bundle, page
 
 
 def _exact_disk_form() -> DiskContactForm:
     """The k = 1 model: u = 1, beta = p dq - q dp, all components exact."""
-    bundle, page = _disk_charts()
-    alpha = bundle.one_form({"x": 1.0, "p": "-q", "q": "p"})
+    alpha = _bundle_chart().one_form({"x": 1.0, "p": "-q", "q": "p"})
 
     def value(pts):
         return -np.asarray(pts, float)
@@ -1017,14 +1007,9 @@ def _exact_disk_form() -> DiskContactForm:
     )
     return DiskContactForm(
         k=1,
-        bundle_chart=bundle,
-        page_chart=page,
         alpha=alpha,
         classifier=classifier,
         singularities=report,
-        contact_margin=2.0,
-        boundary_exact_radius=0.0,
-        boundary_residual=0.0,
         params={},
         certificates=certificates,
         passed=passed,
@@ -1049,38 +1034,26 @@ def _annulus_grid(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:
 def construct_xi_prime(k: int) -> DiskContactForm:
     """Build a verified contact form on the disk bundle with k boundary twists.
 
-    k must be a positive odd integer.  The singularity counts of the page
-    foliation come out as (k+1)/2 positive elliptic and (k-1)/2 negative
-    hyperbolic points, the index identities hold, the contact coefficient is
-    positive on a 281 x 281 disk grid, and outside
-    ``boundary_exact_radius`` the form agrees with dx + p dq - q dp exactly.
-    The shape parameters start from ``_default_disk_params(k)`` and follow
-    the retry schedule ``_RETRY_TWEAKS``; the first passing parameter set
-    wins.  If every attempt fails the attempt with the largest contact
-    margin is returned with ``passed`` False and the failure recorded in
-    ``certificates``.
+    k must be odd with 1 <= k <= 19; larger k are refused before any work,
+    since no parameter set is known to pass there.  The singularity counts
+    of the page foliation come out as (k+1)/2 positive elliptic and (k-1)/2
+    negative hyperbolic points, the index identities hold, the contact
+    coefficient is positive on a 281 x 281 disk grid, and outside
+    ``params["exact_radius"]`` the form agrees with dx + p dq - q dp
+    exactly.  The disk is built once from ``_disk_params(k)``; ``passed``
+    records whether every certificate held.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
+    if k > _MAX_K:
+        raise ValueError(f"k = {k} is not supported: the disk is built for odd k up to {_MAX_K}")
     if k == 1:
         return _exact_disk_form()
-
     expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
-    best: DiskContactForm | None = None
-    for tweak in _RETRY_TWEAKS:
-        params = {**_default_disk_params(k), **tweak}
-        params["width"] *= params.pop("width_scale", 1.0)
-        attempt = _build_disk_form(k, params, expected)
-        if attempt.passed:
-            return attempt
-        if best is None or attempt.contact_margin > best.contact_margin:
-            best = attempt
-    assert best is not None
-    return best
+    return _build_disk_form(k, _disk_params(k), expected)
 
 
 def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
-    bundle, page = _disk_charts()
     pieces = _assemble_pieces(k, params)
     classifier = _classifier_from_pieces(pieces)
     F = _contact_coefficient(pieces)
@@ -1136,6 +1109,7 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
         (lambda z: value(z)[..., 1], lambda z: jac(z)[..., 1, :]),
         (lambda z: -value(z)[..., 0], lambda z: -jac(z)[..., 0, :]),
     )
+    bundle = _bundle_chart()
     alpha = OneForm(
         bundle,
         tuple(_bundle_scalar(bundle.coords, fn, grad) for fn, grad in pages),
@@ -1144,14 +1118,9 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
 
     return DiskContactForm(
         k=k,
-        bundle_chart=bundle,
-        page_chart=page,
         alpha=alpha,
         classifier=classifier,
         singularities=report,
-        contact_margin=contact_min,
-        boundary_exact_radius=exact_radius,
-        boundary_residual=boundary_residual,
         params=dict(params),
         certificates=certificates,
         passed=passed,

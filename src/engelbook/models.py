@@ -31,6 +31,7 @@ from .charts import (
 from .foliation import (
     SliceEmbedding,
     annulus_foliation_check,
+    boundary_winding_vs_index,
     construct_xi_prime,
     torus_slope,
 )
@@ -1238,20 +1239,20 @@ def assemble(
         binding.chart, "phi", {"x": 0.0, "y": 0.0, "r": r0, "phi": 0.0}, label="gamma_phi"
     )
     boundary_frame = (binding.chart.basis_vector("r"), binding.named_fields["S"])
-    tw_boundary = twisting_number(
-        binding.named_fields["C1"], boundary_frame, g_phi_b, n_samples=n_samples
+    chain = boundary_winding_vs_index(
+        binding.named_fields["C1"], boundary_frame, g_phi_b, disk.singularities, n_samples=n_samples
     )
-    chain_ok = tw_boundary.value == singularities["relative_euler"] == k
+    chain_ok = chain["match"] and chain["winding"] == k
     checks.append(
         CheckReport(
             name="boundary_euler_chain",
-            passed=chain_ok and tw_boundary.residual < residual_tol,
+            passed=chain_ok and chain["winding_residual"] < residual_tol,
             n_points=n_samples,
-            min_gap=float(tw_boundary.residual),
+            min_gap=chain["winding_residual"],
             failures=(),
             details={
-                "boundary_twist": tw_boundary.value,
-                "relative_euler": singularities["relative_euler"],
+                "boundary_twist": chain["winding"],
+                "relative_euler": chain["relative_euler"],
                 "k": k,
             },
         )

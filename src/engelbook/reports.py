@@ -45,12 +45,6 @@ CONVENTIONS = {
 }
 
 
-def _check_entry(report: CheckReport) -> dict:
-    entry = report.to_dict()
-    entry["pass"] = bool(entry["pass"])
-    return entry
-
-
 def json_document(
     config: dict,
     checks: Sequence[CheckReport],
@@ -68,7 +62,7 @@ def json_document(
         "tool_version": __version__,
         "config": dict(config),
         "conventions": dict(CONVENTIONS),
-        "checks": [_check_entry(c) for c in checks],
+        "checks": [c.to_dict() for c in checks],
         "invariants": dict(invariants or {}),
         "singularities": sing,
         "overall_pass": bool(overall_pass),
@@ -87,8 +81,20 @@ def construct_document(report: PipelineReport, config: dict) -> dict:
     )
 
 
+def _finite_json(value):
+    """``value`` with each non-finite float spelled as the string "NaN",
+    "Infinity" or "-Infinity", which strict JSON parsers accept."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def render_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite_json(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- foliation portraits -------------------------------------------------------

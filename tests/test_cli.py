@@ -211,6 +211,13 @@ def test_foliation_rejects_even_k(capsys):
     assert "error[EB-PARAM]" in capsys.readouterr().err
 
 
+def test_foliation_refuses_k_beyond_19(tmp_path, capsys):
+    out = tmp_path / "portrait.csv"
+    assert run(["foliation", "--k", "21", "--out", str(out)]) == 2
+    assert "error[EB-PARAM]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariants_reports_singularity_counts(tmp_path):
     out = tmp_path / "inv.json"
     code = run(["invariants", "--lambda", "2", "--k", "5", "--out", str(out)])

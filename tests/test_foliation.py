@@ -19,9 +19,10 @@ from engelbook.foliation import (
     SingularityReport,
     SliceEmbedding,
     _assemble_pieces,
+    _build_disk_form,
     _classifier_from_pieces,
-    _default_disk_params,
     _disk_grid,
+    _disk_params,
     _gaussian_bundle,
     _newton_points,
     _smoothstep,
@@ -38,6 +39,7 @@ from engelbook.foliation import (
 )
 from engelbook.invariants import Path
 from engelbook.models import model_catalog
+from engelbook.reports import portrait_rows
 from engelbook.trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
@@ -695,7 +697,7 @@ def search_field(name):
     if name == "fold":
         return fold_field()
     k = int(name[1:])
-    return _classifier_from_pieces(_assemble_pieces(k, _default_disk_params(k)))
+    return _classifier_from_pieces(_assemble_pieces(k, _disk_params(k)))
 
 
 @pytest.mark.parametrize("newton_iters", [1, 2, 60])
@@ -718,7 +720,7 @@ def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
 # -- the disk constructor -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("k", range(1, 20, 2))
 def test_disk_form_counts_and_identities(k):
     d = disk(k)
     assert d.passed
@@ -735,8 +737,8 @@ def test_disk_form_counts_and_identities(k):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_disk_form_contact_certificates(k):
     d = disk(k)
-    assert d.contact_margin > 1e-3
-    assert d.boundary_residual <= 1e-13
+    assert d.certificates["contact_min"] > 1e-3
+    assert d.certificates["boundary_residual"] <= 1e-13
     assert abs(d.certificates["classifier_boundary_turns"] - 1.0) < 0.05
 
 
@@ -781,7 +783,7 @@ def central_difference(fn, pts, h=1e-6):
 def test_disk_classifier_derivatives_match_central_differences(k):
     # the disk form's beta and its partials are read off V and J, so J must
     # be the derivative of V, and u's closures must be consistent
-    params = _default_disk_params(k)
+    params = _disk_params(k)
     pieces = _assemble_pieces(k, params)
     classifier = _classifier_from_pieces(pieces)
     width = params["width"]
@@ -874,7 +876,7 @@ def dense_gaussian_bundle(centers, amplitude, width, t0, t1):
 @pytest.mark.parametrize("layout", ["disk-k7", "scattered"])
 def test_local_gaussian_bundle_is_bit_identical_to_dense_sum(layout):
     rng = np.random.default_rng(5)
-    params = _default_disk_params(7)
+    params = _disk_params(7)
     width = params["width"]
     t0, t1 = params["trunc"]
     if layout == "disk-k7":
@@ -902,11 +904,74 @@ def test_local_gaussian_bundle_is_bit_identical_to_dense_sum(layout):
 def test_disk_form_k1_is_exact():
     d = disk(1)
     assert d.exact
-    assert d.boundary_residual == 0.0
-    assert d.contact_margin == pytest.approx(2.0)
+    assert d.certificates["boundary_residual"] == 0.0
+    assert d.certificates["contact_min"] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("bad", [0, 2, 4, -3])
 def test_disk_form_rejects_bad_twisting(bad):
     with pytest.raises(ValueError):
         construct_xi_prime(bad)
+
+
+@pytest.mark.parametrize("k", [21, 41])
+def test_disk_form_refuses_k_beyond_19_before_building(k, monkeypatch):
+    def build(*_args):
+        raise AssertionError("a disk was built")
+
+    monkeypatch.setattr("engelbook.foliation._build_disk_form", build)
+    with pytest.raises(ValueError, match="up to 19"):
+        construct_xi_prime(k)
+
+
+def retired_base_params(k):
+    """The base parameter set that the retired search started from."""
+    e = (k + 1) // 2
+    return {
+        "width": 0.3 / (1.6 * (e - 1) + 6.0),
+        "spacing": 3.2,
+        "amplitude": 0.85,
+        "floor": 0.6,
+        "c_dip": 0.2,
+        "swirl": 0.3,
+        "c_on": (2.5, 5.0),
+        "wall": (0.40, 0.60),
+        "c_rise": (0.50, 0.68),
+        "s_fall": (0.70, 0.80),
+        "trunc": (5.0, 6.0),
+        "exact_radius": 0.80,
+    }
+
+
+RETIRED_TWEAKS = (
+    {},
+    {"amplitude": 0.9, "floor": 0.55},
+    {"width_scale": 0.9},
+    {"spacing": 3.4},
+    {"width_scale": 0.85, "spacing": 3.0, "c_dip": 0.25},
+)
+
+
+def retired_search(k):
+    """Reference: the retired retry search; the first passing attempt wins.
+
+    Returns the attempt number (from 1) and the winning disk."""
+    expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
+    for attempt, tweak in enumerate(RETIRED_TWEAKS, start=1):
+        params = {**retired_base_params(k), **tweak}
+        params["width"] *= params.pop("width_scale", 1.0)
+        d = _build_disk_form(k, params, expected)
+        if d.passed:
+            return attempt, d
+    raise AssertionError(f"no attempt passed at k = {k}")
+
+
+@pytest.mark.parametrize("k, attempt", [(17, 3), (19, 5)])
+def test_one_parameter_set_equals_retired_search_winner(k, attempt):
+    won_at, ref = retired_search(k)
+    assert won_at == attempt
+    d = disk(k)
+    assert repr(d.params) == repr(ref.params)
+    assert repr(d.certificates) == repr(ref.certificates)
+    assert repr(d.singularities.zeros) == repr(ref.singularities.zeros)
+    assert repr(portrait_rows(d)) == repr(portrait_rows(ref))

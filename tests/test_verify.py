@@ -1,6 +1,7 @@
 """Unit tests for the pointwise verification certificates."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from engelbook.charts import Chart, Interval, NumericScalar
 from engelbook.models import model_catalog
+from engelbook.reports import json_document, render_json
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL
 from engelbook.verify import (
     adaptedness_check,
@@ -312,6 +314,22 @@ class TestNonFiniteValuesFail:
         report = check(pts)
         assert not report.passed
         assert [f["point"]["x"] for f in report.failures] == [0.5]
+
+    def test_nan_report_renders_strict_json(self):
+        alpha = R3.one_form({"y": "x + x^3", "z": 1.0})
+        report = contact_structure_check(alpha, points=[[np.nan, 0.0, 0.0], [0.1, 0.2, 0.3]])
+        inf = dataclasses.replace(report, min_gap=math.inf, details={"low": -math.inf})
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(render_json(json_document({}, [report, inf])), parse_constant=reject)
+        nan_entry, inf_entry = doc["checks"]
+        assert nan_entry["min_gap"] == "NaN"
+        assert nan_entry["failures"][0]["value"] == "NaN"
+        assert nan_entry["failures"][0]["point"]["x"] == "NaN"
+        assert inf_entry["min_gap"] == "Infinity"
+        assert inf_entry["details"]["low"] == "-Infinity"
 
 
 class TestFibrationAndFamilies:
