@@ -600,7 +600,7 @@ def field_matrix(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
 def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group an (n, r, d) stack by the bytes of each matrix.
 
-    Returns ``first``, the index of one matrix per group, and ``inverse``,
+    Returns ``first``, the lowest index of each group, and ``inverse``,
     each matrix's position in ``first``.  Matrices are keyed by a 64-bit
     hash of their bytes, so the sort moves 8 bytes a matrix, and no copy
     of the stack is made.  A matrix whose bytes differ from the first one
@@ -612,6 +612,9 @@ def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key = np.zeros(n, np.uint64)
     for w in words:
         key = (key ^ w) * _HASH_PRIME
+        # an odd multiplier carries a flipped top bit straight to the top
+        # bit, so two sign flips would cancel; the shift mixes it down
+        key ^= key >> np.uint64(32)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rep = first[inverse]
     clash = np.zeros(n, dtype=bool)

@@ -41,6 +41,7 @@ from .charts import (
     OneForm,
     TwoForm,
     VectorField,
+    _distinct_matrices,
 )
 from .invariants import _turns, twisting_number
 from .trigpoly import (
@@ -497,11 +498,14 @@ def find_and_classify(
     Each round evaluates the field only on the active seeds.  A seed leaves
     the active set when it dies (singular Jacobian, or ``|z| >= 2``)
     or when a round leaves its ``z`` bitwise unchanged, and seeds that land
-    on the bitwise same point continue as one.  The field is evaluated
-    pointwise, so a fixed seed would take the same zero step in every later
-    round and merged seeds would take the same steps.  The final points are
-    therefore bit-identical to iterating every seed for all
-    ``newton_iters`` rounds.
+    on the bitwise same point continue as one (grouped by their bytes with
+    ``charts._distinct_matrices``).  The field is evaluated pointwise, so a
+    fixed seed would take the same zero step in every later round and merged
+    seeds would take the same steps.  The final points are therefore
+    bit-identical to iterating every seed for all ``newton_iters`` rounds.
+    Each round calls ``value`` and then ``jacobian`` on the same points; the
+    disk classifier computes both in that ``value`` call and keeps J for
+    the ``jacobian`` call.
     """
     z = _newton_points(classifier, grid_n, newton_iters)
     V = classifier.value(z)
@@ -550,9 +554,6 @@ def find_and_classify(
     return SingularityReport(tuple(zeros), counts, euler, relative, degenerate)
 
 
-_ROW_BYTES = np.dtype((np.void, 16))  # one (p, q) float64 row as raw bytes
-
-
 def _newton_points(classifier: ClassifierField, grid_n: int, newton_iters: int) -> np.ndarray:
     """Where each disk grid seed is after the Newton rounds (active-set rule
     in ``find_and_classify``)."""
@@ -577,9 +578,7 @@ def _newton_points(classifier: ClassifierField, grid_n: int, newton_iters: int) 
         z[active] = moved
         active = active[(moved.view(np.int64) != za.view(np.int64)).any(axis=-1)]
         # seeds that landed on the same point follow the first of them
-        _, first, inverse = np.unique(
-            z[active].view(_ROW_BYTES).ravel(), return_index=True, return_inverse=True
-        )
+        first, inverse = _distinct_matrices(z[active][:, None, :])
         lead[active] = active[first][inverse]
         active = active[np.sort(first)]
     # a lead that later merged points to its own lead
@@ -617,50 +616,46 @@ def boundary_winding_vs_index(
 # -- the disk constructor ---------------------------------------------------------
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _smoothstep_d1(t: np.ndarray) -> np.ndarray:
+def _smoothstep_jet(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smoothstep of ``t`` clipped to [0, 1], and its derivatives (0 outside (0, 1))."""
     inside = (t > 0.0) & (t < 1.0)
     tc = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 30.0 * tc * tc * (1.0 - tc) * (1.0 - tc), 0.0)
-
-
-def _smoothstep_d2(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 60.0 * tc * (2.0 * tc - 1.0) * (tc - 1.0), 0.0)
+    s = tc * tc * tc * (10.0 + tc * (-15.0 + 6.0 * tc))
+    s1 = np.where(inside, 30.0 * tc * tc * (1.0 - tc) * (1.0 - tc), 0.0)
+    s2 = np.where(inside, 60.0 * tc * (2.0 * tc - 1.0) * (tc - 1.0), 0.0)
+    return s, s1, s2
 
 
 @dataclass(frozen=True)
 class _RadialRamps:
-    """base + sum of smoothstep transitions, with first two derivatives."""
+    """base + sum of smoothstep transitions, with its first derivative."""
 
     base: float
     ramps: tuple[tuple[float, float, float], ...]  # (start, end, jump)
     final: float | None = None  # exact value clamped past the last ramp
 
-    def value(self, rho: np.ndarray) -> np.ndarray:
-        out = np.full(np.shape(rho), self.base)
+    def jet(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value = np.full(np.shape(rho), self.base)
+        d1 = np.zeros(np.shape(rho))
         for a, b, jump in self.ramps:
-            out = out + jump * _smoothstep((rho - a) / (b - a))
+            s, s1 = _smoothstep_jet((rho - a) / (b - a))[:2]
+            value = value + jump * s
+            d1 = d1 + (jump / (b - a)) * s1
         if self.final is not None:
-            out = np.where(rho >= self.ramps[-1][1], self.final, out)
-        return out
+            value = np.where(rho >= self.ramps[-1][1], self.final, value)
+        return value, d1
 
-    def d1(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(rho))
-        for a, b, jump in self.ramps:
-            out = out + (jump / (b - a)) * _smoothstep_d1((rho - a) / (b - a))
-        return out
+
+def _pair_sums(idx: np.ndarray, n: int, *weights: np.ndarray) -> list[np.ndarray]:
+    """Per weight array, its (n,) sums by point index in pair order (float even with no pairs)."""
+    return [np.bincount(idx, w, n).astype(float, copy=False) for w in weights]
 
 
 def _gaussian_bundle(
     centers: np.ndarray, amplitude: float, width: float, t0: float, t1: float
 ):
-    """Value, gradient, Hessian closures for a sum of truncated Gaussians.
+    """``value(pts)`` and ``jet(pts) -> (grad, hess)`` of a sum of truncated
+    Gaussians.
 
     Each bump is exp(-d^2 / 2 w^2) faded to exactly zero between t0*w and
     t1*w away from its center by a reversed smoothstep.
@@ -670,84 +665,84 @@ def _gaussian_bundle(
     parameter is at least 1, so the bump and its derivatives are signed
     zeros, and adding them would leave every sum bitwise unchanged.  The
     0.1% margin keeps rounding in ``hypot`` from leaving a point with fade
-    parameter just below 1 outside the box.  Contributions accumulate in
-    center order, so the sums match a dense all-points evaluation bit for bit.
+    parameter just below 1 outside the box.
+
+    Every bump is evaluated in one pass.  Points outside a box around all
+    the bump boxes are dropped, one box test of the rest against all
+    centers gives the (bump, point) pairs in bump-major order, the bump
+    formulas run once on the flat pair arrays, and ``np.bincount`` sums each
+    output slot per point.  It adds in input order starting from 0.0, so
+    each point takes its contributions in center order, and the sums match
+    a dense all-points evaluation bit for bit.
     """
     w2 = width * width
     fade_lo = t0 * width
     fade_w = (t1 - t0) * width
     reach = 1.001 * t1 * width
+    cp, cq = centers[:, :1], centers[:, 1:]
+    # a box around every bump's box, with room to spare for rounding
+    lo = centers.min(axis=0) - 2.0 * reach
+    hi = centers.max(axis=0) + 2.0 * reach
 
-    def local(flat: np.ndarray):
-        """Per center: the indices of the points in reach and the bump there."""
-        p, q = flat.T.copy()
-        for center in centers:
-            idx = np.flatnonzero((np.abs(p - center[0]) <= reach) & (np.abs(q - center[1]) <= reach))
-            yield idx, per_bump(flat[idx], center)
-
-    def per_bump(pts: np.ndarray, center: np.ndarray):
-        dp = pts[..., 0] - center[0]
-        dq = pts[..., 1] - center[1]
+    def pairs(flat: np.ndarray):
+        """The point index of every (bump, point) pair in reach, and the bump there."""
+        inbox = (flat >= lo) & (flat <= hi)
+        cand = np.flatnonzero(inbox[:, 0] & inbox[:, 1])
+        p, q = flat[cand].T
+        # one (bumps, candidates) buffer for both coordinates' offsets
+        off = np.subtract(p, cp)
+        near = np.abs(off, out=off) <= reach
+        near &= np.abs(np.subtract(q, cq, out=off), out=off) <= reach
+        bump, sub = np.nonzero(near)
+        dp = p[sub] - centers[bump, 0]
+        dq = q[sub] - centers[bump, 1]
         d = np.hypot(dp, dq)
         E = np.exp(-0.5 * d * d / w2)
-        t = (d - fade_lo) / fade_w
-        chi = 1.0 - _smoothstep(t)
-        chi_d1 = -_smoothstep_d1(t) / fade_w
-        chi_d2 = -_smoothstep_d2(t) / (fade_w * fade_w)
+        chi_s, chi_s1, chi_s2 = _smoothstep_jet((d - fade_lo) / fade_w)
+        chi = 1.0 - chi_s
+        chi_d1 = -chi_s1 / fade_w
+        chi_d2 = -chi_s2 / (fade_w * fade_w)
         E_d1 = -(d / w2) * E
         E_d2 = (d * d / (w2 * w2) - 1.0 / w2) * E
         g = E * chi
         g1 = E_d1 * chi + E * chi_d1
         g2 = E_d2 * chi + 2.0 * E_d1 * chi_d1 + E * chi_d2
-        return dp, dq, d, g, g1, g2
+        return cand[sub], dp, dq, d, g, g1, g2
 
     def value(pts: np.ndarray) -> np.ndarray:
         flat = pts.reshape(-1, 2)
-        out = np.zeros(len(flat))
-        for idx, (_, _, _, g, _, _) in local(flat):
-            out[idx] += amplitude * g
-        return out.reshape(pts.shape[:-1])
+        idx, _, _, _, g, _, _ = pairs(flat)
+        return _pair_sums(idx, len(flat), amplitude * g)[0].reshape(pts.shape[:-1])
 
-    def grad(pts: np.ndarray) -> np.ndarray:
+    def jet(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat = pts.reshape(-1, 2)
-        out = np.zeros((len(flat), 2))
-        for idx, (dp, dq, d, _, g1, _) in local(flat):
-            safe = np.maximum(d, 1e-30)
-            out[idx, 0] += amplitude * g1 * dp / safe
-            out[idx, 1] += amplitude * g1 * dq / safe
-        return out.reshape(pts.shape)
+        idx, dp, dq, d, _, g1, g2 = pairs(flat)
+        near = d < 1e-9
+        safe = np.maximum(d, 1e-30)
+        up, uq = dp / safe, dq / safe
+        radial = g1 / safe
+        gp, gq, hpp, hpq, hqq = _pair_sums(
+            idx, len(flat),
+            amplitude * g1 * dp / safe,
+            amplitude * g1 * dq / safe,
+            amplitude * np.where(near, g2, g2 * up * up + radial * uq * uq),
+            amplitude * np.where(near, 0.0, (g2 - radial) * up * uq),
+            amplitude * np.where(near, g2, g2 * uq * uq + radial * up * up),
+        )
+        grad = np.stack([gp, gq], axis=-1).reshape(pts.shape)
+        return grad, np.stack([hpp, hpq, hpq, hqq], axis=-1).reshape(pts.shape + (2,))
 
-    def hess(pts: np.ndarray) -> np.ndarray:
-        flat = pts.reshape(-1, 2)
-        out = np.zeros((len(flat), 2, 2))
-        for idx, (dp, dq, d, _, g1, g2) in local(flat):
-            near = d < 1e-9
-            safe = np.maximum(d, 1e-30)
-            up, uq = dp / safe, dq / safe
-            radial = g1 / safe
-            hpp = np.where(near, g2, g2 * up * up + radial * uq * uq)
-            hqq = np.where(near, g2, g2 * uq * uq + radial * up * up)
-            hpq = np.where(near, 0.0, (g2 - radial) * up * uq)
-            out[idx, 0, 0] += amplitude * hpp
-            out[idx, 1, 1] += amplitude * hqq
-            out[idx, 0, 1] += amplitude * hpq
-            out[idx, 1, 0] += amplitude * hpq
-        return out.reshape(pts.shape + (2,))
-
-    return value, grad, hess
+    return value, jet
 
 
 @dataclass(frozen=True)
 class _DiskPieces:
-    """Closures for u, c, s and their derivatives on the page disk."""
+    """Page-disk closures: u, u's gradient and Hessian, and c, s with c', s'."""
 
     u: Callable
-    grad_u: Callable
-    hess_u: Callable
-    c: Callable
-    c1: Callable
-    s: Callable
-    s1: Callable
+    grad_hess_u: Callable
+    c_jet: Callable
+    s_jet: Callable
 
 
 def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
@@ -764,42 +759,36 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     p_max = float(np.abs(offsets).max()) if e else 0.0
     cluster_end = p_max + trunc_hi * width
 
-    g_val, g_grad, g_hess = _gaussian_bundle(centers, amplitude, width, trunc_lo, trunc_hi)
+    g_val, g_jet = _gaussian_bundle(centers, amplitude, width, trunc_lo, trunc_hi)
 
     one_plus = 1.0 + floor
+    wall_w = wall_hi - wall_lo
 
     def u(pts: np.ndarray) -> np.ndarray:
         rho = np.hypot(pts[..., 0], pts[..., 1])
-        t = (rho - wall_lo) / (wall_hi - wall_lo)
+        sigma = _smoothstep_jet((rho - wall_lo) / wall_w)[0]
         # written as 1 - (1+h)(1-sigma) so the outside value is exactly 1
-        return 1.0 - one_plus * (1.0 - _smoothstep(t)) + g_val(pts)
+        return 1.0 - one_plus * (1.0 - sigma) + g_val(pts)
 
     def wall_d(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = (rho - wall_lo) / (wall_hi - wall_lo)
-        d = wall_hi - wall_lo
-        return one_plus * _smoothstep_d1(t) / d, one_plus * _smoothstep_d2(t) / (d * d)
+        s1, s2 = _smoothstep_jet((rho - wall_lo) / wall_w)[1:]
+        return one_plus * s1 / wall_w, one_plus * s2 / (wall_w * wall_w)
 
-    def grad_u(pts: np.ndarray) -> np.ndarray:
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        w1, _ = wall_d(rho)
-        safe = np.maximum(rho, 1e-30)
-        out = g_grad(pts)
-        out[..., 0] += w1 * pts[..., 0] / safe
-        out[..., 1] += w1 * pts[..., 1] / safe
-        return out
-
-    def hess_u(pts: np.ndarray) -> np.ndarray:
-        rho = np.hypot(pts[..., 0], pts[..., 1])
+    def grad_hess_u(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p, q = pts[..., 0], pts[..., 1]
+        rho = np.hypot(p, q)
         w1, w2 = wall_d(rho)
         safe = np.maximum(rho, 1e-30)
-        up, uq = pts[..., 0] / safe, pts[..., 1] / safe
+        grad, hess = g_jet(pts)
+        grad[..., 0] += w1 * p / safe
+        grad[..., 1] += w1 * q / safe
+        up, uq = p / safe, q / safe
         radial = w1 / safe
-        out = g_hess(pts)
-        out[..., 0, 0] += w2 * up * up + radial * uq * uq
-        out[..., 1, 1] += w2 * uq * uq + radial * up * up
-        out[..., 0, 1] += (w2 - radial) * up * uq
-        out[..., 1, 0] += (w2 - radial) * up * uq
-        return out
+        hess[..., 0, 0] += w2 * up * up + radial * uq * uq
+        hess[..., 1, 1] += w2 * uq * uq + radial * up * up
+        hess[..., 0, 1] += (w2 - radial) * up * uq
+        hess[..., 1, 0] += (w2 - radial) * up * uq
+        return grad, hess
 
     # c and s switch on across [ca, cb], radii chosen so every point of the
     # transition band is still within the live tail of some peak: the band
@@ -827,39 +816,28 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     if cluster_end >= wall_lo:
         raise ValueError("peak cluster does not fit inside the wall radius")
 
-    return _DiskPieces(
-        u=u,
-        grad_u=grad_u,
-        hess_u=hess_u,
-        c=c_profile.value,
-        c1=c_profile.d1,
-        s=s_profile.value,
-        s1=s_profile.d1,
-    )
+    return _DiskPieces(u=u, grad_hess_u=grad_hess_u, c_jet=c_profile.jet, s_jet=s_profile.jet)
 
 
 def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
-    def value(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        safe = np.maximum(rho, 1e-30)
-        g = pieces.grad_u(pts)
-        c = pieces.c(rho)
-        s = pieces.s(rho)
-        vp = g[..., 0] - c * pts[..., 0] - s * pts[..., 1] / safe
-        vq = g[..., 1] - c * pts[..., 1] + s * pts[..., 0] / safe
-        return np.stack([vp, vq], axis=-1)
+    """The classifier field V of the disk pieces, with its Jacobian.
 
-    def jacobian(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
+    V and J come from one pass, ``jet``.  ``value`` keeps a copy of its
+    points with their J; the next ``jacobian`` call takes that entry (and
+    clears it) and returns the kept J if its points have the bytes of the
+    kept ones, so a Newton round's ``value`` then ``jacobian`` on the same
+    points runs the pass once.  Any other call runs the pass afresh.
+    """
+
+    def jet(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, q = pts[..., 0], pts[..., 1]
         rho = np.hypot(p, q)
         safe = np.maximum(rho, 1e-30)
-        c = pieces.c(rho)
-        c1 = pieces.c1(rho)
-        s = pieces.s(rho)
-        s1 = pieces.s1(rho)
-        J = pieces.hess_u(pts).copy()
+        g, J = pieces.grad_hess_u(pts)
+        c, c1 = pieces.c_jet(rho)
+        s, s1 = pieces.s_jet(rho)
+        vp = g[..., 0] - c * p - s * q / safe
+        vq = g[..., 1] - c * q + s * p / safe
         # -d(c rho e_rho) = -(c I + (c'/rho) z z^T)
         J[..., 0, 0] -= c + c1 * p * p / safe
         J[..., 1, 1] -= c + c1 * q * q / safe
@@ -871,7 +849,24 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         J[..., 0, 1] += -s1 * q * q / (safe * safe) + s * (q * q / r3 - 1.0 / safe)
         J[..., 1, 0] += s1 * p * p / (safe * safe) + s * (1.0 / safe - p * p / r3)
         J[..., 1, 1] += s1 * p * q / (safe * safe) - s * p * q / r3
-        return J
+        return np.stack([vp, vq], axis=-1), J
+
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def value(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, float)
+        V, J = jet(pts)
+        kept[:] = [(pts.copy(), J)]
+        return V
+
+    def jacobian(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, float)
+        if kept:
+            seen, J = kept.pop()
+            # shape and bits: as integers -0.0 and 0.0 differ and NaN matches itself
+            if np.array_equal(seen.view(np.int64), pts.view(np.int64)):
+                return J
+        return jet(pts)[1]
 
     def level(pts: np.ndarray) -> np.ndarray:
         return pieces.u(np.asarray(pts, float))
@@ -888,12 +883,11 @@ def _contact_coefficient(pieces: _DiskPieces) -> Callable[[np.ndarray], np.ndarr
         rho = np.hypot(p, q)
         safe = np.maximum(rho, 1e-30)
         u = pieces.u(pts)
-        g = pieces.grad_u(pts)
-        H = pieces.hess_u(pts)
+        g, H = pieces.grad_hess_u(pts)
         lap = H[..., 0, 0] + H[..., 1, 1]
-        c = pieces.c(rho)
-        c1 = pieces.c1(rho)
-        s = pieces.s(rho)
+        del H  # the jets below need its room on the 281 x 281 contact grid
+        c, c1 = pieces.c_jet(rho)
+        s = pieces.s_jet(rho)[0]
         du_rho = (g[..., 0] * p + g[..., 1] * q) / safe
         du_theta = p * g[..., 1] - q * g[..., 0]
         grad_sq = g[..., 0] ** 2 + g[..., 1] ** 2
@@ -930,7 +924,6 @@ class DiskContactForm:
     params: dict
     certificates: dict
     passed: bool
-    exact: bool
 
 
 _MAX_K = 19  # no parameter set below is known to pass for a larger k
@@ -1013,7 +1006,6 @@ def _exact_disk_form() -> DiskContactForm:
         params={},
         certificates=certificates,
         passed=passed,
-        exact=True,
     )
 
 
@@ -1105,7 +1097,7 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     # beta = V_q dp - V_p dq, with partials from the rows of the Jacobian
     value, jac = classifier.value, classifier.jacobian
     pages = (
-        (pieces.u, pieces.grad_u),
+        (pieces.u, lambda z: pieces.grad_hess_u(z)[0]),
         (lambda z: value(z)[..., 1], lambda z: jac(z)[..., 1, :]),
         (lambda z: -value(z)[..., 0], lambda z: -jac(z)[..., 0, :]),
     )
@@ -1124,5 +1116,4 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
         params=dict(params),
         certificates=certificates,
         passed=passed,
-        exact=False,
     )

@@ -21,6 +21,7 @@ from .charts import (
     OneForm,
     TwoForm,
     VectorField,
+    _distinct_matrices,
     batch_eval_scalars,
     exterior_derivative,
     field_matrix,
@@ -232,10 +233,15 @@ def _engel_and_bracket_span(
 
     The span frame's brackets are Engel's x12, x112 and x212, so its matrix
     is a row selection of the Engel stack with the same bits, and its rank-3
-    step is Engel's.  Both reports equal those of the two public checks.
+    step is Engel's.  Equal Engel matrices give equal span matrices, so the
+    span's rank step runs on the distinct Engel matrices only and is
+    scattered back; the full (n, 6, 4) selection is never built.  Both
+    reports equal those of the two public checks.
     """
     chart, pts, mats, steps = _engel_stack(pair, None, min_points, tol)
-    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol)}
+    first, inverse = _distinct_matrices(mats)
+    ranks, gaps = pointwise_rank(mats[first][:, _BRACKET_SPAN_ROWS], tol)
+    span_steps = {3: steps[3], 4: (ranks[inverse], gaps[inverse])}
     return (
         _rank_report(names[0], chart, pts, {}, steps),
         _rank_report(names[1], chart, pts, {"route": "span"}, span_steps),

@@ -1,5 +1,6 @@
 """Unit tests for charts, fields, forms, and exterior calculus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -360,6 +361,28 @@ def test_pointwise_rank_survives_hash_collisions(monkeypatch):
         want_ranks, want_gaps = svd_loop_rank(mats)
         assert np.array_equal(ranks, want_ranks)
         assert gaps.tobytes() == want_gaps.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 4), (5, 4)])
+def test_sign_flipped_pairs_get_their_own_groups(shape):
+    # an odd multiplier alone carries a flipped sign bit to the top bit of
+    # the key, so matrices differing in the signs of two entries would
+    # share a key and stay apart only through the byte check
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=shape)
+    flipped = [m]
+    for i, j in itertools.combinations(range(m.size), 2):
+        f = m.copy().ravel()
+        f[[i, j]] *= -1.0
+        flipped.append(f.reshape(shape))
+    mats = np.stack(flipped)
+    mats = mats[rng.permutation(np.repeat(np.arange(len(mats)), 3))]
+    first, inverse = charts._distinct_matrices(mats)
+    patterns = {mat.tobytes() for mat in mats}
+    assert len(first) == len(patterns) == len(flipped)
+    assert all(mats[first][inverse[i]].tobytes() == mat.tobytes() for i, mat in enumerate(mats))
+    # each group is led by its lowest index, as the Newton merge needs
+    assert first.tolist() == [np.flatnonzero(inverse == g).min() for g in range(len(first))]
 
 
 def test_pointwise_rank_gives_non_finite_matrices_rank_zero():

@@ -1,11 +1,13 @@
 """Pullbacks, slopes, leaf tracing, and the disk constructor."""
 
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
 
+from engelbook import charts
 from engelbook.charts import (
     Chart,
     Interval,
@@ -25,9 +27,6 @@ from engelbook.foliation import (
     _disk_params,
     _gaussian_bundle,
     _newton_points,
-    _smoothstep,
-    _smoothstep_d1,
-    _smoothstep_d2,
     _trace_leaves,
     annulus_foliation_check,
     boundary_winding_vs_index,
@@ -700,13 +699,23 @@ def search_field(name):
     return _classifier_from_pieces(_assemble_pieces(k, _disk_params(k)))
 
 
+@functools.lru_cache(maxsize=None)
+def dense_search(name, newton_iters):
+    return dense_newton_points(search_field(name), newton_iters)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @pytest.mark.parametrize("newton_iters", [1, 2, 60])
 @pytest.mark.parametrize("name", ["k3", "k7", "sink", "fold"])
 def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
     classifier = search_field(name)
-    dense_z = dense_newton_points(classifier, newton_iters)
+    dense_z = dense_search(name, newton_iters)
     z = _newton_points(classifier, 161, newton_iters)
-    assert np.array_equal(z.view(np.int64), dense_z.view(np.int64))
+    assert bitwise_equal(z, dense_z)
 
     report = find_and_classify(classifier, newton_iters=newton_iters)
     zeros, counts, degenerate = dense_classify(classifier, dense_z)
@@ -715,6 +724,15 @@ def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
     assert report.degenerate == degenerate
     if newton_iters == 60:
         assert len(zeros) == {"k3": 3, "k7": 7, "sink": 1, "fold": 2}[name]
+
+
+@pytest.mark.parametrize("name", ["k3", "fold"])
+def test_newton_merge_survives_hash_collisions(name, monkeypatch):
+    # a zero multiplier gives every row the same key, so only the byte
+    # check separates them and equal rows unlike the first stay unmerged
+    monkeypatch.setattr(charts, "_HASH_PRIME", np.uint64(0))
+    z = _newton_points(search_field(name), 161, 60)
+    assert bitwise_equal(z, dense_search(name, 60))
 
 
 # -- the disk constructor -----------------------------------------------------------
@@ -779,13 +797,10 @@ def central_difference(fn, pts, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-@pytest.mark.parametrize("k", [3, 19])
-def test_disk_classifier_derivatives_match_central_differences(k):
-    # the disk form's beta and its partials are read off V and J, so J must
-    # be the derivative of V, and u's closures must be consistent
+def disk_regions(k):
+    """Random points of the bump cluster, the c/s band, the wall ramp and
+    the exact region of the disk with k twists."""
     params = _disk_params(k)
-    pieces = _assemble_pieces(k, params)
-    classifier = _classifier_from_pieces(pieces)
     width = params["width"]
     e = (k + 1) // 2
     offsets = (np.arange(e) - 0.5 * (e - 1)) * params["spacing"] * width
@@ -796,7 +811,7 @@ def test_disk_classifier_derivatives_match_central_differences(k):
         t = rng.uniform(0.0, math.tau, n)
         return np.asarray(center) + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
-    regions = {
+    return {
         "bump cluster": np.concatenate(
             [ring(0.05 * width, params["trunc"][1] * width, 50, (p, 0.0)) for p in offsets]
         ),
@@ -804,16 +819,51 @@ def test_disk_classifier_derivatives_match_central_differences(k):
         "wall ramp": ring(*params["wall"], 200),
         "exact region": ring(params["exact_radius"], 1.0, 200),
     }
+
+
+@pytest.mark.parametrize("k", [3, 19])
+def test_disk_classifier_derivatives_match_central_differences(k):
+    # the disk form's beta and its partials are read off V and J, so J must
+    # be the derivative of V, and u's closures must be consistent
+    pieces = _assemble_pieces(k, _disk_params(k))
+    classifier = _classifier_from_pieces(pieces)
+
+    def grad_u(pts):
+        return pieces.grad_hess_u(pts)[0]
+
+    def hess_u(pts):
+        return pieces.grad_hess_u(pts)[1]
+
     pairs = {
         "jacobian": (classifier.value, classifier.jacobian),
-        "hess_u": (pieces.grad_u, pieces.hess_u),
-        "grad_u": (pieces.u, pieces.grad_u),
+        "hess_u": (grad_u, hess_u),
+        "grad_u": (pieces.u, grad_u),
     }
-    for region, pts in regions.items():
+    for region, pts in disk_regions(k).items():
         for name, (fn, derivative) in pairs.items():
             exact = derivative(pts)
             err = np.abs(central_difference(fn, pts) - exact).max()
             assert err <= 1e-7 * max(1.0, np.abs(exact).max()), (region, name, err)
+
+
+# -- reference: the two-pass classifier over dense bumps ----------------------------
+
+
+def ref_smoothstep(t):
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+def ref_smoothstep_d1(t):
+    inside = (t > 0.0) & (t < 1.0)
+    tc = np.clip(t, 0.0, 1.0)
+    return np.where(inside, 30.0 * tc * tc * (1.0 - tc) * (1.0 - tc), 0.0)
+
+
+def ref_smoothstep_d2(t):
+    inside = (t > 0.0) & (t < 1.0)
+    tc = np.clip(t, 0.0, 1.0)
+    return np.where(inside, 60.0 * tc * (2.0 * tc - 1.0) * (tc - 1.0), 0.0)
 
 
 def dense_gaussian_bundle(centers, amplitude, width, t0, t1):
@@ -828,9 +878,9 @@ def dense_gaussian_bundle(centers, amplitude, width, t0, t1):
         d = np.hypot(dp, dq)
         E = np.exp(-0.5 * d * d / w2)
         t = (d - fade_lo) / fade_w
-        chi = 1.0 - _smoothstep(t)
-        chi_d1 = -_smoothstep_d1(t) / fade_w
-        chi_d2 = -_smoothstep_d2(t) / (fade_w * fade_w)
+        chi = 1.0 - ref_smoothstep(t)
+        chi_d1 = -ref_smoothstep_d1(t) / fade_w
+        chi_d2 = -ref_smoothstep_d2(t) / (fade_w * fade_w)
         E_d1 = -(d / w2) * E
         E_d2 = (d * d / (w2 * w2) - 1.0 / w2) * E
         g = E * chi
@@ -873,17 +923,190 @@ def dense_gaussian_bundle(centers, amplitude, width, t0, t1):
     return value, grad, hess
 
 
-@pytest.mark.parametrize("layout", ["disk-k7", "scattered"])
+def ref_ramps(ramps, final):
+    """Value and first-derivative closures of 0 + smoothstep ramps."""
+
+    def value(rho):
+        out = np.full(np.shape(rho), 0.0)
+        for a, b, jump in ramps:
+            out = out + jump * ref_smoothstep((rho - a) / (b - a))
+        return np.where(rho >= ramps[-1][1], final, out)
+
+    def d1(rho):
+        out = np.zeros(np.shape(rho))
+        for a, b, jump in ramps:
+            out = out + (jump / (b - a)) * ref_smoothstep_d1((rho - a) / (b - a))
+        return out
+
+    return value, d1
+
+
+@functools.lru_cache(maxsize=None)
+def reference_disk(k):
+    """The disk classifier of k twists with u, grad u and hess u as
+    separate closures, and V and J computed in separate passes."""
+    params = _disk_params(k)
+    e = (k + 1) // 2
+    width = params["width"]
+    offsets = (np.arange(e) - 0.5 * (e - 1)) * (params["spacing"] * width)
+    centers = np.stack([offsets, np.zeros(e)], axis=-1)
+    g_val, g_grad, g_hess = dense_gaussian_bundle(
+        centers, params["amplitude"], width, *params["trunc"]
+    )
+    one_plus = 1.0 + params["floor"]
+    wall_lo, wall_hi = params["wall"]
+
+    def u(pts):
+        rho = np.hypot(pts[..., 0], pts[..., 1])
+        t = (rho - wall_lo) / (wall_hi - wall_lo)
+        return 1.0 - one_plus * (1.0 - ref_smoothstep(t)) + g_val(pts)
+
+    def wall_d(rho):
+        t = (rho - wall_lo) / (wall_hi - wall_lo)
+        d = wall_hi - wall_lo
+        return one_plus * ref_smoothstep_d1(t) / d, one_plus * ref_smoothstep_d2(t) / (d * d)
+
+    def grad_u(pts):
+        rho = np.hypot(pts[..., 0], pts[..., 1])
+        w1, _ = wall_d(rho)
+        safe = np.maximum(rho, 1e-30)
+        out = g_grad(pts)
+        out[..., 0] += w1 * pts[..., 0] / safe
+        out[..., 1] += w1 * pts[..., 1] / safe
+        return out
+
+    def hess_u(pts):
+        rho = np.hypot(pts[..., 0], pts[..., 1])
+        w1, w2 = wall_d(rho)
+        safe = np.maximum(rho, 1e-30)
+        up, uq = pts[..., 0] / safe, pts[..., 1] / safe
+        radial = w1 / safe
+        out = g_hess(pts)
+        out[..., 0, 0] += w2 * up * up + radial * uq * uq
+        out[..., 1, 1] += w2 * uq * uq + radial * up * up
+        out[..., 0, 1] += (w2 - radial) * up * uq
+        out[..., 1, 0] += (w2 - radial) * up * uq
+        return out
+
+    ca, cb = params["c_on"][0] * width, params["c_on"][1] * width
+    c_fn, c1_fn = ref_ramps(
+        ((ca, cb, -params["c_dip"]), (*params["c_rise"], 1.0 + params["c_dip"])), 1.0
+    )
+    s_fn, s1_fn = ref_ramps(((ca, cb, params["swirl"]), (*params["s_fall"], -params["swirl"])), 0.0)
+
+    def value(pts):
+        pts = np.asarray(pts, float)
+        rho = np.hypot(pts[..., 0], pts[..., 1])
+        safe = np.maximum(rho, 1e-30)
+        g = grad_u(pts)
+        c = c_fn(rho)
+        s = s_fn(rho)
+        vp = g[..., 0] - c * pts[..., 0] - s * pts[..., 1] / safe
+        vq = g[..., 1] - c * pts[..., 1] + s * pts[..., 0] / safe
+        return np.stack([vp, vq], axis=-1)
+
+    def jacobian(pts):
+        pts = np.asarray(pts, float)
+        p, q = pts[..., 0], pts[..., 1]
+        rho = np.hypot(p, q)
+        safe = np.maximum(rho, 1e-30)
+        c, c1, s, s1 = c_fn(rho), c1_fn(rho), s_fn(rho), s1_fn(rho)
+        J = hess_u(pts)
+        J[..., 0, 0] -= c + c1 * p * p / safe
+        J[..., 1, 1] -= c + c1 * q * q / safe
+        J[..., 0, 1] -= c1 * p * q / safe
+        J[..., 1, 0] -= c1 * p * q / safe
+        r3 = safe * safe * safe
+        J[..., 0, 0] += -s1 * q * p / (safe * safe) + s * q * p / r3
+        J[..., 0, 1] += -s1 * q * q / (safe * safe) + s * (q * q / r3 - 1.0 / safe)
+        J[..., 1, 0] += s1 * p * p / (safe * safe) + s * (1.0 / safe - p * p / r3)
+        J[..., 1, 1] += s1 * p * q / (safe * safe) - s * p * q / r3
+        return J
+
+    return ClassifierField(value, jacobian, u), grad_u, hess_u
+
+
+@pytest.mark.parametrize("k", [3, 7, 19])
+def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
+    pieces = _assemble_pieces(k, _disk_params(k))
+    classifier = _classifier_from_pieces(pieces)
+    reference, grad_u, hess_u = reference_disk(k)
+    regions = {**disk_regions(k), "disk grid": _disk_grid(0.98, 161)}
+    for region, pts in regions.items():
+        V = classifier.value(pts)
+        J = classifier.jacobian(pts)
+        fresh_J = classifier.jacobian(pts)
+        grad, hess = pieces.grad_hess_u(pts)
+        assert bitwise_equal(V, reference.value(pts)), region
+        assert bitwise_equal(J, reference.jacobian(pts)), region
+        assert bitwise_equal(fresh_J, J), region
+        assert bitwise_equal(classifier.level(pts), reference.level(pts)), region
+        assert bitwise_equal(grad, grad_u(pts)), region
+        assert bitwise_equal(hess, hess_u(pts)), region
+    z = _newton_points(classifier, 161, 60)
+    assert bitwise_equal(z, dense_newton_points(reference, 60))
+
+
+def counted_classifier(k):
+    """A fresh disk classifier and the list of point counts of its passes."""
+    pieces = _assemble_pieces(k, _disk_params(k))
+    passes = []
+
+    def grad_hess_u(pts):
+        passes.append(np.shape(pts)[:-1])
+        return pieces.grad_hess_u(pts)
+
+    return _classifier_from_pieces(dataclasses.replace(pieces, grad_hess_u=grad_hess_u)), passes
+
+
+def test_classifier_memo_serves_only_the_same_bytes():
+    classifier, passes = counted_classifier(7)
+
+    def check(pts, want_passes):
+        # a fresh classifier has nothing kept, so its jacobian runs the pass
+        fresh, _ = counted_classifier(7)
+        assert bitwise_equal(classifier.jacobian(pts), fresh.jacobian(pts))
+        assert len(passes) == want_passes
+
+    base = np.random.default_rng(8).uniform(-0.3, 0.3, (50, 2))
+    base[0] = 0.0
+    classifier.value(base)
+    check(base.copy(), 1)  # same bytes: value's pass serves the jacobian
+    check(base, 2)  # the entry was taken; a second jacobian runs the pass
+    a = base.copy()
+    classifier.value(a)
+    a[3, 0] += 1e-3  # changed in place after value
+    check(a, 4)
+    classifier.value(base)
+    check(base[:10], 6)  # another shape
+    classifier.value(base)
+    check(base.reshape(5, 10, 2), 8)  # the same bytes in another shape
+    negative = base.copy()
+    negative[0] = -0.0
+    classifier.value(base)
+    check(negative, 10)  # -0.0 == 0.0, but the bytes differ
+    nan_row = base.copy()
+    nan_row[5] = np.nan
+    classifier.value(nan_row)
+    check(nan_row.copy(), 11)  # NaN != NaN, but the bytes match
+    classifier.value(base)
+    classifier.value(a)
+    check(base, 14)  # only the last value call is kept
+
+
+@pytest.mark.parametrize("layout", ["disk-k7", "scattered", "disk-k19"])
 def test_local_gaussian_bundle_is_bit_identical_to_dense_sum(layout):
     rng = np.random.default_rng(5)
-    params = _disk_params(7)
+    k = 19 if layout == "disk-k19" else 7
+    params = _disk_params(k)
     width = params["width"]
     t0, t1 = params["trunc"]
-    if layout == "disk-k7":
-        offsets = (np.arange(4) - 1.5) * params["spacing"] * width
-        centers = np.stack([offsets, np.zeros(4)], axis=-1)
-    else:
+    if layout == "scattered":
         centers = rng.uniform(-0.5, 0.5, (5, 2))
+    else:
+        e = (k + 1) // 2
+        offsets = (np.arange(e) - 0.5 * (e - 1)) * params["spacing"] * width
+        centers = np.stack([offsets, np.zeros(e)], axis=-1)
     # uniform points, points just inside and just outside each bump's reach,
     # far points, and the centers themselves
     angles = rng.uniform(0.0, math.tau, (len(centers), 200))
@@ -892,18 +1115,18 @@ def test_local_gaussian_bundle_is_bit_identical_to_dense_sum(layout):
     far = rng.uniform(2.0, 50.0, (300, 1)) * rng.choice([-1.0, 1.0], (300, 2))
     pts = np.concatenate([rng.uniform(-1.0, 1.0, (2000, 2)), rim.reshape(-1, 2), far, centers])
 
-    local = _gaussian_bundle(centers, 0.85, width, t0, t1)
-    dense = dense_gaussian_bundle(centers, 0.85, width, t0, t1)
-    for fast, ref in zip(local, dense):
-        for batch in (pts, pts[:2000].reshape(40, 50, 2)):  # flat and batched shapes
-            a, b = fast(batch), ref(batch)
-            assert a.shape == b.shape
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    value, jet = _gaussian_bundle(centers, 0.85, width, t0, t1)
+    ref_value, ref_grad, ref_hess = dense_gaussian_bundle(centers, 0.85, width, t0, t1)
+    # flat and batched shapes; far points alone and no points reach no bump
+    for batch in (pts, pts[:2000].reshape(40, 50, 2), far, pts[:0]):
+        grad, hess = jet(batch)
+        assert bitwise_equal(value(batch), ref_value(batch))
+        assert bitwise_equal(grad, ref_grad(batch))
+        assert bitwise_equal(hess, ref_hess(batch))
 
 
 def test_disk_form_k1_is_exact():
     d = disk(1)
-    assert d.exact
     assert d.certificates["boundary_residual"] == 0.0
     assert d.certificates["contact_min"] == pytest.approx(2.0)
 
