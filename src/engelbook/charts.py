@@ -22,6 +22,7 @@ from .trigpoly import (
     Coordinate,
     Expr,
     _coord_index,
+    _evaluator,
     parse_expression,
 )
 
@@ -360,13 +361,10 @@ class _Components:
         return type(self)(self.chart, tuple(scalar_mul(s, c) for c in self.components))
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        fns = [c.compile() for c in self.components]
-
-        def fn(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, float)
-            return np.stack([f(pts) for f in fns], axis=-1)
-
-        return fn
+        """(..., dim) points to (..., n), on one evaluator when every component is exact."""
+        if all(isinstance(c, Expr) for c in self.components):
+            return _evaluator(self.components)
+        return lambda pts: batch_eval_scalars(self.components, pts)
 
 
 @dataclass(frozen=True)

@@ -341,27 +341,9 @@ class Expr:
         return float(out) if out.ndim == 0 else out
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized evaluator taking points stacked on the last axis."""
-        terms = self.terms
-
-        def fn(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros(pts.shape[:-1])
-            for t in terms:
-                acc = np.full(pts.shape[:-1], t.coeff)
-                for i, p in enumerate(t.powers):
-                    if p:
-                        acc = acc * pts[..., i] ** p
-                if t.mode != Mode.CONST:
-                    arg = np.full(pts.shape[:-1], t.phase)
-                    for i, k in enumerate(t.freqs):
-                        if k:
-                            arg = arg + k * pts[..., i]
-                    acc = acc * (np.cos(arg) if t.mode == Mode.COS else np.sin(arg))
-                out = out + acc
-            return out
-
-        return fn
+        """Vectorized evaluator of (..., dim) points, ``_evaluator``'s one-column case."""
+        fn = _evaluator((self,))
+        return lambda pts: fn(pts)[..., 0]
 
     # -- substitution -----------------------------------------------------
 
@@ -518,6 +500,49 @@ class Expr:
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+def _evaluator(exprs: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
+    """Map (..., dim) points to (..., len(exprs)), one column per expression.
+
+    Each call computes every distinct power ``x_i ** p`` and trig factor
+    ``cos/sin(phase + sum k_i x_i)`` once for all terms.  A term is ``coeff
+    * f1 * f2 ...``, powers in coordinate order and the trig factor last,
+    and a column sums its terms in order from +0.0, so it is never -0.0.
+    As ``np.full(c) * f`` and ``c * f`` are the same IEEE product, each
+    column is bitwise the one-term-at-a-time sum from ``np.full(coeff)``.
+    """
+    slots: dict[tuple, int] = {}  # factor -> its index in the factors of a call
+    columns: list[list] = [[] for _ in exprs]
+    for column, e in zip(columns, exprs):
+        for t in e.terms:
+            idx = [slots.setdefault((i, p), len(slots)) for i, p in enumerate(t.powers) if p]
+            if t.mode != Mode.CONST:
+                idx.append(slots.setdefault((t.mode, t.phase, t.freqs), len(slots)))
+            column.append((t.coeff, idx))
+
+    def factor(pts: np.ndarray, key: tuple) -> np.ndarray:
+        if len(key) == 2:
+            return pts[..., key[0]] ** key[1]
+        mode, arg, freqs = key
+        for i, k in enumerate(freqs):
+            if k:
+                arg = arg + k * pts[..., i]
+        return np.cos(arg) if mode == Mode.COS else np.sin(arg)
+
+    def fn(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        factors = [factor(pts, key) for key in slots]
+        out = np.zeros(pts.shape[:-1] + (len(columns),))
+        for j, column in enumerate(columns):
+            col = out[..., j]
+            for acc, idx in column:
+                for s in idx:
+                    acc = acc * factors[s]
+                col += acc
+        return out
+
+    return fn
 
 
 def _term_product(a: TrigTerm, b: TrigTerm) -> list[TrigTerm]:

@@ -11,6 +11,8 @@ from engelbook import charts
 from engelbook.charts import (
     Chart,
     Interval,
+    NumericScalar,
+    OneForm,
     batch_eval_scalars,
     exterior_derivative,
     wedge_top,
@@ -37,15 +39,17 @@ from engelbook.foliation import (
     trace_leaf,
 )
 from engelbook.invariants import Path
-from engelbook.models import model_catalog
+from engelbook.models import PAGE_ANNULUS, model_catalog
 from engelbook.reports import portrait_rows
 from engelbook.trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
     KIND_POLYNOMIAL,
+    Expr,
     canonical_equal,
 )
 from engelbook.verify import MAX_FAILURES, CheckReport, contact_structure_check
+from test_properties import ref_compile
 
 PROLONG = Chart.make(
     "prolong",
@@ -322,7 +326,8 @@ def signed(direction, sign):
 
 
 def kernel_direction(pulled):
-    c1, c2 = (c.compile() for c in pulled.components)
+    """Reference kernel direction: one closure per component, then a stack."""
+    c1, c2 = (ref_compile(c) if isinstance(c, Expr) else c.compile() for c in pulled.components)
     return lambda pts: np.stack([-c2(pts), c1(pts)], axis=-1)
 
 
@@ -400,6 +405,9 @@ LEAF_CASES = {
     ),
     "s3_openbook": lambda: catalog_annulus("s3_openbook"),
     "stabilization_local": lambda: catalog_annulus("stabilization_local"),
+    # numeric closures from the NumericEmbedding route instead of Expr, on
+    # a narrow annulus because each of them costs several numpy calls
+    "numeric": lambda: (numeric_leaf().pullback_oneform(fibered_form(PROLONG)), (0.4, 0.6)),
 }
 
 
@@ -423,16 +431,18 @@ def test_batched_tracer_is_bit_identical_to_one_leaf_loop(case):
     )
     assert_same_traces(batch, leaves)
     ends, exited, n_steps = batch
-    back = _trace_leaves(
+    retrace = functools.partial(
+        _trace_leaves,
         direction,
         ends[:8][exited[:8]],
         np.full(exited[:8].sum(), -1.0),
         1e-3,
         n_steps[:8][exited[:8]],
-        lambda z: np.ones(len(z), bool),
-        wrap,
     )
+    back = retrace(lambda z: np.ones(len(z), bool), wrap)
     assert_same_traces(back, retraces)
+    # no mask at all is the same as a mask that is always true
+    assert_same_traces(retrace(None, wrap), retraces)
 
     report = annulus_foliation_check(pulled, (lo, hi))
     assert repr(report) == repr(dense_report)
@@ -477,6 +487,51 @@ def test_mixed_batch_exits_closes_and_runs_out_like_one_leaf_loop():
         )
         assert_same_traces((end[None, :], np.array([out]), np.array([steps])), [d])
         assert type(out) is bool and type(steps) is int
+
+
+def test_direction_returning_one_buffer_traces_like_one_leaf_loop():
+    # the tracer must not write into what direction returns: here every
+    # call with the same number of rows returns the same array object
+    buffers = {}
+
+    def buffered(pts):
+        buf = buffers.setdefault(pts.shape, np.empty(pts.shape))
+        buf[...] = mixed_direction(pts)
+        return buf
+
+    starts = np.array([[0.0, 0.6], [1.0, 0.5], [3.0, 0.45], [0.5, 0.52]])
+    signs = np.array([1.0, 1.0, -1.0, 1.0])
+    step, wrap = 1e-2, (True, False)
+    batch = _trace_leaves(
+        buffered, starts, signs, step, np.full(4, 700),
+        lambda z: (0.1 < z[:, 1]) & (z[:, 1] < 0.9), wrap,
+    )
+    dense = [
+        dense_trace_leaf(signed(mixed_direction, s), z, step, 700, lambda z: 0.1 < z[1] < 0.9, wrap)
+        for z, s in zip(starts, signs)
+    ]
+    assert_same_traces(batch, dense)
+
+
+def test_leaf_ending_at_a_non_finite_point_does_not_cross():
+    # c1 is NaN below v = 0.3, so every backward leaf runs into NaN there:
+    # NaN is not inside, so it used to count as an exit through v = 0.12
+    def c1(pts):
+        return np.where(pts[..., 1] > 0.3, 1.0, np.nan)
+
+    zero = NumericScalar(PAGE_ANNULUS.coords, lambda pts: np.zeros(pts.shape[:-1]))
+    nan_below = OneForm(PAGE_ANNULUS, (NumericScalar(PAGE_ANNULUS.coords, c1), zero))
+    report = annulus_foliation_check(nan_below, (0.12, 0.88))
+    assert not report.passed
+    assert report.min_gap == 0.0
+    assert len(report.failures) == min(8, MAX_FAILURES)
+
+    # the same field without the NaN region crosses; its v component is an
+    # Expr, so the form mixes an exact and a numeric component
+    ones = NumericScalar(PAGE_ANNULUS.coords, lambda pts: np.ones(pts.shape[:-1]))
+    clean = annulus_foliation_check(PAGE_ANNULUS.one_form({"u": ones}), (0.12, 0.88))
+    assert clean.passed
+    assert clean.min_gap == pytest.approx(0.98, abs=1e-3)
 
 
 def test_field_vanishing_on_one_leaf_raises():

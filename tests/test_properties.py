@@ -18,6 +18,7 @@ from engelbook.trigpoly import (
     Coordinate,
     Expr,
     Mode,
+    _evaluator,
     canonical_equal,
     parse_expression,
 )
@@ -57,6 +58,31 @@ def points(seed):
     lo = np.array([0.0, 0.0, 0.3, 0.3])
     hi = np.array([math.tau, math.tau, 2.0, 2.0])
     return rng.uniform(lo, hi, size=(N_POINTS, len(MIX)))
+
+
+def ref_compile(e):
+    """The evaluator before terms shared their factors: one closure per
+    expression, an ``np.full`` per term and per trig argument."""
+    terms = e.terms
+
+    def fn(pts):
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros(pts.shape[:-1])
+        for t in terms:
+            acc = np.full(pts.shape[:-1], t.coeff)
+            for i, p in enumerate(t.powers):
+                if p:
+                    acc = acc * pts[..., i] ** p
+            if t.mode != Mode.CONST:
+                arg = np.full(pts.shape[:-1], t.phase)
+                for i, k in enumerate(t.freqs):
+                    if k:
+                        arg = arg + k * pts[..., i]
+                acc = acc * (np.cos(arg) if t.mode == Mode.COS else np.sin(arg))
+            out = out + acc
+        return out
+
+    return fn
 
 
 def values(pts, coords=MIX):
@@ -126,3 +152,40 @@ def test_parse_inverts_to_string(e, seed):
     assert canonical_equal(back, e, tol=1e-9)
     pts = points(seed)
     assert close(back.compile()(pts), e.compile()(pts))
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# the empty and the constant-only expression, and s^-1 times a trig factor
+# so that the point s = 0 below meets a pole
+edge_exprs = st.sampled_from(
+    [
+        Expr.zero(MIX),
+        Expr.const(MIX, -1.25),
+        Expr.term(MIX, 0.75, (0, 0, 1, -1), Mode.COS, (1, -2, 0, 0), 0.3),
+    ]
+)
+SPECIALS = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exprs | edge_exprs, min_size=1, max_size=4), seeds, st.sampled_from([(4,), (16, 4), (4, 4, 4)]))
+def test_shared_factor_evaluator_is_bit_identical_to_one_closure_per_expression(es, seed, shape):
+    rng = np.random.default_rng(seed)
+    pts = points(seed)
+    special = rng.random(pts.shape) < 0.15
+    pts[special] = rng.choice(SPECIALS, special.sum())
+    pts[0, 3] = 0.0  # s = 0 under s^-1
+    pts = pts[: int(np.prod(shape[:-1]))].reshape(shape)
+    with np.errstate(all="ignore"):
+        refs = [ref_compile(e)(pts) for e in es]
+        together = _evaluator(es)(pts)
+        alone = [e.compile()(pts) for e in es]
+    assert together.shape == shape[:-1] + (len(es),)
+    for j, (ref, one) in enumerate(zip(refs, alone)):
+        assert type(one) is np.ndarray
+        assert bitwise_equal(one, ref)
+        assert bitwise_equal(together[..., j], ref)
