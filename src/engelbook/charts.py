@@ -583,9 +583,19 @@ class IntegerAffineMap:
 
 
 def batch_eval_scalars(scalars: Sequence[ScalarLike], pts: np.ndarray) -> np.ndarray:
-    """Evaluate scalars on stacked points; result has shape (npts, len(scalars))."""
+    """Evaluate scalars on (..., dim) points; result has shape (..., len(scalars)).
+
+    A zero ``Expr`` is not compiled: its column is ``np.zeros``, the +0.0
+    its evaluator would give at every point, NaN points included.
+    """
     pts = np.asarray(pts, float)
-    cols = [np.broadcast_to(np.asarray(s.compile()(pts), float), pts.shape[:-1]) for s in scalars]
+    shape = pts.shape[:-1]
+    cols = [
+        np.zeros(shape)
+        if isinstance(s, Expr) and not s.terms
+        else np.broadcast_to(np.asarray(s.compile()(pts), float), shape)
+        for s in scalars
+    ]
     return np.stack(cols, axis=-1)
 
 

@@ -151,8 +151,20 @@ def _normalize_term(
     return TrigTerm(float(coeff), powers, mode, freqs, ph)
 
 
-def _canonical(coords: tuple[Coordinate, ...], raw: Iterable[TrigTerm]) -> tuple[TrigTerm, ...]:
-    normed = [_normalize_term(t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in raw]
+def _canonical(raw: Iterable[TrigTerm]) -> tuple[TrigTerm, ...]:
+    """Canonical form of arbitrary terms: each term normalized, then merged."""
+    return _merge_terms([_normalize_term(t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in raw])
+
+
+def _merge_terms(normed: list[TrigTerm]) -> tuple[TrigTerm, ...]:
+    """Sort normalized terms, merge near-equal ones and drop the negligible.
+
+    Terms merge when their discrete data agree and their phases lie within
+    ``PHASE_SNAP`` of the group's first term, whose phase the sum keeps; so
+    the phases that survive are more than ``PHASE_SNAP`` apart and a
+    canonical tuple merges to itself.  A NaN coefficient is dropped with
+    the ones of magnitude at most ``ZERO_TOL``.
+    """
     normed.sort(key=lambda t: (t.powers, int(t.mode), t.freqs, t.phase))
     merged: list[TrigTerm] = []
     for t in normed:
@@ -178,8 +190,22 @@ def _coord_index(coords: tuple[Coordinate, ...], name: str) -> int:
 class Expr:
     """A canonical sum of trigonometric polynomial terms over fixed coordinates.
 
-    Construct through the classmethods or the parser; the ``terms`` tuple is
-    assumed canonical and all arithmetic preserves that invariant.
+    Construct through the classmethods or the parser.  The ``terms`` tuple
+    is canonical on every path: a term list built from scratch goes through
+    ``_canonical``, and each operation below keeps the invariant.
+
+    Operations whose terms are canonical already skip ``_normalize_term``,
+    which is idempotent on canonical terms, and run only the merge step:
+
+    - a sum, whose operands are canonical;
+    - ``partial``, which only lowers a power or turns cos into -sin (sin
+      into cos) with the same frequencies and phase.
+
+    Negation and scaling by a float leave each term canonical; scaling
+    drops the terms it brings to ``ZERO_TOL`` or below, or to NaN, as the
+    merge step does.  A sum with the zero expression returns the other
+    operand, and a product with it, or its partial, returns the zero
+    expression, after the same chart and coordinate-name checks.
     """
 
     coords: tuple[Coordinate, ...]
@@ -190,7 +216,7 @@ class Expr:
     @classmethod
     def from_terms(cls, coords: Sequence[Coordinate], terms: Iterable[TrigTerm]) -> "Expr":
         coords = tuple(coords)
-        return cls(coords, _canonical(coords, terms))
+        return cls(coords, _canonical(terms))
 
     @classmethod
     def zero(cls, coords: Sequence[Coordinate]) -> "Expr":
@@ -264,7 +290,11 @@ class Expr:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return Expr.from_terms(self.coords, self.terms + rhs.terms)
+        if not rhs.terms:
+            return self
+        if not self.terms:
+            return rhs
+        return Expr(self.coords, _merge_terms(list(self.terms + rhs.terms)))
 
     __radd__ = __add__
 
@@ -286,17 +316,15 @@ class Expr:
     def __mul__(self, other: "Expr | float | int") -> "Expr":
         if isinstance(other, (int, float)):
             c = float(other)
-            return Expr(
-                self.coords,
-                ()
-                if c == 0.0
-                else tuple(
-                    TrigTerm(c * t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in self.terms
-                ),
-            )
+            scaled = (TrigTerm(c * t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in self.terms)
+            return Expr(self.coords, tuple(t for t in scaled if abs(t.coeff) > ZERO_TOL))
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
+        if not self.terms:
+            return self
+        if not rhs.terms:
+            return rhs
         out: list[TrigTerm] = []
         for a in self.terms:
             for b in rhs.terms:
@@ -318,6 +346,8 @@ class Expr:
     def partial(self, name: str) -> "Expr":
         """Exact partial derivative with respect to the named coordinate."""
         i = _coord_index(self.coords, name)
+        if not self.terms:
+            return self
         out: list[TrigTerm] = []
         for t in self.terms:
             p = t.powers[i]
@@ -330,7 +360,7 @@ class Expr:
                 out.append(TrigTerm(-t.coeff * k, t.powers, Mode.SIN, t.freqs, t.phase))
             elif k and t.mode == Mode.SIN:
                 out.append(TrigTerm(t.coeff * k, t.powers, Mode.COS, t.freqs, t.phase))
-        return Expr.from_terms(self.coords, out)
+        return Expr(self.coords, _merge_terms(out))
 
     # -- evaluation -------------------------------------------------------
 

@@ -419,3 +419,32 @@ def test_pointwise_rank_with_repeats_matches_svd_loop(n, rows, cols, copies, see
     want_ranks, want_gaps = svd_loop_rank(mats)
     assert np.array_equal(ranks, want_ranks)
     assert gaps.tobytes() == want_gaps.tobytes()
+
+
+def compile_every_scalar(scalars, pts):
+    """``batch_eval_scalars`` before zero columns skipped the compile."""
+    pts = np.asarray(pts, float)
+    cols = [np.broadcast_to(np.asarray(s.compile()(pts), float), pts.shape[:-1]) for s in scalars]
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(4,), (9, 4), (3, 5, 4)], ids=["point", "rows", "grid"])
+def test_batch_eval_scalars_zero_columns_match_the_compiled_path(shape):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, size=shape)
+    flat = pts.reshape(-1, 4)
+    flat[::2, 1] = -0.0
+    flat[::3, 2] = math.nan
+    scalars = [
+        DARBOUX.zero(),
+        DARBOUX.const(-2.5),
+        DARBOUX.parse("x*y - 3*z^2 + w"),
+        NumericScalar(DARBOUX.coords, lambda p: -0.0 * p[..., 0]),
+        DARBOUX.zero(),
+    ]
+    got = batch_eval_scalars(scalars, pts)
+    ref = compile_every_scalar(scalars, pts)
+    assert got.shape == ref.shape == shape[:-1] + (len(scalars),)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for j in (0, 4):
+        assert not np.signbit(got[..., j]).any()

@@ -18,7 +18,11 @@ from engelbook.trigpoly import (
     Coordinate,
     Expr,
     Mode,
+    TrigTerm,
+    _coord_index,
     _evaluator,
+    _normalize_term,
+    _term_product,
     canonical_equal,
     parse_expression,
 )
@@ -189,3 +193,103 @@ def test_shared_factor_evaluator_is_bit_identical_to_one_closure_per_expression(
         assert type(one) is np.ndarray
         assert bitwise_equal(one, ref)
         assert bitwise_equal(together[..., j], ref)
+
+
+# The arithmetic before zero operands and canonical terms skipped
+# normalization: every result goes through ``from_terms``.
+
+
+def ref_add(a, b):
+    return Expr.from_terms(a.coords, a.terms + b.terms)
+
+
+def ref_mul(a, b):
+    out = [t for x in a.terms for y in b.terms for t in _term_product(x, y)]
+    return Expr.from_terms(a.coords, out)
+
+
+def ref_scale(a, c):
+    out = [TrigTerm(c * t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in a.terms]
+    return Expr.from_terms(a.coords, out)
+
+
+def ref_partial(e, name):
+    i = _coord_index(e.coords, name)
+    out = []
+    for t in e.terms:
+        p = t.powers[i]
+        if p:
+            powers = list(t.powers)
+            powers[i] = p - 1
+            out.append(TrigTerm(t.coeff * p, tuple(powers), t.mode, t.freqs, t.phase))
+        k = t.freqs[i]
+        if k and t.mode == Mode.COS:
+            out.append(TrigTerm(-t.coeff * k, t.powers, Mode.SIN, t.freqs, t.phase))
+        elif k and t.mode == Mode.SIN:
+            out.append(TrigTerm(t.coeff * k, t.powers, Mode.COS, t.freqs, t.phase))
+    return Expr.from_terms(e.coords, out)
+
+
+def same_float(a, b):
+    return np.array(a, float).view(np.int64) == np.array(b, float).view(np.int64)
+
+
+def same_terms(a, b):
+    return (
+        a.coords == b.coords
+        and len(a.terms) == len(b.terms)
+        and all(
+            s.discrete_key() == t.discrete_key()
+            and same_float(s.coeff, t.coeff)
+            and same_float(s.phase, t.phase)
+            for s, t in zip(a.terms, b.terms)
+        )
+    )
+
+
+# beyond edge_exprs: a coefficient just above ZERO_TOL, and infinite
+# coefficients, whose sums and products make NaN ones; a NaN coefficient
+# itself is dropped when the term is built
+operands = (
+    exprs
+    | edge_exprs
+    | st.sampled_from(
+        [
+            Expr.term(MIX, 2e-12, (0, 0, 1, 0), Mode.SIN, (1, 0, 1, 0), 0.4),
+            Expr.term(MIX, math.nan, (0, 0, 1, 0), Mode.COS, (2, 1, 0, 0), 0.1),
+            Expr.term(MIX, math.inf, (0, 0, 0, 1), Mode.COS, (1, -1, 0, 0), 0.2)
+            + Expr.term(MIX, -math.inf, (0, 0, 1, 0), Mode.SIN, (1, 1, 0, 0), 1.0),
+        ]
+    )
+)
+scalars = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e-13, -4e-13, math.nan, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands, operands, scalars, st.sampled_from([c.name for c in MIX]))
+def test_arithmetic_has_the_terms_of_the_from_terms_path(a, b, c, name):
+    with np.errstate(all="ignore"):
+        pairs = [
+            (a + b, ref_add(a, b)),
+            (b + a, ref_add(b, a)),
+            (a - b, ref_add(a, ref_scale(b, -1.0))),
+            (a * b, ref_mul(a, b)),
+            (b * a, ref_mul(b, a)),
+            (a * c, ref_scale(a, c)),
+            (c * a, ref_scale(a, c)),
+            (a.partial(name), ref_partial(a, name)),
+        ]
+    for got, ref in pairs:
+        assert same_terms(got, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands, operands)
+def test_normalize_term_keeps_canonical_terms(a, b):
+    with np.errstate(all="ignore"):
+        results = (a, b, a + b, a * b, a * 0.3, a.partial("r"))
+    for e in results:
+        for t in e.terms:
+            u = _normalize_term(t.coeff, t.powers, t.mode, t.freqs, t.phase)
+            assert u.discrete_key() == t.discrete_key()
+            assert same_float(u.coeff, t.coeff) and same_float(u.phase, t.phase)

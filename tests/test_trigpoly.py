@@ -155,6 +155,33 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             parse("cos(x)", XY) + parse("cos(x)")
 
+    def test_float_scaling_drops_negligible_terms(self):
+        # a term scaled to ZERO_TOL or below is dropped, as every other path
+        # drops it, so that a == a + 0 and the zero short-circuits are exact
+        x = parse("s*cos(x)")
+        a = x * 1e-13
+        assert a.terms == ()
+        assert a == x * Expr.const(MIX, 1e-13)
+        assert a == a + 0
+        assert (x * math.nan).terms == ()
+        assert [t.coeff for t in (x * 2e-12).terms] == [2e-12]
+
+    def test_zero_operands_keep_chart_and_name_checks(self):
+        zero, other_zero = Expr.zero(MIX), Expr.zero(XY)
+        e = parse("2*s + cos(x)")
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(zero, other_zero)
+            with pytest.raises(ValueError):
+                op(e, other_zero)
+            with pytest.raises(ValueError):
+                op(other_zero, e)
+        with pytest.raises(KeyError):
+            zero.partial("nope")
+        assert e + zero is e and zero + e is e
+        assert (e * zero).terms == () and (zero * e).terms == ()
+        assert zero.partial("s") == zero
+
 
 class TestCalculusAndEvaluation:
     def test_derivative_matches_central_difference(self):
