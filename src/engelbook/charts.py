@@ -1,11 +1,13 @@
 """Charts, scalar fields, vector fields, differential forms, and sampling.
 
 Scalar components are either exact trigonometric polynomials (``Expr``) or
-numeric closures (``NumericScalar``).  All calculus in this module dispatches
-on that duck-typed pair and stays exact whenever every operand is exact; a
-numeric operand makes the result numeric, with derivative closures chained
-through sum and product rules so analytic gradients survive arithmetic.
-Central differences (step 1e-6) are the fallback of last resort.
+numeric closures (``NumericScalar``).  Both types define ``+``, ``-``, ``*``
+and unary ``-``, and the calculus below is written with those operators
+alone.  Two exact operands give an exact result.  ``Expr`` declines a
+numeric operand, so Python falls back to ``NumericScalar``'s reflected
+methods, and the result is numeric, with derivative closures chained through
+the sum and product rules so analytic gradients survive arithmetic.  Central
+differences (step 1e-6) are the fallback of last resort.
 """
 
 from __future__ import annotations
@@ -201,28 +203,6 @@ def _num_mul(a: NumericScalar, b: NumericScalar) -> NumericScalar:
     return NumericScalar(a.coords, fn, tuple(make_partial(i) for i in range(n)))
 
 
-def scalar_add(a: ScalarLike, b: ScalarLike) -> ScalarLike:
-    if isinstance(a, Expr) and isinstance(b, Expr):
-        return a + b
-    coords = a.coords if isinstance(a, (Expr, NumericScalar)) else b.coords
-    return _num_add(_lift(a, coords), _lift(b, coords))
-
-
-def scalar_mul(a: ScalarLike, b: ScalarLike) -> ScalarLike:
-    if isinstance(a, Expr) and isinstance(b, Expr):
-        return a * b
-    coords = a.coords if isinstance(a, (Expr, NumericScalar)) else b.coords
-    return _num_mul(_lift(a, coords), _lift(b, coords))
-
-
-def scalar_neg(a: ScalarLike) -> ScalarLike:
-    return -a if isinstance(a, Expr) else _num_scale(a, -1.0)
-
-
-def scalar_sub(a: ScalarLike, b: ScalarLike) -> ScalarLike:
-    return scalar_add(a, scalar_neg(b))
-
-
 # -- charts -------------------------------------------------------------------
 
 
@@ -349,7 +329,7 @@ class _Components:
     def __add__(self, other):
         return type(self)(
             self.chart,
-            tuple(scalar_add(a, b) for a, b in zip(self.components, other.components)),
+            tuple(a + b for a, b in zip(self.components, other.components)),
         )
 
     def __sub__(self, other):
@@ -358,7 +338,7 @@ class _Components:
     def scaled(self, s: "ScalarLike | float"):
         if isinstance(s, (int, float)):
             s = self.chart.const(float(s))
-        return type(self)(self.chart, tuple(scalar_mul(s, c) for c in self.components))
+        return type(self)(self.chart, tuple(s * c for c in self.components))
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
         """(..., dim) points to (..., n), on one evaluator when every component is exact."""
@@ -375,7 +355,7 @@ class VectorField(_Components):
         """Directional derivative X(f)."""
         out: ScalarLike = self.chart.zero()
         for c, comp in zip(self.chart.coords, self.components):
-            out = scalar_add(out, scalar_mul(comp, f.partial(c.name)))
+            out = out + comp * f.partial(c.name)
         return out
 
 
@@ -386,7 +366,7 @@ class OneForm(_Components):
     def apply(self, X: VectorField) -> ScalarLike:
         out: ScalarLike = self.chart.zero()
         for a, x in zip(self.components, X.components):
-            out = scalar_add(out, scalar_mul(a, x))
+            out = out + a * x
         return out
 
 
@@ -410,16 +390,13 @@ class TwoForm:
             i, j, sign = j, i, -1.0
         m = self.pairs.index((i, j))
         comp = self.components[m]
-        return comp if sign > 0 else scalar_neg(comp)
+        return comp if sign > 0 else -comp
 
     def apply(self, X: VectorField, Y: VectorField) -> ScalarLike:
         out: ScalarLike = self.chart.zero()
         for (i, j), w in zip(self.pairs, self.components):
-            cross = scalar_sub(
-                scalar_mul(X.components[i], Y.components[j]),
-                scalar_mul(X.components[j], Y.components[i]),
-            )
-            out = scalar_add(out, scalar_mul(w, cross))
+            cross = X.components[i] * Y.components[j] - X.components[j] * Y.components[i]
+            out = out + w * cross
         return out
 
 
@@ -433,10 +410,8 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
     comps = []
     for i, j in pairs:
         comps.append(
-            scalar_sub(
-                alpha.components[j].partial(chart.coords[i].name),
-                alpha.components[i].partial(chart.coords[j].name),
-            )
+            alpha.components[j].partial(chart.coords[i].name)
+            - alpha.components[i].partial(chart.coords[j].name)
         )
     return TwoForm(chart, pairs, tuple(comps))
 
@@ -450,7 +425,7 @@ def interior_product(omega: TwoForm, X: VectorField) -> OneForm:
         for i in range(chart.dim):
             if i == j:
                 continue
-            acc = scalar_add(acc, scalar_mul(X.components[i], omega.component(i, j)))
+            acc = acc + X.components[i] * omega.component(i, j)
         comps.append(acc)
     return OneForm(chart, tuple(comps))
 
@@ -458,7 +433,7 @@ def interior_product(omega: TwoForm, X: VectorField) -> OneForm:
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     comps = []
     for j in range(X.chart.dim):
-        comps.append(scalar_sub(X.apply(Y.components[j]), Y.apply(X.components[j])))
+        comps.append(X.apply(Y.components[j]) - Y.apply(X.components[j]))
     return VectorField(X.chart, tuple(comps), f"[{X.label},{Y.label}]" if X.label or Y.label else "")
 
 
@@ -477,12 +452,10 @@ def wedge_top(alpha: OneForm, omega: TwoForm) -> tuple[tuple[tuple[int, int, int
     chart = alpha.chart
     out = []
     for i, j, k in itertools.combinations(range(chart.dim), 3):
-        coeff = scalar_add(
-            scalar_sub(
-                scalar_mul(alpha.components[i], omega.component(j, k)),
-                scalar_mul(alpha.components[j], omega.component(i, k)),
-            ),
-            scalar_mul(alpha.components[k], omega.component(i, j)),
+        coeff = (
+            alpha.components[i] * omega.component(j, k)
+            - alpha.components[j] * omega.component(i, k)
+            + alpha.components[k] * omega.component(i, j)
         )
         out.append(((i, j, k), coeff))
     return tuple(out)

@@ -1,11 +1,11 @@
 """Surface pullbacks, characteristic foliations, and the disk constructor.
 
-This module owns everything that happens on 2-dimensional pieces: pulling
-forms back to embedded surfaces (an exact route for coordinate-slice
-embeddings and a numeric Jacobian route kept deliberately separate), slopes
-of linear torus foliations, leaf tracing on annuli, locating and classifying
-the singularities of a direction field, and the construction of a contact
-form on a disk bundle with a prescribed odd number of boundary twists.
+This module owns everything that happens on 2-dimensional pieces: exact
+pullbacks of one-forms to coordinate-slice surfaces (every surface the
+catalog and the assembly use is such a slice), slopes of linear torus
+foliations, leaf tracing on annuli, locating and classifying the
+singularities of a direction field, and the construction of a contact form
+on a disk bundle with a prescribed odd number of boundary twists.
 
 The constructor realizes the form
 
@@ -39,7 +39,6 @@ from .charts import (
     Interval,
     NumericScalar,
     OneForm,
-    TwoForm,
     VectorField,
     _distinct_matrices,
 )
@@ -54,7 +53,6 @@ from .trigpoly import (
 __all__ = [
     "ClassifierField",
     "DiskContactForm",
-    "NumericEmbedding",
     "SingularityReport",
     "SliceEmbedding",
     "annulus_foliation_check",
@@ -104,28 +102,9 @@ class SliceEmbedding:
             if isinstance(value, str):
                 self.surface.index(value)
 
-    def _constants(self) -> dict[str, float]:
-        return {
-            name: float(v) for name, v in self.assignment.items() if not isinstance(v, str)
-        }
-
-    def _name_map(self) -> dict[str, str]:
-        return {name: v for name, v in self.assignment.items() if isinstance(v, str)}
-
-    def map_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        cols = []
-        for c in self.ambient.coords:
-            v = self.assignment[c.name]
-            if isinstance(v, str):
-                cols.append(pts[..., self.surface.index(v)])
-            else:
-                cols.append(np.full(pts.shape[:-1], float(v)))
-        return np.stack(cols, axis=-1)
-
     def pullback_oneform(self, alpha: OneForm) -> OneForm:
-        consts = self._constants()
-        name_map = self._name_map()
+        consts = {n: float(v) for n, v in self.assignment.items() if not isinstance(v, str)}
+        name_map = {n: v for n, v in self.assignment.items() if isinstance(v, str)}
         comps: list[Expr] = [self.surface.zero() for _ in range(self.surface.dim)]
         for i, c in enumerate(self.ambient.coords):
             target = self.assignment[c.name]
@@ -138,87 +117,6 @@ class SliceEmbedding:
             j = self.surface.index(target)
             comps[j] = comps[j] + restricted.with_coords(self.surface.coords, name_map)
         return OneForm(self.surface, tuple(comps), alpha.label)
-
-    def pullback_twoform(self, omega: TwoForm) -> Expr:
-        """Coefficient of the pulled-back area form on the 2-surface."""
-        if self.surface.dim != 2:
-            raise ValueError("two-form pullback needs a 2-dimensional surface")
-        consts = self._constants()
-        name_map = self._name_map()
-        u_name, v_name = (c.name for c in self.surface.coords)
-        out = self.surface.zero()
-        for (i, j), w in zip(omega.pairs, omega.components):
-            ti = self.assignment[omega.chart.coords[i].name]
-            tj = self.assignment[omega.chart.coords[j].name]
-            if not (isinstance(ti, str) and isinstance(tj, str)):
-                continue
-            if {ti, tj} != {u_name, v_name}:
-                continue
-            if not isinstance(w, Expr):
-                raise ValueError("exact pullback needs exact components")
-            restricted = w.substitute_constants(consts) if consts else w
-            sign = 1.0 if (ti, tj) == (u_name, v_name) else -1.0
-            out = out + sign * restricted.with_coords(self.surface.coords, name_map)
-        return out
-
-
-@dataclass(frozen=True)
-class NumericEmbedding:
-    """An embedding given by point and Jacobian closures.
-
-    This is the numeric pullback route; it shares no code with the exact
-    route above.
-    """
-
-    surface: Chart
-    ambient: Chart
-    fn: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-    def map_points(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(pts, float)), float)
-
-    def pullback_oneform(self, alpha: OneForm) -> OneForm:
-        amb_fns = [c.compile() for c in alpha.components]
-        fn = self.fn
-        jac = self.jacobian
-
-        def make_component(j: int):
-            def comp(pts: np.ndarray) -> np.ndarray:
-                pts = np.asarray(pts, float)
-                amb = np.asarray(fn(pts), float)
-                J = np.asarray(jac(pts), float)
-                out = np.zeros(pts.shape[:-1])
-                for i, f in enumerate(amb_fns):
-                    out = out + f(amb) * J[..., i, j]
-                return out
-
-            return comp
-
-        comps = tuple(
-            NumericScalar(self.surface.coords, make_component(j))
-            for j in range(self.surface.dim)
-        )
-        return OneForm(self.surface, comps, alpha.label)
-
-    def pullback_twoform(self, omega: TwoForm) -> NumericScalar:
-        if self.surface.dim != 2:
-            raise ValueError("two-form pullback needs a 2-dimensional surface")
-        comp_fns = [(pair, c.compile()) for pair, c in zip(omega.pairs, omega.components)]
-        fn = self.fn
-        jac = self.jacobian
-
-        def coeff(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, float)
-            amb = np.asarray(fn(pts), float)
-            J = np.asarray(jac(pts), float)
-            out = np.zeros(pts.shape[:-1])
-            for (i, j), f in comp_fns:
-                minor = J[..., i, 0] * J[..., j, 1] - J[..., i, 1] * J[..., j, 0]
-                out = out + f(amb) * minor
-            return out
-
-        return NumericScalar(self.surface.coords, coeff)
 
 
 # -- torus slopes ----------------------------------------------------------------

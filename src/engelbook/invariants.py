@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, OneForm, VectorField, batch_eval_scalars, field_matrix
-from .trigpoly import Expr
 
 __all__ = [
     "DeltaResult",
@@ -274,12 +273,9 @@ def quaternion_frame(X: VectorField) -> tuple[VectorField, VectorField, VectorFi
         raise ValueError("quaternion_frame expects a 4-dimensional chart")
     x0, x1, x2, x3 = X.components
 
-    def neg(c):
-        return -c if isinstance(c, Expr) else c * (-1.0)
-
-    iX = VectorField(chart, (neg(x1), x0, neg(x3), x2), label=f"i*{X.label}")
-    jX = VectorField(chart, (neg(x2), x3, x0, neg(x1)), label=f"j*{X.label}")
-    kX = VectorField(chart, (neg(x3), neg(x2), x1, x0), label=f"k*{X.label}")
+    iX = VectorField(chart, (-x1, x0, -x3, x2), label=f"i*{X.label}")
+    jX = VectorField(chart, (-x2, x3, x0, -x1), label=f"j*{X.label}")
+    kX = VectorField(chart, (-x3, -x2, x1, x0), label=f"k*{X.label}")
     return iX, jX, kX
 
 

@@ -155,7 +155,6 @@ class InterfaceData:
     w_slots: tuple[Expr, Expr]
     slope: float
     region: dict
-    pre_shear_slots: tuple[Expr, Expr] | None = None
     shear: IntegerAffineMap | None = None
 
 
@@ -543,8 +542,13 @@ def _model_binding_eb(r0: float = 1.0) -> OpenBookModel:
     )
 
 
+def _collar_width(a: float) -> float:
+    """Half-width of the collar's r interval: r + a stays inside (0, pi/2)."""
+    return min(0.45, 0.9 * min(a, math.pi / 2 - a))
+
+
 def _collar3_chart(a: float) -> Chart:
-    width = min(0.45, 0.9 * min(a, math.pi / 2 - a))
+    width = _collar_width(a)
     return Chart.make(
         "collar3",
         [("x", KIND_ANGULAR), ("y", KIND_ANGULAR), ("r", KIND_LINEAR, Interval(-width, width))],
@@ -798,56 +802,29 @@ def _model_stabilization_local() -> OpenBookModel:
     )
 
 
-_REGISTRY: dict[str, tuple[str, Callable[..., OpenBookModel]]] = {
-    "darboux_even": (
-        "flat even structure on a 4-box with a straight kernel line",
-        _model_darboux_even,
-    ),
-    "engel_darboux_loose": (
-        "straight tube whose plane field spins once per angular turn",
-        _model_engel_darboux_loose,
-    ),
-    "binding_Eb": (
-        "solid-torus neighborhood whose torus line fields have slope 1/r^2",
-        _model_binding_eb,
-    ),
-    "collar_xi": (
-        "collar of torus slices whose line field slope is cot(r + a)",
-        _model_collar_xi,
-    ),
-    "s3_openbook": (
-        "round-sphere open book with disk pages swept by phi2",
-        _model_s3_openbook,
-    ),
-    "product_openbook": (
-        "circle times the round open book; the fiber flow rules the kernel",
-        _model_product_openbook,
-    ),
-    "prolongation_Eeps": (
-        "even structure on a circle prolongation with a tilted kernel line",
-        _model_prolongation_eps,
-    ),
-    "engel_prolongation_Dk": (
-        "plane field spinning k times per circle turn inside the prolongation",
-        _model_engel_prolongation_dk,
-    ),
-    "stabilization_local": (
-        "local slice model whose annulus is foliated by crossing intervals",
-        _model_stabilization_local,
-    ),
+_REGISTRY: dict[str, Callable[..., OpenBookModel]] = {
+    "darboux_even": _model_darboux_even,
+    "engel_darboux_loose": _model_engel_darboux_loose,
+    "binding_Eb": _model_binding_eb,
+    "collar_xi": _model_collar_xi,
+    "s3_openbook": _model_s3_openbook,
+    "product_openbook": _model_product_openbook,
+    "prolongation_Eeps": _model_prolongation_eps,
+    "engel_prolongation_Dk": _model_engel_prolongation_dk,
+    "stabilization_local": _model_stabilization_local,
 }
 
 
 def list_models() -> tuple[tuple[str, str], ...]:
-    """Catalog names with one-line summaries, sorted by name."""
-    return tuple((name, summary) for name, (summary, _) in sorted(_REGISTRY.items()))
+    """Catalog names with the one-line summaries of their default builds, sorted by name."""
+    return tuple((name, build().summary) for name, build in sorted(_REGISTRY.items()))
 
 
 def model_catalog(name: str, **params) -> OpenBookModel:
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown model {name!r}; known models: {known}")
-    _, builder = _REGISTRY[name]
+    builder = _REGISTRY[name]
     accepted = tuple(inspect.signature(builder).parameters)
     unknown = sorted(set(params) - set(accepted))
     if unknown:
@@ -871,7 +848,7 @@ def build_collar_engel(lam, k, a: float = math.pi / 4) -> ModelPiece:
     lam = _as_int(lam, "lam")
     k = _odd_positive_k(k)
     a = _check_angle(a)
-    width = min(0.45, 0.9 * min(a, math.pi / 2 - a))
+    width = _collar_width(a)
     chart = Chart.make(
         "collar-engel",
         [
@@ -906,17 +883,15 @@ def build_collar_engel(lam, k, a: float = math.pi / 4) -> ModelPiece:
         )
         for rb in (0.0, 0.5 * width)
     )
-    slots = (
-        _wave(GLUE_TORUS, Mode.COS, {"phi": k, "y": lam}),
-        _wave(GLUE_TORUS, Mode.SIN, {"phi": k, "y": lam}),
-    )
     interface = InterfaceData(
         torus=GLUE_TORUS,
-        slots=slots,
+        slots=(
+            _wave(GLUE_TORUS, Mode.COS, {"phi": k, "y": lam}),
+            _wave(GLUE_TORUS, Mode.SIN, {"phi": k, "y": lam}),
+        ),
         w_slots=(GLUE_TORUS.const(1.0), GLUE_TORUS.const(1.0)),
         slope=1.0 / math.tan(a),
         region={"r": 0.0},
-        pre_shear_slots=slots,
     )
     return ModelPiece(
         name="collar",
@@ -1017,7 +992,6 @@ def build_binding_engel(l, k, r0: float = 1.0) -> ModelPiece:
         w_slots=(GLUE_TORUS.const(1.0), GLUE_TORUS.const(1.0)),
         slope=1.0 / r0**2,
         region={"r": r0},
-        pre_shear_slots=pre_slots,
         shear=shear,
     )
     return ModelPiece(
@@ -1117,16 +1091,20 @@ def gluing_check(
 def looseness_probe(piece: ModelPiece, path: Path, n_samples: int = 512) -> int:
     """Rotation count of the piece's distinguished field along a path.
 
-    The path must stay transverse to the kernel direction; open segments
-    round their fractional turn count, so short probes report zero.
+    The path must move at every sample, and stay transverse to the kernel
+    direction where the piece declares one; open segments round their
+    fractional turn count, so short probes report zero.
     """
     if piece.probe_field is None or piece.probe_frame is None:
         raise ValueError(f"piece {piece.name!r} declares no probe data")
+    pts = path.sample(max(n_samples, 16))
+    tangents = np.gradient(np.asarray(pts, float), axis=0)
+    t_norm = np.linalg.norm(tangents, axis=-1)
+    # a constant path has no tangent to be transverse with, and turns 0 times
+    if not (t_norm > 0).all():
+        raise ValueError("probe path does not move: its sampled tangent vanishes")
     if piece.w_field is not None:
-        pts = path.sample(max(n_samples, 16))
-        tangents = np.gradient(np.asarray(pts, float), axis=0)
         wmat = field_matrix([piece.w_field], pts)[:, 0, :]
-        t_norm = np.linalg.norm(tangents, axis=-1)
         w_norm = np.linalg.norm(wmat, axis=-1)
         dot = np.einsum("ij,ij->i", tangents, wmat)
         denom = np.maximum(t_norm * w_norm, 1e-30)

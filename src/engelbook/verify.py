@@ -28,8 +28,6 @@ from .charts import (
     lie_bracket,
     lie_derivative_oneform,
     pointwise_rank,
-    scalar_mul,
-    scalar_sub,
     wedge_top,
 )
 from .trigpoly import Expr
@@ -348,10 +346,7 @@ def _oneform_wedge(beta: OneForm, alpha: OneForm) -> TwoForm:
     comps = []
     for i, j in pairs:
         comps.append(
-            scalar_sub(
-                scalar_mul(beta.components[i], alpha.components[j]),
-                scalar_mul(beta.components[j], alpha.components[i]),
-            )
+            beta.components[i] * alpha.components[j] - beta.components[j] * alpha.components[i]
         )
     return TwoForm(chart, pairs, tuple(comps))
 

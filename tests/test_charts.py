@@ -127,7 +127,8 @@ class TestBrackets:
 
     def test_exact_bracket_matches_finite_difference(self):
         # the same fields with components wrapped as numeric closures must
-        # bracket to the same answer through central differences
+        # bracket to the same answer through central differences, also when
+        # only one of the two fields is numeric and the operators mix types
         rng = np.random.default_rng(3)
         X = SHEAR_CHART.vector_field({"x": "r*cos(x + 2*phi)", "r": "r^2*sin(y)"})
         Y = SHEAR_CHART.vector_field({"y": "cos(phi - y)", "phi": "r*cos(x + 2*phi)"})
@@ -139,11 +140,17 @@ class TestBrackets:
             return type(F)(SHEAR_CHART, comps)
 
         exact = lie_bracket(X, Y)
-        approx = lie_bracket(numeric_copy(X), numeric_copy(Y))
         pts = SHEAR_CHART.sample_random(25, rng)
         ve = field_matrix([exact], pts)[:, 0, :]
-        va = field_matrix([approx], pts)[:, 0, :]
-        assert np.max(np.abs(ve - va)) <= 1e-5 * (1.0 + np.max(np.abs(ve)))
+        for F, G in [
+            (numeric_copy(X), numeric_copy(Y)),
+            (X, numeric_copy(Y)),
+            (numeric_copy(X), Y),
+        ]:
+            approx = lie_bracket(F, G)
+            assert all(isinstance(c, NumericScalar) for c in approx.components)
+            va = field_matrix([approx], pts)[:, 0, :]
+            assert np.max(np.abs(ve - va)) <= 1e-5 * (1.0 + np.max(np.abs(ve)))
 
 
 class TestExteriorCalculus:
@@ -164,6 +171,39 @@ class TestExteriorCalculus:
         coeffs = wedge_top(alpha, exterior_derivative(alpha))
         assert len(coeffs) == 1
         assert canonical_equal(coeffs[0][1], TORUS_COLLAR.const(1.0), tol=1e-12)
+
+    def test_mixed_components_match_exact_calculus(self):
+        # numeric closures with analytic partials in the even slots, Expr in
+        # the odd ones: d and the top wedge go through the reflected
+        # NumericScalar operators and agree with the exact values
+        rng = np.random.default_rng(11)
+        alpha = SHEAR_CHART.one_form({"x": "r*sin(phi)", "y": "r^2", "phi": "cos(x - y)"})
+        mixed = type(alpha)(
+            SHEAR_CHART,
+            tuple(
+                NumericScalar(
+                    SHEAR_CHART.coords,
+                    c.compile(),
+                    tuple(c.partial(x.name).compile() for x in SHEAR_CHART.coords),
+                )
+                if i % 2 == 0
+                else c
+                for i, c in enumerate(alpha.components)
+            ),
+        )
+        assert {type(c) for c in mixed.components} == {NumericScalar, type(SHEAR_CHART.zero())}
+        pts = SHEAR_CHART.sample_random(40, rng)
+        exact_d, mixed_d = exterior_derivative(alpha), exterior_derivative(mixed)
+        assert mixed_d.pairs == exact_d.pairs
+        got = batch_eval_scalars(mixed_d.components, pts)
+        want = batch_eval_scalars(exact_d.components, pts)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        exact_top = wedge_top(alpha, exact_d)
+        mixed_top = wedge_top(mixed, mixed_d)
+        assert [t for t, _ in mixed_top] == [t for t, _ in exact_top]
+        got = batch_eval_scalars([c for _, c in mixed_top], pts)
+        want = batch_eval_scalars([c for _, c in exact_top], pts)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_d_squared_is_zero(self):
         f = SHEAR_CHART.parse("r^2*cos(x + 3*phi) + sin(y)")

@@ -273,6 +273,22 @@ def test_probe_rejects_tangent_circle(capsys):
     assert "not transverse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path_args",
+    [["--circle", "theta", "--turns", "0"], ["--segment", "theta", "0.5", "0.5"]],
+    ids=["zero-turn-circle", "point-segment"],
+)
+def test_probe_rejects_path_that_does_not_move(capsys, path_args):
+    # this circle fails as non-transverse once it turns, so a path that
+    # stays put on it must fail too instead of counting 0 turns
+    code = run(
+        ["probe-looseness", "--model", "engel_darboux_loose", "--piece", "loose-tube", *path_args]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "EB-PARAM" in err and "tangent vanishes" in err
+
+
 def test_probe_requires_exactly_one_path_kind(capsys):
     code = run(["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar"])
     assert code == 2

@@ -19,7 +19,6 @@ from engelbook.charts import (
 )
 from engelbook.foliation import (
     ClassifierField,
-    NumericEmbedding,
     SingularityReport,
     SliceEmbedding,
     _assemble_pieces,
@@ -115,97 +114,6 @@ def test_slice_embedding_rejects_kind_mismatch():
 def test_slice_embedding_requires_full_assignment():
     with pytest.raises(ValueError):
         SliceEmbedding(ANNULUS, PROLONG, {"t": "u", "r": "v", "phi1": 0.0})
-
-
-def test_map_points_places_constants_and_coordinates():
-    leaf = SliceEmbedding(ANNULUS, PROLONG, {"t": "u", "r": "v", "phi1": 0.5, "phi2": 0.0})
-    pts = np.array([[1.0, 0.3], [2.0, 0.7]])
-    mapped = leaf.map_points(pts)
-    assert np.allclose(mapped, [[1.0, 0.3, 0.5, 0.0], [2.0, 0.7, 0.5, 0.0]])
-
-
-def test_page_area_pullback_on_fibered_chart():
-    # d(r^2 dphi1 + (1 - r^2) dphi2) restricted to a phi2 slice is 2 r dr/\dphi
-    three = Chart.make(
-        "fiber3",
-        [
-            ("r", KIND_POLYNOMIAL, Interval(0.0, 1.0)),
-            ("phi1", KIND_ANGULAR),
-            ("phi2", KIND_ANGULAR),
-        ],
-    )
-    alpha = three.one_form({"phi1": "r^2", "phi2": "1 - r^2"})
-    omega = exterior_derivative(alpha)
-    page = Chart.make(
-        "page",
-        [("rho", KIND_POLYNOMIAL, Interval(0.0, 1.0)), ("phi", KIND_ANGULAR)],
-    )
-    emb = SliceEmbedding(page, three, {"r": "rho", "phi1": "phi", "phi2": 1.2})
-    coeff = emb.pullback_twoform(omega)
-    assert canonical_equal(coeff, page.parse("2*rho"))
-
-
-# -- numeric embeddings ----------------------------------------------------------
-
-
-def numeric_leaf():
-    def fn(pts):
-        u, v = pts[..., 0], pts[..., 1]
-        return np.stack([u, v, np.zeros_like(u), np.zeros_like(u)], axis=-1)
-
-    def jac(pts):
-        J = np.zeros(pts.shape[:-1] + (4, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 1, 1] = 1.0
-        return J
-
-    return NumericEmbedding(ANNULUS, PROLONG, fn, jac)
-
-
-def test_numeric_pullback_matches_exact_route():
-    alpha = fibered_form(PROLONG)
-    exact = SliceEmbedding(
-        ANNULUS, PROLONG, {"t": "u", "r": "v", "phi1": 0.0, "phi2": 0.0}
-    ).pullback_oneform(alpha)
-    numeric = numeric_leaf().pullback_oneform(alpha)
-    pts = ANNULUS.sample_grid(9)
-    ve = batch_eval_scalars(exact.components, pts)
-    vn = batch_eval_scalars(numeric.components, pts)
-    assert np.abs(ve - vn).max() <= 1e-12
-
-
-def test_numeric_twoform_pullback_matches_exact_route():
-    three = Chart.make(
-        "fiber3",
-        [
-            ("r", KIND_POLYNOMIAL, Interval(0.0, 1.0)),
-            ("phi1", KIND_ANGULAR),
-            ("phi2", KIND_ANGULAR),
-        ],
-    )
-    alpha = three.one_form({"phi1": "r^2", "phi2": "1 - r^2"})
-    omega = exterior_derivative(alpha)
-    page = Chart.make(
-        "page",
-        [("rho", KIND_POLYNOMIAL, Interval(0.0, 1.0)), ("phi", KIND_ANGULAR)],
-    )
-    exact = SliceEmbedding(page, three, {"r": "rho", "phi1": "phi", "phi2": 1.2})
-
-    def fn(pts):
-        rho, phi = pts[..., 0], pts[..., 1]
-        return np.stack([rho, phi, np.full_like(rho, 1.2)], axis=-1)
-
-    def jac(pts):
-        J = np.zeros(pts.shape[:-1] + (3, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 1, 1] = 1.0
-        return J
-
-    numeric = NumericEmbedding(page, three, fn, jac)
-    pts = page.sample_grid(7)
-    ve = batch_eval_scalars([exact.pullback_twoform(omega)], pts)
-    vn = batch_eval_scalars([numeric.pullback_twoform(omega)], pts)
-    assert np.abs(ve - vn).max() <= 1e-12
 
 
 # -- torus slopes ----------------------------------------------------------------
@@ -405,9 +313,18 @@ LEAF_CASES = {
     ),
     "s3_openbook": lambda: catalog_annulus("s3_openbook"),
     "stabilization_local": lambda: catalog_annulus("stabilization_local"),
-    # numeric closures from the NumericEmbedding route instead of Expr, on
-    # a narrow annulus because each of them costs several numpy calls
-    "numeric": lambda: (numeric_leaf().pullback_oneform(fibered_form(PROLONG)), (0.4, 0.6)),
+    # the transverse pullback as numeric closures instead of Expr, on a
+    # narrow annulus to keep the dense one-leaf reference loop short
+    "numeric": lambda: (
+        OneForm(
+            ANNULUS,
+            tuple(
+                NumericScalar(ANNULUS.coords, c.compile())
+                for c in LEAF_CASES["transverse"]()[0].components
+            ),
+        ),
+        (0.4, 0.6),
+    ),
 }
 
 

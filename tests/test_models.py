@@ -1,5 +1,6 @@
 """Catalog pieces, the collar-binding builders, gluing, probes, assembly."""
 
+import dataclasses
 import json
 import math
 
@@ -315,6 +316,13 @@ def test_probe_rejects_path_tangent_to_kernel():
     path = Path(piece.chart, diagonal, closed=True, label="diagonal")
     with pytest.raises(ValueError, match="not transverse"):
         looseness_probe(piece, path)
+
+
+def test_probe_rejects_constant_path_without_kernel_field():
+    piece = dataclasses.replace(build_collar_engel(2, 3), w_field=None)
+    still = Path.coordinate_circle(piece.chart, "phi", {"r": 0.0}, turns=0)
+    with pytest.raises(ValueError, match="tangent vanishes"):
+        looseness_probe(piece, still)
 
 
 def test_probe_requires_probe_data():
