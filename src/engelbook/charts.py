@@ -585,7 +585,9 @@ def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each matrix's position in ``first``.  Matrices are keyed by a 64-bit
     hash of their bytes, so the sort moves 8 bytes a matrix, and no copy
     of the stack is made.  A matrix whose bytes differ from the first one
-    with its key (a hash collision) gets a group of its own.
+    with its key (a hash collision) gets a group of its own.  When no two
+    keys are equal, every matrix is its own group and the groups come in
+    index order, without the index-keeping sort.
     """
     n, r, d = flat.shape
     bits = flat.view(np.uint64)
@@ -596,6 +598,9 @@ def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # an odd multiplier carries a flipped top bit straight to the top
         # bit, so two sign flips would cancel; the shift mixes it down
         key ^= key >> np.uint64(32)
+    ordered = np.sort(key)
+    if (ordered[1:] != ordered[:-1]).all():
+        return np.arange(n), np.arange(n)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rep = first[inverse]
     clash = np.zeros(n, dtype=bool)

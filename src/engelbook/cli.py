@@ -241,6 +241,15 @@ def _cmd_list_models(_args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # no verify check reads these three; a changed value would be recorded
+    # in the report and then ignored
+    for name in ("zero", "slope", "residual"):
+        value = getattr(args, f"{name}_tol")
+        if value != TOLERANCE_DEFAULTS[name]:
+            raise ValueError(
+                f"--{name}-tol is not applied by verify, which reads only --rank-tol; "
+                f"leave it at its default {TOLERANCE_DEFAULTS[name]:g}, got {value:g}"
+            )
     params = _parse_params(args.param)
     model = model_catalog(args.model, **params)
     checks = list(model.checks(min_points=args.samples, tol=args.rank_tol))

@@ -161,6 +161,13 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def _plane_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of (..., 2) vectors, with the same bits:
+    both take sqrt(v0 * v0 + v1 * v1), without a reduction over an axis of
+    length 2, which costs several times the arithmetic."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
 def _trace_leaves(
     direction: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
@@ -411,16 +418,18 @@ def find_and_classify(
     fixed seed would take the same zero step in every later round and merged
     seeds would take the same steps.  The final points are therefore
     bit-identical to iterating every seed for all ``newton_iters`` rounds.
-    Each round calls ``value`` and then ``jacobian`` on the same points; the
-    disk classifier computes both in that ``value`` call and keeps J for
-    the ``jacobian`` call.
+    Each round calls ``jacobian`` and then ``value`` on the same points, and
+    so does the classification of the zeros found; the disk classifier
+    computes V and J in that ``jacobian`` call and keeps V for the
+    ``value`` call.  The final ``|V|`` test of all seeds calls ``value``
+    alone, which the disk classifier answers from a V-only pass.
     """
     z = _newton_points(classifier, grid_n, newton_iters)
     V = classifier.value(z)
     good = (
         np.isfinite(z).all(axis=-1)
-        & (np.linalg.norm(V, axis=-1) <= _ZERO_RESIDUAL)
-        & (np.linalg.norm(z, axis=-1) < _DISK_RADIUS)
+        & (_plane_norms(V) <= _ZERO_RESIDUAL)
+        & (_plane_norms(z) < _DISK_RADIUS)
     )
 
     rest = z[good]
@@ -472,15 +481,15 @@ def _newton_points(classifier: ClassifierField, grid_n: int, newton_iters: int) 
         if not active.size:
             break
         za = z[active]
-        V = classifier.value(za)
         J = classifier.jacobian(za)
+        V = classifier.value(za)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         ok = np.abs(det) > 1e-300
         inv_det = np.where(ok, det, 1.0)
         step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
         step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
         step = np.stack([step_p, step_q], axis=-1)
-        alive = ok & (np.linalg.norm(za, axis=-1) < 2.0 * _DISK_RADIUS)
+        alive = ok & (_plane_norms(za) < 2.0 * _DISK_RADIUS)
         za, step, active = za[alive], step[alive], active[alive]
         moved = za - step
         z[active] = moved
@@ -524,46 +533,74 @@ def boundary_winding_vs_index(
 # -- the disk constructor ---------------------------------------------------------
 
 
-def _smoothstep_jet(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smoothstep of ``t`` clipped to [0, 1], and its derivatives (0 outside (0, 1))."""
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.clip(t, 0.0, 1.0)
-    s = tc * tc * tc * (10.0 + tc * (-15.0 + 6.0 * tc))
-    s1 = np.where(inside, 30.0 * tc * tc * (1.0 - tc) * (1.0 - tc), 0.0)
-    s2 = np.where(inside, 60.0 * tc * (2.0 * tc - 1.0) * (tc - 1.0), 0.0)
-    return s, s1, s2
+# smoothstep 10t^3 - 15t^4 + 6t^5 and its first two derivatives, for 0 < t < 1
+_SMOOTHSTEP = (
+    lambda t: t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
+    lambda t: 30.0 * t * t * (1.0 - t) * (1.0 - t),
+    lambda t: 60.0 * t * (2.0 * t - 1.0) * (t - 1.0),
+)
+
+
+def _smoothstep_jet(t: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The asked orders of smoothstep at ``t`` clipped to [0, 1], in the
+    order asked: 0 is the value, 1 and 2 the derivatives.
+
+    The polynomials run only on the band 0 < t < 1.  Outside it the value
+    is ``np.clip(t, 0, 1)``, which is what the polynomial gives there
+    (exactly 0 or 1, with the sign of -0.0 and NaN passed through), and
+    both derivatives are +0.0, at a NaN ``t`` too.
+    """
+    t = np.asarray(t, float)
+    band = np.flatnonzero((t > 0.0) & (t < 1.0))
+    tb = t.reshape(-1)[band]
+    jets = []
+    for order in orders:
+        jet = np.clip(t, 0.0, 1.0, out=np.empty(t.shape)) if order == 0 else np.zeros(t.shape)
+        if band.size:
+            jet.reshape(-1)[band] = _SMOOTHSTEP[order](tb)
+        jets.append(jet)
+    return tuple(jets)
 
 
 @dataclass(frozen=True)
 class _RadialRamps:
-    """base + sum of smoothstep transitions, with its first derivative."""
+    """0 + sum of smoothstep transitions, exactly ``final`` past the last one."""
 
-    base: float
     ramps: tuple[tuple[float, float, float], ...]  # (start, end, jump)
-    final: float | None = None  # exact value clamped past the last ramp
+    final: float
 
-    def jet(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value = np.full(np.shape(rho), self.base)
-        d1 = np.zeros(np.shape(rho))
-        for a, b, jump in self.ramps:
-            s, s1 = _smoothstep_jet((rho - a) / (b - a))[:2]
-            value = value + jump * s
-            d1 = d1 + (jump / (b - a)) * s1
-        if self.final is not None:
-            value = np.where(rho >= self.ramps[-1][1], self.final, value)
-        return value, d1
+    def jet(self, rho: np.ndarray, orders: Sequence[int], first: dict) -> tuple[np.ndarray, ...]:
+        """The asked orders (0: value, 1: first derivative) at ``rho``.
+
+        ``first`` maps each asked order to the first ramp's smoothstep jet,
+        which the caller computes (and may share with another profile).
+        """
+        steps = [first] + [
+            dict(zip(orders, _smoothstep_jet((rho - a) / (b - a), orders)))
+            for a, b, _ in self.ramps[1:]
+        ]
+        jets = []
+        for order in orders:
+            acc = np.zeros(np.shape(rho))
+            for (a, b, jump), step in zip(self.ramps, steps):
+                acc = acc + (jump if order == 0 else jump / (b - a)) * step[order]
+            if order == 0:
+                acc = np.where(rho >= self.ramps[-1][1], self.final, acc)
+            jets.append(acc)
+        return tuple(jets)
 
 
 def _pair_sums(idx: np.ndarray, n: int, *weights: np.ndarray) -> list[np.ndarray]:
-    """Per weight array, its (n,) sums by point index in pair order (float even with no pairs)."""
-    return [np.bincount(idx, w, n).astype(float, copy=False) for w in weights]
+    """Per weight array, its (n,) sums by point index in pair order."""
+    return [np.bincount(idx, w, n) for w in weights]
 
 
 def _gaussian_bundle(
     centers: np.ndarray, amplitude: float, width: float, t0: float, t1: float
-):
-    """``value(pts)`` and ``jet(pts) -> (grad, hess)`` of a sum of truncated
-    Gaussians.
+) -> Callable:
+    """``bundle(pts, orders)``: the asked orders of a sum of truncated
+    Gaussians at (..., 2) points, in the order asked: 0 is the value, 1 the
+    gradient (..., 2) and 2 the Hessian (..., 2, 2).
 
     Each bump is exp(-d^2 / 2 w^2) faded to exactly zero between t0*w and
     t1*w away from its center by a reversed smoothstep.
@@ -575,82 +612,102 @@ def _gaussian_bundle(
     0.1% margin keeps rounding in ``hypot`` from leaving a point with fade
     parameter just below 1 outside the box.
 
-    Every bump is evaluated in one pass.  Points outside a box around all
+    Every bump is evaluated in one pass.  Points outside the box around all
     the bump boxes are dropped, one box test of the rest against all
     centers gives the (bump, point) pairs in bump-major order, the bump
-    formulas run once on the flat pair arrays, and ``np.bincount`` sums each
-    output slot per point.  It adds in input order starting from 0.0, so
-    each point takes its contributions in center order, and the sums match
-    a dense all-points evaluation bit for bit.
+    formulas run once on the flat pair arrays, up to the highest order
+    asked, and ``np.bincount`` sums each output slot per point.  It adds in
+    input order starting from 0.0, so each point takes its contributions in
+    center order, and the sums match a dense all-points evaluation bit for
+    bit.  With no pair in reach the pass returns ``np.zeros``, the +0.0 that
+    the sums over no pairs would give.
     """
     w2 = width * width
     fade_lo = t0 * width
     fade_w = (t1 - t0) * width
     reach = 1.001 * t1 * width
     cp, cq = centers[:, :1], centers[:, 1:]
-    # a box around every bump's box, with room to spare for rounding
-    lo = centers.min(axis=0) - 2.0 * reach
-    hi = centers.max(axis=0) + 2.0 * reach
+    # the box around every bump's box, 0.1% wider so that rounding in the
+    # offsets cannot bring a point outside it within reach of a bump
+    lo = centers.min(axis=0) - 1.001 * reach
+    hi = centers.max(axis=0) + 1.001 * reach
 
-    def pairs(flat: np.ndarray):
-        """The point index of every (bump, point) pair in reach, and the bump there."""
+    def pairs(flat: np.ndarray, order: int):
+        """The point index of every (bump, point) pair in reach, the offsets
+        and distance there, and the bump's radial derivatives up to
+        ``order``; None when no pair is in reach."""
         inbox = (flat >= lo) & (flat <= hi)
         cand = np.flatnonzero(inbox[:, 0] & inbox[:, 1])
+        if not cand.size:
+            return None
         p, q = flat[cand].T
         # one (bumps, candidates) buffer for both coordinates' offsets
         off = np.subtract(p, cp)
         near = np.abs(off, out=off) <= reach
         near &= np.abs(np.subtract(q, cq, out=off), out=off) <= reach
         bump, sub = np.nonzero(near)
+        if not sub.size:
+            return None
         dp = p[sub] - centers[bump, 0]
         dq = q[sub] - centers[bump, 1]
         d = np.hypot(dp, dq)
         E = np.exp(-0.5 * d * d / w2)
-        chi_s, chi_s1, chi_s2 = _smoothstep_jet((d - fade_lo) / fade_w)
-        chi = 1.0 - chi_s
-        chi_d1 = -chi_s1 / fade_w
-        chi_d2 = -chi_s2 / (fade_w * fade_w)
-        E_d1 = -(d / w2) * E
-        E_d2 = (d * d / (w2 * w2) - 1.0 / w2) * E
-        g = E * chi
-        g1 = E_d1 * chi + E * chi_d1
-        g2 = E_d2 * chi + 2.0 * E_d1 * chi_d1 + E * chi_d2
-        return cand[sub], dp, dq, d, g, g1, g2
+        fade = _smoothstep_jet((d - fade_lo) / fade_w, range(order + 1))
+        chi = 1.0 - fade[0]
+        g = [E * chi]
+        if order >= 1:
+            chi_d1 = -fade[1] / fade_w
+            E_d1 = -(d / w2) * E
+            g.append(E_d1 * chi + E * chi_d1)
+        if order >= 2:
+            chi_d2 = -fade[2] / (fade_w * fade_w)
+            E_d2 = (d * d / (w2 * w2) - 1.0 / w2) * E
+            g.append(E_d2 * chi + 2.0 * E_d1 * chi_d1 + E * chi_d2)
+        return cand[sub], dp, dq, d, g
 
-    def value(pts: np.ndarray) -> np.ndarray:
+    def bundle(pts: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
         flat = pts.reshape(-1, 2)
-        idx, _, _, _, g, _, _ = pairs(flat)
-        return _pair_sums(idx, len(flat), amplitude * g)[0].reshape(pts.shape[:-1])
-
-    def jet(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        flat = pts.reshape(-1, 2)
-        idx, dp, dq, d, _, g1, g2 = pairs(flat)
-        near = d < 1e-9
+        n = len(flat)
+        shapes = (pts.shape[:-1], pts.shape, pts.shape + (2,))
+        found = pairs(flat, max(orders))
+        if found is None:
+            return tuple(np.zeros(shapes[order]) for order in orders)
+        idx, dp, dq, d, g = found
         safe = np.maximum(d, 1e-30)
-        up, uq = dp / safe, dq / safe
-        radial = g1 / safe
-        gp, gq, hpp, hpq, hqq = _pair_sums(
-            idx, len(flat),
-            amplitude * g1 * dp / safe,
-            amplitude * g1 * dq / safe,
-            amplitude * np.where(near, g2, g2 * up * up + radial * uq * uq),
-            amplitude * np.where(near, 0.0, (g2 - radial) * up * uq),
-            amplitude * np.where(near, g2, g2 * uq * uq + radial * up * up),
-        )
-        grad = np.stack([gp, gq], axis=-1).reshape(pts.shape)
-        return grad, np.stack([hpp, hpq, hpq, hqq], axis=-1).reshape(pts.shape + (2,))
+        jets = []
+        for order in orders:
+            if order == 0:
+                jets.append(_pair_sums(idx, n, amplitude * g[0])[0])
+            elif order == 1:
+                gp, gq = _pair_sums(idx, n, amplitude * g[1] * dp / safe, amplitude * g[1] * dq / safe)
+                jets.append(np.stack([gp, gq], axis=-1))
+            else:
+                near = d < 1e-9
+                up, uq = dp / safe, dq / safe
+                radial = g[1] / safe
+                hpp, hpq, hqq = _pair_sums(
+                    idx, n,
+                    amplitude * np.where(near, g[2], g[2] * up * up + radial * uq * uq),
+                    amplitude * np.where(near, 0.0, (g[2] - radial) * up * uq),
+                    amplitude * np.where(near, g[2], g[2] * uq * uq + radial * up * up),
+                )
+                jets.append(np.stack([hpp, hpq, hpq, hqq], axis=-1))
+        return tuple(jet.reshape(shapes[order]) for order, jet in zip(orders, jets))
 
-    return value, jet
+    return bundle
 
 
 @dataclass(frozen=True)
 class _DiskPieces:
-    """Page-disk closures: u, u's gradient and Hessian, and c, s with c', s'."""
+    """Page-disk closures that give the asked orders, in the order asked.
+
+    ``u(pts, orders)``: 0 is u, 1 its gradient, 2 its Hessian.
+    ``profiles(rho, c_orders, s_orders)``: the radial profiles c and s, as
+    two tuples; 0 is the value, 1 the derivative in rho.
+    """
 
     u: Callable
-    grad_hess_u: Callable
-    c_jet: Callable
-    s_jet: Callable
+    profiles: Callable
 
 
 def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
@@ -667,36 +724,45 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     p_max = float(np.abs(offsets).max()) if e else 0.0
     cluster_end = p_max + trunc_hi * width
 
-    g_val, g_jet = _gaussian_bundle(centers, amplitude, width, trunc_lo, trunc_hi)
+    bundle = _gaussian_bundle(centers, amplitude, width, trunc_lo, trunc_hi)
 
     one_plus = 1.0 + floor
     wall_w = wall_hi - wall_lo
 
-    def u(pts: np.ndarray) -> np.ndarray:
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        sigma = _smoothstep_jet((rho - wall_lo) / wall_w)[0]
-        # written as 1 - (1+h)(1-sigma) so the outside value is exactly 1
-        return 1.0 - one_plus * (1.0 - sigma) + g_val(pts)
-
-    def wall_d(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s1, s2 = _smoothstep_jet((rho - wall_lo) / wall_w)[1:]
-        return one_plus * s1 / wall_w, one_plus * s2 / (wall_w * wall_w)
-
-    def grad_hess_u(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def u(pts: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
         p, q = pts[..., 0], pts[..., 1]
         rho = np.hypot(p, q)
-        w1, w2 = wall_d(rho)
         safe = np.maximum(rho, 1e-30)
-        grad, hess = g_jet(pts)
-        grad[..., 0] += w1 * p / safe
-        grad[..., 1] += w1 * q / safe
-        up, uq = p / safe, q / safe
-        radial = w1 / safe
-        hess[..., 0, 0] += w2 * up * up + radial * uq * uq
-        hess[..., 1, 1] += w2 * uq * uq + radial * up * up
-        hess[..., 0, 1] += (w2 - radial) * up * uq
-        hess[..., 1, 0] += (w2 - radial) * up * uq
-        return grad, hess
+        # the wall's share of each order; its Hessian terms read its first
+        # derivative too, and u is written as 1 - (1+h)(1-sigma) so that its
+        # outside value is exactly 1
+        wall_orders = sorted({*orders, *((1,) if 2 in orders else ())})
+        scale = {1: wall_w, 2: wall_w * wall_w}
+        wall = {
+            order: 1.0 - one_plus * (1.0 - jet) if order == 0 else one_plus * jet / scale[order]
+            for order, jet in zip(
+                wall_orders, _smoothstep_jet((rho - wall_lo) / wall_w, wall_orders)
+            )
+        }
+        del rho  # the bundle pass below is the peak on the 281 x 281 contact grid
+        jets = []
+        for order, jet in zip(orders, bundle(pts, orders)):
+            if order == 0:
+                jet = wall[0] + jet
+            elif order == 1:
+                jet[..., 0] += wall[1] * p / safe
+                jet[..., 1] += wall[1] * q / safe
+            else:
+                w2 = wall[2]
+                up, uq = p / safe, q / safe
+                radial = wall[1] / safe
+                jet[..., 0, 0] += w2 * up * up + radial * uq * uq
+                jet[..., 1, 1] += w2 * uq * uq + radial * up * up
+                cross = (w2 - radial) * up * uq
+                jet[..., 0, 1] += cross
+                jet[..., 1, 0] += cross
+            jets.append(jet)
+        return tuple(jets)
 
     # c and s switch on across [ca, cb], radii chosen so every point of the
     # transition band is still within the live tail of some peak: the band
@@ -710,92 +776,110 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
         raise ValueError("profile transition band reaches a flat pocket")
     c_rise = params["c_rise"]
     c_profile = _RadialRamps(
-        0.0,
         ((ca, cb, -params["c_dip"]), (c_rise[0], c_rise[1], 1.0 + params["c_dip"])),
         final=1.0,
     )
     s_fall = params["s_fall"]
     s_profile = _RadialRamps(
-        0.0,
         ((ca, cb, params["swirl"]), (s_fall[0], s_fall[1], -params["swirl"])),
         final=0.0,
     )
 
+    def profiles(rho: np.ndarray, c_orders: Sequence[int], s_orders: Sequence[int]):
+        # c and s switch on across the same (ca, cb) ramp: one smoothstep for both
+        orders = sorted({*c_orders, *s_orders})
+        on = dict(zip(orders, _smoothstep_jet((rho - ca) / (cb - ca), orders)))
+        return c_profile.jet(rho, c_orders, on), s_profile.jet(rho, s_orders, on)
+
     if cluster_end >= wall_lo:
         raise ValueError("peak cluster does not fit inside the wall radius")
 
-    return _DiskPieces(u=u, grad_hess_u=grad_hess_u, c_jet=c_profile.jet, s_jet=s_profile.jet)
+    return _DiskPieces(u=u, profiles=profiles)
 
 
 def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
     """The classifier field V of the disk pieces, with its Jacobian.
 
-    V and J come from one pass, ``jet``.  ``value`` keeps a copy of its
-    points with their J; the next ``jacobian`` call takes that entry (and
-    clears it) and returns the kept J if its points have the bytes of the
-    kept ones, so a Newton round's ``value`` then ``jacobian`` on the same
-    points runs the pass once.  Any other call runs the pass afresh.
+    ``value`` runs a V-only pass: the gradient of u, and c and s without
+    their derivatives.  ``jacobian`` runs one pass for V and J, ``jet``,
+    and keeps a copy of its points with their V; the next ``value`` call
+    takes that entry (and clears it) and returns the kept V if its points
+    have the bytes of the kept ones, so a Newton round's ``jacobian`` then
+    ``value`` on the same points runs one pass.  Any other ``value`` call
+    runs the V-only pass.  Both passes compute V with the same arithmetic,
+    so V has the same bits either way.
     """
+
+    def field(g, c, s, p, q, safe):
+        # V = grad u - c rho e_rho + s e_theta
+        return np.stack([g[..., 0] - c * p - s * q / safe, g[..., 1] - c * q + s * p / safe], -1)
 
     def jet(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, q = pts[..., 0], pts[..., 1]
         rho = np.hypot(p, q)
         safe = np.maximum(rho, 1e-30)
-        g, J = pieces.grad_hess_u(pts)
-        c, c1 = pieces.c_jet(rho)
-        s, s1 = pieces.s_jet(rho)
-        vp = g[..., 0] - c * p - s * q / safe
-        vq = g[..., 1] - c * q + s * p / safe
+        g, J = pieces.u(pts, (1, 2))
+        (c, c1), (s, s1) = pieces.profiles(rho, (0, 1), (0, 1))
         # -d(c rho e_rho) = -(c I + (c'/rho) z z^T)
         J[..., 0, 0] -= c + c1 * p * p / safe
         J[..., 1, 1] -= c + c1 * q * q / safe
-        J[..., 0, 1] -= c1 * p * q / safe
-        J[..., 1, 0] -= c1 * p * q / safe
+        off = c1 * p * q / safe
+        J[..., 0, 1] -= off
+        J[..., 1, 0] -= off
         # +d(s e_theta), e_theta = (-q, p)/rho
-        r3 = safe * safe * safe
-        J[..., 0, 0] += -s1 * q * p / (safe * safe) + s * q * p / r3
-        J[..., 0, 1] += -s1 * q * q / (safe * safe) + s * (q * q / r3 - 1.0 / safe)
-        J[..., 1, 0] += s1 * p * p / (safe * safe) + s * (1.0 / safe - p * p / r3)
-        J[..., 1, 1] += s1 * p * q / (safe * safe) - s * p * q / r3
-        return np.stack([vp, vq], axis=-1), J
+        r2 = safe * safe
+        r3 = r2 * safe
+        inv = 1.0 / safe
+        J[..., 0, 0] += -s1 * q * p / r2 + s * q * p / r3
+        J[..., 0, 1] += -s1 * q * q / r2 + s * (q * q / r3 - inv)
+        J[..., 1, 0] += s1 * p * p / r2 + s * (inv - p * p / r3)
+        J[..., 1, 1] += s1 * p * q / r2 - s * p * q / r3
+        return field(g, c, s, p, q, safe), J
 
     kept: list[tuple[np.ndarray, np.ndarray]] = []
 
     def value(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)
-        V, J = jet(pts)
-        kept[:] = [(pts.copy(), J)]
-        return V
+        if kept:
+            seen, V = kept.pop()
+            # shape and bits: as integers -0.0 and 0.0 differ and NaN matches itself
+            if np.array_equal(seen.view(np.int64), pts.view(np.int64)):
+                return V
+        p, q = pts[..., 0], pts[..., 1]
+        rho = np.hypot(p, q)
+        safe = np.maximum(rho, 1e-30)
+        (g,) = pieces.u(pts, (1,))
+        (c,), (s,) = pieces.profiles(rho, (0,), (0,))
+        return field(g, c, s, p, q, safe)
 
     def jacobian(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)
-        if kept:
-            seen, J = kept.pop()
-            # shape and bits: as integers -0.0 and 0.0 differ and NaN matches itself
-            if np.array_equal(seen.view(np.int64), pts.view(np.int64)):
-                return J
-        return jet(pts)[1]
+        V, J = jet(pts)
+        kept[:] = [(pts.copy(), V)]
+        return J
 
     def level(pts: np.ndarray) -> np.ndarray:
-        return pieces.u(np.asarray(pts, float))
+        return pieces.u(np.asarray(pts, float), (0,))[0]
 
     return ClassifierField(value, jacobian, level)
 
 
 def _contact_coefficient(pieces: _DiskPieces) -> Callable[[np.ndarray], np.ndarray]:
-    """The top-wedge coefficient F of u dx + beta in coordinates (x, p, q)."""
+    """The top-wedge coefficient F of u dx + beta in coordinates (x, p, q).
+
+    It reads u with its gradient and Hessian, from one pass, c with c', and
+    s without s'.
+    """
 
     def F(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)
         p, q = pts[..., 0], pts[..., 1]
         rho = np.hypot(p, q)
         safe = np.maximum(rho, 1e-30)
-        u = pieces.u(pts)
-        g, H = pieces.grad_hess_u(pts)
+        u, g, H = pieces.u(pts, (0, 1, 2))
         lap = H[..., 0, 0] + H[..., 1, 1]
         del H  # the jets below need its room on the 281 x 281 contact grid
-        c, c1 = pieces.c_jet(rho)
-        s = pieces.s_jet(rho)[0]
+        (c, c1), (s,) = pieces.profiles(rho, (0, 1), (0,))
         du_rho = (g[..., 0] * p + g[..., 1] * q) / safe
         du_theta = p * g[..., 1] - q * g[..., 0]
         grad_sq = g[..., 0] ** 2 + g[..., 1] ** 2
@@ -921,7 +1005,7 @@ def _disk_grid(radius: float, n: int) -> np.ndarray:
     axis = np.linspace(-radius, radius, n)
     P, Q = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([P.reshape(-1), Q.reshape(-1)], axis=-1)
-    return pts[np.linalg.norm(pts, axis=-1) <= radius]
+    return pts[_plane_norms(pts) <= radius]
 
 
 def _annulus_grid(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:
@@ -972,7 +1056,7 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
         max(
             np.abs(V[:, 1] - (-ann[:, 1])).max(),
             np.abs(-V[:, 0] - ann[:, 0]).max(),
-            np.abs(pieces.u(ann) - 1.0).max(),
+            np.abs(pieces.u(ann, (0,))[0] - 1.0).max(),
         )
     )
     vmin_boundary = float(np.linalg.norm(V, axis=-1).min())
@@ -1005,7 +1089,7 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     # beta = V_q dp - V_p dq, with partials from the rows of the Jacobian
     value, jac = classifier.value, classifier.jacobian
     pages = (
-        (pieces.u, lambda z: pieces.grad_hess_u(z)[0]),
+        (lambda z: pieces.u(z, (0,))[0], lambda z: pieces.u(z, (1,))[0]),
         (lambda z: value(z)[..., 1], lambda z: jac(z)[..., 1, :]),
         (lambda z: -value(z)[..., 0], lambda z: -jac(z)[..., 0, :]),
     )

@@ -1093,11 +1093,15 @@ def looseness_probe(piece: ModelPiece, path: Path, n_samples: int = 512) -> int:
 
     The path must move at every sample, and stay transverse to the kernel
     direction where the piece declares one; open segments round their
-    fractional turn count, so short probes report zero.
+    fractional turn count, so short probes report zero.  Fewer than 16
+    samples are refused: they alias the field's turns (one or two samples
+    of the collar's phi circle count 0 or -1 of its 3 turns).
     """
+    if n_samples < 16:
+        raise ValueError(f"a looseness probe needs at least 16 samples, got {n_samples}")
     if piece.probe_field is None or piece.probe_frame is None:
         raise ValueError(f"piece {piece.name!r} declares no probe data")
-    pts = path.sample(max(n_samples, 16))
+    pts = path.sample(n_samples)
     tangents = np.gradient(np.asarray(pts, float), axis=0)
     t_norm = np.linalg.norm(tangents, axis=-1)
     # a constant path has no tangent to be transverse with, and turns 0 times

@@ -425,6 +425,17 @@ def test_sign_flipped_pairs_get_their_own_groups(shape):
     assert first.tolist() == [np.flatnonzero(inverse == g).min() for g in range(len(first))]
 
 
+def test_distinct_matrices_without_repeats_are_their_own_groups():
+    mats = np.random.default_rng(3).normal(size=(40, 3, 4))
+    first, inverse = charts._distinct_matrices(mats)
+    assert first.tolist() == inverse.tolist() == list(range(40))
+    assert [len(a) for a in charts._distinct_matrices(mats[:0])] == [0, 0]
+    want_ranks, want_gaps = svd_loop_rank(mats)
+    ranks, gaps = pointwise_rank(mats)
+    assert np.array_equal(ranks, want_ranks)
+    assert gaps.tobytes() == want_gaps.tobytes()
+
+
 def test_pointwise_rank_gives_non_finite_matrices_rank_zero():
     mats = _stack_with_repeats(n=6)
     mats[1, 0, 0] = np.nan

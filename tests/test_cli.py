@@ -111,6 +111,28 @@ def test_invalid_counts_and_tolerances_are_rejected(capsys, argv):
     assert f"error[EB-PARAM] {flag} must be" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--zero-tol", "1e-10"), ("--slope-tol", "0"), ("--residual-tol", "0.3")],
+    ids=["zero", "slope", "residual"],
+)
+def test_verify_rejects_tolerances_it_does_not_apply(capsys, tmp_path, flag, value):
+    # only --rank-tol reaches verify's checks; another tolerance that is not
+    # at its default would be written into the report and then ignored
+    out = tmp_path / "report.json"
+    assert run(["verify", "--model", "binding_Eb", flag, value, "--out", str(out)]) == 2
+    assert f"error[EB-PARAM] {flag} is not applied by verify" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_accepts_the_default_tolerances_spelled_out(capsys):
+    assert run(["verify", "--model", "binding_Eb"]) == 0
+    default = capsys.readouterr().out
+    argv = ["--zero-tol", "1e-12", "--slope-tol", "1e-9", "--residual-tol", "0.25"]
+    assert run(["verify", "--model", "binding_Eb", *argv]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_string_option_takes_negative_number_verbatim(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["verify", "--model", "darboux_even", "--out", "-1"]) == 0
@@ -262,6 +284,21 @@ def test_invariants_reports_singularity_counts(tmp_path):
 def test_probe_looseness_turn_counts(capsys, argv, expected):
     assert run(argv) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+# the true counts are 3 and 5; these sample counts printed 0, -1 and -3
+@pytest.mark.parametrize(
+    "piece, circle, samples",
+    [("collar", "phi", "1"), ("collar", "phi", "2"), ("binding", "y", "8")],
+    ids=["collar-1", "collar-2", "binding-8"],
+)
+def test_probe_rejects_too_few_samples(capsys, piece, circle, samples):
+    argv = ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", piece, "--circle", circle]
+    assert run([*argv, "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[EB-PARAM] a looseness probe needs at least 16 samples")
+    assert run([*argv, "--samples", "16"]) == 0
+    assert capsys.readouterr().out.strip() == {"collar": "3", "binding": "5"}[piece]
 
 
 def test_probe_rejects_tangent_circle(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from engelbook.foliation import (
     ClassifierField,
     SingularityReport,
     SliceEmbedding,
+    _annulus_grid,
     _assemble_pieces,
     _build_disk_form,
     _classifier_from_pieces,
@@ -28,6 +30,8 @@ from engelbook.foliation import (
     _disk_params,
     _gaussian_bundle,
     _newton_points,
+    _plane_norms,
+    _smoothstep_jet,
     _trace_leaves,
     annulus_foliation_check,
     boundary_winding_vs_index,
@@ -800,16 +804,13 @@ def test_disk_classifier_derivatives_match_central_differences(k):
     pieces = _assemble_pieces(k, _disk_params(k))
     classifier = _classifier_from_pieces(pieces)
 
-    def grad_u(pts):
-        return pieces.grad_hess_u(pts)[0]
-
-    def hess_u(pts):
-        return pieces.grad_hess_u(pts)[1]
+    def u_order(order):
+        return lambda pts: pieces.u(pts, (order,))[0]
 
     pairs = {
         "jacobian": (classifier.value, classifier.jacobian),
-        "hess_u": (grad_u, hess_u),
-        "grad_u": (pieces.u, grad_u),
+        "hess_u": (u_order(1), u_order(2)),
+        "grad_u": (u_order(0), u_order(1)),
     }
     for region, pts in disk_regions(k).items():
         for name, (fn, derivative) in pairs.items():
@@ -836,6 +837,38 @@ def ref_smoothstep_d2(t):
     inside = (t > 0.0) & (t < 1.0)
     tc = np.clip(t, 0.0, 1.0)
     return np.where(inside, 60.0 * tc * (2.0 * tc - 1.0) * (tc - 1.0), 0.0)
+
+
+# every nonempty set of derivative orders, each in increasing order
+ORDER_SUBSETS = [o for n in range(1, 4) for o in itertools.combinations((0, 1, 2), n)]
+
+SMOOTHSTEP_POINTS = [
+    -np.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 1.5, np.inf, np.nan
+]
+
+
+@pytest.mark.parametrize("orders", [(), *ORDER_SUBSETS, (2, 0)], ids=str)
+def test_band_limited_smoothstep_is_bit_identical_to_clipped_formulas(orders):
+    # in and out of the band, the band's edges, signed zeros, infinities and
+    # NaN, flat and in a batched shape, and no points
+    t = np.array(SMOOTHSTEP_POINTS)
+    refs = (ref_smoothstep, ref_smoothstep_d1, ref_smoothstep_d2)
+    for batch in (t, np.resize(t, (3, 11)).T.copy(), t[:0], np.array(0.5)):
+        jets = _smoothstep_jet(batch, orders)
+        assert len(jets) == len(orders)
+        for order, jet in zip(orders, jets):
+            assert bitwise_equal(jet, refs[order](batch)), (order, batch)
+
+
+def test_plane_norms_are_bit_identical_to_linalg_norm():
+    rng = np.random.default_rng(1)
+    scale = 10.0 ** rng.integers(-160, 160, (5000, 1))
+    odd = [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [-0.0, -0.0], [1e308, 1e308], [1e-320, 0.0]]
+    v = np.concatenate([rng.normal(size=(5000, 2)) * scale, odd])
+    with np.errstate(over="ignore"):
+        assert bitwise_equal(_plane_norms(v), np.linalg.norm(v, axis=-1))
+        batched = v.reshape(-1, 2, 2)
+        assert bitwise_equal(_plane_norms(batched), np.linalg.norm(batched, axis=-1))
 
 
 def dense_gaussian_bundle(centers, amplitude, width, t0, t1):
@@ -1007,63 +1040,108 @@ def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
     for region, pts in regions.items():
         V = classifier.value(pts)
         J = classifier.jacobian(pts)
+        kept_V = classifier.value(pts)
         fresh_J = classifier.jacobian(pts)
-        grad, hess = pieces.grad_hess_u(pts)
         assert bitwise_equal(V, reference.value(pts)), region
+        assert bitwise_equal(kept_V, V), region
         assert bitwise_equal(J, reference.jacobian(pts)), region
         assert bitwise_equal(fresh_J, J), region
         assert bitwise_equal(classifier.level(pts), reference.level(pts)), region
-        assert bitwise_equal(grad, grad_u(pts)), region
-        assert bitwise_equal(hess, hess_u(pts)), region
+        refs = (reference.level(pts), grad_u(pts), hess_u(pts))
+        for orders in ORDER_SUBSETS:
+            for order, jet in zip(orders, pieces.u(pts, orders)):
+                assert bitwise_equal(jet, refs[order]), (region, orders)
     z = _newton_points(classifier, 161, 60)
     assert bitwise_equal(z, dense_newton_points(reference, 60))
 
 
 def counted_classifier(k):
-    """A fresh disk classifier and the list of point counts of its passes."""
+    """A fresh disk classifier and the list of its passes: "jet" for the
+    V and J pass, "value" for the V-only pass."""
     pieces = _assemble_pieces(k, _disk_params(k))
     passes = []
+    kinds = {(1,): "value", (1, 2): "jet"}
 
-    def grad_hess_u(pts):
-        passes.append(np.shape(pts)[:-1])
-        return pieces.grad_hess_u(pts)
+    def u(pts, orders):
+        passes.append(kinds.get(tuple(orders), "level"))
+        return pieces.u(pts, orders)
 
-    return _classifier_from_pieces(dataclasses.replace(pieces, grad_hess_u=grad_hess_u)), passes
+    return _classifier_from_pieces(dataclasses.replace(pieces, u=u)), passes
 
 
 def test_classifier_memo_serves_only_the_same_bytes():
     classifier, passes = counted_classifier(7)
 
-    def check(pts, want_passes):
-        # a fresh classifier has nothing kept, so its jacobian runs the pass
+    def check(pts, want_jets, want_values):
+        # a fresh classifier has nothing kept, so its value runs the V-only pass
         fresh, _ = counted_classifier(7)
-        assert bitwise_equal(classifier.jacobian(pts), fresh.jacobian(pts))
-        assert len(passes) == want_passes
+        assert bitwise_equal(classifier.value(pts), fresh.value(pts))
+        assert (passes.count("jet"), passes.count("value")) == (want_jets, want_values)
 
     base = np.random.default_rng(8).uniform(-0.3, 0.3, (50, 2))
     base[0] = 0.0
-    classifier.value(base)
-    check(base.copy(), 1)  # same bytes: value's pass serves the jacobian
-    check(base, 2)  # the entry was taken; a second jacobian runs the pass
+    classifier.jacobian(base)
+    check(base.copy(), 1, 0)  # same bytes: the jacobian's pass serves the value
+    check(base, 1, 1)  # the entry was taken; a second value runs the V-only pass
     a = base.copy()
-    classifier.value(a)
-    a[3, 0] += 1e-3  # changed in place after value
-    check(a, 4)
-    classifier.value(base)
-    check(base[:10], 6)  # another shape
-    classifier.value(base)
-    check(base.reshape(5, 10, 2), 8)  # the same bytes in another shape
+    classifier.jacobian(a)
+    a[3, 0] += 1e-3  # changed in place after jacobian
+    check(a, 2, 2)
+    classifier.jacobian(base)
+    check(base[:10], 3, 3)  # another shape
+    classifier.jacobian(base)
+    check(base.reshape(5, 10, 2), 4, 4)  # the same bytes in another shape
     negative = base.copy()
     negative[0] = -0.0
-    classifier.value(base)
-    check(negative, 10)  # -0.0 == 0.0, but the bytes differ
+    classifier.jacobian(base)
+    check(negative, 5, 5)  # -0.0 == 0.0, but the bytes differ
     nan_row = base.copy()
     nan_row[5] = np.nan
-    classifier.value(nan_row)
-    check(nan_row.copy(), 11)  # NaN != NaN, but the bytes match
+    classifier.jacobian(nan_row)
+    check(nan_row.copy(), 6, 5)  # NaN != NaN, but the bytes match
+    classifier.jacobian(base)
+    classifier.jacobian(a)
+    check(base, 8, 6)  # only the last jacobian call is kept
     classifier.value(base)
-    classifier.value(a)
-    check(base, 14)  # only the last value call is kept
+    check(base, 8, 8)  # a value call keeps nothing
+    J = classifier.jacobian(base)
+    assert passes.count("jet") == 9  # nor does it serve a jacobian
+    assert bitwise_equal(J, counted_classifier(7)[0].jacobian(base))
+
+
+def v_only_inputs():
+    """Every point set the disk code passes to the classifier's ``value``
+    alone, and odd points."""
+    t = np.linspace(0.0, math.tau, 2048, endpoint=False)
+    return {
+        "seed grid": _disk_grid(0.98, 161),
+        "portrait grid": _disk_grid(0.98, 41),
+        "boundary annulus": _annulus_grid(0.8, 1.0, 24, 128),
+        "winding circle": 0.9 * np.stack([np.cos(t), np.sin(t)], axis=-1),
+        "odd points": np.array(
+            [[np.nan, 0.0], [0.2, np.nan], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0],
+             [-0.0, 0.45], [np.inf, 0.0], [0.0, -np.inf]]
+        ),
+        "empty": np.zeros((0, 2)),
+        "batched": _disk_grid(0.98, 41)[:1200].reshape(40, 30, 2),
+    }
+
+
+@pytest.mark.parametrize("k", range(1, 20, 2))
+def test_value_only_pass_is_bit_identical_to_the_fused_pass(k):
+    if k == 1:
+        classifier, passes = construct_xi_prime(1).classifier, None
+    else:
+        classifier, passes = counted_classifier(k)
+    for region, pts in v_only_inputs().items():
+        before = len(passes) if passes is not None else 0
+        with np.errstate(invalid="ignore"):  # the odd points give NaN
+            alone = classifier.value(pts)
+            classifier.jacobian(pts)
+            fused = classifier.value(pts)  # kept by the jacobian call
+        assert bitwise_equal(alone, fused), region
+        if passes is not None:
+            assert passes[before:] == ["value", "jet"], region
 
 
 @pytest.mark.parametrize("layout", ["disk-k7", "scattered", "disk-k19"])
@@ -1087,14 +1165,16 @@ def test_local_gaussian_bundle_is_bit_identical_to_dense_sum(layout):
     far = rng.uniform(2.0, 50.0, (300, 1)) * rng.choice([-1.0, 1.0], (300, 2))
     pts = np.concatenate([rng.uniform(-1.0, 1.0, (2000, 2)), rim.reshape(-1, 2), far, centers])
 
-    value, jet = _gaussian_bundle(centers, 0.85, width, t0, t1)
-    ref_value, ref_grad, ref_hess = dense_gaussian_bundle(centers, 0.85, width, t0, t1)
-    # flat and batched shapes; far points alone and no points reach no bump
+    bundle = _gaussian_bundle(centers, 0.85, width, t0, t1)
+    refs = dense_gaussian_bundle(centers, 0.85, width, t0, t1)
+    # flat and batched shapes; far points alone and no points reach no bump;
+    # each set of orders is its own pass, the gradient-only one included
     for batch in (pts, pts[:2000].reshape(40, 50, 2), far, pts[:0]):
-        grad, hess = jet(batch)
-        assert bitwise_equal(value(batch), ref_value(batch))
-        assert bitwise_equal(grad, ref_grad(batch))
-        assert bitwise_equal(hess, ref_hess(batch))
+        for orders in ORDER_SUBSETS:
+            jets = bundle(batch, orders)
+            assert len(jets) == len(orders)
+            for order, jet in zip(orders, jets):
+                assert bitwise_equal(jet, refs[order](batch)), (orders, order)
 
 
 def test_disk_form_k1_is_exact():
