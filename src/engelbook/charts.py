@@ -38,6 +38,7 @@ __all__ = [
     "TwoForm",
     "VectorField",
     "batch_eval_scalars",
+    "dependent_axes",
     "differential",
     "exterior_derivative",
     "interior_product",
@@ -299,13 +300,12 @@ class Chart:
         return axes
 
     def sample_grid(self, n_per_axis: int) -> np.ndarray:
-        axes = self.sample_axes(n_per_axis)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return _product_grid(self.sample_axes(n_per_axis))
 
-    def grid_for_min_points(self, min_points: int) -> np.ndarray:
-        n = max(2, math.ceil(min_points ** (1.0 / self.dim)))
-        return self.sample_grid(n)
+    def axes_for_min_points(self, min_points: int) -> list[np.ndarray]:
+        """Sample axes of equal length, at least 2, whose product grid has at
+        least ``min_points`` points."""
+        return self.sample_axes(max(2, math.ceil(min_points ** (1.0 / self.dim))))
 
     def sample_random(self, n: int, rng: np.random.Generator) -> np.ndarray:
         cols = []
@@ -313,6 +313,12 @@ class Chart:
             lo, hi = (b.lo, b.hi) if c.is_angular else b.sample_range()
             cols.append(rng.uniform(lo, hi, size=n))
         return np.stack(cols, axis=-1)
+
+
+def _product_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The (n, len(axes)) points of the product of ``axes``, the last varying fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 # -- fields and forms ---------------------------------------------------------
@@ -555,17 +561,35 @@ class IntegerAffineMap:
 # -- batch evaluation and rank -------------------------------------------------
 
 
+def dependent_axes(scalars: Sequence[ScalarLike]) -> tuple[int, ...]:
+    """The coordinate axes that some of ``scalars`` read, in increasing order.
+
+    An ``Expr`` reads axis i when one of its terms has a nonzero power or
+    frequency in it; its evaluator never looks at any other axis, so its
+    values do not change along one.  A ``NumericScalar`` reads every axis.
+    """
+    read: set[int] = set()
+    for s in scalars:
+        if isinstance(s, NumericScalar):
+            return tuple(range(len(s.coords)))
+        for t in s.terms:
+            read.update(i for i, (p, k) in enumerate(zip(t.powers, t.freqs)) if p or k)
+    return tuple(sorted(read))
+
+
 def batch_eval_scalars(scalars: Sequence[ScalarLike], pts: np.ndarray) -> np.ndarray:
     """Evaluate scalars on (..., dim) points; result has shape (..., len(scalars)).
 
-    A zero ``Expr`` is not compiled: its column is ``np.zeros``, the +0.0
-    its evaluator would give at every point, NaN points included.
+    An ``Expr`` that reads no coordinate is not compiled: its column is
+    ``np.full`` of ``0.0 + coeff`` (+0.0 for the zero ``Expr``), the bits its
+    evaluator would give at every point, NaN points included.  A canonical
+    ``Expr`` of that kind has at most one term.
     """
     pts = np.asarray(pts, float)
     shape = pts.shape[:-1]
     cols = [
-        np.zeros(shape)
-        if isinstance(s, Expr) and not s.terms
+        np.full(shape, sum((t.coeff for t in s.terms), 0.0))
+        if isinstance(s, Expr) and len(s.terms) <= 1 and not dependent_axes([s])
         else np.broadcast_to(np.asarray(s.compile()(pts), float), shape)
         for s in scalars
     ]
@@ -618,23 +642,21 @@ def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray,
     the rank, i.e. the margin by which the rank certificate holds.  A
     negative ``tol`` would count zero singular values and is rejected.
 
-    Matrices with the same bytes share one SVD: each distinct matrix is
-    decomposed once and its singular values are scattered back to every
-    repeat.  A matrix's SVD does not depend on the rest of its batch, so
-    the result is bitwise equal to decomposing every matrix.  A matrix
-    with a non-finite entry gets rank 0 and gap 0, so it fails any rank
-    certificate instead of passing it or raising.
+    A matrix with a non-finite entry gets rank 0 and gap 0, so it fails any
+    rank certificate instead of passing it or raising.  ``mats`` is never
+    written: a stack is copied only when it holds such a matrix.
     """
     if not tol >= 0:
         raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
     mats = np.asarray(mats, dtype=float)
     *batch, r, d = mats.shape
     flat = mats.reshape(-1, r, d)
-    first, inverse = _distinct_matrices(flat)
-    distinct = flat[first]
-    # a zero matrix stands in for a non-finite one: its singular values are 0
-    distinct[~np.isfinite(distinct).all(axis=(-2, -1))] = 0.0
-    s = np.linalg.svd(distinct, compute_uv=False)[inverse].reshape(*batch, min(r, d))
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    if not finite.all():
+        # a zero matrix stands in for a non-finite one: its singular values are 0
+        flat = flat.copy()
+        flat[~finite] = 0.0
+    s = np.linalg.svd(flat, compute_uv=False).reshape(*batch, min(r, d))
     ranks = (s > tol).sum(axis=-1)
     idx = np.maximum(ranks - 1, 0)
     gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)

@@ -6,11 +6,19 @@ worst margin over the sample in ``min_gap``; vanishing certificates report
 the worst residual there instead, and pass when it is at most ``tol``.
 Checks with an exact and a numeric route run both and refuse to pass when
 the routes disagree.
+
+The sample is a product grid over the chart, but a check evaluates its
+fields only on the axes they read (``charts.dependent_axes``), each other
+axis held at its first sample, where the values do not change along it.
+Its margins are spread back over the full grid, so ``points``, the worst
+margin and the worst-first failures are those of the full grid.  Given
+points are evaluated as they are.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -21,8 +29,9 @@ from .charts import (
     OneForm,
     TwoForm,
     VectorField,
-    _distinct_matrices,
+    _product_grid,
     batch_eval_scalars,
+    dependent_axes,
     exterior_derivative,
     field_matrix,
     lie_bracket,
@@ -73,32 +82,91 @@ class CheckReport:
         }
 
 
-def _grid(chart: Chart, points, min_points: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Sample:
+    """The points a check evaluates on, and the sample they stand for.
+
+    On a grid, ``pts`` is the product of the full grid's ``axes`` with each
+    axis the check does not read cut to its first sample, ``shape`` is its
+    shape as a grid and ``full`` the full grid's.  A value at one of
+    ``pts`` stands for every full-grid point that agrees with it on the
+    read axes.  Given points stand for themselves, with ``axes`` None.
+    """
+
+    pts: np.ndarray
+    shape: tuple[int, ...]
+    full: tuple[int, ...]
+    axes: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def n_points(self) -> int:
+        return math.prod(self.full)
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Per-point values at ``pts`` to every point of the full sample, in its order."""
+        rest = values.shape[1:]
+        grid = np.broadcast_to(values.reshape(self.shape + rest), self.full + rest)
+        return grid.reshape((self.n_points,) + rest)
+
+    def point(self, i: int) -> tuple:
+        """The coordinates of point ``i`` of the full sample."""
+        if self.axes is None:
+            return tuple(self.pts[i])
+        return tuple(a[j] for a, j in zip(self.axes, np.unravel_index(i, self.full)))
+
+
+def _given_points(chart: Chart, points) -> np.ndarray:
+    """``points`` as floats, refused unless their shape is (n, chart.dim) with n >= 1."""
+    pts = np.asarray(points, float)
+    if pts.ndim != 2 or pts.shape[1] != chart.dim or len(pts) == 0:
+        raise ValueError(
+            f"points on chart {chart.name!r} must have shape (n, {chart.dim}) with n >= 1, "
+            f"got {pts.shape}"
+        )
+    return pts
+
+
+def _sample(chart: Chart, scalars, points, min_points: int) -> _Sample:
+    """The sample of a check that evaluates ``scalars``: the given ``points``,
+    or the grid of at least ``min_points`` reduced to the axes they read."""
     if points is not None:
-        return np.asarray(points, float)
-    return chart.grid_for_min_points(min_points)
+        pts = _given_points(chart, points)
+        return _Sample(pts, pts.shape[:1], pts.shape[:1])
+    axes = tuple(chart.axes_for_min_points(min_points))
+    read = dependent_axes(scalars)
+    cut = [a if i in read else a[:1] for i, a in enumerate(axes)]
+    full = tuple(len(a) for a in axes)
+    return _Sample(_product_grid(cut), tuple(len(a) for a in cut), full, axes)
+
+
+def _components(fields) -> list:
+    return [c for f in fields for c in f.components]
 
 
 def _failures(
     chart: Chart,
-    pts: np.ndarray,
+    sample: _Sample,
     bad: np.ndarray,
     values: np.ndarray,
     margins: np.ndarray | None = None,
 ) -> tuple[dict, ...]:
-    """The ``MAX_FAILURES`` worst bad points and their ``values``.
+    """The ``MAX_FAILURES`` worst bad points of the full sample and their ``values``.
 
-    Worst means the smallest margin; ``margins`` defaults to ``values``,
-    and a non-finite margin is the worst of all.  Points with equal margins
-    keep their grid order.
+    ``bad``, ``values`` and ``margins`` are given at ``sample.pts``.  Worst
+    means the smallest margin; ``margins`` defaults to ``values``, and a
+    non-finite margin is the worst of all.  Points with equal margins keep
+    their grid order.
     """
+    if not bad.any():
+        return ()
+    bad, values = sample.spread(bad), sample.spread(values)
+    rank = values if margins is None else sample.spread(margins)
     idx = np.nonzero(bad)[0]
-    rank = values if margins is None else margins
     rank = np.where(np.isfinite(rank), rank, -np.inf)
     idx = idx[np.argsort(rank[idx], kind="stable")][:MAX_FAILURES]
     out = []
     for i in idx:
-        point = {c.name: float(pts[i, k]) for k, c in enumerate(chart.coords)}
+        point = {c.name: float(x) for c, x in zip(chart.coords, sample.point(i))}
         out.append({"point": point, "value": float(values[i])})
     return tuple(out)
 
@@ -133,16 +201,16 @@ def contact_structure_check(
     chart = alpha.chart
     if chart.dim != 3:
         raise ValueError("contact_structure_check expects a 3-dimensional chart")
-    pts = _grid(chart, points, min_points)
     (_, coeff), = wedge_top(alpha, exterior_derivative(alpha))
-    vals = batch_eval_scalars([coeff], pts)[:, 0]
+    sample = _sample(chart, [coeff], points, min_points)
+    vals = batch_eval_scalars([coeff], sample.pts)[:, 0]
     bad = _below(vals, DEFAULT_THRESHOLD)
     return CheckReport(
         name=name,
         passed=not bad.any(),
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(vals.min()),
-        failures=_failures(chart, pts, bad, vals),
+        failures=_failures(chart, sample, bad, vals),
         details={"route": "form", "orientation": "coordinate"},
     )
 
@@ -161,17 +229,17 @@ def even_contact_form_check(
     chart = alpha.chart
     if chart.dim != 4:
         raise ValueError("even_contact_form_check expects a 4-dimensional chart")
-    pts = _grid(chart, points, min_points)
     coeffs = [c for _, c in wedge_top(alpha, exterior_derivative(alpha))]
-    vals = batch_eval_scalars(coeffs, pts)
+    sample = _sample(chart, coeffs, points, min_points)
+    vals = batch_eval_scalars(coeffs, sample.pts)
     norms = np.linalg.norm(vals, axis=-1)
     bad = _below(norms, DEFAULT_THRESHOLD)
     return CheckReport(
         name=name,
         passed=not bad.any(),
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(norms.min()),
-        failures=_failures(chart, pts, bad, norms),
+        failures=_failures(chart, sample, bad, norms),
         details={"route": "form"},
     )
 
@@ -194,12 +262,11 @@ def even_contact_span_check(
     chart = frame[0].chart
     if chart.dim != 4:
         raise ValueError("even_contact_span_check expects a 4-dimensional chart")
-    pts = _grid(chart, points, min_points)
-
-    brackets = [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
-    mats = field_matrix(list(frame) + brackets, pts)
+    fields = list(frame) + [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
+    sample = _sample(chart, _components(fields), points, min_points)
+    mats = field_matrix(fields, sample.pts)
     steps = {3: pointwise_rank(mats[:, :3], tol), 4: pointwise_rank(mats, tol)}
-    return _rank_report(name, chart, pts, {"route": "span"}, steps)
+    return _rank_report(name, chart, sample, {"route": "span"}, steps)
 
 
 def engel_check(
@@ -210,8 +277,8 @@ def engel_check(
     name: str = "engel",
 ) -> CheckReport:
     """Engel condition for a 2-frame: ranks grow 2 -> 3 -> 4 under brackets."""
-    chart, pts, _, steps = _engel_stack(pair, points, min_points, tol)
-    return _rank_report(name, chart, pts, {}, steps)
+    chart, sample, _, steps = _engel_stack(pair, points, min_points, tol)
+    return _rank_report(name, chart, sample, {}, steps)
 
 
 # rows of the Engel stack (x1, x2, x12, x112, x212) that make the bracket
@@ -230,54 +297,51 @@ def _engel_and_bracket_span(
     from one evaluation of the Engel stack.
 
     The span frame's brackets are Engel's x12, x112 and x212, so its matrix
-    is a row selection of the Engel stack with the same bits, and its rank-3
-    step is Engel's.  Equal Engel matrices give equal span matrices, so the
-    span's rank step runs on the distinct Engel matrices only and is
-    scattered back; the full (n, 6, 4) selection is never built.  Both
-    reports equal those of the two public checks.
+    is a row selection of the Engel stack with the same bits, its fields
+    read the same axes, and its rank-3 step is Engel's.  Both reports equal
+    those of the two public checks.
     """
-    chart, pts, mats, steps = _engel_stack(pair, None, min_points, tol)
-    first, inverse = _distinct_matrices(mats)
-    ranks, gaps = pointwise_rank(mats[first][:, _BRACKET_SPAN_ROWS], tol)
-    span_steps = {3: steps[3], 4: (ranks[inverse], gaps[inverse])}
+    chart, sample, mats, steps = _engel_stack(pair, None, min_points, tol)
+    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol)}
     return (
-        _rank_report(names[0], chart, pts, {}, steps),
-        _rank_report(names[1], chart, pts, {"route": "span"}, span_steps),
+        _rank_report(names[0], chart, sample, {}, steps),
+        _rank_report(names[1], chart, sample, {"route": "span"}, span_steps),
     )
 
 
 def _engel_stack(pair, points, min_points, tol):
-    """Chart, grid, the (n, 5, 4) stack of x1, x2 and their brackets x12,
-    x112, x212, and its rank steps {2, 3, 4: (ranks, gaps)}."""
+    """Chart, sample, the (n, 5, 4) stack of x1, x2 and their brackets x12,
+    x112, x212 at the sample's points, and its rank steps {2, 3, 4: (ranks, gaps)}."""
     if len(pair) != 2:
         raise ValueError("engel_check expects a pair of fields")
     x1, x2 = pair
     chart = x1.chart
     if chart.dim != 4:
         raise ValueError("engel_check expects a 4-dimensional chart")
-    pts = _grid(chart, points, min_points)
 
     x12 = lie_bracket(x1, x2)
     x112 = lie_bracket(x1, x12)
     x212 = lie_bracket(x2, x12)
 
-    mats = field_matrix([x1, x2, x12, x112, x212], pts)
+    fields = [x1, x2, x12, x112, x212]
+    sample = _sample(chart, _components(fields), points, min_points)
+    mats = field_matrix(fields, sample.pts)
     steps = {
         2: pointwise_rank(mats[:, :2], tol),
         3: pointwise_rank(mats[:, :3], tol),
         4: pointwise_rank(mats, tol),
     }
-    return chart, pts, mats, steps
+    return chart, sample, mats, steps
 
 
-def _rank_report(name, chart, pts, details, steps) -> CheckReport:
+def _rank_report(name, chart, sample, details, steps) -> CheckReport:
     """A rank-growth certificate from ``{expected rank: (ranks, gaps)}``.
 
     A point is bad where any step misses its rank; its margin is its
     smallest gap over the steps, and ``details["rank<r>_gap"]`` is each
     step's worst gap.
     """
-    bad = np.zeros(len(pts), dtype=bool)
+    bad = np.zeros(len(sample.pts), dtype=bool)
     gaps = None
     for want, (ranks, step_gaps) in steps.items():
         bad |= ranks != want
@@ -286,9 +350,9 @@ def _rank_report(name, chart, pts, details, steps) -> CheckReport:
     return CheckReport(
         name=name,
         passed=not bad.any(),
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(gaps.min()),
-        failures=_failures(chart, pts, bad, gaps),
+        failures=_failures(chart, sample, bad, gaps),
         details=details,
     )
 
@@ -308,16 +372,16 @@ def isotropic_line_check(
     the kernel distribution, and W itself nonvanishing.
     """
     chart = alpha.chart
-    pts = _grid(chart, points, min_points)
     omega = exterior_derivative(alpha)
 
     alpha_w = alpha.apply(w)
     residual_scalars = [alpha_w]
     residual_scalars.extend(omega.apply(w, e) for e in spanning)
-    residuals = np.abs(batch_eval_scalars(residual_scalars, pts))
+    sample = _sample(chart, residual_scalars + list(w.components), points, min_points)
+    residuals = np.abs(batch_eval_scalars(residual_scalars, sample.pts))
     worst_residual = float(residuals.max())
 
-    wmat = field_matrix([w], pts)[:, 0, :]
+    wmat = field_matrix([w], sample.pts)[:, 0, :]
     norms = np.linalg.norm(wmat, axis=-1)
     bad = _above(residuals.max(axis=-1), tol) | _below(norms, DEFAULT_THRESHOLD)
     details = {
@@ -330,9 +394,9 @@ def isotropic_line_check(
     return CheckReport(
         name=name,
         passed=not bad.any(),
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(norms.min()),
-        failures=_failures(chart, pts, bad, norms),
+        failures=_failures(chart, sample, bad, norms),
         details=details,
     )
 
@@ -367,10 +431,10 @@ def contact_vector_field_check(
     verdicts must agree.
     """
     chart = alpha.chart
-    pts = _grid(chart, points, min_points)
     lie = lie_derivative_oneform(L, alpha)
     wedge = _oneform_wedge(lie, alpha)
-    vals = np.abs(batch_eval_scalars(list(wedge.components), pts))
+    sample = _sample(chart, wedge.components, points, min_points)
+    vals = np.abs(batch_eval_scalars(list(wedge.components), sample.pts))
     residual = vals.max(axis=-1)
     numeric_pass = bool(residual.max() <= tol)
     details: dict = {"route": "cartan+wedge", "max_residual": float(residual.max())}
@@ -387,9 +451,9 @@ def contact_vector_field_check(
     return CheckReport(
         name=name,
         passed=passed,
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(residual.max()),
-        failures=_failures(chart, pts, bad, residual, margins=-residual),
+        failures=_failures(chart, sample, bad, residual, margins=-residual),
         details=details,
     )
 
@@ -410,12 +474,12 @@ def fibration_transversality_check(
     Requires d(theta) = 0 and theta(W) bounded away from zero with one sign.
     """
     chart = theta.chart
-    pts = _grid(chart, points, min_points)
-
     dtheta = exterior_derivative(theta)
-    closed_residual = float(np.abs(batch_eval_scalars(list(dtheta.components), pts)).max())
+    pairing_scalar = theta.apply(w)
+    sample = _sample(chart, [*dtheta.components, pairing_scalar], points, min_points)
+    closed_residual = float(np.abs(batch_eval_scalars(list(dtheta.components), sample.pts)).max())
 
-    pairing = batch_eval_scalars([theta.apply(w)], pts)[:, 0]
+    pairing = batch_eval_scalars([pairing_scalar], sample.pts)[:, 0]
     margins = np.abs(pairing)
     same_sign = bool((pairing > 0).all() or (pairing < 0).all())
     bad = _below(margins, DEFAULT_THRESHOLD)
@@ -423,9 +487,9 @@ def fibration_transversality_check(
     return CheckReport(
         name=name,
         passed=passed,
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(margins.min()),
-        failures=_failures(chart, pts, bad, pairing, margins=margins),
+        failures=_failures(chart, sample, bad, pairing, margins=margins),
         details={
             "closed_residual": closed_residual,
             "sign": "positive" if pairing.max() > 0 else "negative",
@@ -505,14 +569,14 @@ def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
     from .foliation import torus_slope
 
     chart = piece.chart
-    pts = _grid(chart, points, min_points)
     w = piece.w_field
 
     # tangency to the tori: the normal coordinate component of W vanishes
     normal = piece.torus_normal.apply(w)
-    residual = float(np.abs(batch_eval_scalars([normal], pts)).max())
+    sample = _sample(chart, [normal, *w.components], points, min_points)
+    residual = float(np.abs(batch_eval_scalars([normal], sample.pts)).max())
 
-    wmat = field_matrix([w], pts)[:, 0, :]
+    wmat = field_matrix([w], sample.pts)[:, 0, :]
     norms = np.linalg.norm(wmat, axis=-1)
 
     slope_errors = []
@@ -526,9 +590,9 @@ def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
     return CheckReport(
         name="adapted_collar",
         passed=passed,
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(norms.min()),
-        failures=_failures(chart, pts, bad, norms),
+        failures=_failures(chart, sample, bad, norms),
         details={
             "tangency_residual": residual,
             "slope_residual": float(slope_residual),
@@ -556,15 +620,10 @@ def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
         chart.name, tuple(chart.coords[i] for i in keep), tuple(chart.bounds[i] for i in keep)
     )
     if points is not None:
-        points = np.asarray(points, float)
-        if points.ndim != 2 or points.shape[1] != chart.dim:
-            raise ValueError(
-                f"binding points must have shape (n, {chart.dim}), got {points.shape}"
-            )
-        points = points[:, keep]
-    pts = _grid(sub_chart, points, min_points)
+        points = _given_points(chart, points)[:, keep]
+    sample = _sample(sub_chart, restricted, points, min_points)
 
-    vals = np.stack([r.compile()(pts) for r in restricted], axis=-1)
+    vals = batch_eval_scalars(restricted, sample.pts)
     trans_vals = vals[:, transverse]
     residual = float(np.abs(trans_vals).max()) if transverse else 0.0
     norms = np.linalg.norm(vals[:, keep], axis=-1)
@@ -573,8 +632,8 @@ def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
     return CheckReport(
         name="adapted_binding",
         passed=residual <= tol and not bad.any(),
-        n_points=len(pts),
+        n_points=sample.n_points,
         min_gap=float(norms.min()),
-        failures=_failures(sub_chart, pts, bad, norms),
+        failures=_failures(sub_chart, sample, bad, norms),
         details={"tangency_residual": residual, "locus": {k: float(v) for k, v in sorted(locus.items())}},
     )

@@ -15,6 +15,7 @@ from engelbook.charts import (
     Interval,
     NumericScalar,
     batch_eval_scalars,
+    dependent_axes,
     differential,
     exterior_derivative,
     field_matrix,
@@ -299,8 +300,8 @@ class TestSamplingAndRank:
         assert r.max() <= 1.0 - 1e-3 + 1e-15
 
     def test_grid_for_min_points(self):
-        pts = DARBOUX.grid_for_min_points(1000)
-        assert pts.shape[0] >= 1000
+        axes = DARBOUX.axes_for_min_points(1000)
+        assert [len(a) for a in axes] == [6] * 4  # 6^4 = 1296 >= 1000 > 5^4
 
     def test_pointwise_rank_counts_and_gap(self):
         chart = DARBOUX
@@ -392,17 +393,6 @@ def test_pointwise_rank_is_bitwise_equal_to_svd_loop(mats):
     assert gaps.dtype == want_gaps.dtype and gaps.tobytes() == want_gaps.tobytes()
 
 
-def test_pointwise_rank_survives_hash_collisions(monkeypatch):
-    # a zero multiplier hashes every matrix to 0: each matrix whose bytes
-    # differ from the first one's must still get its own SVD
-    monkeypatch.setattr(charts, "_HASH_PRIME", np.uint64(0))
-    for mats in (_stack_with_repeats(), _signed_zeros(), _rank_deficient()):
-        ranks, gaps = pointwise_rank(mats)
-        want_ranks, want_gaps = svd_loop_rank(mats)
-        assert np.array_equal(ranks, want_ranks)
-        assert gaps.tobytes() == want_gaps.tobytes()
-
-
 @pytest.mark.parametrize("shape", [(1, 2), (3, 4), (5, 4)])
 def test_sign_flipped_pairs_get_their_own_groups(shape):
     # an odd multiplier alone carries a flipped sign bit to the top bit of
@@ -430,10 +420,24 @@ def test_distinct_matrices_without_repeats_are_their_own_groups():
     first, inverse = charts._distinct_matrices(mats)
     assert first.tolist() == inverse.tolist() == list(range(40))
     assert [len(a) for a in charts._distinct_matrices(mats[:0])] == [0, 0]
-    want_ranks, want_gaps = svd_loop_rank(mats)
+
+
+@pytest.mark.parametrize("non_finite", [False, True], ids=["finite", "non-finite"])
+def test_pointwise_rank_is_an_svd_loop_and_leaves_its_input_unwritten(non_finite):
+    mats = _stack_with_repeats(n=40)
+    if non_finite:
+        mats[[3, 17, 18]] = mats[3]  # repeats of a matrix that turns non-finite
+        mats[3, 0, 0] = mats[17, 2, 1] = mats[18, 4, 3] = np.nan
+        mats[25, 1, 1] = np.inf
+    before = mats.copy()
+    mats.flags.writeable = False
     ranks, gaps = pointwise_rank(mats)
+    assert mats.tobytes() == before.tobytes()
+    finite = np.isfinite(before).all(axis=(-2, -1))
+    want_ranks, want_gaps = svd_loop_rank(np.where(finite[:, None, None], before, 0.0))
     assert np.array_equal(ranks, want_ranks)
     assert gaps.tobytes() == want_gaps.tobytes()
+    assert (ranks[~finite] == 0).all() and (gaps[~finite] == 0.0).all()
 
 
 def test_pointwise_rank_gives_non_finite_matrices_rank_zero():
@@ -459,7 +463,6 @@ def test_pointwise_rank_gives_non_finite_matrices_rank_zero():
     st.integers(0, 2**32 - 1),
 )
 def test_pointwise_rank_with_repeats_matches_svd_loop(n, rows, cols, copies, seed):
-    # repeated matrices share one SVD; the result must not show it
     rng = np.random.default_rng(seed)
     mats = rng.normal(size=(n, rows, cols))
     zero = rng.random(mats.shape) < 0.2
@@ -473,7 +476,7 @@ def test_pointwise_rank_with_repeats_matches_svd_loop(n, rows, cols, copies, see
 
 
 def compile_every_scalar(scalars, pts):
-    """``batch_eval_scalars`` before zero columns skipped the compile."""
+    """``batch_eval_scalars`` before constant columns skipped the compile."""
     pts = np.asarray(pts, float)
     cols = [np.broadcast_to(np.asarray(s.compile()(pts), float), pts.shape[:-1]) for s in scalars]
     return np.stack(cols, axis=-1)
@@ -499,3 +502,23 @@ def test_batch_eval_scalars_zero_columns_match_the_compiled_path(shape):
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     for j in (0, 4):
         assert not np.signbit(got[..., j]).any()
+
+
+class TestDependentAxes:
+    def test_zero_and_constant_read_nothing(self):
+        assert dependent_axes([]) == ()
+        assert dependent_axes([SHEAR_CHART.zero(), SHEAR_CHART.const(-2.5)]) == ()
+        # a term whose powers cancel and a trig factor at frequency 0 are constants
+        assert dependent_axes([SHEAR_CHART.parse("r^-1*r + 3*cos(0)")]) == ()
+
+    def test_negative_laurent_power_reads_its_axis(self):
+        assert dependent_axes([SHEAR_CHART.parse("r^-2")]) == (2,)
+
+    def test_frequency_alone_reads_its_axis(self):
+        # no power of x or phi, only their frequencies in the cosine
+        assert dependent_axes([SHEAR_CHART.parse("cos(x + phi)")]) == (0, 3)
+        assert dependent_axes([DISK3.parse("sin(theta)"), DISK3.parse("y^2")]) == (1, 3)
+
+    def test_numeric_scalar_reads_every_axis(self):
+        num = NumericScalar(SHEAR_CHART.coords, lambda p: np.zeros(p.shape[:-1]))
+        assert dependent_axes([SHEAR_CHART.zero(), num]) == (0, 1, 2, 3)

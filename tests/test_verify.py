@@ -7,8 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from engelbook.charts import Chart, Interval, NumericScalar
-from engelbook.models import model_catalog
+from engelbook import verify
+from engelbook.charts import (
+    Chart,
+    Interval,
+    NumericScalar,
+    dependent_axes,
+    exterior_derivative,
+    wedge_top,
+)
+from engelbook.models import assemble, list_models, model_catalog
 from engelbook.reports import json_document, render_json
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL
 from engelbook.verify import (
@@ -402,3 +410,89 @@ class TestAdaptedness:
         assert 0.0 < report.min_gap < 1e-9
         assert not report.passed
         assert report.failures
+
+
+# -- grids reduced to the axes a check reads -------------------------------------
+
+
+def _svd_loop_rank(mats, tol=1e-9):
+    """Rank and gap from one SVD per matrix; a non-finite matrix has rank 0."""
+    *batch, r, d = mats.shape
+    flat = mats.reshape(-1, r, d)
+    s = np.zeros((len(flat), min(r, d)))
+    for i, m in enumerate(flat):
+        if np.isfinite(m).all():
+            s[i] = np.linalg.svd(m, compute_uv=False)
+    s = s.reshape(*batch, min(r, d))
+    ranks = (s > tol).sum(axis=-1)
+    idx = np.maximum(ranks - 1, 0)
+    gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)
+    return ranks, gaps
+
+
+def _reports(run):
+    return json.dumps([r.to_dict() for r in run()], sort_keys=True)
+
+
+def _full_grid_reports(monkeypatch, run):
+    """``run``'s reports when every field is evaluated on the full product
+    grid, as if it read every axis, and every matrix gets its own SVD."""
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "dependent_axes", lambda scalars: range(8))
+        patched.setattr(verify, "pointwise_rank", _svd_loop_rank)
+        return _reports(run)
+
+
+# alpha ^ dalpha = (1 - 3x^2 + 3y^2) dx dy dz reads x and y but not z, and is
+# negative near x = +-1, y = 0
+_FAILING_ALPHA = R3.one_form({"z": 1.0, "x": "-y^3", "y": "x - x^3"})
+
+
+def _catalog_and_assembled_models():
+    models = [model_catalog(name) for name, _ in list_models()]
+    models.extend(assemble(lam, k, min_points=64).model for lam, k in [(2, 3), (0, 1), (-1, 3)])
+    return models
+
+
+@pytest.mark.parametrize("min_points", [64, 1000])
+def test_reduced_grids_report_what_full_grids_report(min_points, monkeypatch):
+    models = _catalog_and_assembled_models()
+    for model in models:
+        run = lambda: model.checks(min_points=min_points)  # noqa: E731
+        assert _reports(run) == _full_grid_reports(monkeypatch, run), model.name
+    failing = lambda: [contact_structure_check(_FAILING_ALPHA, min_points=min_points)]  # noqa: E731
+    assert _reports(failing) == _full_grid_reports(monkeypatch, failing)
+
+
+def test_reduced_grid_failures_name_full_grid_points():
+    report = contact_structure_check(_FAILING_ALPHA, min_points=1000)
+    (_, coeff), = wedge_top(_FAILING_ALPHA, exterior_derivative(_FAILING_ALPHA))
+    assert dependent_axes([coeff]) == (0, 1)
+    assert not report.passed and report.n_points == 1000
+    # the worst margin sits at x = +-0.998, y nearest 0, once for each of the
+    # 10 z samples; the list keeps grid order, so it runs through z first
+    points = [f["point"] for f in report.failures]
+    assert len(points) == 5
+    assert len({(p["x"], p["y"]) for p in points}) == 1
+    z = R3.axes_for_min_points(1000)[2]
+    assert [p["z"] for p in points] == z[:5].tolist()
+    assert [f["value"] for f in report.failures] == [report.min_gap] * 5
+
+
+def test_given_points_are_evaluated_as_they_are(monkeypatch):
+    pts = R3.sample_random(50, np.random.default_rng(7))
+    pts[:, 2] = 0.25  # a z the full grid does not hold
+    run = lambda: [contact_structure_check(_FAILING_ALPHA, points=pts)]  # noqa: E731
+    assert _reports(run) == _full_grid_reports(monkeypatch, run)
+    report = run()[0]
+    assert report.n_points == 50
+    assert report.failures and all(f["point"]["z"] == 0.25 for f in report.failures)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4, 5), (0, 3), (3,), (2, 2, 3)])
+def test_given_points_must_fit_the_chart(shape):
+    alpha = R3.one_form({"z": 1.0, "x": "-y"})
+    with pytest.raises(ValueError, match=r"shape \(n, 3\) with n >= 1"):
+        contact_structure_check(alpha, points=np.zeros(shape))
+    with pytest.raises(ValueError, match=r"shape \(n, 3\) with n >= 1"):
+        fibration_transversality_check(alpha, R3.basis_vector("z"), points=np.zeros(shape))
