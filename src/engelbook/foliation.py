@@ -180,51 +180,81 @@ def _trace_leaves(
     """Fixed-step RK4 on every row of ``starts`` at once.
 
     Row j follows ``signs[j] * direction``, normalized, for at most
-    ``max_steps[j]`` steps.  ``inside`` maps (m, 2) points to an (m,) mask,
-    and ``None`` means no row exits.  A row stops when it leaves ``inside``,
-    returns within half a step of its start after more than 100 steps, or
-    spends its budget; a stopped row is frozen and no longer evaluated.
-    Returns the end points, exit flags and step counts, one row per leaf.
-    The RK4 sum keeps the one-leaf loop's order (``k + k`` is bitwise
-    ``2 * k``) and never writes the array ``direction`` returns.
+    ``max_steps[j]`` steps.  The signs are +1 or -1, one per row, or (m, d)
+    to flip single columns.  ``inside`` maps (m, 2) points to each row's
+    room, and ``None`` means no row exits.  A float room r says that the
+    row is inside when r > 0 and stays inside while it moves less than r;
+    any other dtype is a mask, ``True`` meaning inside.  A row stops when it
+    leaves ``inside``, returns within half a step of its start after more
+    than 100 steps, or spends its budget; a stopped row is frozen and no
+    longer evaluated.  Returns the end points, exit flags and step counts,
+    one row per leaf.  The RK4 sum keeps the one-leaf loop's order
+    (``k + k`` is bitwise ``2 * k``) and never writes the array
+    ``direction`` returns.
+
+    The stop tests run only on steps where a row can stop.  One step of
+    unit stages moves a row by at most ``travel = step * (1 + 1e-6)``, plus
+    the rounding of its coordinates.  So a row with room r, or at wrapped
+    distance s from its start, cannot stop on the next
+    ``floor(r / travel) - 1`` resp. ``floor((s - step / 2) / travel) - 1``
+    steps; the ``- 1`` is one step of slack for rounding.  No row closes
+    before step 101 or outlives its budget.  The loop runs the steps before
+    the nearest of these bounds with no test, then tests once and takes the
+    bounds again.  A mask bounds nothing, so it is tested on every step.  A
+    step whose points are not all finite runs the full test, so a row that
+    turns NaN or infinite stops on the same step as with a test on every
+    step.
     """
     z = np.array(starts, float)
     exited = np.zeros(len(z), bool)
     n_steps = np.array(max_steps, int)
     rows = np.flatnonzero(n_steps > 0)
-    za, z0, sa, budget = z[rows], z[rows], signs[rows, None], n_steps[rows]
+    za, z0, budget = z[rows], z[rows], n_steps[rows]
+    sa = np.asarray(signs, float)[rows]
+    if sa.ndim == 1:
+        sa = sa[:, None]
+    # a sign flip is exact and commutes with normalizing and with every
+    # rounding, so the signs scale the steps instead of the stages
+    half, full, sixth = sa * (0.5 * step), sa * step, sa * (step / 6.0)
     angular = [i for i, w in enumerate(wrap) if w]
 
     def unit(p: np.ndarray) -> np.ndarray:
-        v = sa * np.asarray(direction(p), float)
+        v = np.asarray(direction(p), float)
         n = _row_norms(v)
-        if np.count_nonzero(n < 1e-14):
+        # fmin skips NaN rows, so a vanishing row raises beside them too
+        if np.fmin.reduce(n) < 1e-14:
             raise ValueError("direction field vanishes on the traced leaf")
-        return np.divide(v, n[:, None], out=v)
+        return v / n[:, None]
 
     i = 0
+    test_at = 1  # the next step that runs the stop tests
     while len(rows):
         i += 1
         k1 = unit(za)
-        k2 = unit(za + 0.5 * step * k1)
-        k3 = unit(za + 0.5 * step * k2)
-        k4 = unit(za + step * k3)
+        k2 = unit(za + half * k1)
+        k3 = unit(za + half * k2)
+        k4 = unit(za + full * k3)
         k2 += k2
         k3 += k3
         k1 += k2
         k1 += k3
         k1 += k4
-        za = za + (step / 6.0) * k1
+        k1 *= sixth
+        za = za + k1
+        if i < test_at and math.isfinite(za.sum()):
+            continue
         done = budget == i
         if inside is not None:
-            out = ~inside(za)
+            room = np.asarray(inside(za))
+            out = ~(room > 0)
             done |= out
+        d = za - z0
+        for a in angular:
+            np.subtract((d[:, a] + math.pi) % math.tau, math.pi, out=d[:, a])
+        gap = _row_norms(d)
         # closed-leaf detection once the trace is clearly under way
         if i > 100:
-            d = za - z0
-            for a in angular:
-                np.subtract((d[:, a] + math.pi) % math.tau, math.pi, out=d[:, a])
-            done |= _row_norms(d) < 0.5 * step
+            done |= gap < 0.5 * step
         if done.any():
             stop = rows[done]
             z[stop] = za[done]
@@ -232,7 +262,23 @@ def _trace_leaves(
                 exited[stop] = out[done]
             n_steps[stop] = i
             keep = ~done
-            rows, za, z0, sa, budget = rows[keep], za[keep], z0[keep], sa[keep], budget[keep]
+            rows, za, z0, half, full, sixth, budget, gap = (
+                a[keep] for a in (rows, za, z0, half, full, sixth, budget, gap)
+            )
+            if inside is not None:
+                room = room[keep]
+        if not len(rows) or not math.isfinite(za.sum()):
+            test_at = i + 1
+            continue
+        # the rounding of za + k1 moves a row by at most half an ulp of the
+        # largest coordinate it reaches before its budget runs out
+        last = budget.min()
+        reach = float(np.abs(za).max()) + 2.0 * step * (last - i)
+        travel = step * (1.0 + 1e-6) + reach * 2.0**-52
+        bounds = [last, max(101, i + np.floor((gap.min() - 0.5 * step) / travel))]
+        if inside is not None:
+            bounds.append(i + np.floor(room.min() / travel) if room.dtype.kind == "f" else i + 1)
+        test_at = max(i + 1, int(min(bounds)))
     return z, exited, n_steps
 
 
@@ -279,6 +325,12 @@ def annulus_foliation_check(
     endpoint reproduces the seed within 1e-4.  Closed, trapped or non-finite
     leaves fail.  The 16 leaves are traced as one batch, and the retraces of
     the exited forward leaves as a second.
+
+    A leaf's room is its distance ``min(v - lo, hi - v)`` to the boundary
+    circles; ``room > 0`` is bitwise ``lo < v < hi``, and false for NaN.  A
+    leaf moves by at most one step and a millionth per RK4 step, so the
+    tracer skips the exit test on the steps a leaf's room cannot run out,
+    and runs it on every step where a leaf is not finite.
     """
     from .verify import MAX_FAILURES, CheckReport
 
@@ -288,13 +340,17 @@ def annulus_foliation_check(
     max_arc = _LEAF_ARC_FACTOR * (hi - lo)
     form = pulled.compile()
 
+    # the kernel direction (-c2, c1) of c1 du + c2 dv: the tracer's
+    # per-column signs flip c2, so the reversed view is never copied
     def direction(pts: np.ndarray) -> np.ndarray:
-        v = form(pts)[..., ::-1].copy()
-        np.negative(v[..., 0], out=v[..., 0])
-        return v
+        return form(pts)[..., ::-1]
 
+    kernel = np.array([-1.0, 1.0])
+
+    # room to either boundary circle: v - lo > 0 exactly when lo < v, NaN
+    # included, and moving by less than the room keeps a row inside
     def inside(z: np.ndarray) -> np.ndarray:
-        return (lo < z[:, 1]) & (z[:, 1] < hi)
+        return np.minimum(z[:, 1] - lo, hi - z[:, 1])
 
     n = _LEAF_SEEDS
     mid = 0.5 * (lo + hi)
@@ -306,7 +362,7 @@ def annulus_foliation_check(
     ends, exits, steps = _trace_leaves(
         direction,
         np.concatenate([seeds, seeds]),
-        np.repeat([1.0, -1.0], n),
+        np.repeat([1.0, -1.0], n)[:, None] * kernel,
         step,
         np.full(2 * n, int(math.ceil(max_arc / step))),
         inside,
@@ -318,7 +374,7 @@ def annulus_foliation_check(
     backs, _, _ = _trace_leaves(
         direction,
         ends[retraced],
-        np.full(len(retraced), -1.0),
+        np.full((len(retraced), 1), -1.0) * kernel,
         step,
         steps[retraced],
         None,

@@ -7,8 +7,6 @@ so that two runs with the same configuration produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Iterable, Sequence
@@ -113,27 +111,18 @@ def portrait_rows(disk: DiskContactForm, grid_n: int = 41) -> list[tuple]:
     safe = np.maximum(norm, 1e-30)
     unit = vec / safe[:, None]
     unit[singular] = 0.0
-    rows = []
-    for (u, v), (du, dv), flag in zip(pts, unit, singular):
-        rows.append(
-            (
-                round(float(u), 12),
-                round(float(v), 12),
-                round(float(du), 12),
-                round(float(dv), 12),
-                int(flag),
-            )
-        )
-    return rows
+    return [
+        (round(u, 12), round(v, 12), round(du, 12), round(dv, 12), int(flag))
+        for (u, v), (du, dv), flag in zip(pts.tolist(), unit.tolist(), singular.tolist())
+    ]
 
 
 def render_csv(rows: Iterable[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["u", "v", "direction_u", "direction_v", "singular_flag"])
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    """The rows of ``portrait_rows`` as CSV: floats by ``repr``, as
+    ``csv.writer`` writes them, and no field needs quoting."""
+    lines = ["u,v,direction_u,direction_v,singular_flag\n"]
+    lines += ["%r,%r,%r,%r,%d\n" % row for row in rows]
+    return "".join(lines)
 
 
 def render_svg(disk: DiskContactForm, grid_n: int = 25) -> str:

@@ -541,7 +541,8 @@ def adaptedness_check(
     - ``"collar"``: the kernel line must be tangent to the boundary tori
       (``piece.torus_normal`` pairs to zero) and nonvanishing (norm above
       ``DEFAULT_THRESHOLD``), and each declared torus slope must match the
-      computed one.
+      computed one.  A collar with no boundary tori fails: it certifies no
+      slope.
     - ``"binding"``: the kernel line must be tangent to the binding locus
       (transverse components vanish on ``piece.binding_locus``) and
       nonvanishing there, sampled on a grid of the locus coordinates.
@@ -586,7 +587,9 @@ def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
     slope_residual = max(slope_errors) if slope_errors else 0.0
 
     bad = _below(norms, DEFAULT_THRESHOLD)
-    passed = residual <= tol and slope_residual <= max(tol, 1e-9) and not bad.any()
+    passed = (
+        bool(slope_errors) and residual <= tol and slope_residual <= max(tol, 1e-9) and not bad.any()
+    )
     return CheckReport(
         name="adapted_collar",
         passed=passed,

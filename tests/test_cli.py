@@ -1,13 +1,17 @@
 """Exit codes, report schema, and reproducibility of the command line."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import engelbook
 from engelbook.cli import run
+from engelbook.foliation import _disk_grid, construct_xi_prime
 from engelbook.modelfile import load_model
 
 SCHEMA_KEYS = {
@@ -226,6 +230,30 @@ def test_foliation_csv_portrait(tmp_path):
     sketch = svg.read_text()
     assert sketch.startswith("<svg")
     assert sketch.count('r="5"') == 3
+
+
+def reference_portrait_csv(k, grid_n):
+    """The portrait CSV as first written: float() and round() per entry,
+    then one csv.writer row per grid point."""
+    pts = _disk_grid(0.98, grid_n)
+    vec = construct_xi_prime(k).classifier.value(pts)
+    norm = np.linalg.norm(vec, axis=-1)
+    singular = norm < 1e-8
+    unit = vec / np.maximum(norm, 1e-30)[:, None]
+    unit[singular] = 0.0
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["u", "v", "direction_u", "direction_v", "singular_flag"])
+    for (u, v), (du, dv), flag in zip(pts, unit, singular):
+        writer.writerow([round(float(x), 12) for x in (u, v, du, dv)] + [int(flag)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("k, grid", [(3, 2), (3, 8), (3, 41), (5, 41), (3, 64)])
+def test_portrait_csv_is_what_csv_writer_writes(tmp_path, k, grid):
+    out = tmp_path / "portrait.csv"
+    assert run(["foliation", "--k", str(k), "--grid", str(grid), "--out", str(out)]) == 0
+    assert out.read_bytes() == reference_portrait_csv(k, grid).encode()
 
 
 def test_foliation_rejects_even_k(capsys):

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from engelbook import charts
+from engelbook import charts, foliation
 from engelbook.charts import (
     Chart,
     Interval,
@@ -237,6 +239,14 @@ def signed(direction, sign):
     return lambda pts: sign * direction(pts)
 
 
+def band_room(lo, hi):
+    return lambda z: np.minimum(z[:, 1] - lo, hi - z[:, 1])
+
+
+def band_mask(lo, hi):
+    return lambda z: (lo < z[:, 1]) & (z[:, 1] < hi)
+
+
 def kernel_direction(pulled):
     """Reference kernel direction: one closure per component, then a stack."""
     c1, c2 = (ref_compile(c) if isinstance(c, Expr) else c.compile() for c in pulled.components)
@@ -341,16 +351,18 @@ def test_batched_tracer_is_bit_identical_to_one_leaf_loop(case):
     seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, 0.5 * (lo + hi))], -1)
     n_max = int(math.ceil(50.0 * (hi - lo) / 1e-3))
 
-    batch = _trace_leaves(
-        direction,
-        np.concatenate([seeds, seeds]),
-        np.repeat([1.0, -1.0], 8),
-        1e-3,
-        np.full(16, n_max),
-        lambda z: (lo < z[:, 1]) & (z[:, 1] < hi),
-        wrap,
-    )
-    assert_same_traces(batch, leaves)
+    # a mask is tested on every step, a room only where a leaf can exit
+    for inside in (band_mask(lo, hi), band_room(lo, hi)):
+        batch = _trace_leaves(
+            direction,
+            np.concatenate([seeds, seeds]),
+            np.repeat([1.0, -1.0], 8),
+            1e-3,
+            np.full(16, n_max),
+            inside,
+            wrap,
+        )
+        assert_same_traces(batch, leaves)
     ends, exited, n_steps = batch
     retrace = functools.partial(
         _trace_leaves,
@@ -385,15 +397,13 @@ def test_mixed_batch_exits_closes_and_runs_out_like_one_leaf_loop():
     budgets = np.array([2000, 2000, 50, 2000, 2000, 0, 2000])
     step, wrap = 1e-2, (True, False)
 
-    batch = _trace_leaves(
-        mixed_direction, starts, signs, step, budgets,
-        lambda z: (0.1 < z[:, 1]) & (z[:, 1] < 0.9), wrap,
-    )
     dense = [
         dense_trace_leaf(signed(mixed_direction, s), z, step, int(n), lambda z: 0.1 < z[1] < 0.9, wrap)
         for z, s, n in zip(starts, signs, budgets)
     ]
-    assert_same_traces(batch, dense)
+    for inside in (band_mask(0.1, 0.9), band_room(0.1, 0.9)):
+        batch = _trace_leaves(mixed_direction, starts, signs, step, budgets, inside, wrap)
+        assert_same_traces(batch, dense)
     _, exited, n_steps = batch
     # every way of finishing occurs in the one call: rows 0 and 6 exit,
     # rows 1 and 4 close up after one turn, rows 2, 3 and 5 spend their
@@ -423,15 +433,13 @@ def test_direction_returning_one_buffer_traces_like_one_leaf_loop():
     starts = np.array([[0.0, 0.6], [1.0, 0.5], [3.0, 0.45], [0.5, 0.52]])
     signs = np.array([1.0, 1.0, -1.0, 1.0])
     step, wrap = 1e-2, (True, False)
-    batch = _trace_leaves(
-        buffered, starts, signs, step, np.full(4, 700),
-        lambda z: (0.1 < z[:, 1]) & (z[:, 1] < 0.9), wrap,
-    )
     dense = [
         dense_trace_leaf(signed(mixed_direction, s), z, step, 700, lambda z: 0.1 < z[1] < 0.9, wrap)
         for z, s in zip(starts, signs)
     ]
-    assert_same_traces(batch, dense)
+    for inside in (band_mask(0.1, 0.9), band_room(0.1, 0.9)):
+        batch = _trace_leaves(buffered, starts, signs, step, np.full(4, 700), inside, wrap)
+        assert_same_traces(batch, dense)
 
 
 def test_leaf_ending_at_a_non_finite_point_does_not_cross():
@@ -478,6 +486,133 @@ def test_field_vanishing_on_one_leaf_raises():
     with pytest.raises(ValueError, match="vanishes"):
         annulus_foliation_check(vanishing, (0.05, 0.95))
 
+
+@pytest.mark.parametrize("high, far", [(np.nan, np.nan), (np.inf, -np.inf)], ids=["nan", "inf"])
+def test_leaves_turning_non_finite_trace_like_one_leaf_loop(high, far):
+    # mixed_direction, but `high` in both components above v = 0.72 and
+    # `far` in the v component beyond u = 4.4, so some rows turn non-finite
+    # partway along, both before step 101 and after
+    def direction(pts):
+        out = mixed_direction(pts)
+        out[pts[..., 1] > 0.72] = high
+        out[..., 1][pts[..., 0] > 4.4] = far
+        return out
+
+    starts = np.array(
+        [[0.0, 0.6], [1.0, 0.5], [3.0, 0.45], [4.0, 0.5], [0.5, 0.52], [5.0, 0.7], [4.35, 0.3]]
+    )
+    signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+    budgets = np.array([2000, 2000, 2000, 2000, 2000, 0, 2000])
+    step, wrap = 1e-2, (True, False)
+    for inside, dense_inside in [
+        (band_room(0.1, 0.9), lambda z: 0.1 < z[1] < 0.9),
+        (band_mask(0.1, 0.9), lambda z: 0.1 < z[1] < 0.9),
+        (None, lambda z: True),
+    ]:
+        batch = _trace_leaves(direction, starts, signs, step, budgets, inside, wrap)
+        dense = [
+            dense_trace_leaf(signed(direction, s), z, step, int(n), dense_inside, wrap)
+            for z, s, n in zip(starts, signs, budgets)
+        ]
+        assert_same_traces(batch, dense)
+        ends, exited, n_steps = batch
+        # rows 0, 1, 4 and 6 turn non-finite, one of them after step 101;
+        # a non-finite row is outside the band, and without a band it runs
+        # on to its budget
+        finite = np.isfinite(ends).all(axis=1)
+        assert finite.tolist() == [False, False, True, True, False, True, False]
+        if inside is None:
+            assert n_steps[~finite].tolist() == [2000] * 4
+        else:
+            assert exited[~finite].all()
+            assert n_steps[~finite].tolist() == [33, 341, 73, 6]
+
+
+LEAF_FIELDS = {
+    # the kernel of (1 + q cos u) du + (a + b v sin u) dv never vanishes
+    # and always crosses the band
+    "wavy": lambda q, a, b: ANNULUS.one_form(
+        {"u": 1.0 + q * ANNULUS.parse("cos(u)"), "v": a + b * ANNULUS.parse("v*sin(u)")}
+    ),
+    "slanted": lambda q, a, b: ANNULUS.one_form({"u": q, "v": 1.0}),
+    # dv: every leaf circles the annulus and closes after one turn
+    "circle": lambda q, a, b: ANNULUS.one_form({"v": 1.0}),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    field=st.sampled_from(sorted(LEAF_FIELDS)),
+    coeffs=st.tuples(*[st.floats(-0.9, 0.9)] * 3),
+    band=st.tuples(st.floats(0.05, 0.45), st.floats(0.1, 0.5)),
+    turn=st.tuples(st.integers(98, 103), st.floats(0.0, 1.0, exclude_max=True)),
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.0, math.tau),
+            st.sampled_from(["lo", "mid", "hi"]),
+            st.floats(-1.0, 1.0),
+            st.sampled_from([1.0, -1.0]),
+            st.sampled_from([0, 1, 100, 101, 102]) | st.integers(0, 250),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_horizon_skips_no_stop(field, coeffs, band, turn, rows):
+    """The tracer with a room is the one-leaf loop, bit for bit, on starts
+    within one step of an edge, at budgets around step 100, and on leaves
+    that close just before or after step 101."""
+    pulled = LEAF_FIELDS[field](*coeffs)
+    lo, hi = band[0], band[0] + band[1]
+    # a step of 2 pi / (n + f) closes a circling leaf after about n + f steps
+    step = math.tau / (turn[0] + turn[1]) if field == "circle" else 0.01
+    edge = {"lo": lo, "mid": 0.5 * (lo + hi), "hi": hi}
+    starts = np.array([[u, edge[e] + t * step] for u, e, t, _, _ in rows])
+    signs = np.array([s for *_, s, _ in rows])
+    budgets = np.array([n for *_, n in rows])
+    direction = kernel_direction(pulled)
+    c1, c2 = (ref_compile(c) for c in pulled.components)
+    wrap = (True, False)
+    for inside, dense_inside in [
+        (band_room(lo, hi), lambda z: lo < z[1] < hi),
+        (None, lambda z: True),
+    ]:
+        dense = [
+            dense_trace_leaf(signed(direction, s), z, step, int(n), dense_inside, wrap)
+            for z, s, n in zip(starts, signs, budgets)
+        ]
+        assert_same_traces(_trace_leaves(direction, starts, signs, step, budgets, inside, wrap), dense)
+        # the annulus check's form: (c2, c1) with the first column negated
+        # by the signs
+        assert_same_traces(
+            _trace_leaves(
+                lambda pts: np.stack([c2(pts), c1(pts)], -1),
+                starts, signs[:, None] * [-1.0, 1.0], step, budgets, inside, wrap,
+            ),
+            dense,
+        )
+
+
+def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
+    # a test per step was 380 calls of inside in the forward and backward
+    # batch; the displacement bound leaves a few, near the exits and at
+    # the closure horizons
+    calls = []
+
+    def counting(direction, starts, signs, step, max_steps, inside, wrap):
+        def counted(z):
+            calls.append(len(z))
+            return inside(z)
+
+        return _trace_leaves(
+            direction, starts, signs, step, max_steps, None if inside is None else counted, wrap
+        )
+
+    monkeypatch.setattr(foliation, "_trace_leaves", counting)
+    pulled, (lo, hi) = catalog_annulus("s3_openbook")
+    report = annulus_foliation_check(pulled, (lo, hi))
+    assert report.passed
+    assert 0 < len(calls) <= 20
 
 # -- singularity classification ----------------------------------------------------
 

@@ -41,6 +41,17 @@ def test_assembled_model_round_trip():
     assert glue.region["r"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_loaded_collar_without_tori_fails_adaptedness():
+    # the model file keeps no boundary tori, so the loaded collar has no
+    # slope to certify; the built one checks two
+    built = assemble(1, 5).model
+    back = load_model(dump_model(built))
+    for model, tori, passed in [(built, 2, True), (back, 0, False)]:
+        (report,) = [r for r in model.checks() if r.name == "adapted_collar"]
+        assert report.details["tori"] == tori
+        assert report.passed is passed
+
+
 def test_loaded_fields_match_originals():
     model = model_catalog("binding_Eb")
     back = load_model(dump_model(model))
