@@ -50,27 +50,23 @@ __all__ = [
 
 FD_STEP = 1e-6
 RANK_TOL = 1e-9
-_HASH_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
-_SAMPLE_MARGIN = 1e-3  # share of an open interval's span kept clear of each open end
+_SAMPLE_MARGIN = 1e-3  # share of an interval's span kept clear of each end
 
 
 @dataclass(frozen=True)
 class Interval:
-    """A coordinate range; open endpoints are avoided when sampling."""
+    """A coordinate range; sampling keeps a margin from both ends, except
+    on an angular coordinate, whose range is sampled as a period."""
 
     lo: float
     hi: float
-    lo_open: bool = True
-    hi_open: bool = True
 
     def sample_range(self) -> tuple[float, float]:
         span = self.hi - self.lo
-        lo = self.lo + _SAMPLE_MARGIN * span if self.lo_open else self.lo
-        hi = self.hi - _SAMPLE_MARGIN * span if self.hi_open else self.hi
-        return lo, hi
+        return self.lo + _SAMPLE_MARGIN * span, self.hi - _SAMPLE_MARGIN * span
 
 
-_ANGULAR_INTERVAL = Interval(0.0, math.tau, lo_open=False, hi_open=True)
+_ANGULAR_INTERVAL = Interval(0.0, math.tau)
 
 
 # -- numeric scalars ---------------------------------------------------------
@@ -474,8 +470,8 @@ def wedge_top(alpha: OneForm, omega: TwoForm) -> tuple[tuple[tuple[int, int, int
 class IntegerAffineMap:
     """A unimodular integer-affine self-map of a chart: x -> A x + b.
 
-    Pushforward and pullback stay inside the exact expression class because
-    the inverse is again integer-affine.
+    The pushforward of an exact vector field stays inside the exact
+    expression class because the inverse is again integer-affine.
     """
 
     chart: Chart
@@ -491,15 +487,10 @@ class IntegerAffineMap:
         if det not in (-1, 1):
             raise ValueError("matrix must be unimodular for an exact inverse")
 
-    def _inverse_matrix(self) -> np.ndarray:
-        a = np.array(self.matrix, dtype=float)
-        inv = np.rint(np.linalg.inv(a)).astype(int)
+    def inverse(self) -> "IntegerAffineMap":
+        inv = np.rint(np.linalg.inv(np.array(self.matrix, dtype=float))).astype(int)
         if not np.array_equal(np.array(self.matrix) @ inv, np.eye(self.chart.dim, dtype=int)):
             raise ValueError("matrix inverse is not integer")
-        return inv
-
-    def inverse(self) -> "IntegerAffineMap":
-        inv = self._inverse_matrix()
         boff = -inv @ np.array(self.offset, dtype=float)
         return IntegerAffineMap(
             self.chart,
@@ -507,55 +498,22 @@ class IntegerAffineMap:
             tuple(float(v) for v in boff),
         )
 
-    def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        a = np.array(self.matrix, dtype=float)
-        return pts @ a.T + np.array(self.offset)
-
-    def _substitution(self) -> dict[str, tuple[dict[str, int], float]]:
-        # substitute each coordinate by its image expression
-        names = self.chart.coord_names()
-        sub: dict[str, tuple[dict[str, int], float]] = {}
-        for i, name in enumerate(names):
-            linear = {names[j]: int(m) for j, m in enumerate(self.matrix[i]) if m}
-            sub[name] = (linear, float(self.offset[i]))
-        return sub
-
-    def compose_with_expr(self, f: Expr) -> Expr:
-        """f after this map, i.e. f(A x + b) as an expression in x."""
-        return f.substitute_integer_affine(self._substitution())
-
     def pushforward(self, X: VectorField) -> VectorField:
         """Transport a vector field: (f_* X)(q) = A . X(f^{-1}(q))."""
-        inv_sub = self.inverse()._substitution()
-        comps: list[ScalarLike] = []
-        for i in range(self.chart.dim):
-            acc = self.chart.zero()
-            for j, m in enumerate(self.matrix[i]):
-                if not m:
-                    continue
-                xj = X.components[j]
-                if not isinstance(xj, Expr):
-                    raise ValueError("pushforward requires exact components")
-                acc = acc + float(m) * xj.substitute_integer_affine(inv_sub)
-            comps.append(acc)
-        return VectorField(self.chart, tuple(comps), X.label)
-
-    def pullback(self, alpha: OneForm) -> OneForm:
-        """(f^* alpha)_j = sum_i A_ij (alpha_i after f)."""
-        comps: list[ScalarLike] = []
-        for j in range(self.chart.dim):
-            acc = self.chart.zero()
-            for i in range(self.chart.dim):
-                m = self.matrix[i][j]
-                if not m:
-                    continue
-                ai = alpha.components[i]
-                if not isinstance(ai, Expr):
-                    raise ValueError("pullback requires exact components")
-                acc = acc + float(m) * self.compose_with_expr(ai)
-            comps.append(acc)
-        return OneForm(self.chart, tuple(comps), alpha.label)
+        inv = self.inverse()
+        names = self.chart.coord_names()
+        images = {
+            name: ({names[j]: m for j, m in enumerate(row) if m}, b)
+            for name, row, b in zip(names, inv.matrix, inv.offset)
+        }
+        if not all(isinstance(xj, Expr) for xj in X.components):
+            raise ValueError("pushforward requires exact components")
+        moved = [xj.substitute(self.chart.coords, images) for xj in X.components]
+        comps = tuple(
+            sum((float(m) * moved[j] for j, m in enumerate(row) if m), self.chart.zero())
+            for row in self.matrix
+        )
+        return VectorField(self.chart, comps, X.label)
 
 
 # -- batch evaluation and rank -------------------------------------------------
@@ -600,39 +558,6 @@ def field_matrix(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
     """Stack field values into shape (npts, n_fields, dim)."""
     rows = [batch_eval_scalars(f.components, pts) for f in fields]
     return np.stack(rows, axis=-2)
-
-
-def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group an (n, r, d) stack by the bytes of each matrix.
-
-    Returns ``first``, the lowest index of each group, and ``inverse``,
-    each matrix's position in ``first``.  Matrices are keyed by a 64-bit
-    hash of their bytes, so the sort moves 8 bytes a matrix, and no copy
-    of the stack is made.  A matrix whose bytes differ from the first one
-    with its key (a hash collision) gets a group of its own.  When no two
-    keys are equal, every matrix is its own group and the groups come in
-    index order, without the index-keeping sort.
-    """
-    n, r, d = flat.shape
-    bits = flat.view(np.uint64)
-    words = [bits[:, i, j] for i in range(r) for j in range(d)]
-    key = np.zeros(n, np.uint64)
-    for w in words:
-        key = (key ^ w) * _HASH_PRIME
-        # an odd multiplier carries a flipped top bit straight to the top
-        # bit, so two sign flips would cancel; the shift mixes it down
-        key ^= key >> np.uint64(32)
-    ordered = np.sort(key)
-    if (ordered[1:] != ordered[:-1]).all():
-        return np.arange(n), np.arange(n)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    clash = np.zeros(n, dtype=bool)
-    for w in words:
-        clash |= w[rep] != w
-    extra = np.flatnonzero(clash)
-    inverse[extra] = len(first) + np.arange(len(extra))
-    return np.concatenate([first, extra]), inverse
 
 
 def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,6 @@ from .charts import (
     NumericScalar,
     OneForm,
     VectorField,
-    _distinct_matrices,
 )
 from .invariants import _turns, twisting_number
 from .trigpoly import (
@@ -74,6 +73,7 @@ _ZERO_RESIDUAL = 1e-10  # |V| at an accepted zero
 _DEDUPE_TOL = 1e-6
 _WINDING_SAMPLES = 2048
 _CONTACT_GRID_N = 281
+_HASH_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -84,9 +84,10 @@ class SliceEmbedding:
     """An exact embedding: each ambient coordinate is a surface coordinate
     or a constant.
 
-    Pullbacks along such embeddings stay in the exact expression class, so
-    slopes and characteristic directions computed from them carry no
-    numerical error beyond float arithmetic.
+    A pullback along such an embedding is one ``Expr.substitute`` per
+    component, so it stays in the exact expression class, and slopes and
+    characteristic directions computed from it carry no numerical error
+    beyond float arithmetic.
     """
 
     surface: Chart
@@ -103,8 +104,9 @@ class SliceEmbedding:
                 self.surface.index(value)
 
     def pullback_oneform(self, alpha: OneForm) -> OneForm:
-        consts = {n: float(v) for n, v in self.assignment.items() if not isinstance(v, str)}
-        name_map = {n: v for n, v in self.assignment.items() if isinstance(v, str)}
+        images = {
+            n: ({v: 1}, 0.0) if isinstance(v, str) else float(v) for n, v in self.assignment.items()
+        }
         comps: list[Expr] = [self.surface.zero() for _ in range(self.surface.dim)]
         for i, c in enumerate(self.ambient.coords):
             target = self.assignment[c.name]
@@ -113,9 +115,8 @@ class SliceEmbedding:
             a = alpha.components[i]
             if not isinstance(a, Expr):
                 raise ValueError("exact pullback needs exact components")
-            restricted = a.substitute_constants(consts) if consts else a
             j = self.surface.index(target)
-            comps[j] = comps[j] + restricted.with_coords(self.surface.coords, name_map)
+            comps[j] = comps[j] + a.substitute(self.surface.coords, images)
         return OneForm(self.surface, tuple(comps), alpha.label)
 
 
@@ -289,7 +290,6 @@ def trace_leaf(
     max_arc: float,
     inside: Callable[[np.ndarray], bool],
     wrap: tuple[bool, ...] = (False, False),
-    max_steps: "int | None" = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Fixed-step RK4 integration of a normalized direction field.
 
@@ -299,7 +299,7 @@ def trace_leaf(
     ``max_arc``.  ``wrap`` marks angular coordinates so closure is
     detected modulo their period.
     """
-    n_max = max_steps if max_steps is not None else int(math.ceil(max_arc / step))
+    n_max = int(math.ceil(max_arc / step))
     z, exited, n_steps = _trace_leaves(
         direction,
         np.asarray(start, float)[None, :],
@@ -470,7 +470,7 @@ def find_and_classify(
     the active set when it dies (singular Jacobian, or ``|z| >= 2``)
     or when a round leaves its ``z`` bitwise unchanged, and seeds that land
     on the bitwise same point continue as one (grouped by their bytes with
-    ``charts._distinct_matrices``).  The field is evaluated pointwise, so a
+    ``_distinct_matrices``).  The field is evaluated pointwise, so a
     fixed seed would take the same zero step in every later round and merged
     seeds would take the same steps.  The final points are therefore
     bit-identical to iterating every seed for all ``newton_iters`` rounds.
@@ -525,6 +525,39 @@ def find_and_classify(
     euler = counts["e_plus"] + counts["e_minus"] - counts["h_plus"] - counts["h_minus"]
     relative = counts["e_plus"] - counts["e_minus"] - counts["h_plus"] + counts["h_minus"]
     return SingularityReport(tuple(zeros), counts, euler, relative, degenerate)
+
+
+def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group an (n, r, d) stack by the bytes of each matrix.
+
+    Returns ``first``, the lowest index of each group, and ``inverse``,
+    each matrix's position in ``first``.  Matrices are keyed by a 64-bit
+    hash of their bytes, so the sort moves 8 bytes a matrix, and no copy
+    of the stack is made.  A matrix whose bytes differ from the first one
+    with its key (a hash collision) gets a group of its own.  When no two
+    keys are equal, every matrix is its own group and the groups come in
+    index order, without the index-keeping sort.
+    """
+    n, r, d = flat.shape
+    bits = flat.view(np.uint64)
+    words = [bits[:, i, j] for i in range(r) for j in range(d)]
+    key = np.zeros(n, np.uint64)
+    for w in words:
+        key = (key ^ w) * _HASH_PRIME
+        # an odd multiplier carries a flipped top bit straight to the top
+        # bit, so two sign flips would cancel; the shift mixes it down
+        key ^= key >> np.uint64(32)
+    ordered = np.sort(key)
+    if (ordered[1:] != ordered[:-1]).all():
+        return np.arange(n), np.arange(n)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    clash = np.zeros(n, dtype=bool)
+    for w in words:
+        clash |= w[rep] != w
+    extra = np.flatnonzero(clash)
+    inverse[extra] = len(first) + np.arange(len(extra))
+    return np.concatenate([first, extra]), inverse
 
 
 def _newton_points(classifier: ClassifierField, grid_n: int, newton_iters: int) -> np.ndarray:

@@ -984,7 +984,7 @@ def build_binding_engel(l, k, r0: float = 1.0) -> ModelPiece:
         _wave(GLUE_TORUS, Mode.SIN, {"phi": k, "y": l}),
     )
     sheared_slots = tuple(
-        s.substitute_integer_affine({"phi": ({"phi": 1, "y": -1}, 0.0)}) for s in pre_slots
+        s.substitute(GLUE_TORUS.coords, {"phi": ({"phi": 1, "y": -1}, 0.0)}) for s in pre_slots
     )
     interface = InterfaceData(
         torus=GLUE_TORUS,
@@ -1125,7 +1125,7 @@ def _transplanted_binding_pair(
     # rebuild the binding plane on the collar chart through the slot frame
     chart = collar.chart
     s_field = collar.named_fields["S"]
-    c_slot, s_slot = (slot.with_coords(chart.coords) for slot in binding.interface.slots)
+    c_slot, s_slot = (slot.substitute(chart.coords) for slot in binding.interface.slots)
     comps = [
         s_slot * s_field.components[0],
         s_slot * s_field.components[1],

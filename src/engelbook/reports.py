@@ -14,8 +14,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
+from .charts import RANK_TOL
 from .foliation import DiskContactForm, _disk_grid
-from .models import PipelineReport
+from .models import RESIDUAL_TOL, SLOPE_TOL, SYMBOL_TOL, PipelineReport
 from .verify import CheckReport
 
 __all__ = [
@@ -30,10 +31,10 @@ __all__ = [
 ]
 
 TOLERANCE_DEFAULTS = {
-    "rank": 1e-9,
-    "zero": 1e-12,
-    "slope": 1e-9,
-    "residual": 0.25,
+    "rank": RANK_TOL,
+    "zero": SYMBOL_TOL,
+    "slope": SLOPE_TOL,
+    "residual": RESIDUAL_TOL,
 }
 
 CONVENTIONS = {

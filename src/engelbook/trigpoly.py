@@ -7,10 +7,11 @@ An expression is a finite sum of terms
 with integer Laurent exponents ``p_i`` on non-angular coordinates and integer
 frequencies ``k_j`` on coordinates allowed inside a trigonometric argument.
 This class of functions is closed under addition, multiplication, partial
-differentiation, restriction to coordinate slices, and precomposition with
-integer-affine coordinate maps, so every operation here is exact up to float
-round-off in coefficients and phases.  Expressions are kept in a canonical
-normal form, which makes equality testing a term-by-term comparison.
+differentiation, and precomposition with maps that send each coordinate to a
+constant or to an integer-affine combination of coordinates (``substitute``),
+so every operation here is exact up to float round-off in coefficients and
+phases.  Expressions are kept in a canonical normal form, which makes
+equality testing a term-by-term comparison.
 
 Canonical form of a term:
 
@@ -377,142 +378,92 @@ class Expr:
 
     # -- substitution -----------------------------------------------------
 
-    def substitute_constants(self, values: Mapping[str, float]) -> "Expr":
-        """Restrict to the slice where the named coordinates take fixed values.
+    def substitute(
+        self,
+        coords: Sequence[Coordinate],
+        images: Mapping[str, "float | tuple[Mapping[str, int], float]"] = {},
+    ) -> "Expr":
+        """Precompose with a map onto the coordinate tuple ``coords``.
 
-        Returns an expression over the remaining coordinates, in their
-        original order.  Substituting 0 into a negative power raises.
+        ``images`` sends a coordinate to a constant, or to ``(linear,
+        offset)``: ``offset`` plus the integer combination ``linear`` of
+        coordinates of ``coords``.  A coordinate it does not name goes to
+        the coordinate of ``coords`` with its name.  So constants restrict
+        to a slice, pairs shear or rename, and the default transplants.
+
+        Raises ``ValueError`` for a negative power at a constant 0 (a Laurent
+        pole), a non-integer multiplier, a power through an image that is not
+        one signed coordinate, a power landing on an angular coordinate, a
+        frequency landing on a polynomial one, and a coordinate sent with
+        multiplier 1 to one coordinate of another kind.  A term that a
+        constant brings to a zero coefficient is dropped before later checks.
         """
-        fixed = {name: float(v) for name, v in values.items()}
-        for name in fixed:
+        coords = tuple(coords)
+        for name in images:
             _coord_index(self.coords, name)
-        keep = [i for i, c in enumerate(self.coords) if c.name not in fixed]
-        new_coords = tuple(self.coords[i] for i in keep)
-        out: list[TrigTerm] = []
-        for t in self.terms:
-            coeff = t.coeff
-            phase = t.phase
-            dead = False
-            for i, c in enumerate(self.coords):
-                if c.name not in fixed:
-                    continue
-                v = fixed[c.name]
-                p = t.powers[i]
-                if p:
-                    if v == 0.0 and p < 0:
-                        raise ValueError(f"Laurent pole: {c.name}^({p}) at {c.name} = 0")
-                    coeff *= v**p
-                    if coeff == 0.0:
-                        dead = True
-                        break
-                k = t.freqs[i]
-                if k:
-                    phase += k * v
-            if dead:
-                continue
-            powers = tuple(t.powers[i] for i in keep)
-            freqs = tuple(t.freqs[i] for i in keep)
-            out.append(TrigTerm(coeff, powers, t.mode, freqs, phase))
-        return Expr.from_terms(new_coords, out)
-
-    def substitute_integer_affine(
-        self, mapping: Mapping[str, tuple[Mapping[str, int], float]]
-    ) -> "Expr":
-        """Exact precomposition with an integer-affine coordinate map.
-
-        ``mapping`` sends a coordinate name to ``(linear_part, offset)`` where
-        ``linear_part`` maps coordinate names to integer multipliers.
-        Unnamed coordinates map to themselves.  A coordinate carrying a
-        Laurent power must map to a signed single coordinate with no offset.
-        """
-        n = len(self.coords)
-        idx = {c.name: i for i, c in enumerate(self.coords)}
-        rows: list[tuple[tuple[int, ...], float]] = []
-        for i, c in enumerate(self.coords):
-            if c.name in mapping:
-                linear, offset = mapping[c.name]
-                row = [0] * n
-                for name, mult in linear.items():
-                    if int(mult) != mult:
-                        raise ValueError("substitution multipliers must be integers")
-                    row[idx[name]] += int(mult)
-                rows.append((tuple(row), float(offset)))
-            else:
-                row = [0] * n
-                row[i] = 1
-                rows.append((tuple(row), 0.0))
-
-        out: list[TrigTerm] = []
-        for t in self.terms:
-            coeff = t.coeff
-            powers = [0] * n
-            for i, p in enumerate(t.powers):
-                if not p:
-                    continue
-                row, offset = rows[i]
-                nonzero = [(j, m) for j, m in enumerate(row) if m]
-                if offset != 0.0 or len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-                    raise ValueError(
-                        f"power of {self.coords[i].name!r} cannot be pushed through "
-                        "a non-permutation substitution"
-                    )
-                j, m = nonzero[0]
-                if self.coords[j].is_angular:
-                    raise ValueError(
-                        f"substitution would put a power on angular coordinate "
-                        f"{self.coords[j].name!r}"
-                    )
-                powers[j] += p
-                coeff *= float(m) ** p
-            freqs = [0] * n
-            phase = t.phase
-            for i, k in enumerate(t.freqs):
-                if not k:
-                    continue
-                row, offset = rows[i]
-                for j, m in enumerate(row):
-                    if m:
-                        freqs[j] += k * m
-                phase += k * offset
-            for j, k in enumerate(freqs):
-                if k and not self.coords[j].trig_ok:
-                    raise ValueError(
-                        f"substitution would put a frequency on coordinate "
-                        f"{self.coords[j].name!r}"
-                    )
-            out.append(TrigTerm(coeff, tuple(powers), t.mode, tuple(freqs), phase))
-        return Expr.from_terms(self.coords, out)
-
-    def with_coords(
-        self, new_coords: Sequence[Coordinate], name_map: Mapping[str, str] | None = None
-    ) -> "Expr":
-        """Transplant onto another coordinate tuple.
-
-        Each coordinate of this expression lands on the target coordinate
-        named ``name_map[name]``, or on the one with the same name when no
-        map is given; kinds must match.  Target coordinates that receive
-        nothing enter every term with power and frequency zero.
-        """
-        new_coords = tuple(new_coords)
-        positions = []
+        # per coordinate: a constant, or its (target, multiplier) pairs and offset
+        maps: list[float | tuple[list[tuple[int, int]], float]] = []
         for c in self.coords:
-            target = c.name if name_map is None else name_map[c.name]
-            j = _coord_index(new_coords, target)
-            if new_coords[j].kind != c.kind:
-                raise ValueError(
-                    f"cannot transplant {c.name!r} ({c.kind}) onto "
-                    f"{target!r} ({new_coords[j].kind})"
-                )
-            positions.append(j)
-        terms = []
+            image = images.get(c.name, ({c.name: 1}, 0.0))
+            if not isinstance(image, tuple):
+                maps.append(float(image))
+                continue
+            row = [0] * len(coords)
+            for name, mult in image[0].items():
+                if int(mult) != mult:
+                    raise ValueError("substitution multipliers must be integers")
+                row[_coord_index(coords, name)] += int(mult)
+            pairs = [(j, m) for j, m in enumerate(row) if m]
+            offset = float(image[1])
+            if len(pairs) == 1 and pairs[0][1] == 1 and offset == 0.0:
+                target = coords[pairs[0][0]]
+                if target.kind != c.kind:
+                    raise ValueError(
+                        f"cannot transplant {c.name!r} ({c.kind}) onto {target.name!r} ({target.kind})"
+                    )
+            maps.append((pairs, offset))
+
+        out: list[TrigTerm] = []
         for t in self.terms:
-            powers = [0] * len(new_coords)
-            freqs = [0] * len(new_coords)
-            for src, dst in enumerate(positions):
-                powers[dst] += t.powers[src]
-                freqs[dst] += t.freqs[src]
-            terms.append(TrigTerm(t.coeff, tuple(powers), t.mode, tuple(freqs), t.phase))
-        return Expr.from_terms(new_coords, terms)
+            coeff, phase = t.coeff, t.phase
+            powers = [0] * len(coords)
+            freqs = [0] * len(coords)
+            for c, image, p, k in zip(self.coords, maps, t.powers, t.freqs):
+                if isinstance(image, float):
+                    if p:
+                        if image == 0.0 and p < 0:
+                            raise ValueError(f"Laurent pole: {c.name}^({p}) at {c.name} = 0")
+                        coeff *= image**p
+                        if coeff == 0.0:
+                            break
+                    if k:
+                        phase += k * image
+                    continue
+                pairs, offset = image
+                if p:
+                    if offset != 0.0 or len(pairs) != 1 or abs(pairs[0][1]) != 1:
+                        raise ValueError(
+                            f"power of {c.name!r} cannot be pushed through a non-permutation substitution"
+                        )
+                    j, m = pairs[0]
+                    if coords[j].is_angular:
+                        raise ValueError(
+                            f"substitution would put a power on angular coordinate {coords[j].name!r}"
+                        )
+                    powers[j] += p
+                    coeff *= float(m) ** p
+                if k:
+                    for j, m in pairs:
+                        freqs[j] += k * m
+                    phase += k * offset
+            else:  # no constant zeroed the term
+                for j, k in enumerate(freqs):
+                    if k and not coords[j].trig_ok:
+                        raise ValueError(
+                            f"substitution would put a frequency on coordinate {coords[j].name!r}"
+                        )
+                out.append(TrigTerm(coeff, tuple(powers), t.mode, tuple(freqs), phase))
+        return Expr.from_terms(coords, out)
 
     # -- output -----------------------------------------------------------
 

@@ -611,17 +611,17 @@ def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
 
     # restrict W to the binding locus and drop the transverse directions
     transverse = [chart.index(nm) for nm in locus]
-    restricted = []
-    for comp in w.components:
-        if not isinstance(comp, Expr):
-            raise ValueError("binding adaptedness needs exact components")
-        restricted.append(comp.substitute_constants(locus))
-
-    # sample the binding locus itself; given points keep their non-locus coordinates
     keep = [i for i, c in enumerate(chart.coords) if c.name not in locus]
     sub_chart = Chart(
         chart.name, tuple(chart.coords[i] for i in keep), tuple(chart.bounds[i] for i in keep)
     )
+    restricted = []
+    for comp in w.components:
+        if not isinstance(comp, Expr):
+            raise ValueError("binding adaptedness needs exact components")
+        restricted.append(comp.substitute(sub_chart.coords, locus))
+
+    # sample the binding locus itself; given points keep their non-locus coordinates
     if points is not None:
         points = _given_points(chart, points)[:, keep]
     sample = _sample(sub_chart, restricted, points, min_points)

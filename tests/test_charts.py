@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelbook import charts
+from engelbook import foliation
 from engelbook.charts import (
     Chart,
     IntegerAffineMap,
@@ -258,16 +258,17 @@ class TestChartMaps:
         n = SHEAR_CHART.dim
         matrix = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         matrix[SHEAR_CHART.index("phi")][SHEAR_CHART.index("y")] = 1
-        shear = IntegerAffineMap(SHEAR_CHART, tuple(map(tuple, matrix)), (0.0,) * n)
+        shear = IntegerAffineMap(SHEAR_CHART, tuple(map(tuple, matrix)), (0.0, 0.5, 0.0, 0.0))
 
         alpha = SHEAR_CHART.one_form({"x": "r*cos(phi)", "phi": "r^2"})
-        X = SHEAR_CHART.vector_field({"y": "cos(x)", "phi": "r"})
-        # (f^* alpha)(X) at p equals alpha(f_* X) at f(p)
-        lhs = shear.pullback(alpha).apply(X)
-        rhs = alpha.apply(shear.pushforward(X))
+        X = SHEAR_CHART.vector_field({"y": "cos(x + phi)", "phi": "r*sin(y)"})
+        # (f^* alpha)(X) at p, that is alpha(f(p)) . A X(p), equals alpha(f_* X) at f(p)
+        a = np.array(matrix, float)
         pts = SHEAR_CHART.sample_random(30, rng)
-        lv = batch_eval_scalars([lhs], pts)[:, 0]
-        rv_mapped = batch_eval_scalars([rhs], shear.apply_points(pts))[:, 0]
+        mapped = pts @ a.T + np.array(shear.offset)
+        alpha_mapped = batch_eval_scalars(alpha.components, mapped)
+        lv = np.einsum("ij,ij->i", alpha_mapped, batch_eval_scalars(X.components, pts) @ a.T)
+        rv_mapped = batch_eval_scalars([alpha.apply(shear.pushforward(X))], mapped)[:, 0]
         assert np.max(np.abs(lv - rv_mapped)) <= 1e-10
 
     def test_non_unimodular_rejected(self):
@@ -283,7 +284,9 @@ class TestChartMaps:
         shear = IntegerAffineMap(SHEAR_CHART, tuple(map(tuple, matrix)), (0.0, 0.5, 0.0, 0.0))
         rng = np.random.default_rng(4)
         pts = SHEAR_CHART.sample_random(10, rng)
-        back = shear.inverse().apply_points(shear.apply_points(pts))
+        inv = shear.inverse()
+        mapped = pts @ np.array(matrix, float).T + np.array(shear.offset)
+        back = mapped @ np.array(inv.matrix, float).T + np.array(inv.offset)
         assert np.max(np.abs(back - pts)) <= 1e-12
 
 
@@ -407,7 +410,7 @@ def test_sign_flipped_pairs_get_their_own_groups(shape):
         flipped.append(f.reshape(shape))
     mats = np.stack(flipped)
     mats = mats[rng.permutation(np.repeat(np.arange(len(mats)), 3))]
-    first, inverse = charts._distinct_matrices(mats)
+    first, inverse = foliation._distinct_matrices(mats)
     patterns = {mat.tobytes() for mat in mats}
     assert len(first) == len(patterns) == len(flipped)
     assert all(mats[first][inverse[i]].tobytes() == mat.tobytes() for i, mat in enumerate(mats))
@@ -417,9 +420,9 @@ def test_sign_flipped_pairs_get_their_own_groups(shape):
 
 def test_distinct_matrices_without_repeats_are_their_own_groups():
     mats = np.random.default_rng(3).normal(size=(40, 3, 4))
-    first, inverse = charts._distinct_matrices(mats)
+    first, inverse = foliation._distinct_matrices(mats)
     assert first.tolist() == inverse.tolist() == list(range(40))
-    assert [len(a) for a in charts._distinct_matrices(mats[:0])] == [0, 0]
+    assert [len(a) for a in foliation._distinct_matrices(mats[:0])] == [0, 0]
 
 
 @pytest.mark.parametrize("non_finite", [False, True], ids=["finite", "non-finite"])

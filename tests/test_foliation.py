@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelbook import charts, foliation
+from engelbook import foliation
 from engelbook.charts import (
     Chart,
     Interval,
@@ -411,10 +411,12 @@ def test_mixed_batch_exits_closes_and_runs_out_like_one_leaf_loop():
     assert exited.tolist() == [True, False, False, False, False, False, True]
     assert n_steps.tolist() == [61, 628, 50, 2000, 628, 0, 96]
 
-    # trace_leaf is the one-row call of the same loop
+    # trace_leaf is the one-row call of the same loop; an arc of n - 1/2
+    # steps is a budget of ceil(n - 1/2) = n steps
     for z, s, n, d in zip(starts, signs, budgets, dense):
+        arc = max(n - 0.5, 0.0) * step
         end, out, steps = trace_leaf(
-            signed(mixed_direction, s), z, step, 1.0, lambda z: 0.1 < z[1] < 0.9, wrap, int(n)
+            signed(mixed_direction, s), z, step, arc, lambda z: 0.1 < z[1] < 0.9, wrap
         )
         assert_same_traces((end[None, :], np.array([out]), np.array([steps])), [d])
         assert type(out) is bool and type(steps) is int
@@ -841,7 +843,7 @@ def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
 def test_newton_merge_survives_hash_collisions(name, monkeypatch):
     # a zero multiplier gives every row the same key, so only the byte
     # check separates them and equal rows unlike the first stay unmerged
-    monkeypatch.setattr(charts, "_HASH_PRIME", np.uint64(0))
+    monkeypatch.setattr(foliation, "_HASH_PRIME", np.uint64(0))
     z = _newton_points(search_field(name), 161, 60)
     assert bitwise_equal(z, dense_search(name, 60))
 

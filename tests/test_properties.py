@@ -134,7 +134,7 @@ def test_transplant_commutes_with_evaluation(e, order, seed):
     name_map = {c.name: f"{c.name}_new" for c in MIX}
     target = tuple(Coordinate(name_map[MIX[i].name], MIX[i].kind) for i in order)
     target += (Coordinate("extra", KIND_POLYNOMIAL),)
-    moved = e.with_coords(target, name_map)
+    moved = e.substitute(target, {n: ({m: 1}, 0.0) for n, m in name_map.items()})
     pts = points(seed)
     vals = {name_map[n]: v for n, v in values(pts).items()}
     vals["extra"] = np.full(N_POINTS, 1.7)
@@ -146,7 +146,32 @@ def test_transplant_commutes_with_evaluation(e, order, seed):
 def test_transplant_rejects_kind_mismatch(e):
     wrong = (MIX[0], MIX[1], Coordinate("r", KIND_POLYNOMIAL), MIX[3])
     with pytest.raises(ValueError):
-        e.with_coords(wrong)
+        e.substitute(wrong)
+
+
+@pytest.mark.parametrize("fixed", [("r",), ("s",), ("r", "s"), ("y", "s")])
+@quick
+@given(exprs, st.permutations(range(4)), st.floats(-2.0, 2.0), st.floats(0.3, 2.0), seeds)
+def test_slice_and_rename_in_one_substitution(fixed, e, order, c, c_pos, seed):
+    # as a slice pullback does: the ``fixed`` coordinates go to constants and
+    # the others onto a reordered chart, x and (unless fixed) y onto one
+    # coordinate; s keeps away from 0, where s^-1 has its pole
+    constants = {"y": c, "r": c, "s": c_pos}
+    rename = {"x": "a", "y": "a", "r": "t", "s": "p"}
+    images = {n: constants[n] if n in fixed else ({rename[n]: 1}, 0.0) for n in rename}
+    chart = (
+        Coordinate("a", KIND_ANGULAR),
+        Coordinate("t", KIND_LINEAR),
+        Coordinate("p", KIND_POLYNOMIAL),
+        Coordinate("extra", KIND_POLYNOMIAL),
+    )
+    moved = e.substitute(tuple(chart[i] for i in order), images)
+    pts = points(seed)
+    on_chart = {"a": pts[:, 0], "t": pts[:, 2], "p": pts[:, 3], "extra": np.full(N_POINTS, 1.7)}
+    embedded = {
+        n: np.full(N_POINTS, constants[n]) if n in fixed else on_chart[rename[n]] for n in rename
+    }
+    assert close(moved.evaluate(on_chart), e.evaluate(embedded))
 
 
 @quick

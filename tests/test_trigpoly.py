@@ -110,7 +110,7 @@ class TestCanonicalForm:
         # shear y -> y, phi -> phi - y sends cos(3 phi + 5 y) to cos(3 phi + 2 y)
         coords = (Coordinate("y", KIND_ANGULAR), Coordinate("phi", KIND_ANGULAR))
         pre = parse_expression("cos(3*phi + 5*y)", coords)
-        sheared = pre.substitute_integer_affine({"phi": ({"phi": 1, "y": -1}, 0.0)})
+        sheared = pre.substitute(coords, {"phi": ({"phi": 1, "y": -1}, 0.0)})
         assert canonical_equal(sheared, parse_expression("cos(3*phi + 2*y)", coords), tol=1e-12)
 
     def test_merge_cancels_exactly(self):
@@ -226,26 +226,24 @@ class TestCalculusAndEvaluation:
 class TestSubstitution:
     def test_substitute_constants_restricts_chart(self):
         e = parse("r^2*cos(3*x + y)")
-        rest = e.substitute_constants({"x": 0.3, "r": 2.0})
-        expected = parse_expression(
-            "4*cos(y + 0.8999999999999999)",
-            (Coordinate("y", KIND_ANGULAR), Coordinate("s", KIND_POLYNOMIAL)),
-        )
+        ys = (Coordinate("y", KIND_ANGULAR), Coordinate("s", KIND_POLYNOMIAL))
+        rest = e.substitute(ys, {"x": 0.3, "r": 2.0})
+        expected = parse_expression("4*cos(y + 0.8999999999999999)", ys)
         assert canonical_equal(rest, expected, tol=1e-12)
 
     def test_substitute_constant_zero_kills_positive_powers(self):
         e = parse("s*cos(x) + 2*s^2")
-        rest = e.substitute_constants({"s": 0.0})
+        rest = e.substitute(MIX[:3], {"s": 0.0})
         assert rest.is_zero()
 
     def test_substitute_zero_into_pole_raises(self):
         with pytest.raises(ValueError):
-            parse("s^-1").substitute_constants({"s": 0.0})
+            parse("s^-1").substitute(MIX[:3], {"s": 0.0})
 
     def test_affine_substitution_matches_pointwise(self):
         rng = np.random.default_rng(13)
         e = random_expr(rng, coords=XY)
-        sub = e.substitute_integer_affine({"x": ({"x": 1, "y": 2}, 0.25)})
+        sub = e.substitute(XY, {"x": ({"x": 1, "y": 2}, 0.25)})
         for _ in range(10):
             x = float(rng.uniform(0, math.tau))
             y = float(rng.uniform(0, math.tau))
@@ -256,18 +254,32 @@ class TestSubstitution:
     def test_affine_substitution_guards_powers(self):
         e = parse("s^2")
         with pytest.raises(ValueError):
-            e.substitute_integer_affine({"s": ({"s": 1, "r": 1}, 0.0)})
+            e.substitute(MIX, {"s": ({"s": 1, "r": 1}, 0.0)})
+
+    def test_substitution_edge_cases(self):
+        # a constant that zeroes a term drops it before a later pole check
+        assert parse("r*s^-1").substitute(MIX[:2], {"r": 0.0, "s": 0.0}).is_zero()
+        # a power through a sign flip picks up the sign
+        flipped = parse("r^3 + s^2").substitute(MIX, {"r": ({"r": -1}, 0.0), "s": ({"s": -1}, 0.0)})
+        assert canonical_equal(flipped, parse("-r^3 + s^2"), tol=0.0)
+        with pytest.raises(ValueError, match="power on angular"):
+            parse("r^2").substitute(MIX, {"r": ({"x": -1}, 0.0)})
+        with pytest.raises(ValueError, match="frequency on coordinate 's'"):
+            parse("cos(r)").substitute(MIX, {"r": ({"r": 1, "s": 1}, 0.0)})
+        with pytest.raises(ValueError, match="integers"):
+            parse("cos(x)").substitute(MIX, {"x": ({"x": 1.5}, 0.0)})
 
     def test_rename_keeps_kinds(self):
         e = parse("cos(x + 2*y)", XY)
         uv = (Coordinate("u", KIND_ANGULAR), Coordinate("v", KIND_ANGULAR))
-        renamed = e.with_coords(uv, {"x": "u", "y": "v"})
+        rename = {"x": ({"u": 1}, 0.0), "y": ({"v": 1}, 0.0)}
+        renamed = e.substitute(uv, rename)
         assert renamed.evaluate({"u": 0.2, "v": 0.3}) == pytest.approx(math.cos(0.8))
         # by name onto a larger, reordered chart
-        wider = e.with_coords((Coordinate("s", KIND_POLYNOMIAL),) + XY[::-1])
+        wider = e.substitute((Coordinate("s", KIND_POLYNOMIAL),) + XY[::-1])
         assert wider.evaluate({"s": 5.0, "x": 0.2, "y": 0.3}) == pytest.approx(math.cos(0.8))
         with pytest.raises(ValueError):
-            e.with_coords((Coordinate("u", KIND_LINEAR), uv[1]), {"x": "u", "y": "v"})
+            e.substitute((Coordinate("u", KIND_LINEAR), uv[1]), rename)
 
 
 class TestParser:
