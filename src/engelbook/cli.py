@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "foliation", help="export the page foliation portrait of the interior disk"
     )
     foliation.add_argument("--k", type=int, required=True, help="boundary twist count, odd")
-    foliation.add_argument("--grid", type=int, default=41, help="portrait grid per axis")
+    foliation.add_argument("--grid", type=int, default=41, help="portrait grid per axis, at least 3")
     foliation.add_argument("--out", help="write the CSV here instead of stdout")
     foliation.add_argument("--svg", help="also write an SVG sketch here")
 
@@ -177,11 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    """Reject counts below 1 and negative (or NaN) tolerances."""
-    for dest in ("samples", "turn_samples", "grid"):
+    """Reject counts below their least useful value and negative (or NaN)
+    tolerances.  A portrait grid of 1 or 2 points per axis has no point
+    inside the 0.98 disk, so ``--grid`` starts at 3."""
+    for dest, least in (("samples", 1), ("turn_samples", 1), ("grid", 3)):
         value = getattr(args, dest, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
     for dest in ("rank_tol", "zero_tol", "slope_tol", "residual_tol"):
         value = getattr(args, dest, None)
         if value is not None and not value >= 0:

@@ -74,6 +74,9 @@ _DEDUPE_TOL = 1e-6
 _WINDING_SAMPLES = 2048
 _CONTACT_GRID_N = 281
 _HASH_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
+_TRAP_CANDIDATE = (0.4115, 0.4440)  # the radii a disk's Newton trap is proven on
+_TRAP_MARGIN = 1e-6  # delta: how far inside the trap its proven image stays
+_TRAP_PIECES = 512  # subintervals of the trap's interval bound
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -455,6 +458,7 @@ def find_and_classify(
     classifier: ClassifierField,
     grid_n: int = 161,
     newton_iters: int = 60,
+    trap: "tuple[float, float] | None" = None,
 ) -> SingularityReport:
     """Locate and classify the zeros of a plane direction field on the unit disk.
 
@@ -467,20 +471,26 @@ def find_and_classify(
     function.
 
     Each round evaluates the field only on the active seeds.  A seed leaves
-    the active set when it dies (singular Jacobian, or ``|z| >= 2``)
-    or when a round leaves its ``z`` bitwise unchanged, and seeds that land
-    on the bitwise same point continue as one (grouped by their bytes with
-    ``_distinct_matrices``).  The field is evaluated pointwise, so a
-    fixed seed would take the same zero step in every later round and merged
-    seeds would take the same steps.  The final points are therefore
-    bit-identical to iterating every seed for all ``newton_iters`` rounds.
-    Each round calls ``jacobian`` and then ``value`` on the same points, and
-    so does the classification of the zeros found; the disk classifier
-    computes V and J in that ``jacobian`` call and keeps V for the
-    ``value`` call.  The final ``|V|`` test of all seeds calls ``value``
-    alone, which the disk classifier answers from a V-only pass.
+    the active set when it dies (singular Jacobian, or ``|z| >= 2``), when
+    a round leaves its ``z`` bitwise unchanged, or when a round takes it
+    into the annulus ``trap[0] < |z| < trap[1]``.  Seeds that land on the
+    bitwise same point continue as one (grouped by their bytes with
+    ``_distinct_matrices``).  The field is evaluated pointwise, so a fixed
+    seed would take the same zero step in every later round and merged
+    seeds would take the same steps.  A trap is an annulus that the Newton
+    step maps into itself and on which no point passes the ``|V|`` test
+    (``_newton_trap`` proves both for the disk classifier), so a seed taken
+    into it would stay there and end as no zero.  Every seed that never
+    enters the trap therefore ends bit-identical to iterating every seed
+    for all ``newton_iters`` rounds, and a seed that enters it ends inside
+    it, as it would have; the zeros found are the same.  Each round calls
+    ``jacobian`` and then ``value`` on the same points, and so does the
+    classification of the zeros found; the disk classifier computes V and J
+    in that ``jacobian`` call and keeps V for the ``value`` call.  The
+    final ``|V|`` test of all seeds calls ``value`` alone, which the disk
+    classifier answers from a V-only pass.
     """
-    z = _newton_points(classifier, grid_n, newton_iters)
+    z = _newton_points(classifier, grid_n, newton_iters, trap)
     V = classifier.value(z)
     good = (
         np.isfinite(z).all(axis=-1)
@@ -560,9 +570,19 @@ def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([first, extra]), inverse
 
 
-def _newton_points(classifier: ClassifierField, grid_n: int, newton_iters: int) -> np.ndarray:
+def _newton_points(
+    classifier: ClassifierField,
+    grid_n: int,
+    newton_iters: int,
+    trap: "tuple[float, float] | None" = None,
+) -> np.ndarray:
     """Where each disk grid seed is after the Newton rounds (active-set rule
-    in ``find_and_classify``)."""
+    in ``find_and_classify``).
+
+    A seed that never enters ``trap`` ends bit-identical to the dense loop;
+    one that does is dropped there and ends inside the trap, never at a
+    zero.
+    """
     z = _disk_grid(0.98 * _DISK_RADIUS, grid_n)
     lead = np.arange(len(z))
     active = np.arange(len(z))
@@ -582,7 +602,11 @@ def _newton_points(classifier: ClassifierField, grid_n: int, newton_iters: int) 
         za, step, active = za[alive], step[alive], active[alive]
         moved = za - step
         z[active] = moved
-        active = active[(moved.view(np.int64) != za.view(np.int64)).any(axis=-1)]
+        keep = (moved.view(np.int64) != za.view(np.int64)).any(axis=-1)
+        if trap is not None:
+            rho = _plane_norms(moved)
+            keep &= ~((trap[0] < rho) & (rho < trap[1]))
+        active = active[keep]
         # seeds that landed on the same point follow the first of them
         first, inverse = _distinct_matrices(z[active][:, None, :])
         lead[active] = active[first][inverse]
@@ -793,10 +817,12 @@ class _DiskPieces:
     ``u(pts, orders)``: 0 is u, 1 its gradient, 2 its Hessian.
     ``profiles(rho, c_orders, s_orders)``: the radial profiles c and s, as
     two tuples; 0 is the value, 1 the derivative in rho.
+    ``cluster_end``: the radius past which every bump is exactly 0.
     """
 
     u: Callable
     profiles: Callable
+    cluster_end: float
 
 
 def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
@@ -883,7 +909,7 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     if cluster_end >= wall_lo:
         raise ValueError("peak cluster does not fit inside the wall radius")
 
-    return _DiskPieces(u=u, profiles=profiles)
+    return _DiskPieces(u=u, profiles=profiles, cluster_end=cluster_end)
 
 
 def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
@@ -951,6 +977,128 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         return pieces.u(np.asarray(pts, float), (0,))[0]
 
     return ClassifierField(value, jacobian, level)
+
+
+@dataclass(frozen=True)
+class _Enclosure:
+    """Closed intervals [lo, hi], one per array entry (Moore, *Interval
+    Analysis*, 1966).
+
+    Each operation rounds its ends one float outward.  Float +, -, *, / and
+    sqrt are correctly rounded, so each result encloses the exact operation
+    on every choice of reals from its operands.  A float operand is the
+    interval holding only itself.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @staticmethod
+    def of(x: "_Enclosure | float") -> "_Enclosure":
+        return x if isinstance(x, _Enclosure) else _Enclosure(x, x)
+
+    @staticmethod
+    def _outward(lo, hi) -> "_Enclosure":
+        return _Enclosure(np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
+
+    def __add__(self, other):
+        o = _Enclosure.of(other)
+        return _Enclosure._outward(self.lo + o.lo, self.hi + o.hi)
+
+    def __sub__(self, other):
+        o = _Enclosure.of(other)
+        return _Enclosure._outward(self.lo - o.hi, self.hi - o.lo)
+
+    def __rsub__(self, other):
+        return _Enclosure.of(other) - self
+
+    def __mul__(self, other):
+        o = _Enclosure.of(other)
+        ends = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return _Enclosure._outward(np.minimum.reduce(ends), np.maximum.reduce(ends))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # by a divisor with lo > 0 only: then the quotient's ends are quotients of ends
+        o = _Enclosure.of(other)
+        return _Enclosure._outward(
+            np.minimum(self.lo / o.lo, self.lo / o.hi), np.maximum(self.hi / o.lo, self.hi / o.hi)
+        )
+
+    def sqrt(self) -> "_Enclosure":
+        # of a quantity known to be nonnegative, so a negative lower end means 0
+        return _Enclosure._outward(np.sqrt(np.maximum(self.lo, 0.0)), np.sqrt(self.hi))
+
+
+def _shell_newton_radius(params: dict, rho: _Enclosure) -> tuple[_Enclosure, ...]:
+    """Enclosures of f, f' and the Newton image radius R over ``rho``, on
+    the shell where the disk classifier is radial (see ``_newton_trap``).
+
+    R is an enclosure only where f > 0 and f' > 0 on ``rho``, since the
+    divisions assume positive divisors.
+    """
+    wall_lo, wall_hi = params["wall"]
+    wall_w = wall_hi - wall_lo
+    one_plus = 1.0 + params["floor"]
+    c_dip, g = params["c_dip"], _Enclosure.of(params["swirl"])
+    t = (rho - wall_lo) / wall_w
+    # smoothstep's first two derivatives, as _SMOOTHSTEP writes them, and
+    # the wall's scaling of them, as _assemble_pieces writes it
+    ds = 30.0 * t * t * (1.0 - t) * (1.0 - t)
+    dds = 60.0 * t * (2.0 * t - 1.0) * (t - 1.0)
+    f = one_plus * ds / wall_w + c_dip * rho
+    df = one_plus * dds / (wall_w * wall_w) + c_dip
+    s_rho = (f * f + g * g) / (f * df)
+    s_theta = rho * g / f
+    x = rho - s_rho
+    return f, df, (x * x + s_theta * s_theta).sqrt()
+
+
+def _newton_trap(
+    params: dict, cluster_end: float, interval: tuple[float, float] = _TRAP_CANDIDATE
+) -> "tuple[float, float] | None":
+    """``interval`` = (a, b) when the disk classifier's Newton step is
+    proven to map the annulus a < rho < b into itself, else None.
+
+    Past ``cluster_end`` every bump is exactly 0, and past the c/s band
+    ``cb = c_on[1] * width`` but short of ``c_rise[0]`` and ``s_fall[0]``
+    the profiles are exactly c = -c_dip and s = swirl.  Inside the wall
+    ramp, u = w(rho) = -floor + (1 + floor) smoothstep((rho - wall_lo) /
+    wall_w).  So on that shell
+
+        V = f e_rho + g e_theta,   f = w'(rho) + c_dip rho,   g = swirl,
+
+    and where f and f' = w'' + c_dip are positive, the exact Newton step is
+    s_rho = (f^2 + g^2) / (f f') along e_rho and s_theta = rho g / f along
+    e_theta, so the new radius is R(rho) = hypot(rho - s_rho, s_theta).
+
+    The trap holds when [a - delta, b + delta] lies in the shell, and
+    interval arithmetic over 512 pieces of it bounds f above the zero
+    residual, f' above 0 and R inside [a + delta, b - delta], with delta =
+    1e-6.  Then every Newton step from a radius within delta of the trap
+    lands at least delta inside it.  That margin covers the rounding of a
+    radius and the float step's distance from the exact one, which is below
+    1e-15 on 1e5 points of the trap.
+    No point of the trap passes the ``|V| <= 1e-10`` test, since |V| >= f.
+    """
+    a, b = interval
+    lo, hi = a - _TRAP_MARGIN, b + _TRAP_MARGIN
+    shell_lo = max(cluster_end, params["c_on"][1] * params["width"], params["wall"][0])
+    shell_hi = min(params["wall"][1], params["c_rise"][0], params["s_fall"][0])
+    if not shell_lo < lo < hi < shell_hi:
+        return None
+    edges = np.linspace(lo, hi, _TRAP_PIECES + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, df, R = _shell_newton_radius(params, _Enclosure(edges[:-1], edges[1:]))
+    # R encloses the image radius only where f and f' are positive
+    proven = (
+        (f.lo > _ZERO_RESIDUAL).all()
+        and (df.lo > 0.0).all()
+        and R.lo.min() >= a + _TRAP_MARGIN
+        and R.hi.max() <= b - _TRAP_MARGIN
+    )
+    return interval if proven else None
 
 
 def _contact_coefficient(pieces: _DiskPieces) -> Callable[[np.ndarray], np.ndarray]:
@@ -1150,7 +1298,7 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     )
     vmin_boundary = float(np.linalg.norm(V, axis=-1).min())
 
-    report = find_and_classify(classifier)
+    report = find_and_classify(classifier, trap=_newton_trap(params, pieces.cluster_end))
     boundary_turns = classifier_boundary_winding(classifier, 0.5 * (exact_radius + 1.0))
 
     certificates = {

@@ -249,11 +249,20 @@ def reference_portrait_csv(k, grid_n):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("k, grid", [(3, 2), (3, 8), (3, 41), (5, 41), (3, 64)])
+@pytest.mark.parametrize("k, grid", [(3, 3), (3, 8), (3, 41), (5, 41), (3, 64)])
 def test_portrait_csv_is_what_csv_writer_writes(tmp_path, k, grid):
     out = tmp_path / "portrait.csv"
     assert run(["foliation", "--k", str(k), "--grid", str(grid), "--out", str(out)]) == 0
     assert out.read_bytes() == reference_portrait_csv(k, grid).encode()
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_foliation_rejects_a_grid_with_no_point_in_the_disk(tmp_path, capsys, grid):
+    assert len(_disk_grid(0.98, grid)) == 0
+    out = tmp_path / "portrait.csv"
+    assert run(["foliation", "--k", "3", "--grid", str(grid), "--out", str(out)]) == 2
+    assert f"error[EB-PARAM] --grid must be at least 3, got {grid}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_foliation_rejects_even_k(capsys):

@@ -21,6 +21,8 @@ from engelbook.charts import (
     wedge_top,
 )
 from engelbook.foliation import (
+    _TRAP_CANDIDATE,
+    _TRAP_MARGIN,
     ClassifierField,
     SingularityReport,
     SliceEmbedding,
@@ -30,9 +32,12 @@ from engelbook.foliation import (
     _classifier_from_pieces,
     _disk_grid,
     _disk_params,
+    _Enclosure,
     _gaussian_bundle,
     _newton_points,
+    _newton_trap,
     _plane_norms,
+    _shell_newton_radius,
     _smoothstep_jet,
     _trace_leaves,
     annulus_foliation_check,
@@ -846,6 +851,96 @@ def test_newton_merge_survives_hash_collisions(name, monkeypatch):
     monkeypatch.setattr(foliation, "_HASH_PRIME", np.uint64(0))
     z = _newton_points(search_field(name), 161, 60)
     assert bitwise_equal(z, dense_search(name, 60))
+
+
+@functools.lru_cache(maxsize=None)
+def disk_trap(k):
+    params = _disk_params(k)
+    return _newton_trap(params, _assemble_pieces(k, params).cluster_end)
+
+
+def newton_step(classifier, z):
+    """One float Newton step from each point, with the search's arithmetic."""
+    J = classifier.jacobian(z)
+    V = classifier.value(z)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / det
+    step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / det
+    return z - np.stack([step_p, step_q], axis=-1)
+
+
+@pytest.mark.parametrize("k", range(3, 20, 2))
+def test_newton_trap_keeps_every_zero(k):
+    classifier = search_field(f"k{k}")
+    assert disk_trap(k) == _TRAP_CANDIDATE
+    plain = find_and_classify(classifier)
+    trapped = find_and_classify(classifier, trap=disk_trap(k))
+    assert repr(trapped.zeros) == repr(plain.zeros)
+    assert trapped.counts == plain.counts
+    assert trapped.degenerate == plain.degenerate
+
+
+@pytest.mark.parametrize("name", ["k3", "k7", "k19"])
+def test_seeds_the_trap_drops_end_in_it_after_every_round(name):
+    # the dense loop iterates the dropped seeds for all 60 rounds, and the
+    # trap must hold each of them to the end
+    a, b = disk_trap(int(name[1:]))
+    z = _newton_points(search_field(name), 161, 60, (a, b))
+    dense_z = dense_search(name, 60)
+    differ = (z.view(np.int64) != dense_z.view(np.int64)).any(axis=-1)
+    assert differ.sum() > 1000
+    for ends in (z[differ], dense_z[differ]):
+        rho = _plane_norms(ends)
+        assert ((a < rho) & (rho < b)).all()
+
+
+@pytest.mark.parametrize("k", [3, 19])
+def test_shell_radius_encloses_the_float_newton_step(k):
+    # 500 radii by 200 angles inside the trap; k = 19 has a deeper c dip
+    a, b = disk_trap(k)
+    radii, angles = np.meshgrid(
+        np.linspace(a, b, 502)[1:-1], np.linspace(0.0, math.tau, 200, endpoint=False), indexing="ij"
+    )
+    z = np.stack([(radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()], axis=-1)
+    image = _plane_norms(newton_step(search_field(f"k{k}"), z))
+    rho = _plane_norms(z)
+    f, df, R = _shell_newton_radius(_disk_params(k), _Enclosure(rho, rho))
+    assert (f.lo > 0.0).all() and (df.lo > 0.0).all()
+    # a point enclosure is tight, so the comparison below has teeth
+    assert (R.hi - R.lo).max() < 1e-12
+    gap = np.maximum(np.maximum(R.lo - image, image - R.hi), 0.0)
+    assert gap.max() < 1e-3 * _TRAP_MARGIN
+    assert ((a + _TRAP_MARGIN <= image) & (image <= b - _TRAP_MARGIN)).all()
+
+
+def test_newton_trap_refuses_what_it_cannot_prove():
+    params = _disk_params(3)
+    cluster_end = _assemble_pieces(3, params).cluster_end
+    # reaches the foot of the wall ramp
+    assert _newton_trap(params, cluster_end, (0.40, 0.46)) is None
+    # inside the shell, but steps from (0.405, 0.46) leave through its outer
+    # edge, and steps into (0.4121, 0.444) come as low as 0.412093
+    assert _newton_trap(params, cluster_end, (0.405, 0.46)) is None
+    assert _newton_trap(params, cluster_end, (0.4121, 0.444)) is None
+    out = _plane_norms(newton_step(search_field("k3"), np.array([[0.4051, 0.0], [0.42415, 0.0]])))
+    assert out[0] > 0.46 and out[1] < 0.4121
+    # c starts to rise, or the bumps reach, inside the candidate
+    assert _newton_trap({**params, "c_rise": (0.43, 0.68)}, cluster_end) is None
+    assert _newton_trap(params, 0.42) is None
+    assert _newton_trap(params, cluster_end) == _TRAP_CANDIDATE
+
+
+def test_disk_constructor_searches_with_its_trap(monkeypatch):
+    traps = []
+    search = foliation.find_and_classify
+
+    def spy(classifier, *args, **kwargs):
+        traps.append(kwargs.get("trap"))
+        return search(classifier, *args, **kwargs)
+
+    monkeypatch.setattr(foliation, "find_and_classify", spy)
+    assert construct_xi_prime(1).passed and construct_xi_prime(3).passed
+    assert traps == [None, _TRAP_CANDIDATE]
 
 
 # -- the disk constructor -----------------------------------------------------------
