@@ -73,7 +73,6 @@ _ZERO_RESIDUAL = 1e-10  # |V| at an accepted zero
 _DEDUPE_TOL = 1e-6
 _WINDING_SAMPLES = 2048
 _CONTACT_GRID_N = 281
-_HASH_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
 _TRAP_CANDIDATE = (0.4115, 0.4440)  # the radii a disk's Newton trap is proven on
 _TRAP_MARGIN = 1e-6  # delta: how far inside the trap its proven image stays
 _TRAP_PIECES = 512  # subintervals of the trap's interval bound
@@ -474,8 +473,9 @@ def find_and_classify(
     the active set when it dies (singular Jacobian, or ``|z| >= 2``), when
     a round leaves its ``z`` bitwise unchanged, or when a round takes it
     into the annulus ``trap[0] < |z| < trap[1]``.  Seeds that land on the
-    bitwise same point continue as one (grouped by their bytes with
-    ``_distinct_matrices``).  The field is evaluated pointwise, so a fixed
+    same point continue as one: ``np.unique`` groups them as complex values,
+    which is grouping by bytes, since the grid holds no -0.0 and ``z - step``
+    is -0.0 only where ``z`` is.  The field is evaluated pointwise, so a fixed
     seed would take the same zero step in every later round and merged
     seeds would take the same steps.  A trap is an annulus that the Newton
     step maps into itself and on which no point passes the ``|V|`` test
@@ -537,39 +537,6 @@ def find_and_classify(
     return SingularityReport(tuple(zeros), counts, euler, relative, degenerate)
 
 
-def _distinct_matrices(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group an (n, r, d) stack by the bytes of each matrix.
-
-    Returns ``first``, the lowest index of each group, and ``inverse``,
-    each matrix's position in ``first``.  Matrices are keyed by a 64-bit
-    hash of their bytes, so the sort moves 8 bytes a matrix, and no copy
-    of the stack is made.  A matrix whose bytes differ from the first one
-    with its key (a hash collision) gets a group of its own.  When no two
-    keys are equal, every matrix is its own group and the groups come in
-    index order, without the index-keeping sort.
-    """
-    n, r, d = flat.shape
-    bits = flat.view(np.uint64)
-    words = [bits[:, i, j] for i in range(r) for j in range(d)]
-    key = np.zeros(n, np.uint64)
-    for w in words:
-        key = (key ^ w) * _HASH_PRIME
-        # an odd multiplier carries a flipped top bit straight to the top
-        # bit, so two sign flips would cancel; the shift mixes it down
-        key ^= key >> np.uint64(32)
-    ordered = np.sort(key)
-    if (ordered[1:] != ordered[:-1]).all():
-        return np.arange(n), np.arange(n)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    clash = np.zeros(n, dtype=bool)
-    for w in words:
-        clash |= w[rep] != w
-    extra = np.flatnonzero(clash)
-    inverse[extra] = len(first) + np.arange(len(extra))
-    return np.concatenate([first, extra]), inverse
-
-
 def _newton_points(
     classifier: ClassifierField,
     grid_n: int,
@@ -607,8 +574,10 @@ def _newton_points(
             rho = _plane_norms(moved)
             keep &= ~((trap[0] < rho) & (rho < trap[1]))
         active = active[keep]
-        # seeds that landed on the same point follow the first of them
-        first, inverse = _distinct_matrices(z[active][:, None, :])
+        # seeds that landed on the same point follow the first of them (equal
+        # as complex values is equal bytes here); each NaN row stays apart
+        flat = z[active].view(np.complex128)[:, 0]
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True, equal_nan=False)
         lead[active] = active[first][inverse]
         active = active[np.sort(first)]
     # a lead that later merged points to its own lead
@@ -1043,12 +1012,10 @@ def _shell_newton_radius(params: dict, rho: _Enclosure) -> tuple[_Enclosure, ...
     one_plus = 1.0 + params["floor"]
     c_dip, g = params["c_dip"], _Enclosure.of(params["swirl"])
     t = (rho - wall_lo) / wall_w
-    # smoothstep's first two derivatives, as _SMOOTHSTEP writes them, and
-    # the wall's scaling of them, as _assemble_pieces writes it
-    ds = 30.0 * t * t * (1.0 - t) * (1.0 - t)
-    dds = 60.0 * t * (2.0 * t - 1.0) * (t - 1.0)
-    f = one_plus * ds / wall_w + c_dip * rho
-    df = one_plus * dds / (wall_w * wall_w) + c_dip
+    # smoothstep's first two derivatives on the enclosure, and the wall's
+    # scaling of them, as _assemble_pieces writes it
+    f = one_plus * _SMOOTHSTEP[1](t) / wall_w + c_dip * rho
+    df = one_plus * _SMOOTHSTEP[2](t) / (wall_w * wall_w) + c_dip
     s_rho = (f * f + g * g) / (f * df)
     s_theta = rho * g / f
     x = rho - s_rho

@@ -3,9 +3,11 @@
 All winding computations share one angle-unwrapping core: sample a curve,
 express the field of interest in a reference 2-frame, accumulate wrapped
 angle increments, and divide by a full turn.  Closed loops include the
-wrap-around step, so an exact invariant leaves a near-zero fractional
-residual; a large residual triggers one resampling pass at higher density
-before the result is reported.
+wrap-around step, so the increments telescope to a whole number of turns
+and the fractional residual is float rounding only; it cannot detect
+aliasing, where the field turns by more than half a turn between two
+samples.  On an open segment the residual is the distance of the turn
+count from the nearest integer.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 256
-MAX_SAMPLES = 4096
-TURN_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,12 @@ def _winding(
     path: Path,
     n_samples: int,
 ) -> WindingResult:
-    n = n_samples
-    while True:
-        pts = path.sample(n)
-        mats = field_matrix([field, *frame], pts)
-        a, b, proj = _project_onto_frame(mats[:, 0], mats[:, 1], mats[:, 2])
-        turns = _turns(a, b, path.closed)
-        value = int(round(turns))
-        residual = abs(turns - value)
-        if residual < TURN_TOL or n >= MAX_SAMPLES:
-            return WindingResult(value, turns, residual, n, proj)
-        n = MAX_SAMPLES
+    pts = path.sample(n_samples)
+    mats = field_matrix([field, *frame], pts)
+    a, b, proj = _project_onto_frame(mats[:, 0], mats[:, 1], mats[:, 2])
+    turns = _turns(a, b, path.closed)
+    value = int(round(turns))
+    return WindingResult(value, turns, abs(turns - value), n_samples, proj)
 
 
 def twisting_number(

@@ -10,9 +10,10 @@ A model file is a line-oriented document with five section kinds:
 
 Lines before the first section carry the model name, summary, notes, and
 parameters.  Only structural data is stored: sampling aids, boundary tori,
-probe frames, and interior certificates are runtime constructions which the
-builders recreate.  ``load_model(dump_model(m))`` reproduces the stored
-subset exactly and a second dump is byte-identical.
+probe frames, and interior certificates are runtime constructions of the
+builders, and ``load_model`` rebuilds none of them, so a loaded model runs
+only the checks its stored subset supports.  ``load_model(dump_model(m))``
+reproduces the stored subset exactly and a second dump is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .trigpoly import (
     KIND_LINEAR,
     KIND_POLYNOMIAL,
     Expr,
+    _fmt_float,
 )
 
 __all__ = ["dump_model", "load_model"]
@@ -39,7 +41,7 @@ def _fmt_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return str(int(value)) if value == int(value) and abs(value) < 1e15 else repr(value)
+        return _fmt_float(value)
     return str(value)
 
 
@@ -64,44 +66,48 @@ def _exact_components(obj, what: str) -> tuple[Expr, ...]:
     return tuple(comps)
 
 
+# the piece keys that name fields and forms, in file order: (key, section
+# kind, wanted name).  A str names one object, a tuple one per entry, and
+# None any positive number of fields, named S1, S2, ...
+_PIECE_KEYS = (
+    ("form", "form", "alpha"),
+    ("w_field", "field", "W"),
+    ("pair", "field", ("W", "X")),
+    ("spanning", "field", None),
+    ("contact_field", "field", "L"),
+    ("fibration_form", "form", "theta"),
+    ("torus_normal", "form", "normal"),
+)
+_PIECE_KINDS = {key: (kind, want) for key, kind, want in _PIECE_KEYS}
+
+
+def _wanted(want, n: int) -> tuple[str, ...]:
+    """The names that a key's ``n`` objects ask for."""
+    if want is None:
+        return tuple(f"S{i}" for i in range(1, n + 1))
+    return (want,) if isinstance(want, str) else want
+
+
 class _Namer:
     """Assigns stable names to fields and forms, deduplicated per chart."""
 
     def __init__(self) -> None:
-        self.fields: dict[tuple[str, tuple[str, ...]], str] = {}
-        self.forms: dict[tuple[str, tuple[str, ...]], str] = {}
-        self.field_sections: list[tuple[str, Chart, tuple[Expr, ...]]] = []
-        self.form_sections: list[tuple[str, Chart, tuple[Expr, ...]]] = []
+        self.names: dict[tuple[str, str, tuple[str, ...]], str] = {}
+        # (name, chart, components) of each section, per kind
+        self.sections: dict[str, list[tuple]] = {"field": [], "form": []}
         self._used: set[tuple[str, str]] = set()
 
-    def _claim(self, chart: Chart, want: str) -> str:
-        name = want
-        i = 2
-        while (chart.name, name) in self._used:
-            name = f"{want}{i}"
-            i += 1
-        self._used.add((chart.name, name))
-        return name
-
-    def field(self, obj: VectorField, want: str) -> str:
-        comps = _exact_components(obj, f"field {want!r}")
-        key = (obj.chart.name, tuple(str(c) for c in comps))
-        if key in self.fields:
-            return self.fields[key]
-        name = self._claim(obj.chart, want)
-        self.fields[key] = name
-        self.field_sections.append((name, obj.chart, comps))
-        return name
-
-    def form(self, obj: OneForm, want: str) -> str:
-        comps = _exact_components(obj, f"form {want!r}")
-        key = (obj.chart.name, tuple(str(c) for c in comps))
-        if key in self.forms:
-            return self.forms[key]
-        name = self._claim(obj.chart, want)
-        self.forms[key] = name
-        self.form_sections.append((name, obj.chart, comps))
-        return name
+    def name(self, kind: str, obj, want: str) -> str:
+        comps = _exact_components(obj, f"{kind} {want!r}")
+        key = (kind, obj.chart.name, tuple(str(c) for c in comps))
+        if key not in self.names:
+            name, i = want, 2
+            while (obj.chart.name, name) in self._used:
+                name, i = f"{want}{i}", i + 1
+            self._used.add((obj.chart.name, name))
+            self.names[key] = name
+            self.sections[kind].append((name, obj.chart, comps))
+        return self.names[key]
 
 
 def _chart_lines(chart: Chart) -> list[str]:
@@ -149,25 +155,12 @@ def dump_model(model: OpenBookModel) -> str:
         lines = [f"[piece {piece.name}]"]
         lines.append(f"chart = {piece.chart.name}")
         lines.append(f"role = {piece.role}")
-        if piece.form is not None:
-            lines.append(f"form = {namer.form(piece.form, 'alpha')}")
-        if piece.w_field is not None:
-            lines.append(f"w_field = {namer.field(piece.w_field, 'W')}")
-        if piece.pair is not None:
-            first = namer.field(piece.pair[0], "W")
-            second = namer.field(piece.pair[1], "X")
-            lines.append(f"pair = {first} {second}")
-        if piece.spanning:
-            names = [
-                namer.field(f, f"S{i}") for i, f in enumerate(piece.spanning, start=1)
-            ]
-            lines.append(f"spanning = {' '.join(names)}")
-        if piece.contact_field is not None:
-            lines.append(f"contact_field = {namer.field(piece.contact_field, 'L')}")
-        if piece.fibration_form is not None:
-            lines.append(f"fibration_form = {namer.form(piece.fibration_form, 'theta')}")
-        if piece.torus_normal is not None:
-            lines.append(f"torus_normal = {namer.form(piece.torus_normal, 'normal')}")
+        for key, kind, want in _PIECE_KEYS:
+            value = getattr(piece, key)
+            objs = () if value is None else (value,) if isinstance(want, str) else value
+            if objs:
+                names = [namer.name(kind, o, w) for o, w in zip(objs, _wanted(want, len(objs)))]
+                lines.append(f"{key} = {' '.join(names)}")
         if piece.binding_locus is not None:
             pairs = " ".join(
                 f"{key} {_fmt_value(piece.binding_locus[key])}"
@@ -205,10 +198,9 @@ def dump_model(model: OpenBookModel) -> str:
     out.append("")
     for chart in charts:
         out.extend(_chart_lines(chart))
-    for name, chart, comps in namer.field_sections:
-        out.extend(_component_lines(f"[field {name} @ {chart.name}]", chart, comps))
-    for name, chart, comps in namer.form_sections:
-        out.extend(_component_lines(f"[form {name} @ {chart.name}]", chart, comps))
+    for kind, sections in namer.sections.items():
+        for name, chart, comps in sections:
+            out.extend(_component_lines(f"[{kind} {name} @ {chart.name}]", chart, comps))
     out.extend(piece_lines)
     out.extend(gluing_lines)
     while out and out[-1] == "":
@@ -299,8 +291,8 @@ def load_model(text: str) -> OpenBookModel:
         raise ValueError("missing 'model =' header line")
 
     charts: dict[str, Chart] = {}
-    fields: dict[tuple[str, str], VectorField] = {}
-    forms: dict[tuple[str, str], OneForm] = {}
+    # (section kind, chart name, object name) -> field or form
+    objects: dict[tuple[str, str, str], VectorField | OneForm] = {}
     piece_rows: list[tuple[str, list]] = []
     gluing_rows: list[list] = []
 
@@ -322,10 +314,8 @@ def load_model(text: str) -> OpenBookModel:
             name, chart_name = words[1], words[3]
             chart = chart_of(chart_name, f"[{head}]")
             comps = _build_components(chart, rows, f"[{head}]")
-            if kind == "field":
-                fields[(chart_name, name)] = VectorField(chart, comps, label=name)
-            else:
-                forms[(chart_name, name)] = OneForm(chart, comps, label=name)
+            cls = VectorField if kind == "field" else OneForm
+            objects[kind, chart_name, name] = cls(chart, comps, label=name)
         elif kind == "piece":
             if len(words) != 2:
                 raise ValueError(f"bad section header [{head}]")
@@ -340,20 +330,6 @@ def load_model(text: str) -> OpenBookModel:
         data = {"name": piece_name, "params": {}, "spanning": ()}
         chart: Chart | None = None
         named: dict[str, VectorField] = {}
-
-        def lookup_field(token: str) -> VectorField:
-            key = (chart.name, token)
-            if key not in fields:
-                raise ValueError(f"piece {piece_name!r}: unknown field {token!r}")
-            named[token] = fields[key]
-            return fields[key]
-
-        def lookup_form(token: str) -> OneForm:
-            key = (chart.name, token)
-            if key not in forms:
-                raise ValueError(f"piece {piece_name!r}: unknown form {token!r}")
-            return forms[key]
-
         for key, value in rows:
             if key == "chart":
                 chart = chart_of(value, f"piece {piece_name!r}")
@@ -362,21 +338,23 @@ def load_model(text: str) -> OpenBookModel:
                 raise ValueError(f"piece {piece_name!r}: 'chart =' must come first")
             elif key == "role":
                 data["role"] = value
-            elif key == "form":
-                data["form"] = lookup_form(value)
-            elif key == "w_field":
-                data["w_field"] = lookup_field(value)
-            elif key == "pair":
-                first, second = value.split()
-                data["pair"] = (lookup_field(first), lookup_field(second))
-            elif key == "spanning":
-                data["spanning"] = tuple(lookup_field(tok) for tok in value.split())
-            elif key == "contact_field":
-                data["contact_field"] = lookup_field(value)
-            elif key == "fibration_form":
-                data["fibration_form"] = lookup_form(value)
-            elif key == "torus_normal":
-                data["torus_normal"] = lookup_form(value)
+            elif key in _PIECE_KINDS:
+                kind, want = _PIECE_KINDS[key]
+                tokens = value.split()
+                names = _wanted(want, len(tokens))
+                if not tokens or len(tokens) != len(names):
+                    count = "1 or more" if want is None else len(names)
+                    raise ValueError(
+                        f"piece {piece_name!r}: key {key!r} takes {count} {kind} name(s), "
+                        f"got {value!r}"
+                    )
+                for token in tokens:
+                    if (kind, chart.name, token) not in objects:
+                        raise ValueError(f"piece {piece_name!r}: unknown {kind} {token!r}")
+                objs = tuple(objects[kind, chart.name, token] for token in tokens)
+                if kind == "field":
+                    named.update(zip(tokens, objs))
+                data[key] = objs[0] if isinstance(want, str) else objs
             elif key == "binding_locus":
                 data["binding_locus"] = _pairs_to_dict(value, f"piece {piece_name!r}")
             elif key == "note":

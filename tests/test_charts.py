@@ -1,6 +1,5 @@
 """Unit tests for charts, fields, forms, and exterior calculus."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelbook import foliation
 from engelbook.charts import (
     Chart,
     IntegerAffineMap,
@@ -394,35 +392,6 @@ def test_pointwise_rank_is_bitwise_equal_to_svd_loop(mats):
     assert ranks.shape == gaps.shape == mats.shape[:-2]
     assert np.array_equal(ranks, want_ranks)
     assert gaps.dtype == want_gaps.dtype and gaps.tobytes() == want_gaps.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(1, 2), (3, 4), (5, 4)])
-def test_sign_flipped_pairs_get_their_own_groups(shape):
-    # an odd multiplier alone carries a flipped sign bit to the top bit of
-    # the key, so matrices differing in the signs of two entries would
-    # share a key and stay apart only through the byte check
-    rng = np.random.default_rng(17)
-    m = rng.normal(size=shape)
-    flipped = [m]
-    for i, j in itertools.combinations(range(m.size), 2):
-        f = m.copy().ravel()
-        f[[i, j]] *= -1.0
-        flipped.append(f.reshape(shape))
-    mats = np.stack(flipped)
-    mats = mats[rng.permutation(np.repeat(np.arange(len(mats)), 3))]
-    first, inverse = foliation._distinct_matrices(mats)
-    patterns = {mat.tobytes() for mat in mats}
-    assert len(first) == len(patterns) == len(flipped)
-    assert all(mats[first][inverse[i]].tobytes() == mat.tobytes() for i, mat in enumerate(mats))
-    # each group is led by its lowest index, as the Newton merge needs
-    assert first.tolist() == [np.flatnonzero(inverse == g).min() for g in range(len(first))]
-
-
-def test_distinct_matrices_without_repeats_are_their_own_groups():
-    mats = np.random.default_rng(3).normal(size=(40, 3, 4))
-    first, inverse = foliation._distinct_matrices(mats)
-    assert first.tolist() == inverse.tolist() == list(range(40))
-    assert [len(a) for a in foliation._distinct_matrices(mats[:0])] == [0, 0]
 
 
 @pytest.mark.parametrize("non_finite", [False, True], ids=["finite", "non-finite"])

@@ -844,15 +844,6 @@ def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
         assert len(zeros) == {"k3": 3, "k7": 7, "sink": 1, "fold": 2}[name]
 
 
-@pytest.mark.parametrize("name", ["k3", "fold"])
-def test_newton_merge_survives_hash_collisions(name, monkeypatch):
-    # a zero multiplier gives every row the same key, so only the byte
-    # check separates them and equal rows unlike the first stay unmerged
-    monkeypatch.setattr(foliation, "_HASH_PRIME", np.uint64(0))
-    z = _newton_points(search_field(name), 161, 60)
-    assert bitwise_equal(z, dense_search(name, 60))
-
-
 @functools.lru_cache(maxsize=None)
 def disk_trap(k):
     params = _disk_params(k)

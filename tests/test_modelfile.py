@@ -52,6 +52,24 @@ def test_loaded_collar_without_tori_fails_adaptedness():
         assert report.passed is passed
 
 
+def test_loaded_model_runs_only_the_stored_checks():
+    built = assemble(1, 5).model
+    back = load_model(dump_model(built))
+    built_names = [r.name for r in built.checks()]
+    back_names = [r.name for r in back.checks()]
+    assert (len(built_names), len(back_names)) == (18, 11)
+    assert set(back_names) <= set(built_names)
+    assert sorted(set(built_names) - set(back_names)) == [
+        "adapted_binding",
+        "binding-core:even_contact_form",
+        "binding-core:even_contact_span",
+        "binding-core:isotropic_line",
+        "binding:torus_slope_0",
+        "collar:torus_slope_0",
+        "collar:torus_slope_1",
+    ]
+
+
 def test_loaded_fields_match_originals():
     model = model_catalog("binding_Eb")
     back = load_model(dump_model(model))
@@ -145,6 +163,31 @@ def test_hand_written_file_loads():
         ),
         ("model = m\n[chart c]\nx = angular\n[piece p]\nrole = whole", "must come first"),
         ("model = m\n[chart c]\nx = angular\n[piece p]\nchart = c", "missing role"),
+        (
+            "model = m\n[chart c]\nx = angular\n[field W @ c]\nx = 1\n[piece p]\n"
+            "chart = c\nrole = whole\npair = W",
+            r"piece 'p': key 'pair' takes 2 field name\(s\)",
+        ),
+        (
+            "model = m\n[chart c]\nx = angular\n[field W @ c]\nx = 1\n[piece p]\n"
+            "chart = c\nrole = whole\npair = W W W",
+            r"piece 'p': key 'pair' takes 2 field name\(s\)",
+        ),
+        (
+            "model = m\n[chart c]\nx = angular\n[field W @ c]\nx = 1\n[piece p]\n"
+            "chart = c\nrole = whole\nw_field = W W",
+            r"piece 'p': key 'w_field' takes 1 field name\(s\)",
+        ),
+        (
+            "model = m\n[chart c]\nx = angular\n[piece p]\nchart = c\nrole = whole\n"
+            "form =",
+            r"piece 'p': key 'form' takes 1 form name\(s\)",
+        ),
+        (
+            "model = m\n[chart c]\nx = angular\n[piece p]\nchart = c\nrole = whole\n"
+            "spanning =",
+            r"piece 'p': key 'spanning' takes 1 or more field name\(s\)",
+        ),
         (
             "model = m\n[chart c]\nx = angular\n[piece p]\nchart = c\nrole = whole\n"
             "binding_locus = x",

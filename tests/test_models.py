@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from engelbook.charts import lie_bracket
-from engelbook.invariants import Path, delta_homomorphism
+from engelbook.invariants import Path, delta_homomorphism, twisting_number
 from engelbook.models import (
     GLUE_TORUS,
     ModelPiece,
@@ -303,6 +303,18 @@ def test_probe_contractible_segment_reports_zero():
         piece.chart, "phi", {"x": 0.0, "y": 0.1, "r": 0.0, "phi": 0.0}, 0.0, 0.3
     )
     assert looseness_probe(piece, path) == 0
+
+
+def test_open_segment_counts_at_the_asked_samples():
+    # the field turns 1.58 times along the segment; an open segment's count
+    # is fractional, and it is rounded at the asked sample count
+    piece = build_collar_engel(2, 3)
+    path = Path.coordinate_segment(
+        piece.chart, "phi", {"x": 0.0, "y": 0.3, "r": 0.0, "phi": 0.0}, 0.0, 3.3
+    )
+    result = twisting_number(piece.probe_field, piece.probe_frame, path, n_samples=256)
+    assert result.value == 2
+    assert result.samples == 256
 
 
 def test_probe_rejects_path_tangent_to_kernel():
