@@ -18,6 +18,7 @@ import numpy as np
 from .foliation import construct_xi_prime
 from .invariants import Path
 from .models import (
+    MIN_TURN_SAMPLES,
     _form_check,
     assemble,
     build_binding_engel,
@@ -179,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_ranges(args: argparse.Namespace) -> None:
     """Reject counts below their least useful value and negative (or NaN)
     tolerances.  A portrait grid of 1 or 2 points per axis has no point
-    inside the 0.98 disk, so ``--grid`` starts at 3."""
-    for dest, least in (("samples", 1), ("turn_samples", 1), ("grid", 3)):
+    inside the 0.98 disk, so ``--grid`` starts at 3, and turn counts take
+    the looseness probe's floor of path samples."""
+    for dest, least in (("samples", 1), ("turn_samples", MIN_TURN_SAMPLES), ("grid", 3)):
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")

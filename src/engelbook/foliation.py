@@ -76,6 +76,7 @@ _CONTACT_GRID_N = 281
 _TRAP_CANDIDATE = (0.4115, 0.4440)  # the radii a disk's Newton trap is proven on
 _TRAP_MARGIN = 1e-6  # delta: how far inside the trap its proven image stays
 _TRAP_PIECES = 512  # subintervals of the trap's interval bound
+_REPLAY_CHUNK = 256  # steps a straight-leaf replay predicts per direction call
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -171,6 +172,93 @@ def _plane_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
+def _replay_straight(
+    direction: Callable[[np.ndarray], np.ndarray],
+    z0: np.ndarray,
+    e: np.ndarray,
+    half: np.ndarray,
+    full: np.ndarray,
+    sixth: np.ndarray,
+    budget: np.ndarray,
+    inside: "Callable[[np.ndarray], np.ndarray] | None",
+    angular: list[int],
+    step: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The RK4 loop's traces of the rows whose leaves are straight, bit for bit.
+
+    ``e`` is each row's unit vector at its start ``z0``, and ``half``,
+    ``full`` and ``sixth`` are the loop's signed step factors.  If every
+    stage unit vector of a row equals ``e`` in bits, its RK4 stages are all
+    ``e``, so its step ``((e + 2e) + 2e + e) * sixth`` is one constant
+    (taken with the loop's operations, in its order), its path is the float
+    recurrence z_i = z_{i-1} + step, and its stage points are z_{i-1},
+    z_{i-1} + half * e (stages 2 and 3 coincide) and z_{i-1} + full * e.
+
+    Each round predicts ``_REPLAY_CHUNK`` steps of every row still running,
+    finds its first stop on them with the loop's rules, and evaluates
+    ``direction`` once, on the stage points of the steps up to that stop;
+    no point beyond a leaf's exit is evaluated.  A row is replayed when
+    every one of these stage unit vectors equals ``e`` and every norm is at
+    least 1e-14.  Any other row, and a row that does not start finite, is
+    left to the loop, which traces it from its start (and raises where the
+    field vanishes).  Returns a mask of the replayed rows and, on those
+    rows, the end points, exit flags and step counts.
+    """
+    m, dim = z0.shape
+    done = np.zeros(m, bool)
+    ends, exits, steps = z0.copy(), np.zeros(m, bool), np.zeros(m, int)
+    two = e + e
+    delta = (e + two + two + e) * sixth
+    to_mid, to_end, e3 = half * e, full * e, np.tile(e, 3)
+    live = np.flatnonzero(np.isfinite(z0).all(1) & np.isfinite(e).all(1))
+    za = z0[live]
+    taken = 0  # steps every live row has replayed
+    while len(live):
+        n = min(_REPLAY_CHUNK, int(budget[live].max()) - taken)
+        path = np.add.accumulate(
+            np.concatenate([za[:, None], np.broadcast_to(delta[live, None], (len(live), n, dim))], 1),
+            axis=1,
+        )
+        pts = path[:, 1:]
+        i = taken + np.arange(1, n + 1)
+        stop = i == budget[live, None]
+        if inside is not None:
+            out = ~(np.asarray(inside(pts.reshape(-1, dim))) > 0).reshape(len(live), n)
+            stop |= out
+        d = pts - z0[live, None]
+        for a in angular:
+            np.subtract((d[..., a] + math.pi) % math.tau, math.pi, out=d[..., a])
+        stop |= (i > 100) & (_row_norms(d.reshape(-1, dim)).reshape(len(live), n) < 0.5 * step)
+        stopped = stop.any(1)
+        last = np.where(stopped, stop.argmax(1), n - 1)
+        counts = last + 1
+        first = np.cumsum(counts) - counts
+        prev = path[:, :-1][np.arange(n) < counts[:, None]]
+        er, hr, fr = (np.repeat(a[live], counts, axis=0) for a in (e3, to_mid, to_end))
+        # the three stage points of a step side by side, so that each row's
+        # points are contiguous and one reduceat per test gives its verdict
+        v = np.asarray(direction(np.stack([prev, prev + hr, prev + fr], 1).reshape(-1, dim)), float)
+        norms = _row_norms(v)
+        # points past a bend are not on the leaf: the loop, not their
+        # arithmetic, decides what a row that bends meets there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = v / norms[:, None]
+        same = u.view(np.int64).reshape(er.shape) == er.view(np.int64)
+        straight = np.logical_and.reduceat(same.ravel(), first * er.shape[1])
+        straight &= np.logical_and.reduceat(norms >= 1e-14, first * 3)
+        fin = straight & stopped
+        j, at = live[fin], last[fin]
+        done[j] = True
+        ends[j] = pts[fin, at]
+        if inside is not None:
+            exits[j] = out[fin, at]
+        steps[j] = taken + 1 + at
+        keep = straight & ~stopped
+        live, za = live[keep], path[keep, -1]
+        taken += n
+    return done, ends, exits, steps
+
+
 def _trace_leaves(
     direction: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
@@ -195,10 +283,15 @@ def _trace_leaves(
     (``k + k`` is bitwise ``2 * k``) and never writes the array
     ``direction`` returns.
 
-    The stop tests run only on steps where a row can stop.  One step of
-    unit stages moves a row by at most ``travel = step * (1 + 1e-6)``, plus
-    the rounding of its coordinates.  So a row with room r, or at wrapped
-    distance s from its start, cannot stop on the next
+    Rows whose leaves are straight, with every stage unit vector equal to
+    the start's in bits, are replayed first in a few batched passes
+    (``_replay_straight``), with the same result as the loop.  The loop
+    below traces every other row from its start.
+
+    The loop runs its stop tests only on steps where a row can stop.  One
+    step of unit stages moves a row by at most ``travel = step * (1 +
+    1e-6)``, plus the rounding of its coordinates.  So a row with room r,
+    or at wrapped distance s from its start, cannot stop on the next
     ``floor(r / travel) - 1`` resp. ``floor((s - step / 2) / travel) - 1``
     steps; the ``- 1`` is one step of slack for rounding.  No row closes
     before step 101 or outlives its budget.  The loop runs the steps before
@@ -212,7 +305,6 @@ def _trace_leaves(
     exited = np.zeros(len(z), bool)
     n_steps = np.array(max_steps, int)
     rows = np.flatnonzero(n_steps > 0)
-    za, z0, budget = z[rows], z[rows], n_steps[rows]
     sa = np.asarray(signs, float)[rows]
     if sa.ndim == 1:
         sa = sa[:, None]
@@ -228,6 +320,17 @@ def _trace_leaves(
         if np.fmin.reduce(n) < 1e-14:
             raise ValueError("direction field vanishes on the traced leaf")
         return v / n[:, None]
+
+    if len(rows):
+        # the loop's first stage, so a start where the field vanishes raises
+        replayed, ends, exits, steps = _replay_straight(
+            direction, z[rows], unit(z[rows]), half, full, sixth, n_steps[rows], inside, angular, step
+        )
+        z[rows[replayed]] = ends[replayed]
+        exited[rows[replayed]] = exits[replayed]
+        n_steps[rows[replayed]] = steps[replayed]
+        rows, half, full, sixth = (a[~replayed] for a in (rows, half, full, sixth))
+    za, z0, budget = z[rows], z[rows], n_steps[rows]
 
     i = 0
     test_at = 1  # the next step that runs the stop tests
@@ -329,10 +432,16 @@ def annulus_foliation_check(
     the exited forward leaves as a second.
 
     A leaf's room is its distance ``min(v - lo, hi - v)`` to the boundary
-    circles; ``room > 0`` is bitwise ``lo < v < hi``, and false for NaN.  A
-    leaf moves by at most one step and a millionth per RK4 step, so the
-    tracer skips the exit test on the steps a leaf's room cannot run out,
-    and runs it on every step where a leaf is not finite.
+    circles; ``room > 0`` is bitwise ``lo < v < hi``, and false for NaN.
+    Where the pulled form has a constant kernel line, as on both catalog
+    annuli (c2 = 0, c1 of one sign), every leaf is straight: the tracer
+    replays it in a few batched passes, with the bits the RK4 loop would
+    give.  Other leaves are stepped; the tracer then skips the exit test on
+    the steps a leaf's room cannot run out, since a leaf moves by at most
+    one step and a millionth per RK4 step, and runs it on every step where
+    a leaf is not finite.  The replay reproduces the trace and nothing
+    more: the check still samples 8 leaves and proves nothing about the
+    leaves between them.
     """
     from .verify import MAX_FAILURES, CheckReport
 

@@ -78,6 +78,8 @@ DEFAULT_MIN_POINTS = 1000
 SLOPE_TOL = 1e-9
 SYMBOL_TOL = 1e-12
 RESIDUAL_TOL = 0.25
+# fewest path samples a turn count takes: fewer alias the fields' turns
+MIN_TURN_SAMPLES = 16
 
 
 # -- small helpers -------------------------------------------------------------
@@ -1097,8 +1099,10 @@ def looseness_probe(piece: ModelPiece, path: Path, n_samples: int = 512) -> int:
     samples are refused: they alias the field's turns (one or two samples
     of the collar's phi circle count 0 or -1 of its 3 turns).
     """
-    if n_samples < 16:
-        raise ValueError(f"a looseness probe needs at least 16 samples, got {n_samples}")
+    if n_samples < MIN_TURN_SAMPLES:
+        raise ValueError(
+            f"a looseness probe needs at least {MIN_TURN_SAMPLES} samples, got {n_samples}"
+        )
     if piece.probe_field is None or piece.probe_frame is None:
         raise ValueError(f"piece {piece.name!r} declares no probe data")
     pts = path.sample(n_samples)

@@ -115,6 +115,21 @@ def test_invalid_counts_and_tolerances_are_rejected(capsys, argv):
     assert f"error[EB-PARAM] {flag} must be" in err
 
 
+# construct --lambda 0 --k 1 --turn-samples 3 used to exit 0 on turn counts
+# taken from 3 path samples
+@pytest.mark.parametrize("command", ["construct", "invariants"])
+def test_turn_samples_take_the_looseness_probe_floor(capsys, tmp_path, command):
+    argv = [command, "--lambda", "0", "--k", "1", "--out", str(tmp_path / "report.json")]
+    for few in ("3", "15"):
+        assert run([*argv, "--turn-samples", few]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[EB-PARAM] --turn-samples must be at least 16, got {few}")
+    assert not (tmp_path / "report.json").exists()
+    assert run([*argv, "--turn-samples", "16"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["turn_samples"] == 16
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--zero-tol", "1e-10"), ("--slope-tol", "0"), ("--residual-tol", "0.3")],

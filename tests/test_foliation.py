@@ -21,6 +21,7 @@ from engelbook.charts import (
     wedge_top,
 )
 from engelbook.foliation import (
+    _REPLAY_CHUNK,
     _TRAP_CANDIDATE,
     _TRAP_MARGIN,
     ClassifierField,
@@ -620,6 +621,162 @@ def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
     report = annulus_foliation_check(pulled, (lo, hi))
     assert report.passed
     assert 0 < len(calls) <= 20
+
+
+def straight_up(pts):
+    return np.stack([np.zeros(pts.shape[:-1]), np.ones(pts.shape[:-1])], -1)
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """The mask of the rows that each call of the straight-leaf replay took."""
+    masks = []
+    replay = foliation._replay_straight
+
+    def recording(*args):
+        result = replay(*args)
+        masks.append(result[0].tolist())
+        return result
+
+    monkeypatch.setattr(foliation, "_replay_straight", recording)
+    return masks
+
+
+def test_replay_stops_at_chunk_edges_like_one_leaf_loop():
+    # v moves by about one step per step, so a start n - 1/2 steps below the
+    # top exits on step n: the last step of the first chunk, the first of
+    # the second, and the same at the bottom; two more rows spend budgets
+    # that end on either side of the chunk edge
+    step, lo, hi, c = 1e-3, 0.1, 0.9, _REPLAY_CHUNK
+    starts = np.array(
+        [[0.0, hi - (c - 0.5) * step], [1.0, hi - (c + 0.5) * step],
+         [2.0, lo + (c - 0.5) * step], [3.0, lo + (c + 0.5) * step],
+         [4.0, 0.5], [5.0, 0.5]]
+    )
+    signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+    budgets = np.array([2000, 2000, 2000, 2000, c, c + 1])
+    wrap = (True, False)
+    dense = [
+        dense_trace_leaf(signed(straight_up, s), z, step, int(n), lambda z: lo < z[1] < hi, wrap)
+        for z, s, n in zip(starts, signs, budgets)
+    ]
+    assert [d[2] for d in dense] == [c, c + 1, c, c + 1, c, c + 1]
+    assert [d[1] for d in dense] == [True] * 4 + [False] * 2
+    for inside in (band_mask(lo, hi), band_room(lo, hi)):
+        assert_same_traces(_trace_leaves(straight_up, starts, signs, step, budgets, inside, wrap), dense)
+
+
+def test_replay_hands_a_leaf_whose_field_turns_to_the_loop(replayed):
+    # the kernel (0, v - 0.3) of (v - 0.3) du flips sign at v = 0.3: the
+    # backward leaf from v = 0.5003 runs down onto that circle and stalls
+    # next to it, so its stage unit vectors stop being its first one; the
+    # forward leaf is straight and crosses two chunks before it exits (a
+    # start 200 steps above 0.3 would bring a stage point within rounding
+    # of the circle, where the field vanishes)
+    pulled = ANNULUS.one_form({"u": "v - 0.3"})
+    direction = kernel_direction(pulled)
+    starts = np.array([[0.0, 0.5003], [1.0, 0.5]])
+    signs = np.array([-1.0, 1.0])
+    step, budgets, wrap = 1e-3, np.array([600, 600]), (True, False)
+    dense = [
+        dense_trace_leaf(signed(direction, s), z, step, int(n), lambda z: 0.05 < z[1] < 0.95, wrap)
+        for z, s, n in zip(starts, signs, budgets)
+    ]
+    batch = _trace_leaves(direction, starts, signs, step, budgets, band_room(0.05, 0.95), wrap)
+    assert_same_traces(batch, dense)
+    assert replayed == [[False, True]]
+    ends, exited, n_steps = batch
+    assert exited.tolist() == [False, True] and n_steps.tolist() == [600, 450]
+    assert abs(ends[0, 1] - 0.3) < step
+
+
+def test_straight_leaf_vanishing_partway_raises_like_one_leaf_loop():
+    # the unit vector is (0, 1) everywhere, but above v = 0.6 the field is
+    # 1e-20 long; a leaf that exits below 0.6 never meets that part
+    def direction(pts):
+        out = straight_up(pts)
+        out[pts[..., 1] >= 0.6] *= 1e-20
+        return out
+
+    step, wrap = 1e-3, (True, False)
+    starts = np.array([[0.0, 0.3], [1.0, 0.5]])
+    with pytest.raises(ValueError, match="vanishes"):
+        _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_room(0.1, 0.9), wrap)
+    with pytest.raises(ValueError, match="vanishes"):
+        dense_trace_leaf(direction, starts[1], step, 800, lambda z: 0.1 < z[1] < 0.9, wrap)
+    dense = [dense_trace_leaf(direction, z, step, 800, lambda z: 0.1 < z[1] < 0.59, wrap) for z in starts]
+    batch = _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_room(0.1, 0.59), wrap)
+    assert_same_traces(batch, dense)
+    assert batch[1].all()
+
+
+def test_replay_closes_a_slanted_constant_leaf_like_one_leaf_loop():
+    # a constant field, slanted a little off the u circles: after one turn
+    # of u the leaf is within half a step of its start, 700 steps on
+    def slanted(pts):
+        return np.broadcast_to([1.0, 5e-4], pts.shape).copy()
+
+    step, wrap = math.tau / 700.3, (True, False)
+    starts = np.array([[0.0, 0.5], [2.0, 0.3]])
+    signs = np.array([1.0, -1.0])
+    budgets = np.full(2, 2000)
+    dense = [
+        dense_trace_leaf(signed(slanted, s), z, step, 2000, lambda z: 0.1 < z[1] < 0.9, wrap)
+        for z, s in zip(starts, signs)
+    ]
+    for inside in (band_room(0.1, 0.9), None):
+        assert_same_traces(_trace_leaves(slanted, starts, signs, step, budgets, inside, wrap), dense)
+    assert [d[1] for d in dense] == [False, False]
+    assert [d[2] for d in dense] == [700, 700]
+
+
+def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop(replayed):
+    # mixed_direction below v = 0.6, a slanted constant field above it: row
+    # 0 is straight to its exit, row 1 runs straight down into the curved
+    # part, row 2 is curved from its start, and row 3 circles on v = 0.5,
+    # where the v component is 0, so its unit vector is (1, 0) throughout
+    def direction(pts):
+        out = mixed_direction(pts)
+        out[pts[..., 1] > 0.6] = (0.3, 2.0)
+        return out
+
+    starts = np.array([[1.0, 0.7], [2.0, 0.65], [0.5, 0.52], [1.0, 0.5]])
+    signs = np.array([1.0, -1.0, 1.0, 1.0])
+    step, budgets, wrap = 1e-2, np.full(4, 2000), (True, False)
+    dense = [
+        dense_trace_leaf(signed(direction, s), z, step, 2000, lambda z: 0.1 < z[1] < 0.9, wrap)
+        for z, s in zip(starts, signs)
+    ]
+    for inside in (band_mask(0.1, 0.9), band_room(0.1, 0.9)):
+        assert_same_traces(_trace_leaves(direction, starts, signs, step, budgets, inside, wrap), dense)
+    assert replayed == [[True, False, False, True]] * 2
+    # rows 0 and 2 exit, row 1 is drawn onto v = 0.5 and spends its budget,
+    # and row 3 closes after one turn
+    assert [d[1:] for d in dense] == [(True, 21), (False, 2000), (True, 79), (False, 628)]
+
+
+@pytest.mark.parametrize("name", ["s3_openbook", "stabilization_local"])
+def test_catalog_annulus_replays_in_a_few_direction_calls(monkeypatch, name):
+    # stepping RK4 one step at a time was about 3,000 direction calls per
+    # check; the replay takes one per batch for the start and one per
+    # chunk, and evaluates no point beyond the step that leaves the band
+    calls = []
+
+    def counting(direction, *args):
+        def counted(pts):
+            calls.append(np.array(pts))
+            return direction(pts)
+
+        return _trace_leaves(counted, *args)
+
+    monkeypatch.setattr(foliation, "_trace_leaves", counting)
+    pulled, (lo, hi) = catalog_annulus(name)
+    report = annulus_foliation_check(pulled, (lo, hi))
+    assert report.passed
+    assert len(calls) <= 6
+    v = np.concatenate(calls)[:, 1]
+    step = report.details["step"]
+    assert (lo - step <= v).all() and (v <= hi + step).all()
 
 # -- singularity classification ----------------------------------------------------
 
