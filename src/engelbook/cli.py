@@ -446,3 +446,7 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> None:
     sys.exit(run(argv))
+
+
+if __name__ == "__main__":
+    main()

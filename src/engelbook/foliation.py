@@ -596,16 +596,14 @@ def find_and_classify(
     ``jacobian`` and then ``value`` on the same points, and so does the
     classification of the zeros found; the disk classifier computes V and J
     in that ``jacobian`` call and keeps V for the ``value`` call.  The
-    final ``|V|`` test of all seeds calls ``value`` alone, which the disk
-    classifier answers from a V-only pass.
+    final ``|V|`` test calls ``value`` alone, once on each distinct end
+    point (grouped as the rounds group seeds), which the disk classifier
+    answers from a V-only pass.
     """
     z = _newton_points(classifier, grid_n, newton_iters, trap)
-    V = classifier.value(z)
-    good = (
-        np.isfinite(z).all(axis=-1)
-        & (_plane_norms(V) <= _ZERO_RESIDUAL)
-        & (_plane_norms(z) < _DISK_RADIUS)
-    )
+    ends, inverse = np.unique(z.view(np.complex128)[:, 0], return_inverse=True, equal_nan=False)
+    small = _plane_norms(classifier.value(ends.view(np.float64).reshape(-1, 2))) <= _ZERO_RESIDUAL
+    good = small[inverse] & (_plane_norms(z) < _DISK_RADIUS)  # False on non-finite rows
 
     rest = z[good]
     unique: list[np.ndarray] = []
@@ -671,21 +669,23 @@ def _newton_points(
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         ok = np.abs(det) > 1e-300
         inv_det = np.where(ok, det, 1.0)
-        step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
-        step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
-        step = np.stack([step_p, step_q], axis=-1)
+        moved = np.empty_like(za)
+        moved[:, 0] = za[:, 0] - (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
+        moved[:, 1] = za[:, 1] - (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
         alive = ok & (_plane_norms(za) < 2.0 * _DISK_RADIUS)
-        za, step, active = za[alive], step[alive], active[alive]
-        moved = za - step
+        if not alive.all():
+            za, moved, active = za[alive], moved[alive], active[alive]
         z[active] = moved
-        keep = (moved.view(np.int64) != za.view(np.int64)).any(axis=-1)
+        moved_bits, za_bits = moved.view(np.int64), za.view(np.int64)
+        keep = (moved_bits[:, 0] != za_bits[:, 0]) | (moved_bits[:, 1] != za_bits[:, 1])
         if trap is not None:
             rho = _plane_norms(moved)
             keep &= ~((trap[0] < rho) & (rho < trap[1]))
-        active = active[keep]
+        if not keep.all():
+            active, moved = active[keep], moved[keep]
         # seeds that landed on the same point follow the first of them (equal
         # as complex values is equal bytes here); each NaN row stays apart
-        flat = z[active].view(np.complex128)[:, 0]
+        flat = moved.view(np.complex128)[:, 0]
         _, first, inverse = np.unique(flat, return_index=True, return_inverse=True, equal_nan=False)
         lead[active] = active[first][inverse]
         active = active[np.sort(first)]
@@ -760,25 +760,28 @@ class _RadialRamps:
     ramps: tuple[tuple[float, float, float], ...]  # (start, end, jump)
     final: float
 
-    def jet(self, rho: np.ndarray, orders: Sequence[int], first: dict) -> tuple[np.ndarray, ...]:
+    def jet(self, rho: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
         """The asked orders (0: value, 1: first derivative) at ``rho``.
 
-        ``first`` maps each asked order to the first ramp's smoothstep jet,
-        which the caller computes (and may share with another profile).
+        Each ramp runs its smoothstep only on its band 0 < t < 1.  Below the
+        band its term is a signed zero, and above it the jump (value) or +0.0
+        (derivative).  The sums start from +0.0 and so are never -0.0, and
+        adding a zero leaves them as they are.  A NaN rho takes no term.
         """
-        steps = [first] + [
-            dict(zip(orders, _smoothstep_jet((rho - a) / (b - a), orders)))
-            for a, b, _ in self.ramps[1:]
-        ]
-        jets = []
-        for order in orders:
-            acc = np.zeros(np.shape(rho))
-            for (a, b, jump), step in zip(self.ramps, steps):
-                acc = acc + (jump if order == 0 else jump / (b - a)) * step[order]
-            if order == 0:
-                acc = np.where(rho >= self.ramps[-1][1], self.final, acc)
-            jets.append(acc)
-        return tuple(jets)
+        jets = tuple(np.zeros(np.shape(rho)) for _ in orders)
+        for a, b, jump in self.ramps:
+            t = (rho - a) / (b - a)
+            band = np.flatnonzero((t > 0.0) & (t < 1.0))
+            tb = t.reshape(-1)[band]
+            for order, acc in zip(orders, jets):
+                if order == 0:
+                    np.add(acc, jump, out=acc, where=t >= 1.0)
+                if band.size:
+                    scale = jump if order == 0 else jump / (b - a)
+                    acc.reshape(-1)[band] += scale * _SMOOTHSTEP[order](tb)
+        if 0 in orders:
+            np.copyto(jets[list(orders).index(0)], self.final, where=rho >= self.ramps[-1][1])
+        return jets
 
 
 def _pair_sums(idx: np.ndarray, n: int, *weights: np.ndarray) -> list[np.ndarray]:
@@ -807,11 +810,12 @@ def _gaussian_bundle(
     the bump boxes are dropped, one box test of the rest against all
     centers gives the (bump, point) pairs in bump-major order, the bump
     formulas run once on the flat pair arrays, up to the highest order
-    asked, and ``np.bincount`` sums each output slot per point.  It adds in
-    input order starting from 0.0, so each point takes its contributions in
-    center order, and the sums match a dense all-points evaluation bit for
-    bit.  With no pair in reach the pass returns ``np.zeros``, the +0.0 that
-    the sums over no pairs would give.
+    asked, and ``np.bincount`` sums each output slot per point in the box.
+    It adds in input order starting from 0.0, so each point takes its
+    contributions in center order, and the sums match a dense all-points
+    evaluation bit for bit.  The sums fill those points of ``np.zeros``
+    outputs; every other point keeps the +0.0 that a sum over no pairs
+    would give.
     """
     w2 = width * width
     fade_lo = t0 * width
@@ -824,14 +828,15 @@ def _gaussian_bundle(
     hi = centers.max(axis=0) + 1.001 * reach
 
     def pairs(flat: np.ndarray, order: int):
-        """The point index of every (bump, point) pair in reach, the offsets
-        and distance there, and the bump's radial derivatives up to
+        """The points in the box around all the bump boxes, and for every
+        (bump, point) pair in reach the point's index among them, the
+        offsets and distance there, and the bump's radial derivatives up to
         ``order``; None when no pair is in reach."""
-        inbox = (flat >= lo) & (flat <= hi)
-        cand = np.flatnonzero(inbox[:, 0] & inbox[:, 1])
+        p, q = flat[:, 0], flat[:, 1]
+        cand = np.flatnonzero((p >= lo[0]) & (p <= hi[0]) & (q >= lo[1]) & (q <= hi[1]))
         if not cand.size:
             return None
-        p, q = flat[cand].T
+        p, q = p[cand], q[cand]
         # one (bumps, candidates) buffer for both coordinates' offsets
         off = np.subtract(p, cp)
         near = np.abs(off, out=off) <= reach
@@ -854,36 +859,35 @@ def _gaussian_bundle(
             chi_d2 = -fade[2] / (fade_w * fade_w)
             E_d2 = (d * d / (w2 * w2) - 1.0 / w2) * E
             g.append(E_d2 * chi + 2.0 * E_d1 * chi_d1 + E * chi_d2)
-        return cand[sub], dp, dq, d, g
+        return cand, sub, dp, dq, d, g
 
     def bundle(pts: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
         flat = pts.reshape(-1, 2)
-        n = len(flat)
-        shapes = (pts.shape[:-1], pts.shape, pts.shape + (2,))
+        jets = [np.zeros((len(flat),) + (2,) * order) for order in orders]
         found = pairs(flat, max(orders))
         if found is None:
-            return tuple(np.zeros(shapes[order]) for order in orders)
-        idx, dp, dq, d, g = found
+            return tuple(jet.reshape(pts.shape[:-1] + jet.shape[1:]) for jet in jets)
+        cand, sub, dp, dq, d, g = found
+        m = len(cand)
         safe = np.maximum(d, 1e-30)
-        jets = []
-        for order in orders:
+        for order, jet in zip(orders, jets):
             if order == 0:
-                jets.append(_pair_sums(idx, n, amplitude * g[0])[0])
+                jet[cand] = _pair_sums(sub, m, amplitude * g[0])[0]
             elif order == 1:
-                gp, gq = _pair_sums(idx, n, amplitude * g[1] * dp / safe, amplitude * g[1] * dq / safe)
-                jets.append(np.stack([gp, gq], axis=-1))
+                gp, gq = _pair_sums(sub, m, amplitude * g[1] * dp / safe, amplitude * g[1] * dq / safe)
+                jet[cand] = np.stack([gp, gq], axis=-1)
             else:
                 near = d < 1e-9
                 up, uq = dp / safe, dq / safe
                 radial = g[1] / safe
                 hpp, hpq, hqq = _pair_sums(
-                    idx, n,
+                    sub, m,
                     amplitude * np.where(near, g[2], g[2] * up * up + radial * uq * uq),
                     amplitude * np.where(near, 0.0, (g[2] - radial) * up * uq),
                     amplitude * np.where(near, g[2], g[2] * uq * uq + radial * up * up),
                 )
-                jets.append(np.stack([hpp, hpq, hpq, hqq], axis=-1))
-        return tuple(jet.reshape(shapes[order]) for order, jet in zip(orders, jets))
+                jet[cand] = np.stack([hpp, hpq, hpq, hqq], axis=-1).reshape(-1, 2, 2)
+        return tuple(jet.reshape(pts.shape[:-1] + jet.shape[1:]) for jet in jets)
 
     return bundle
 
@@ -923,38 +927,38 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     wall_w = wall_hi - wall_lo
 
     def u(pts: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
-        p, q = pts[..., 0], pts[..., 1]
-        rho = np.hypot(p, q)
-        safe = np.maximum(rho, 1e-30)
-        # the wall's share of each order; its Hessian terms read its first
-        # derivative too, and u is written as 1 - (1+h)(1-sigma) so that its
-        # outside value is exactly 1
-        wall_orders = sorted({*orders, *((1,) if 2 in orders else ())})
-        scale = {1: wall_w, 2: wall_w * wall_w}
-        wall = {
-            order: 1.0 - one_plus * (1.0 - jet) if order == 0 else one_plus * jet / scale[order]
-            for order, jet in zip(
-                wall_orders, _smoothstep_jet((rho - wall_lo) / wall_w, wall_orders)
-            )
-        }
-        del rho  # the bundle pass below is the peak on the 281 x 281 contact grid
+        flat = pts.reshape(-1, 2)
+        rho = np.hypot(flat[:, 0], flat[:, 1])
+        t = (rho - wall_lo) / wall_w
+        # u is written as 1 - (1+h)(1-sigma) so that its outside value is exactly 1
+        wall = 1.0 - one_plus * (1.0 - _smoothstep_jet(t, (0,))[0]) if 0 in orders else None
+        # the wall's gradient and Hessian terms run only on its band 0 < t < 1:
+        # outside it, at a finite point, they are +0.0 times finite factors,
+        # and adding a zero to the bundle's sums, which are never -0.0, leaves
+        # them as they are (a non-finite point keeps a non-finite V and J)
+        band = np.flatnonzero((t > 0.0) & (t < 1.0))
+        if band.size:
+            tb, (pb, qb) = t[band], flat[band].T
+            safe = np.maximum(rho[band], 1e-30)
+            w1 = one_plus * _SMOOTHSTEP[1](tb) / wall_w
+        del rho, t  # the bundle pass below is the peak on the 281 x 281 contact grid
         jets = []
-        for order, jet in zip(orders, bundle(pts, orders)):
+        for order, jet in zip(orders, bundle(flat, orders)):
             if order == 0:
-                jet = wall[0] + jet
-            elif order == 1:
-                jet[..., 0] += wall[1] * p / safe
-                jet[..., 1] += wall[1] * q / safe
-            else:
-                w2 = wall[2]
-                up, uq = p / safe, q / safe
-                radial = wall[1] / safe
-                jet[..., 0, 0] += w2 * up * up + radial * uq * uq
-                jet[..., 1, 1] += w2 * uq * uq + radial * up * up
+                jet = wall + jet
+            elif order == 1 and band.size:
+                jet[band, 0] += w1 * pb / safe
+                jet[band, 1] += w1 * qb / safe
+            elif band.size:
+                w2 = one_plus * _SMOOTHSTEP[2](tb) / (wall_w * wall_w)
+                up, uq = pb / safe, qb / safe
+                radial = w1 / safe
+                jet[band, 0, 0] += w2 * up * up + radial * uq * uq
+                jet[band, 1, 1] += w2 * uq * uq + radial * up * up
                 cross = (w2 - radial) * up * uq
-                jet[..., 0, 1] += cross
-                jet[..., 1, 0] += cross
-            jets.append(jet)
+                jet[band, 0, 1] += cross
+                jet[band, 1, 0] += cross
+            jets.append(jet.reshape(pts.shape[:-1] + jet.shape[1:]))
         return tuple(jets)
 
     # c and s switch on across [ca, cb], radii chosen so every point of the
@@ -979,10 +983,7 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     )
 
     def profiles(rho: np.ndarray, c_orders: Sequence[int], s_orders: Sequence[int]):
-        # c and s switch on across the same (ca, cb) ramp: one smoothstep for both
-        orders = sorted({*c_orders, *s_orders})
-        on = dict(zip(orders, _smoothstep_jet((rho - ca) / (cb - ca), orders)))
-        return c_profile.jet(rho, c_orders, on), s_profile.jet(rho, s_orders, on)
+        return c_profile.jet(rho, c_orders), s_profile.jet(rho, s_orders)
 
     if cluster_end >= wall_lo:
         raise ValueError("peak cluster does not fit inside the wall radius")
@@ -1315,10 +1316,15 @@ def _exact_disk_form() -> DiskContactForm:
 
 
 def _disk_grid(radius: float, n: int) -> np.ndarray:
+    """The points of the n x n grid on [-radius, radius]^2 with
+    ``_plane_norms`` at most radius, in row-major order."""
     axis = np.linspace(-radius, radius, n)
-    P, Q = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([P.reshape(-1), Q.reshape(-1)], axis=-1)
-    return pts[_plane_norms(pts) <= radius]
+    square = axis * axis
+    inside = np.sqrt(square[:, None] + square) <= radius
+    pts = np.empty((np.count_nonzero(inside), 2))
+    pts[:, 0] = np.repeat(axis, inside.sum(axis=1))
+    pts[:, 1] = np.broadcast_to(axis, inside.shape)[inside]
+    return pts
 
 
 def _annulus_grid(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:

@@ -236,8 +236,12 @@ def delta_homomorphism(
     pts = path.sample(n_samples)
     framev = field_matrix(list(frame), pts)
 
+    first_plane = [(f.chart, f.components) for f in d_first]
     turns = []
     for basis in (d_first, d_second):
+        if turns and [(f.chart, f.components) for f in basis] == first_plane:
+            turns.append(turns[0])  # the first plane again: the same lines, bit for bit
+            continue
         coeffs = _null_line_coeffs(basis, rows, pts)
         bv = field_matrix(list(basis), pts)
         line = coeffs[:, :1] * bv[:, 0] + coeffs[:, 1:] * bv[:, 1]

@@ -1158,6 +1158,8 @@ def assemble(
     if l < 1:
         raise ValueError(f"l = k + lam must be a positive integer, got {l}")
     a = _check_angle(a)
+    if n_samples < MIN_TURN_SAMPLES:
+        raise ValueError(f"an assembly needs at least {MIN_TURN_SAMPLES} samples, got {n_samples}")
     if r0 is None:
         # slope matching: cot(a) = 1 / r0^2
         r0 = math.sqrt(math.tan(a))

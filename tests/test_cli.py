@@ -407,3 +407,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "binding_Eb" in proc.stdout
+
+
+def test_cli_module_runs_main_as_a_script():
+    # python -m engelbook.cli runs the same entry point as python -m engelbook
+    argv = ["construct", "--lambda", "0", "--k", "1", "--turn-samples", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "engelbook.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[EB-PARAM] --turn-samples must be at least 16, got 3")

@@ -1154,8 +1154,8 @@ def central_difference(fn, pts, h=1e-6):
 
 
 def disk_regions(k):
-    """Random points of the bump cluster, the c/s band, the wall ramp and
-    the exact region of the disk with k twists."""
+    """Random points of the bump cluster, the c/s band, the wall ramp, the
+    exact region and the c_rise and s_fall ramps of the disk with k twists."""
     params = _disk_params(k)
     width = params["width"]
     e = (k + 1) // 2
@@ -1174,7 +1174,33 @@ def disk_regions(k):
         "c/s transition band": ring(params["c_on"][0] * width, params["c_on"][1] * width, 200),
         "wall ramp": ring(*params["wall"], 200),
         "exact region": ring(params["exact_radius"], 1.0, 200),
+        "c_rise ramp": ring(*params["c_rise"], 200),
+        "s_fall ramp": ring(*params["s_fall"], 200),
     }
+
+
+def band_edges(k):
+    """Points at and one ulp either side of every band edge of the disk with
+    k twists: the wall, c/s, c_rise and s_fall radii on both axes, where
+    rho is the radius exactly, and the fade distances trunc * width above
+    and below each bump, where the distance to its center is exact."""
+    params = _disk_params(k)
+    width = params["width"]
+    e = (k + 1) // 2
+    offsets = (np.arange(e) - 0.5 * (e - 1)) * params["spacing"] * width
+    c_on = [f * width for f in params["c_on"]]
+    radii = [*params["wall"], *c_on, *params["c_rise"], *params["s_fall"]]
+    fades = [f * width for f in params["trunc"]]
+
+    def around(x):
+        return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+    pts = []
+    for sign in (1.0, -1.0):
+        pts += [(sign * x, 0.0) for r in radii for x in around(r)]
+        pts += [(0.0, sign * x) for r in radii for x in around(r)]
+        pts += [(c, sign * x) for c in offsets for d in fades for x in around(d)]
+    return np.array(pts)
 
 
 @pytest.mark.parametrize("k", [3, 19])
@@ -1238,6 +1264,17 @@ def test_band_limited_smoothstep_is_bit_identical_to_clipped_formulas(orders):
         assert len(jets) == len(orders)
         for order, jet in zip(orders, jets):
             assert bitwise_equal(jet, refs[order](batch)), (order, batch)
+
+
+@pytest.mark.parametrize(
+    "radius, n", [(0.98, 161), (0.98, 41), (1.0, 281), (0.98, 25), (0.5, 3), (1.0, 1), (1.0, 0)]
+)
+def test_disk_grid_is_the_masked_meshgrid(radius, n):
+    # the seed, portrait and contact grids hold rim points with norm exactly radius
+    axis = np.linspace(-radius, radius, n)
+    P, Q = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([P.reshape(-1), Q.reshape(-1)], axis=-1)
+    assert bitwise_equal(_disk_grid(radius, n), pts[np.linalg.norm(pts, axis=-1) <= radius])
 
 
 def test_plane_norms_are_bit_identical_to_linalg_norm():
@@ -1416,7 +1453,8 @@ def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
     pieces = _assemble_pieces(k, _disk_params(k))
     classifier = _classifier_from_pieces(pieces)
     reference, grad_u, hess_u = reference_disk(k)
-    regions = {**disk_regions(k), "disk grid": _disk_grid(0.98, 161)}
+    regions = {**disk_regions(k), "band edges": band_edges(k)}
+    regions["disk grid"] = _disk_grid(0.98, 161)
     for region, pts in regions.items():
         V = classifier.value(pts)
         J = classifier.jacobian(pts)
@@ -1435,15 +1473,18 @@ def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
     assert bitwise_equal(z, dense_newton_points(reference, 60))
 
 
-def counted_classifier(k):
+def counted_classifier(k, points=None):
     """A fresh disk classifier and the list of its passes: "jet" for the
-    V and J pass, "value" for the V-only pass."""
+    V and J pass, "value" for the V-only pass.  A ``points`` list, if
+    given, collects a copy of the points of each pass."""
     pieces = _assemble_pieces(k, _disk_params(k))
     passes = []
     kinds = {(1,): "value", (1, 2): "jet"}
 
     def u(pts, orders):
         passes.append(kinds.get(tuple(orders), "level"))
+        if points is not None:
+            points.append(np.array(pts, copy=True))
         return pieces.u(pts, orders)
 
     return _classifier_from_pieces(dataclasses.replace(pieces, u=u)), passes
@@ -1487,6 +1528,43 @@ def test_classifier_memo_serves_only_the_same_bytes():
     J = classifier.jacobian(base)
     assert passes.count("jet") == 9  # nor does it serve a jacobian
     assert bitwise_equal(J, counted_classifier(7)[0].jacobian(base))
+
+
+def test_final_residual_test_evaluates_each_distinct_end_point_once():
+    points = []
+    classifier, passes = counted_classifier(7, points)
+    report = find_and_classify(classifier, trap=disk_trap(7))
+    ends = _newton_points(search_field("k7"), 161, 60, disk_trap(7))
+    distinct = np.unique(ends.view(np.complex128)[:, 0]).view(np.float64).reshape(-1, 2)
+    # every round and the classification run the jet pass, which serves their
+    # value calls; the final |V| test is the one V-only pass
+    assert passes.count("value") == 1
+    assert len(distinct) < len(ends)
+    assert bitwise_equal(points[passes.index("value")], distinct)
+    assert len(report.zeros) == 7
+
+
+NON_FINITE_ROWS = np.array(
+    [[np.nan, 0.0], [0.2, np.nan], [np.nan, np.nan], [np.inf, 0.0], [-np.inf, 0.1],
+     [0.0, np.inf], [0.1, -np.inf], [np.inf, np.nan], [np.inf, -np.inf]]
+)
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_non_finite_rows_stay_non_finite_and_never_pass_the_residual_test(k, monkeypatch):
+    classifier = search_field(f"k{k}")
+    with np.errstate(invalid="ignore"):
+        assert (~np.isfinite(classifier.value(NON_FINITE_ROWS))).any(axis=-1).all()
+        classifier.jacobian(NON_FINITE_ROWS)
+        assert (~np.isfinite(classifier.value(NON_FINITE_ROWS))).any(axis=-1).all()
+    # end points with non-finite rows, each twice, add no zero
+    reference = find_and_classify(classifier, trap=disk_trap(k))
+    ends = _newton_points(classifier, 161, 60, disk_trap(k))
+    padded = np.concatenate([NON_FINITE_ROWS, ends, NON_FINITE_ROWS])
+    monkeypatch.setattr(foliation, "_newton_points", lambda *_args: padded)
+    with np.errstate(invalid="ignore"):
+        report = find_and_classify(classifier, trap=disk_trap(k))
+    assert repr(report) == repr(reference)
 
 
 def v_only_inputs():

@@ -7,8 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from engelbook.charts import lie_bracket
-from engelbook.invariants import Path, delta_homomorphism, twisting_number
+from engelbook import invariants
+from engelbook.charts import field_matrix, lie_bracket
+from engelbook.invariants import (
+    DeltaResult,
+    Path,
+    _null_line_coeffs,
+    _project_onto_frame,
+    _turns,
+    delta_homomorphism,
+    twisting_number,
+)
 from engelbook.models import (
     GLUE_TORUS,
     ModelPiece,
@@ -442,6 +451,57 @@ def test_assemble_rejects_even_k():
 def test_assemble_rejects_nonpositive_l():
     with pytest.raises(ValueError, match="must be a positive integer"):
         assemble(-4, 3)
+
+
+@pytest.mark.parametrize("few", [3, 15])
+def test_assemble_refuses_fewer_turn_samples_than_the_probe_floor(few, monkeypatch):
+    def build(*_args, **_kwargs):
+        raise AssertionError("a piece was built")
+
+    monkeypatch.setattr("engelbook.models.build_collar_engel", build)
+    with pytest.raises(ValueError, match=f"an assembly needs at least 16 samples, got {few}"):
+        assemble(0, 1, n_samples=few)
+
+
+def two_pass_delta(d_first, d_second, frame, rows, path, n_samples):
+    """Reference: delta_homomorphism with the null lines and turns of both
+    plane pairs computed."""
+    pts = path.sample(n_samples)
+    framev = field_matrix(list(frame), pts)
+    turns = []
+    for basis in (d_first, d_second):
+        coeffs = _null_line_coeffs(basis, rows, pts)
+        bv = field_matrix(list(basis), pts)
+        line = coeffs[:, :1] * bv[:, 0] + coeffs[:, 1:] * bv[:, 1]
+        a, b, _ = _project_onto_frame(line, framev[:, 0], framev[:, 1])
+        turns.append(_turns(a, b, path.closed))
+    diff = turns[1] - turns[0]
+    value = int(round(diff))
+    return DeltaResult(value, abs(diff - value), turns[0], turns[1], n_samples)
+
+
+def test_assemble_takes_the_transplanted_pair_turns_from_the_collar_pair(monkeypatch):
+    # the transplanted binding pair has the collar pair's chart and
+    # components, so its null lines are computed once
+    calls, deltas = [], []
+
+    def counting(*args):
+        calls.append(args)
+        return _null_line_coeffs(*args)
+
+    def recording(*args, **kwargs):
+        deltas.append((args, kwargs, delta_homomorphism(*args, **kwargs)))
+        return deltas[-1][2]
+
+    monkeypatch.setattr(invariants, "_null_line_coeffs", counting)
+    monkeypatch.setattr("engelbook.models.delta_homomorphism", recording)
+    assemble(1, 5)
+    ((args, kwargs, result),) = deltas
+    assert len(calls) == 1
+    monkeypatch.undo()
+    reference = two_pass_delta(*args, **kwargs)
+    assert repr(result) == repr(reference)
+    assert (result.value, result.residual) == (0, 0.0)
 
 
 def test_assemble_model_records_gluing():
