@@ -65,7 +65,7 @@ def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
         "--residual-tol",
         type=float,
         default=TOLERANCE_DEFAULTS["residual"],
-        help="largest accepted distance from integer turn counts (default 0.25)",
+        help="recorded in the report; no command applies another value (default 0.25)",
     )
 
 
@@ -192,6 +192,28 @@ def _check_ranges(args: argparse.Namespace) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
 
 
+# Tolerance flags that decide no check of a command: no verify check reads
+# the last three, and the winding residuals of construct and invariants are
+# float rounding on closed loops (at most 1.8e-15 over the construct sweep).
+_UNREAD_TOLERANCES = {
+    "verify": ("zero", "slope", "residual"),
+    "construct": ("residual",),
+    "invariants": ("residual",),
+}
+
+
+def _check_unread_tolerances(args: argparse.Namespace) -> None:
+    """Reject an unread tolerance flag off its default, which would be
+    recorded in the report and then ignored."""
+    for name in _UNREAD_TOLERANCES.get(args.command, ()):
+        value = getattr(args, f"{name}_tol")
+        if value != TOLERANCE_DEFAULTS[name]:
+            raise ValueError(
+                f"--{name}-tol is not applied by {args.command}; "
+                f"leave it at its default {TOLERANCE_DEFAULTS[name]:g}, got {value:g}"
+            )
+
+
 def _fail(code: str, message: str) -> None:
     print(f"error[{code}] {message}", file=sys.stderr)
 
@@ -245,15 +267,6 @@ def _cmd_list_models(_args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # no verify check reads these three; a changed value would be recorded
-    # in the report and then ignored
-    for name in ("zero", "slope", "residual"):
-        value = getattr(args, f"{name}_tol")
-        if value != TOLERANCE_DEFAULTS[name]:
-            raise ValueError(
-                f"--{name}-tol is not applied by verify, which reads only --rank-tol; "
-                f"leave it at its default {TOLERANCE_DEFAULTS[name]:g}, got {value:g}"
-            )
     params = _parse_params(args.param)
     model = model_catalog(args.model, **params)
     checks = list(model.checks(min_points=args.samples, tol=args.rank_tol))
@@ -285,7 +298,6 @@ def _assemble(args: argparse.Namespace, min_points: int):
         rank_tol=args.rank_tol,
         symbol_tol=args.zero_tol,
         slope_tol=args.slope_tol,
-        residual_tol=args.residual_tol,
     )
 
 
@@ -435,6 +447,7 @@ def run(argv=None) -> int:
         setattr(args, dest, _unshield(value))
     try:
         _check_ranges(args)
+        _check_unread_tolerances(args)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         _fail("EB-PARAM", str(exc))

@@ -71,6 +71,7 @@ _RETRACE_TOL = 1e-4
 _DISK_RADIUS = 1.0  # the page disk on which singularities are searched
 _ZERO_RESIDUAL = 1e-10  # |V| at an accepted zero
 _DEDUPE_TOL = 1e-6
+_NEWTON_ROUNDS = 60  # Newton rounds of the singularity search
 _WINDING_SAMPLES = 2048
 _CONTACT_GRID_N = 281
 _TRAP_CANDIDATE = (0.4115, 0.4440)  # the radii a disk's Newton trap is proven on
@@ -223,7 +224,7 @@ def _replay_straight(
         i = taken + np.arange(1, n + 1)
         stop = i == budget[live, None]
         if inside is not None:
-            out = ~(np.asarray(inside(pts.reshape(-1, dim))) > 0).reshape(len(live), n)
+            out = ~np.asarray(inside(pts.reshape(-1, dim))).reshape(len(live), n)
             stop |= out
         d = pts - z0[live, None]
         for a in angular:
@@ -272,34 +273,20 @@ def _trace_leaves(
 
     Row j follows ``signs[j] * direction``, normalized, for at most
     ``max_steps[j]`` steps.  The signs are +1 or -1, one per row, or (m, d)
-    to flip single columns.  ``inside`` maps (m, 2) points to each row's
-    room, and ``None`` means no row exits.  A float room r says that the
-    row is inside when r > 0 and stays inside while it moves less than r;
-    any other dtype is a mask, ``True`` meaning inside.  A row stops when it
-    leaves ``inside``, returns within half a step of its start after more
-    than 100 steps, or spends its budget; a stopped row is frozen and no
-    longer evaluated.  Returns the end points, exit flags and step counts,
-    one row per leaf.  The RK4 sum keeps the one-leaf loop's order
-    (``k + k`` is bitwise ``2 * k``) and never writes the array
+    to flip single columns.  ``inside`` maps (m, 2) points to a boolean
+    mask, ``True`` meaning inside, and ``None`` means no row exits.  A row
+    stops when it leaves ``inside``, returns within half a step of its
+    start after more than 100 steps, or spends its budget; a stopped row is
+    frozen and no longer evaluated.  Returns the end points, exit flags and
+    step counts, one row per leaf.  The RK4 sum keeps the one-leaf loop's
+    order (``k + k`` is bitwise ``2 * k``) and never writes the array
     ``direction`` returns.
 
     Rows whose leaves are straight, with every stage unit vector equal to
     the start's in bits, are replayed first in a few batched passes
     (``_replay_straight``), with the same result as the loop.  The loop
-    below traces every other row from its start.
-
-    The loop runs its stop tests only on steps where a row can stop.  One
-    step of unit stages moves a row by at most ``travel = step * (1 +
-    1e-6)``, plus the rounding of its coordinates.  So a row with room r,
-    or at wrapped distance s from its start, cannot stop on the next
-    ``floor(r / travel) - 1`` resp. ``floor((s - step / 2) / travel) - 1``
-    steps; the ``- 1`` is one step of slack for rounding.  No row closes
-    before step 101 or outlives its budget.  The loop runs the steps before
-    the nearest of these bounds with no test, then tests once and takes the
-    bounds again.  A mask bounds nothing, so it is tested on every step.  A
-    step whose points are not all finite runs the full test, so a row that
-    turns NaN or infinite stops on the same step as with a test on every
-    step.
+    below traces every other row from its start, with the stop tests on
+    every step.
     """
     z = np.array(starts, float)
     exited = np.zeros(len(z), bool)
@@ -333,7 +320,6 @@ def _trace_leaves(
     za, z0, budget = z[rows], z[rows], n_steps[rows]
 
     i = 0
-    test_at = 1  # the next step that runs the stop tests
     while len(rows):
         i += 1
         k1 = unit(za)
@@ -347,20 +333,16 @@ def _trace_leaves(
         k1 += k4
         k1 *= sixth
         za = za + k1
-        if i < test_at and math.isfinite(za.sum()):
-            continue
         done = budget == i
         if inside is not None:
-            room = np.asarray(inside(za))
-            out = ~(room > 0)
+            out = ~np.asarray(inside(za))
             done |= out
-        d = za - z0
-        for a in angular:
-            np.subtract((d[:, a] + math.pi) % math.tau, math.pi, out=d[:, a])
-        gap = _row_norms(d)
         # closed-leaf detection once the trace is clearly under way
         if i > 100:
-            done |= gap < 0.5 * step
+            d = za - z0
+            for a in angular:
+                np.subtract((d[:, a] + math.pi) % math.tau, math.pi, out=d[:, a])
+            done |= _row_norms(d) < 0.5 * step
         if done.any():
             stop = rows[done]
             z[stop] = za[done]
@@ -368,23 +350,9 @@ def _trace_leaves(
                 exited[stop] = out[done]
             n_steps[stop] = i
             keep = ~done
-            rows, za, z0, half, full, sixth, budget, gap = (
-                a[keep] for a in (rows, za, z0, half, full, sixth, budget, gap)
+            rows, za, z0, half, full, sixth, budget = (
+                a[keep] for a in (rows, za, z0, half, full, sixth, budget)
             )
-            if inside is not None:
-                room = room[keep]
-        if not len(rows) or not math.isfinite(za.sum()):
-            test_at = i + 1
-            continue
-        # the rounding of za + k1 moves a row by at most half an ulp of the
-        # largest coordinate it reaches before its budget runs out
-        last = budget.min()
-        reach = float(np.abs(za).max()) + 2.0 * step * (last - i)
-        travel = step * (1.0 + 1e-6) + reach * 2.0**-52
-        bounds = [last, max(101, i + np.floor((gap.min() - 0.5 * step) / travel))]
-        if inside is not None:
-            bounds.append(i + np.floor(room.min() / travel) if room.dtype.kind == "f" else i + 1)
-        test_at = max(i + 1, int(min(bounds)))
     return z, exited, n_steps
 
 
@@ -431,17 +399,13 @@ def annulus_foliation_check(
     leaves fail.  The 16 leaves are traced as one batch, and the retraces of
     the exited forward leaves as a second.
 
-    A leaf's room is its distance ``min(v - lo, hi - v)`` to the boundary
-    circles; ``room > 0`` is bitwise ``lo < v < hi``, and false for NaN.
-    Where the pulled form has a constant kernel line, as on both catalog
-    annuli (c2 = 0, c1 of one sign), every leaf is straight: the tracer
-    replays it in a few batched passes, with the bits the RK4 loop would
-    give.  Other leaves are stepped; the tracer then skips the exit test on
-    the steps a leaf's room cannot run out, since a leaf moves by at most
-    one step and a millionth per RK4 step, and runs it on every step where
-    a leaf is not finite.  The replay reproduces the trace and nothing
-    more: the check still samples 8 leaves and proves nothing about the
-    leaves between them.
+    A leaf is inside while ``lo < v < hi``, which is false for NaN.  Where
+    the pulled form has a constant kernel line, as on both catalog annuli
+    (c2 = 0, c1 of one sign), every leaf is straight: the tracer replays it
+    in a few batched passes, with the bits the RK4 loop would give.  Other
+    leaves are stepped, with the exit test on every step.  The replay
+    reproduces the trace and nothing more: the check still samples 8 leaves
+    and proves nothing about the leaves between them.
     """
     from .verify import MAX_FAILURES, CheckReport
 
@@ -458,10 +422,8 @@ def annulus_foliation_check(
 
     kernel = np.array([-1.0, 1.0])
 
-    # room to either boundary circle: v - lo > 0 exactly when lo < v, NaN
-    # included, and moving by less than the room keeps a row inside
     def inside(z: np.ndarray) -> np.ndarray:
-        return np.minimum(z[:, 1] - lo, hi - z[:, 1])
+        return (lo < z[:, 1]) & (z[:, 1] < hi)
 
     n = _LEAF_SEEDS
     mid = 0.5 * (lo + hi)
@@ -565,13 +527,12 @@ class SingularityReport:
 def find_and_classify(
     classifier: ClassifierField,
     grid_n: int = 161,
-    newton_iters: int = 60,
     trap: "tuple[float, float] | None" = None,
 ) -> SingularityReport:
     """Locate and classify the zeros of a plane direction field on the unit disk.
 
     The points of a ``grid_n`` x ``grid_n`` grid inside the disk seed a
-    batched Newton iteration of ``newton_iters`` rounds with the analytic
+    batched Newton iteration of ``_NEWTON_ROUNDS`` rounds with the analytic
     Jacobian.  Points inside the disk with ``|V| <= 1e-10`` are
     deduplicated (the first in grid order stands for every point within
     1e-6 of it) and classified by the sign of the Jacobian determinant
@@ -591,7 +552,7 @@ def find_and_classify(
     (``_newton_trap`` proves both for the disk classifier), so a seed taken
     into it would stay there and end as no zero.  Every seed that never
     enters the trap therefore ends bit-identical to iterating every seed
-    for all ``newton_iters`` rounds, and a seed that enters it ends inside
+    for all ``_NEWTON_ROUNDS`` rounds, and a seed that enters it ends inside
     it, as it would have; the zeros found are the same.  Each round calls
     ``jacobian`` and then ``value`` on the same points, and so does the
     classification of the zeros found; the disk classifier computes V and J
@@ -600,7 +561,7 @@ def find_and_classify(
     point (grouped as the rounds group seeds), which the disk classifier
     answers from a V-only pass.
     """
-    z = _newton_points(classifier, grid_n, newton_iters, trap)
+    z = _newton_points(classifier, grid_n, _NEWTON_ROUNDS, trap)
     ends, inverse = np.unique(z.view(np.complex128)[:, 0], return_inverse=True, equal_nan=False)
     small = _plane_norms(classifier.value(ends.view(np.float64).reshape(-1, 2))) <= _ZERO_RESIDUAL
     good = small[inverse] & (_plane_norms(z) < _DISK_RADIUS)  # False on non-finite rows

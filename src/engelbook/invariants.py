@@ -7,7 +7,12 @@ wrap-around step, so the increments telescope to a whole number of turns
 and the fractional residual is float rounding only; it cannot detect
 aliasing, where the field turns by more than half a turn between two
 samples.  On an open segment the residual is the distance of the turn
-count from the nearest integer.
+count from the nearest integer.  A field that is zero or not finite at a
+sample has no angle there, and its winding raises ``ValueError``.
+
+The boundary homomorphism delta is two such windings: of the line of each
+plane field that both pairing rows kill, computed as an exact field from
+the 2x2 pairing matrix (``_null_line``).
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .charts import Chart, OneForm, VectorField, batch_eval_scalars, field_matrix
+from .charts import Chart, OneForm, VectorField, field_matrix
+from .trigpoly import Expr
 
 __all__ = [
     "DeltaResult",
@@ -136,7 +142,11 @@ def _winding(
 ) -> WindingResult:
     pts = path.sample(n_samples)
     mats = field_matrix([field, *frame], pts)
-    a, b, proj = _project_onto_frame(mats[:, 0], mats[:, 1], mats[:, 2])
+    x = mats[:, 0]
+    # a zero or non-finite sample has no direction to count the turns of
+    if not (np.isfinite(x).all() and (x != 0.0).any(axis=-1).all()):
+        raise ValueError("the field is zero or not finite at a path sample")
+    a, b, proj = _project_onto_frame(x, mats[:, 1], mats[:, 2])
     turns = _turns(a, b, path.closed)
     value = int(round(turns))
     return WindingResult(value, turns, abs(turns - value), n_samples, proj)
@@ -183,37 +193,31 @@ class DeltaResult:
     samples: int
 
 
-def _null_line_coeffs(
-    basis: Sequence[VectorField],
-    rows: Sequence[OneForm],
-    pts: np.ndarray,
-) -> np.ndarray:
-    """Sign-aligned nullspace of the 2x2 pairing matrix at each sample.
+def _null_line(basis: Sequence[VectorField], rows: Sequence[OneForm]) -> VectorField:
+    """The line of the plane spanned by ``basis`` that both ``rows`` kill, as an
+    exact field.
 
-    Row r, column c of the matrix is rows[r](basis[c]); the returned unit
-    coefficient vectors select the line of the basis plane killed by both
-    rows.
+    With M[r][c] = rows[r](basis[c]) and r the first row that is not the zero
+    ``Expr``, the field M[r][1] x1 - M[r][0] x2 is killed by row r, and by the
+    other row o exactly when M[o][0] M[r][1] - M[o][1] M[r][0] is the zero
+    ``Expr``.  Raises ``ValueError`` when a component is not exact, when both
+    rows vanish on the plane, or when the rows kill no common line.  The
+    field is zero where row r vanishes on the plane; ``_winding`` refuses it
+    there.
     """
     x1, x2 = basis
-    entries = []
-    for row in rows:
-        entries.append(batch_eval_scalars([row.apply(x1), row.apply(x2)], pts))
-    M = np.stack(entries, axis=-2)  # (N, 2, 2)
-    _, _, vh = np.linalg.svd(M)
-    coeffs = vh[:, -1, :]  # smallest right singular vector per point
-    # Align each vector with its aligned predecessor, as a loop over the
-    # samples would.  With d the dot of a row and its unaligned predecessor,
-    # d < 0 flips the running sign, d > 0 keeps it, and d == 0 or NaN leaves
-    # the row unflipped, so the running sign restarts at +1.  The stacked
-    # matmul uses the routine of np.dot, so every d has np.dot's bits.
-    dots = (coeffs[1:, None, :] @ coeffs[:-1, :, None])[:, 0, 0]
-    negative = dots < 0.0
-    restart = ~(negative | (dots > 0.0))
-    flips = np.concatenate(([0], np.cumsum(negative)))
-    start = np.maximum.accumulate(np.where(restart, np.arange(1, len(coeffs)), 0))
-    odd = (flips[1:] - flips[start]) % 2 == 1
-    coeffs[1:][odd] = -coeffs[1:][odd]
-    return coeffs
+    M = [[row.apply(x) for x in basis] for row in rows]
+    # a numeric row or basis component makes its pairings numeric
+    if not all(isinstance(m, Expr) for pair in M for m in pair):
+        raise ValueError("a null line needs exact rows and basis fields")
+    nonzero = [r for r, pair in enumerate(M) if any(m.terms for m in pair)]
+    if not nonzero:
+        raise ValueError("both rows vanish on the plane, so no line is selected")
+    (r0, r1), (o0, o1) = M[nonzero[0]], M[1 - nonzero[0]]
+    if (o0 * r1 - o1 * r0).terms:
+        raise ValueError("the rows kill no common line of the plane")
+    comps = tuple(r1 * a - r0 * b for a, b in zip(x1.components, x2.components))
+    return VectorField(x1.chart, comps, label="null-line")
 
 
 def delta_homomorphism(
@@ -227,26 +231,18 @@ def delta_homomorphism(
     """Relative rotation of the selected lines of two plane distributions.
 
     Inside each distribution the line killed by both pairing rows (for
-    adapted structures: the reference form and the fibration form) is
-    selected by a pointwise 2x2 nullspace, sign-aligned along the loop,
-    pushed into the ambient chart, and its winding against the frame is
+    adapted structures: the reference form and the fibration form) is the
+    exact field of ``_null_line``, and its winding against the frame is
     unwrapped.  The value is the second winding minus the first, rounded;
     the residual is the distance to that integer.
     """
-    pts = path.sample(n_samples)
-    framev = field_matrix(list(frame), pts)
-
     first_plane = [(f.chart, f.components) for f in d_first]
     turns = []
     for basis in (d_first, d_second):
         if turns and [(f.chart, f.components) for f in basis] == first_plane:
-            turns.append(turns[0])  # the first plane again: the same lines, bit for bit
+            turns.append(turns[0])  # the first plane again: the same line, bit for bit
             continue
-        coeffs = _null_line_coeffs(basis, rows, pts)
-        bv = field_matrix(list(basis), pts)
-        line = coeffs[:, :1] * bv[:, 0] + coeffs[:, 1:] * bv[:, 1]
-        a, b, _ = _project_onto_frame(line, framev[:, 0], framev[:, 1])
-        turns.append(_turns(a, b, path.closed))
+        turns.append(_winding(_null_line(basis, rows), frame, path, n_samples).turns)
 
     diff = turns[1] - turns[0]
     value = int(round(diff))

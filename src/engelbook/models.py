@@ -1149,7 +1149,6 @@ def assemble(
     rank_tol: float | None = None,
     symbol_tol: float = SYMBOL_TOL,
     slope_tol: float = SLOPE_TOL,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> PipelineReport:
     """Build both boundary pieces, certify them, and aggregate a report."""
     lam = _as_int(lam, "lam")
@@ -1213,7 +1212,7 @@ def assemble(
     checks.append(
         CheckReport(
             name="twisting_invariants",
-            passed=invariants == expected and resid < residual_tol,
+            passed=invariants == expected and resid < RESIDUAL_TOL,
             n_points=n_samples,
             min_gap=float(resid),
             failures=(),
@@ -1234,7 +1233,7 @@ def assemble(
     checks.append(
         CheckReport(
             name="boundary_euler_chain",
-            passed=chain_ok and chain["winding_residual"] < residual_tol,
+            passed=chain_ok and chain["winding_residual"] < RESIDUAL_TOL,
             n_points=n_samples,
             min_gap=chain["winding_residual"],
             failures=(),

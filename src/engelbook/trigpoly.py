@@ -365,12 +365,6 @@ class Expr:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, values: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
-        """Evaluate at coordinate values given by name; arrays broadcast."""
-        arrays = np.broadcast_arrays(*(np.asarray(values[c.name], dtype=float) for c in self.coords))
-        out = self.compile()(np.stack(arrays, axis=-1) if arrays else np.zeros(0))
-        return float(out) if out.ndim == 0 else out
-
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized evaluator of (..., dim) points, ``_evaluator``'s one-column case."""
         fn = _evaluator((self,))

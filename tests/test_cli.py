@@ -144,6 +144,22 @@ def test_verify_rejects_tolerances_it_does_not_apply(capsys, tmp_path, flag, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["construct", "invariants"])
+def test_assembly_commands_reject_a_residual_tolerance_off_its_default(capsys, tmp_path, command):
+    # the winding residuals are float rounding on closed loops, so the flag
+    # decides nothing; the default spelled out gives the same bytes
+    argv = [command, "--lambda", "0", "--k", "1", "--out", str(tmp_path / "report.json")]
+    for value in ("0.3", "1e-20"):
+        assert run([*argv, "--residual-tol", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[EB-PARAM] --residual-tol is not applied by {command}")
+    assert not (tmp_path / "report.json").exists()
+    assert run(argv) == 0
+    default = (tmp_path / "report.json").read_bytes()
+    assert run([*argv, "--residual-tol", "0.25"]) == 0
+    assert (tmp_path / "report.json").read_bytes() == default
+
+
 def test_verify_accepts_the_default_tolerances_spelled_out(capsys):
     assert run(["verify", "--model", "binding_Eb"]) == 0
     default = capsys.readouterr().out

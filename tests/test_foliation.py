@@ -245,10 +245,6 @@ def signed(direction, sign):
     return lambda pts: sign * direction(pts)
 
 
-def band_room(lo, hi):
-    return lambda z: np.minimum(z[:, 1] - lo, hi - z[:, 1])
-
-
 def band_mask(lo, hi):
     return lambda z: (lo < z[:, 1]) & (z[:, 1] < hi)
 
@@ -357,18 +353,16 @@ def test_batched_tracer_is_bit_identical_to_one_leaf_loop(case):
     seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, 0.5 * (lo + hi))], -1)
     n_max = int(math.ceil(50.0 * (hi - lo) / 1e-3))
 
-    # a mask is tested on every step, a room only where a leaf can exit
-    for inside in (band_mask(lo, hi), band_room(lo, hi)):
-        batch = _trace_leaves(
-            direction,
-            np.concatenate([seeds, seeds]),
-            np.repeat([1.0, -1.0], 8),
-            1e-3,
-            np.full(16, n_max),
-            inside,
-            wrap,
-        )
-        assert_same_traces(batch, leaves)
+    batch = _trace_leaves(
+        direction,
+        np.concatenate([seeds, seeds]),
+        np.repeat([1.0, -1.0], 8),
+        1e-3,
+        np.full(16, n_max),
+        band_mask(lo, hi),
+        wrap,
+    )
+    assert_same_traces(batch, leaves)
     ends, exited, n_steps = batch
     retrace = functools.partial(
         _trace_leaves,
@@ -407,9 +401,8 @@ def test_mixed_batch_exits_closes_and_runs_out_like_one_leaf_loop():
         dense_trace_leaf(signed(mixed_direction, s), z, step, int(n), lambda z: 0.1 < z[1] < 0.9, wrap)
         for z, s, n in zip(starts, signs, budgets)
     ]
-    for inside in (band_mask(0.1, 0.9), band_room(0.1, 0.9)):
-        batch = _trace_leaves(mixed_direction, starts, signs, step, budgets, inside, wrap)
-        assert_same_traces(batch, dense)
+    batch = _trace_leaves(mixed_direction, starts, signs, step, budgets, band_mask(0.1, 0.9), wrap)
+    assert_same_traces(batch, dense)
     _, exited, n_steps = batch
     # every way of finishing occurs in the one call: rows 0 and 6 exit,
     # rows 1 and 4 close up after one turn, rows 2, 3 and 5 spend their
@@ -445,9 +438,8 @@ def test_direction_returning_one_buffer_traces_like_one_leaf_loop():
         dense_trace_leaf(signed(mixed_direction, s), z, step, 700, lambda z: 0.1 < z[1] < 0.9, wrap)
         for z, s in zip(starts, signs)
     ]
-    for inside in (band_mask(0.1, 0.9), band_room(0.1, 0.9)):
-        batch = _trace_leaves(buffered, starts, signs, step, np.full(4, 700), inside, wrap)
-        assert_same_traces(batch, dense)
+    batch = _trace_leaves(buffered, starts, signs, step, np.full(4, 700), band_mask(0.1, 0.9), wrap)
+    assert_same_traces(batch, dense)
 
 
 def test_leaf_ending_at_a_non_finite_point_does_not_cross():
@@ -513,7 +505,6 @@ def test_leaves_turning_non_finite_trace_like_one_leaf_loop(high, far):
     budgets = np.array([2000, 2000, 2000, 2000, 2000, 0, 2000])
     step, wrap = 1e-2, (True, False)
     for inside, dense_inside in [
-        (band_room(0.1, 0.9), lambda z: 0.1 < z[1] < 0.9),
         (band_mask(0.1, 0.9), lambda z: 0.1 < z[1] < 0.9),
         (None, lambda z: True),
     ]:
@@ -567,9 +558,9 @@ LEAF_FIELDS = {
     ),
 )
 def test_horizon_skips_no_stop(field, coeffs, band, turn, rows):
-    """The tracer with a room is the one-leaf loop, bit for bit, on starts
-    within one step of an edge, at budgets around step 100, and on leaves
-    that close just before or after step 101."""
+    """The tracer is the one-leaf loop, bit for bit, on starts within one
+    step of an edge, at budgets around step 100, and on leaves that close
+    just before or after the closure horizon at step 101."""
     pulled = LEAF_FIELDS[field](*coeffs)
     lo, hi = band[0], band[0] + band[1]
     # a step of 2 pi / (n + f) closes a circling leaf after about n + f steps
@@ -582,7 +573,7 @@ def test_horizon_skips_no_stop(field, coeffs, band, turn, rows):
     c1, c2 = (ref_compile(c) for c in pulled.components)
     wrap = (True, False)
     for inside, dense_inside in [
-        (band_room(lo, hi), lambda z: lo < z[1] < hi),
+        (band_mask(lo, hi), lambda z: lo < z[1] < hi),
         (None, lambda z: True),
     ]:
         dense = [
@@ -599,28 +590,6 @@ def test_horizon_skips_no_stop(field, coeffs, band, turn, rows):
             ),
             dense,
         )
-
-
-def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
-    # a test per step was 380 calls of inside in the forward and backward
-    # batch; the displacement bound leaves a few, near the exits and at
-    # the closure horizons
-    calls = []
-
-    def counting(direction, starts, signs, step, max_steps, inside, wrap):
-        def counted(z):
-            calls.append(len(z))
-            return inside(z)
-
-        return _trace_leaves(
-            direction, starts, signs, step, max_steps, None if inside is None else counted, wrap
-        )
-
-    monkeypatch.setattr(foliation, "_trace_leaves", counting)
-    pulled, (lo, hi) = catalog_annulus("s3_openbook")
-    report = annulus_foliation_check(pulled, (lo, hi))
-    assert report.passed
-    assert 0 < len(calls) <= 20
 
 
 def straight_up(pts):
@@ -662,8 +631,7 @@ def test_replay_stops_at_chunk_edges_like_one_leaf_loop():
     ]
     assert [d[2] for d in dense] == [c, c + 1, c, c + 1, c, c + 1]
     assert [d[1] for d in dense] == [True] * 4 + [False] * 2
-    for inside in (band_mask(lo, hi), band_room(lo, hi)):
-        assert_same_traces(_trace_leaves(straight_up, starts, signs, step, budgets, inside, wrap), dense)
+    assert_same_traces(_trace_leaves(straight_up, starts, signs, step, budgets, band_mask(lo, hi), wrap), dense)
 
 
 def test_replay_hands_a_leaf_whose_field_turns_to_the_loop(replayed):
@@ -682,7 +650,7 @@ def test_replay_hands_a_leaf_whose_field_turns_to_the_loop(replayed):
         dense_trace_leaf(signed(direction, s), z, step, int(n), lambda z: 0.05 < z[1] < 0.95, wrap)
         for z, s, n in zip(starts, signs, budgets)
     ]
-    batch = _trace_leaves(direction, starts, signs, step, budgets, band_room(0.05, 0.95), wrap)
+    batch = _trace_leaves(direction, starts, signs, step, budgets, band_mask(0.05, 0.95), wrap)
     assert_same_traces(batch, dense)
     assert replayed == [[False, True]]
     ends, exited, n_steps = batch
@@ -701,11 +669,11 @@ def test_straight_leaf_vanishing_partway_raises_like_one_leaf_loop():
     step, wrap = 1e-3, (True, False)
     starts = np.array([[0.0, 0.3], [1.0, 0.5]])
     with pytest.raises(ValueError, match="vanishes"):
-        _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_room(0.1, 0.9), wrap)
+        _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_mask(0.1, 0.9), wrap)
     with pytest.raises(ValueError, match="vanishes"):
         dense_trace_leaf(direction, starts[1], step, 800, lambda z: 0.1 < z[1] < 0.9, wrap)
     dense = [dense_trace_leaf(direction, z, step, 800, lambda z: 0.1 < z[1] < 0.59, wrap) for z in starts]
-    batch = _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_room(0.1, 0.59), wrap)
+    batch = _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_mask(0.1, 0.59), wrap)
     assert_same_traces(batch, dense)
     assert batch[1].all()
 
@@ -724,7 +692,7 @@ def test_replay_closes_a_slanted_constant_leaf_like_one_leaf_loop():
         dense_trace_leaf(signed(slanted, s), z, step, 2000, lambda z: 0.1 < z[1] < 0.9, wrap)
         for z, s in zip(starts, signs)
     ]
-    for inside in (band_room(0.1, 0.9), None):
+    for inside in (band_mask(0.1, 0.9), None):
         assert_same_traces(_trace_leaves(slanted, starts, signs, step, budgets, inside, wrap), dense)
     assert [d[1] for d in dense] == [False, False]
     assert [d[2] for d in dense] == [700, 700]
@@ -747,9 +715,8 @@ def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop(replayed)
         dense_trace_leaf(signed(direction, s), z, step, 2000, lambda z: 0.1 < z[1] < 0.9, wrap)
         for z, s in zip(starts, signs)
     ]
-    for inside in (band_mask(0.1, 0.9), band_room(0.1, 0.9)):
-        assert_same_traces(_trace_leaves(direction, starts, signs, step, budgets, inside, wrap), dense)
-    assert replayed == [[True, False, False, True]] * 2
+    assert_same_traces(_trace_leaves(direction, starts, signs, step, budgets, band_mask(0.1, 0.9), wrap), dense)
+    assert replayed == [[True, False, False, True]]
     # rows 0 and 2 exit, row 1 is drawn onto v = 0.5 and spends its budget,
     # and row 3 closes after one turn
     assert [d[1:] for d in dense] == [(True, 21), (False, 2000), (True, 79), (False, 628)]
@@ -757,26 +724,55 @@ def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop(replayed)
 
 @pytest.mark.parametrize("name", ["s3_openbook", "stabilization_local"])
 def test_catalog_annulus_replays_in_a_few_direction_calls(monkeypatch, name):
-    # stepping RK4 one step at a time was about 3,000 direction calls per
-    # check; the replay takes one per batch for the start and one per
-    # chunk, and evaluates no point beyond the step that leaves the band
-    calls = []
+    # stepping RK4 one step at a time was about 3,000 direction calls and
+    # 380 band tests per check; the replay takes one direction call per
+    # batch for the start and one per chunk, one band test per chunk, and
+    # evaluates no point beyond the step that leaves the band
+    calls, tests = [], []
 
-    def counting(direction, *args):
+    def counting(direction, starts, signs, step, max_steps, inside, wrap):
         def counted(pts):
             calls.append(np.array(pts))
             return direction(pts)
 
-        return _trace_leaves(counted, *args)
+        def tested(z):
+            tests.append(len(z))
+            return inside(z)
+
+        return _trace_leaves(
+            counted, starts, signs, step, max_steps, None if inside is None else tested, wrap
+        )
 
     monkeypatch.setattr(foliation, "_trace_leaves", counting)
     pulled, (lo, hi) = catalog_annulus(name)
     report = annulus_foliation_check(pulled, (lo, hi))
     assert report.passed
     assert len(calls) <= 6
+    assert 0 < len(tests) <= 2
     v = np.concatenate(calls)[:, 1]
     step = report.details["step"]
     assert (lo - step <= v).all() and (v <= hi + step).all()
+
+
+def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
+    # a test per step was 380 calls of inside in the forward and backward
+    # batch; the replay tests the band once per chunk
+    calls = []
+
+    def counting(direction, starts, signs, step, max_steps, inside, wrap):
+        def counted(z):
+            calls.append(len(z))
+            return inside(z)
+
+        return _trace_leaves(
+            direction, starts, signs, step, max_steps, None if inside is None else counted, wrap
+        )
+
+    monkeypatch.setattr(foliation, "_trace_leaves", counting)
+    pulled, (lo, hi) = catalog_annulus("s3_openbook")
+    report = annulus_foliation_check(pulled, (lo, hi))
+    assert report.passed
+    assert 0 < len(calls) <= 20
 
 # -- singularity classification ----------------------------------------------------
 
@@ -986,13 +982,14 @@ def bitwise_equal(a, b):
 
 @pytest.mark.parametrize("newton_iters", [1, 2, 60])
 @pytest.mark.parametrize("name", ["k3", "k7", "sink", "fold"])
-def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters):
+def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters, monkeypatch):
     classifier = search_field(name)
     dense_z = dense_search(name, newton_iters)
     z = _newton_points(classifier, 161, newton_iters)
     assert bitwise_equal(z, dense_z)
 
-    report = find_and_classify(classifier, newton_iters=newton_iters)
+    monkeypatch.setattr(foliation, "_NEWTON_ROUNDS", newton_iters)
+    report = find_and_classify(classifier)
     zeros, counts, degenerate = dense_classify(classifier, dense_z)
     assert repr(report.zeros) == repr(zeros)
     assert report.counts == counts

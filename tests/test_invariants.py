@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from engelbook.charts import Chart, Interval, batch_eval_scalars
+from engelbook.charts import Chart, Interval, NumericScalar, batch_eval_scalars, field_matrix
 from engelbook.invariants import (
     Path,
-    _null_line_coeffs,
+    _null_line,
     delta_homomorphism,
     frame_gram,
     quaternion_frame,
     rotation_number,
     twisting_number,
 )
+from engelbook.models import build_collar_engel
 from engelbook.trigpoly import KIND_ANGULAR, KIND_POLYNOMIAL, canonical_equal
 
 PROLONG = Chart.make(
@@ -94,94 +95,120 @@ class TestTwisting:
         result = rotation_number(field, (c1, c2), T_CIRCLE)
         assert result.value == -2
 
+    def test_field_zero_at_one_sample_raises(self):
+        # 1 + cos(t) is 0 at t = pi, sample 128 of the 256 on the loop
+        c1, _ = xi_frame()
+        field = c1.scaled(PROLONG.parse("1 + cos(t)"))
+        pts = T_CIRCLE.sample(256)
+        zero = ~field_matrix([field], pts)[:, 0].any(axis=-1)
+        assert np.flatnonzero(zero).tolist() == [128]
+        with pytest.raises(ValueError, match="zero or not finite"):
+            twisting_number(field, xi_frame(), T_CIRCLE)
+
+    def test_field_not_finite_at_one_sample_raises(self):
+        def nan_at_pi(pts):
+            return np.where(pts[..., 0] == math.pi, np.nan, 1.0)
+
+        field = PROLONG.vector_field({"r": NumericScalar(PROLONG.coords, nan_at_pi)})
+        with pytest.raises(ValueError, match="zero or not finite"):
+            twisting_number(field, xi_frame(), T_CIRCLE)
+
+
+EPS = 0.25
+# with twisted_field(k), W spans a prolongation plane field; PROLONG_ROWS
+# are its pairing rows
+W = PROLONG.vector_field({"t": 1.0, "phi1": EPS, "phi2": EPS})
+PROLONG_ROWS = (
+    PROLONG.one_form({"phi1": "r^2", "phi2": "1 - r^2", "t": -EPS}),
+    PROLONG.one_form({"phi1": 1.0, "phi2": 1.0}),
+)
+
 
 class TestDelta:
     def test_delta_between_prolongation_twists(self):
-        eps = 0.25
-        w = PROLONG.vector_field({"t": 1.0, "phi1": eps, "phi2": eps})
-        alpha = PROLONG.one_form({"phi1": "r^2", "phi2": "1 - r^2", "t": -eps})
-        theta = PROLONG.one_form({"phi1": 1.0, "phi2": 1.0})
-        d1 = (w, twisted_field(1))
-        d2 = (w, twisted_field(4))
-        result = delta_homomorphism(d1, d2, xi_frame(), (alpha, theta), T_CIRCLE)
+        d1 = (W, twisted_field(1))
+        d2 = (W, twisted_field(4))
+        result = delta_homomorphism(d1, d2, xi_frame(), PROLONG_ROWS, T_CIRCLE)
         assert result.value == 3
         assert result.residual < 0.05
 
     def test_delta_vanishes_on_equal_structures(self):
-        eps = 0.25
-        w = PROLONG.vector_field({"t": 1.0, "phi1": eps, "phi2": eps})
-        alpha = PROLONG.one_form({"phi1": "r^2", "phi2": "1 - r^2", "t": -eps})
-        theta = PROLONG.one_form({"phi1": 1.0, "phi2": 1.0})
-        d1 = (w, twisted_field(2))
-        result = delta_homomorphism(d1, d1, xi_frame(), (alpha, theta), T_CIRCLE)
+        d1 = (W, twisted_field(2))
+        result = delta_homomorphism(d1, d1, xi_frame(), PROLONG_ROWS, T_CIRCLE)
         assert result.value == 0
         assert result.residual < 1e-9
 
 
-def null_line_coeffs_loop(basis, rows, pts):
-    """Reference: the nullspace vectors, sign-aligned one sample at a time."""
+class TestNullLine:
+    def test_refuses_numeric_components(self):
+        numeric = NumericScalar(PROLONG.coords, lambda pts: np.ones(pts.shape[:-1]))
+        alpha, theta = PROLONG_ROWS
+        with pytest.raises(ValueError, match="exact"):
+            _null_line((W, twisted_field(3)), (alpha, PROLONG.one_form({"phi1": numeric})))
+        with pytest.raises(ValueError, match="exact"):
+            _null_line((W, PROLONG.vector_field({"r": numeric})), (alpha, theta))
+
+    def test_refuses_two_rows_that_vanish_on_the_plane(self):
+        plane = (PROLONG.basis_vector("phi1"), PROLONG.basis_vector("phi2"))
+        dr = PROLONG.one_form({"r": 1.0})
+        with pytest.raises(ValueError, match="both rows vanish"):
+            _null_line(plane, (dr, PROLONG.one_form({"t": "r"})))
+
+    def test_refuses_rows_with_no_common_line(self):
+        # dr kills d/dphi1 and dphi1 kills d/dr: no line of the plane is killed by both
+        plane = (PROLONG.basis_vector("r"), PROLONG.basis_vector("phi1"))
+        rows = (PROLONG.one_form({"r": 1.0}), PROLONG.one_form({"phi1": 1.0}))
+        with pytest.raises(ValueError, match="no common line"):
+            _null_line(plane, rows)
+
+    def test_skips_a_row_that_vanishes_on_the_plane(self):
+        # alpha vanishes on the prolongation plane, so theta selects the line
+        x = twisted_field(3)
+        line = _null_line((W, x), PROLONG_ROWS)
+        theta = PROLONG_ROWS[1]
+        want = W.scaled(theta.apply(x)) - x.scaled(theta.apply(W))
+        for got, ref in zip(line.components, want.components):
+            assert canonical_equal(got, ref, tol=1e-15)
+
+
+def svd_null_line(basis, rows, pts):
+    """Reference: the unit nullspace vector of the sampled pairing matrix,
+    pushed into the ambient chart."""
     x1, x2 = basis
     entries = [batch_eval_scalars([row.apply(x1), row.apply(x2)], pts) for row in rows]
-    _, _, vh = np.linalg.svd(np.stack(entries, axis=-2))
-    coeffs = vh[:, -1, :]
-    for i in range(1, len(coeffs)):
-        if np.dot(coeffs[i], coeffs[i - 1]) < 0.0:
-            coeffs[i] = -coeffs[i]
-    return coeffs
+    coeffs = np.linalg.svd(np.stack(entries, axis=-2))[2][:, -1, :]
+    bv = field_matrix([x1, x2], pts)
+    return coeffs[:, :1] * bv[:, 0] + coeffs[:, 1:] * bv[:, 1]
 
 
-SU = Chart.make("su", [("s", KIND_POLYNOMIAL, BOX), ("u", KIND_POLYNOMIAL, BOX)])
-SU_BASIS = (SU.basis_vector("s"), SU.basis_vector("u"))
+def collar_case(lam, k):
+    collar = build_collar_engel(lam, k)
+    path = Path.coordinate_circle(collar.chart, "y", {"x": 0.0, "y": 0.3, "r": 0.0, "phi": 0.0})
+    return collar.pair, (collar.form, collar.fibration_form), path
 
 
-def _prolongation_case(k):
-    eps = 0.25
-    w = PROLONG.vector_field({"t": 1.0, "phi1": eps, "phi2": eps})
-    alpha = PROLONG.one_form({"phi1": "r^2", "phi2": "1 - r^2", "t": -eps})
-    theta = PROLONG.one_form({"phi1": 1.0, "phi2": 1.0})
-    return (w, twisted_field(k)), (alpha, theta), T_CIRCLE.sample(512)
+def prolongation_case(k):
+    return (W, twisted_field(k)), PROLONG_ROWS, T_CIRCLE
 
 
-def _orthogonal_jumps_case():
-    # rows (s, 1 - s): the null line is the u axis at s = 0 and the s axis at
-    # s = 1, so neighbouring samples at s = 0 and s = 1 have an exact-zero dot;
-    # -0.5, 1.0, 0.0 meets one after a flip, where the running sign is -1
-    row = SU.one_form({"s": "s", "u": "1 - s"})
-    s = [0.3, 0.0, 1.0, 0.5, 0.2, 0.7, 1.0, 1.0, 0.0, -0.5, 1.0, 0.0, 0.0, 1.0, -0.9]
-    pts = np.array([[v, 0.0] for v in s])
-    return SU_BASIS, (row, row), pts
-
-
-def _random_lines_case():
-    # null lines at random angles: dots of both signs in any order
-    row = SU.one_form({"s": "u", "u": "s"})
-    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(300, 2))
-    return SU_BASIS, (row, row), pts
+# the (lambda, k) pairs of the construct sweep
+SWEEP_PAIRS = [(lam, k) for k in (3, 5, 7, 9) for lam in range(-2, 5)]
 
 
 @pytest.mark.parametrize(
     "case",
-    [
-        pytest.param(lambda: _prolongation_case(1), id="prolongation-k1"),
-        pytest.param(lambda: _prolongation_case(4), id="prolongation-k4"),
-        pytest.param(_orthogonal_jumps_case, id="exact-zero-dots"),
-        pytest.param(_random_lines_case, id="random-lines"),
-    ],
+    [pytest.param(lambda k=k: prolongation_case(k), id=f"prolongation-k{k}") for k in (1, 2, 4)]
+    + [pytest.param(lambda p=p: collar_case(*p), id=f"collar-{p[0]}-{p[1]}") for p in SWEEP_PAIRS],
 )
-def test_null_line_sign_alignment_matches_loop(case):
-    basis, rows, pts = case()
-    got = _null_line_coeffs(basis, rows, pts)
-    want = null_line_coeffs_loop(basis, rows, pts)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_exact_zero_dot_case_has_zero_and_negative_dots():
-    basis, rows, pts = _orthogonal_jumps_case()
-    x1, x2 = basis
-    entries = [batch_eval_scalars([row.apply(x1), row.apply(x2)], pts) for row in rows]
-    raw = np.linalg.svd(np.stack(entries, axis=-2))[2][:, -1, :]
-    dots = np.array([np.dot(raw[i], raw[i - 1]) for i in range(1, len(raw))])
-    assert (dots == 0.0).sum() >= 3 and (dots < 0.0).sum() >= 1
+def test_exact_null_line_is_parallel_to_the_svd_null_vector(case):
+    basis, rows, path = case()
+    pts = path.sample(512)
+    exact = field_matrix([_null_line(basis, rows)], pts)[:, 0]
+    ref = svd_null_line(basis, rows, pts)
+    # the part of the reference vector off the exact line, relative to its length
+    along = np.einsum("ni,ni->n", exact, ref) / np.einsum("ni,ni->n", exact, exact)
+    off = np.linalg.norm(ref - along[:, None] * exact, axis=-1) / np.linalg.norm(ref, axis=-1)
+    assert off.max() <= 1e-9
 
 
 class TestQuaternionFrame:

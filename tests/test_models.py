@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from engelbook import invariants
-from engelbook.charts import field_matrix, lie_bracket
+from engelbook.charts import lie_bracket
 from engelbook.invariants import (
     DeltaResult,
     Path,
-    _null_line_coeffs,
-    _project_onto_frame,
-    _turns,
+    _null_line,
+    _winding,
     delta_homomorphism,
     twisting_number,
 )
@@ -466,15 +465,7 @@ def test_assemble_refuses_fewer_turn_samples_than_the_probe_floor(few, monkeypat
 def two_pass_delta(d_first, d_second, frame, rows, path, n_samples):
     """Reference: delta_homomorphism with the null lines and turns of both
     plane pairs computed."""
-    pts = path.sample(n_samples)
-    framev = field_matrix(list(frame), pts)
-    turns = []
-    for basis in (d_first, d_second):
-        coeffs = _null_line_coeffs(basis, rows, pts)
-        bv = field_matrix(list(basis), pts)
-        line = coeffs[:, :1] * bv[:, 0] + coeffs[:, 1:] * bv[:, 1]
-        a, b, _ = _project_onto_frame(line, framev[:, 0], framev[:, 1])
-        turns.append(_turns(a, b, path.closed))
+    turns = [_winding(_null_line(basis, rows), frame, path, n_samples).turns for basis in (d_first, d_second)]
     diff = turns[1] - turns[0]
     value = int(round(diff))
     return DeltaResult(value, abs(diff - value), turns[0], turns[1], n_samples)
@@ -482,18 +473,18 @@ def two_pass_delta(d_first, d_second, frame, rows, path, n_samples):
 
 def test_assemble_takes_the_transplanted_pair_turns_from_the_collar_pair(monkeypatch):
     # the transplanted binding pair has the collar pair's chart and
-    # components, so its null lines are computed once
+    # components, so one null line is built per assembly
     calls, deltas = [], []
 
     def counting(*args):
         calls.append(args)
-        return _null_line_coeffs(*args)
+        return _null_line(*args)
 
     def recording(*args, **kwargs):
         deltas.append((args, kwargs, delta_homomorphism(*args, **kwargs)))
         return deltas[-1][2]
 
-    monkeypatch.setattr(invariants, "_null_line_coeffs", counting)
+    monkeypatch.setattr(invariants, "_null_line", counting)
     monkeypatch.setattr("engelbook.models.delta_homomorphism", recording)
     assemble(1, 5)
     ((args, kwargs, result),) = deltas

@@ -30,12 +30,14 @@ def parse(text, coords=MIX):
     return parse_expression(text, coords)
 
 
-def sample_values(rng, coords=MIX, shape=()):
+def sample_values(rng, coords=MIX):
     # keep polynomial coordinates away from 0 so Laurent powers stay finite
-    return {
-        c.name: rng.uniform(0.3, 2.0, size=shape) if shape else float(rng.uniform(0.3, 2.0))
-        for c in coords
-    }
+    return {c.name: float(rng.uniform(0.3, 2.0)) for c in coords}
+
+
+def at(e, vals):
+    """``e`` at the point whose coordinates ``vals`` gives by name."""
+    return e.compile()(np.array([vals[c.name] for c in e.coords]))
 
 
 def random_expr(rng, coords=MIX, n_terms=4):
@@ -103,7 +105,7 @@ class TestCanonicalForm:
         e = parse(text, XY)
         assert all(0.0 <= t.phase < math.pi / 2 for t in e.terms)
         for x in np.linspace(0.0, math.tau, 17):
-            got = e.evaluate({"x": x, "y": 0.0})
+            got = e.compile()(np.array([x, 0.0]))
             assert got == pytest.approx(reference(x), abs=1e-12)
 
     def test_gluing_shear_substitution(self):
@@ -197,28 +199,19 @@ class TestCalculusAndEvaluation:
                     dn = dict(vals)
                     up[name] = vals[name] + h
                     dn[name] = vals[name] - h
-                    fd = (e.evaluate(up) - e.evaluate(dn)) / (2 * h)
-                    sym = d.evaluate(vals)
+                    fd = (at(e, up) - at(e, dn)) / (2 * h)
+                    sym = at(d, vals)
                     assert abs(sym - fd) <= 1e-6 * (1.0 + abs(sym))
-
-    def test_evaluate_and_compile_agree(self):
-        rng = np.random.default_rng(5)
-        e = random_expr(rng)
-        vals = sample_values(rng, shape=(40,))
-        direct = e.evaluate(vals)
-        pts = np.stack([vals[c.name] for c in MIX], axis=-1)
-        compiled = e.compile()(pts)
-        assert np.allclose(direct, compiled, atol=1e-14)
 
     def test_laurent_negative_power(self):
         e = parse("s^-2")
-        assert e.evaluate({"x": 0.0, "y": 0.0, "r": 0.0, "s": 2.0}) == pytest.approx(0.25)
-        d = e.partial("s")
-        assert d.evaluate({"x": 0.0, "y": 0.0, "r": 0.0, "s": 2.0}) == pytest.approx(-2 / 8)
+        pt = np.array([0.0, 0.0, 0.0, 2.0])
+        assert e.compile()(pt) == pytest.approx(0.25)
+        assert e.partial("s").compile()(pt) == pytest.approx(-2 / 8)
 
     def test_zero_expr_broadcasts(self):
         z = Expr.zero(XY)
-        out = z.evaluate({"x": np.zeros(7), "y": np.zeros(7)})
+        out = z.compile()(np.zeros((7, 2)))
         assert out.shape == (7,)
         assert not out.any()
 
@@ -247,8 +240,8 @@ class TestSubstitution:
         for _ in range(10):
             x = float(rng.uniform(0, math.tau))
             y = float(rng.uniform(0, math.tau))
-            lhs = sub.evaluate({"x": x, "y": y})
-            rhs = e.evaluate({"x": x + 2 * y + 0.25, "y": y})
+            lhs = sub.compile()(np.array([x, y]))
+            rhs = e.compile()(np.array([x + 2 * y + 0.25, y]))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_affine_substitution_guards_powers(self):
@@ -274,10 +267,11 @@ class TestSubstitution:
         uv = (Coordinate("u", KIND_ANGULAR), Coordinate("v", KIND_ANGULAR))
         rename = {"x": ({"u": 1}, 0.0), "y": ({"v": 1}, 0.0)}
         renamed = e.substitute(uv, rename)
-        assert renamed.evaluate({"u": 0.2, "v": 0.3}) == pytest.approx(math.cos(0.8))
+        assert renamed.compile()(np.array([0.2, 0.3])) == pytest.approx(math.cos(0.8))
         # by name onto a larger, reordered chart
         wider = e.substitute((Coordinate("s", KIND_POLYNOMIAL),) + XY[::-1])
-        assert wider.evaluate({"s": 5.0, "x": 0.2, "y": 0.3}) == pytest.approx(math.cos(0.8))
+        # (s, y, x)
+        assert wider.compile()(np.array([5.0, 0.3, 0.2])) == pytest.approx(math.cos(0.8))
         with pytest.raises(ValueError):
             e.substitute((Coordinate("u", KIND_LINEAR), uv[1]), rename)
 
@@ -324,12 +318,12 @@ class TestParser:
     def test_unary_minus_and_parens(self):
         e = parse("-(2*s - 1) * cos(x)")
         for x, s in [(0.3, 1.2), (1.1, 0.5)]:
-            got = e.evaluate({"x": x, "y": 0.0, "r": 0.0, "s": s})
+            got = e.compile()(np.array([x, 0.0, 0.0, s]))
             assert got == pytest.approx(-(2 * s - 1) * math.cos(x), abs=1e-14)
 
     def test_linear_coordinate_unit_frequency(self):
         e = parse("cos(r + 0.25)")
-        assert e.evaluate({"x": 0.0, "y": 0.0, "r": 0.5, "s": 1.0}) == pytest.approx(
+        assert e.compile()(np.array([0.0, 0.0, 0.5, 1.0])) == pytest.approx(
             math.cos(0.75)
         )
 
