@@ -534,16 +534,23 @@ def find_and_classify(
     classifier: ClassifierField,
     grid_n: int = 161,
     trap: "tuple[float, float] | None" = None,
+    seed_radius: "float | None" = None,
 ) -> SingularityReport:
     """Locate and classify the zeros of a plane direction field on the unit disk.
 
-    The points of a ``grid_n`` x ``grid_n`` grid inside the disk seed a
-    batched Newton iteration of at most ``_NEWTON_ROUNDS`` rounds with the
-    analytic Jacobian.  Points inside the disk with ``|V| <= 1e-10`` are
-    deduplicated (the first in grid order stands for every point within
-    1e-6 of it) and classified by the sign of the Jacobian determinant
-    (positive: elliptic, negative: hyperbolic) and the sign of the level
-    function.
+    The points of a ``grid_n`` x ``grid_n`` grid inside the disk of radius
+    0.98 seed a batched Newton iteration of at most ``_NEWTON_ROUNDS``
+    rounds with the analytic Jacobian.  With ``seed_radius``, only the grid
+    points with ``_radius`` at most that radius seed it, in grid order; the
+    disk constructor passes its ``cluster_end``, past which
+    ``_assemble_pieces`` proves that its classifier has no zero.  A seed's
+    trajectory does not depend on the other seeds, so each kept seed ends
+    bit-identical to its end in the search from the whole grid; only the
+    seed that stands for a zero may change, which moves it by its last
+    bits.  Points inside the disk with ``|V| <= 1e-10`` are deduplicated
+    (the first in grid order stands for every point within 1e-6 of it) and
+    classified by the sign of the Jacobian determinant (positive: elliptic,
+    negative: hyperbolic) and the sign of the level function.
 
     Each round evaluates the field only on the active seeds.  A seed leaves
     the active set when it dies (singular Jacobian, or ``|z| >= 2``), when
@@ -573,7 +580,7 @@ def find_and_classify(
     point (grouped as the rounds group seeds), which the disk classifier
     answers from a V-only pass.
     """
-    z = _newton_points(classifier, grid_n, _NEWTON_ROUNDS, trap)
+    z = _newton_points(classifier, grid_n, _NEWTON_ROUNDS, trap, seed_radius)
     ends, inverse = np.unique(z.view(np.complex128)[:, 0], return_inverse=True, equal_nan=False)
     small = _plane_norms(classifier.value(ends.view(np.float64).reshape(-1, 2))) <= _ZERO_RESIDUAL
     good = small[inverse] & (_plane_norms(z) < _DISK_RADIUS)  # False on non-finite rows
@@ -622,16 +629,21 @@ def _newton_points(
     grid_n: int,
     newton_iters: int,
     trap: "tuple[float, float] | None" = None,
+    seed_radius: "float | None" = None,
 ) -> np.ndarray:
     """Where each disk grid seed is after the Newton rounds (active-set and
     stop rules in ``find_and_classify``).
 
-    A seed that never enters ``trap`` ends bit-identical to the dense loop
-    that freezes each seed after the round that starts with ``|V| <= 1e-10``
-    at it; one that enters the trap is dropped there and ends inside it,
-    never at a zero.
+    The seeds are the points of ``_disk_grid(0.98, grid_n)`` with
+    ``_radius`` at most ``seed_radius`` (the disk's ``cluster_end``), in
+    grid order, or all of them when it is None.  A seed that never enters
+    ``trap`` ends bit-identical to the dense loop that freezes each seed
+    after the round that starts with ``|V| <= 1e-10`` at it; one that
+    enters the trap is dropped there and ends inside it, never at a zero.
     """
     z = _disk_grid(0.98 * _DISK_RADIUS, grid_n)
+    if seed_radius is not None:
+        z = z[_radius(z) <= seed_radius]
     lead = np.arange(len(z))
     active = np.arange(len(z))
     for _ in range(newton_iters):
@@ -879,7 +891,10 @@ class _DiskPieces:
     computes it once.
     ``profiles(rho, c_orders, s_orders)``: the radial profiles c and s, as
     two tuples; 0 is the value, 1 the derivative in rho.
-    ``cluster_end``: the radius past which every bump is exactly 0.
+    ``cluster_end``: the radius past which every bump is exactly 0, and
+    the classifier provably has no zero: |V| >= min(swirl, s_fall[0]) there
+    (``_assemble_pieces`` checks the conditions), so the Newton search
+    seeds only inside it.
     """
 
     u: Callable
@@ -967,6 +982,18 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
 
     if cluster_end >= wall_lo:
         raise ValueError("peak cluster does not fit inside the wall radius")
+    # past cluster_end every bump is exactly 0, so V = (w' - c rho) e_rho + s e_theta
+    # there.  On [cluster_end, s_fall[0]], past the c/s band, s = swirl exactly;
+    # past s_fall[0], beyond the wall ramp and the c rise, w' = 0 and c = 1, so
+    # V = -rho e_rho + s e_theta.  Hence |V| >= min(swirl, s_fall[0]) > 0 past
+    # cluster_end: no zero lies there, and the Newton search seeds only inside it
+    if not (
+        cb <= cluster_end
+        and wall_hi <= s_fall[0]
+        and c_rise[1] <= s_fall[0]
+        and min(params["swirl"], s_fall[0]) > 0.0
+    ):
+        raise ValueError("classifier is not proven zero-free past the peak cluster")
 
     return _DiskPieces(u=u, profiles=profiles, cluster_end=cluster_end)
 
@@ -1326,8 +1353,12 @@ def construct_xi_prime(k: int) -> DiskContactForm:
     ``params["exact_radius"]`` the form agrees with dx + p dq - q dp
     exactly.  F is sampled at the grid points inside the bump cluster, and
     past it, where F depends on the radius alone, once at each radius of
-    the grid's points there.  The disk is built once from
-    ``_disk_params(k)``; ``passed`` records whether every certificate held.
+    the grid's points there.  The Newton search for the singularities
+    starts only from the seed grid points inside the bump cluster: past it
+    the classifier is V = f e_rho + g e_theta with |V| >= min(swirl,
+    s_fall[0]) > 0 (``_assemble_pieces``), so no zero lies there.  The disk
+    is built once from ``_disk_params(k)``; ``passed`` records whether every
+    certificate held.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
@@ -1368,7 +1399,11 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     )
     vmin_boundary = float(np.linalg.norm(V, axis=-1).min())
 
-    report = find_and_classify(classifier, trap=_newton_trap(params, pieces.cluster_end))
+    report = find_and_classify(
+        classifier,
+        trap=_newton_trap(params, pieces.cluster_end),
+        seed_radius=pieces.cluster_end,
+    )
     boundary_turns = classifier_boundary_winding(classifier, 0.5 * (exact_radius + 1.0))
 
     certificates = {

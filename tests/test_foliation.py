@@ -878,13 +878,16 @@ def test_boundary_winding_comparison():
     assert not boundary_winding_vs_index(field, (e1, e2), loop, off)["match"]
 
 
-def dense_newton_points(classifier, newton_iters, stop=True):
+def dense_newton_points(classifier, newton_iters, stop=True, seed_radius=None):
     """Reference Newton rounds on the unit disk: every seed in every round.
 
     With ``stop``, as in the search, a seed freezes after the round that
     starts with |V| <= 1e-10 at it; without it every live seed runs every
-    round."""
+    round.  With ``seed_radius``, only the grid points with rho at most it
+    are seeds."""
     z = _disk_grid(0.98, 161)
+    if seed_radius is not None:
+        z = z[_radius(z) <= seed_radius]
     alive = np.ones(len(z), dtype=bool)
     frozen = np.zeros(len(z), dtype=bool)
     for _ in range(newton_iters):
@@ -980,8 +983,8 @@ def search_field(name):
 
 
 @functools.lru_cache(maxsize=None)
-def dense_search(name, newton_iters, stop=True):
-    return dense_newton_points(search_field(name), newton_iters, stop)
+def dense_search(name, newton_iters, stop=True, seed_radius=None):
+    return dense_newton_points(search_field(name), newton_iters, stop, seed_radius)
 
 
 def bitwise_equal(a, b):
@@ -1062,6 +1065,86 @@ def test_seeds_the_trap_drops_end_in_it_after_every_round(name):
         assert ((a < rho) & (rho < b)).all()
 
 
+def cluster_end(k):
+    return _assemble_pieces(k, _disk_params(k)).cluster_end
+
+
+@pytest.mark.parametrize("k", [3, 11, 19])
+def test_cluster_seeded_search_is_bit_identical_to_dense_loop(k):
+    # the seeds inside cluster_end, in grid order, end where the dense loop
+    # on those seeds ends them and where the whole-grid search ends them,
+    # except that a seed the trap drops ends inside it
+    name, radius = f"k{k}", cluster_end(k)
+    a, b = disk_trap(k)
+    z = _newton_points(search_field(name), 161, 60, (a, b), radius)
+    dense_z = dense_search(name, 60, seed_radius=radius)
+    grid = _disk_grid(0.98, 161)
+    inside = _radius(grid) <= radius
+    assert len(z) == len(dense_z) == inside.sum() < len(grid) // 10
+    whole = _newton_points(search_field(name), 161, 60, (a, b))
+    assert bitwise_equal(z, whole[inside])
+    differ = (z.view(np.int64) != dense_z.view(np.int64)).any(axis=-1)
+    assert differ.any()
+    for ends in (z[differ], dense_z[differ]):
+        rho = _plane_norms(ends)
+        assert ((a < rho) & (rho < b)).all()
+
+
+@pytest.mark.parametrize("k", range(3, 22, 2))
+def test_cluster_seeds_find_the_zeros_of_the_whole_grid(k, monkeypatch):
+    # k = 21 is past the supported range: it has off-axis zero pairs, which
+    # lie inside cluster_end too
+    params = _disk_params(k)
+    expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
+    seeded = _build_disk_form(k, params, expected)
+    search = foliation.find_and_classify
+
+    def whole_grid_search(classifier, trap, seed_radius):
+        return search(classifier, trap=trap)
+
+    monkeypatch.setattr(foliation, "find_and_classify", whole_grid_search)
+    whole = _build_disk_form(k, params, expected)
+    cut, full = seeded.singularities, whole.singularities
+    assert cut.counts == full.counts
+    assert cut.degenerate == full.degenerate
+    kinds = [[(z["type"], z["sign"]) for z in report.zeros] for report in (cut, full)]
+    assert kinds[0] == kinds[1]
+    for found, ref in zip(cut.zeros, full.zeros):
+        assert abs(found["p"] - ref["p"]) <= 1e-15 and abs(found["q"] - ref["q"]) <= 1e-15
+    assert repr(seeded.certificates) == repr(whole.certificates)
+    assert seeded.passed == (k <= 19)
+    if k == 21:
+        assert cut.counts == {"e_plus": 11, "e_minus": 2, "h_plus": 0, "h_minus": 12}
+
+
+@pytest.mark.parametrize("k", range(3, 22, 2))
+def test_classifier_has_no_zero_past_the_bump_cluster(k):
+    # |V| >= min(swirl, s_fall[0]) on cluster_end <= rho <= 1, the bound
+    # _assemble_pieces proves in closed form
+    params = _disk_params(k)
+    pieces = _assemble_pieces(k, params)
+    rng = np.random.default_rng(k)
+    rho = rng.uniform(pieces.cluster_end, 1.0, 100_000)
+    theta = rng.uniform(0.0, math.tau, 100_000)
+    pts = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+    speed = _plane_norms(_classifier_from_pieces(pieces).value(pts))
+    assert speed.min() >= min(params["swirl"], params["s_fall"][0]) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"s_fall": (0.66, 0.80)},  # c still rises past s_fall[0]
+        {"wall": (0.40, 0.72)},  # the wall ramp still runs past s_fall[0]
+        {"swirl": 0.0},  # V = f e_rho, and f changes sign between the wall and c's rise
+    ],
+)
+def test_assemble_pieces_refuses_a_zero_past_the_bump_cluster_it_cannot_exclude(change):
+    params = {**_disk_params(5), **change}
+    with pytest.raises(ValueError, match="zero-free past the peak cluster"):
+        _assemble_pieces(5, params)
+
+
 @pytest.mark.parametrize("k", [3, 19])
 def test_shell_radius_encloses_the_float_newton_step(k):
     # 500 radii by 200 angles inside the trap; k = 19 has a deeper c dip
@@ -1099,16 +1182,16 @@ def test_newton_trap_refuses_what_it_cannot_prove():
 
 
 def test_disk_constructor_searches_with_its_trap(monkeypatch):
-    traps = []
+    calls = []
     search = foliation.find_and_classify
 
     def spy(classifier, *args, **kwargs):
-        traps.append(kwargs.get("trap"))
+        calls.append((kwargs.get("trap"), kwargs.get("seed_radius")))
         return search(classifier, *args, **kwargs)
 
     monkeypatch.setattr(foliation, "find_and_classify", spy)
     assert construct_xi_prime(1).passed and construct_xi_prime(3).passed
-    assert traps == [None, _TRAP_CANDIDATE]
+    assert calls == [(None, None), (_TRAP_CANDIDATE, cluster_end(3))]
 
 
 # -- the disk constructor -----------------------------------------------------------
