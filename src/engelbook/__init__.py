@@ -5,13 +5,13 @@ The package is organized bottom-up:
 - ``trigpoly``: exact trigonometric polynomial arithmetic over named chart
   coordinates, the scalar layer everything else is built on.
 - ``charts``: charts, vector fields, differential forms, brackets, exterior
-  calculus, numeric fallbacks, and dense sampling.
+  calculus, and dense sampling; every component is an exact ``Expr``.
 - ``verify``: pointwise certificates (contact, even contact, Engel, isotropic
   line, transversality, adaptedness) with explicit margins.
 - ``foliation``: surface pullbacks, characteristic foliations, singularity
   classification, leaf tracing, and the disk contact-form constructor.
-- ``invariants``: twisting and rotation numbers, the boundary homomorphism
-  delta, and the quaternionic framing helpers.
+- ``invariants``: twisting and rotation numbers, and the boundary
+  homomorphism delta.
 - ``models``: the catalog of local models and the collar/binding assembly
   pipeline with its gluing checks.
 - ``cli`` / ``reports``: command line front end and reproducible reports.

@@ -1,13 +1,9 @@
 """Charts, scalar fields, vector fields, differential forms, and sampling.
 
-Scalar components are either exact trigonometric polynomials (``Expr``) or
-numeric closures (``NumericScalar``).  Both types define ``+``, ``-``, ``*``
-and unary ``-``, and the calculus below is written with those operators
-alone.  Two exact operands give an exact result.  ``Expr`` declines a
-numeric operand, so Python falls back to ``NumericScalar``'s reflected
-methods, and the result is numeric, with derivative closures chained through
-the sum and product rules so analytic gradients survive arithmetic.  Central
-differences (step 1e-6) are the fallback of last resort.
+Every scalar component is an exact trigonometric polynomial (``Expr``), so
+the calculus below (brackets, exterior derivatives, wedges, interior
+products, pushforwards) is exact up to float round-off in coefficients, and
+a field or form compiles to one evaluator over its components.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +28,7 @@ __all__ = [
     "Chart",
     "Interval",
     "IntegerAffineMap",
-    "NumericScalar",
     "OneForm",
-    "ScalarLike",
     "TwoForm",
     "VectorField",
     "batch_eval_scalars",
@@ -48,7 +42,6 @@ __all__ = [
     "wedge_top",
 ]
 
-FD_STEP = 1e-6
 RANK_TOL = 1e-9
 _SAMPLE_MARGIN = 1e-3  # share of an interval's span kept clear of each end
 
@@ -67,137 +60,6 @@ class Interval:
 
 
 _ANGULAR_INTERVAL = Interval(0.0, math.tau)
-
-
-# -- numeric scalars ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumericScalar:
-    """A scalar given by a closure over stacked points, with optional
-    analytic partial closures per coordinate.
-
-    ``fn`` maps an array of shape (..., dim) to an array of shape (...).
-    Missing partials fall back to central differences.
-    """
-
-    coords: tuple[Coordinate, ...]
-    fn: Callable[[np.ndarray], np.ndarray]
-    partials: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] | None = None
-
-    def partial_fn(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
-        if self.partials is not None and self.partials[i] is not None:
-            return self.partials[i]
-        fn = self.fn
-        dim = len(self.coords)
-
-        def fd(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, float)
-            shift = np.zeros(dim)
-            shift[i] = FD_STEP
-            return (fn(pts + shift) - fn(pts - shift)) / (2.0 * FD_STEP)
-
-        return fd
-
-    def partial(self, name: str) -> "NumericScalar":
-        i = _coord_index(self.coords, name)
-        return NumericScalar(self.coords, self.partial_fn(i))
-
-    def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        fn = self.fn
-
-        def wrapped(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, float)
-            return np.broadcast_to(np.asarray(fn(pts), float), pts.shape[:-1]).copy()
-
-        return wrapped
-
-    # arithmetic chains value and derivative closures together
-
-    def __add__(self, other):
-        return _num_add(self, _lift(other, self.coords))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _num_scale(self, -1.0)
-
-    def __sub__(self, other):
-        return _num_add(self, _num_scale(_lift(other, self.coords), -1.0))
-
-    def __rsub__(self, other):
-        return _num_add(_lift(other, self.coords), _num_scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return _num_scale(self, float(other))
-        return _num_mul(self, _lift(other, self.coords))
-
-    __rmul__ = __mul__
-
-
-ScalarLike = Union[Expr, NumericScalar]
-
-
-def _lift(x: "ScalarLike | float | int", coords: tuple[Coordinate, ...]) -> NumericScalar:
-    if isinstance(x, NumericScalar):
-        return x
-    if isinstance(x, Expr):
-        partials = tuple(x.partial(c.name).compile() for c in x.coords)
-        return NumericScalar(x.coords, x.compile(), partials)
-    value = float(x)
-
-    def const(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        return np.full(pts.shape[:-1], value)
-
-    def zero(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        return np.zeros(pts.shape[:-1])
-
-    return NumericScalar(coords, const, tuple(zero for _ in coords))
-
-
-def _num_add(a: NumericScalar, b: NumericScalar) -> NumericScalar:
-    fa, fb = a.fn, b.fn
-    n = len(a.coords)
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return fa(pts) + fb(pts)
-
-    def make_partial(i: int):
-        pa, pb = a.partial_fn(i), b.partial_fn(i)
-        return lambda pts: pa(pts) + pb(pts)
-
-    return NumericScalar(a.coords, fn, tuple(make_partial(i) for i in range(n)))
-
-
-def _num_scale(a: NumericScalar, c: float) -> NumericScalar:
-    fa = a.fn
-    n = len(a.coords)
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return c * fa(pts)
-
-    def make_partial(i: int):
-        pa = a.partial_fn(i)
-        return lambda pts: c * pa(pts)
-
-    return NumericScalar(a.coords, fn, tuple(make_partial(i) for i in range(n)))
-
-
-def _num_mul(a: NumericScalar, b: NumericScalar) -> NumericScalar:
-    fa, fb = a.fn, b.fn
-    n = len(a.coords)
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return fa(pts) * fb(pts)
-
-    def make_partial(i: int):
-        pa, pb = a.partial_fn(i), b.partial_fn(i)
-        return lambda pts: pa(pts) * fb(pts) + fa(pts) * pb(pts)
-
-    return NumericScalar(a.coords, fn, tuple(make_partial(i) for i in range(n)))
 
 
 # -- charts -------------------------------------------------------------------
@@ -263,22 +125,22 @@ class Chart:
 
     # field and form builders
 
-    def vector_field(self, components: Mapping[str, ScalarLike | str | float], label: str = "") -> "VectorField":
+    def vector_field(self, components: Mapping[str, Expr | str | float], label: str = "") -> "VectorField":
         return VectorField(self, self._components(components), label)
 
-    def one_form(self, components: Mapping[str, ScalarLike | str | float], label: str = "") -> "OneForm":
+    def one_form(self, components: Mapping[str, Expr | str | float], label: str = "") -> "OneForm":
         return OneForm(self, self._components(components), label)
 
     def basis_vector(self, name: str, label: str = "") -> "VectorField":
         return self.vector_field({name: 1.0}, label or f"d/d{name}")
 
-    def _components(self, components: Mapping[str, ScalarLike | str | float]) -> tuple[ScalarLike, ...]:
+    def _components(self, components: Mapping[str, Expr | str | float]) -> tuple[Expr, ...]:
         """Components by coordinate name: scalars, expression strings or constants; zero elsewhere."""
-        comps: list[ScalarLike] = [self.zero()] * self.dim
+        comps: list[Expr] = [self.zero()] * self.dim
         for cname, value in components.items():
             if isinstance(value, str):
                 value = self.parse(value)
-            elif not isinstance(value, (Expr, NumericScalar)):
+            elif not isinstance(value, Expr):
                 value = self.const(float(value))
             comps[self.index(cname)] = value
         return tuple(comps)
@@ -325,7 +187,7 @@ class _Components:
     """Coordinate components of a field or form on one chart."""
 
     chart: Chart
-    components: tuple[ScalarLike, ...]
+    components: tuple[Expr, ...]
     label: str = ""
 
     def __add__(self, other):
@@ -337,25 +199,23 @@ class _Components:
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
-    def scaled(self, s: "ScalarLike | float"):
+    def scaled(self, s: "Expr | float"):
         if isinstance(s, (int, float)):
             s = self.chart.const(float(s))
         return type(self)(self.chart, tuple(s * c for c in self.components))
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        """(..., dim) points to (..., n), on one evaluator when every component is exact."""
-        if all(isinstance(c, Expr) for c in self.components):
-            return _evaluator(self.components)
-        return lambda pts: batch_eval_scalars(self.components, pts)
+        """(..., dim) points to (..., n), on one evaluator of every component."""
+        return _evaluator(self.components)
 
 
 @dataclass(frozen=True)
 class VectorField(_Components):
     """Coordinate components of a vector field on one chart."""
 
-    def apply(self, f: ScalarLike) -> ScalarLike:
+    def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f)."""
-        out: ScalarLike = self.chart.zero()
+        out: Expr = self.chart.zero()
         for c, comp in zip(self.chart.coords, self.components):
             out = out + comp * f.partial(c.name)
         return out
@@ -365,8 +225,8 @@ class VectorField(_Components):
 class OneForm(_Components):
     """Coordinate components of a one-form on one chart."""
 
-    def apply(self, X: VectorField) -> ScalarLike:
-        out: ScalarLike = self.chart.zero()
+    def apply(self, X: VectorField) -> Expr:
+        out: Expr = self.chart.zero()
         for a, x in zip(self.components, X.components):
             out = out + a * x
         return out
@@ -382,9 +242,9 @@ class TwoForm:
 
     chart: Chart
     pairs: tuple[tuple[int, int], ...]
-    components: tuple[ScalarLike, ...]
+    components: tuple[Expr, ...]
 
-    def component(self, i: int, j: int) -> ScalarLike:
+    def component(self, i: int, j: int) -> Expr:
         if i == j:
             return self.chart.zero()
         sign = 1.0
@@ -394,15 +254,15 @@ class TwoForm:
         comp = self.components[m]
         return comp if sign > 0 else -comp
 
-    def apply(self, X: VectorField, Y: VectorField) -> ScalarLike:
-        out: ScalarLike = self.chart.zero()
+    def apply(self, X: VectorField, Y: VectorField) -> Expr:
+        out: Expr = self.chart.zero()
         for (i, j), w in zip(self.pairs, self.components):
             cross = X.components[i] * Y.components[j] - X.components[j] * Y.components[i]
             out = out + w * cross
         return out
 
 
-def differential(f: ScalarLike, chart: Chart) -> OneForm:
+def differential(f: Expr, chart: Chart) -> OneForm:
     return OneForm(chart, tuple(f.partial(c.name) for c in chart.coords))
 
 
@@ -423,7 +283,7 @@ def interior_product(omega: TwoForm, X: VectorField) -> OneForm:
     chart = omega.chart
     comps = []
     for j in range(chart.dim):
-        acc: ScalarLike = chart.zero()
+        acc: Expr = chart.zero()
         for i in range(chart.dim):
             if i == j:
                 continue
@@ -445,7 +305,7 @@ def lie_derivative_oneform(X: VectorField, alpha: OneForm) -> OneForm:
     return differential(alpha.apply(X), chart) + interior_product(exterior_derivative(alpha), X)
 
 
-def wedge_top(alpha: OneForm, omega: TwoForm) -> tuple[tuple[tuple[int, int, int], ScalarLike], ...]:
+def wedge_top(alpha: OneForm, omega: TwoForm) -> tuple[tuple[tuple[int, int, int], Expr], ...]:
     """Components of the three-form alpha wedge omega.
 
     Returns one (triple, coefficient) entry per strictly increasing index
@@ -470,8 +330,8 @@ def wedge_top(alpha: OneForm, omega: TwoForm) -> tuple[tuple[tuple[int, int, int
 class IntegerAffineMap:
     """A unimodular integer-affine self-map of a chart: x -> A x + b.
 
-    The pushforward of an exact vector field stays inside the exact
-    expression class because the inverse is again integer-affine.
+    The pushforward of a vector field stays inside the exact expression
+    class because the inverse is again integer-affine.
     """
 
     chart: Chart
@@ -506,8 +366,6 @@ class IntegerAffineMap:
             name: ({names[j]: m for j, m in enumerate(row) if m}, b)
             for name, row, b in zip(names, inv.matrix, inv.offset)
         }
-        if not all(isinstance(xj, Expr) for xj in X.components):
-            raise ValueError("pushforward requires exact components")
         moved = [xj.substitute(self.chart.coords, images) for xj in X.components]
         comps = tuple(
             sum((float(m) * moved[j] for j, m in enumerate(row) if m), self.chart.zero())
@@ -519,23 +377,21 @@ class IntegerAffineMap:
 # -- batch evaluation and rank -------------------------------------------------
 
 
-def dependent_axes(scalars: Sequence[ScalarLike]) -> tuple[int, ...]:
+def dependent_axes(scalars: Sequence[Expr]) -> tuple[int, ...]:
     """The coordinate axes that some of ``scalars`` read, in increasing order.
 
     An ``Expr`` reads axis i when one of its terms has a nonzero power or
     frequency in it; its evaluator never looks at any other axis, so its
-    values do not change along one.  A ``NumericScalar`` reads every axis.
+    values do not change along one.
     """
     read: set[int] = set()
     for s in scalars:
-        if isinstance(s, NumericScalar):
-            return tuple(range(len(s.coords)))
         for t in s.terms:
             read.update(i for i, (p, k) in enumerate(zip(t.powers, t.freqs)) if p or k)
     return tuple(sorted(read))
 
 
-def batch_eval_scalars(scalars: Sequence[ScalarLike], pts: np.ndarray) -> np.ndarray:
+def batch_eval_scalars(scalars: Sequence[Expr], pts: np.ndarray) -> np.ndarray:
     """Evaluate scalars on (..., dim) points; result has shape (..., len(scalars)).
 
     An ``Expr`` that reads no coordinate is not compiled: its column is
@@ -547,7 +403,7 @@ def batch_eval_scalars(scalars: Sequence[ScalarLike], pts: np.ndarray) -> np.nda
     shape = pts.shape[:-1]
     cols = [
         np.full(shape, sum((t.coeff for t in s.terms), 0.0))
-        if isinstance(s, Expr) and len(s.terms) <= 1 and not dependent_axes([s])
+        if len(s.terms) <= 1 and not dependent_axes([s])
         else np.broadcast_to(np.asarray(s.compile()(pts), float), shape)
         for s in scalars
     ]

@@ -34,20 +34,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .charts import (
-    Chart,
-    Interval,
-    NumericScalar,
-    OneForm,
-    VectorField,
-)
+from .charts import Chart, OneForm, VectorField
 from .invariants import _turns, twisting_number
-from .trigpoly import (
-    KIND_ANGULAR,
-    KIND_POLYNOMIAL,
-    Expr,
-    Mode,
-)
+from .trigpoly import Expr, Mode
 
 __all__ = [
     "ClassifierField",
@@ -116,11 +105,8 @@ class SliceEmbedding:
             target = self.assignment[c.name]
             if not isinstance(target, str):
                 continue
-            a = alpha.components[i]
-            if not isinstance(a, Expr):
-                raise ValueError("exact pullback needs exact components")
             j = self.surface.index(target)
-            comps[j] = comps[j] + a.substitute(self.surface.coords, images)
+            comps[j] = comps[j] + alpha.components[i].substitute(self.surface.coords, images)
         return OneForm(self.surface, tuple(comps), alpha.label)
 
 
@@ -1210,29 +1196,16 @@ def _contact_coefficient(pieces: _DiskPieces) -> Callable[[np.ndarray], np.ndarr
     return F
 
 
-def _bundle_scalar(coords, fn: Callable, grad: Callable) -> NumericScalar:
-    """The scalar on the bundle chart (x, p, q) given by a page function of
-    (p, q) and its page gradient; it does not depend on x."""
-
-    def on_page(f):
-        return lambda pts3: f(np.asarray(pts3, float)[..., 1:])
-
-    def zero(pts3):
-        return np.zeros(np.asarray(pts3, float).shape[:-1])
-
-    return NumericScalar(
-        coords,
-        on_page(fn),
-        (zero, on_page(lambda z: grad(z)[..., 0]), on_page(lambda z: grad(z)[..., 1])),
-    )
-
-
 @dataclass(frozen=True)
 class DiskContactForm:
-    """A verified contact form on the disk bundle with k boundary twists."""
+    """A verified contact form on the disk bundle with k boundary twists.
+
+    The form alpha = u dx + V_q dp - V_p dq is not stored as a field: beta
+    and its partials are read off the value and Jacobian of the classifier
+    V, and the certificates record what was checked of alpha.
+    """
 
     k: int
-    alpha: OneForm
     classifier: ClassifierField
     singularities: SingularityReport
     params: dict
@@ -1274,17 +1247,8 @@ def _disk_params(k: int) -> dict:
     }
 
 
-def _bundle_chart() -> Chart:
-    box = Interval(-1.0, 1.0)
-    return Chart.make(
-        "disk-bundle",
-        [("x", KIND_ANGULAR), ("p", KIND_POLYNOMIAL, box), ("q", KIND_POLYNOMIAL, box)],
-    )
-
-
 def _exact_disk_form() -> DiskContactForm:
-    """The k = 1 model: u = 1, beta = p dq - q dp, all components exact."""
-    alpha = _bundle_chart().one_form({"x": 1.0, "p": "-q", "q": "p"})
+    """The k = 1 model: u = 1, beta = p dq - q dp."""
 
     def value(pts):
         return -np.asarray(pts, float)
@@ -1314,7 +1278,6 @@ def _exact_disk_form() -> DiskContactForm:
     )
     return DiskContactForm(
         k=1,
-        alpha=alpha,
         classifier=classifier,
         singularities=report,
         params={},
@@ -1428,26 +1391,8 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
         and vmin_boundary > 1e-3
     )
 
-    # beta = V_q dp - V_p dq, with partials from the rows of the Jacobian
-    value, jac = classifier.value, classifier.jacobian
-    pages = (
-        (
-            lambda z: pieces.u(z, _radius(z), (0,))[0],
-            lambda z: pieces.u(z, _radius(z), (1,))[0],
-        ),
-        (lambda z: value(z)[..., 1], lambda z: jac(z)[..., 1, :]),
-        (lambda z: -value(z)[..., 0], lambda z: -jac(z)[..., 0, :]),
-    )
-    bundle = _bundle_chart()
-    alpha = OneForm(
-        bundle,
-        tuple(_bundle_scalar(bundle.coords, fn, grad) for fn, grad in pages),
-        label=f"disk-form-k{k}",
-    )
-
     return DiskContactForm(
         k=k,
-        alpha=alpha,
         classifier=classifier,
         singularities=report,
         params=dict(params),

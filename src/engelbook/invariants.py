@@ -1,4 +1,4 @@
-"""Winding invariants along curves and quaternionic framings.
+"""Winding invariants along curves.
 
 All winding computations share one angle-unwrapping core: sample a curve,
 express the field of interest in a reference 2-frame, accumulate wrapped
@@ -25,7 +25,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, OneForm, VectorField, field_matrix
-from .trigpoly import Expr
 
 __all__ = [
     "DeltaResult",
@@ -33,7 +32,6 @@ __all__ = [
     "WindingResult",
     "delta_homomorphism",
     "frame_gram",
-    "quaternion_frame",
     "rotation_number",
     "twisting_number",
 ]
@@ -204,16 +202,12 @@ def _null_line(basis: Sequence[VectorField], rows: Sequence[OneForm]) -> VectorF
     With M[r][c] = rows[r](basis[c]) and r the first row that is not the zero
     ``Expr``, the field M[r][1] x1 - M[r][0] x2 is killed by row r, and by the
     other row o exactly when M[o][0] M[r][1] - M[o][1] M[r][0] is the zero
-    ``Expr``.  Raises ``ValueError`` when a component is not exact, when both
-    rows vanish on the plane, or when the rows kill no common line.  The
-    field is zero where row r vanishes on the plane; ``_winding`` refuses it
-    there.
+    ``Expr``.  Raises ``ValueError`` when both rows vanish on the plane, or
+    when the rows kill no common line.  The field is zero where row r
+    vanishes on the plane; ``_winding`` refuses it there.
     """
     x1, x2 = basis
     M = [[row.apply(x) for x in basis] for row in rows]
-    # a numeric row or basis component makes its pairings numeric
-    if not all(isinstance(m, Expr) for pair in M for m in pair):
-        raise ValueError("a null line needs exact rows and basis fields")
     nonzero = [r for r, pair in enumerate(M) if any(m.terms for m in pair)]
     if not nonzero:
         raise ValueError("both rows vanish on the plane, so no line is selected")
@@ -251,31 +245,6 @@ def delta_homomorphism(
     diff = turns[1] - turns[0]
     value = int(round(diff))
     return DeltaResult(value, abs(diff - value), turns[0], turns[1], n_samples)
-
-
-# -- quaternionic framing -------------------------------------------------------
-
-
-def quaternion_frame(X: VectorField) -> tuple[VectorField, VectorField, VectorField]:
-    """Left multiplication of a 4-component field by i, j, k.
-
-    With X = (x0, x1, x2, x3) the returned fields are
-
-        iX = (-x1,  x0, -x3,  x2)
-        jX = (-x2,  x3,  x0, -x1)
-        kX = (-x3, -x2,  x1,  x0)
-
-    so (X, iX, jX, kX) has Gram matrix |X|^2 times the identity.
-    """
-    chart = X.chart
-    if chart.dim != 4:
-        raise ValueError("quaternion_frame expects a 4-dimensional chart")
-    x0, x1, x2, x3 = X.components
-
-    iX = VectorField(chart, (-x1, x0, -x3, x2), label=f"i*{X.label}")
-    jX = VectorField(chart, (-x2, x3, x0, -x1), label=f"j*{X.label}")
-    kX = VectorField(chart, (-x3, -x2, x1, x0), label=f"k*{X.label}")
-    return iX, jX, kX
 
 
 def frame_gram(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:

@@ -57,15 +57,6 @@ def _parse_value(text: str):
         return text
 
 
-def _exact_components(obj, what: str) -> tuple[Expr, ...]:
-    comps = []
-    for comp in obj.components:
-        if not isinstance(comp, Expr):
-            raise ValueError(f"model files need exact components, {what} has a numeric one")
-        comps.append(comp)
-    return tuple(comps)
-
-
 # the piece keys that name fields and forms, in file order: (key, section
 # kind, wanted name).  A str names one object, a tuple one per entry, and
 # None any positive number of fields, named S1, S2, ...
@@ -98,7 +89,7 @@ class _Namer:
         self._used: set[tuple[str, str]] = set()
 
     def name(self, kind: str, obj, want: str) -> str:
-        comps = _exact_components(obj, f"{kind} {want!r}")
+        comps = obj.components
         key = (kind, obj.chart.name, tuple(str(c) for c in comps))
         if key not in self.names:
             name, i = want, 2

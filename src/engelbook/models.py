@@ -98,6 +98,15 @@ def _odd_positive_k(k) -> int:
     return k
 
 
+def _finite(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float, refused unless finite, and positive when asked."""
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0):
+        wanted = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {wanted}, got {value}")
+    return value
+
+
 def _check_angle(a: float) -> float:
     a = float(a)
     # interface slope cot(a) must be positive and finite
@@ -423,7 +432,7 @@ def _model_darboux_even() -> OpenBookModel:
 
 
 def _model_engel_darboux_loose(theta0: float = 0.0) -> OpenBookModel:
-    theta0 = float(theta0)
+    theta0 = _finite(theta0, "theta0")
     chart = Chart.make(
         "loose-tube",
         [("x", KIND_POLYNOMIAL, BOX), ("y", KIND_POLYNOMIAL, BOX), ("z", KIND_POLYNOMIAL, BOX), ("theta", KIND_ANGULAR)],
@@ -505,9 +514,7 @@ def _binding_boundary_chart(r0: float) -> Chart:
 
 
 def _model_binding_eb(r0: float = 1.0) -> OpenBookModel:
-    r0 = float(r0)
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    r0 = _finite(r0, "r0", positive=True)
     core = _binding_core_piece(r0)
     chart = _binding_boundary_chart(r0)
     alpha = chart.one_form({"x": 1.0, "y": "-r^2", "phi": "r^2"}, label="alpha")
@@ -675,9 +682,7 @@ def _model_product_openbook() -> OpenBookModel:
 
 
 def _model_prolongation_eps(eps: float = 0.25) -> OpenBookModel:
-    eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _finite(eps, "eps", positive=True)
     alpha, w, c1, c2 = _prolong_fields(eps)
     page = ModelPiece(
         name="page-region",
@@ -734,9 +739,7 @@ def _model_engel_prolongation_dk(k: int = 1, eps: float = 0.25) -> OpenBookModel
     k = _as_int(k, "k")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _finite(eps, "eps", positive=True)
     alpha, w, c1, c2 = _prolong_fields(eps)
     cos_kt = _wave(PROLONG4, Mode.COS, {"t": k})
     sin_kt = _wave(PROLONG4, Mode.SIN, {"t": k})
@@ -934,9 +937,7 @@ def build_binding_engel(l, k, r0: float = 1.0) -> ModelPiece:
     if l < 1:
         raise ValueError("l must be a positive integer")
     k = _odd_positive_k(k)
-    r0 = float(r0)
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    r0 = _finite(r0, "r0", positive=True)
     chart = _binding_boundary_chart(r0)
     r2 = chart.parse("r^2")
     s_field = VectorField(chart, (r2, chart.const(1.0), chart.zero(), chart.zero()), label="S")

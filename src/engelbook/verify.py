@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .charts import (
     pointwise_rank,
     wedge_top,
 )
-from .trigpoly import Expr
 
 __all__ = [
     "CheckReport",
@@ -179,10 +178,6 @@ def _below(margins: np.ndarray, threshold: float) -> np.ndarray:
 def _above(residuals: np.ndarray, tol: float) -> np.ndarray:
     """Bad points of a residual: above ``tol``, or not finite."""
     return ~(np.isfinite(residuals) & (residuals <= tol))
-
-
-def _all_exact(comps: Iterable) -> bool:
-    return all(isinstance(c, Expr) for c in comps)
 
 
 # -- contact and even contact -------------------------------------------------
@@ -388,9 +383,7 @@ def isotropic_line_check(
         "alpha_w_residual": float(residuals[:, 0].max()),
         "pairing_residual": worst_residual,
     }
-    if _all_exact(w.components) and _all_exact(alpha.components):
-        exact_zero = isinstance(alpha_w, Expr) and alpha_w.is_zero(tol)
-        details["alpha_w_exact_zero"] = bool(exact_zero)
+    details["alpha_w_exact_zero"] = bool(alpha_w.is_zero(tol))
     return CheckReport(
         name=name,
         passed=not bad.any(),
@@ -426,9 +419,8 @@ def contact_vector_field_check(
     """Whether the flow of L preserves ker(alpha).
 
     The Lie derivative is computed by the Cartan formula and the kernel
-    condition is the vanishing of (L_L alpha) ^ alpha.  When every component
-    is exact the same wedge is also reduced symbolically, and the two
-    verdicts must agree.
+    condition is the vanishing of (L_L alpha) ^ alpha.  The same wedge is
+    also reduced symbolically, and the two verdicts must agree.
     """
     chart = alpha.chart
     lie = lie_derivative_oneform(L, alpha)
@@ -440,12 +432,11 @@ def contact_vector_field_check(
     details: dict = {"route": "cartan+wedge", "max_residual": float(residual.max())}
 
     passed = numeric_pass
-    if _all_exact(lie.components) and _all_exact(alpha.components):
-        symbolic_pass = all(c.is_zero(tol) for c in wedge.components)
-        details["symbolic_zero"] = bool(symbolic_pass)
-        if symbolic_pass != numeric_pass:
-            details["routes_disagree"] = True
-            passed = False
+    symbolic_pass = all(c.is_zero(tol) for c in wedge.components)
+    details["symbolic_zero"] = bool(symbolic_pass)
+    if symbolic_pass != numeric_pass:
+        details["routes_disagree"] = True
+        passed = False
 
     bad = _above(residual, tol)
     return CheckReport(
@@ -615,11 +606,7 @@ def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
     sub_chart = Chart(
         chart.name, tuple(chart.coords[i] for i in keep), tuple(chart.bounds[i] for i in keep)
     )
-    restricted = []
-    for comp in w.components:
-        if not isinstance(comp, Expr):
-            raise ValueError("binding adaptedness needs exact components")
-        restricted.append(comp.substitute(sub_chart.coords, locus))
+    restricted = [comp.substitute(sub_chart.coords, locus) for comp in w.components]
 
     # sample the binding locus itself; given points keep their non-locus coordinates
     if points is not None:

@@ -11,7 +11,6 @@ from engelbook.charts import (
     Chart,
     IntegerAffineMap,
     Interval,
-    NumericScalar,
     batch_eval_scalars,
     dependent_axes,
     differential,
@@ -72,6 +71,26 @@ SHEAR_CHART = Chart.make(
 )
 
 
+def central_difference(f, pts, i, h=1e-6):
+    """The partial of the compiled ``f`` along axis i at ``pts``, by central
+    differences."""
+    step = np.zeros(pts.shape[-1])
+    step[i] = h
+    return (f(pts + step) - f(pts - step)) / (2.0 * h)
+
+
+def central_difference_bracket(X, Y, pts):
+    """[X, Y] at ``pts`` from central differences of the compiled components:
+    [X, Y]^j = sum_i X^i d_i Y^j - Y^i d_i X^j."""
+    fx, fy = X.compile(), Y.compile()
+    vx, vy = fx(pts), fy(pts)
+    return sum(
+        vx[:, i : i + 1] * central_difference(fy, pts, i)
+        - vy[:, i : i + 1] * central_difference(fx, pts, i)
+        for i in range(pts.shape[-1])
+    )
+
+
 class TestBrackets:
     def test_disk3_frame_brackets(self):
         # V1 = d/dtheta, V2 = cos(theta - t0) d/dx + z cos(theta - t0) d/dy
@@ -125,31 +144,15 @@ class TestBrackets:
         assert np.max(np.abs(vals)) <= 1e-9
 
     def test_exact_bracket_matches_finite_difference(self):
-        # the same fields with components wrapped as numeric closures must
-        # bracket to the same answer through central differences, also when
-        # only one of the two fields is numeric and the operators mix types
+        # the exact bracket against [X, Y]^j = X(Y^j) - Y(X^j) with every
+        # partial a central difference of the compiled components
         rng = np.random.default_rng(3)
         X = SHEAR_CHART.vector_field({"x": "r*cos(x + 2*phi)", "r": "r^2*sin(y)"})
         Y = SHEAR_CHART.vector_field({"y": "cos(phi - y)", "phi": "r*cos(x + 2*phi)"})
-
-        def numeric_copy(F):
-            comps = tuple(
-                NumericScalar(SHEAR_CHART.coords, c.compile()) for c in F.components
-            )
-            return type(F)(SHEAR_CHART, comps)
-
-        exact = lie_bracket(X, Y)
         pts = SHEAR_CHART.sample_random(25, rng)
-        ve = field_matrix([exact], pts)[:, 0, :]
-        for F, G in [
-            (numeric_copy(X), numeric_copy(Y)),
-            (X, numeric_copy(Y)),
-            (numeric_copy(X), Y),
-        ]:
-            approx = lie_bracket(F, G)
-            assert all(isinstance(c, NumericScalar) for c in approx.components)
-            va = field_matrix([approx], pts)[:, 0, :]
-            assert np.max(np.abs(ve - va)) <= 1e-5 * (1.0 + np.max(np.abs(ve)))
+        ve = field_matrix([lie_bracket(X, Y)], pts)[:, 0, :]
+        va = central_difference_bracket(X, Y, pts)
+        assert np.max(np.abs(ve - va)) <= 1e-5 * (1.0 + np.max(np.abs(ve)))
 
 
 class TestExteriorCalculus:
@@ -170,39 +173,6 @@ class TestExteriorCalculus:
         coeffs = wedge_top(alpha, exterior_derivative(alpha))
         assert len(coeffs) == 1
         assert canonical_equal(coeffs[0][1], TORUS_COLLAR.const(1.0), tol=1e-12)
-
-    def test_mixed_components_match_exact_calculus(self):
-        # numeric closures with analytic partials in the even slots, Expr in
-        # the odd ones: d and the top wedge go through the reflected
-        # NumericScalar operators and agree with the exact values
-        rng = np.random.default_rng(11)
-        alpha = SHEAR_CHART.one_form({"x": "r*sin(phi)", "y": "r^2", "phi": "cos(x - y)"})
-        mixed = type(alpha)(
-            SHEAR_CHART,
-            tuple(
-                NumericScalar(
-                    SHEAR_CHART.coords,
-                    c.compile(),
-                    tuple(c.partial(x.name).compile() for x in SHEAR_CHART.coords),
-                )
-                if i % 2 == 0
-                else c
-                for i, c in enumerate(alpha.components)
-            ),
-        )
-        assert {type(c) for c in mixed.components} == {NumericScalar, type(SHEAR_CHART.zero())}
-        pts = SHEAR_CHART.sample_random(40, rng)
-        exact_d, mixed_d = exterior_derivative(alpha), exterior_derivative(mixed)
-        assert mixed_d.pairs == exact_d.pairs
-        got = batch_eval_scalars(mixed_d.components, pts)
-        want = batch_eval_scalars(exact_d.components, pts)
-        assert np.max(np.abs(got - want)) <= 1e-12
-        exact_top = wedge_top(alpha, exact_d)
-        mixed_top = wedge_top(mixed, mixed_d)
-        assert [t for t, _ in mixed_top] == [t for t, _ in exact_top]
-        got = batch_eval_scalars([c for _, c in mixed_top], pts)
-        want = batch_eval_scalars([c for _, c in exact_top], pts)
-        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_d_squared_is_zero(self):
         f = SHEAR_CHART.parse("r^2*cos(x + 3*phi) + sin(y)")
@@ -319,24 +289,6 @@ class TestSamplingAndRank:
         assert np.allclose(gaps, 1.0)
         with pytest.raises(ValueError):
             pointwise_rank(mats, tol=-1.0)
-
-    def test_numeric_scalar_analytic_partial_survives_arithmetic(self):
-        coords = DARBOUX.coords
-
-        def val(pts):
-            return pts[..., 0] ** 2
-
-        def dville(pts):
-            return 2.0 * pts[..., 0]
-
-        def zero(pts):
-            return np.zeros(pts.shape[:-1])
-
-        f = NumericScalar(coords, val, (dville, zero, zero, zero))
-        g = f * f  # d/dx = 4 x^3 via the chained product rule
-        pts = np.array([[1.5, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
-        got = g.partial("x").compile()(pts)
-        assert np.allclose(got, 4.0 * pts[:, 0] ** 3, atol=1e-12)
 
 
 def svd_loop_rank(mats, tol=1e-9):
@@ -465,14 +417,13 @@ def test_batch_eval_scalars_zero_columns_match_the_compiled_path(shape):
         DARBOUX.zero(),
         DARBOUX.const(-2.5),
         DARBOUX.parse("x*y - 3*z^2 + w"),
-        NumericScalar(DARBOUX.coords, lambda p: -0.0 * p[..., 0]),
         DARBOUX.zero(),
     ]
     got = batch_eval_scalars(scalars, pts)
     ref = compile_every_scalar(scalars, pts)
     assert got.shape == ref.shape == shape[:-1] + (len(scalars),)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    for j in (0, 4):
+    for j in (0, 3):
         assert not np.signbit(got[..., j]).any()
 
 
@@ -490,7 +441,3 @@ class TestDependentAxes:
         # no power of x or phi, only their frequencies in the cosine
         assert dependent_axes([SHEAR_CHART.parse("cos(x + phi)")]) == (0, 3)
         assert dependent_axes([DISK3.parse("sin(theta)"), DISK3.parse("y^2")]) == (1, 3)
-
-    def test_numeric_scalar_reads_every_axis(self):
-        num = NumericScalar(SHEAR_CHART.coords, lambda p: np.zeros(p.shape[:-1]))
-        assert dependent_axes([SHEAR_CHART.zero(), num]) == (0, 1, 2, 3)

@@ -66,6 +66,34 @@ def test_verify_unknown_model_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        *(
+            pytest.param(
+                ["verify", "--model", model, "--param", f"{name}={value}"],
+                name,
+                id=f"{model}-{name}={value}",
+            )
+            for model, name in (
+                ("binding_Eb", "r0"),
+                ("engel_prolongation_Dk", "eps"),
+                ("prolongation_Eeps", "eps"),
+                ("engel_darboux_loose", "theta0"),
+            )
+            for value in ("nan", "inf", "-inf")
+        ),
+        *(
+            pytest.param(["construct", "--lambda", "1", "--k", "3", "--r0", v], "r0", id=f"construct-r0={v}")
+            for v in ("nan", "inf")
+        ),
+    ],
+)
+def test_non_finite_model_parameter_is_usage_error(capsys, argv, name):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error[EB-PARAM] {name} must be ")
+
+
+@pytest.mark.parametrize(
     "argv, accepts",
     [
         (["verify", "--model", "darboux_even", "--param", "foo=1"], "it accepts none"),

@@ -11,15 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelbook import foliation
-from engelbook.charts import (
-    Chart,
-    Interval,
-    NumericScalar,
-    OneForm,
-    batch_eval_scalars,
-    exterior_derivative,
-    wedge_top,
-)
+from engelbook.charts import Chart, Interval
 from engelbook.foliation import (
     _REPLAY_CHUNK,
     _TRAP_CANDIDATE,
@@ -58,10 +50,9 @@ from engelbook.trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
     KIND_POLYNOMIAL,
-    Expr,
     canonical_equal,
 )
-from engelbook.verify import MAX_FAILURES, CheckReport, contact_structure_check
+from engelbook.verify import MAX_FAILURES, CheckReport
 from test_properties import ref_compile
 
 PROLONG = Chart.make(
@@ -253,7 +244,7 @@ def band_mask(lo, hi):
 
 def kernel_direction(pulled):
     """Reference kernel direction: one closure per component, then a stack."""
-    c1, c2 = (ref_compile(c) if isinstance(c, Expr) else c.compile() for c in pulled.components)
+    c1, c2 = (ref_compile(c) for c in pulled.components)
     return lambda pts: np.stack([-c2(pts), c1(pts)], axis=-1)
 
 
@@ -331,18 +322,6 @@ LEAF_CASES = {
     ),
     "s3_openbook": lambda: catalog_annulus("s3_openbook"),
     "stabilization_local": lambda: catalog_annulus("stabilization_local"),
-    # the transverse pullback as numeric closures instead of Expr, on a
-    # narrow annulus to keep the dense one-leaf reference loop short
-    "numeric": lambda: (
-        OneForm(
-            ANNULUS,
-            tuple(
-                NumericScalar(ANNULUS.coords, c.compile())
-                for c in LEAF_CASES["transverse"]()[0].components
-            ),
-        ),
-        (0.4, 0.6),
-    ),
 }
 
 
@@ -445,22 +424,18 @@ def test_direction_returning_one_buffer_traces_like_one_leaf_loop():
 
 
 def test_leaf_ending_at_a_non_finite_point_does_not_cross():
-    # c1 is NaN below v = 0.3, so every backward leaf runs into NaN there:
-    # NaN is not inside, so it used to count as an exit through v = 0.12
-    def c1(pts):
-        return np.where(pts[..., 1] > 0.3, 1.0, np.nan)
-
-    zero = NumericScalar(PAGE_ANNULUS.coords, lambda pts: np.zeros(pts.shape[:-1]))
-    nan_below = OneForm(PAGE_ANNULUS, (NumericScalar(PAGE_ANNULUS.coords, c1), zero))
-    report = annulus_foliation_check(nan_below, (0.12, 0.88))
+    # every seed sits on v = 0, the pole of v^-2 du, where the direction is
+    # not finite, so no leaf may count as crossing
+    chart = Chart.make("pole-annulus", [("u", KIND_ANGULAR), ("v", KIND_POLYNOMIAL, Interval(-0.5, 0.5))])
+    pole = chart.one_form({"u": "v^-2"})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = annulus_foliation_check(pole, (-0.4, 0.4))
     assert not report.passed
     assert report.min_gap == 0.0
     assert len(report.failures) == min(8, MAX_FAILURES)
 
-    # the same field without the NaN region crosses; its v component is an
-    # Expr, so the form mixes an exact and a numeric component
-    ones = NumericScalar(PAGE_ANNULUS.coords, lambda pts: np.ones(pts.shape[:-1]))
-    clean = annulus_foliation_check(PAGE_ANNULUS.one_form({"u": ones}), (0.12, 0.88))
+    # the same form on a band off the pole crosses
+    clean = annulus_foliation_check(pole, (0.1, 0.4))
     assert clean.passed
     assert clean.min_gap == pytest.approx(0.98, abs=1e-3)
 
@@ -1219,29 +1194,22 @@ def test_disk_form_contact_certificates(k):
     assert abs(d.certificates["classifier_boundary_turns"] - 1.0) < 0.05
 
 
-def test_disk_form_passes_generic_contact_check():
-    d = disk(3)
-    report = contact_structure_check(d.alpha, min_points=2000)
-    assert report.passed
-    assert report.min_gap >= 0.2
-
-
 def test_hand_coefficient_matches_wedge_route():
-    d = disk(5)
-    pieces = _assemble_pieces(5, d.params)
-    F = _contact_coefficient(pieces)
+    # for alpha = u dx + V_q dp - V_p dq, alpha ^ dalpha is
+    # (-u (J00 + J11) + V . grad u) dx ^ dp ^ dq, with J the Jacobian of V
     rng = np.random.default_rng(11)
-    pts3 = np.stack(
-        [
-            rng.uniform(0.0, math.tau, 300),
-            rng.uniform(-0.7, 0.7, 300),
-            rng.uniform(-0.7, 0.7, 300),
-        ],
-        axis=-1,
+    axis = np.linspace(-1.0, 1.0, 101)
+    pts = np.concatenate(
+        [rng.uniform(-1.0, 1.0, (2000, 2)), np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)]
     )
-    coeffs = wedge_top(d.alpha, exterior_derivative(d.alpha))
-    wedge_vals = batch_eval_scalars([c for _, c in coeffs], pts3)[:, 0]
-    assert np.abs(F(pts3[:, 1:]) - wedge_vals).max() <= 1e-10
+    for k in range(3, 20, 2):
+        pieces = _assemble_pieces(k, _disk_params(k))
+        classifier = _classifier_from_pieces(pieces)
+        u, grad = pieces.u(pts, _radius(pts), (0, 1))
+        J = classifier.jacobian(pts)
+        closed = -u * (J[:, 0, 0] + J[:, 1, 1]) + np.einsum("ni,ni->n", classifier.value(pts), grad)
+        F = _contact_coefficient(pieces)(pts)
+        assert (np.abs(F - closed) <= 1e-12 * np.maximum(1.0, np.abs(F))).all(), k
 
 
 @pytest.mark.parametrize("k", range(3, 20, 2))

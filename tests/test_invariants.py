@@ -1,17 +1,13 @@
-"""Unit tests for winding invariants and framings."""
-
-import math
+"""Unit tests for winding invariants."""
 
 import numpy as np
 import pytest
 
-from engelbook.charts import Chart, Interval, NumericScalar, batch_eval_scalars, field_matrix
+from engelbook.charts import Chart, Interval, batch_eval_scalars, field_matrix
 from engelbook.invariants import (
     Path,
     _null_line,
     delta_homomorphism,
-    frame_gram,
-    quaternion_frame,
     rotation_number,
     twisting_number,
 )
@@ -25,17 +21,6 @@ PROLONG = Chart.make(
         ("r", KIND_POLYNOMIAL, Interval(0.0, 1.0)),
         ("phi1", KIND_ANGULAR),
         ("phi2", KIND_ANGULAR),
-    ],
-)
-
-BOX = Interval(-1.0, 1.0)
-R4 = Chart.make(
-    "r4",
-    [
-        ("a", KIND_POLYNOMIAL, BOX),
-        ("b", KIND_POLYNOMIAL, BOX),
-        ("c", KIND_POLYNOMIAL, BOX),
-        ("d", KIND_POLYNOMIAL, BOX),
     ],
 )
 
@@ -106,12 +91,14 @@ class TestTwisting:
             twisting_number(field, xi_frame(), T_CIRCLE)
 
     def test_field_not_finite_at_one_sample_raises(self):
-        def nan_at_pi(pts):
-            return np.where(pts[..., 0] == math.pi, np.nan, 1.0)
-
-        field = PROLONG.vector_field({"r": NumericScalar(PROLONG.coords, nan_at_pi)})
-        with pytest.raises(ValueError, match="zero or not finite"):
-            twisting_number(field, xi_frame(), T_CIRCLE)
+        # r^-1 d/dr has a pole at r = 0, the first sample of the segment
+        field = PROLONG.vector_field({"r": "r^-1"})
+        seg = Path.coordinate_segment(PROLONG, "r", {"phi1": 0.1, "phi2": 0.4}, 0.0, 0.6)
+        with np.errstate(divide="ignore"):
+            values = field_matrix([field], seg.sample(256))[:, 0, 1]
+            assert np.flatnonzero(~np.isfinite(values)).tolist() == [0]
+            with pytest.raises(ValueError, match="zero or not finite"):
+                twisting_number(field, xi_frame(), seg)
 
     def test_field_the_frame_cannot_see_raises(self):
         # d/dt is normal to the frame plane: both frame coordinates are 0
@@ -145,14 +132,6 @@ class TestDelta:
 
 
 class TestNullLine:
-    def test_refuses_numeric_components(self):
-        numeric = NumericScalar(PROLONG.coords, lambda pts: np.ones(pts.shape[:-1]))
-        alpha, theta = PROLONG_ROWS
-        with pytest.raises(ValueError, match="exact"):
-            _null_line((W, twisted_field(3)), (alpha, PROLONG.one_form({"phi1": numeric})))
-        with pytest.raises(ValueError, match="exact"):
-            _null_line((W, PROLONG.vector_field({"r": numeric})), (alpha, theta))
-
     def test_refuses_two_rows_that_vanish_on_the_plane(self):
         plane = (PROLONG.basis_vector("phi1"), PROLONG.basis_vector("phi2"))
         dr = PROLONG.one_form({"r": 1.0})
@@ -214,28 +193,3 @@ def test_exact_null_line_is_parallel_to_the_svd_null_vector(case):
     along = np.einsum("ni,ni->n", exact, ref) / np.einsum("ni,ni->n", exact, exact)
     off = np.linalg.norm(ref - along[:, None] * exact, axis=-1) / np.linalg.norm(ref, axis=-1)
     assert off.max() <= 1e-9
-
-
-class TestQuaternionFrame:
-    def test_components_are_the_quaternion_images(self):
-        X = R4.vector_field({"a": "a", "b": "b", "c": "c", "d": "d"})
-        iX, jX, kX = quaternion_frame(X)
-        a, b, c, d = (R4.coordinate_expr(n) for n in "abcd")
-        assert canonical_equal(iX.components[0], -b, tol=1e-15)
-        assert canonical_equal(iX.components[1], a, tol=1e-15)
-        assert canonical_equal(jX.components[0], -c, tol=1e-15)
-        assert canonical_equal(jX.components[3], -b, tol=1e-15)
-        assert canonical_equal(kX.components[0], -d, tol=1e-15)
-        assert canonical_equal(kX.components[2], b, tol=1e-15)
-
-    def test_gram_matrix_is_norm_squared_identity(self):
-        rng = np.random.default_rng(20260817)
-        X = R4.vector_field({"a": "1 + a", "b": "b*c", "c": "2", "d": "d^2"})
-        iX, jX, kX = quaternion_frame(X)
-        pts = R4.sample_random(64, rng)
-        gram = frame_gram([X, iX, jX, kX], pts)
-        norms = batch_eval_scalars(
-            [sum((comp * comp for comp in X.components), R4.zero())], pts
-        )[:, 0]
-        expected = norms[:, None, None] * np.eye(4)
-        assert np.max(np.abs(gram - expected)) <= 1e-12

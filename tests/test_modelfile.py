@@ -4,11 +4,8 @@ import math
 
 import pytest
 
-from engelbook.charts import NumericScalar, VectorField
 from engelbook.modelfile import dump_model, load_model
 from engelbook.models import (
-    ModelPiece,
-    OpenBookModel,
     assemble,
     list_models,
     model_catalog,
@@ -203,27 +200,6 @@ def test_hand_written_file_loads():
 def test_reader_rejects_malformed_input(text, message):
     with pytest.raises(ValueError, match=message):
         load_model(text)
-
-
-def test_writer_rejects_numeric_components():
-    model = model_catalog("darboux_even")
-    piece = model.pieces[0]
-    chart = piece.chart
-    numeric = NumericScalar(chart.coords, lambda pts: pts[..., 0])
-    comps = list(piece.w_field.components)
-    comps[0] = numeric
-    bad_piece = ModelPiece(
-        name="numeric",
-        role="whole",
-        chart=chart,
-        params={},
-        w_field=VectorField(chart, tuple(comps)),
-    )
-    bad_model = OpenBookModel(
-        name="bad", summary="", params={}, pieces=(bad_piece,)
-    )
-    with pytest.raises(ValueError, match="exact components"):
-        dump_model(bad_model)
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -11,7 +11,6 @@ from engelbook import verify
 from engelbook.charts import (
     Chart,
     Interval,
-    NumericScalar,
     dependent_axes,
     exterior_derivative,
     wedge_top,
@@ -235,17 +234,10 @@ class TestFailureOrdering:
         assert report.min_gap == 0.95
 
 
-def _nan_at_x_half(pts):
-    return np.where(pts[..., 0] == 0.5, np.nan, 1.0)
-
-
-def _zero(pts):
-    return np.zeros(pts.shape[:-1])
-
-
 def _nan_scale(chart):
-    """1 everywhere but NaN where x = 0.5, with zero partials."""
-    return NumericScalar(chart.coords, _nan_at_x_half, (_zero,) * chart.dim)
+    """1 + y^2/x: 1 with zero partials where y = 0 and x != 0, and NaN, as is
+    each partial, at the Laurent pole x = y = 0, where 0 meets 1/0."""
+    return chart.parse("1 + x^-1*y^2")
 
 
 class TestNonFiniteValuesFail:
@@ -264,7 +256,7 @@ class TestNonFiniteValuesFail:
         assert math.isnan(report.failures[0]["point"]["x"])
 
     def test_engel_field_nan_at_one_point_fails(self):
-        # the pair of test_disk3_engel_pair, with theta's coefficient NaN at x = 0.5
+        # the pair of test_disk3_engel_pair, with theta's coefficient NaN at x = y = 0
         t0 = 0.3
         v1 = DISK3.basis_vector("theta").scaled(_nan_scale(DISK3))
         v2 = DISK3.vector_field(
@@ -274,13 +266,16 @@ class TestNonFiniteValuesFail:
                 "z": f"sin(theta - {t0})",
             }
         )
-        pts = np.array([[0.1, 0.2, 0.3, 1.0], [0.5, 0.2, 0.3, 1.0], [-0.4, 0.1, 0.6, 2.0]])
-        report = engel_check([v1, v2], points=pts)
+        pts = np.array([[0.1, 0.0, 0.3, 1.0], [0.0, 0.0, 0.3, 1.0], [-0.4, 0.0, 0.6, 2.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = engel_check([v1, v2], points=pts)
         assert not report.passed
         assert report.min_gap == 0.0
-        assert [f["point"]["x"] for f in report.failures] == [0.5]
+        assert [f["point"]["x"] for f in report.failures] == [0.0]
         assert engel_check([v1, v2], points=pts[[0, 2]]).passed
 
+    # contact_vector_field has no case: for a contact field the wedge residual
+    # reduces to the zero Expr, which is 0 at a pole too
     @pytest.mark.parametrize(
         "check",
         [
@@ -301,14 +296,6 @@ class TestNonFiniteValuesFail:
                 id="isotropic_line",
             ),
             pytest.param(
-                lambda pts: contact_vector_field_check(
-                    R3.basis_vector("z").scaled(_nan_scale(R3)),
-                    R3.one_form({"z": 1.0, "x": "-y"}),
-                    points=pts,
-                ),
-                id="contact_vector_field",
-            ),
-            pytest.param(
                 lambda pts: fibration_transversality_check(
                     R3.one_form({"x": 1.0}), R3.basis_vector("x").scaled(_nan_scale(R3)), points=pts
                 ),
@@ -317,11 +304,12 @@ class TestNonFiniteValuesFail:
         ],
     )
     def test_nan_point_fails(self, check):
-        pts = np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3], [0.1, 0.2, 0.3]])
+        pts = np.array([[0.5, 0.0, 0.3], [0.0, 0.0, 0.3], [0.1, 0.0, 0.3]])
         assert check(pts[[0, 2]]).passed
-        report = check(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = check(pts)
         assert not report.passed
-        assert [f["point"]["x"] for f in report.failures] == [0.5]
+        assert [f["point"]["x"] for f in report.failures] == [0.0]
 
     def test_nan_report_renders_strict_json(self):
         alpha = R3.one_form({"y": "x + x^3", "z": 1.0})
