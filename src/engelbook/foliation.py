@@ -543,8 +543,9 @@ def find_and_classify(
     a round leaves its ``z`` bitwise unchanged, when a round takes it into
     the annulus ``trap[0] < |z| < trap[1]``, or when it starts a round with
     ``|V| <= 1e-10``, the final zero test: it takes that round's step and
-    stops.  Seeds that land on the same point continue as one:
-    ``np.unique`` groups them as complex values, which is grouping by
+    stops.  Seeds that land on the same point continue as one: a stable
+    sort groups them as complex values, as ``np.unique`` would, and a round
+    where no two seeds meet changes no grouping.  That is grouping by
     bytes, since the grid holds no -0.0 and ``z - step`` is -0.0 only where
     ``z`` is.  The field is evaluated pointwise, so a fixed seed would take
     the same zero step in every later round and merged seeds would take the
@@ -575,7 +576,7 @@ def find_and_classify(
     unique: list[np.ndarray] = []
     while len(rest):
         unique.append(rest[0])
-        rest = rest[np.linalg.norm(rest - rest[0], axis=-1) > _DEDUPE_TOL]
+        rest = rest[_plane_norms(rest - rest[0]) > _DEDUPE_TOL]
     unique.sort(key=lambda p: (round(float(p[0]), 9), round(float(p[1]), 9)))
 
     zeros = []
@@ -586,7 +587,7 @@ def find_and_classify(
         jac = classifier.jacobian(arr)
         dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         levels = classifier.level(arr)
-        residuals = np.linalg.norm(classifier.value(arr), axis=-1)
+        residuals = _plane_norms(classifier.value(arr))
         for p, det, lev, res in zip(arr, dets, levels, residuals):
             if abs(det) < 1e-8 or abs(lev) < 1e-8:
                 degenerate = True
@@ -632,16 +633,16 @@ def _newton_points(
         z = z[_radius(z) <= seed_radius]
     lead = np.arange(len(z))
     active = np.arange(len(z))
+    za = z.copy()  # the points of the active seeds, z[active]
     for _ in range(newton_iters):
         if not active.size:
             break
-        za = z[active]
         J = classifier.jacobian(za)
         V = classifier.value(za)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         ok = np.abs(det) > 1e-300
         inv_det = np.where(ok, det, 1.0)
-        moved = np.empty_like(za)
+        moved = np.empty(za.shape)
         moved[:, 0] = za[:, 0] - (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / inv_det
         moved[:, 1] = za[:, 1] - (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / inv_det
         alive = ok & (_plane_norms(za) < 2.0 * _DISK_RADIUS)
@@ -658,11 +659,21 @@ def _newton_points(
         if not keep.all():
             active, moved = active[keep], moved[keep]
         # seeds that landed on the same point follow the first of them (equal
-        # as complex values is equal bytes here); each NaN row stays apart
+        # as complex values is equal bytes here); each NaN row stays apart.
+        # As in np.unique, a stable sort puts each group's first seed at its
+        # head; with no two seeds on one point, nothing changes
         flat = moved.view(np.complex128)[:, 0]
-        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True, equal_nan=False)
-        lead[active] = active[first][inverse]
-        active = active[np.sort(first)]
+        order = flat.argsort(kind="stable")
+        ranked = flat[order]
+        head = np.empty(len(ranked), bool)
+        head[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        if not head.all():
+            first = order[head]
+            lead[active[order]] = active[first[head.cumsum() - 1]]
+            first.sort()
+            active, moved = active[first], moved[first]
+        za = moved
     # a lead that later merged points to its own lead
     while (lead[lead] != lead).any():
         lead = lead[lead]
@@ -721,7 +732,7 @@ def _smoothstep_jet(t: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, .
     tb = flat[band]
     jets = []
     for order in orders:
-        jet = np.clip(t, 0.0, 1.0, out=np.empty(t.shape)) if order == 0 else np.zeros(t.shape)
+        jet = t.clip(0.0, 1.0) if order == 0 else np.zeros(t.shape)
         if band.size:
             jet.reshape(-1)[band] = _SMOOTHSTEP[order](tb)
         jets.append(jet)
@@ -735,34 +746,47 @@ class _RadialRamps:
     ramps: tuple[tuple[float, float, float], ...]  # (start, end, jump)
     final: float
 
-    def jet(self, rho: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
+    def jet(
+        self, rho: np.ndarray, orders: Sequence[int], shared: "dict | None" = None
+    ) -> tuple[np.ndarray, ...]:
         """The asked orders (0: value, 1: first derivative) at ``rho``.
 
         Each ramp runs its smoothstep only on its band 0 < t < 1.  Below the
         band its term is a signed zero, and above it the jump (value) or +0.0
         (derivative).  The sums start from +0.0 and so are never -0.0, and
         adding a zero leaves them as they are.  A NaN rho takes no term.
+
+        ``shared``, passed along by profiles taken on the same ``rho``,
+        holds the largest rho and each (start, end) ramp's t >= 1 mask, band
+        and smoothstep values, computed once.  A ramp that starts at or past
+        the largest rho adds nothing and is skipped, as is the ``final``
+        fill short of the last ramp's end; a NaN rho skips nothing.
         """
-        flat = np.reshape(rho, -1)
+        rho = np.asarray(rho)
+        flat = rho.reshape(-1)
+        shared = {} if shared is None else shared
+        if "top" not in shared:
+            shared["top"] = flat.max(initial=-np.inf)
         jets = tuple(np.zeros(flat.shape) for _ in orders)
         for a, b, jump in self.ramps:
-            t = (flat - a) / (b - a)
-            band = ((t > 0.0) & (t < 1.0)).nonzero()[0]
-            tb = t[band]
+            if shared["top"] <= a:
+                continue
+            if (a, b) not in shared:
+                t = (flat - a) / (b - a)
+                band = ((t > 0.0) & (t < 1.0)).nonzero()[0]
+                shared[a, b] = (t >= 1.0, band, t[band], {})
+            above, band, tb, steps = shared[a, b]
             for order, acc in zip(orders, jets):
                 if order == 0:
-                    np.add(acc, jump, out=acc, where=t >= 1.0)
+                    np.add(acc, jump, out=acc, where=above)
                 if band.size:
+                    if order not in steps:
+                        steps[order] = _SMOOTHSTEP[order](tb)
                     scale = jump if order == 0 else jump / (b - a)
-                    acc[band] += scale * _SMOOTHSTEP[order](tb)
-        if 0 in orders:
+                    acc[band] += scale * steps[order]
+        if 0 in orders and not shared["top"] < self.ramps[-1][1]:
             np.copyto(jets[list(orders).index(0)], self.final, where=flat >= self.ramps[-1][1])
-        return tuple(jet.reshape(np.shape(rho)) for jet in jets)
-
-
-def _pair_sums(idx: np.ndarray, n: int, *weights: np.ndarray) -> list[np.ndarray]:
-    """Per weight array, its (n,) sums by point index in pair order."""
-    return [np.bincount(idx, w, n) for w in weights]
+        return tuple(jet.reshape(rho.shape) for jet in jets)
 
 
 def _gaussian_bundle(
@@ -784,30 +808,32 @@ def _gaussian_bundle(
 
     Every bump is evaluated in one pass.  Points outside the box around all
     the bump boxes are dropped, one box test of the rest against all
-    centers gives the (bump, point) pairs in bump-major order, the bump
-    formulas run once on the flat pair arrays, up to the highest order
-    asked, and ``np.bincount`` sums each output slot per point in the box.
-    It adds in input order starting from 0.0, so each point takes its
-    contributions in center order, and the sums match a dense all-points
-    evaluation bit for bit.  The sums fill those points of ``np.zeros``
-    outputs; every other point keeps the +0.0 that a sum over no pairs
-    would give.
+    centers gives the (bump, point) pairs in bump-major order, and the bump
+    formulas run once on the flat pair arrays, for the orders asked only:
+    the value g0 = E * chi when order 0 is asked, and the radial
+    derivatives when a higher one is.  ``np.bincount`` sums each output
+    slot per point and writes it straight into that slot, over all the
+    points.  It adds in input order starting from 0.0, so each point takes
+    its contributions in center order, and the sums match a dense
+    all-points evaluation bit for bit; a point in no pair takes the +0.0 of
+    a sum over no pairs.
     """
     w2 = width * width
     fade_lo = t0 * width
     fade_w = (t1 - t0) * width
     reach = 1.001 * t1 * width
-    cp, cq = centers[:, :1], centers[:, 1:]
+    cx, cy = centers.T.copy()
+    cp, cq = cx[:, None], cy[:, None]
     # the box around every bump's box, 0.1% wider so that rounding in the
     # offsets cannot bring a point outside it within reach of a bump
     lo = centers.min(axis=0) - 1.001 * reach
     hi = centers.max(axis=0) + 1.001 * reach
 
-    def pairs(flat: np.ndarray, order: int):
-        """The points in the box around all the bump boxes, and for every
-        (bump, point) pair in reach the point's index among them, the
-        offsets and distance there, and the bump's radial derivatives up to
-        ``order``; None when no pair is in reach."""
+    def pairs(flat: np.ndarray, orders: Sequence[int]):
+        """For every (bump, point) pair in reach, the point's index in
+        ``flat``, the offsets and distance there, and the bump's radial
+        derivatives of the asked orders by order; None when no pair is in
+        reach."""
         p, q = flat[:, 0], flat[:, 1]
         cand = ((p >= lo[0]) & (p <= hi[0]) & (q >= lo[1]) & (q <= hi[1])).nonzero()[0]
         if not cand.size:
@@ -817,53 +843,63 @@ def _gaussian_bundle(
         off = np.subtract(p, cp)
         near = np.abs(off, out=off) <= reach
         near &= np.abs(np.subtract(q, cq, out=off), out=off) <= reach
-        bump, sub = np.nonzero(near)
+        bump, sub = near.nonzero()
         if not sub.size:
             return None
-        dp = p[sub] - centers[bump, 0]
-        dq = q[sub] - centers[bump, 1]
+        dp = p[sub] - cx[bump]
+        dq = q[sub] - cy[bump]
         d = np.hypot(dp, dq)
         E = np.exp(-0.5 * d * d / w2)
-        fade = _smoothstep_jet((d - fade_lo) / fade_w, range(order + 1))
+        top = max(orders)
+        fade = _smoothstep_jet((d - fade_lo) / fade_w, range(top + 1))
         chi = 1.0 - fade[0]
-        g = [E * chi]
-        if order >= 1:
+        g = {}
+        if 0 in orders:
+            g[0] = E * chi
+        if top >= 1:
             chi_d1 = -fade[1] / fade_w
             E_d1 = -(d / w2) * E
-            g.append(E_d1 * chi + E * chi_d1)
-        if order >= 2:
+            g[1] = E_d1 * chi + E * chi_d1
+        if top >= 2:
             chi_d2 = -fade[2] / (fade_w * fade_w)
             E_d2 = (d * d / (w2 * w2) - 1.0 / w2) * E
-            g.append(E_d2 * chi + 2.0 * E_d1 * chi_d1 + E * chi_d2)
-        return cand, sub, dp, dq, d, g
+            g[2] = E_d2 * chi + 2.0 * E_d1 * chi_d1 + E * chi_d2
+        return cand[sub], dp, dq, d, g
 
     def bundle(pts: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
         flat = pts.reshape(-1, 2)
-        jets = [np.zeros((len(flat),) + (2,) * order) for order in orders]
-        found = pairs(flat, max(orders))
+        n = len(flat)
+        found = pairs(flat, orders)
         if found is None:
+            jets = [np.zeros((n,) + (2,) * order) for order in orders]
             return tuple(jet.reshape(pts.shape[:-1] + jet.shape[1:]) for jet in jets)
-        cand, sub, dp, dq, d, g = found
-        m = len(cand)
+        idx, dp, dq, d, g = found
         safe = np.maximum(d, 1e-30)
-        for order, jet in zip(orders, jets):
+        jets = []
+        for order in orders:
             if order == 0:
-                jet[cand] = _pair_sums(sub, m, amplitude * g[0])[0]
+                jet = np.bincount(idx, amplitude * g[0], n)
             elif order == 1:
-                gp, gq = _pair_sums(sub, m, amplitude * g[1] * dp / safe, amplitude * g[1] * dq / safe)
-                jet[cand] = np.stack([gp, gq], axis=-1)
+                jet = np.empty((n, 2))
+                ag1 = amplitude * g[1]
+                jet[:, 0] = np.bincount(idx, ag1 * dp / safe, n)
+                jet[:, 1] = np.bincount(idx, ag1 * dq / safe, n)
             else:
-                near = d < 1e-9
                 up, uq = dp / safe, dq / safe
                 radial = g[1] / safe
-                hpp, hpq, hqq = _pair_sums(
-                    sub, m,
-                    amplitude * np.where(near, g[2], g[2] * up * up + radial * uq * uq),
-                    amplitude * np.where(near, 0.0, (g[2] - radial) * up * uq),
-                    amplitude * np.where(near, g[2], g[2] * uq * uq + radial * up * up),
-                )
-                jet[cand] = np.stack([hpp, hpq, hpq, hqq], axis=-1).reshape(-1, 2, 2)
-        return tuple(jet.reshape(pts.shape[:-1] + jet.shape[1:]) for jet in jets)
+                hpp = g[2] * up * up + radial * uq * uq
+                hpq = (g[2] - radial) * up * uq
+                hqq = g[2] * uq * uq + radial * up * up
+                # at a center the radial formulas do not apply: the Hessian is g2 I
+                at = (d < 1e-9).nonzero()[0]
+                if at.size:
+                    hpp[at], hpq[at], hqq[at] = g[2][at], 0.0, g[2][at]
+                jet = np.empty((n, 2, 2))
+                jet[:, 0, 0] = np.bincount(idx, amplitude * hpp, n)
+                jet[:, 0, 1] = jet[:, 1, 0] = np.bincount(idx, amplitude * hpq, n)
+                jet[:, 1, 1] = np.bincount(idx, amplitude * hqq, n)
+            jets.append(jet.reshape(pts.shape[:-1] + jet.shape[1:]))
+        return tuple(jets)
 
     return bundle
 
@@ -876,7 +912,11 @@ class _DiskPieces:
     is ``_radius(pts)``, passed in so that a caller that reads rho itself
     computes it once.
     ``profiles(rho, c_orders, s_orders)``: the radial profiles c and s, as
-    two tuples; 0 is the value, 1 the derivative in rho.
+    two tuples; 0 is the value, 1 the derivative in rho.  Both are taken in
+    one call: their shared first ramp computes its t, band and smoothstep
+    values once, and a ramp that starts at or past every rho is skipped.
+    ``u`` takes its bump sums from ``_gaussian_bundle``, which computes
+    only the orders asked.
     ``cluster_end``: the radius past which every bump is exactly 0, and
     the classifier provably has no zero: |V| >= min(swirl, s_fall[0]) there
     (``_assemble_pieces`` checks the conditions), so the Newton search
@@ -964,7 +1004,10 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     )
 
     def profiles(rho: np.ndarray, c_orders: Sequence[int], s_orders: Sequence[int]):
-        return c_profile.jet(rho, c_orders), s_profile.jet(rho, s_orders)
+        # c and s share their first ramp (ca, cb): its t, band and
+        # smoothstep values are computed once
+        shared: dict = {}
+        return c_profile.jet(rho, c_orders, shared), s_profile.jet(rho, s_orders, shared)
 
     if cluster_end >= wall_lo:
         raise ValueError("peak cluster does not fit inside the wall radius")
@@ -994,12 +1037,16 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
     have the bytes of the kept ones, so a Newton round's ``jacobian`` then
     ``value`` on the same points runs one pass.  Any other ``value`` call
     runs the V-only pass.  Both passes compute V with the same arithmetic,
-    so V has the same bits either way.
+    written into one array by ``field``, so V has the same bits either way.
     """
 
-    def field(g, c, s, p, q, safe):
-        # V = grad u - c rho e_rho + s e_theta
-        return np.stack([g[..., 0] - c * p - s * q / safe, g[..., 1] - c * q + s * p / safe], -1)
+    def field(g, c, sq, sp, p, q, safe):
+        # V = grad u - c rho e_rho + s e_theta, with sq = s q and sp = s p,
+        # written into one array
+        V = np.empty(g.shape)
+        np.subtract(g[..., 0] - c * p, sq / safe, out=V[..., 0])
+        np.add(g[..., 1] - c * q, sp / safe, out=V[..., 1])
+        return V
 
     def jet(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, q = pts[..., 0], pts[..., 1]
@@ -1007,21 +1054,26 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         safe = np.maximum(rho, 1e-30)
         g, J = pieces.u(pts, rho, (1, 2))
         (c, c1), (s, s1) = pieces.profiles(rho, (0, 1), (0, 1))
-        # -d(c rho e_rho) = -(c I + (c'/rho) z z^T)
-        J[..., 0, 0] -= c + c1 * p * p / safe
-        J[..., 1, 1] -= c + c1 * q * q / safe
-        off = c1 * p * q / safe
-        J[..., 0, 1] -= off
-        J[..., 1, 0] -= off
-        # +d(s e_theta), e_theta = (-q, p)/rho
+        J00, J01, J10, J11 = J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
+        # -d(c rho e_rho) = -(c I + (c'/rho) z z^T); each shared product
+        # below is the leading product of every formula that uses it, so
+        # each entry takes the operations of its formula, in their order
+        c1p = c1 * p
+        J00 -= c + c1p * p / safe
+        J11 -= c + c1 * q * q / safe
+        off = c1p * q / safe
+        J01 -= off
+        J10 -= off
+        # +d(s e_theta), e_theta = (-q, p)/rho; -s1 q is -(s1 q) exactly
         r2 = safe * safe
         r3 = r2 * safe
         inv = 1.0 / safe
-        J[..., 0, 0] += -s1 * q * p / r2 + s * q * p / r3
-        J[..., 0, 1] += -s1 * q * q / r2 + s * (q * q / r3 - inv)
-        J[..., 1, 0] += s1 * p * p / r2 + s * (inv - p * p / r3)
-        J[..., 1, 1] += s1 * p * q / r2 - s * p * q / r3
-        return field(g, c, s, p, q, safe), J
+        ns1q, s1p, sq, sp = -s1 * q, s1 * p, s * q, s * p
+        J00 += ns1q * p / r2 + sq * p / r3
+        J01 += ns1q * q / r2 + s * (q * q / r3 - inv)
+        J10 += s1p * p / r2 + s * (inv - p * p / r3)
+        J11 += s1p * q / r2 - sp * q / r3
+        return field(g, c, sq, sp, p, q, safe), J
 
     kept: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -1037,7 +1089,7 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         safe = np.maximum(rho, 1e-30)
         (g,) = pieces.u(pts, rho, (1,))
         (c,), (s,) = pieces.profiles(rho, (0,), (0,))
-        return field(g, c, s, p, q, safe)
+        return field(g, c, s * q, s * p, p, q, safe)
 
     def jacobian(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)

@@ -163,8 +163,9 @@ def _merge_terms(normed: list[TrigTerm]) -> tuple[TrigTerm, ...]:
     Terms merge when their discrete data agree and their phases lie within
     ``PHASE_SNAP`` of the group's first term, whose phase the sum keeps; so
     the phases that survive are more than ``PHASE_SNAP`` apart and a
-    canonical tuple merges to itself.  A NaN coefficient is dropped with
-    the ones of magnitude at most ``ZERO_TOL``.
+    canonical tuple merges to itself.  The terms of magnitude at most
+    ``ZERO_TOL`` are dropped (``_drop_negligible``), and a NaN or infinite
+    coefficient raises ``ValueError``.
     """
     normed.sort(key=lambda t: (t.powers, int(t.mode), t.freqs, t.phase))
     merged: list[TrigTerm] = []
@@ -177,7 +178,20 @@ def _merge_terms(normed: list[TrigTerm]) -> tuple[TrigTerm, ...]:
             prev = merged.pop()
             t = TrigTerm(prev.coeff + t.coeff, prev.powers, prev.mode, prev.freqs, prev.phase)
         merged.append(t)
-    return tuple(t for t in merged if abs(t.coeff) > ZERO_TOL)
+    return _drop_negligible(merged)
+
+
+def _drop_negligible(terms: list[TrigTerm]) -> tuple[TrigTerm, ...]:
+    """The terms of magnitude above ``ZERO_TOL``; ``ValueError`` on a NaN or
+    infinite coefficient, which is never dropped as a zero.  The filter
+    keeps only finite coefficients, so a term is inspected again only when
+    some term was left out."""
+    kept = tuple(t for t in terms if ZERO_TOL < abs(t.coeff) < math.inf)
+    if len(kept) < len(terms):
+        for t in terms:
+            if not math.isfinite(t.coeff):
+                raise ValueError(f"expression coefficient {t.coeff!r} is not finite")
+    return kept
 
 
 def _coord_index(coords: tuple[Coordinate, ...], name: str) -> int:
@@ -203,10 +217,12 @@ class Expr:
       into cos) with the same frequencies and phase.
 
     Negation and scaling by a float leave each term canonical; scaling
-    drops the terms it brings to ``ZERO_TOL`` or below, or to NaN, as the
-    merge step does.  A sum with the zero expression returns the other
-    operand, and a product with it, or its partial, returns the zero
-    expression, after the same chart and coordinate-name checks.
+    drops the terms it brings to ``ZERO_TOL`` or below, as the merge step
+    does.  A NaN or infinite coefficient raises ``ValueError`` on every
+    path, as does scaling by a factor that is not finite.  A sum with the
+    zero expression returns the other operand, and a product with it, or
+    its partial, returns the zero expression, after the same chart and
+    coordinate-name checks.
     """
 
     coords: tuple[Coordinate, ...]
@@ -317,8 +333,10 @@ class Expr:
     def __mul__(self, other: "Expr | float | int") -> "Expr":
         if isinstance(other, (int, float)):
             c = float(other)
-            scaled = (TrigTerm(c * t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in self.terms)
-            return Expr(self.coords, tuple(t for t in scaled if abs(t.coeff) > ZERO_TOL))
+            if not math.isfinite(c):
+                raise ValueError(f"expression factor {c!r} is not finite")
+            scaled = [TrigTerm(c * t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in self.terms]
+            return Expr(self.coords, _drop_negligible(scaled))
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
@@ -390,7 +408,9 @@ class Expr:
         one signed coordinate, a power landing on an angular coordinate, a
         frequency landing on a polynomial one, and a coordinate sent with
         multiplier 1 to one coordinate of another kind.  A term that a
-        constant brings to a zero coefficient is dropped before later checks.
+        constant brings to a zero coefficient is dropped before later checks;
+        one that a constant brings to a NaN or infinite coefficient raises
+        ``ValueError`` too, as every ``Expr`` does.
         """
         coords = tuple(coords)
         for name in images:

@@ -421,15 +421,31 @@ def contact_vector_field_check(
     The Lie derivative is computed by the Cartan formula and the kernel
     condition is the vanishing of (L_L alpha) ^ alpha.  The same wedge is
     also reduced symbolically, and the two verdicts must agree.
+
+    A component of L with a negative power of a coordinate has a Laurent
+    pole where that coordinate is 0: L is not defined there, even where the
+    wedge cancels the pole and reduces to the zero ``Expr``.  So the
+    components of L that carry a negative power are evaluated on the sample
+    too (the axes they read join it), and a point where one of them is not
+    finite fails with a NaN residual.  Every other term is finite at a
+    finite point, since coefficients are finite.  The check sees only its
+    sample: a pole between sample points goes unnoticed.
     """
     chart = alpha.chart
     lie = lie_derivative_oneform(L, alpha)
     wedge = _oneform_wedge(lie, alpha)
-    sample = _sample(chart, wedge.components, points, min_points)
+    poles = [c for c in L.components if any(p < 0 for t in c.terms for p in t.powers)]
+    sample = _sample(chart, [*wedge.components, *poles], points, min_points)
     vals = np.abs(batch_eval_scalars(list(wedge.components), sample.pts))
     residual = vals.max(axis=-1)
+    details: dict = {"route": "cartan+wedge"}
+    if poles:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            undefined = ~np.isfinite(batch_eval_scalars(poles, sample.pts)).all(axis=-1)
+        residual[undefined] = np.nan
+        details["field_not_finite"] = int(np.count_nonzero(undefined))
     numeric_pass = bool(residual.max() <= tol)
-    details: dict = {"route": "cartan+wedge", "max_residual": float(residual.max())}
+    details["max_residual"] = float(residual.max())
 
     passed = numeric_pass
     symbolic_pass = all(c.is_zero(tol) for c in wedge.components)

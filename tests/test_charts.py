@@ -441,3 +441,15 @@ class TestDependentAxes:
         # no power of x or phi, only their frequencies in the cosine
         assert dependent_axes([SHEAR_CHART.parse("cos(x + phi)")]) == (0, 3)
         assert dependent_axes([DISK3.parse("sin(theta)"), DISK3.parse("y^2")]) == (1, 3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chart_refuses_a_constant_that_is_not_finite(value):
+    # Chart.const(nan) used to be the zero expression, and str() of
+    # Chart.const(inf) raised OverflowError in the model-file writer's formatter
+    with pytest.raises(ValueError, match="not finite"):
+        DARBOUX.const(value)
+    with pytest.raises(ValueError, match="not finite"):
+        DARBOUX.parse("x") * value
+    with pytest.raises(ValueError, match="not finite"):
+        DARBOUX.parse("x*y + 1").substitute(DARBOUX.coords, {"x": value})

@@ -3,16 +3,20 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import engelbook
 from engelbook.cli import run
 from engelbook.foliation import _disk_grid, construct_xi_prime
 from engelbook.modelfile import load_model
+from engelbook.reports import _round12
 
 SCHEMA_KEYS = {
     "tool_version",
@@ -308,11 +312,30 @@ def reference_portrait_csv(k, grid_n):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("k, grid", [(3, 3), (3, 8), (3, 41), (5, 41), (3, 64)])
+@pytest.mark.parametrize(
+    "k, grid", [(3, 3), (3, 8), (3, 41), (5, 41), (3, 64), *((k, 41) for k in range(7, 20, 2))]
+)
 def test_portrait_csv_is_what_csv_writer_writes(tmp_path, k, grid):
     out = tmp_path / "portrait.csv"
     assert run(["foliation", "--k", str(k), "--grid", str(grid), "--out", str(out)]) == 0
     assert out.read_bytes() == reference_portrait_csv(k, grid).encode()
+
+
+# the entries where the vectorised rounding must fall back to round(): exact
+# decimal ties of both signs, whose binary value sits just off the half, and
+# the values it cannot scale
+ties = st.builds(
+    lambda n, sign: sign * (n + 0.5) / 1e12, st.integers(0, 2**40), st.sampled_from([1.0, -1.0])
+)
+specials = st.sampled_from([0.0, -0.0, 5e-13, -5e-13, math.nan, math.inf, -math.inf, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0) | ties | specials, min_size=1, max_size=64))
+def test_round12_is_python_round_bit_for_bit(xs):
+    got = _round12(np.array(xs))
+    want = np.array([round(x, 12) for x in xs])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("grid", [1, 2])

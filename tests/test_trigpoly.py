@@ -165,8 +165,35 @@ class TestArithmetic:
         assert a.terms == ()
         assert a == x * Expr.const(MIX, 1e-13)
         assert a == a + 0
-        assert (x * math.nan).terms == ()
         assert [t.coeff for t in (x * 2e-12).terms] == [2e-12]
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_float_scaling_refuses_a_factor_that_is_not_finite(self, factor):
+        # a NaN factor used to drop every term, turning x * nan into 0
+        for e in (parse("s*cos(x)"), Expr.zero(MIX)):
+            with pytest.raises(ValueError, match="not finite"):
+                e * factor
+            with pytest.raises(ValueError, match="not finite"):
+                factor * e
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_a_coefficient_that_is_not_finite_is_refused(self, coeff):
+        # NaN was dropped as a zero, and inf was kept and then crashed str()
+        with pytest.raises(ValueError, match="not finite"):
+            Expr.const(MIX, coeff)
+        with pytest.raises(ValueError, match="not finite"):
+            Expr.term(MIX, coeff, (0, 0, 1, 0), Mode.COS, (1, 0, 0, 0), 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            parse("s") + coeff
+
+    def test_finite_coefficients_that_overflow_are_refused(self):
+        big = Expr.term(MIX, 1e308, (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="not finite"):
+            big * 1e10
+        with pytest.raises(ValueError, match="not finite"):
+            big * big
+        with pytest.raises(ValueError, match="not finite"):
+            big + big * 1.7
 
     def test_zero_operands_keep_chart_and_name_checks(self):
         zero, other_zero = Expr.zero(MIX), Expr.zero(XY)
@@ -228,6 +255,12 @@ class TestSubstitution:
         e = parse("s*cos(x) + 2*s^2")
         rest = e.substitute(MIX[:3], {"s": 0.0})
         assert rest.is_zero()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_substitute_refuses_a_constant_that_makes_a_coefficient_not_finite(self, value):
+        # a NaN image used to fold "s*r + 1" to the constant 1
+        with pytest.raises(ValueError):
+            parse("s*r + 1").substitute(MIX[:3], {"s": value})
 
     def test_substitute_zero_into_pole_raises(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,27 @@ class TestContactVectorFields:
         assert report.min_gap > 1e-3
 
 
+    def test_contact_field_with_a_pole_fails_where_it_is_not_finite(self):
+        # X_H of H = 1 + y^2/x for dz - y dx is NaN at the pole x = y = 0, but
+        # its wedge residual reduces to the zero Expr, which used to pass
+        H = R3.parse("1 + x^-1*y^2")
+        Hx, Hy, Hz = (H.partial(n) for n in "xyz")
+        y = R3.parse("y")
+        L = R3.vector_field({"x": -Hy, "y": Hx + y * Hz, "z": H - y * Hy})
+        pts = np.array([[0.5, 0.2, 0.1], [0.0, 0.0, 0.3], [-0.4, 0.7, -0.2]])
+        report = contact_vector_field_check(L, self.ALPHA, points=pts)
+        assert not report.passed
+        assert report.details["symbolic_zero"] is True
+        assert report.details["field_not_finite"] == 1
+        assert math.isnan(report.details["max_residual"])
+        assert [f["point"] for f in report.failures] == [{"x": 0.0, "y": 0.0, "z": 0.3}]
+        # away from the pole the same field passes
+        clear = contact_vector_field_check(L, self.ALPHA, points=pts[[0, 2]])
+        assert clear.passed
+        assert clear.details["field_not_finite"] == 0
+        assert clear.details["max_residual"] == 0.0
+
+
 class TestFailureOrdering:
     def test_contact_check_lists_smallest_margins_first(self):
         # alpha ^ dalpha = (1 - 3x^2) dx dy dz: negative for |x| > 1/sqrt(3),
