@@ -540,16 +540,9 @@ def find_and_classify(
 
     Each round evaluates the field only on the active seeds.  A seed leaves
     the active set when it dies (singular Jacobian, or ``|z| >= 2``), when
-    a round leaves its ``z`` bitwise unchanged, when a round takes it into
-    the annulus ``trap[0] < |z| < trap[1]``, or when it starts a round with
-    ``|V| <= 1e-10``, the final zero test: it takes that round's step and
-    stops.  Seeds that land on the same point continue as one: a stable
-    sort groups them as complex values, as ``np.unique`` would, and a round
-    where no two seeds meet changes no grouping.  That is grouping by
-    bytes, since the grid holds no -0.0 and ``z - step`` is -0.0 only where
-    ``z`` is.  The field is evaluated pointwise, so a fixed seed would take
-    the same zero step in every later round and merged seeds would take the
-    same steps and stop together.  A trap is an annulus that the Newton step
+    a round takes it into the annulus ``trap[0] < |z| < trap[1]``, or when
+    it starts a round with ``|V| <= 1e-10``, the final zero test: it takes
+    that round's step and stops.  A trap is an annulus that the Newton step
     maps into itself and on which no point passes the ``|V|`` test
     (``_newton_trap`` proves both for the disk classifier), so a seed taken
     into it would stay there and end as no zero.  Every seed that never
@@ -558,19 +551,17 @@ def find_and_classify(
     that enters it ends inside it, as it would have; the zeros found are
     the same.  Without the stop rule a converged seed would only move its
     last bits in the later rounds: on the disks k = 3..19 the counts, types,
-    signs and ``degenerate`` equal those of the stop-free loop, and each zero
-    lies within 1e-15 of its zero there.  Each round calls
+    signs and ``degenerate`` equal those of the stop-free loop, and each
+    zero lies within 1e-15 of its zero there.  Each round calls
     ``jacobian`` and then ``value`` on the same points, and so does the
     classification of the zeros found; the disk classifier computes V and J
     in that ``jacobian`` call and keeps V for the ``value`` call.  The
-    final ``|V|`` test calls ``value`` alone, once on each distinct end
-    point (grouped as the rounds group seeds), which the disk classifier
-    answers from a V-only pass.
+    final ``|V|`` test calls ``value`` alone, once over every end point,
+    which the disk classifier answers from a V-only pass.
     """
     z = _newton_points(classifier, grid_n, _NEWTON_ROUNDS, trap, seed_radius)
-    ends, inverse = np.unique(z.view(np.complex128)[:, 0], return_inverse=True, equal_nan=False)
-    small = _plane_norms(classifier.value(ends.view(np.float64).reshape(-1, 2))) <= _ZERO_RESIDUAL
-    good = small[inverse] & (_plane_norms(z) < _DISK_RADIUS)  # False on non-finite rows
+    small = _plane_norms(classifier.value(z)) <= _ZERO_RESIDUAL
+    good = small & (_plane_norms(z) < _DISK_RADIUS)  # False on non-finite rows
 
     rest = z[good]
     unique: list[np.ndarray] = []
@@ -631,7 +622,6 @@ def _newton_points(
     z = _disk_grid(0.98 * _DISK_RADIUS, grid_n)
     if seed_radius is not None:
         z = z[_radius(z) <= seed_radius]
-    lead = np.arange(len(z))
     active = np.arange(len(z))
     za = z.copy()  # the points of the active seeds, z[active]
     for _ in range(newton_iters):
@@ -650,34 +640,12 @@ def _newton_points(
         if not alive.all():
             za, moved, active, converged = za[alive], moved[alive], active[alive], converged[alive]
         z[active] = moved
-        moved_bits, za_bits = moved.view(np.int64), za.view(np.int64)
-        keep = (moved_bits[:, 0] != za_bits[:, 0]) | (moved_bits[:, 1] != za_bits[:, 1])
-        keep &= ~converged
+        keep = ~converged
         if trap is not None:
             rho = _plane_norms(moved)
             keep &= ~((trap[0] < rho) & (rho < trap[1]))
-        if not keep.all():
-            active, moved = active[keep], moved[keep]
-        # seeds that landed on the same point follow the first of them (equal
-        # as complex values is equal bytes here); each NaN row stays apart.
-        # As in np.unique, a stable sort puts each group's first seed at its
-        # head; with no two seeds on one point, nothing changes
-        flat = moved.view(np.complex128)[:, 0]
-        order = flat.argsort(kind="stable")
-        ranked = flat[order]
-        head = np.empty(len(ranked), bool)
-        head[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
-        if not head.all():
-            first = order[head]
-            lead[active[order]] = active[first[head.cumsum() - 1]]
-            first.sort()
-            active, moved = active[first], moved[first]
-        za = moved
-    # a lead that later merged points to its own lead
-    while (lead[lead] != lead).any():
-        lead = lead[lead]
-    return z[lead]
+        active, za = active[keep], moved[keep]
+    return z
 
 
 def classifier_boundary_winding(classifier: ClassifierField, radius: float) -> float:

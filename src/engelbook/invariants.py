@@ -31,7 +31,6 @@ __all__ = [
     "Path",
     "WindingResult",
     "delta_homomorphism",
-    "frame_gram",
     "rotation_number",
     "twisting_number",
 ]
@@ -245,9 +244,3 @@ def delta_homomorphism(
     diff = turns[1] - turns[0]
     value = int(round(diff))
     return DeltaResult(value, abs(diff - value), turns[0], turns[1], n_samples)
-
-
-def frame_gram(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
-    """Pointwise Gram matrices of a frame; shape (npts, k, k)."""
-    mats = field_matrix(list(fields), pts)
-    return np.einsum("nik,njk->nij", mats, mats)

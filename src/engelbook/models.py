@@ -48,6 +48,7 @@ from .verify import (
     CheckReport,
     _engel_and_bracket_span,
     adaptedness_check,
+    adaptedness_ready,
     contact_structure_check,
     contact_vector_field_check,
     even_contact_form_check,
@@ -256,18 +257,6 @@ class PipelineReport:
 # -- generic per-piece verification --------------------------------------------
 
 
-def _adaptedness_ready(piece: ModelPiece) -> bool:
-    if piece.w_field is None:
-        return False
-    if piece.role == "page":
-        return piece.fibration_form is not None
-    if piece.role == "collar":
-        return piece.torus_normal is not None
-    if piece.role == "binding":
-        return piece.binding_locus is not None
-    return False
-
-
 def _form_check(piece: ModelPiece, names: tuple[str, str], **kwargs) -> CheckReport:
     """The contact certificate of a 3-chart piece's form, or the even contact
     certificate on a 4-chart, named ``piece:names[0]`` or ``piece:names[1]``."""
@@ -336,7 +325,7 @@ def piece_checks(
                 **rank,
             )
         )
-    if _adaptedness_ready(piece):
+    if adaptedness_ready(piece):
         out.append(adaptedness_check(piece, min_points=min_points, **rank))
     for i, torus in enumerate(piece.boundary_tori):
         computed = torus_slope(torus.pullback())

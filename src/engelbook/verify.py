@@ -43,6 +43,7 @@ from .charts import (
 __all__ = [
     "CheckReport",
     "adaptedness_check",
+    "adaptedness_ready",
     "contact_structure_check",
     "contact_vector_field_check",
     "even_contact_form_check",
@@ -533,44 +534,15 @@ def family_slice_check(
 # -- adaptedness ---------------------------------------------------------------
 
 
-def adaptedness_check(
-    piece,
-    points: np.ndarray | None = None,
-    min_points: int = DEFAULT_MIN_POINTS,
-    tol: float = DEFAULT_TOL,
-) -> CheckReport:
-    """Dispatch the role-appropriate adaptedness certificate for a piece.
-
-    A piece is duck-typed by its ``role`` attribute:
-
-    - ``"page"``: the kernel line must be transverse to the declared
-      fibration form (``piece.fibration_form``, ``piece.w_field``).
-    - ``"collar"``: the kernel line must be tangent to the boundary tori
-      (``piece.torus_normal`` pairs to zero) and nonvanishing (norm above
-      ``DEFAULT_THRESHOLD``), and each declared torus slope must match the
-      computed one.  A collar with no boundary tori fails: it certifies no
-      slope.
-    - ``"binding"``: the kernel line must be tangent to the binding locus
-      (transverse components vanish on ``piece.binding_locus``) and
-      nonvanishing there, sampled on a grid of the locus coordinates.
-      Given ``points`` are projected onto the locus: their locus
-      coordinates are replaced by the locus values.
-    """
-    role = getattr(piece, "role")
-    if role == "page":
-        return fibration_transversality_check(
-            piece.fibration_form,
-            piece.w_field,
-            points=points,
-            min_points=min_points,
-            tol=tol,
-            name="adapted_page",
-        )
-    if role == "collar":
-        return _adapted_collar(piece, points, min_points, tol)
-    if role == "binding":
-        return _adapted_binding(piece, points, min_points, tol)
-    raise ValueError(f"unknown piece role {role!r}")
+def _adapted_page(piece, points, min_points, tol) -> CheckReport:
+    return fibration_transversality_check(
+        piece.fibration_form,
+        piece.w_field,
+        points=points,
+        min_points=min_points,
+        tol=tol,
+        name="adapted_page",
+    )
 
 
 def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
@@ -643,3 +615,48 @@ def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
         failures=_failures(sub_chart, sample, bad, norms),
         details={"tangency_residual": residual, "locus": {k: float(v) for k, v in sorted(locus.items())}},
     )
+
+
+# each role's adaptedness certificate: the piece field it reads beside
+# w_field, and the certificate
+_ADAPTED = {
+    "page": ("fibration_form", _adapted_page),
+    "collar": ("torus_normal", _adapted_collar),
+    "binding": ("binding_locus", _adapted_binding),
+}
+
+
+def adaptedness_ready(piece) -> bool:
+    """Whether a piece has a kernel line and the data its role's
+    adaptedness certificate reads; a piece of any other role has none."""
+    if piece.w_field is None or piece.role not in _ADAPTED:
+        return False
+    return getattr(piece, _ADAPTED[piece.role][0]) is not None
+
+
+def adaptedness_check(
+    piece,
+    points: np.ndarray | None = None,
+    min_points: int = DEFAULT_MIN_POINTS,
+    tol: float = DEFAULT_TOL,
+) -> CheckReport:
+    """Dispatch the role-appropriate adaptedness certificate for a piece.
+
+    A piece is duck-typed by its ``role`` attribute:
+
+    - ``"page"``: the kernel line must be transverse to the declared
+      fibration form (``piece.fibration_form``, ``piece.w_field``).
+    - ``"collar"``: the kernel line must be tangent to the boundary tori
+      (``piece.torus_normal`` pairs to zero) and nonvanishing (norm above
+      ``DEFAULT_THRESHOLD``), and each declared torus slope must match the
+      computed one.  A collar with no boundary tori fails: it certifies no
+      slope.
+    - ``"binding"``: the kernel line must be tangent to the binding locus
+      (transverse components vanish on ``piece.binding_locus``) and
+      nonvanishing there, sampled on a grid of the locus coordinates.
+      Given ``points`` are projected onto the locus: their locus
+      coordinates are replaced by the locus values.
+    """
+    if piece.role not in _ADAPTED:
+        raise ValueError(f"unknown piece role {piece.role!r}")
+    return _ADAPTED[piece.role][1](piece, points, min_points, tol)
