@@ -145,10 +145,14 @@ def portrait_rows(disk: DiskContactForm, grid_n: int = 41) -> list[tuple]:
 
 def render_csv(rows: Iterable[tuple]) -> str:
     """The rows of ``portrait_rows`` as CSV: floats by ``repr``, as
-    ``csv.writer`` writes them, and no field needs quoting."""
-    lines = ["u,v,direction_u,direction_v,singular_flag\n"]
-    lines += ["%r,%r,%r,%r,%d\n" % row for row in rows]
-    return "".join(lines)
+    ``csv.writer`` writes them, and no field needs quoting.  Each distinct
+    u and v grid value is formatted once; a zero where it stands, as 0.0
+    and -0.0 are one dict key but two reprs."""
+    u, v, du, dv, flag = tuple(zip(*rows)) or ((),) * 5
+    text = {x: repr(x) for x in {*u, *v} if x}
+    u, v = ([text[x] if x else repr(x) for x in col] for col in (u, v))
+    cells = zip(u, v, map(repr, du), map(repr, dv), ["%d\n" % f for f in flag])
+    return "u,v,direction_u,direction_v,singular_flag\n" + "".join(map(",".join, cells))
 
 
 def render_svg(disk: DiskContactForm, grid_n: int = 25) -> str:

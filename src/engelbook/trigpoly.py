@@ -384,7 +384,10 @@ class Expr:
     # -- evaluation -------------------------------------------------------
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized evaluator of (..., dim) points, ``_evaluator``'s one-column case."""
+        """Vectorized evaluator of (..., dim) points, ``_evaluator``'s one-column case.
+
+        Traced as ``trigpoly.compile``: ``batch_eval_scalars`` calls it for a
+        lone live scalar, and shares one ``_evaluator`` among more."""
         fn = _evaluator((self,))
         return lambda pts: fn(pts)[..., 0]
 

@@ -139,10 +139,6 @@ def _sample(chart: Chart, scalars, points, min_points: int) -> _Sample:
     return _Sample(_product_grid(cut), tuple(len(a) for a in cut), full, axes)
 
 
-def _components(fields) -> list:
-    return [c for f in fields for c in f.components]
-
-
 def _failures(
     chart: Chart,
     sample: _Sample,
@@ -259,7 +255,7 @@ def even_contact_span_check(
     if chart.dim != 4:
         raise ValueError("even_contact_span_check expects a 4-dimensional chart")
     fields = list(frame) + [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
-    sample = _sample(chart, _components(fields), points, min_points)
+    sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
     steps = {3: pointwise_rank(mats[:, :3], tol), 4: pointwise_rank(mats, tol)}
     return _rank_report(name, chart, sample, {"route": "span"}, steps)
@@ -320,7 +316,7 @@ def _engel_stack(pair, points, min_points, tol):
     x212 = lie_bracket(x2, x12)
 
     fields = [x1, x2, x12, x112, x212]
-    sample = _sample(chart, _components(fields), points, min_points)
+    sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
     steps = {
         2: pointwise_rank(mats[:, :2], tol),
@@ -371,14 +367,13 @@ def isotropic_line_check(
     omega = exterior_derivative(alpha)
 
     alpha_w = alpha.apply(w)
-    residual_scalars = [alpha_w]
-    residual_scalars.extend(omega.apply(w, e) for e in spanning)
-    sample = _sample(chart, residual_scalars + list(w.components), points, min_points)
-    residuals = np.abs(batch_eval_scalars(residual_scalars, sample.pts))
+    residual_scalars = [alpha_w, *(omega.apply(w, e) for e in spanning)]
+    scalars = residual_scalars + list(w.components)
+    sample = _sample(chart, scalars, points, min_points)
+    vals = batch_eval_scalars(scalars, sample.pts)
+    residuals = np.abs(vals[:, : len(residual_scalars)])
     worst_residual = float(residuals.max())
-
-    wmat = field_matrix([w], sample.pts)[:, 0, :]
-    norms = np.linalg.norm(wmat, axis=-1)
+    norms = np.linalg.norm(vals[:, len(residual_scalars) :], axis=-1)
     bad = _above(residuals.max(axis=-1), tol) | _below(norms, DEFAULT_THRESHOLD)
     details = {
         "alpha_w_residual": float(residuals[:, 0].max()),
@@ -484,10 +479,11 @@ def fibration_transversality_check(
     chart = theta.chart
     dtheta = exterior_derivative(theta)
     pairing_scalar = theta.apply(w)
-    sample = _sample(chart, [*dtheta.components, pairing_scalar], points, min_points)
-    closed_residual = float(np.abs(batch_eval_scalars(list(dtheta.components), sample.pts)).max())
-
-    pairing = batch_eval_scalars([pairing_scalar], sample.pts)[:, 0]
+    scalars = [*dtheta.components, pairing_scalar]
+    sample = _sample(chart, scalars, points, min_points)
+    vals = batch_eval_scalars(scalars, sample.pts)
+    closed_residual = float(np.abs(vals[:, :-1]).max())
+    pairing = vals[:, -1]
     margins = np.abs(pairing)
     same_sign = bool((pairing > 0).all() or (pairing < 0).all())
     bad = _below(margins, DEFAULT_THRESHOLD)
@@ -554,15 +550,11 @@ def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
     # tangency to the tori: the normal coordinate component of W vanishes
     normal = piece.torus_normal.apply(w)
     sample = _sample(chart, [normal, *w.components], points, min_points)
-    residual = float(np.abs(batch_eval_scalars([normal], sample.pts)).max())
+    vals = batch_eval_scalars([normal, *w.components], sample.pts)
+    residual = float(np.abs(vals[:, 0]).max())
+    norms = np.linalg.norm(vals[:, 1:], axis=-1)
 
-    wmat = field_matrix([w], sample.pts)[:, 0, :]
-    norms = np.linalg.norm(wmat, axis=-1)
-
-    slope_errors = []
-    for torus in piece.boundary_tori:
-        computed = torus_slope(torus.pullback())
-        slope_errors.append(abs(computed - torus.declared_slope))
+    slope_errors = [abs(torus_slope(t.pullback()) - t.declared_slope) for t in piece.boundary_tori]
     slope_residual = max(slope_errors) if slope_errors else 0.0
 
     bad = _below(norms, DEFAULT_THRESHOLD)

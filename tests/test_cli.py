@@ -16,7 +16,7 @@ import engelbook
 from engelbook.cli import run
 from engelbook.foliation import _disk_grid, construct_xi_prime
 from engelbook.modelfile import load_model
-from engelbook.reports import _round12
+from engelbook.reports import _round12, render_csv
 
 SCHEMA_KEYS = {
     "tool_version",
@@ -312,13 +312,21 @@ def reference_portrait_csv(k, grid_n):
     return buf.getvalue()
 
 
+# the 15-point grid axis has -0.0 where the 41-point one has 0.0
 @pytest.mark.parametrize(
-    "k, grid", [(3, 3), (3, 8), (3, 41), (5, 41), (3, 64), *((k, 41) for k in range(7, 20, 2))]
+    "k, grid",
+    [(3, 3), (3, 8), (3, 15), (3, 41), (5, 41), (3, 64), *((k, 41) for k in range(7, 20, 2))],
 )
 def test_portrait_csv_is_what_csv_writer_writes(tmp_path, k, grid):
     out = tmp_path / "portrait.csv"
     assert run(["foliation", "--k", str(k), "--grid", str(grid), "--out", str(out)]) == 0
     assert out.read_bytes() == reference_portrait_csv(k, grid).encode()
+    # rows whose u and v columns hold both zeros, which compare equal
+    rows = [(0.0, -0.0, -0.0, 0.0, 0), (-0.0, 0.0, 0.5, -0.0, 1), (0.0, 0.25, 0.0, 1.0, 0)]
+    buf = io.StringIO()
+    header = ["u", "v", "direction_u", "direction_v", "singular_flag"]
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    assert render_csv(rows) == buf.getvalue()
 
 
 # the entries where the vectorised rounding must fall back to round(): exact

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engelbook.charts import Chart, Interval, VectorField, batch_eval_scalars, field_matrix
 from engelbook.trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
@@ -212,6 +213,38 @@ def test_shared_factor_evaluator_is_bit_identical_to_one_closure_per_expression(
         assert type(one) is np.ndarray
         assert bitwise_equal(one, ref)
         assert bitwise_equal(together[..., j], ref)
+
+
+MIX_CHART = Chart("mix", MIX, (Interval(0.0, math.tau),) * 2 + (Interval(0.3, 2.0),) * 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(exprs | edge_exprs, max_size=2 * len(MIX)),
+    seeds,
+    st.sampled_from([(0, 4), (4,), (16, 4), (4, 4, 4)]),
+)
+def test_batch_evaluation_is_bit_identical_to_one_compile_per_scalar(es, seed, shape):
+    # any run of len(MIX) scalars is a field, so field_matrix sees 0, 1 or 2
+    rng = np.random.default_rng(seed)
+    pts = points(seed)
+    special = rng.random(pts.shape) < 0.15
+    pts[special] = rng.choice(SPECIALS, special.sum())
+    pts[0, 3] = 0.0  # s = 0 under s^-1
+    pts = pts[: int(np.prod(shape[:-1]))].reshape(shape)
+    dim = len(MIX)
+    fields = [VectorField(MIX_CHART, tuple(es[i : i + dim])) for i in range(0, len(es) - dim + 1, dim)]
+    with np.errstate(all="ignore"):
+        refs = [e.compile()(pts) for e in es]
+        got = batch_eval_scalars(es, pts)
+        mats = field_matrix(fields, pts)
+    assert got.shape == shape[:-1] + (len(es),)
+    for j, ref in enumerate(refs):
+        assert bitwise_equal(got[..., j], ref)
+    assert mats.shape == shape[:-1] + (len(fields), dim)
+    for f in range(len(fields)):
+        for c in range(dim):
+            assert bitwise_equal(mats[..., f, c], refs[dim * f + c])
 
 
 # The arithmetic before zero operands and canonical terms skipped
