@@ -27,7 +27,7 @@ from .models import (
     looseness_probe,
     model_catalog,
 )
-from .modelfile import dump_model
+from .modelfile import _parse_value, dump_model
 from .reports import (
     TOLERANCE_DEFAULTS,
     construct_document,
@@ -232,14 +232,7 @@ def _parse_params(entries: list[str]) -> dict:
         name, sep, value = entry.partition("=")
         if not sep or not name.strip():
             raise ValueError(f"parameter override must look like NAME=VALUE, got {entry!r}")
-        text = value.strip()
-        try:
-            params[name.strip()] = int(text)
-        except ValueError:
-            try:
-                params[name.strip()] = float(text)
-            except ValueError:
-                params[name.strip()] = text
+        params[name.strip()] = _parse_value(value)
     return params
 
 

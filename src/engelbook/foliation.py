@@ -298,7 +298,9 @@ def _trace_leaves(
         # fmin skips NaN rows, so a vanishing row raises beside them too
         if np.fmin.reduce(n) < 1e-14:
             raise ValueError("direction field vanishes on the traced leaf")
-        return v / n[:, None]
+        # a non-finite row becomes NaN here, as in the one-leaf loop
+        with np.errstate(invalid="ignore"):
+            return v / n[:, None]
 
     if len(rows):
         # the loop's first stage, so a start where the field vanishes raises

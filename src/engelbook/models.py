@@ -139,6 +139,14 @@ class BoundaryTorus:
     def pullback(self) -> OneForm:
         return self.embedding.pullback_oneform(self.form)
 
+    def slope_and_residual(self) -> tuple[float, float]:
+        """The computed slope of the line field and its distance from the
+        declared one; two infinite slopes are the same vertical line."""
+        computed = torus_slope(self.pullback())
+        if math.isinf(computed) and math.isinf(self.declared_slope):
+            return computed, 0.0
+        return computed, abs(computed - self.declared_slope)
+
 
 @dataclass(frozen=True)
 class AnnulusData:
@@ -245,15 +253,6 @@ class PipelineReport:
     singularities: dict
     overall_pass: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "checks": [c.to_dict() for c in self.checks],
-            "invariants": dict(self.invariants),
-            "singularities": dict(self.singularities),
-            "overall_pass": self.overall_pass,
-        }
-
 
 # -- generic per-piece verification --------------------------------------------
 
@@ -329,8 +328,7 @@ def piece_checks(
     if adaptedness_ready(piece):
         out.append(adaptedness_check(piece, min_points=min_points, **rank))
     for i, torus in enumerate(piece.boundary_tori):
-        computed = torus_slope(torus.pullback())
-        resid = abs(computed - torus.declared_slope)
+        computed, resid = torus.slope_and_residual()
         out.append(
             CheckReport(
                 name=f"{name}:torus_slope_{i}",

@@ -5,7 +5,9 @@ Existence certificates (nonvanishing, rank growth, positivity) report the
 worst margin over the sample in ``min_gap``; vanishing certificates report
 the worst residual there instead, and pass when it is at most ``tol``.
 Checks with an exact and a numeric route run both and refuse to pass when
-the routes disagree.
+the routes disagree.  Every sampled check decides through ``_decide``: it
+keeps only its scalars, its margin, its bad points, any pass condition of
+its own and its details.
 
 The sample is a product grid over the chart, but a check evaluates its
 fields only on the axes they read (``charts.dependent_axes``), each other
@@ -139,13 +141,29 @@ def _sample(chart: Chart, scalars, points, min_points: int) -> _Sample:
     return _Sample(_product_grid(cut), tuple(len(a) for a in cut), full, axes)
 
 
-def _failures(
-    chart: Chart,
-    sample: _Sample,
-    bad: np.ndarray,
-    values: np.ndarray,
-    margins: np.ndarray | None = None,
-) -> tuple[dict, ...]:
+def _evaluate(chart: Chart, scalars, points, min_points: int) -> tuple[_Sample, np.ndarray]:
+    """The sample of a check that reads ``scalars`` and their values at its points."""
+    sample = _sample(chart, scalars, points, min_points)
+    return sample, batch_eval_scalars(scalars, sample.pts)
+
+
+def _decide(
+    name, chart, sample: _Sample, values, bad, min_gap, details, ok=True, margins=None
+) -> CheckReport:
+    """The report of a sampled check: it passes when ``ok`` and no point is
+    ``bad``, and lists the worst bad points with their ``values``, ranked by
+    ``margins`` (see ``_failures``)."""
+    return CheckReport(
+        name=name,
+        passed=ok and not bad.any(),
+        n_points=sample.n_points,
+        min_gap=float(min_gap),
+        failures=_failures(chart, sample, bad, values, margins),
+        details=details,
+    )
+
+
+def _failures(chart: Chart, sample: _Sample, bad, values, margins=None) -> tuple[dict, ...]:
     """The ``MAX_FAILURES`` worst bad points of the full sample and their ``values``.
 
     ``bad``, ``values`` and ``margins`` are given at ``sample.pts``.  Worst
@@ -194,17 +212,11 @@ def contact_structure_check(
     if chart.dim != 3:
         raise ValueError("contact_structure_check expects a 3-dimensional chart")
     (_, coeff), = wedge_top(alpha, exterior_derivative(alpha))
-    sample = _sample(chart, [coeff], points, min_points)
-    vals = batch_eval_scalars([coeff], sample.pts)[:, 0]
+    sample, vals = _evaluate(chart, [coeff], points, min_points)
+    vals = vals[:, 0]
     bad = _below(vals, DEFAULT_THRESHOLD)
-    return CheckReport(
-        name=name,
-        passed=not bad.any(),
-        n_points=sample.n_points,
-        min_gap=float(vals.min()),
-        failures=_failures(chart, sample, bad, vals),
-        details={"route": "form", "orientation": "coordinate"},
-    )
+    details = {"route": "form", "orientation": "coordinate"}
+    return _decide(name, chart, sample, vals, bad, vals.min(), details)
 
 
 def even_contact_form_check(
@@ -222,18 +234,10 @@ def even_contact_form_check(
     if chart.dim != 4:
         raise ValueError("even_contact_form_check expects a 4-dimensional chart")
     coeffs = [c for _, c in wedge_top(alpha, exterior_derivative(alpha))]
-    sample = _sample(chart, coeffs, points, min_points)
-    vals = batch_eval_scalars(coeffs, sample.pts)
+    sample, vals = _evaluate(chart, coeffs, points, min_points)
     norms = np.linalg.norm(vals, axis=-1)
     bad = _below(norms, DEFAULT_THRESHOLD)
-    return CheckReport(
-        name=name,
-        passed=not bad.any(),
-        n_points=sample.n_points,
-        min_gap=float(norms.min()),
-        failures=_failures(chart, sample, bad, norms),
-        details={"route": "form"},
-    )
+    return _decide(name, chart, sample, norms, bad, norms.min(), {"route": "form"})
 
 
 def even_contact_span_check(
@@ -339,14 +343,7 @@ def _rank_report(name, chart, sample, details, steps) -> CheckReport:
         bad |= ranks != want
         gaps = step_gaps if gaps is None else np.minimum(gaps, step_gaps)
         details[f"rank{want}_gap"] = float(step_gaps.min())
-    return CheckReport(
-        name=name,
-        passed=not bad.any(),
-        n_points=sample.n_points,
-        min_gap=float(gaps.min()),
-        failures=_failures(chart, sample, bad, gaps),
-        details=details,
-    )
+    return _decide(name, chart, sample, gaps, bad, gaps.min(), details)
 
 
 def isotropic_line_check(
@@ -369,25 +366,16 @@ def isotropic_line_check(
     alpha_w = alpha.apply(w)
     residual_scalars = [alpha_w, *(omega.apply(w, e) for e in spanning)]
     scalars = residual_scalars + list(w.components)
-    sample = _sample(chart, scalars, points, min_points)
-    vals = batch_eval_scalars(scalars, sample.pts)
+    sample, vals = _evaluate(chart, scalars, points, min_points)
     residuals = np.abs(vals[:, : len(residual_scalars)])
-    worst_residual = float(residuals.max())
     norms = np.linalg.norm(vals[:, len(residual_scalars) :], axis=-1)
     bad = _above(residuals.max(axis=-1), tol) | _below(norms, DEFAULT_THRESHOLD)
     details = {
         "alpha_w_residual": float(residuals[:, 0].max()),
-        "pairing_residual": worst_residual,
+        "pairing_residual": float(residuals.max()),
+        "alpha_w_exact_zero": bool(alpha_w.is_zero(tol)),
     }
-    details["alpha_w_exact_zero"] = bool(alpha_w.is_zero(tol))
-    return CheckReport(
-        name=name,
-        passed=not bad.any(),
-        n_points=sample.n_points,
-        min_gap=float(norms.min()),
-        failures=_failures(chart, sample, bad, norms),
-        details=details,
-    )
+    return _decide(name, chart, sample, norms, bad, norms.min(), details)
 
 
 # -- contact vector fields ----------------------------------------------------
@@ -442,22 +430,14 @@ def contact_vector_field_check(
         details["field_not_finite"] = int(np.count_nonzero(undefined))
     numeric_pass = bool(residual.max() <= tol)
     details["max_residual"] = float(residual.max())
-
-    passed = numeric_pass
     symbolic_pass = all(c.is_zero(tol) for c in wedge.components)
     details["symbolic_zero"] = bool(symbolic_pass)
-    if symbolic_pass != numeric_pass:
+    agree = symbolic_pass == numeric_pass
+    if not agree:
         details["routes_disagree"] = True
-        passed = False
-
     bad = _above(residual, tol)
-    return CheckReport(
-        name=name,
-        passed=passed,
-        n_points=sample.n_points,
-        min_gap=float(residual.max()),
-        failures=_failures(chart, sample, bad, residual, margins=-residual),
-        details=details,
+    return _decide(
+        name, chart, sample, residual, bad, residual.max(), details, ok=agree, margins=-residual
     )
 
 
@@ -480,26 +460,19 @@ def fibration_transversality_check(
     dtheta = exterior_derivative(theta)
     pairing_scalar = theta.apply(w)
     scalars = [*dtheta.components, pairing_scalar]
-    sample = _sample(chart, scalars, points, min_points)
-    vals = batch_eval_scalars(scalars, sample.pts)
+    sample, vals = _evaluate(chart, scalars, points, min_points)
     closed_residual = float(np.abs(vals[:, :-1]).max())
     pairing = vals[:, -1]
     margins = np.abs(pairing)
     same_sign = bool((pairing > 0).all() or (pairing < 0).all())
     bad = _below(margins, DEFAULT_THRESHOLD)
-    passed = closed_residual <= tol and same_sign and not bad.any()
-    return CheckReport(
-        name=name,
-        passed=passed,
-        n_points=sample.n_points,
-        min_gap=float(margins.min()),
-        failures=_failures(chart, sample, bad, pairing, margins=margins),
-        details={
-            "closed_residual": closed_residual,
-            "sign": "positive" if pairing.max() > 0 else "negative",
-            "constant_sign": same_sign,
-        },
-    )
+    details = {
+        "closed_residual": closed_residual,
+        "sign": "positive" if pairing.max() > 0 else "negative",
+        "constant_sign": same_sign,
+    }
+    ok = closed_residual <= tol and same_sign
+    return _decide(name, chart, sample, pairing, bad, margins.min(), details, ok, margins)
 
 
 # -- aggregation over families -------------------------------------------------
@@ -542,37 +515,27 @@ def _adapted_page(piece, points, min_points, tol) -> CheckReport:
 
 
 def _adapted_collar(piece, points, min_points, tol) -> CheckReport:
-    from .foliation import torus_slope
-
     chart = piece.chart
     w = piece.w_field
 
     # tangency to the tori: the normal coordinate component of W vanishes
     normal = piece.torus_normal.apply(w)
-    sample = _sample(chart, [normal, *w.components], points, min_points)
-    vals = batch_eval_scalars([normal, *w.components], sample.pts)
+    sample, vals = _evaluate(chart, [normal, *w.components], points, min_points)
     residual = float(np.abs(vals[:, 0]).max())
     norms = np.linalg.norm(vals[:, 1:], axis=-1)
 
-    slope_errors = [abs(torus_slope(t.pullback()) - t.declared_slope) for t in piece.boundary_tori]
-    slope_residual = max(slope_errors) if slope_errors else 0.0
+    # a NaN slope residual fails whichever torus it comes from
+    slope_errors = [t.slope_and_residual()[1] for t in piece.boundary_tori]
+    slope_residual = float(np.max(slope_errors, initial=0.0))
 
     bad = _below(norms, DEFAULT_THRESHOLD)
-    passed = (
-        bool(slope_errors) and residual <= tol and slope_residual <= max(tol, 1e-9) and not bad.any()
-    )
-    return CheckReport(
-        name="adapted_collar",
-        passed=passed,
-        n_points=sample.n_points,
-        min_gap=float(norms.min()),
-        failures=_failures(chart, sample, bad, norms),
-        details={
-            "tangency_residual": residual,
-            "slope_residual": float(slope_residual),
-            "tori": len(piece.boundary_tori),
-        },
-    )
+    details = {
+        "tangency_residual": residual,
+        "slope_residual": slope_residual,
+        "tori": len(piece.boundary_tori),
+    }
+    ok = bool(slope_errors) and residual <= tol and slope_residual <= max(tol, 1e-9)
+    return _decide("adapted_collar", chart, sample, norms, bad, norms.min(), details, ok)
 
 
 def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
@@ -591,22 +554,17 @@ def _adapted_binding(piece, points, min_points, tol) -> CheckReport:
     # sample the binding locus itself; given points keep their non-locus coordinates
     if points is not None:
         points = _given_points(chart, points)[:, keep]
-    sample = _sample(sub_chart, restricted, points, min_points)
-
-    vals = batch_eval_scalars(restricted, sample.pts)
-    trans_vals = vals[:, transverse]
-    residual = float(np.abs(trans_vals).max()) if transverse else 0.0
+    sample, vals = _evaluate(sub_chart, restricted, points, min_points)
+    residual = float(np.abs(vals[:, transverse]).max()) if transverse else 0.0
     norms = np.linalg.norm(vals[:, keep], axis=-1)
 
     bad = _below(norms, DEFAULT_THRESHOLD)
-    return CheckReport(
-        name="adapted_binding",
-        passed=residual <= tol and not bad.any(),
-        n_points=sample.n_points,
-        min_gap=float(norms.min()),
-        failures=_failures(sub_chart, sample, bad, norms),
-        details={"tangency_residual": residual, "locus": {k: float(v) for k, v in sorted(locus.items())}},
-    )
+    details = {
+        "tangency_residual": residual,
+        "locus": {k: float(v) for k, v in sorted(locus.items())},
+    }
+    ok = residual <= tol
+    return _decide("adapted_binding", sub_chart, sample, norms, bad, norms.min(), details, ok)
 
 
 # each role's adaptedness certificate: the piece field it reads beside

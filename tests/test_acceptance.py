@@ -1,6 +1,5 @@
 """Acceptance suite: each test pins one advertised capability at its stated tolerance."""
 
-import json
 import math
 
 import numpy as np
@@ -29,6 +28,7 @@ from engelbook.models import (
     gluing_check,
     model_catalog,
 )
+from engelbook.reports import construct_document, render_json
 from engelbook.trigpoly import KIND_POLYNOMIAL
 from engelbook.verify import contact_vector_field_check, family_slice_check
 from test_charts import central_difference, central_difference_bracket
@@ -189,8 +189,8 @@ def test_assembly_grid_passes_and_reproduces():
         assert report.overall_pass, (lam, k)
         assert all(check.passed for check in report.checks), (lam, k)
 
-    first = json.dumps(assemble(2, 3).to_dict(), sort_keys=True)
-    second = json.dumps(assemble(2, 3).to_dict(), sort_keys=True)
+    first = render_json(construct_document(assemble(2, 3), {}))
+    second = render_json(construct_document(assemble(2, 3), {}))
     assert first == second
 
 

@@ -212,7 +212,8 @@ def dense_trace_leaf(direction, start, step, n_max, inside, wrap):
         n = np.linalg.norm(v)
         if n < 1e-14:
             raise ValueError("direction field vanishes on the traced leaf")
-        return v / n
+        with np.errstate(invalid="ignore"):
+            return v / n
 
     def separation(a, b):
         d = a - b

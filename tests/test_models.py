@@ -1,7 +1,6 @@
 """Catalog pieces, the collar-binding builders, gluing, probes, assembly."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,11 @@ from engelbook.invariants import (
     delta_homomorphism,
     twisting_number,
 )
+from engelbook.foliation import SliceEmbedding
 from engelbook.models import (
     GLUE_TORUS,
+    XY_TORUS,
+    BoundaryTorus,
     ModelPiece,
     OpenBookModel,
     PipelineReport,
@@ -32,6 +34,7 @@ from engelbook.models import (
     model_catalog,
     piece_checks,
 )
+from engelbook.reports import construct_document, render_json
 from engelbook.trigpoly import Mode, canonical_equal
 from engelbook.verify import engel_check, even_contact_span_check
 from engelbook.models import _wave
@@ -250,6 +253,35 @@ def test_binding_rejects_nonpositive_radius():
 # -- gluing ----------------------------------------------------------------
 
 
+def _vertical_torus(chart, assignment):
+    """A torus slice of ``chart`` whose line field is the vertical kernel of dx."""
+    emb = SliceEmbedding(XY_TORUS, chart, assignment)
+    return BoundaryTorus(emb, chart.one_form({"x": 1.0}), declared_slope=math.inf)
+
+
+def test_declared_vertical_torus_slope_passes():
+    torus = _vertical_torus(XY_TORUS, {"x": "x", "y": "y"})
+    piece = ModelPiece("flat", "collar", XY_TORUS, {}, boundary_tori=(torus,))
+    (report,) = piece_checks(piece)
+    assert report.name == "flat:torus_slope_0"
+    assert report.passed
+    assert report.min_gap == 0.0
+    assert report.details == {"computed": math.inf, "declared": math.inf}
+    assert torus.slope_and_residual() == (math.inf, 0.0)
+
+
+def test_collar_slope_verdict_does_not_depend_on_torus_order():
+    collar = model_catalog("binding_Eb").piece("boundary-annulus")
+    vertical = _vertical_torus(collar.chart, {"x": "x", "y": "y", "r": 0.5, "phi": 0.0})
+    reports = [
+        piece_checks(dataclasses.replace(collar, boundary_tori=tori), min_points=64)
+        for tori in [(vertical, collar.boundary_tori[0]), (collar.boundary_tori[0], vertical)]
+    ]
+    (first, second) = ([r for r in rs if r.name == "adapted_collar"][0] for rs in reports)
+    assert first.passed and second.passed
+    assert first.details == second.details
+
+
 def test_gluing_check_matched_pieces_pass():
     report = gluing_check(build_collar_engel(2, 3), build_binding_engel(5, 3))
     assert report.passed
@@ -430,8 +462,8 @@ def test_assemble_parameter_grid(lam, k):
 
 
 def test_assemble_reports_are_reproducible():
-    first = json.dumps(assemble(2, 3, min_points=300).to_dict(), sort_keys=True)
-    second = json.dumps(assemble(2, 3, min_points=300).to_dict(), sort_keys=True)
+    first = render_json(construct_document(assemble(2, 3, min_points=300), {}))
+    second = render_json(construct_document(assemble(2, 3, min_points=300), {}))
     assert first == second
 
 
@@ -502,19 +534,6 @@ def test_assemble_model_records_gluing():
     assert (glue.first, glue.second) == ("collar", "binding")
     assert glue.map is not None
     assert glue.region["r"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pipeline_report_to_dict_shape():
-    report = assemble(2, 3, min_points=300).to_dict()
-    assert set(report) == {
-        "params",
-        "checks",
-        "invariants",
-        "singularities",
-        "overall_pass",
-    }
-    assert report["overall_pass"] is True
-    assert all({"name", "pass", "points", "min_gap"} <= set(c) for c in report["checks"])
 
 
 def _pieces_with_pairs():

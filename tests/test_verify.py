@@ -15,7 +15,7 @@ from engelbook.charts import (
     exterior_derivative,
     wedge_top,
 )
-from engelbook.models import assemble, list_models, model_catalog
+from engelbook.models import XY_TORUS, assemble, list_models, model_catalog
 from engelbook.reports import json_document, render_json
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL
 from engelbook.verify import (
@@ -419,6 +419,58 @@ class TestAdaptedness:
         assert 0.0 < report.min_gap < 1e-9
         assert not report.passed
         assert report.failures
+
+
+def _binding_core_with_w(components):
+    core = model_catalog("binding_Eb").piece("binding-core")
+    return dataclasses.replace(core, w_field=core.chart.vector_field(components))
+
+
+# each check's own pass condition fails it on a sample with no bad point
+@pytest.mark.parametrize(
+    "check, detail, value",
+    [
+        pytest.param(
+            lambda: fibration_transversality_check(
+                R3.one_form({"z": 1.0, "y": "x"}), R3.basis_vector("z"), min_points=64
+            ),
+            "closed_residual",
+            1.0,
+            id="fibration_not_closed",
+        ),
+        pytest.param(
+            # cos(y) on 6 angular samples is at least 1/2 in size but turns sign
+            lambda: fibration_transversality_check(
+                XY_TORUS.one_form({"y": 1.0}), XY_TORUS.vector_field({"y": "cos(y)"}), min_points=36
+            ),
+            "constant_sign",
+            False,
+            id="fibration_sign_change",
+        ),
+        pytest.param(
+            lambda: adaptedness_check(_binding_core_with_w({"y": 1.0, "u": 1.0}), min_points=64),
+            "tangency_residual",
+            1.0,
+            id="binding_transverse",
+        ),
+        pytest.param(
+            # the wedge of L = x d/dy for dz - y dx is |x|, zero on the plane x = 0
+            lambda: contact_vector_field_check(
+                R3.vector_field({"y": "x"}),
+                R3.one_form({"z": 1.0, "x": "-y"}),
+                points=np.array([[0.0, 0.4, -0.3], [0.0, -0.2, 0.5]]),
+            ),
+            "routes_disagree",
+            True,
+            id="contact_field_routes_disagree",
+        ),
+    ],
+)
+def test_own_pass_condition_fails_without_bad_points(check, detail, value):
+    report = check()
+    assert report.failures == ()
+    assert report.details[detail] == value
+    assert not report.passed
 
 
 # -- grids reduced to the axes a check reads -------------------------------------
