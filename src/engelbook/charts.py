@@ -8,6 +8,7 @@ a field or form compiles to one evaluator over its components.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,20 +148,18 @@ class Chart:
 
     # sampling
 
-    def sample_axes(self, n_per_axis: int) -> list[np.ndarray]:
-        axes = []
-        for c, b in zip(self.coords, self.bounds):
-            if c.is_angular:
-                axes.append(np.linspace(b.lo, b.hi, n_per_axis, endpoint=False))
-            else:
-                lo, hi = b.sample_range()
-                axes.append(np.linspace(lo, hi, n_per_axis))
-        return axes
+    def sample_axes(self, n_per_axis: int) -> tuple[np.ndarray, ...]:
+        """One axis of ``n_per_axis`` samples per coordinate: read-only arrays
+        built once per chart value and count, and shared by every caller.
+        The bounds' signs join the key: a -0.0 bound equals 0.0 but can
+        give an axis a -0.0 sample, as a falling angular range does."""
+        signs = tuple(math.copysign(1.0, v) for b in self.bounds for v in (b.lo, b.hi))
+        return _sample_axes(self, signs, n_per_axis)
 
     def sample_grid(self, n_per_axis: int) -> np.ndarray:
         return _product_grid(self.sample_axes(n_per_axis))
 
-    def axes_for_min_points(self, min_points: int) -> list[np.ndarray]:
+    def axes_for_min_points(self, min_points: int) -> tuple[np.ndarray, ...]:
         """Sample axes of equal length, at least 2, whose product grid has at
         least ``min_points`` points."""
         return self.sample_axes(max(2, math.ceil(min_points ** (1.0 / self.dim))))
@@ -173,10 +172,27 @@ class Chart:
         return np.stack(cols, axis=-1)
 
 
+@functools.lru_cache(maxsize=1024)
+def _sample_axes(chart: Chart, signs: tuple[float, ...], n_per_axis: int) -> tuple[np.ndarray, ...]:
+    axes = []
+    for c, b in zip(chart.coords, chart.bounds):
+        if c.is_angular:
+            axis = np.linspace(b.lo, b.hi, n_per_axis, endpoint=False)
+        else:
+            axis = np.linspace(*b.sample_range(), n_per_axis)
+        axis.flags.writeable = False
+        axes.append(axis)
+    return tuple(axes)
+
+
 def _product_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The (n, len(axes)) points of the product of ``axes``, the last varying fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    """The (n, len(axes)) points of the product of the float ``axes``, the
+    last varying fastest: each axis broadcast into its column of one array."""
+    n = len(axes)
+    out = np.empty(tuple(len(a) for a in axes) + (n,))
+    for i, a in enumerate(axes):
+        out[..., i] = a.reshape((-1,) + (1,) * (n - 1 - i))
+    return out.reshape(-1, n)
 
 
 # -- fields and forms ---------------------------------------------------------
@@ -225,13 +241,28 @@ class VectorField(_Components):
 
 @dataclass(frozen=True)
 class OneForm(_Components):
-    """Coordinate components of a one-form on one chart."""
+    """Coordinate components of a one-form on one chart.
+
+    Its exterior derivative and the coefficients of alpha ^ dalpha are
+    derived on first use and kept with the form, so every reader of one
+    form shares one derivation of each, for as long as the form lives.
+    """
 
     def apply(self, X: VectorField) -> Expr:
         out: Expr = self.chart.zero()
         for a, x in zip(self.components, X.components):
             out = out + a * x
         return out
+
+    @functools.cached_property
+    def d(self) -> "TwoForm":
+        """The exterior derivative dalpha."""
+        return exterior_derivative(self)
+
+    @functools.cached_property
+    def wedge_d(self) -> tuple[tuple[tuple[int, int, int], Expr], ...]:
+        """The coefficients of alpha ^ dalpha, as ``wedge_top`` lists them."""
+        return wedge_top(self, self.d)
 
 
 @dataclass(frozen=True)
@@ -304,7 +335,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def lie_derivative_oneform(X: VectorField, alpha: OneForm) -> OneForm:
     """Cartan formula: L_X alpha = d(iota_X alpha) + iota_X(d alpha)."""
     chart = alpha.chart
-    return differential(alpha.apply(X), chart) + interior_product(exterior_derivative(alpha), X)
+    return differential(alpha.apply(X), chart) + interior_product(alpha.d, X)
 
 
 def wedge_top(alpha: OneForm, omega: TwoForm) -> tuple[tuple[tuple[int, int, int], Expr], ...]:
@@ -380,17 +411,9 @@ class IntegerAffineMap:
 
 
 def dependent_axes(scalars: Sequence[Expr]) -> tuple[int, ...]:
-    """The coordinate axes that some of ``scalars`` read, in increasing order.
-
-    An ``Expr`` reads axis i when one of its terms has a nonzero power or
-    frequency in it; its evaluator never looks at any other axis, so its
-    values do not change along one.
-    """
-    read: set[int] = set()
-    for s in scalars:
-        for t in s.terms:
-            read.update(i for i, (p, k) in enumerate(zip(t.powers, t.freqs)) if p or k)
-    return tuple(sorted(read))
+    """The coordinate axes that some of ``scalars`` read (``Expr.read_axes``),
+    in increasing order."""
+    return tuple(sorted(frozenset().union(*(s.read_axes for s in scalars))))
 
 
 def batch_eval_scalars(scalars: Sequence[Expr], pts: np.ndarray) -> np.ndarray:
@@ -406,7 +429,7 @@ def batch_eval_scalars(scalars: Sequence[Expr], pts: np.ndarray) -> np.ndarray:
     out = np.empty(pts.shape[:-1] + (len(scalars),))
     live = []
     for j, s in enumerate(scalars):
-        if len(s.terms) <= 1 and not dependent_axes([s]):
+        if len(s.terms) <= 1 and not s.read_axes:
             out[..., j] = sum((t.coeff for t in s.terms), 0.0)
         else:
             live.append(j)
@@ -425,12 +448,17 @@ def field_matrix(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
     return vals.reshape(vals.shape[:-1] + (len(fields), dim))
 
 
-def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def pointwise_rank(
+    mats: np.ndarray, tol: float = RANK_TOL, want: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Numeric rank and rank gap of a batch of matrices.
 
     The gap at a point is the smallest singular value still counted toward
-    the rank, i.e. the margin by which the rank certificate holds.  A
-    negative ``tol`` would count zero singular values and is rejected.
+    the rank, i.e. the margin by which the rank certificate holds.  Given
+    ``want``, it is the ``want``-th largest singular value at every point
+    instead: that margin where the rank is ``want``, and the value, at most
+    ``tol``, that misses it where the rank falls short.  A negative ``tol``
+    would count zero singular values and is rejected.
 
     A matrix with a non-finite entry gets rank 0 and gap 0, so it fails any
     rank certificate instead of passing it or raising.  ``mats`` is never
@@ -440,6 +468,8 @@ def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray,
         raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
     mats = np.asarray(mats, dtype=float)
     *batch, r, d = mats.shape
+    if want is not None and not 1 <= want <= min(r, d):
+        raise ValueError(f"wanted rank must be in 1..{min(r, d)}, got {want}")
     flat = mats.reshape(-1, r, d)
     finite = np.isfinite(flat).all(axis=(-2, -1))
     if not finite.all():
@@ -448,6 +478,8 @@ def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray,
         flat[~finite] = 0.0
     s = np.linalg.svd(flat, compute_uv=False).reshape(*batch, min(r, d))
     ranks = (s > tol).sum(axis=-1)
+    if want is not None:
+        return ranks, s[..., want - 1]
     idx = np.maximum(ranks - 1, 0)
     gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)
     return ranks, gaps

@@ -103,12 +103,11 @@ class WindingResult:
     turns: float
     residual: float
     samples: int
-    projection_residual: float
 
 
 def _project_onto_frame(
     xvals: np.ndarray, c1vals: np.ndarray, c2vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Least squares coordinates of X in the 2-frame (C1, C2) per sample."""
     A = np.stack([c1vals, c2vals], axis=-1)  # (N, dim, 2)
     G = np.einsum("nik,nil->nkl", A, A)
@@ -117,10 +116,7 @@ def _project_onto_frame(
         coeffs = np.linalg.solve(G, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         coeffs = np.einsum("nkl,nl->nk", np.linalg.pinv(G), rhs)
-    recon = np.einsum("nik,nk->ni", A, coeffs)
-    scale = np.maximum(np.linalg.norm(xvals, axis=-1), 1e-300)
-    residual = float((np.linalg.norm(xvals - recon, axis=-1) / scale).max())
-    return coeffs[:, 0], coeffs[:, 1], residual
+    return coeffs[:, 0], coeffs[:, 1]
 
 
 def _turns(a: np.ndarray, b: np.ndarray, closed: bool) -> float:
@@ -144,13 +140,13 @@ def _winding(
     # a zero or non-finite sample has no direction to count the turns of
     if not (np.isfinite(x).all() and (x != 0.0).any(axis=-1).all()):
         raise ValueError("the field is zero or not finite at a path sample")
-    a, b, proj = _project_onto_frame(x, mats[:, 1], mats[:, 2])
+    a, b = _project_onto_frame(x, mats[:, 1], mats[:, 2])
     # a field normal to the frame plane projects to (0, 0), where arctan2 reads 0
     if not ((a != 0.0) | (b != 0.0)).all():
         raise ValueError("the frame cannot see the field at a path sample: both coordinates are 0")
     turns = _turns(a, b, path.closed)
     value = int(round(turns))
-    return WindingResult(value, turns, abs(turns - value), n_samples, proj)
+    return WindingResult(value, turns, abs(turns - value), n_samples)
 
 
 def twisting_number(

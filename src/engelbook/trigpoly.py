@@ -29,6 +29,7 @@ Canonical form of a term:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -280,6 +281,15 @@ class Expr:
         return cls.term(coords, 1.0, powers)
 
     # -- structure --------------------------------------------------------
+
+    @functools.cached_property
+    def read_axes(self) -> frozenset[int]:
+        """The coordinate axes this expression reads: those where one of its
+        terms has a nonzero power or frequency.  Its value does not change
+        along any other axis."""
+        return frozenset(
+            i for t in self.terms for i, (p, k) in enumerate(zip(t.powers, t.freqs)) if p or k
+        )
 
     def max_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)

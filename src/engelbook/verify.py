@@ -15,6 +15,15 @@ axis held at its first sample, where the values do not change along it.
 Its margins are spread back over the full grid, so ``points``, the worst
 margin and the worst-first failures are those of the full grid.  Given
 points are evaluated as they are.
+
+Checks share what they read instead of rebuilding it.  A chart's axes for
+one count are built once per process (``Chart.sample_axes``, read-only
+arrays); each ``Expr`` finds the axes it reads once (``Expr.read_axes``);
+and each form derives its ``d`` and the coefficients of alpha ^ dalpha
+(``OneForm.wedge_d``) on first use, for every check that reads that form
+object.  Those derivations live as long as the form, so within one
+``verify`` or ``construct`` they die with the op's model; only the axes
+outlive it.  Product grids and evaluations are made per check.
 """
 
 from __future__ import annotations
@@ -34,12 +43,10 @@ from .charts import (
     _product_grid,
     batch_eval_scalars,
     dependent_axes,
-    exterior_derivative,
     field_matrix,
     lie_bracket,
     lie_derivative_oneform,
     pointwise_rank,
-    wedge_top,
 )
 
 __all__ = [
@@ -134,7 +141,7 @@ def _sample(chart: Chart, scalars, points, min_points: int) -> _Sample:
     if points is not None:
         pts = _given_points(chart, points)
         return _Sample(pts, pts.shape[:1], pts.shape[:1])
-    axes = tuple(chart.axes_for_min_points(min_points))
+    axes = chart.axes_for_min_points(min_points)
     read = dependent_axes(scalars)
     cut = [a if i in read else a[:1] for i, a in enumerate(axes)]
     full = tuple(len(a) for a in axes)
@@ -211,7 +218,7 @@ def contact_structure_check(
     chart = alpha.chart
     if chart.dim != 3:
         raise ValueError("contact_structure_check expects a 3-dimensional chart")
-    (_, coeff), = wedge_top(alpha, exterior_derivative(alpha))
+    (_, coeff), = alpha.wedge_d
     sample, vals = _evaluate(chart, [coeff], points, min_points)
     vals = vals[:, 0]
     bad = _below(vals, DEFAULT_THRESHOLD)
@@ -233,7 +240,7 @@ def even_contact_form_check(
     chart = alpha.chart
     if chart.dim != 4:
         raise ValueError("even_contact_form_check expects a 4-dimensional chart")
-    coeffs = [c for _, c in wedge_top(alpha, exterior_derivative(alpha))]
+    coeffs = [c for _, c in alpha.wedge_d]
     sample, vals = _evaluate(chart, coeffs, points, min_points)
     norms = np.linalg.norm(vals, axis=-1)
     bad = _below(norms, DEFAULT_THRESHOLD)
@@ -261,7 +268,7 @@ def even_contact_span_check(
     fields = list(frame) + [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
     sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
-    steps = {3: pointwise_rank(mats[:, :3], tol), 4: pointwise_rank(mats, tol)}
+    steps = {3: pointwise_rank(mats[:, :3], tol, 3), 4: pointwise_rank(mats, tol, 4)}
     return _rank_report(name, chart, sample, {"route": "span"}, steps)
 
 
@@ -298,7 +305,7 @@ def _engel_and_bracket_span(
     those of the two public checks.
     """
     chart, sample, mats, steps = _engel_stack(pair, None, min_points, tol)
-    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol)}
+    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol, 4)}
     return (
         _rank_report(names[0], chart, sample, {}, steps),
         _rank_report(names[1], chart, sample, {"route": "span"}, span_steps),
@@ -323,19 +330,20 @@ def _engel_stack(pair, points, min_points, tol):
     sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
     steps = {
-        2: pointwise_rank(mats[:, :2], tol),
-        3: pointwise_rank(mats[:, :3], tol),
-        4: pointwise_rank(mats, tol),
+        2: pointwise_rank(mats[:, :2], tol, 2),
+        3: pointwise_rank(mats[:, :3], tol, 3),
+        4: pointwise_rank(mats, tol, 4),
     }
     return chart, sample, mats, steps
 
 
 def _rank_report(name, chart, sample, details, steps) -> CheckReport:
-    """A rank-growth certificate from ``{expected rank: (ranks, gaps)}``.
+    """A rank-growth certificate from ``{wanted rank: (ranks, gaps)}``, each
+    step's gaps taken at its wanted rank (``pointwise_rank``'s ``want``).
 
     A point is bad where any step misses its rank; its margin is its
     smallest gap over the steps, and ``details["rank<r>_gap"]`` is each
-    step's worst gap.
+    step's worst gap, at most the tolerance when the step fails somewhere.
     """
     bad = np.zeros(len(sample.pts), dtype=bool)
     gaps = None
@@ -361,10 +369,8 @@ def isotropic_line_check(
     the kernel distribution, and W itself nonvanishing.
     """
     chart = alpha.chart
-    omega = exterior_derivative(alpha)
-
     alpha_w = alpha.apply(w)
-    residual_scalars = [alpha_w, *(omega.apply(w, e) for e in spanning)]
+    residual_scalars = [alpha_w, *(alpha.d.apply(w, e) for e in spanning)]
     scalars = residual_scalars + list(w.components)
     sample, vals = _evaluate(chart, scalars, points, min_points)
     residuals = np.abs(vals[:, : len(residual_scalars)])
@@ -457,9 +463,7 @@ def fibration_transversality_check(
     Requires d(theta) = 0 and theta(W) bounded away from zero with one sign.
     """
     chart = theta.chart
-    dtheta = exterior_derivative(theta)
-    pairing_scalar = theta.apply(w)
-    scalars = [*dtheta.components, pairing_scalar]
+    scalars = [*theta.d.components, theta.apply(w)]
     sample, vals = _evaluate(chart, scalars, points, min_points)
     closed_residual = float(np.abs(vals[:, :-1]).max())
     pairing = vals[:, -1]

@@ -290,6 +290,35 @@ class TestSamplingAndRank:
         with pytest.raises(ValueError):
             pointwise_rank(mats, tol=-1.0)
 
+    def test_pointwise_rank_gap_at_a_wanted_rank(self):
+        mats = np.array([np.eye(3), np.diag([2.0, 1.0, 1e-10]), np.full((3, 3), np.nan)])
+        ranks, gaps = pointwise_rank(mats)
+        assert ranks.tolist() == [3, 2, 0] and gaps.tolist() == [1.0, 1.0, 0.0]
+        # a point short of the wanted rank reports the singular value it misses
+        ranks, gaps = pointwise_rank(mats, want=3)
+        assert ranks.tolist() == [3, 2, 0] and gaps.tolist() == [1.0, 1e-10, 0.0]
+        for want in (0, 4):
+            with pytest.raises(ValueError, match="wanted rank"):
+                pointwise_rank(mats, want=want)
+
+    def test_sample_axes_are_built_once_and_read_only(self):
+        axes = DARBOUX.sample_axes(5)
+        twin = Chart(DARBOUX.name, DARBOUX.coords, DARBOUX.bounds)
+        assert twin is not DARBOUX
+        assert all(a is b for a, b in zip(axes, twin.sample_axes(5)))
+        assert DARBOUX.axes_for_min_points(600) is axes  # 5^4 = 625 >= 600
+        for a in axes:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # a -0.0 bound equals 0.0 but keeps its own axes: here they start at -0.0
+        signed = [Chart.make("c", [("u", KIND_ANGULAR, Interval(lo, -1.0))]) for lo in (0.0, -0.0)]
+        assert signed[0] == signed[1]
+        assert [math.copysign(1.0, c.sample_axes(4)[0][0]) for c in signed] == [1.0, -1.0]
+        # a grid is the caller's own array
+        grid = DARBOUX.sample_grid(5)
+        grid[0, 0] = 7.0
+        assert DARBOUX.sample_axes(5)[0][0] == -0.998
+
 
 def svd_loop_rank(mats, tol=1e-9):
     """Reference rank and gap: one SVD per matrix, in batch order."""

@@ -46,7 +46,11 @@ class TestTwisting:
         assert result.value == k
         assert result.residual < 0.05
         assert result.samples == 256
-        assert result.projection_residual < 1e-9
+        # the field lies in the frame's plane at every sample
+        mats = field_matrix([twisted_field(k), *xi_frame()], T_CIRCLE.sample(256))
+        x, frame = mats[:, 0, :, None], np.swapaxes(mats[:, 1:], 1, 2)
+        off_plane = np.linalg.norm(x - frame @ (np.linalg.pinv(frame) @ x), axis=(1, 2))
+        assert (off_plane / np.linalg.norm(x, axis=(1, 2))).max() < 1e-9
 
     def test_rotating_the_frame_shifts_the_count(self):
         # a frame rotated by m full turns along the loop lowers the value by m

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelbook.charts import Chart, Interval, VectorField, batch_eval_scalars, field_matrix
+from engelbook.charts import (
+    Chart,
+    Interval,
+    VectorField,
+    _product_grid,
+    batch_eval_scalars,
+    field_matrix,
+)
 from engelbook.trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
@@ -364,3 +371,20 @@ def test_normalize_term_keeps_canonical_terms(a, b):
             u = _normalize_term(t.coeff, t.powers, t.mode, t.freqs, t.phase)
             assert u.discrete_key() == t.discrete_key()
             assert same_float(u.coeff, t.coeff) and same_float(u.phase, t.phase)
+
+
+# axis values with the bit patterns a copy could lose: -0.0, NaN and +-inf
+grid_values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(grid_values, min_size=1, max_size=7), min_size=1, max_size=4))
+def test_product_grid_is_bit_identical_to_meshgrid_and_stack(values):
+    axes = [np.array(v, dtype=float) for v in values]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    want = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    got = _product_grid(axes)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -3,11 +3,12 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from engelbook import verify
+from engelbook import charts, cli, verify
 from engelbook.charts import (
     Chart,
     Interval,
@@ -145,6 +146,24 @@ class TestEngelAndIsotropic:
         # a negative tolerance would count zero singular values toward the rank
         with pytest.raises(ValueError):
             engel_check([R4.basis_vector("x"), R4.basis_vector("y")], min_points=16, tol=-1.0)
+
+    def test_failing_rank_steps_report_their_missed_singular_value(self):
+        # x and y commute: rank 2 holds with gap 1 and ranks 3 and 4 fail at
+        # every point, where the missed singular value is 0
+        report = engel_check([R4.basis_vector("x"), R4.basis_vector("y")], min_points=16)
+        assert not report.passed
+        assert report.details == {"rank2_gap": 1.0, "rank3_gap": 0.0, "rank4_gap": 0.0}
+        assert report.min_gap == 0.0
+        assert [f["value"] for f in report.failures] == [0.0] * 5
+        frame = [R4.basis_vector("x"), R4.basis_vector("y"), R4.basis_vector("w")]
+        span = even_contact_span_check(frame, min_points=16)
+        assert span.details == {"route": "span", "rank3_gap": 1.0, "rank4_gap": 0.0}
+        assert not span.passed and span.min_gap == 0.0
+        # [x, y + x/4 z] = z/4: rank 3 misses tol 0.5 by a nonzero singular value
+        pair = [R4.basis_vector("x"), R4.vector_field({"y": 1.0, "z": "0.25*x"})]
+        weak = engel_check(pair, min_points=16, tol=0.5)
+        assert not weak.passed
+        assert 0.0 < weak.details["rank3_gap"] <= 0.5
 
     def test_isotropic_line_darboux_even(self):
         alpha = R4.one_form({"z": 1.0, "x": "-y"})
@@ -476,8 +495,9 @@ def test_own_pass_condition_fails_without_bad_points(check, detail, value):
 # -- grids reduced to the axes a check reads -------------------------------------
 
 
-def _svd_loop_rank(mats, tol=1e-9):
-    """Rank and gap from one SVD per matrix; a non-finite matrix has rank 0."""
+def _svd_loop_rank(mats, tol=1e-9, want=None):
+    """Rank and gap from one SVD per matrix; a non-finite matrix has rank 0.
+    Given ``want``, the gap is the ``want``-th singular value."""
     *batch, r, d = mats.shape
     flat = mats.reshape(-1, r, d)
     s = np.zeros((len(flat), min(r, d)))
@@ -486,6 +506,8 @@ def _svd_loop_rank(mats, tol=1e-9):
             s[i] = np.linalg.svd(m, compute_uv=False)
     s = s.reshape(*batch, min(r, d))
     ranks = (s > tol).sum(axis=-1)
+    if want is not None:
+        return ranks, s[..., want - 1]
     idx = np.maximum(ranks - 1, 0)
     gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)
     return ranks, gaps
@@ -557,3 +579,38 @@ def test_given_points_must_fit_the_chart(shape):
         contact_structure_check(alpha, points=np.zeros(shape))
     with pytest.raises(ValueError, match=r"shape \(n, 3\) with n >= 1"):
         fibration_transversality_check(alpha, R3.basis_vector("z"), points=np.zeros(shape))
+
+
+# -- shared derivations ------------------------------------------------------------
+
+
+def test_verify_derives_each_form_once(monkeypatch, tmp_path):
+    """One ``verify`` of a model whose form is read by the contact check, its
+    sampled re-check and the contact vector field check derives that form's
+    dalpha and alpha ^ dalpha once each, and the fibration form's d once."""
+    derived = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("engelbook")]
+    for fn in (charts.exterior_derivative, charts.wedge_top):
+
+        def counting(form, *rest, _fn=fn):
+            derived.append((_fn.__name__, form))
+            return _fn(form, *rest)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    out = tmp_path / "report.json"
+    assert cli.run(["verify", "--model", "s3_openbook", "--out", str(out)]) == 0
+    names = {c["name"] for c in json.loads(out.read_text())["checks"]}
+    assert {
+        "round-openbook:contact_structure",
+        "round-openbook:sampled_contact",
+        "round-openbook:contact_vector_field",
+        "round-openbook:fibration_transversality",
+    } <= names
+    assert sorted((fn, form.label) for fn, form in derived) == [
+        ("exterior_derivative", "alpha"),
+        ("exterior_derivative", "theta"),
+        ("wedge_top", "alpha"),
+    ]
