@@ -172,7 +172,9 @@ class Chart:
         return np.stack(cols, axis=-1)
 
 
-@functools.lru_cache(maxsize=1024)
+# One op reads at most 5 keys; a default verify of every catalog model reads
+# 11, and a construct of any (lambda, k) 5: room for a process that runs many.
+@functools.lru_cache(maxsize=32)
 def _sample_axes(chart: Chart, signs: tuple[float, ...], n_per_axis: int) -> tuple[np.ndarray, ...]:
     axes = []
     for c, b in zip(chart.coords, chart.bounds):
@@ -448,17 +450,13 @@ def field_matrix(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
     return vals.reshape(vals.shape[:-1] + (len(fields), dim))
 
 
-def pointwise_rank(
-    mats: np.ndarray, tol: float = RANK_TOL, want: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def pointwise_rank(mats: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Numeric rank and rank gap of a batch of matrices.
 
-    The gap at a point is the smallest singular value still counted toward
-    the rank, i.e. the margin by which the rank certificate holds.  Given
-    ``want``, it is the ``want``-th largest singular value at every point
-    instead: that margin where the rank is ``want``, and the value, at most
-    ``tol``, that misses it where the rank falls short.  A negative ``tol``
-    would count zero singular values and is rejected.
+    The gap at a point is the smallest singular value: the margin by which a
+    full-rank certificate holds where the rank is ``min(rows, cols)``, and
+    the value, at most ``tol``, that misses it where the rank falls short.
+    A negative ``tol`` would count zero singular values and is rejected.
 
     A matrix with a non-finite entry gets rank 0 and gap 0, so it fails any
     rank certificate instead of passing it or raising.  ``mats`` is never
@@ -468,8 +466,6 @@ def pointwise_rank(
         raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
     mats = np.asarray(mats, dtype=float)
     *batch, r, d = mats.shape
-    if want is not None and not 1 <= want <= min(r, d):
-        raise ValueError(f"wanted rank must be in 1..{min(r, d)}, got {want}")
     flat = mats.reshape(-1, r, d)
     finite = np.isfinite(flat).all(axis=(-2, -1))
     if not finite.all():
@@ -477,9 +473,4 @@ def pointwise_rank(
         flat = flat.copy()
         flat[~finite] = 0.0
     s = np.linalg.svd(flat, compute_uv=False).reshape(*batch, min(r, d))
-    ranks = (s > tol).sum(axis=-1)
-    if want is not None:
-        return ranks, s[..., want - 1]
-    idx = np.maximum(ranks - 1, 0)
-    gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)
-    return ranks, gaps
+    return (s > tol).sum(axis=-1), s[..., -1]

@@ -17,8 +17,8 @@ margin and the worst-first failures are those of the full grid.  Given
 points are evaluated as they are.
 
 Checks share what they read instead of rebuilding it.  A chart's axes for
-one count are built once per process (``Chart.sample_axes``, read-only
-arrays); each ``Expr`` finds the axes it reads once (``Expr.read_axes``);
+one count are built once and kept for the process (``Chart.sample_axes``,
+read-only arrays, the last 32 chart and count pairs); each ``Expr`` finds the axes it reads once (``Expr.read_axes``);
 and each form derives its ``d`` and the coefficients of alpha ^ dalpha
 (``OneForm.wedge_d``) on first use, for every check that reads that form
 object.  Those derivations live as long as the form, so within one
@@ -268,7 +268,7 @@ def even_contact_span_check(
     fields = list(frame) + [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
     sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
-    steps = {3: pointwise_rank(mats[:, :3], tol, 3), 4: pointwise_rank(mats, tol, 4)}
+    steps = {3: pointwise_rank(mats[:, :3], tol), 4: pointwise_rank(mats, tol)}
     return _rank_report(name, chart, sample, {"route": "span"}, steps)
 
 
@@ -305,7 +305,7 @@ def _engel_and_bracket_span(
     those of the two public checks.
     """
     chart, sample, mats, steps = _engel_stack(pair, None, min_points, tol)
-    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol, 4)}
+    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol)}
     return (
         _rank_report(names[0], chart, sample, {}, steps),
         _rank_report(names[1], chart, sample, {"route": "span"}, span_steps),
@@ -330,16 +330,17 @@ def _engel_stack(pair, points, min_points, tol):
     sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
     steps = {
-        2: pointwise_rank(mats[:, :2], tol, 2),
-        3: pointwise_rank(mats[:, :3], tol, 3),
-        4: pointwise_rank(mats, tol, 4),
+        2: pointwise_rank(mats[:, :2], tol),
+        3: pointwise_rank(mats[:, :3], tol),
+        4: pointwise_rank(mats, tol),
     }
     return chart, sample, mats, steps
 
 
 def _rank_report(name, chart, sample, details, steps) -> CheckReport:
     """A rank-growth certificate from ``{wanted rank: (ranks, gaps)}``, each
-    step's gaps taken at its wanted rank (``pointwise_rank``'s ``want``).
+    step's wanted rank the full rank of its matrices, so its gaps are their
+    smallest singular values (``pointwise_rank``).
 
     A point is bad where any step misses its rank; its margin is its
     smallest gap over the steps, and ``details["rank<r>_gap"]`` is each

@@ -285,21 +285,19 @@ class TestSamplingAndRank:
         mats = field_matrix(fields, pts)
         ranks, gaps = pointwise_rank(mats)
         assert (ranks == 2).all()
-        # smallest counted singular value of this fixed frame is 1
-        assert np.allclose(gaps, 1.0)
+        # the dependent third field leaves a gap below the tolerance
+        assert (np.abs(gaps) <= 1e-9).all()
+        # smallest singular value of the independent pair is 1
+        ranks, gaps = pointwise_rank(mats[:, :2])
+        assert (ranks == 2).all() and np.allclose(gaps, 1.0)
         with pytest.raises(ValueError):
             pointwise_rank(mats, tol=-1.0)
 
-    def test_pointwise_rank_gap_at_a_wanted_rank(self):
+    def test_pointwise_rank_gap_is_the_smallest_singular_value(self):
         mats = np.array([np.eye(3), np.diag([2.0, 1.0, 1e-10]), np.full((3, 3), np.nan)])
         ranks, gaps = pointwise_rank(mats)
-        assert ranks.tolist() == [3, 2, 0] and gaps.tolist() == [1.0, 1.0, 0.0]
-        # a point short of the wanted rank reports the singular value it misses
-        ranks, gaps = pointwise_rank(mats, want=3)
+        # a matrix short of full rank reports the singular value it misses
         assert ranks.tolist() == [3, 2, 0] and gaps.tolist() == [1.0, 1e-10, 0.0]
-        for want in (0, 4):
-            with pytest.raises(ValueError, match="wanted rank"):
-                pointwise_rank(mats, want=want)
 
     def test_sample_axes_are_built_once_and_read_only(self):
         axes = DARBOUX.sample_axes(5)
@@ -329,10 +327,7 @@ def svd_loop_rank(mats, tol=1e-9):
     for i, m in enumerate(flat):
         s[i] = np.linalg.svd(m, compute_uv=False)
     s = s.reshape(*batch, min(r, d))
-    ranks = (s > tol).sum(axis=-1)
-    idx = np.maximum(ranks - 1, 0)
-    gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)
-    return ranks, gaps
+    return (s > tol).sum(axis=-1), s[..., -1]
 
 
 def _stack_with_repeats(n=60, rows=5, cols=4, distinct=7, seed=0):

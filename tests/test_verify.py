@@ -495,9 +495,8 @@ def test_own_pass_condition_fails_without_bad_points(check, detail, value):
 # -- grids reduced to the axes a check reads -------------------------------------
 
 
-def _svd_loop_rank(mats, tol=1e-9, want=None):
-    """Rank and gap from one SVD per matrix; a non-finite matrix has rank 0.
-    Given ``want``, the gap is the ``want``-th singular value."""
+def _svd_loop_rank(mats, tol=1e-9):
+    """Rank and gap from one SVD per matrix; a non-finite matrix has rank 0."""
     *batch, r, d = mats.shape
     flat = mats.reshape(-1, r, d)
     s = np.zeros((len(flat), min(r, d)))
@@ -505,12 +504,7 @@ def _svd_loop_rank(mats, tol=1e-9, want=None):
         if np.isfinite(m).all():
             s[i] = np.linalg.svd(m, compute_uv=False)
     s = s.reshape(*batch, min(r, d))
-    ranks = (s > tol).sum(axis=-1)
-    if want is not None:
-        return ranks, s[..., want - 1]
-    idx = np.maximum(ranks - 1, 0)
-    gaps = np.where(ranks > 0, np.take_along_axis(s, idx[..., None], axis=-1)[..., 0], 0.0)
-    return ranks, gaps
+    return (s > tol).sum(axis=-1), s[..., -1]
 
 
 def _reports(run):
