@@ -50,10 +50,21 @@ _SAMPLE_MARGIN = 1e-3  # share of an interval's span kept clear of each end
 @dataclass(frozen=True)
 class Interval:
     """A coordinate range; sampling keeps a margin from both ends, except
-    on an angular coordinate, whose range is sampled as a period."""
+    on an angular coordinate, whose range is sampled as a period.
+
+    Its ends are finite and ``lo < hi``; anything else raises ``ValueError``,
+    since an empty or falling range would give a grid of repeated points.
+    """
 
     lo: float
     hi: float
+
+    def __post_init__(self) -> None:
+        where = f"interval [{self.lo!r}, {self.hi!r}]"
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"{where} has an end that is not finite")
+        if not self.lo < self.hi:
+            raise ValueError(f"{where} is empty: its low end must lie below its high end")
 
     def sample_range(self) -> tuple[float, float]:
         span = self.hi - self.lo
@@ -68,11 +79,23 @@ _ANGULAR_INTERVAL = Interval(0.0, math.tau)
 
 @dataclass(frozen=True)
 class Chart:
-    """A named coordinate chart with sampling bounds per coordinate."""
+    """A named coordinate chart with sampling bounds per coordinate.
+
+    An angular coordinate's range is at most one period long: a longer one
+    would repeat its samples, so it raises ``ValueError``.
+    """
 
     name: str
     coords: tuple[Coordinate, ...]
     bounds: tuple[Interval, ...]
+
+    def __post_init__(self) -> None:
+        for c, b in zip(self.coords, self.bounds):
+            if c.is_angular and b.hi - b.lo > math.tau:
+                raise ValueError(
+                    f"chart {self.name!r}: angular coordinate {c.name!r} spans "
+                    f"[{b.lo!r}, {b.hi!r}], longer than one period 2*pi"
+                )
 
     @classmethod
     def make(
@@ -151,10 +174,9 @@ class Chart:
     def sample_axes(self, n_per_axis: int) -> tuple[np.ndarray, ...]:
         """One axis of ``n_per_axis`` samples per coordinate: read-only arrays
         built once per chart value and count, and shared by every caller.
-        The bounds' signs join the key: a -0.0 bound equals 0.0 but can
-        give an axis a -0.0 sample, as a falling angular range does."""
-        signs = tuple(math.copysign(1.0, v) for b in self.bounds for v in (b.lo, b.hi))
-        return _sample_axes(self, signs, n_per_axis)
+        A -0.0 bound equals 0.0 and shares its axes: on a rising range the
+        sign of a zero end reaches no sample."""
+        return _sample_axes(self, n_per_axis)
 
     def sample_grid(self, n_per_axis: int) -> np.ndarray:
         return _product_grid(self.sample_axes(n_per_axis))
@@ -175,7 +197,7 @@ class Chart:
 # One op reads at most 5 keys; a default verify of every catalog model reads
 # 11, and a construct of any (lambda, k) 5: room for a process that runs many.
 @functools.lru_cache(maxsize=32)
-def _sample_axes(chart: Chart, signs: tuple[float, ...], n_per_axis: int) -> tuple[np.ndarray, ...]:
+def _sample_axes(chart: Chart, n_per_axis: int) -> tuple[np.ndarray, ...]:
     axes = []
     for c, b in zip(chart.coords, chart.bounds):
         if c.is_angular:
@@ -233,12 +255,11 @@ class VectorField(_Components):
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f); a zero component takes no partial."""
-        out: Expr = self.chart.zero()
-        out._check_same_chart(f)
-        for c, comp in zip(self.chart.coords, self.components):
-            if comp.terms:
-                out = out + comp * f.partial(c.name)
-        return out
+        coords = self.chart.coords
+        self.chart.zero()._check_same_chart(f)
+        return Expr.sum(
+            coords, (comp * f.partial(c.name) for c, comp in zip(coords, self.components) if comp.terms)
+        )
 
 
 @dataclass(frozen=True)
@@ -251,10 +272,7 @@ class OneForm(_Components):
     """
 
     def apply(self, X: VectorField) -> Expr:
-        out: Expr = self.chart.zero()
-        for a, x in zip(self.components, X.components):
-            out = out + a * x
-        return out
+        return Expr.sum(self.chart.coords, (a * x for a, x in zip(self.components, X.components)))
 
     @functools.cached_property
     def d(self) -> "TwoForm":
@@ -290,11 +308,11 @@ class TwoForm:
         return comp if sign > 0 else -comp
 
     def apply(self, X: VectorField, Y: VectorField) -> Expr:
-        out: Expr = self.chart.zero()
-        for (i, j), w in zip(self.pairs, self.components):
-            cross = X.components[i] * Y.components[j] - X.components[j] * Y.components[i]
-            out = out + w * cross
-        return out
+        x, y = X.components, Y.components
+        return Expr.sum(
+            self.chart.coords,
+            (w * (x[i] * y[j] - x[j] * y[i]) for (i, j), w in zip(self.pairs, self.components)),
+        )
 
 
 def differential(f: Expr, chart: Chart) -> OneForm:
@@ -316,14 +334,8 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
 def interior_product(omega: TwoForm, X: VectorField) -> OneForm:
     """The one-form iota_X omega."""
     chart = omega.chart
-    comps = []
-    for j in range(chart.dim):
-        acc: Expr = chart.zero()
-        for i in range(chart.dim):
-            if i == j:
-                continue
-            acc = acc + X.components[i] * omega.component(i, j)
-        comps.append(acc)
+    x, dims = X.components, range(chart.dim)
+    comps = (Expr.sum(chart.coords, (x[i] * omega.component(i, j) for i in dims if i != j)) for j in dims)
     return OneForm(chart, tuple(comps))
 
 

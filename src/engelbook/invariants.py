@@ -108,10 +108,26 @@ class WindingResult:
 def _project_onto_frame(
     xvals: np.ndarray, c1vals: np.ndarray, c2vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares coordinates of X in the 2-frame (C1, C2) per sample."""
-    A = np.stack([c1vals, c2vals], axis=-1)  # (N, dim, 2)
-    G = np.einsum("nik,nil->nkl", A, A)
-    rhs = np.einsum("nik,ni->nk", A, xvals)
+    """Least squares coordinates of X in the 2-frame (C1, C2) per sample.
+
+    The Gram matrix G and the right-hand sides are dot products over the
+    coordinates, each summed left to right from +0.0, which gives the bits
+    of ``einsum("nik,nil->nkl")`` and ``einsum("nik,ni->nk")`` on the
+    stacked frame, and, as einsum does, warns of no overflow.
+    """
+
+    def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = 0.0
+        for i in range(u.shape[-1]):
+            out = out + u[:, i] * v[:, i]
+        return out
+
+    G = np.empty((len(xvals), 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G[:, 0, 0] = dot(c1vals, c1vals)
+        G[:, 0, 1] = G[:, 1, 0] = dot(c1vals, c2vals)
+        G[:, 1, 1] = dot(c2vals, c2vals)
+        rhs = np.stack([dot(c1vals, xvals), dot(c2vals, xvals)], axis=-1)
     try:
         coeffs = np.linalg.solve(G, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:

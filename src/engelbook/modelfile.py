@@ -236,7 +236,11 @@ def _build_chart(name: str, rows: list[tuple[str, str]]) -> Chart:
         if kind == KIND_ANGULAR and len(parts) == 1:
             spec.append((cname, kind))
         elif len(parts) == 3:
-            spec.append((cname, kind, Interval(float(parts[1]), float(parts[2]))))
+            try:
+                interval = Interval(float(parts[1]), float(parts[2]))
+            except ValueError as exc:
+                raise ValueError(f"chart {name!r}: coordinate {cname!r}: {exc}") from None
+            spec.append((cname, kind, interval))
         else:
             raise ValueError(
                 f"chart {name!r}: coordinate {cname!r} needs 'kind lo hi', got {value!r}"

@@ -24,16 +24,26 @@ Canonical form of a term:
 - terms are sorted by (powers, mode, frequencies, phase) and merged when
   their discrete data agree and their phases differ by at most 1e-12;
 - terms with |coeff| <= 1e-12 are dropped.
+
+A term is a ``TrigTerm`` named tuple, equal to the plain tuple of its
+fields.  ``_normalize_term`` is idempotent on canonical terms, so only a
+product of two trigonometric factors, whose product-to-sum terms carry new
+frequencies and phases, and a term list built from scratch normalize their
+terms; every other operation keeps canonical terms canonical and runs only
+the merge step (see ``Expr``).  A sum of many expressions (``Expr.sum``)
+sorts all their terms once, and equals the left fold of ``+`` bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,9 +108,13 @@ class Coordinate:
         return self.kind != KIND_POLYNOMIAL
 
 
-@dataclass(frozen=True)
-class TrigTerm:
-    """One canonical term coeff * monomial * {1, cos, sin}(freqs . x + phase)."""
+class TrigTerm(NamedTuple):
+    """One canonical term coeff * monomial * {1, cos, sin}(freqs . x + phase).
+
+    A tuple of its fields in this order, so it compares equal to the plain
+    tuple ``(coeff, powers, mode, freqs, phase)``; the arithmetic reads its
+    fields by position (``_ORDER``, ``t[1:4]``).
+    """
 
     coeff: float
     powers: tuple[int, ...]
@@ -110,6 +124,11 @@ class TrigTerm:
 
     def discrete_key(self) -> tuple:
         return (self.powers, int(self.mode), self.freqs)
+
+
+# the canonical term order: (powers, mode, freqs, phase); t[1:4] is the
+# discrete key and t[1:5] the key and phase
+_ORDER = operator.itemgetter(1, 2, 3, 4)
 
 
 def _normalize_term(
@@ -155,7 +174,7 @@ def _normalize_term(
 
 def _canonical(raw: Iterable[TrigTerm]) -> tuple[TrigTerm, ...]:
     """Canonical form of arbitrary terms: each term normalized, then merged."""
-    return _merge_terms([_normalize_term(t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in raw])
+    return _merge_terms([_normalize_term(*t) for t in raw])
 
 
 def _merge_terms(normed: list[TrigTerm]) -> tuple[TrigTerm, ...]:
@@ -168,18 +187,55 @@ def _merge_terms(normed: list[TrigTerm]) -> tuple[TrigTerm, ...]:
     ``ZERO_TOL`` are dropped (``_drop_negligible``), and a NaN or infinite
     coefficient raises ``ValueError``.
     """
-    normed.sort(key=lambda t: (t.powers, int(t.mode), t.freqs, t.phase))
+    normed.sort(key=_ORDER)
     merged: list[TrigTerm] = []
     for t in normed:
-        if (
-            merged
-            and merged[-1].discrete_key() == t.discrete_key()
-            and abs(merged[-1].phase - t.phase) <= PHASE_SNAP
-        ):
-            prev = merged.pop()
-            t = TrigTerm(prev.coeff + t.coeff, prev.powers, prev.mode, prev.freqs, prev.phase)
+        if merged:
+            prev = merged[-1]
+            if prev[1:4] == t[1:4] and abs(prev[4] - t[4]) <= PHASE_SNAP:
+                merged[-1] = TrigTerm(prev[0] + t[0], *prev[1:])
+                continue
         merged.append(t)
     return _drop_negligible(merged)
+
+
+def _sum_terms(operands: Iterable[tuple[TrigTerm, ...]]) -> tuple[TrigTerm, ...] | None:
+    """The terms of the left fold ``e1 + e2 + ...`` of canonical term tuples,
+    from one sort; None where only the fold itself gives them.
+
+    The stable sort keeps each group of terms with one discrete key and
+    phase in operand order, and the group is summed left to right in that
+    order.  Whenever its sum reaches ``ZERO_TOL`` or below it drops out and
+    the group's next term starts it again, as in the fold, which drops it at
+    that step.  Groups whose phases lie more than ``PHASE_SNAP`` apart never
+    meet in the fold.  Where two phases of one discrete key differ by a
+    nonzero amount at most ``PHASE_SNAP``, the fold merges across groups,
+    and where a sum is not finite, the fold raises; both return None.
+    """
+    out: list[TrigTerm] = []
+    head = None  # the group's first term
+    acc = None  # the group's running sum, None while it has dropped out
+    for t in sorted(itertools.chain.from_iterable(operands), key=_ORDER):
+        if head is not None and head[1:5] == t[1:5]:
+            if acc is None:
+                acc = t
+                continue
+            c = acc[0] + t[0]
+            if abs(c) <= ZERO_TOL:
+                acc = None
+            elif abs(c) < math.inf:
+                acc = TrigTerm(c, *acc[1:])
+            else:
+                return None
+            continue
+        if head is not None and head[1:4] == t[1:4] and t[4] - head[4] <= PHASE_SNAP:
+            return None
+        if acc is not None:
+            out.append(acc)
+        head = acc = t
+    if acc is not None:
+        out.append(acc)
+    return tuple(out)
 
 
 def _drop_negligible(terms: list[TrigTerm]) -> tuple[TrigTerm, ...]:
@@ -214,8 +270,16 @@ class Expr:
     which is idempotent on canonical terms, and run only the merge step:
 
     - a sum, whose operands are canonical;
+    - a product term with a CONST-mode factor, which keeps the other
+      factor's mode, frequencies and phase (zero ones for two constants);
     - ``partial``, which only lowers a power or turns cos into -sin (sin
       into cos) with the same frequencies and phase.
+
+    ``Expr.sum`` adds many expressions with one sort of all their terms,
+    each group of one discrete key and phase summed left to right in
+    operand order; that is the left fold ``e1 + e2 + ...`` bit for bit,
+    and where phases within ``PHASE_SNAP`` or a sum that is not finite
+    would make the two differ, it runs the fold.
 
     Negation and scaling by a float leave each term canonical; scaling
     drops the terms it brings to ``ZERO_TOL`` or below, as the merge step
@@ -279,6 +343,24 @@ class Expr:
         powers = [0] * len(coords)
         powers[i] = 1
         return cls.term(coords, 1.0, powers)
+
+    @classmethod
+    def sum(cls, coords: Sequence[Coordinate], operands: Iterable["Expr"]) -> "Expr":
+        """The left fold ``zero + e1 + e2 + ...`` over ``coords``, bit for bit,
+        from one sort of all the operands' terms (``_sum_terms``); where that
+        sort cannot give the fold's terms, the fold itself."""
+        zero = cls.zero(coords)
+        live = []
+        for e in operands:
+            zero._check_same_chart(e)
+            if e.terms:
+                live.append(e)
+        if len(live) <= 1:
+            return live[0] if live else zero
+        terms = _sum_terms(e.terms for e in live)
+        if terms is None:
+            return functools.reduce(operator.add, live)
+        return cls(zero.coords, terms)
 
     # -- structure --------------------------------------------------------
 
@@ -357,8 +439,11 @@ class Expr:
         out: list[TrigTerm] = []
         for a in self.terms:
             for b in rhs.terms:
-                out.extend(_term_product(a, b))
-        return Expr.from_terms(self.coords, out)
+                if a.mode == Mode.CONST or b.mode == Mode.CONST:
+                    out.extend(_term_product(a, b))
+                else:
+                    out.extend(_normalize_term(*t) for t in _term_product(a, b))
+        return Expr(self.coords, _merge_terms(out))
 
     __rmul__ = __mul__
 
@@ -555,15 +640,15 @@ def _evaluator(exprs: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
 
 def _term_product(a: TrigTerm, b: TrigTerm) -> list[TrigTerm]:
     coeff = a.coeff * b.coeff
-    powers = tuple(p + q for p, q in zip(a.powers, b.powers))
+    powers = tuple(map(operator.add, a.powers, b.powers))
     if a.mode == Mode.CONST and b.mode == Mode.CONST:
         return [TrigTerm(coeff, powers, Mode.CONST, a.freqs, 0.0)]
     if a.mode == Mode.CONST:
         return [TrigTerm(coeff, powers, b.mode, b.freqs, b.phase)]
     if b.mode == Mode.CONST:
         return [TrigTerm(coeff, powers, a.mode, a.freqs, a.phase)]
-    diff = tuple(p - q for p, q in zip(a.freqs, b.freqs))
-    summ = tuple(p + q for p, q in zip(a.freqs, b.freqs))
+    diff = tuple(map(operator.sub, a.freqs, b.freqs))
+    summ = tuple(map(operator.add, a.freqs, b.freqs))
     dph = a.phase - b.phase
     sph = a.phase + b.phase
     half = 0.5 * coeff

@@ -270,6 +270,34 @@ class TestSamplingAndRank:
         assert r.min() >= 1e-3 - 1e-15
         assert r.max() <= 1.0 - 1e-3 + 1e-15
 
+    @pytest.mark.parametrize(
+        "x_range, z_range", [((0.5, 0.5), (0.0, 0.0)), ((1.0, -1.0), (0.0, math.tau))], ids=["empty", "falling"]
+    )
+    def test_empty_or_falling_chart_is_refused(self, x_range, z_range):
+        # on either chart a contact check of dz - y dx passed with 1000
+        # points; the empty one holds only 10 distinct points
+        with pytest.raises(ValueError, match="is empty: its low end must lie below its high end"):
+            Chart.make(
+                "box",
+                [
+                    ("x", KIND_POLYNOMIAL, Interval(*x_range)),
+                    ("y", KIND_POLYNOMIAL, Interval(-1.0, 1.0)),
+                    ("z", KIND_ANGULAR, Interval(*z_range)),
+                ],
+            )
+
+    @pytest.mark.parametrize("lo, hi", [(-0.0, 0.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_interval_needs_finite_rising_ends(self, lo, hi):
+        with pytest.raises(ValueError, match="interval"):
+            Interval(lo, hi)
+
+    def test_angular_range_is_at_most_one_period(self):
+        Chart.make("circle", [("t", KIND_ANGULAR, Interval(-math.pi, math.pi))])
+        with pytest.raises(ValueError, match="chart 'circle': angular coordinate 't' .* one period"):
+            Chart.make("circle", [("t", KIND_ANGULAR, Interval(0.0, 7.0))])
+        # a linear coordinate may span more
+        Chart.make("line", [("t", KIND_LINEAR, Interval(0.0, 7.0))])
+
     def test_grid_for_min_points(self):
         axes = DARBOUX.axes_for_min_points(1000)
         assert [len(a) for a in axes] == [6] * 4  # 6^4 = 1296 >= 1000 > 5^4
@@ -308,10 +336,10 @@ class TestSamplingAndRank:
         for a in axes:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
-        # a -0.0 bound equals 0.0 but keeps its own axes: here they start at -0.0
-        signed = [Chart.make("c", [("u", KIND_ANGULAR, Interval(lo, -1.0))]) for lo in (0.0, -0.0)]
-        assert signed[0] == signed[1]
-        assert [math.copysign(1.0, c.sample_axes(4)[0][0]) for c in signed] == [1.0, -1.0]
+        # a -0.0 bound equals 0.0 and shares its axes, which start at +0.0
+        signed = [Chart.make("c", [("u", KIND_ANGULAR, Interval(lo, 1.0))]) for lo in (0.0, -0.0)]
+        assert signed[1].sample_axes(4) is signed[0].sample_axes(4)
+        assert math.copysign(1.0, signed[1].sample_axes(4)[0][0]) == 1.0
         # a grid is the caller's own array
         grid = DARBOUX.sample_grid(5)
         grid[0, 0] = 7.0

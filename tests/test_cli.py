@@ -97,6 +97,13 @@ def test_non_finite_model_parameter_is_usage_error(capsys, argv, name):
     assert capsys.readouterr().err.startswith(f"error[EB-PARAM] {name} must be ")
 
 
+def test_model_parameter_that_empties_a_chart_is_usage_error(capsys):
+    # the smallest positive r0 rounds the binding annulus's r range to one
+    # point; that failed with a ZeroDivisionError instead
+    assert run(["verify", "--model", "binding_Eb", "--param", "r0=5e-324"]) == 2
+    assert capsys.readouterr().err.startswith("error[EB-PARAM] interval [5e-324, 5e-324] is empty")
+
+
 @pytest.mark.parametrize(
     "argv, accepts",
     [

@@ -151,6 +151,10 @@ def test_hand_written_file_loads():
         ("model = m\n[field F @ nowhere]\nx = 1", "unknown chart"),
         ("model = m\n[chart c]\nx = circular", "unknown kind"),
         ("model = m\n[chart c]\nx = polynomial 0", "needs 'kind lo hi'"),
+        ("model = m\n[chart c]\nx = polynomial 0.5 0.5", "chart 'c': coordinate 'x': interval .* is empty"),
+        ("model = m\n[chart c]\nx = linear 1 -1", "chart 'c': coordinate 'x': interval .* is empty"),
+        ("model = m\n[chart c]\nx = polynomial 0 inf", "coordinate 'x': interval .* not finite"),
+        ("model = m\n[chart c]\nt = angular 0 7", "chart 'c': angular coordinate 't' .* one period"),
         ("model = m\n[chart c]\nx = angular\n[field F @ c]\ny = 1", "unknown coordinate"),
         ("model = m\n[widget w]\na = 1", "unknown section kind"),
         ("model = m\n[chart c]\nx = angular\njust a line", "expected 'key = value'"),

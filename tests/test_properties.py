@@ -4,25 +4,35 @@ Every property is checked through evaluation at random points, so it holds
 for the functions the expressions denote and not only for their term lists.
 """
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from engelbook.charts import (
     Chart,
     Interval,
+    OneForm,
+    TwoForm,
     VectorField,
     _product_grid,
     batch_eval_scalars,
     field_matrix,
+    interior_product,
+    lie_bracket,
 )
+from engelbook.invariants import _project_onto_frame
 from engelbook.trigpoly import (
+    HALF_PI,
     KIND_ANGULAR,
     KIND_LINEAR,
     KIND_POLYNOMIAL,
+    PHASE_SNAP,
     Coordinate,
     Expr,
     Mode,
@@ -337,8 +347,66 @@ def outcome(build):
         return None
 
 
+# Terms that collide: few discrete keys, phases equal or within PHASE_SNAP
+# of each other, and near the quarter-turn boundary HALF_PI - PHASE_SNAP;
+# coefficients that cancel exactly, cancel to ZERO_TOL or below, round
+# differently in another order, or overflow to +-inf.
+NEAR_PHASES = [
+    0.3,
+    0.3 + 4e-13,
+    0.3 + PHASE_SNAP,
+    0.3 + 1.5e-12,
+    0.3 + 3e-12,
+    HALF_PI - PHASE_SNAP,
+    math.nextafter(HALF_PI - PHASE_SNAP, 0.0),
+    math.nextafter(HALF_PI - PHASE_SNAP, 2.0),
+    HALF_PI - 2 * PHASE_SNAP,
+    HALF_PI + 0.5e-12,
+    math.pi - PHASE_SNAP,
+    math.tau - 0.5e-12,
+]
+NEAR_COEFFS = [1.0, -1.0, 3e-11, -3e-11, -1.0 + 5e-13, 1.0 + 2**-52, 0.1, 0.7, 1e308, -1e308]
+
+
+def sums(term_lists):
+    """Sums of term lists, leaving out those that overflow."""
+    return term_lists.map(lambda ts: outcome(lambda: sum(ts, Expr.zero(MIX)))).filter(
+        lambda e: e is not None
+    )
+
+
+@st.composite
+def near_terms(draw):
+    mode = draw(st.sampled_from(list(Mode)))
+    return Expr.term(
+        MIX,
+        draw(st.sampled_from(NEAR_COEFFS)),
+        draw(st.sampled_from([(0, 0, 0, 0), (0, 0, 1, 0)])),
+        mode,
+        draw(st.sampled_from([(1, 0, 0, 0), (1, -1, 0, 0), (-2, 0, 1, 0)])),
+        draw(st.sampled_from(NEAR_PHASES)),
+    )
+
+
+near_exprs = sums(st.lists(near_terms(), max_size=3))
+colliding = near_exprs | exprs | edge_exprs
+
+# CONST-mode terms only: every product with one skips normalization
+polynomials = sums(
+    st.lists(
+        st.builds(
+            lambda c, r, s: Expr.term(MIX, c, (0, 0, r, s)),
+            st.sampled_from(NEAR_COEFFS + [2e-12, -4e-7, 1e-300]),
+            st.integers(0, 2),
+            st.integers(-1, 2),
+        ),
+        max_size=3,
+    )
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(operands, operands, scalars, st.sampled_from([c.name for c in MIX]))
+@given(operands | polynomials, operands | near_exprs, scalars, st.sampled_from([c.name for c in MIX]))
 def test_arithmetic_has_the_terms_of_the_from_terms_path(a, b, c, name):
     pairs = [
         (lambda: a + b, lambda: ref_add(a, b)),
@@ -359,18 +427,183 @@ def test_arithmetic_has_the_terms_of_the_from_terms_path(a, b, c, name):
 
 
 @settings(max_examples=200, deadline=None)
-@given(operands, operands)
-def test_normalize_term_keeps_canonical_terms(a, b):
+@given(
+    operands | near_exprs,
+    operands | near_exprs,
+    st.floats(HALF_PI - 4 * PHASE_SNAP, HALF_PI + PHASE_SNAP),
+    st.sampled_from([Mode.COS, Mode.SIN]),
+)
+def test_normalize_term_keeps_canonical_terms(a, b, phase, mode):
+    # phases just below and above the quarter turn, where snapping decides
+    near = [Expr.term(MIX, 0.5, None, mode, (1, -1, 0, 0), phase + n * HALF_PI) for n in (0, 3)]
     with np.errstate(all="ignore"):
         results = [outcome(build) for build in (
             lambda: a, lambda: b, lambda: a + b, lambda: a * b, lambda: a * 0.3,
-            lambda: a.partial("r"),
+            lambda: a.partial("r"), lambda: near[0], lambda: near[1], lambda: a * near[0],
+            lambda: near[1] * b,
         )]
     for e in filter(None, results):
         for t in e.terms:
-            u = _normalize_term(t.coeff, t.powers, t.mode, t.freqs, t.phase)
-            assert u.discrete_key() == t.discrete_key()
+            u = _normalize_term(*t)
+            assert u == t and u.discrete_key() == t.discrete_key()
             assert same_float(u.coeff, t.coeff) and same_float(u.phase, t.phase)
+
+
+def ref_sum(operands):
+    """The sum as the left fold of ``+`` from the zero expression."""
+    return functools.reduce(operator.add, operands, Expr.zero(MIX))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(colliding, max_size=6))
+# a group summed in another order than the operands' rounds differently
+@example([Expr.const(MIX, 1.0), Expr.const(MIX, 3e-11), Expr.const(MIX, -1.0)])
+@example([Expr.const(MIX, 1.0), Expr.const(MIX, -1.0), Expr.const(MIX, 3e-11)])
+# the fold merges phases 4e-13 apart into one term
+@example(
+    [
+        Expr.term(MIX, 1.0, None, Mode.COS, (1, 0, 0, 0), 0.3),
+        Expr.term(MIX, 1.0, None, Mode.COS, (1, 0, 0, 0), 0.3 + 4e-13),
+    ]
+)
+# a group that drops out at ZERO_TOL and starts again
+@example([Expr.const(MIX, 1.0), Expr.const(MIX, -1.0 + 5e-13), Expr.const(MIX, 0.7)])
+@example([Expr.const(MIX, 1e308), Expr.const(MIX, 1e308)])
+@example([Expr.const(MIX, -1e308), Expr.const(MIX, -1e308), Expr.const(MIX, 1.0)])
+def test_one_sort_sum_is_the_left_fold(operands):
+    with np.errstate(all="ignore"):
+        got, want = outcome(lambda: Expr.sum(MIX, operands)), outcome(lambda: ref_sum(operands))
+    # a sum that is not finite fails on both paths; it is never a zero
+    assert (got is None) == (want is None)
+    assert got is None or (same_terms(got, want) and got == want)
+
+
+def test_one_sort_sum_checks_every_chart():
+    other = Expr.const(MIX[:3], 1.0)
+    with pytest.raises(ValueError, match="different coordinate tuples"):
+        Expr.sum(MIX, [Expr.const(MIX, 1.0), Expr.zero(MIX[:3])])
+    with pytest.raises(ValueError, match="different coordinate tuples"):
+        Expr.sum(MIX, [other])
+
+
+def test_trig_term_is_the_tuple_of_its_fields():
+    t = TrigTerm(0.5, (0, 0, 1, 0), Mode.SIN, (1, 0, 0, 0), 0.25)
+    assert t == (0.5, (0, 0, 1, 0), Mode.SIN, (1, 0, 0, 0), 0.25)
+    assert t.discrete_key() == ((0, 0, 1, 0), 2, (1, 0, 0, 0)) == t[1:4]
+
+
+# The field and form pairings before they summed in one sort: each a left
+# fold of ``+`` from the zero expression.
+
+
+def ref_apply(X, f):
+    out = X.chart.zero()
+    for c, comp in zip(X.chart.coords, X.components):
+        if comp.terms:
+            out = out + comp * f.partial(c.name)
+    return out
+
+
+def ref_lie_bracket(X, Y):
+    return tuple(ref_apply(X, y) - ref_apply(Y, x) for x, y in zip(X.components, Y.components))
+
+
+def ref_one_form_apply(alpha, X):
+    out = alpha.chart.zero()
+    for a, x in zip(alpha.components, X.components):
+        out = out + a * x
+    return out
+
+
+def ref_two_form_apply(omega, X, Y):
+    out = omega.chart.zero()
+    for (i, j), w in zip(omega.pairs, omega.components):
+        cross = X.components[i] * Y.components[j] - X.components[j] * Y.components[i]
+        out = out + w * cross
+    return out
+
+
+def ref_interior_product(omega, X):
+    comps = []
+    for j in range(omega.chart.dim):
+        acc = omega.chart.zero()
+        for i in range(omega.chart.dim):
+            if i != j:
+                acc = acc + X.components[i] * omega.component(i, j)
+        comps.append(acc)
+    return tuple(comps)
+
+
+components = st.lists(near_exprs | exprs, min_size=len(MIX), max_size=len(MIX)).map(tuple)
+PAIRS = tuple(itertools.combinations(range(len(MIX)), 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(components, components, st.lists(near_exprs | exprs, min_size=len(PAIRS), max_size=len(PAIRS)))
+def test_field_and_form_pairings_are_the_left_folds(x, y, w):
+    X, Y = VectorField(MIX_CHART, x), VectorField(MIX_CHART, y)
+    alpha, omega = OneForm(MIX_CHART, y), TwoForm(MIX_CHART, PAIRS, tuple(w))
+    pairs = [
+        (lambda: lie_bracket(X, Y).components, lambda: ref_lie_bracket(X, Y)),
+        (lambda: interior_product(omega, X).components, lambda: ref_interior_product(omega, X)),
+        (lambda: (alpha.apply(X),), lambda: (ref_one_form_apply(alpha, X),)),
+        (lambda: (omega.apply(X, Y),), lambda: (ref_two_form_apply(omega, X, Y),)),
+        (lambda: (X.apply(y[2]),), lambda: (ref_apply(X, y[2]),)),
+    ]
+    with np.errstate(all="ignore"):
+        for fast, ref in pairs:
+            got, want = outcome(fast), outcome(ref)
+            assert (got is None) == (want is None)
+            assert got is None or all(same_terms(g, r) and g == r for g, r in zip(got, want))
+
+
+def ref_project_onto_frame(xvals, c1vals, c2vals):
+    """The frame projection before its dot products were summed by hand."""
+    A = np.stack([c1vals, c2vals], axis=-1)
+    G = np.einsum("nik,nil->nkl", A, A)
+    rhs = np.einsum("nik,ni->nk", A, xvals)
+    try:
+        coeffs = np.linalg.solve(G, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        coeffs = np.einsum("nkl,nl->nk", np.linalg.pinv(G), rhs)
+    return coeffs[:, 0], coeffs[:, 1]
+
+
+# signed zeros, and magnitudes whose products underflow or overflow
+frame_values = (
+    st.floats(-1e3, 1e3)
+    | st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e155, 5e-324])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def frame_samples(draw):
+    """A field and a 2-frame, sampled at 1 to 6 points of a 3- or 4-chart."""
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(3, 4))
+    rows = st.lists(frame_values, min_size=n * dim, max_size=n * dim)
+    return tuple(np.array(draw(rows), float).reshape(n, dim) for _ in range(3))
+
+
+# the pseudo-inverse, which both paths share, may warn of overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning:numpy.linalg")
+@settings(max_examples=200, deadline=None)
+@given(frame_samples())
+# every product of x and C1 is -0.0, so the first coordinate is -0.0 only
+# where the sum starts from its first product and not from +0.0
+@example((np.array([[-0.0, 0.0, 5.0]]), np.array([[1.0, -0.0, -0.0]]), np.array([[0.0, 1.0, 0.0]])))
+def test_frame_projection_is_bit_identical_to_einsum(frame):
+    def run(project):
+        try:
+            return project(*frame)
+        except np.linalg.LinAlgError:
+            return None
+
+    with np.errstate(all="ignore"):
+        want = run(ref_project_onto_frame)
+    got = run(_project_onto_frame)
+    assert (got is None) == (want is None)
+    assert got is None or all(bitwise_equal(g, r) for g, r in zip(got, want))
 
 
 # axis values with the bit patterns a copy could lose: -0.0, NaN and +-inf
