@@ -15,6 +15,21 @@ The package is organized bottom-up:
 - ``models``: the catalog of local models and the collar/binding assembly
   pipeline with its gluing checks.
 - ``cli`` / ``reports``: command line front end and reproducible reports.
+
+Import rule: at module level ``foliation`` imports only numpy and the
+standard library, and ``reports`` only those, ``foliation`` and this
+package's constants.  ``cli`` imports each subcommand's modules when it
+runs, so ``engelbook foliation`` loads only ``cli``, ``foliation`` and
+``reports``; the default tolerances live here so that the CLI reads them
+without importing another module.
 """
 
 __version__ = "0.1.0"
+
+RANK_TOL = 1e-9  # rank and residual tolerance of pointwise certificates
+SYMBOL_TOL = 1e-12  # coefficient tolerance of symbolic equality
+SLOPE_TOL = 1e-9  # tolerance of torus slope comparisons
+RESIDUAL_TOL = 0.25  # largest winding residual of a turn count
+# fewest path samples a turn count takes: fewer alias the fields' turns
+MIN_TURN_SAMPLES = 16
+TOLERANCE_DEFAULTS = {"rank": RANK_TOL, "zero": SYMBOL_TOL, "slope": SLOPE_TOL, "residual": RESIDUAL_TOL}

@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import RANK_TOL
 from .trigpoly import (
     KIND_ANGULAR,
     Coordinate,
@@ -43,7 +44,6 @@ __all__ = [
     "wedge_top",
 ]
 
-RANK_TOL = 1e-9
 _SAMPLE_MARGIN = 1e-3  # share of an interval's span kept clear of each end
 
 

@@ -13,69 +13,27 @@ import functools
 import math
 import sys
 
-import numpy as np
-
-from .foliation import construct_xi_prime
-from .invariants import Path
-from .models import (
-    MIN_TURN_SAMPLES,
-    _form_check,
-    assemble,
-    build_binding_engel,
-    build_collar_engel,
-    list_models,
-    looseness_probe,
-    model_catalog,
-)
-from .modelfile import _parse_value, dump_model
-from .reports import (
-    TOLERANCE_DEFAULTS,
-    construct_document,
-    json_document,
-    portrait_rows,
-    render_csv,
-    render_json,
-    render_svg,
-)
+from . import MIN_TURN_SAMPLES, TOLERANCE_DEFAULTS
 
 __all__ = ["build_parser", "main", "run"]
 
 
+_TOLERANCE_HELP = {
+    "rank": "rank and residual tolerance for pointwise certificates (default 1e-9)",
+    "zero": "coefficient tolerance for symbolic equality (default 1e-12)",
+    "slope": "tolerance for torus slope comparisons (default 1e-9)",
+    "residual": "recorded in the report; no command applies another value (default 0.25)",
+}
+
+
 def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_argument_group("tolerances")
-    group.add_argument(
-        "--rank-tol",
-        type=float,
-        default=TOLERANCE_DEFAULTS["rank"],
-        help="rank and residual tolerance for pointwise certificates (default 1e-9)",
-    )
-    group.add_argument(
-        "--zero-tol",
-        type=float,
-        default=TOLERANCE_DEFAULTS["zero"],
-        help="coefficient tolerance for symbolic equality (default 1e-12)",
-    )
-    group.add_argument(
-        "--slope-tol",
-        type=float,
-        default=TOLERANCE_DEFAULTS["slope"],
-        help="tolerance for torus slope comparisons (default 1e-9)",
-    )
-    group.add_argument(
-        "--residual-tol",
-        type=float,
-        default=TOLERANCE_DEFAULTS["residual"],
-        help="recorded in the report; no command applies another value (default 0.25)",
-    )
+    for name, default in TOLERANCE_DEFAULTS.items():
+        group.add_argument(f"--{name}-tol", type=float, default=default, help=_TOLERANCE_HELP[name])
 
 
 def _tolerance_config(args: argparse.Namespace) -> dict:
-    return {
-        "rank": args.rank_tol,
-        "zero": args.zero_tol,
-        "slope": args.slope_tol,
-        "residual": args.residual_tol,
-    }
+    return {name: getattr(args, f"{name}_tol") for name in TOLERANCE_DEFAULTS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,6 +185,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _parse_params(entries: list[str]) -> dict:
+    if not entries:
+        return {}
+    from .modelfile import _parse_value
+
     params: dict = {}
     for entry in entries:
         name, sep, value = entry.partition("=")
@@ -238,6 +200,10 @@ def _parse_params(entries: list[str]) -> dict:
 
 def _sampled_form_checks(model, samples: int, seed: int) -> list:
     """Re-run each piece's form certificate on seeded random points."""
+    import numpy as np
+
+    from .models import _form_check
+
     out = []
     rng = np.random.default_rng(seed)
 
@@ -254,12 +220,17 @@ def _sampled_form_checks(model, samples: int, seed: int) -> list:
 
 
 def _cmd_list_models(_args: argparse.Namespace) -> int:
+    from .models import list_models
+
     for name, summary in list_models():
         print(f"{name:24s} {summary}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .models import model_catalog
+    from .reports import json_document, render_json
+
     params = _parse_params(args.param)
     model = model_catalog(args.model, **params)
     checks = list(model.checks(min_points=args.samples, tol=args.rank_tol))
@@ -281,6 +252,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _assemble(args: argparse.Namespace, min_points: int):
+    from .models import assemble
+
     return assemble(
         args.lam,
         args.k,
@@ -295,6 +268,8 @@ def _assemble(args: argparse.Namespace, min_points: int):
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .reports import construct_document, render_json
+
     report = _assemble(args, args.samples)
     config = {
         "command": "construct",
@@ -305,6 +280,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     }
     _write_text(args.out, render_json(construct_document(report, config)))
     if args.model_out:
+        from .modelfile import dump_model
+
         _write_text(args.model_out, dump_model(report.model))
     if not report.overall_pass:
         _fail("EB-VERIFY", "assembly failed verification")
@@ -313,6 +290,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_foliation(args: argparse.Namespace) -> int:
+    from .foliation import construct_xi_prime
+    from .reports import portrait_rows, render_csv, render_svg
+
     disk = construct_xi_prime(args.k)
     _write_text(args.out, render_csv(portrait_rows(disk, args.grid)))
     if args.svg:
@@ -324,6 +304,8 @@ def _cmd_foliation(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    from .reports import json_document, render_json
+
     report = _assemble(args, 256)
     config = {
         "command": "invariants",
@@ -348,6 +330,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _probe_piece(args: argparse.Namespace):
+    from .models import build_binding_engel, build_collar_engel, model_catalog
+
     if args.model:
         model = model_catalog(args.model, **_parse_params(args.param))
         return model.piece(args.piece)
@@ -361,6 +345,9 @@ def _probe_piece(args: argparse.Namespace):
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
+    from .invariants import Path
+    from .models import looseness_probe
+
     piece = _probe_piece(args)
     chart = piece.chart
     base = {

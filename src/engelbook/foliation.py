@@ -24,19 +24,22 @@ stated radius u is exactly 1, c is exactly 1, and s is exactly 0, so beta
 agrees with p dq - q dp to the last float bit.  All certificates (contact
 positivity, boundary exactness, singularity counts, index identities) are
 checked numerically on dense grids before the object is returned.
+
+The disk constructor is plain numpy, so this module imports only numpy and
+the standard library at module level; the functions that take charts, forms
+or fields import ``trigpoly``, ``invariants`` or ``verify`` when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .charts import Chart, OneForm, VectorField
-from .invariants import _turns, twisting_number
-from .trigpoly import Expr, Mode
+if TYPE_CHECKING:
+    from .charts import Chart, OneForm, VectorField
 
 __all__ = [
     "ClassifierField",
@@ -100,14 +103,14 @@ class SliceEmbedding:
         images = {
             n: ({v: 1}, 0.0) if isinstance(v, str) else float(v) for n, v in self.assignment.items()
         }
-        comps: list[Expr] = [self.surface.zero() for _ in range(self.surface.dim)]
+        comps = [self.surface.zero() for _ in range(self.surface.dim)]
         for i, c in enumerate(self.ambient.coords):
             target = self.assignment[c.name]
             if not isinstance(target, str):
                 continue
             j = self.surface.index(target)
             comps[j] = comps[j] + alpha.components[i].substitute(self.surface.coords, images)
-        return OneForm(self.surface, tuple(comps), alpha.label)
+        return type(alpha)(self.surface, tuple(comps), alpha.label)
 
 
 # -- torus slopes ----------------------------------------------------------------
@@ -120,6 +123,8 @@ def torus_slope(pulled: OneForm) -> float:
     coefficients (c1, c2) within 1e-9; the kernel line of c1 du + c2 dv has
     slope dv/du = -c1/c2, infinite when c2 vanishes.
     """
+    from .trigpoly import Mode
+
     if pulled.chart.dim != 2:
         raise ValueError("torus_slope expects a 2-dimensional chart")
     values = []
@@ -650,6 +655,15 @@ def _newton_points(
     return z
 
 
+def _turns(a: np.ndarray, b: np.ndarray, closed: bool) -> float:
+    ang = np.arctan2(b, a)
+    if closed:
+        ang = np.concatenate([ang, ang[:1]])
+    d = np.diff(ang)
+    d = (d + math.pi) % math.tau - math.pi
+    return float(d.sum() / math.tau)
+
+
 def classifier_boundary_winding(classifier: ClassifierField, radius: float) -> float:
     """Turns of the field along the positively oriented circle of a radius,
     sampled at 2048 points."""
@@ -667,6 +681,8 @@ def boundary_winding_vs_index(
     n_samples: int = 1024,
 ) -> dict:
     """Compare a boundary field's frame winding against the relative index sum."""
+    from .invariants import twisting_number
+
     w = twisting_number(boundary_field, frame, loop, n_samples=n_samples)
     return {
         "winding": int(w.value),

@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, OneForm, VectorField, field_matrix
+from .foliation import _turns
 
 __all__ = [
     "DeltaResult",
@@ -133,15 +134,6 @@ def _project_onto_frame(
     except np.linalg.LinAlgError:
         coeffs = np.einsum("nkl,nl->nk", np.linalg.pinv(G), rhs)
     return coeffs[:, 0], coeffs[:, 1]
-
-
-def _turns(a: np.ndarray, b: np.ndarray, closed: bool) -> float:
-    ang = np.arctan2(b, a)
-    if closed:
-        ang = np.concatenate([ang, ang[:1]])
-    d = np.diff(ang)
-    d = (d + math.pi) % math.tau - math.pi
-    return float(d.sum() / math.tau)
 
 
 def _winding(

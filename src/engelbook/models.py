@@ -20,6 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import MIN_TURN_SAMPLES, RESIDUAL_TOL, SLOPE_TOL, SYMBOL_TOL
 from .charts import (
     Chart,
     IntegerAffineMap,
@@ -77,11 +78,6 @@ __all__ = [
 ]
 
 DEFAULT_MIN_POINTS = 1000
-SLOPE_TOL = 1e-9
-SYMBOL_TOL = 1e-12
-RESIDUAL_TOL = 0.25
-# fewest path samples a turn count takes: fewer alias the fields' turns
-MIN_TURN_SAMPLES = 16
 
 
 # -- small helpers -------------------------------------------------------------
@@ -107,6 +103,12 @@ def _finite(value, name: str, positive: bool = False) -> float:
         wanted = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {wanted}, got {value}")
     return value
+
+
+def _check_slope_radius(r0: float, inner: float = 1.0) -> None:
+    """Refuse an r0 whose torus at r = inner * r0 has a slope 1 / r^2 with r^2 = 0."""
+    if (inner * r0) ** 2 == 0.0:
+        raise ValueError(f"r0 is too small: the torus slope 1/r^2 at r = {inner * r0:g} divides by 0, got {r0}")
 
 
 def _check_angle(a: float) -> float:
@@ -505,6 +507,7 @@ def _model_binding_eb(r0: float = 1.0) -> OpenBookModel:
     r0 = _finite(r0, "r0", positive=True)
     core = _binding_core_piece(r0)
     chart = _binding_boundary_chart(r0)
+    _check_slope_radius(r0, inner=0.75)
     alpha = chart.one_form({"x": 1.0, "y": "-r^2", "phi": "r^2"}, label="alpha")
     w = chart.vector_field({"y": 1.0, "phi": 1.0}, label="W")
     s_field = chart.vector_field({"x": "r^2", "y": 1.0}, label="S")
@@ -927,6 +930,7 @@ def build_binding_engel(l, k, r0: float = 1.0) -> ModelPiece:
     k = _odd_positive_k(k)
     r0 = _finite(r0, "r0", positive=True)
     chart = _binding_boundary_chart(r0)
+    _check_slope_radius(r0)
     r2 = chart.parse("r^2")
     s_field = VectorField(chart, (r2, chart.const(1.0), chart.zero(), chart.zero()), label="S")
     dr = chart.basis_vector("r")

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import __version__
-from .charts import RANK_TOL
+from . import TOLERANCE_DEFAULTS, __version__
 from .foliation import DiskContactForm, _disk_grid
-from .models import RESIDUAL_TOL, SLOPE_TOL, SYMBOL_TOL, PipelineReport
-from .verify import CheckReport
+
+if TYPE_CHECKING:
+    from .models import PipelineReport
+    from .verify import CheckReport
 
 __all__ = [
     "CONVENTIONS",
@@ -29,13 +30,6 @@ __all__ = [
     "render_json",
     "render_svg",
 ]
-
-TOLERANCE_DEFAULTS = {
-    "rank": RANK_TOL,
-    "zero": SYMBOL_TOL,
-    "slope": SLOPE_TOL,
-    "residual": RESIDUAL_TOL,
-}
 
 CONVENTIONS = {
     "orientation": "coordinate order as listed on each chart, right-handed",

@@ -105,6 +105,20 @@ def test_model_parameter_that_empties_a_chart_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "--model", "binding_Eb", "--param", "r0=1e-200"], id="verify"),
+        pytest.param(["construct", "--lambda", "1", "--k", "3", "--r0", "1e-200"], id="construct"),
+    ],
+)
+def test_binding_radius_whose_square_underflows_is_usage_error(capsys, argv):
+    # 1e-200 squared is 0, so the declared torus slope 1/r^2 divided by 0:
+    # both runs died with a ZeroDivisionError traceback and exit status 1
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error[EB-PARAM] r0 is too small: ")
+
+
+@pytest.mark.parametrize(
     "argv, accepts",
     [
         (["verify", "--model", "darboux_even", "--param", "foo=1"], "it accepts none"),
@@ -502,3 +516,62 @@ def test_cli_module_runs_main_as_a_script():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[EB-PARAM] --turn-samples must be at least 16, got 3")
+
+
+# -- what each subcommand loads ------------------------------------------------
+
+
+def _engelbook_modules_after(argv: list[str] | None) -> set[str]:
+    """The engelbook modules a fresh interpreter holds after importing the
+    CLI and, when ``argv`` is given, running it once."""
+    code = "import sys\nfrom engelbook import cli\n"
+    if argv is not None:
+        code += f"assert cli.run({argv!r}) == 0\n"
+    code += "print(*(m for m in sys.modules if m.split('.')[0] == 'engelbook'))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_subcommand_module():
+    assert _engelbook_modules_after(None) == {"engelbook", "engelbook.cli"}
+
+
+def test_foliation_loads_only_the_disk_and_report_modules(tmp_path):
+    argv = ["foliation", "--k", "3", "--out", str(tmp_path / "portrait.csv")]
+    assert _engelbook_modules_after(argv) == {
+        "engelbook",
+        "engelbook.cli",
+        "engelbook.foliation",
+        "engelbook.reports",
+    }
+
+
+def test_verify_without_parameters_loads_no_model_file_module(tmp_path):
+    argv = ["verify", "--model", "darboux_even", "--out", str(tmp_path / "report.json")]
+    loaded = _engelbook_modules_after(argv)
+    assert "engelbook.models" in loaded
+    assert "engelbook.modelfile" not in loaded
+
+
+def test_tolerance_defaults_have_one_source():
+    from engelbook import charts, cli, models, reports
+
+    expected = {"rank": 1e-9, "zero": 1e-12, "slope": 1e-9, "residual": 0.25}
+    assert reports.TOLERANCE_DEFAULTS == expected
+    for argv in (
+        ["verify", "--model", "darboux_even"],
+        ["construct", "--lambda", "0", "--k", "1"],
+        ["invariants", "--lambda", "0", "--k", "1"],
+    ):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._tolerance_config(args) == expected
+    # the same objects, not equal copies: one definition feeds every reader
+    package = engelbook.TOLERANCE_DEFAULTS
+    assert reports.TOLERANCE_DEFAULTS is package
+    assert charts.RANK_TOL is package["rank"]
+    assert models.SYMBOL_TOL is package["zero"]
+    assert models.SLOPE_TOL is package["slope"]
+    assert models.RESIDUAL_TOL is package["residual"]
+    assert models.MIN_TURN_SAMPLES == cli.MIN_TURN_SAMPLES == engelbook.MIN_TURN_SAMPLES == 16
