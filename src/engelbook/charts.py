@@ -254,12 +254,26 @@ class VectorField(_Components):
     """Coordinate components of a vector field on one chart."""
 
     def apply(self, f: Expr) -> Expr:
-        """Directional derivative X(f); a zero component takes no partial."""
+        """Directional derivative X(f), the sum of the products x_i * df/dx_i.
+
+        A zero component x_i, and a coordinate that ``f`` does not read
+        (``f.read_axes``), take no partial and no product: there df/dx_i or
+        x_i is the zero ``Expr``, the product is the zero ``Expr`` and the
+        sum would drop it.  A nonzero component still meets the chart check
+        its product would have made.
+        """
         coords = self.chart.coords
         self.chart.zero()._check_same_chart(f)
-        return Expr.sum(
-            coords, (comp * f.partial(c.name) for c, comp in zip(coords, self.components) if comp.terms)
-        )
+        read = f.read_axes
+        products = []
+        for i, (c, comp) in enumerate(zip(coords, self.components)):
+            if not comp.terms:
+                continue
+            if i in read:
+                products.append(comp * f.partial(c.name))
+            else:
+                f._check_same_chart(comp)
+        return Expr.sum(coords, products)
 
 
 @dataclass(frozen=True)
@@ -308,6 +322,13 @@ class TwoForm:
         return comp if sign > 0 else -comp
 
     def apply(self, X: VectorField, Y: VectorField) -> Expr:
+        """omega(X, Y), the sum over pairs of w_ij * (x_i * y_j - x_j * y_i).
+
+        A product with a zero factor skips the term loop: ``Expr.__mul__``
+        returns the zero ``Expr`` after its chart check, and the sum drops
+        it.  The cross term is formed even where w_ij is zero, because its
+        products can overflow and raise.
+        """
         x, y = X.components, Y.components
         return Expr.sum(
             self.chart.coords,

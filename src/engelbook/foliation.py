@@ -121,7 +121,9 @@ def torus_slope(pulled: OneForm) -> float:
 
     The pulled-back form (an exact slice pullback) must have constant
     coefficients (c1, c2) within 1e-9; the kernel line of c1 du + c2 dv has
-    slope dv/du = -c1/c2, infinite when c2 vanishes.
+    slope dv/du = -c1/c2, infinite only where c2 is exactly 0.  The algebra
+    keeps no coefficient of magnitude ``ZERO_TOL`` or below, so a nonzero c2
+    is an exact value, however small: r^2 of a torus at r = 3e-5 is 9e-10.
     """
     from .trigpoly import Mode
 
@@ -142,7 +144,7 @@ def torus_slope(pulled: OneForm) -> float:
             raise ValueError("pulled-back form is not constant: not a linear foliation")
         values.append(const)
     c1, c2 = values
-    if abs(c2) <= _SLOPE_CONST_TOL:
+    if c2 == 0.0:
         return math.inf
     return -c1 / c2
 

@@ -42,6 +42,7 @@ from .trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
     KIND_POLYNOMIAL,
+    ZERO_TOL,
     Expr,
     Mode,
     canonical_equal,
@@ -106,9 +107,14 @@ def _finite(value, name: str, positive: bool = False) -> float:
 
 
 def _check_slope_radius(r0: float, inner: float = 1.0) -> None:
-    """Refuse an r0 whose torus at r = inner * r0 has a slope 1 / r^2 with r^2 = 0."""
-    if (inner * r0) ** 2 == 0.0:
-        raise ValueError(f"r0 is too small: the torus slope 1/r^2 at r = {inner * r0:g} divides by 0, got {r0}")
+    """Refuse an r0 whose torus at r = inner * r0 has a slope 1 / r^2 with
+    r^2 at most ``ZERO_TOL``: the algebra drops such a coefficient, so the
+    torus would read as vertical (and r^2 = 0 would divide by 0)."""
+    if (inner * r0) ** 2 <= ZERO_TOL:
+        raise ValueError(
+            f"r0 is too small: the torus slope 1/r^2 at r = {inner * r0:g} needs r^2 above "
+            f"the algebra's zero tolerance {ZERO_TOL:g}, got {r0}"
+        )
 
 
 def _check_angle(a: float) -> float:

@@ -32,6 +32,18 @@ frequencies and phases, and a term list built from scratch normalize their
 terms; every other operation keeps canonical terms canonical and runs only
 the merge step (see ``Expr``).  A sum of many expressions (``Expr.sum``)
 sorts all their terms once, and equals the left fold of ``+`` bit for bit.
+
+Where the result is known, the operations skip work without changing a
+term: a merge of one term only applies the drop step, as a one-term list
+is sorted and has nothing to merge; a difference merges the first
+operand's terms with the second's negated ones in one call, the very list
+``a + (-b)`` merges; and a sum or product with the zero expression returns
+an operand right after the chart check, which is what the calculus in
+``charts`` relies on where a field or form has zero components (a
+directional derivative also takes no partial along a coordinate its
+argument does not read).  Each kernel runs the same float operations in the
+same order as a term-at-a-time spelling of it, which the tests keep as a
+reference.
 """
 
 from __future__ import annotations
@@ -130,6 +142,17 @@ class TrigTerm(NamedTuple):
 # discrete key and t[1:5] the key and phase
 _ORDER = operator.itemgetter(1, 2, 3, 4)
 
+# The kernels below compare modes against these module globals: a lookup
+# such as ``Mode.CONST`` goes through the enum class and costs several times
+# more.  ``_new(TrigTerm, fields)`` builds the same tuple as
+# ``TrigTerm(*fields)`` without its Python-level ``__new__``.
+_CONST, _COS, _SIN = Mode.CONST, Mode.COS, Mode.SIN
+_INF = math.inf
+_new = tuple.__new__
+# the zero frequency tuple of each chart dimension a term is likely to have
+_ZERO_FREQS = tuple((0,) * n for n in range(8))
+_CHART_MISMATCH = "expressions live over different coordinate tuples"
+
 
 def _normalize_term(
     coeff: float,
@@ -138,38 +161,41 @@ def _normalize_term(
     freqs: tuple[int, ...],
     phase: float,
 ) -> TrigTerm:
-    zero_freqs = (0,) * len(powers)
-    if mode == Mode.CONST or not any(freqs):
-        if mode == Mode.COS:
+    if mode == _CONST or not any(freqs):
+        if mode == _COS:
             coeff *= math.cos(phase)
-        elif mode == Mode.SIN:
+        elif mode == _SIN:
             coeff *= math.sin(phase)
-        return TrigTerm(float(coeff), powers, Mode.CONST, zero_freqs, 0.0)
+        dim = len(powers)
+        zeros = _ZERO_FREQS[dim] if dim < len(_ZERO_FREQS) else (0,) * dim
+        return _new(TrigTerm, (float(coeff), powers, _CONST, zeros, 0.0))
 
-    first = next(f for f in freqs if f)
+    for first in freqs:
+        if first:
+            break
     if first < 0:
-        freqs = tuple(-f for f in freqs)
+        freqs = tuple([-f for f in freqs])
         phase = -phase
-        if mode == Mode.SIN:
+        if mode == _SIN:
             coeff = -coeff
 
     # Phase into [0, pi/2) by quarter turns; values within PHASE_SNAP of a
     # boundary are pushed over it so exact identities stay exact.
     ph = phase % TAU
-    n = int(math.floor((ph + PHASE_SNAP) / HALF_PI))
+    n = math.floor((ph + PHASE_SNAP) / HALF_PI)
     ph -= n * HALF_PI
     if ph < 0.0:
         ph = 0.0
     n %= 4
     if n == 1:
         # f(x + pi/2): cos -> -sin, sin -> cos
-        mode, coeff = (Mode.SIN, -coeff) if mode == Mode.COS else (Mode.COS, coeff)
+        mode, coeff = (_SIN, -coeff) if mode == _COS else (_COS, coeff)
     elif n == 2:
         coeff = -coeff
     elif n == 3:
         # f(x + 3*pi/2): cos -> sin, sin -> -cos
-        mode, coeff = (Mode.SIN, coeff) if mode == Mode.COS else (Mode.COS, -coeff)
-    return TrigTerm(float(coeff), powers, mode, freqs, ph)
+        mode, coeff = (_SIN, coeff) if mode == _COS else (_COS, -coeff)
+    return _new(TrigTerm, (float(coeff), powers, mode, freqs, ph))
 
 
 def _canonical(raw: Iterable[TrigTerm]) -> tuple[TrigTerm, ...]:
@@ -187,15 +213,17 @@ def _merge_terms(normed: list[TrigTerm]) -> tuple[TrigTerm, ...]:
     ``ZERO_TOL`` are dropped (``_drop_negligible``), and a NaN or infinite
     coefficient raises ``ValueError``.
     """
+    if len(normed) < 2:
+        return _drop_negligible(normed)
     normed.sort(key=_ORDER)
     merged: list[TrigTerm] = []
+    prev = None
     for t in normed:
-        if merged:
-            prev = merged[-1]
-            if prev[1:4] == t[1:4] and abs(prev[4] - t[4]) <= PHASE_SNAP:
-                merged[-1] = TrigTerm(prev[0] + t[0], *prev[1:])
-                continue
+        if prev is not None and prev[1:4] == t[1:4] and abs(prev[4] - t[4]) <= PHASE_SNAP:
+            prev = merged[-1] = _new(TrigTerm, (prev[0] + t[0],) + prev[1:])
+            continue
         merged.append(t)
+        prev = t
     return _drop_negligible(merged)
 
 
@@ -243,12 +271,17 @@ def _drop_negligible(terms: list[TrigTerm]) -> tuple[TrigTerm, ...]:
     infinite coefficient, which is never dropped as a zero.  The filter
     keeps only finite coefficients, so a term is inspected again only when
     some term was left out."""
-    kept = tuple(t for t in terms if ZERO_TOL < abs(t.coeff) < math.inf)
+    kept = tuple([t for t in terms if ZERO_TOL < abs(t[0]) < _INF])
     if len(kept) < len(terms):
         for t in terms:
-            if not math.isfinite(t.coeff):
-                raise ValueError(f"expression coefficient {t.coeff!r} is not finite")
+            if not math.isfinite(t[0]):
+                raise ValueError(f"expression coefficient {t[0]!r} is not finite")
     return kept
+
+
+def _negated(terms: tuple[TrigTerm, ...]) -> tuple[TrigTerm, ...]:
+    """The terms with each coefficient negated; canonical terms stay canonical."""
+    return tuple([_new(TrigTerm, (-c, p, m, f, ph)) for c, p, m, f, ph in terms])
 
 
 def _coord_index(coords: tuple[Coordinate, ...], name: str) -> int:
@@ -288,10 +321,22 @@ class Expr:
     zero expression returns the other operand, and a product with it, or
     its partial, returns the zero expression, after the same chart and
     coordinate-name checks.
+
+    These skip work and keep every term: a merge of one term only drops
+    it if negligible; ``a - b`` merges a's terms with b's negated ones in
+    one call, the list ``a + (-b)`` would merge; ``Expr.sum`` leaves the
+    zero operands out, as the fold adds them as no-ops.
     """
 
     coords: tuple[Coordinate, ...]
     terms: tuple[TrigTerm, ...]
+
+    def __init__(self, coords: tuple[Coordinate, ...], terms: tuple[TrigTerm, ...]) -> None:
+        # the fields the frozen dataclass's own __init__ would set, each
+        # through a call of object.__setattr__; the instance stays frozen
+        fields = self.__dict__
+        fields["coords"] = coords
+        fields["terms"] = terms
 
     # -- construction ----------------------------------------------------
 
@@ -349,18 +394,19 @@ class Expr:
         """The left fold ``zero + e1 + e2 + ...`` over ``coords``, bit for bit,
         from one sort of all the operands' terms (``_sum_terms``); where that
         sort cannot give the fold's terms, the fold itself."""
-        zero = cls.zero(coords)
+        coords = tuple(coords)
         live = []
         for e in operands:
-            zero._check_same_chart(e)
+            if e.coords is not coords and e.coords != coords:
+                raise ValueError(_CHART_MISMATCH)
             if e.terms:
                 live.append(e)
         if len(live) <= 1:
-            return live[0] if live else zero
-        terms = _sum_terms(e.terms for e in live)
+            return live[0] if live else cls(coords, ())
+        terms = _sum_terms([e.terms for e in live])
         if terms is None:
             return functools.reduce(operator.add, live)
-        return cls(zero.coords, terms)
+        return cls(coords, terms)
 
     # -- structure --------------------------------------------------------
 
@@ -382,8 +428,9 @@ class Expr:
         return self.max_coeff() <= tol
 
     def _check_same_chart(self, other: "Expr") -> None:
-        if self.coords != other.coords:
-            raise ValueError("expressions live over different coordinate tuples")
+        coords = self.coords
+        if other.coords is not coords and other.coords != coords:
+            raise ValueError(_CHART_MISMATCH)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -408,41 +455,45 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(
-            self.coords,
-            tuple(TrigTerm(-t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in self.terms),
-        )
+        return Expr(self.coords, _negated(self.terms))
 
     def __sub__(self, other: "Expr | float | int") -> "Expr":
+        """``self + (-other)``, with the negated terms merged straight in."""
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return self + (-rhs)
+        if not rhs.terms:
+            return self
+        if not self.terms:
+            return Expr(rhs.coords, _negated(rhs.terms))
+        return Expr(self.coords, _merge_terms([*self.terms, *_negated(rhs.terms)]))
 
     def __rsub__(self, other: "Expr | float | int") -> "Expr":
         return (-self) + other
 
     def __mul__(self, other: "Expr | float | int") -> "Expr":
-        if isinstance(other, (int, float)):
+        if not isinstance(other, Expr):
+            if not isinstance(other, (int, float)):
+                return NotImplemented
             c = float(other)
             if not math.isfinite(c):
                 raise ValueError(f"expression factor {c!r} is not finite")
-            scaled = [TrigTerm(c * t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in self.terms]
+            scaled = [_new(TrigTerm, (c * t[0],) + t[1:]) for t in self.terms]
             return Expr(self.coords, _drop_negligible(scaled))
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
+        self._check_same_chart(other)
         if not self.terms:
             return self
-        if not rhs.terms:
-            return rhs
+        if not other.terms:
+            return other
         out: list[TrigTerm] = []
         for a in self.terms:
-            for b in rhs.terms:
-                if a.mode == Mode.CONST or b.mode == Mode.CONST:
-                    out.extend(_term_product(a, b))
+            a_const = a[2] == _CONST
+            for b in other.terms:
+                if a_const or b[2] == _CONST:
+                    out += _term_product(a, b)
                 else:
-                    out.extend(_normalize_term(*t) for t in _term_product(a, b))
+                    for t in _term_product(a, b):
+                        out.append(_normalize_term(*t))
         return Expr(self.coords, _merge_terms(out))
 
     __rmul__ = __mul__
@@ -463,17 +514,17 @@ class Expr:
         if not self.terms:
             return self
         out: list[TrigTerm] = []
-        for t in self.terms:
-            p = t.powers[i]
+        for coeff, powers, mode, freqs, phase in self.terms:
+            p = powers[i]
             if p:
-                powers = list(t.powers)
-                powers[i] = p - 1
-                out.append(TrigTerm(t.coeff * p, tuple(powers), t.mode, t.freqs, t.phase))
-            k = t.freqs[i]
-            if k and t.mode == Mode.COS:
-                out.append(TrigTerm(-t.coeff * k, t.powers, Mode.SIN, t.freqs, t.phase))
-            elif k and t.mode == Mode.SIN:
-                out.append(TrigTerm(t.coeff * k, t.powers, Mode.COS, t.freqs, t.phase))
+                lowered = list(powers)
+                lowered[i] = p - 1
+                out.append(_new(TrigTerm, (coeff * p, tuple(lowered), mode, freqs, phase)))
+            k = freqs[i]
+            if k and mode == _COS:
+                out.append(_new(TrigTerm, (-coeff * k, powers, _SIN, freqs, phase)))
+            elif k and mode == _SIN:
+                out.append(_new(TrigTerm, (coeff * k, powers, _COS, freqs, phase)))
         return Expr(self.coords, _merge_terms(out))
 
     # -- evaluation -------------------------------------------------------
@@ -639,39 +690,43 @@ def _evaluator(exprs: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _term_product(a: TrigTerm, b: TrigTerm) -> list[TrigTerm]:
-    coeff = a.coeff * b.coeff
-    powers = tuple(map(operator.add, a.powers, b.powers))
-    if a.mode == Mode.CONST and b.mode == Mode.CONST:
-        return [TrigTerm(coeff, powers, Mode.CONST, a.freqs, 0.0)]
-    if a.mode == Mode.CONST:
-        return [TrigTerm(coeff, powers, b.mode, b.freqs, b.phase)]
-    if b.mode == Mode.CONST:
-        return [TrigTerm(coeff, powers, a.mode, a.freqs, a.phase)]
-    diff = tuple(map(operator.sub, a.freqs, b.freqs))
-    summ = tuple(map(operator.add, a.freqs, b.freqs))
-    dph = a.phase - b.phase
-    sph = a.phase + b.phase
+    ca, pa, ma, fa, pha = a
+    cb, pb, mb, fb, phb = b
+    coeff = ca * cb
+    powers = tuple(map(operator.add, pa, pb))
+    if ma == _CONST:
+        if mb == _CONST:
+            return [_new(TrigTerm, (coeff, powers, _CONST, fa, 0.0))]
+        return [_new(TrigTerm, (coeff, powers, mb, fb, phb))]
+    if mb == _CONST:
+        return [_new(TrigTerm, (coeff, powers, ma, fa, pha))]
+    diff = tuple(map(operator.sub, fa, fb))
+    summ = tuple(map(operator.add, fa, fb))
+    dph = pha - phb
+    sph = pha + phb
     half = 0.5 * coeff
     # product-to-sum identities
-    if a.mode == Mode.COS and b.mode == Mode.COS:
+    if ma == _COS:
+        if mb == _COS:
+            return [
+                _new(TrigTerm, (half, powers, _COS, diff, dph)),
+                _new(TrigTerm, (half, powers, _COS, summ, sph)),
+            ]
+        # cos * sin
         return [
-            TrigTerm(half, powers, Mode.COS, diff, dph),
-            TrigTerm(half, powers, Mode.COS, summ, sph),
+            _new(TrigTerm, (half, powers, _SIN, summ, sph)),
+            _new(TrigTerm, (-half, powers, _SIN, diff, dph)),
         ]
-    if a.mode == Mode.SIN and b.mode == Mode.SIN:
+    if mb == _COS:
+        # sin * cos
         return [
-            TrigTerm(half, powers, Mode.COS, diff, dph),
-            TrigTerm(-half, powers, Mode.COS, summ, sph),
+            _new(TrigTerm, (half, powers, _SIN, summ, sph)),
+            _new(TrigTerm, (half, powers, _SIN, diff, dph)),
         ]
-    if a.mode == Mode.SIN and b.mode == Mode.COS:
-        return [
-            TrigTerm(half, powers, Mode.SIN, summ, sph),
-            TrigTerm(half, powers, Mode.SIN, diff, dph),
-        ]
-    # cos * sin
+    # sin * sin
     return [
-        TrigTerm(half, powers, Mode.SIN, summ, sph),
-        TrigTerm(-half, powers, Mode.SIN, diff, dph),
+        _new(TrigTerm, (half, powers, _COS, diff, dph)),
+        _new(TrigTerm, (-half, powers, _COS, summ, sph)),
     ]
 
 

@@ -119,6 +119,32 @@ def test_binding_radius_whose_square_underflows_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "--model", "binding_Eb", "--param", "r0=1e-6"], id="verify"),
+        pytest.param(["construct", "--lambda", "1", "--k", "3", "--r0", "1e-6"], id="construct"),
+    ],
+)
+def test_binding_radius_whose_square_the_algebra_drops_is_usage_error(capsys, argv):
+    # r^2 at r = 7.5e-7 (verify's inner torus) and r = 1e-6 is at most the
+    # algebra's ZERO_TOL, so the pulled-back torus form lost its r^2 term and
+    # read as vertical: both runs failed their slope checks with exit 1
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error[EB-PARAM] r0 is too small: ")
+
+
+def test_small_binding_radius_keeps_its_exact_torus_slopes(tmp_path):
+    # c2 = -r^2 = -5.06e-10 and -9e-10 are exact values: the tori at
+    # r = 2.25e-5 and 3e-5 used to read as vertical because |c2| <= 1e-9,
+    # failing torus_slope_0, torus_slope_1 and adapted_collar with exit 1
+    out = tmp_path / "report.json"
+    assert run(["verify", "--model", "binding_Eb", "--param", "r0=3e-5", "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for i in range(3):
+        assert checks[f"boundary-annulus:torus_slope_{i}"]["min_gap"] == 0.0
+
+
+@pytest.mark.parametrize(
     "argv, accepts",
     [
         (["verify", "--model", "darboux_even", "--param", "foo=1"], "it accepts none"),

@@ -27,6 +27,7 @@ from engelbook.charts import (
     lie_bracket,
 )
 from engelbook.invariants import _project_onto_frame
+from engelbook.models import assemble, list_models, model_catalog
 from engelbook.trigpoly import (
     HALF_PI,
     KIND_ANGULAR,
@@ -36,10 +37,14 @@ from engelbook.trigpoly import (
     Coordinate,
     Expr,
     Mode,
+    ZERO_TOL,
     TrigTerm,
     _coord_index,
+    _drop_negligible,
     _evaluator,
+    _merge_terms,
     _normalize_term,
+    _sum_terms,
     _term_product,
     canonical_equal,
     parse_expression,
@@ -492,6 +497,255 @@ def test_trig_term_is_the_tuple_of_its_fields():
     assert t.discrete_key() == ((0, 0, 1, 0), 2, (1, 0, 0, 0)) == t[1:4]
 
 
+# The term kernels before their lean rewrite: the same float operations in
+# the same order, read through named fields and ``Mode`` lookups and built
+# with one ``TrigTerm`` call per term.  The rewritten kernels must give the
+# same terms, coefficient and phase bits included, and the same errors.
+
+
+def ref_normalize_term(coeff, powers, mode, freqs, phase):
+    zero_freqs = (0,) * len(powers)
+    if mode == Mode.CONST or not any(freqs):
+        if mode == Mode.COS:
+            coeff *= math.cos(phase)
+        elif mode == Mode.SIN:
+            coeff *= math.sin(phase)
+        return TrigTerm(float(coeff), powers, Mode.CONST, zero_freqs, 0.0)
+    first = next(f for f in freqs if f)
+    if first < 0:
+        freqs = tuple(-f for f in freqs)
+        phase = -phase
+        if mode == Mode.SIN:
+            coeff = -coeff
+    ph = phase % math.tau
+    n = int(math.floor((ph + PHASE_SNAP) / HALF_PI))
+    ph -= n * HALF_PI
+    if ph < 0.0:
+        ph = 0.0
+    n %= 4
+    if n == 1:
+        mode, coeff = (Mode.SIN, -coeff) if mode == Mode.COS else (Mode.COS, coeff)
+    elif n == 2:
+        coeff = -coeff
+    elif n == 3:
+        mode, coeff = (Mode.SIN, coeff) if mode == Mode.COS else (Mode.COS, -coeff)
+    return TrigTerm(float(coeff), powers, mode, freqs, ph)
+
+
+def ref_drop_negligible(terms):
+    kept = tuple(t for t in terms if ZERO_TOL < abs(t.coeff) < math.inf)
+    if len(kept) < len(terms):
+        for t in terms:
+            if not math.isfinite(t.coeff):
+                raise ValueError(f"expression coefficient {t.coeff!r} is not finite")
+    return kept
+
+
+def ref_merge_terms(normed):
+    normed.sort(key=operator.itemgetter(1, 2, 3, 4))
+    merged = []
+    for t in normed:
+        if merged:
+            prev = merged[-1]
+            if prev[1:4] == t[1:4] and abs(prev[4] - t[4]) <= PHASE_SNAP:
+                merged[-1] = TrigTerm(prev[0] + t[0], *prev[1:])
+                continue
+        merged.append(t)
+    return ref_drop_negligible(merged)
+
+
+def ref_term_product(a, b):
+    coeff = a.coeff * b.coeff
+    powers = tuple(map(operator.add, a.powers, b.powers))
+    if a.mode == Mode.CONST and b.mode == Mode.CONST:
+        return [TrigTerm(coeff, powers, Mode.CONST, a.freqs, 0.0)]
+    if a.mode == Mode.CONST:
+        return [TrigTerm(coeff, powers, b.mode, b.freqs, b.phase)]
+    if b.mode == Mode.CONST:
+        return [TrigTerm(coeff, powers, a.mode, a.freqs, a.phase)]
+    diff = tuple(map(operator.sub, a.freqs, b.freqs))
+    summ = tuple(map(operator.add, a.freqs, b.freqs))
+    dph = a.phase - b.phase
+    sph = a.phase + b.phase
+    half = 0.5 * coeff
+    if a.mode == Mode.COS and b.mode == Mode.COS:
+        return [TrigTerm(half, powers, Mode.COS, diff, dph), TrigTerm(half, powers, Mode.COS, summ, sph)]
+    if a.mode == Mode.SIN and b.mode == Mode.SIN:
+        return [TrigTerm(half, powers, Mode.COS, diff, dph), TrigTerm(-half, powers, Mode.COS, summ, sph)]
+    if a.mode == Mode.SIN and b.mode == Mode.COS:
+        return [TrigTerm(half, powers, Mode.SIN, summ, sph), TrigTerm(half, powers, Mode.SIN, diff, dph)]
+    return [TrigTerm(half, powers, Mode.SIN, summ, sph), TrigTerm(-half, powers, Mode.SIN, diff, dph)]
+
+
+def ref_neg(e):
+    return Expr(e.coords, tuple(TrigTerm(-t.coeff, t.powers, t.mode, t.freqs, t.phase) for t in e.terms))
+
+
+def ref_sub(a, b):
+    rhs = a._coerce(b)
+    return a + ref_neg(rhs)
+
+
+def ref_one_sort_sum(coords, operands):
+    zero = Expr.zero(coords)
+    live = []
+    for e in operands:
+        zero._check_same_chart(e)
+        if e.terms:
+            live.append(e)
+    if len(live) <= 1:
+        return live[0] if live else zero
+    terms = _sum_terms(e.terms for e in live)
+    if terms is None:
+        return functools.reduce(operator.add, live)
+    return Expr(zero.coords, terms)
+
+
+def same_term(s, t):
+    """Equal fields, the same mode type, and the same coefficient and phase bits."""
+    return (
+        type(s) is type(t) is TrigTerm
+        and s[1:4] == t[1:4]
+        and type(s[2]) is type(t[2])
+        and same_float(s[0], t[0])
+        and same_float(s[4], t[4])
+    )
+
+
+def result_or_error(build):
+    try:
+        return build()
+    except ValueError as e:
+        return e
+
+
+def same_outcome(build, ref):
+    """``build()`` and ``ref()`` give the same terms, or raise the same ValueError."""
+    got, want = result_or_error(build), result_or_error(ref)
+    if isinstance(got, ValueError) or isinstance(want, ValueError):
+        return type(got) is type(want) and str(got) == str(want)
+    if isinstance(got, Expr):
+        return isinstance(want, Expr) and got.coords == want.coords and same_terms_seq(got.terms, want.terms)
+    if isinstance(got, TrigTerm):
+        return same_term(got, want)
+    return same_terms_seq(got, want)
+
+
+def same_terms_seq(got, want):
+    return (
+        type(got) is type(want)
+        and len(got) == len(want)
+        and all(same_term(s, t) for s, t in zip(got, want))
+    )
+
+
+# raw terms over MIX: every mode, negative first frequencies, phases within
+# PHASE_SNAP of a quarter turn, +-0.0, coefficients near ZERO_TOL and ones
+# whose products overflow; NaN and infinite values where errors are compared
+QUARTER_PHASES = [
+    n * HALF_PI + d
+    for n in (-1, 0, 1, 2, 3, 4)
+    for d in (-2 * PHASE_SNAP, -PHASE_SNAP, -0.5 * PHASE_SNAP, 0.0, 0.5 * PHASE_SNAP, PHASE_SNAP)
+]
+EDGE_COEFFS = [
+    0.0,
+    -0.0,
+    ZERO_TOL,
+    -ZERO_TOL,
+    math.nextafter(ZERO_TOL, 1.0),
+    math.nextafter(ZERO_TOL, 0.0),
+    2e-12,
+    -1e-6,
+    1e154,
+    -1e200,
+    1.5e308,
+]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+finite_coeffs = st.floats(-3.0, 3.0) | st.sampled_from(EDGE_COEFFS)
+finite_phases = st.floats(-10.0, 10.0) | st.sampled_from(QUARTER_PHASES)
+
+
+@st.composite
+def raw_terms(draw, coeffs=finite_coeffs, phases=finite_phases):
+    return TrigTerm(
+        draw(coeffs),
+        (0, 0, draw(st.integers(-1, 2)), draw(st.integers(-1, 2))),
+        draw(st.sampled_from(list(Mode))),
+        (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(-2, 2)), 0),
+        draw(phases),
+    )
+
+
+any_raw_terms = raw_terms(
+    finite_coeffs | st.sampled_from(NON_FINITE), finite_phases | st.sampled_from(NON_FINITE)
+)
+canonical_terms = raw_terms().map(lambda t: ref_normalize_term(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_terms(), raw_terms())
+def test_term_product_matches_the_reference_bit_for_bit(a, b):
+    with np.errstate(all="ignore"):
+        assert same_outcome(lambda: _term_product(a, b), lambda: ref_term_product(a, b))
+        # and as Expr.__mul__ meets them, canonical and normalized
+        a, b = ref_normalize_term(*a), ref_normalize_term(*b)
+        got = _term_product(a, b)
+        assert same_terms_seq(got, ref_term_product(a, b))
+        for t in got:
+            assert same_outcome(lambda: _normalize_term(*t), lambda: ref_normalize_term(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_raw_terms)
+def test_normalize_term_matches_the_reference_bit_for_bit(t):
+    assert same_outcome(lambda: _normalize_term(*t), lambda: ref_normalize_term(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(canonical_terms | any_raw_terms, max_size=5))
+def test_merge_and_drop_match_the_references_bit_for_bit(ts):
+    # a lone term skips the sort; a NaN or infinite coefficient raises
+    with np.errstate(all="ignore"):
+        for terms in (ts, ts[:1]):
+            assert same_outcome(lambda: _merge_terms(list(terms)), lambda: ref_merge_terms(list(terms)))
+            assert same_outcome(lambda: _drop_negligible(list(terms)), lambda: ref_drop_negligible(list(terms)))
+
+
+OTHER_CHART = MIX[:3] + (Coordinate("u", KIND_POLYNOMIAL),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands | near_exprs, operands | near_exprs, scalars)
+def test_difference_and_negation_match_the_references_bit_for_bit(a, b, c):
+    # the fused difference merges a's terms and b's negated ones in one call
+    with np.errstate(all="ignore"):
+        assert same_outcome(lambda: a - b, lambda: ref_sub(a, b))
+        assert same_outcome(lambda: b - a, lambda: ref_sub(b, a))
+        assert same_outcome(lambda: -a, lambda: ref_neg(a))
+        assert same_outcome(lambda: a - c, lambda: ref_sub(a, c))
+        other = Expr(OTHER_CHART, b.terms)
+        assert same_outcome(lambda: a - other, lambda: ref_sub(a, other))
+        # Expr.term takes a plain int mode, equal to its Mode member; a
+        # merged term keeps the fields of the term that comes first, so
+        # these show that a's terms come before b's negated ones
+        half = outcome(lambda: a * 0.5)
+        if half is not None:
+            half = Expr(MIX, tuple(t._replace(mode=int(t.mode)) for t in half.terms))
+            assert same_outcome(lambda: a - half, lambda: ref_sub(a, half))
+            assert same_outcome(lambda: half - a, lambda: ref_sub(half, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(colliding | operands, max_size=6), st.integers(0, 6))
+def test_expr_sum_matches_the_reference_bit_for_bit(ops, at):
+    with np.errstate(all="ignore"):
+        assert same_outcome(lambda: Expr.sum(MIX, ops), lambda: ref_one_sort_sum(MIX, ops))
+        # an operand over another chart, the zero one included, raises
+        for stray in (Expr.zero(OTHER_CHART), Expr.const(OTHER_CHART, 1.0)):
+            mixed = ops[:at] + [stray] + ops[at:]
+            assert same_outcome(lambda: Expr.sum(MIX, mixed), lambda: ref_one_sort_sum(MIX, mixed))
+
+
 # The field and form pairings before they summed in one sort: each a left
 # fold of ``+`` from the zero expression.
 
@@ -555,6 +809,109 @@ def test_field_and_form_pairings_are_the_left_folds(x, y, w):
             got, want = outcome(fast), outcome(ref)
             assert (got is None) == (want is None)
             assert got is None or all(same_terms(g, r) and g == r for g, r in zip(got, want))
+
+
+# Derivations on every piece of the catalog models and of three assemblies.
+# ``VectorField.apply`` takes no partial and no product along a coordinate
+# its argument does not read, and a product with a zero operand returns at
+# once; the results must be the folds above, term for term, with the
+# exterior derivative and alpha ^ dalpha built on the from_terms path.
+
+
+def ref_exterior_derivative(alpha):
+    chart = alpha.chart
+    pairs = tuple(itertools.combinations(range(chart.dim), 2))
+    comps = []
+    for i, j in pairs:
+        dj = ref_partial(alpha.components[j], chart.coords[i].name)
+        di = ref_partial(alpha.components[i], chart.coords[j].name)
+        comps.append(ref_add(dj, ref_scale(di, -1.0)))
+    return TwoForm(chart, pairs, tuple(comps))
+
+
+def ref_wedge_top(alpha, omega):
+    a, out = alpha.components, []
+    for i, j, k in itertools.combinations(range(alpha.chart.dim), 3):
+        first = ref_add(ref_mul(a[i], omega.component(j, k)), ref_scale(ref_mul(a[j], omega.component(i, k)), -1.0))
+        out.append(((i, j, k), ref_add(first, ref_mul(a[k], omega.component(i, j)))))
+    return tuple(out)
+
+
+def same_exprs(got, want):
+    return len(got) == len(want) and all(same_terms(g, w) and g == w for g, w in zip(got, want))
+
+
+ASSEMBLIES = ((-2, 3), (1, 5), (4, 9))
+
+
+def derivation_pieces(source):
+    if isinstance(source, str):
+        return model_catalog(source).pieces
+    return assemble(*source).model.pieces
+
+
+@pytest.mark.parametrize(
+    "source",
+    [name for name, _ in list_models()] + list(ASSEMBLIES),
+    ids=lambda s: s if isinstance(s, str) else f"assemble{s}",
+)
+def test_derivations_on_model_pieces_are_the_references(source):
+    for piece in derivation_pieces(source):
+        fields = list(piece.named_fields.values())
+        for X, Y in itertools.permutations(fields, 2):
+            assert same_exprs(lie_bracket(X, Y).components, ref_lie_bracket(X, Y))
+        forms = [f for f in (piece.form, piece.fibration_form, piece.torus_normal) if f is not None]
+        for alpha in forms:
+            d = ref_exterior_derivative(alpha)
+            assert alpha.d.pairs == d.pairs and same_exprs(alpha.d.components, d.components)
+            wedge = ref_wedge_top(alpha, d)
+            assert [t for t, _ in alpha.wedge_d] == [t for t, _ in wedge]
+            assert same_exprs([c for _, c in alpha.wedge_d], [c for _, c in wedge])
+            for X in fields:
+                assert same_exprs(interior_product(alpha.d, X).components, ref_interior_product(alpha.d, X))
+            for X, Y in itertools.permutations(fields, 2):
+                assert same_exprs((alpha.d.apply(X, Y),), (ref_two_form_apply(alpha.d, X, Y),))
+
+
+STRAY_CHART = Chart("stray", OTHER_CHART, MIX_CHART.bounds)
+
+
+def test_zero_operands_keep_their_chart_checks_and_overflows():
+    zero, one = Expr.zero(MIX), Expr.const(MIX, 1.0)
+    f = Expr.term(MIX, 1.0, None, Mode.COS, (0, 1, 0, 0), 0.2)  # reads y only
+    X = VectorField(MIX_CHART, (one, f, one, zero))
+    # a component over another chart along an axis f does not read, where
+    # the partial is the zero Expr, and a whole field over another chart
+    stray_x = VectorField(MIX_CHART, (Expr.const(OTHER_CHART, 1.0), f, zero, zero))
+    stray_field = VectorField(STRAY_CHART, (Expr.zero(OTHER_CHART),) * 4)
+    # every coefficient the zero Expr, over the chart or over another one
+    all_zero = TwoForm(MIX_CHART, PAIRS, (zero,) * len(PAIRS))
+    stray_w = TwoForm(MIX_CHART, PAIRS, (Expr.zero(OTHER_CHART),) * len(PAIRS))
+    refusals = [
+        (lambda: X.apply(Expr.zero(OTHER_CHART)), lambda: ref_apply(X, Expr.zero(OTHER_CHART))),
+        (lambda: X.apply(Expr(OTHER_CHART, f.terms)), lambda: ref_apply(X, Expr(OTHER_CHART, f.terms))),
+        (lambda: stray_x.apply(f), lambda: ref_apply(stray_x, f)),
+        (lambda: lie_bracket(X, stray_field), lambda: ref_lie_bracket(X, stray_field)),
+        (lambda: lie_bracket(stray_x, X), lambda: ref_lie_bracket(stray_x, X)),
+        (lambda: all_zero.apply(stray_x, X), lambda: ref_two_form_apply(all_zero, stray_x, X)),
+        (lambda: all_zero.apply(X, stray_field), lambda: ref_two_form_apply(all_zero, X, stray_field)),
+        (lambda: stray_w.apply(X, X), lambda: ref_two_form_apply(stray_w, X, X)),
+    ]
+    # cross terms whose products overflow raise where their coefficient is
+    # the zero Expr, as do directional derivatives
+    huge = Expr.term(MIX, 1e200, (0, 0, 1, 0), Mode.SIN, (1, 0, 0, 0), 0.1)
+    H = VectorField(MIX_CHART, (huge, huge, zero, zero))
+    refusals += [
+        (lambda: all_zero.apply(H, H.scaled(-1.0)), lambda: ref_two_form_apply(all_zero, H, H.scaled(-1.0))),
+        (lambda: H.apply(huge), lambda: ref_apply(H, huge)),
+        (lambda: lie_bracket(H, H.scaled(2.0)), lambda: ref_lie_bracket(H, H.scaled(2.0))),
+    ]
+    with np.errstate(all="ignore"):
+        for fast, ref in refusals:
+            with pytest.raises(ValueError):
+                fast()
+            with pytest.raises(ValueError):
+                ref()
 
 
 def ref_project_onto_frame(xvals, c1vals, c2vals):
