@@ -20,8 +20,8 @@ Import rule: at module level ``foliation`` imports only numpy and the
 standard library, and ``reports`` only those, ``foliation`` and this
 package's constants.  ``cli`` imports each subcommand's modules when it
 runs, so ``engelbook foliation`` loads only ``cli``, ``foliation`` and
-``reports``; the default tolerances live here so that the CLI reads them
-without importing another module.
+``reports``; the default tolerances and grid size live here so that the
+CLI reads them without importing another module.
 """
 
 __version__ = "0.1.0"
@@ -33,3 +33,4 @@ RESIDUAL_TOL = 0.25  # largest winding residual of a turn count
 # fewest path samples a turn count takes: fewer alias the fields' turns
 MIN_TURN_SAMPLES = 16
 TOLERANCE_DEFAULTS = {"rank": RANK_TOL, "zero": SYMBOL_TOL, "slope": SLOPE_TOL, "residual": RESIDUAL_TOL}
+DEFAULT_MIN_POINTS = 1000  # fewest grid points of a sampled check, unless asked otherwise

@@ -13,7 +13,7 @@ import functools
 import math
 import sys
 
-from . import MIN_TURN_SAMPLES, TOLERANCE_DEFAULTS
+from . import DEFAULT_MIN_POINTS, MIN_TURN_SAMPLES, TOLERANCE_DEFAULTS
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="model parameter override, repeatable",
     )
-    verify.add_argument("--samples", type=int, default=1000, help="minimum grid points")
+    verify.add_argument("--samples", type=int, default=DEFAULT_MIN_POINTS, help="minimum grid points")
     verify.add_argument("--seed", type=int, default=0, help="seed for the sampled re-check")
     verify.add_argument("--out", help="write the JSON report here instead of stdout")
     _add_tolerance_flags(verify)
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument(
         "--r0", type=float, default=None, help="binding radius; derived from --a when unset"
     )
-    construct.add_argument("--samples", type=int, default=1000, help="minimum grid points")
+    construct.add_argument("--samples", type=int, default=DEFAULT_MIN_POINTS, help="minimum grid points")
     construct.add_argument(
         "--turn-samples", type=int, default=512, help="path samples for turn counting"
     )

@@ -496,13 +496,14 @@ def annulus_foliation_check(
 class ClassifierField:
     """A plane direction field with analytic Jacobian and a signing level.
 
-    ``value`` maps (..., 2) points to (..., 2) vectors; ``jacobian`` to
-    (..., 2, 2); ``level`` is the scalar whose sign at a zero decides
-    between the positive and negative singularity classes.
+    ``value`` maps (..., 2) points to the (..., 2) vectors V; ``jacobian``
+    maps them to the pair (V, J), with J of shape (..., 2, 2) and V equal
+    to what ``value`` returns; ``level`` is the scalar whose sign at a zero
+    decides between the positive and negative singularity classes.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     level: Callable[[np.ndarray], np.ndarray]
 
 
@@ -561,12 +562,9 @@ def find_and_classify(
     the same.  Without the stop rule a converged seed would only move its
     last bits in the later rounds: on the disks k = 3..19 the counts, types,
     signs and ``degenerate`` equal those of the stop-free loop, and each
-    zero lies within 1e-15 of its zero there.  Each round calls
-    ``jacobian`` and then ``value`` on the same points, and so does the
-    classification of the zeros found; the disk classifier computes V and J
-    in that ``jacobian`` call and keeps V for the ``value`` call.  The
-    final ``|V|`` test calls ``value`` alone, once over every end point,
-    which the disk classifier answers from a V-only pass.
+    zero lies within 1e-15 of its zero there.  Each round, and the
+    classification of the zeros found, takes V and J from one ``jacobian``
+    call; the final ``|V|`` test calls ``value`` once, over every end point.
     """
     z = _newton_points(classifier, grid_n, _NEWTON_ROUNDS, trap, seed_radius)
     small = _plane_norms(classifier.value(z)) <= _ZERO_RESIDUAL
@@ -584,10 +582,10 @@ def find_and_classify(
     degenerate = False
     if unique:
         arr = np.stack(unique)
-        jac = classifier.jacobian(arr)
+        V, jac = classifier.jacobian(arr)
         dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         levels = classifier.level(arr)
-        residuals = _plane_norms(classifier.value(arr))
+        residuals = _plane_norms(V)
         for p, det, lev, res in zip(arr, dets, levels, residuals):
             if abs(det) < 1e-8 or abs(lev) < 1e-8:
                 degenerate = True
@@ -627,6 +625,7 @@ def _newton_points(
     ``trap`` ends bit-identical to the dense loop that freezes each seed
     after the round that starts with ``|V| <= 1e-10`` at it; one that
     enters the trap is dropped there and ends inside it, never at a zero.
+    Each round takes V and J at the active seeds from one ``jacobian`` call.
     """
     z = _disk_grid(0.98 * _DISK_RADIUS, grid_n)
     if seed_radius is not None:
@@ -636,8 +635,7 @@ def _newton_points(
     for _ in range(newton_iters):
         if not active.size:
             break
-        J = classifier.jacobian(za)
-        V = classifier.value(za)
+        V, J = classifier.jacobian(za)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         ok = np.abs(det) > 1e-300
         inv_det = np.where(ok, det, 1.0)
@@ -1018,14 +1016,11 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
 def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
     """The classifier field V of the disk pieces, with its Jacobian.
 
-    ``value`` runs a V-only pass: the gradient of u, and c and s without
-    their derivatives.  ``jacobian`` runs one pass for V and J, ``jet``,
-    and keeps a copy of its points with their V; the next ``value`` call
-    takes that entry (and clears it) and returns the kept V if its points
-    have the bytes of the kept ones, so a Newton round's ``jacobian`` then
-    ``value`` on the same points runs one pass.  Any other ``value`` call
-    runs the V-only pass.  Both passes compute V with the same arithmetic,
-    written into one array by ``field``, so V has the same bits either way.
+    ``value`` returns V from a V-only pass: the gradient of u, and c and s
+    without their derivatives.  ``jacobian`` returns (V, J) from one pass
+    that also reads the Hessian of u and the derivatives of c and s.  Both
+    compute V with the same arithmetic, written into one array by
+    ``field``, so V has the same bits either way.
     """
 
     def field(g, c, sq, sp, p, q, safe):
@@ -1036,7 +1031,8 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         np.add(g[..., 1] - c * q, sp / safe, out=V[..., 1])
         return V
 
-    def jet(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def jacobian(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pts = np.asarray(pts, float)
         p, q = pts[..., 0], pts[..., 1]
         rho = _radius(pts)
         safe = np.maximum(rho, 1e-30)
@@ -1063,27 +1059,14 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         J11 += s1p * q / r2 - sp * q / r3
         return field(g, c, sq, sp, p, q, safe), J
 
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-
     def value(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)
-        if kept:
-            seen, V = kept.pop()
-            # shape and bits: as integers -0.0 and 0.0 differ and NaN matches itself
-            if np.array_equal(seen.view(np.int64), pts.view(np.int64)):
-                return V
         p, q = pts[..., 0], pts[..., 1]
         rho = _radius(pts)
         safe = np.maximum(rho, 1e-30)
         (g,) = pieces.u(pts, rho, (1,))
         (c,), (s,) = pieces.profiles(rho, (0,), (0,))
         return field(g, c, s * q, s * p, p, q, safe)
-
-    def jacobian(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        V, J = jet(pts)
-        kept[:] = [(pts.copy(), V)]
-        return J
 
     def level(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)
@@ -1298,7 +1281,7 @@ def _exact_disk_form() -> DiskContactForm:
         J = np.zeros(pts.shape[:-1] + (2, 2))
         J[..., 0, 0] = -1.0
         J[..., 1, 1] = -1.0
-        return J
+        return -pts, J
 
     def level(pts):
         return np.ones(np.asarray(pts, float).shape[:-1])

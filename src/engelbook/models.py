@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import MIN_TURN_SAMPLES, RESIDUAL_TOL, SLOPE_TOL, SYMBOL_TOL
+from . import DEFAULT_MIN_POINTS, MIN_TURN_SAMPLES, RESIDUAL_TOL, SLOPE_TOL, SYMBOL_TOL
 from .charts import (
     Chart,
     IntegerAffineMap,
@@ -77,8 +77,6 @@ __all__ = [
     "model_catalog",
     "piece_checks",
 ]
-
-DEFAULT_MIN_POINTS = 1000
 
 
 # -- small helpers -------------------------------------------------------------

@@ -379,7 +379,8 @@ class Expr:
                 raise ValueError(
                     f"coordinate {c.name!r} cannot appear inside a trigonometric argument"
                 )
-        return cls.from_terms(coords, [TrigTerm(float(coeff), powers, mode, freqs, float(phase))])
+        # Mode() raises ValueError on a value that is no mode
+        return cls.from_terms(coords, [TrigTerm(float(coeff), powers, Mode(mode), freqs, float(phase))])
 
     @classmethod
     def coordinate(cls, coords: Sequence[Coordinate], name: str) -> "Expr":

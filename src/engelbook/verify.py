@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import DEFAULT_MIN_POINTS
 from .charts import (
     Chart,
     OneForm,
@@ -63,7 +64,6 @@ __all__ = [
     "isotropic_line_check",
 ]
 
-DEFAULT_MIN_POINTS = 1000
 DEFAULT_THRESHOLD = 1e-9
 DEFAULT_TOL = 1e-9
 MAX_FAILURES = 5

@@ -601,3 +601,11 @@ def test_tolerance_defaults_have_one_source():
     assert models.SLOPE_TOL is package["slope"]
     assert models.RESIDUAL_TOL is package["residual"]
     assert models.MIN_TURN_SAMPLES == cli.MIN_TURN_SAMPLES == engelbook.MIN_TURN_SAMPLES == 16
+
+
+def test_default_grid_size_has_one_source():
+    from engelbook import cli, models, verify
+
+    assert verify.DEFAULT_MIN_POINTS is models.DEFAULT_MIN_POINTS is engelbook.DEFAULT_MIN_POINTS
+    for argv in (["verify", "--model", "darboux_even"], ["construct", "--lambda", "0", "--k", "1"]):
+        assert cli.build_parser().parse_args(argv).samples is engelbook.DEFAULT_MIN_POINTS == 1000

@@ -764,7 +764,7 @@ def radial_sink(level_sign=1.0):
         J = np.zeros(pts.shape[:-1] + (2, 2))
         J[..., 0, 0] = -1.0
         J[..., 1, 1] = -1.0
-        return J
+        return -pts, J
 
     def level(pts):
         return np.full(np.asarray(pts, float).shape[:-1], level_sign)
@@ -796,7 +796,7 @@ def test_saddle_with_negative_level_counts_as_h_minus():
         J = np.zeros(pts.shape[:-1] + (2, 2))
         J[..., 0, 0] = 1.0
         J[..., 1, 1] = -1.0
-        return J
+        return value(pts), J
 
     def level(pts):
         return np.full(np.asarray(pts, float).shape[:-1], -0.5)
@@ -820,7 +820,7 @@ def test_offset_zero_is_located():
         J = np.zeros(pts.shape[:-1] + (2, 2))
         J[..., 0, 0] = -1.0
         J[..., 1, 1] = -1.0
-        return J
+        return value(pts), J
 
     def level(pts):
         return np.ones(np.asarray(pts, float).shape[:-1])
@@ -870,7 +870,7 @@ def dense_newton_points(classifier, newton_iters, stop=True, seed_radius=None):
         V = classifier.value(z)
         if not (alive & ~frozen).any():
             break
-        J = classifier.jacobian(z)
+        _, J = classifier.jacobian(z)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         ok = np.abs(det) > 1e-300
         inv_det = np.where(ok, det, 1.0)
@@ -904,7 +904,7 @@ def dense_classify(classifier, z):
     degenerate = False
     if unique:
         arr = np.stack(unique)
-        jac = classifier.jacobian(arr)
+        _, jac = classifier.jacobian(arr)
         dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         levels = classifier.level(arr)
         residuals = np.linalg.norm(classifier.value(arr), axis=-1)
@@ -940,7 +940,7 @@ def fold_field():
         J = np.zeros(pts.shape[:-1] + (2, 2))
         J[..., 0, 0] = 2.0 * pts[..., 0]
         J[..., 1, 1] = 1.0
-        return J
+        return value(pts), J
 
     def level(pts):
         return np.ones(np.asarray(pts, float).shape[:-1])
@@ -1008,8 +1008,7 @@ def disk_trap(k):
 
 def newton_step(classifier, z):
     """One float Newton step from each point, with the search's arithmetic."""
-    J = classifier.jacobian(z)
-    V = classifier.value(z)
+    V, J = classifier.jacobian(z)
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / det
     step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / det
@@ -1207,8 +1206,8 @@ def test_hand_coefficient_matches_wedge_route():
         pieces = _assemble_pieces(k, _disk_params(k))
         classifier = _classifier_from_pieces(pieces)
         u, grad = pieces.u(pts, _radius(pts), (0, 1))
-        J = classifier.jacobian(pts)
-        closed = -u * (J[:, 0, 0] + J[:, 1, 1]) + np.einsum("ni,ni->n", classifier.value(pts), grad)
+        V, J = classifier.jacobian(pts)
+        closed = -u * (J[:, 0, 0] + J[:, 1, 1]) + np.einsum("ni,ni->n", V, grad)
         F = _contact_coefficient(pieces)(pts)
         assert (np.abs(F - closed) <= 1e-12 * np.maximum(1.0, np.abs(F))).all(), k
 
@@ -1298,7 +1297,7 @@ def test_disk_classifier_derivatives_match_central_differences(k):
         return lambda pts: pieces.u(pts, _radius(pts), (order,))[0]
 
     pairs = {
-        "jacobian": (classifier.value, classifier.jacobian),
+        "jacobian": (classifier.value, lambda pts: classifier.jacobian(pts)[1]),
         "hess_u": (u_order(1), u_order(2)),
         "grad_u": (u_order(0), u_order(1)),
     }
@@ -1527,7 +1526,7 @@ def reference_disk(k):
         J[..., 0, 1] += -s1 * q * q / (safe * safe) + s * (q * q / r3 - 1.0 / safe)
         J[..., 1, 0] += s1 * p * p / (safe * safe) + s * (1.0 / safe - p * p / r3)
         J[..., 1, 1] += s1 * p * q / (safe * safe) - s * p * q / r3
-        return J
+        return value(pts), J
 
     return ClassifierField(value, jacobian, u), grad_u, hess_u
 
@@ -1541,13 +1540,13 @@ def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
     regions["disk grid"] = _disk_grid(0.98, 161)
     for region, pts in regions.items():
         V = classifier.value(pts)
-        J = classifier.jacobian(pts)
-        kept_V = classifier.value(pts)
-        fresh_J = classifier.jacobian(pts)
+        fused_V, J = classifier.jacobian(pts)
+        again_V, again_J = classifier.jacobian(pts)
         assert bitwise_equal(V, reference.value(pts)), region
-        assert bitwise_equal(kept_V, V), region
-        assert bitwise_equal(J, reference.jacobian(pts)), region
-        assert bitwise_equal(fresh_J, J), region
+        assert bitwise_equal(fused_V, V), region
+        assert bitwise_equal(again_V, V), region
+        assert bitwise_equal(J, reference.jacobian(pts)[1]), region
+        assert bitwise_equal(again_J, J), region
         assert bitwise_equal(classifier.level(pts), reference.level(pts)), region
         refs = (reference.level(pts), grad_u(pts), hess_u(pts))
         for orders in ORDER_SUBSETS:
@@ -1558,12 +1557,12 @@ def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
 
 
 def counted_classifier(k, points=None):
-    """A fresh disk classifier and the list of its passes: "jet" for the
-    V and J pass, "value" for the V-only pass.  A ``points`` list, if
+    """A fresh disk classifier and the list of its passes: "jacobian" for
+    the V and J pass, "value" for the V-only pass.  A ``points`` list, if
     given, collects a copy of the points of each pass."""
     pieces = _assemble_pieces(k, _disk_params(k))
     passes = []
-    kinds = {(1,): "value", (1, 2): "jet"}
+    kinds = {(1,): "value", (1, 2): "jacobian"}
 
     def u(pts, rho, orders):
         passes.append(kinds.get(tuple(orders), "level"))
@@ -1574,57 +1573,51 @@ def counted_classifier(k, points=None):
     return _classifier_from_pieces(dataclasses.replace(pieces, u=u)), passes
 
 
-def test_classifier_memo_serves_only_the_same_bytes():
-    classifier, passes = counted_classifier(7)
-
-    def check(pts, want_jets, want_values):
-        # a fresh classifier has nothing kept, so its value runs the V-only pass
-        fresh, _ = counted_classifier(7)
-        assert bitwise_equal(classifier.value(pts), fresh.value(pts))
-        assert (passes.count("jet"), passes.count("value")) == (want_jets, want_values)
-
-    base = np.random.default_rng(8).uniform(-0.3, 0.3, (50, 2))
-    base[0] = 0.0
-    classifier.jacobian(base)
-    check(base.copy(), 1, 0)  # same bytes: the jacobian's pass serves the value
-    check(base, 1, 1)  # the entry was taken; a second value runs the V-only pass
-    a = base.copy()
-    classifier.jacobian(a)
-    a[3, 0] += 1e-3  # changed in place after jacobian
-    check(a, 2, 2)
-    classifier.jacobian(base)
-    check(base[:10], 3, 3)  # another shape
-    classifier.jacobian(base)
-    check(base.reshape(5, 10, 2), 4, 4)  # the same bytes in another shape
-    negative = base.copy()
-    negative[0] = -0.0
-    classifier.jacobian(base)
-    check(negative, 5, 5)  # -0.0 == 0.0, but the bytes differ
-    nan_row = base.copy()
-    nan_row[5] = np.nan
-    classifier.jacobian(nan_row)
-    check(nan_row.copy(), 6, 5)  # NaN != NaN, but the bytes match
-    classifier.jacobian(base)
-    classifier.jacobian(a)
-    check(base, 8, 6)  # only the last jacobian call is kept
-    classifier.value(base)
-    check(base, 8, 8)  # a value call keeps nothing
-    J = classifier.jacobian(base)
-    assert passes.count("jet") == 9  # nor does it serve a jacobian
-    assert bitwise_equal(J, counted_classifier(7)[0].jacobian(base))
-
-
 def test_final_residual_test_is_one_value_pass_over_every_end_point():
     points = []
     classifier, passes = counted_classifier(7, points)
     report = find_and_classify(classifier, trap=disk_trap(7))
     ends = _newton_points(search_field("k7"), 161, 60, disk_trap(7))
-    # every round and the classification run the jet pass, which serves their
-    # value calls; the final |V| test is the one V-only pass, over the end
-    # points as the search returns them
+    # every round and the classification run the jacobian pass; the final
+    # |V| test is the one V-only pass, over the end points as the search
+    # returns them
     assert passes.count("value") == 1
     assert bitwise_equal(points[passes.index("value")], ends)
     assert len(report.zeros) == 7
+
+
+@pytest.mark.parametrize("k", [3, 7, 19])
+def test_search_takes_v_and_j_from_one_call_per_newton_round(k):
+    # the classifier wrapped as perfbench's tracer wraps it: each call is
+    # recorded with its kind and point count, and its result passes through
+    classifier = search_field(f"k{k}")
+    calls = []
+
+    def counting(kind, fn):
+        def inner(pts):
+            calls.append((kind, len(pts)))
+            return fn(pts)
+
+        return inner
+
+    counted = ClassifierField(
+        counting("value", classifier.value),
+        counting("jacobian", classifier.jacobian),
+        classifier.level,
+    )
+    trap, radius = disk_trap(k), cluster_end(k)
+    report = find_and_classify(counted, trap=trap, seed_radius=radius)
+    assert repr(report) == repr(find_and_classify(classifier, trap=trap, seed_radius=radius))
+    # a jacobian call per round, the final |V| test, then the zeros' call
+    rounds = len(calls) - 2
+    assert 1 <= rounds <= foliation._NEWTON_ROUNDS
+    assert [kind for kind, _ in calls] == ["jacobian"] * rounds + ["value", "jacobian"]
+    sizes = [n for _, n in calls]
+    seeds = len(_newton_points(classifier, 161, 60, trap, radius))
+    assert sizes[0] == sizes[rounds] == seeds
+    # the active set only shrinks, and a round runs only while it is nonempty
+    assert all(a >= b > 0 for a, b in zip(sizes[:rounds], sizes[1:rounds]))
+    assert sizes[-1] == len(report.zeros) == k
 
 
 NON_FINITE_ROWS = np.array(
@@ -1638,8 +1631,8 @@ def test_non_finite_rows_stay_non_finite_and_never_pass_the_residual_test(k, mon
     classifier = search_field(f"k{k}")
     with np.errstate(invalid="ignore"):
         assert (~np.isfinite(classifier.value(NON_FINITE_ROWS))).any(axis=-1).all()
-        classifier.jacobian(NON_FINITE_ROWS)
-        assert (~np.isfinite(classifier.value(NON_FINITE_ROWS))).any(axis=-1).all()
+        V, _ = classifier.jacobian(NON_FINITE_ROWS)
+        assert (~np.isfinite(V)).any(axis=-1).all()
     # end points with non-finite rows, each twice, add no zero
     reference = find_and_classify(classifier, trap=disk_trap(k))
     ends = _newton_points(classifier, 161, 60, disk_trap(k))
@@ -1678,11 +1671,10 @@ def test_value_only_pass_is_bit_identical_to_the_fused_pass(k):
         before = len(passes) if passes is not None else 0
         with np.errstate(invalid="ignore"):  # the odd points give NaN
             alone = classifier.value(pts)
-            classifier.jacobian(pts)
-            fused = classifier.value(pts)  # kept by the jacobian call
+            fused, _ = classifier.jacobian(pts)
         assert bitwise_equal(alone, fused), region
         if passes is not None:
-            assert passes[before:] == ["value", "jet"], region
+            assert passes[before:] == ["value", "jacobian"], region
 
 
 @pytest.mark.parametrize("layout", ["disk-k7", "scattered", "disk-k19"])

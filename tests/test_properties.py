@@ -725,9 +725,10 @@ def test_difference_and_negation_match_the_references_bit_for_bit(a, b, c):
         assert same_outcome(lambda: a - c, lambda: ref_sub(a, c))
         other = Expr(OTHER_CHART, b.terms)
         assert same_outcome(lambda: a - other, lambda: ref_sub(a, other))
-        # Expr.term takes a plain int mode, equal to its Mode member; a
-        # merged term keeps the fields of the term that comes first, so
-        # these show that a's terms come before b's negated ones
+        # terms given to the Expr constructor may carry a plain int mode,
+        # equal to its Mode member; a merged term keeps the fields of the
+        # term that comes first, so these show that a's terms come before
+        # b's negated ones
         half = outcome(lambda: a * 0.5)
         if half is not None:
             half = Expr(MIX, tuple(t._replace(mode=int(t.mode)) for t in half.terms))

@@ -365,3 +365,14 @@ class TestParser:
             Expr.term(MIX, 1.0, powers=[1, 0, 0, 0])
         with pytest.raises(ValueError):
             Expr.term(MIX, 1.0, mode=Mode.COS, freqs=[0, 0, 0, 1])
+
+    def test_builder_takes_only_a_mode_value(self):
+        x = XY[:1]
+        for bad in (5, None, -1):
+            with pytest.raises(ValueError):
+                Expr.term(x, 1.0, None, bad, (1,), 0.2)
+        e = Expr.term(x, 1.0, None, 1, (1,), 0.2)
+        assert type(e.terms[0].mode) is Mode
+        assert e == Expr.term(x, 1.0, None, Mode.COS, (1,), 0.2)
+        assert str(e) == str(parse_expression("cos(x + 0.2)", x))
+        assert e.compile()(np.array([0.3])) == pytest.approx(math.cos(0.5), abs=1e-15)
