@@ -2,6 +2,8 @@
 
 The package is organized bottom-up:
 
+- ``interval``: closed intervals with outward rounding, the proven
+  arithmetic behind ``Expr.bound`` and the disk's Newton trap.
 - ``trigpoly``: exact trigonometric polynomial arithmetic over named chart
   coordinates, the scalar layer everything else is built on.
 - ``charts``: charts, vector fields, differential forms, brackets, exterior
@@ -16,12 +18,13 @@ The package is organized bottom-up:
   pipeline with its gluing checks.
 - ``cli`` / ``reports``: command line front end and reproducible reports.
 
-Import rule: at module level ``foliation`` imports only numpy and the
-standard library, and ``reports`` only those, ``foliation`` and this
-package's constants.  ``cli`` imports each subcommand's modules when it
-runs, so ``engelbook foliation`` loads only ``cli``, ``foliation`` and
-``reports``; the default tolerances and grid size live here so that the
-CLI reads them without importing another module.
+Import rule: at module level ``interval`` imports only numpy,
+``foliation`` only numpy, the standard library, ``interval`` and this
+package's constants, and ``reports`` only those and ``foliation``.  ``cli``
+imports each subcommand's modules when it runs, so ``engelbook foliation``
+loads only ``cli``, ``foliation``, ``interval`` and ``reports``; the
+default tolerances and grid size live here so that the CLI reads them
+without importing another module.
 """
 
 __version__ = "0.1.0"

@@ -341,13 +341,27 @@ def differential(f: Expr, chart: Chart) -> OneForm:
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:
+    """d alpha, with components d_i a_j - d_j a_i for i < j.
+
+    A partial along a coordinate that the component does not read
+    (``read_axes``) is the zero ``Expr`` and is not taken, as in
+    ``VectorField.apply``; the coordinate is still looked up by name, so a
+    component over another chart raises the ``KeyError`` or the chart
+    mismatch it raises with the partial taken.
+    """
     chart = alpha.chart
+
+    def partial(f: Expr, name: str) -> Expr:
+        if _coord_index(f.coords, name) in f.read_axes:
+            return f.partial(name)
+        return Expr.zero(f.coords)
+
     pairs = tuple(itertools.combinations(range(chart.dim), 2))
     comps = []
     for i, j in pairs:
         comps.append(
-            alpha.components[j].partial(chart.coords[i].name)
-            - alpha.components[i].partial(chart.coords[j].name)
+            partial(alpha.components[j], chart.coords[i].name)
+            - partial(alpha.components[i], chart.coords[j].name)
         )
     return TwoForm(chart, pairs, tuple(comps))
 

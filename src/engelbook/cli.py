@@ -151,12 +151,14 @@ def _check_ranges(args: argparse.Namespace) -> None:
 
 
 # Tolerance flags that decide no check of a command: no verify check reads
-# the last three, and the winding residuals of construct and invariants are
-# float rounding on closed loops (at most 1.8e-15 over the construct sweep).
+# the last three, the winding residuals of construct and invariants are
+# float rounding on closed loops (at most 1.8e-15 over the construct sweep),
+# and invariants reports none of the piece checks, the only readers of the
+# rank tolerance.
 _UNREAD_TOLERANCES = {
     "verify": ("zero", "slope", "residual"),
     "construct": ("residual",),
-    "invariants": ("residual",),
+    "invariants": ("rank", "residual"),
 }
 
 

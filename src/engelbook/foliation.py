@@ -38,6 +38,9 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import DEFAULT_MIN_POINTS
+from .interval import Enclosure
+
 if TYPE_CHECKING:
     from .charts import Chart, OneForm, VectorField
 
@@ -70,6 +73,9 @@ _TRAP_CANDIDATE = (0.4115, 0.4440)  # the radii a disk's Newton trap is proven o
 _TRAP_MARGIN = 1e-6  # delta: how far inside the trap its proven image stays
 _TRAP_PIECES = 512  # subintervals of the trap's interval bound
 _REPLAY_CHUNK = 256  # steps a straight-leaf replay predicts per direction call
+_MIN_NORM = 1e-14  # smallest direction norm the tracer accepts
+_EVAL_ALLOWANCE = 1e-12  # the evaluator's rounding, per unit of the sum of |term|
+_MAX_BOUND = 1e150  # largest proven |c1|: its square stays a normal float
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -183,6 +189,7 @@ def _replay_straight(
     inside: "Callable[[np.ndarray], np.ndarray] | None",
     angular: list[int],
     step: float,
+    proven: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The RK4 loop's traces of the rows whose leaves are straight, bit for bit.
 
@@ -201,8 +208,11 @@ def _replay_straight(
     every one of these stage unit vectors equals ``e`` and every norm is at
     least 1e-14.  Any other row, and a row that does not start finite, is
     left to the loop, which traces it from its start (and raises where the
-    field vanishes).  Returns a mask of the replayed rows and, on those
-    rows, the end points, exit flags and step counts.
+    field vanishes).  With ``proven``, the caller has proven that every
+    stage unit vector of every row equals its ``e`` with a norm of at least
+    1e-14, so no stage point is evaluated and every finite row is replayed.
+    Returns a mask of the replayed rows and, on those rows, the end points,
+    exit flags and step counts.
     """
     m, dim = z0.shape
     done = np.zeros(m, bool)
@@ -212,6 +222,13 @@ def _replay_straight(
     to_mid, to_end, e3 = half * e, full * e, np.tile(e, 3)
     live = np.flatnonzero(np.isfinite(z0).all(1) & np.isfinite(e).all(1))
     za = z0[live]
+    # a coordinate whose entry of e is 0 takes steps of 0 and keeps its
+    # start, so its offset is 0, wrapped or not; where one axis moves, the
+    # closure distance is the offset x along it, as sqrt(fl(x * x)) = |x|
+    # where x * x is a normal float, and otherwise both lie below 2^-511 or
+    # above 2^511, on one side of half a step in [2^-510, 2^510]
+    moving = np.flatnonzero((e[live] != 0.0).any(0))
+    axis = moving[0] if len(moving) == 1 and 2.0**-510 <= step <= 2.0**510 else None
     taken = 0  # steps every live row has replayed
     while len(live):
         n = min(_REPLAY_CHUNK, int(budget[live].max()) - taken)
@@ -225,27 +242,37 @@ def _replay_straight(
         if inside is not None:
             out = ~np.asarray(inside(pts.reshape(-1, dim))).reshape(len(live), n)
             stop |= out
-        d = pts - z0[live, None]
-        for a in angular:
-            np.subtract((d[..., a] + math.pi) % math.tau, math.pi, out=d[..., a])
-        stop |= (i > 100) & (_row_norms(d.reshape(-1, dim)).reshape(len(live), n) < 0.5 * step)
+        if axis is None:
+            d = pts - z0[live, None]
+            for a in angular:
+                np.subtract((d[..., a] + math.pi) % math.tau, math.pi, out=d[..., a])
+            far = _row_norms(d.reshape(-1, dim)).reshape(len(live), n)
+        else:
+            far = pts[..., axis] - z0[live, axis, None]
+            if axis in angular:
+                np.subtract((far + math.pi) % math.tau, math.pi, out=far)
+            far = np.abs(far, out=far)
+        stop |= (i > 100) & (far < 0.5 * step)
         stopped = stop.any(1)
         last = np.where(stopped, stop.argmax(1), n - 1)
-        counts = last + 1
-        first = np.cumsum(counts) - counts
-        prev = path[:, :-1][np.arange(n) < counts[:, None]]
-        er, hr, fr = (np.repeat(a[live], counts, axis=0) for a in (e3, to_mid, to_end))
-        # the three stage points of a step side by side, so that each row's
-        # points are contiguous and one reduceat per test gives its verdict
-        v = np.asarray(direction(np.stack([prev, prev + hr, prev + fr], 1).reshape(-1, dim)), float)
-        norms = _row_norms(v)
-        # points past a bend are not on the leaf: the loop, not their
-        # arithmetic, decides what a row that bends meets there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = v / norms[:, None]
-        same = u.view(np.int64).reshape(er.shape) == er.view(np.int64)
-        straight = np.logical_and.reduceat(same.ravel(), first * er.shape[1])
-        straight &= np.logical_and.reduceat(norms >= 1e-14, first * 3)
+        if proven:
+            straight = np.ones(len(live), bool)
+        else:
+            counts = last + 1
+            first = np.cumsum(counts) - counts
+            prev = path[:, :-1][np.arange(n) < counts[:, None]]
+            er, hr, fr = (np.repeat(a[live], counts, axis=0) for a in (e3, to_mid, to_end))
+            # the three stage points of a step side by side, so that each row's
+            # points are contiguous and one reduceat per test gives its verdict
+            v = np.asarray(direction(np.stack([prev, prev + hr, prev + fr], 1).reshape(-1, dim)), float)
+            norms = _row_norms(v)
+            # points past a bend are not on the leaf: the loop, not their
+            # arithmetic, decides what a row that bends meets there
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = v / norms[:, None]
+            same = u.view(np.int64).reshape(er.shape) == er.view(np.int64)
+            straight = np.logical_and.reduceat(same.ravel(), first * er.shape[1])
+            straight &= np.logical_and.reduceat(norms >= _MIN_NORM, first * 3)
         fin = straight & stopped
         j, at = live[fin], last[fin]
         done[j] = True
@@ -267,6 +294,7 @@ def _trace_leaves(
     max_steps: np.ndarray,
     inside: "Callable[[np.ndarray], np.ndarray] | None",
     wrap: tuple[bool, ...],
+    proven_straight: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 on every row of ``starts`` at once.
 
@@ -285,7 +313,10 @@ def _trace_leaves(
     the start's in bits, are replayed first in a few batched passes
     (``_replay_straight``), with the same result as the loop.  The loop
     below traces every other row from its start, with the stop tests on
-    every step.
+    every step.  ``proven_straight`` says that the caller has proven every
+    row straight, with each stage norm at least 1e-14 (as
+    ``annulus_foliation_check`` does): ``direction`` is then evaluated at
+    the starts only.
     """
     z = np.array(starts, float)
     exited = np.zeros(len(z), bool)
@@ -303,7 +334,7 @@ def _trace_leaves(
         v = np.asarray(direction(p), float)
         n = _row_norms(v)
         # fmin skips NaN rows, so a vanishing row raises beside them too
-        if np.fmin.reduce(n) < 1e-14:
+        if np.fmin.reduce(n) < _MIN_NORM:
             raise ValueError("direction field vanishes on the traced leaf")
         # a non-finite row becomes NaN here, as in the one-leaf loop
         with np.errstate(invalid="ignore"):
@@ -312,7 +343,8 @@ def _trace_leaves(
     if len(rows):
         # the loop's first stage, so a start where the field vanishes raises
         replayed, ends, exits, steps = _replay_straight(
-            direction, z[rows], unit(z[rows]), half, full, sixth, n_steps[rows], inside, angular, step
+            direction, z[rows], unit(z[rows]), half, full, sixth, n_steps[rows], inside, angular, step,
+            proven_straight,
         )
         z[rows[replayed]] = ends[replayed]
         exited[rows[replayed]] = exits[replayed]
@@ -386,6 +418,64 @@ def trace_leaf(
     return z[0], bool(exited[0]), int(n_steps[0])
 
 
+def _proves_vertical(pulled: OneForm, box: tuple[tuple[float, float], ...]) -> bool:
+    """Whether every point of ``box`` gives the compiled form's kernel
+    direction (-c2, c1) of c1 du + c2 dv the unit vector (+0.0, s), with one
+    sign s and a norm of at least 1e-14, in the tracer's float arithmetic.
+
+    c2 must be the zero ``Expr``, whose evaluator column is exactly +0.0.
+    ``Expr.bound`` follows the evaluator's operations in their order, so
+    the bound of each term of c1 encloses the evaluator's value of that
+    term, and their outward-rounded sum encloses the column, which adds the
+    terms in order, up to the C library's error in a power other than 1, 2
+    and -1, within one ulp of each such power.  The allowance of 1e-12
+    times the sum of the terms' largest magnitudes covers that by far.  c1
+    must clear 1e-14 plus that allowance, with one sign, and the sum of
+    magnitudes must stay below 1e150.  Then c1 * c1 neither underflows nor
+    overflows, and in binary64 sqrt(fl(x * x)) = |x| for every such x, so
+    ``_row_norms`` returns |c1| and the unit vector is exactly (+0.0, s).
+    A bound that is NaN, or a Laurent pole in the box, proves nothing.
+    """
+    c1, c2 = pulled.components
+    if c2.terms:
+        return False
+    total, size = Enclosure(0.0, 0.0), 0.0
+    for t in c1.terms:
+        try:
+            lo, hi = type(c1)(c1.coords, (t,)).bound(box)
+        except ValueError:
+            return False
+        total, size = total + Enclosure(lo, hi), size + max(-lo, hi)
+    floor = _MIN_NORM + _EVAL_ALLOWANCE * size
+    return size < _MAX_BOUND and (total.lo > floor or total.hi < -floor)
+
+
+def _sign_change(pulled: OneForm, v_range: tuple[float, float]) -> "tuple[int, list[dict]] | None":
+    """Where c1 of c1 du takes both signs on a grid across the band: the
+    number of grid points and the failures at its largest and smallest
+    values, or None.
+
+    c1 is evaluated at the chart's u samples of a default check, times as
+    many v values across ``v_range``.  A value counts only beyond
+    ``_EVAL_ALLOWANCE`` times the sum of the terms' magnitudes there.
+    """
+    from .trigpoly import _evaluator
+
+    c1 = pulled.components[0]
+    u_axis = pulled.chart.axes_for_min_points(DEFAULT_MIN_POINTS)[0]
+    v_axis = np.linspace(*v_range, len(u_axis))
+    pts = np.stack(np.meshgrid(u_axis, v_axis, indexing="ij"), -1).reshape(-1, 2)
+    values = _evaluator([c1, *(type(c1)(c1.coords, (t,)) for t in c1.terms)])(pts)
+    c, allowance = values[:, 0], _EVAL_ALLOWANCE * np.abs(values[:, 1:]).sum(1)
+    up, down = c > allowance, c < -allowance
+    if not (up.any() and down.any()):
+        return None
+    worst = (np.where(up, c, -np.inf).argmax(), np.where(down, c, np.inf).argmin())
+    return len(pts), [
+        {"point": {"u": float(pts[i, 0]), "v": float(pts[i, 1])}, "value": float(c[i])} for i in worst
+    ]
+
+
 def annulus_foliation_check(
     pulled: OneForm,
     v_range: tuple[float, float],
@@ -398,15 +488,25 @@ def annulus_foliation_check(
     boundary components, and re-integrating backward from the forward
     endpoint reproduces the seed within 1e-4.  Closed, trapped or non-finite
     leaves fail.  The 16 leaves are traced as one batch, and the retraces of
-    the exited forward leaves as a second.
+    the exited forward leaves as a second.  A leaf is inside while
+    ``lo < v < hi``, which is false for NaN.
 
-    A leaf is inside while ``lo < v < hi``, which is false for NaN.  Where
-    the pulled form has a constant kernel line, as on both catalog annuli
-    (c2 = 0, c1 of one sign), every leaf is straight: the tracer replays it
-    in a few batched passes, with the bits the RK4 loop would give.  Other
-    leaves are stepped, with the exit test on every step.  The replay
-    reproduces the trace and nothing more: the check still samples 8 leaves
-    and proves nothing about the leaves between them.
+    Where c2 is the zero ``Expr`` and ``Expr.bound`` proves that c1 keeps
+    one sign on the seeds' u range times [lo - 2 step, hi + 2 step], and
+    clears 1e-14 plus an allowance of 1e-12 times the sum of its terms'
+    magnitudes for the evaluator's rounding (``_proves_vertical`` states
+    the assumptions), the kernel line is vertical on the whole band, so
+    every leaf crosses it, not only the traced ones; both catalog annuli
+    are such.  That box holds every stage point of both batches, since a
+    vertical leaf keeps its seed's u and moves v by one step per step, so
+    every traced leaf is straight: the tracer replays it without evaluating
+    the field at a stage point, with the bits the RK4 loop would give.
+    Where c2 is zero and the bound proves nothing, c1 is sampled on a grid
+    across the band (``_sign_change``); if it takes both signs there, the
+    line field vanishes between them, and the check fails at the points of
+    its largest and smallest values without tracing.  Every other form is
+    traced as above, which samples 8 leaves and proves nothing about the
+    leaves between them.
     """
     from .verify import MAX_FAILURES, CheckReport
 
@@ -414,6 +514,20 @@ def annulus_foliation_check(
     lo, hi = v_range
     step = _LEAF_STEP
     max_arc = _LEAF_ARC_FACTOR * (hi - lo)
+    details = {"step": step, "max_arc": max_arc}
+    vertical = _proves_vertical(pulled, ((0.0, math.tau), (lo - 2.0 * step, hi + 2.0 * step)))
+    if not vertical and not pulled.components[1].terms:
+        change = _sign_change(pulled, v_range)
+        if change is not None:
+            sampled, failures = change
+            return CheckReport(
+                name=name,
+                passed=False,
+                n_points=sampled,
+                min_gap=0.0,
+                failures=tuple(failures),
+                details=details,
+            )
     form = pulled.compile()
 
     # the kernel direction (-c2, c1) of c1 du + c2 dv: the tracer's
@@ -441,6 +555,7 @@ def annulus_foliation_check(
         np.full(2 * n, int(math.ceil(max_arc / step))),
         inside,
         wrap,
+        vertical,
     )
     # reversibility: integrating each exited forward leaf back over its
     # own step count must reproduce its seed
@@ -453,6 +568,7 @@ def annulus_foliation_check(
         steps[retraced],
         None,
         wrap,
+        vertical,
     )
     retrace_ok = np.ones(n, bool)
     for j, back in zip(retraced, backs):
@@ -485,7 +601,7 @@ def annulus_foliation_check(
         n_points=n,
         min_gap=0.0 if not passed else float(headroom),
         failures=tuple(failures[:MAX_FAILURES]),
-        details={"step": step, "max_arc": max_arc},
+        details=details,
     )
 
 
@@ -1075,59 +1191,7 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
     return ClassifierField(value, jacobian, level)
 
 
-@dataclass(frozen=True)
-class _Enclosure:
-    """Closed intervals [lo, hi], one per array entry (Moore, *Interval
-    Analysis*, 1966).
-
-    Each operation rounds its ends one float outward.  Float +, -, *, / and
-    sqrt are correctly rounded, so each result encloses the exact operation
-    on every choice of reals from its operands.  A float operand is the
-    interval holding only itself.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @staticmethod
-    def of(x: "_Enclosure | float") -> "_Enclosure":
-        return x if isinstance(x, _Enclosure) else _Enclosure(x, x)
-
-    @staticmethod
-    def _outward(lo, hi) -> "_Enclosure":
-        return _Enclosure(np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
-
-    def __add__(self, other):
-        o = _Enclosure.of(other)
-        return _Enclosure._outward(self.lo + o.lo, self.hi + o.hi)
-
-    def __sub__(self, other):
-        o = _Enclosure.of(other)
-        return _Enclosure._outward(self.lo - o.hi, self.hi - o.lo)
-
-    def __rsub__(self, other):
-        return _Enclosure.of(other) - self
-
-    def __mul__(self, other):
-        o = _Enclosure.of(other)
-        ends = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return _Enclosure._outward(np.minimum.reduce(ends), np.maximum.reduce(ends))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # by a divisor with lo > 0 only: then the quotient's ends are quotients of ends
-        o = _Enclosure.of(other)
-        return _Enclosure._outward(
-            np.minimum(self.lo / o.lo, self.lo / o.hi), np.maximum(self.hi / o.lo, self.hi / o.hi)
-        )
-
-    def sqrt(self) -> "_Enclosure":
-        # of a quantity known to be nonnegative, so a negative lower end means 0
-        return _Enclosure._outward(np.sqrt(np.maximum(self.lo, 0.0)), np.sqrt(self.hi))
-
-
-def _shell_newton_radius(params: dict, rho: _Enclosure) -> tuple[_Enclosure, ...]:
+def _shell_newton_radius(params: dict, rho: Enclosure) -> tuple[Enclosure, ...]:
     """Enclosures of f, f' and the Newton image radius R over ``rho``, on
     the shell where the disk classifier is radial (see ``_newton_trap``).
 
@@ -1137,7 +1201,7 @@ def _shell_newton_radius(params: dict, rho: _Enclosure) -> tuple[_Enclosure, ...
     wall_lo, wall_hi = params["wall"]
     wall_w = wall_hi - wall_lo
     one_plus = 1.0 + params["floor"]
-    c_dip, g = params["c_dip"], _Enclosure.of(params["swirl"])
+    c_dip, g = params["c_dip"], Enclosure.of(params["swirl"])
     t = (rho - wall_lo) / wall_w
     # smoothstep's first two derivatives on the enclosure, and the wall's
     # scaling of them, as _assemble_pieces writes it
@@ -1184,7 +1248,7 @@ def _newton_trap(
         return None
     edges = np.linspace(lo, hi, _TRAP_PIECES + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f, df, R = _shell_newton_radius(params, _Enclosure(edges[:-1], edges[1:]))
+        f, df, R = _shell_newton_radius(params, Enclosure(edges[:-1], edges[1:]))
     # R encloses the image radius only where f and f' are positive
     proven = (
         (f.lo > _ZERO_RESIDUAL).all()

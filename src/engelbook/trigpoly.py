@@ -59,6 +59,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .interval import TRIG_HULL, Enclosure
+
 __all__ = [
     "KIND_ANGULAR",
     "KIND_LINEAR",
@@ -537,6 +539,37 @@ class Expr:
         lone live scalar, and shares one ``_evaluator`` among more."""
         fn = _evaluator((self,))
         return lambda pts: fn(pts)[..., 0]
+
+    def bound(self, box: Sequence[tuple[float, float]]) -> tuple[float, float]:
+        """(lo, hi) enclosing the expression at every point of ``box``, one
+        (lo, hi) range per coordinate: its natural extension over the float
+        coefficients, in ``interval`` arithmetic.
+
+        Each term is its coefficient times the enclosure of each power, in
+        coordinate order, times ``TRIG_HULL`` for a cos or sin factor, and
+        the terms are summed in order from 0: the operations of the compiled
+        evaluator, in its order.  So the bound also encloses every value the
+        evaluator returns in the box, up to the C library's error in a power
+        other than 1, 2 and -1 (within one ulp of the power).  An angular
+        coordinate's range is not read, as it enters only cos and sin.  A
+        negative power of a range that contains 0 raises ``ValueError``.  An
+        end that overflows is infinite, and its product with a zero end is
+        NaN, which bounds nothing.
+        """
+        ranges = [Enclosure(float(lo), float(hi)) for lo, hi in box]
+        if len(ranges) != len(self.coords):
+            raise ValueError("the box must give one range per coordinate")
+        total = Enclosure(0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for coeff, powers, mode, _, _ in self.terms:
+                acc = Enclosure.of(coeff)
+                for r, p in zip(ranges, powers):
+                    if p:
+                        acc = acc * r**p
+                if mode != _CONST:
+                    acc = acc * TRIG_HULL
+                total = total + acc
+        return float(total.lo), float(total.hi)
 
     # -- substitution -----------------------------------------------------
 

@@ -26,6 +26,7 @@ from engelbook.trigpoly import (
     KIND_ANGULAR,
     KIND_LINEAR,
     KIND_POLYNOMIAL,
+    Expr,
     canonical_equal,
 )
 
@@ -179,6 +180,43 @@ class TestExteriorCalculus:
         ddf = exterior_derivative(differential(f, SHEAR_CHART))
         for comp in ddf.components:
             assert comp.is_zero(tol=1e-12)
+
+    def test_exterior_derivative_takes_only_the_partials_its_components_read(self, monkeypatch):
+        # each component reads some of the four axes; a partial along an
+        # axis it does not read is the zero Expr and is not taken
+        alpha = SHEAR_CHART.one_form({"x": "r*sin(phi)", "y": "r^2", "phi": "cos(x - y)"})
+        a, names = alpha.components, SHEAR_CHART.coord_names()
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        reference = [a[j].partial(names[i]) - a[i].partial(names[j]) for i, j in pairs]
+        calls = []
+        partial = Expr.partial
+
+        def counting(self, name):
+            calls.append(name)
+            return partial(self, name)
+
+        monkeypatch.setattr(Expr, "partial", counting)
+        omega = exterior_derivative(alpha)
+        assert [c.terms for c in omega.components] == [r.terms for r in reference]
+        assert omega.pairs == tuple(pairs)
+        # of the 12 partials, 5 run along an axis their component reads:
+        # d_r and d_phi of a_x = r sin(phi), d_r of a_y = r^2, and d_x and
+        # d_y of a_phi = cos(x - y)
+        assert sorted(calls) == ["phi", "r", "r", "x", "y"]
+
+    def test_exterior_derivative_of_a_component_over_another_chart_raises(self):
+        # a component whose chart lacks a coordinate name: the lookup raises
+        # even where the partial would be zero; one over a chart with the
+        # same names but other kinds meets the chart check of the difference
+        other = Chart.make("other", [("a", KIND_POLYNOMIAL, BOX), ("b", KIND_ANGULAR)])
+        alpha = DARBOUX.one_form({})
+        foreign = type(alpha)(DARBOUX, (other.parse("a"),) + alpha.components[1:])
+        with pytest.raises(KeyError, match="no coordinate named 'y'"):
+            exterior_derivative(foreign)
+        renamed = Chart.make("renamed", [(c.name, KIND_LINEAR, BOX) for c in DARBOUX.coords])
+        mixed = type(alpha)(DARBOUX, (renamed.parse("x"),) + alpha.components[1:])
+        with pytest.raises(ValueError, match="different coordinate tuples"):
+            exterior_derivative(mixed)
 
     def test_interior_product_matches_two_form_pairing(self):
         rng = np.random.default_rng(8)

@@ -239,6 +239,25 @@ def test_assembly_commands_reject_a_residual_tolerance_off_its_default(capsys, t
     assert (tmp_path / "report.json").read_bytes() == default
 
 
+def test_invariants_rejects_a_rank_tolerance_off_its_default(capsys, tmp_path):
+    # the rank tolerance reaches only the piece checks, which invariants
+    # leaves out of its report, so a value off the default would be
+    # recorded and ignored; construct applies it and fails its checks
+    out = tmp_path / "report.json"
+    argv = ["--lambda", "1", "--k", "5", "--rank-tol", "1e9", "--out", str(out)]
+    assert run(["invariants", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[EB-PARAM] --rank-tol is not applied by invariants")
+    assert not out.exists()
+    assert run(["construct", *argv]) == 1
+    assert "error[EB-VERIFY]" in capsys.readouterr().err
+    argv = ["invariants", "--lambda", "0", "--k", "1", "--out", str(out)]
+    assert run(argv) == 0
+    default = out.read_bytes()
+    assert run([*argv, "--rank-tol", "1e-9"]) == 0
+    assert out.read_bytes() == default
+
+
 def test_verify_accepts_the_default_tolerances_spelled_out(capsys):
     assert run(["verify", "--model", "binding_Eb"]) == 0
     default = capsys.readouterr().out
@@ -570,6 +589,7 @@ def test_foliation_loads_only_the_disk_and_report_modules(tmp_path):
         "engelbook",
         "engelbook.cli",
         "engelbook.foliation",
+        "engelbook.interval",
         "engelbook.reports",
     }
 

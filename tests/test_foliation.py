@@ -26,7 +26,6 @@ from engelbook.foliation import (
     _contact_coefficient,
     _disk_grid,
     _disk_params,
-    _Enclosure,
     _gaussian_bundle,
     _newton_points,
     _newton_trap,
@@ -43,6 +42,7 @@ from engelbook.foliation import (
     torus_slope,
     trace_leaf,
 )
+from engelbook.interval import Enclosure
 from engelbook.invariants import Path
 from engelbook.models import PAGE_ANNULUS, model_catalog
 from engelbook.reports import portrait_rows
@@ -676,6 +676,29 @@ def test_replay_closes_a_slanted_constant_leaf_like_one_leaf_loop():
     assert [d[2] for d in dense] == [700, 700]
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_replay_closes_an_axis_aligned_leaf_like_one_leaf_loop(axis):
+    # a constant field along one angular axis of a torus: the other axis
+    # keeps its start, and the closure distance is the wrapped offset along
+    # the moving one; a step of 2 pi / 700.3 closes the leaf on step 700
+    def aligned(pts):
+        out = np.zeros(pts.shape)
+        out[..., axis] = 1.0
+        return out
+
+    step, wrap = math.tau / 700.3, (True, True)
+    starts = np.array([[0.0, 0.5], [2.0, -0.3], [-1.0, 3.0]])
+    signs = np.array([1.0, -1.0, 1.0])
+    budgets = np.array([2000, 2000, 650])
+    dense = [
+        dense_trace_leaf(signed(aligned, s), z, step, int(n), lambda z: True, wrap)
+        for z, s, n in zip(starts, signs, budgets)
+    ]
+    assert [d[1:] for d in dense] == [(False, 700), (False, 700), (False, 650)]
+    for proven in (False, True):
+        assert_same_traces(_trace_leaves(aligned, starts, signs, step, budgets, None, wrap, proven), dense)
+
+
 def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop(replayed):
     # mixed_direction below v = 0.6, a slanted constant field above it: row
     # 0 is straight to its exit, row 1 runs straight down into the curved
@@ -703,12 +726,12 @@ def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop(replayed)
 @pytest.mark.parametrize("name", ["s3_openbook", "stabilization_local"])
 def test_catalog_annulus_replays_in_a_few_direction_calls(monkeypatch, name):
     # stepping RK4 one step at a time was about 3,000 direction calls and
-    # 380 band tests per check; the replay takes one direction call per
-    # batch for the start and one per chunk, one band test per chunk, and
-    # evaluates no point beyond the step that leaves the band
+    # 380 band tests per check; the bound proves both catalog annuli
+    # vertical, so the replay evaluates the field only at the starts of
+    # each batch, and tests the band once per chunk
     calls, tests = [], []
 
-    def counting(direction, starts, signs, step, max_steps, inside, wrap):
+    def counting(direction, starts, signs, step, max_steps, inside, wrap, *proven):
         def counted(pts):
             calls.append(np.array(pts))
             return direction(pts)
@@ -718,18 +741,20 @@ def test_catalog_annulus_replays_in_a_few_direction_calls(monkeypatch, name):
             return inside(z)
 
         return _trace_leaves(
-            counted, starts, signs, step, max_steps, None if inside is None else tested, wrap
+            counted, starts, signs, step, max_steps, None if inside is None else tested, wrap, *proven
         )
 
     monkeypatch.setattr(foliation, "_trace_leaves", counting)
     pulled, (lo, hi) = catalog_annulus(name)
     report = annulus_foliation_check(pulled, (lo, hi))
     assert report.passed
-    assert len(calls) <= 6
+    # the seeds, forward and backward, then the 8 forward ends
+    assert [len(c) for c in calls] == [16, 8]
+    assert (calls[0][:, 1] == 0.5 * (lo + hi)).all()
     assert 0 < len(tests) <= 2
-    v = np.concatenate(calls)[:, 1]
+    v = calls[1][:, 1]
     step = report.details["step"]
-    assert (lo - step <= v).all() and (v <= hi + step).all()
+    assert ((hi <= v) & (v <= hi + step) | (lo - step <= v) & (v <= lo)).all()
 
 
 def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
@@ -737,13 +762,13 @@ def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
     # batch; the replay tests the band once per chunk
     calls = []
 
-    def counting(direction, starts, signs, step, max_steps, inside, wrap):
+    def counting(direction, starts, signs, step, max_steps, inside, wrap, *proven):
         def counted(z):
             calls.append(len(z))
             return inside(z)
 
         return _trace_leaves(
-            direction, starts, signs, step, max_steps, None if inside is None else counted, wrap
+            direction, starts, signs, step, max_steps, None if inside is None else counted, wrap, *proven
         )
 
     monkeypatch.setattr(foliation, "_trace_leaves", counting)
@@ -751,6 +776,108 @@ def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
     report = annulus_foliation_check(pulled, (lo, hi))
     assert report.passed
     assert 0 < len(calls) <= 20
+
+
+POLE_ANNULUS = Chart.make("pole-annulus", [("u", KIND_ANGULAR), ("v", KIND_POLYNOMIAL, Interval(-0.5, 0.5))])
+
+VERTICAL_CASES = {
+    "s3_openbook": lambda: catalog_annulus("s3_openbook"),
+    "stabilization_local": lambda: catalog_annulus("stabilization_local"),
+    # a Laurent power on a band clear of its pole
+    "inverse_square": lambda: (POLE_ANNULUS.one_form({"u": "v^-2"}), (0.1, 0.4)),
+    # c1 < 0 everywhere, so every forward leaf runs down
+    "negative": lambda: (ANNULUS.one_form({"u": "-0.5 - v^2 - 0.3*cos(u)"}), (0.05, 0.95)),
+}
+
+
+def check_box(lo, hi, step=1e-3):
+    return ((0.0, math.tau), (lo - 2.0 * step, hi + 2.0 * step))
+
+
+def same_bits(a, b):
+    return all(np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64)) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("case", VERTICAL_CASES)
+def test_proven_vertical_leaves_replay_like_the_per_stage_replay(case):
+    pulled, (lo, hi) = VERTICAL_CASES[case]()
+    assert foliation._proves_vertical(pulled, check_box(lo, hi))
+    # the check's batches, each traced with and without the proof
+    form = pulled.compile()
+
+    def direction(pts):
+        return form(pts)[..., ::-1]
+
+    seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, 0.5 * (lo + hi))], -1)
+    signs = np.repeat([1.0, -1.0], 8)[:, None] * [-1.0, 1.0]
+    budgets = np.full(16, int(math.ceil(50.0 * (hi - lo) / 1e-3)))
+    wrap = (True, False)
+    traces = [
+        _trace_leaves(direction, np.concatenate([seeds, seeds]), signs, 1e-3, budgets, band_mask(lo, hi), wrap, p)
+        for p in (True, False)
+    ]
+    assert same_bits(*traces)
+    ends, exits, steps = traces[0]
+    assert exits.all() and (steps < budgets).all()
+    retraces = [
+        _trace_leaves(direction, ends[:8], signs[8:], 1e-3, steps[:8], None, wrap, p) for p in (True, False)
+    ]
+    assert same_bits(*retraces)
+    # and the check gives the report of the one-leaf loop
+    assert repr(annulus_foliation_check(pulled, (lo, hi))) == repr(dense_annulus_check(pulled, (lo, hi))[2])
+
+
+def test_the_proof_needs_a_zero_dv_part_and_c1_clear_of_its_floor():
+    # the floor is 1e-14 plus 1e-12 times the sum of the terms' magnitudes,
+    # 5.1e-13 for v on v <= 0.5
+    v_du = ANNULUS.one_form({"u": "v"})
+    for form in (v_du, v_du.scaled(-1.0)):
+        assert foliation._proves_vertical(form, ((0.0, math.tau), (6e-13, 0.5)))
+        assert not foliation._proves_vertical(form, ((0.0, math.tau), (4e-13, 0.5)))
+    assert not foliation._proves_vertical(ANNULUS.one_form({"u": "v", "v": "1e-6*v"}), check_box(0.1, 0.9))
+    # a Laurent pole in the box, and a c1 whose square may overflow, prove nothing
+    pole = POLE_ANNULUS.one_form({"u": "v^-2"})
+    assert not foliation._proves_vertical(pole, check_box(-0.1, 0.4))
+    assert not foliation._proves_vertical(ANNULUS.one_form({"u": "1e160*v^2"}), check_box(0.1, 0.9))
+
+
+def test_a_field_that_turns_past_the_band_takes_the_per_stage_route(monkeypatch):
+    # v - 0.3 is positive on the band, but the box reaches v = 0.2985, so
+    # the bound proves nothing; c1 takes one sign on the band's grid, so
+    # the leaves are traced, with the stage points evaluated
+    pulled, band = ANNULUS.one_form({"u": "v - 0.3"}), (0.3005, 0.9)
+    assert not foliation._proves_vertical(pulled, check_box(*band))
+    proven = []
+    replay = foliation._replay_straight
+
+    def recording(*args):
+        proven.append(args[-1])
+        return replay(*args)
+
+    monkeypatch.setattr(foliation, "_replay_straight", recording)
+    report = annulus_foliation_check(pulled, band)
+    assert proven == [False, False]
+    assert repr(report) == repr(dense_annulus_check(pulled, band)[2])
+
+
+@pytest.mark.parametrize(
+    "c1, band, values",
+    [("0.2 + cos(8*u)", (0.12, 0.88), (1.2, -0.8)), ("v - 0.3", (0.05, 0.95), (0.65, -0.25))],
+)
+def test_a_line_field_that_vanishes_in_the_band_fails_without_tracing(monkeypatch, c1, band, values):
+    # c1 du with c1 of both signs: the kernel line vanishes where c1 = 0.
+    # The 8 seeds of 0.2 + cos(8u) sit where cos(8u) = 1, and their leaves
+    # cross, but the line field vanishes on 16 segments of each circle
+    def no_trace(*args):
+        raise AssertionError("a leaf was traced")
+
+    monkeypatch.setattr(foliation, "_trace_leaves", no_trace)
+    report = annulus_foliation_check(PAGE_ANNULUS.one_form({"u": c1}), band)
+    assert not report.passed and report.min_gap == 0.0
+    # the chart's 32 u samples of a default check, by 32 v values
+    assert report.n_points == 1024
+    assert [f["value"] for f in report.failures] == pytest.approx(values)
+    assert all(band[0] <= f["point"]["v"] <= band[1] for f in report.failures)
 
 # -- singularity classification ----------------------------------------------------
 
@@ -1130,7 +1257,7 @@ def test_shell_radius_encloses_the_float_newton_step(k):
     z = np.stack([(radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()], axis=-1)
     image = _plane_norms(newton_step(search_field(f"k{k}"), z))
     rho = _plane_norms(z)
-    f, df, R = _shell_newton_radius(_disk_params(k), _Enclosure(rho, rho))
+    f, df, R = _shell_newton_radius(_disk_params(k), Enclosure(rho, rho))
     assert (f.lo > 0.0).all() and (df.lo > 0.0).all()
     # a point enclosure is tight, so the comparison below has teeth
     assert (R.hi - R.lo).max() < 1e-12
