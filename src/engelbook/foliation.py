@@ -459,12 +459,12 @@ def _sign_change(pulled: OneForm, v_range: tuple[float, float]) -> "tuple[int, l
     many v values across ``v_range``.  A value counts only beyond
     ``_EVAL_ALLOWANCE`` times the sum of the terms' magnitudes there.
     """
+    from .charts import _product_grid
     from .trigpoly import _evaluator
 
     c1 = pulled.components[0]
     u_axis = pulled.chart.axes_for_min_points(DEFAULT_MIN_POINTS)[0]
-    v_axis = np.linspace(*v_range, len(u_axis))
-    pts = np.stack(np.meshgrid(u_axis, v_axis, indexing="ij"), -1).reshape(-1, 2)
+    pts = _product_grid((u_axis, np.linspace(*v_range, len(u_axis))))
     values = _evaluator([c1, *(type(c1)(c1.coords, (t,)) for t in c1.terms)])(pts)
     c, allowance = values[:, 0], _EVAL_ALLOWANCE * np.abs(values[:, 1:]).sum(1)
     up, down = c > allowance, c < -allowance
