@@ -222,13 +222,6 @@ def _replay_straight(
     to_mid, to_end, e3 = half * e, full * e, np.tile(e, 3)
     live = np.flatnonzero(np.isfinite(z0).all(1) & np.isfinite(e).all(1))
     za = z0[live]
-    # a coordinate whose entry of e is 0 takes steps of 0 and keeps its
-    # start, so its offset is 0, wrapped or not; where one axis moves, the
-    # closure distance is the offset x along it, as sqrt(fl(x * x)) = |x|
-    # where x * x is a normal float, and otherwise both lie below 2^-511 or
-    # above 2^511, on one side of half a step in [2^-510, 2^510]
-    moving = np.flatnonzero((e[live] != 0.0).any(0))
-    axis = moving[0] if len(moving) == 1 and 2.0**-510 <= step <= 2.0**510 else None
     taken = 0  # steps every live row has replayed
     while len(live):
         n = min(_REPLAY_CHUNK, int(budget[live].max()) - taken)
@@ -242,17 +235,10 @@ def _replay_straight(
         if inside is not None:
             out = ~np.asarray(inside(pts.reshape(-1, dim))).reshape(len(live), n)
             stop |= out
-        if axis is None:
-            d = pts - z0[live, None]
-            for a in angular:
-                np.subtract((d[..., a] + math.pi) % math.tau, math.pi, out=d[..., a])
-            far = _row_norms(d.reshape(-1, dim)).reshape(len(live), n)
-        else:
-            far = pts[..., axis] - z0[live, axis, None]
-            if axis in angular:
-                np.subtract((far + math.pi) % math.tau, math.pi, out=far)
-            far = np.abs(far, out=far)
-        stop |= (i > 100) & (far < 0.5 * step)
+        d = pts - z0[live, None]
+        for a in angular:
+            np.subtract((d[..., a] + math.pi) % math.tau, math.pi, out=d[..., a])
+        stop |= (i > 100) & (_row_norms(d.reshape(-1, dim)).reshape(len(live), n) < 0.5 * step)
         stopped = stop.any(1)
         last = np.where(stopped, stop.argmax(1), n - 1)
         if proven:
@@ -439,13 +425,10 @@ def _proves_vertical(pulled: OneForm, box: tuple[tuple[float, float], ...]) -> b
     c1, c2 = pulled.components
     if c2.terms:
         return False
-    total, size = Enclosure(0.0, 0.0), 0.0
-    for t in c1.terms:
-        try:
-            lo, hi = type(c1)(c1.coords, (t,)).bound(box)
-        except ValueError:
-            return False
-        total, size = total + Enclosure(lo, hi), size + max(-lo, hi)
+    try:
+        total, size = c1._bound_and_size(box)
+    except ValueError:
+        return False
     floor = _MIN_NORM + _EVAL_ALLOWANCE * size
     return size < _MAX_BOUND and (total.lo > floor or total.hi < -floor)
 
@@ -453,7 +436,8 @@ def _proves_vertical(pulled: OneForm, box: tuple[tuple[float, float], ...]) -> b
 def _sign_change(pulled: OneForm, v_range: tuple[float, float]) -> "tuple[int, list[dict]] | None":
     """Where c1 of c1 du takes both signs on a grid across the band: the
     number of grid points and the failures at its largest and smallest
-    values, or None.
+    values, or None.  Between two such points c1 vanishes or has a Laurent
+    pole, so the line field is not defined everywhere in the band.
 
     c1 is evaluated at the chart's u samples of a default check, times as
     many v values across ``v_range``.  A value counts only beyond
@@ -502,9 +486,10 @@ def annulus_foliation_check(
     every traced leaf is straight: the tracer replays it without evaluating
     the field at a stage point, with the bits the RK4 loop would give.
     Where c2 is zero and the bound proves nothing, c1 is sampled on a grid
-    across the band (``_sign_change``); if it takes both signs there, the
-    line field vanishes between them, and the check fails at the points of
-    its largest and smallest values without tracing.  Every other form is
+    across the band (``_sign_change``); if it takes both signs there, c1
+    vanishes or has a pole between them, so the line field is not defined
+    on the whole band, and the check fails at the points of its largest and
+    smallest values without tracing.  Every other form is
     traced as above, which samples 8 leaves and proves nothing about the
     leaves between them.
     """

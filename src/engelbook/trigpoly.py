@@ -556,10 +556,16 @@ class Expr:
         end that overflows is infinite, and its product with a zero end is
         NaN, which bounds nothing.
         """
+        total, _ = self._bound_and_size(box)
+        return float(total.lo), float(total.hi)
+
+    def _bound_and_size(self, box: Sequence[tuple[float, float]]) -> tuple[Enclosure, float]:
+        """``bound``'s enclosure, and the sum over the terms of the largest
+        magnitude each term's enclosure allows (NaN where an end is NaN)."""
         ranges = [Enclosure(float(lo), float(hi)) for lo, hi in box]
         if len(ranges) != len(self.coords):
             raise ValueError("the box must give one range per coordinate")
-        total = Enclosure(0.0, 0.0)
+        total, size = Enclosure(0.0, 0.0), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for coeff, powers, mode, _, _ in self.terms:
                 acc = Enclosure.of(coeff)
@@ -568,8 +574,8 @@ class Expr:
                         acc = acc * r**p
                 if mode != _CONST:
                     acc = acc * TRIG_HULL
-                total = total + acc
-        return float(total.lo), float(total.hi)
+                total, size = total + acc, size + max(-acc.lo, acc.hi)
+        return total, float(size)
 
     # -- substitution -----------------------------------------------------
 
