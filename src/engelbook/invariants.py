@@ -5,9 +5,12 @@ express the field of interest in a reference 2-frame, accumulate wrapped
 angle increments, and divide by a full turn.  Closed loops include the
 wrap-around step, so the increments telescope to a whole number of turns
 and the fractional residual is float rounding only; it cannot detect
-aliasing, where the field turns by more than half a turn between two
-samples.  On an open segment the residual is the distance of the turn
-count from the nearest integer.  A field that is zero or not finite at a
+aliasing, where the field turns by half a turn or more between two
+samples.  So a path whose samples move the phase of some term of the
+field or frame by pi or more from one sample to the next is refused with
+``ValueError``; below that per-term bound a sum of terms can still alias.
+On an open segment the residual is the distance of the turn count from
+the nearest integer.  A field that is zero or not finite at a
 sample has no angle there, and neither has one whose frame coordinates are
 both 0 there; the winding of either raises ``ValueError``.
 
@@ -136,6 +139,36 @@ def _project_onto_frame(
     return coeffs[:, 0], coeffs[:, 1]
 
 
+# a phase step of pi, less a margin for the rounding of the sampled points
+_ALIAS_STEP = math.pi * (1.0 - 1e-9)
+
+
+def _refuse_aliasing(fields: Sequence[VectorField], path: Path, pts: np.ndarray) -> None:
+    """Raise ``ValueError`` when some term of the fields' components moves its
+    phase by pi or more between two consecutive path samples (the wrap-around
+    step of a closed path included).  A term's phase step is its frequency
+    vector dotted with the sample step; at pi or more the sampled term
+    cannot tell its turn direction, so the unwrapped count can be wrong.
+    The message names the smallest sample count that clears the bound on a
+    path sampled at even steps, as ``Path.coordinate_circle`` and
+    ``coordinate_segment`` are.  The bound is necessary, not sufficient."""
+    freqs = {t.freqs for f in fields for c in f.components for t in c.terms if any(t.freqs)}
+    if not freqs:
+        return
+    n = len(pts)
+    if path.closed:
+        pts = np.concatenate([pts, np.asarray(path.fn(np.ones(1)), float)])
+    steps = np.diff(pts, axis=0) @ np.array(sorted(freqs), float).T
+    step = float(np.abs(steps).max())
+    if step >= _ALIAS_STEP:
+        # the phase step falls as 1 / (number of steps) on an evenly sampled path
+        wanted = math.floor(len(steps) * step / _ALIAS_STEP) + 1 + (not path.closed)
+        raise ValueError(
+            f"{n} path samples alias the field: a term moves its phase by {step:.6g} >= pi "
+            f"between two samples; use at least {wanted} samples"
+        )
+
+
 def _winding(
     field: VectorField,
     frame: Sequence[VectorField],
@@ -143,6 +176,7 @@ def _winding(
     n_samples: int,
 ) -> WindingResult:
     pts = path.sample(n_samples)
+    _refuse_aliasing([field, *frame], path, pts)
     mats = field_matrix([field, *frame], pts)
     x = mats[:, 0]
     # a zero or non-finite sample has no direction to count the turns of

@@ -18,8 +18,6 @@ reproduces the stored subset exactly and a second dump is byte-identical.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .charts import Chart, IntegerAffineMap, Interval, OneForm, VectorField
 from .models import GluingSpec, ModelPiece, OpenBookModel
 from .trigpoly import (
@@ -80,24 +78,40 @@ def _wanted(want, n: int) -> tuple[str, ...]:
 
 
 class _Namer:
-    """Assigns stable names to fields and forms, deduplicated per chart."""
+    """Assigns stable names to fields and forms, deduplicated per chart.
+
+    Each component's text is made once per dump: the model holds every
+    component object while it is dumped, so ``id`` keys them."""
 
     def __init__(self) -> None:
         self.names: dict[tuple[str, str, tuple[str, ...]], str] = {}
-        # (name, chart, components) of each section, per kind
-        self.sections: dict[str, list[tuple]] = {"field": [], "form": []}
+        # the lines of each section, per kind
+        self.sections: dict[str, list[list[str]]] = {"field": [], "form": []}
         self._used: set[tuple[str, str]] = set()
+        self._texts: dict[int, str] = {}
+
+    def _text(self, comp: Expr) -> str:
+        text = self._texts.get(id(comp))
+        if text is None:
+            text = self._texts[id(comp)] = comp.to_string()
+        return text
 
     def name(self, kind: str, obj, want: str) -> str:
-        comps = obj.components
-        key = (kind, obj.chart.name, tuple(str(c) for c in comps))
+        chart = obj.chart
+        texts = tuple(map(self._text, obj.components))
+        key = (kind, chart.name, texts)
         if key not in self.names:
             name, i = want, 2
-            while (obj.chart.name, name) in self._used:
+            while (chart.name, name) in self._used:
                 name, i = f"{want}{i}", i + 1
-            self._used.add((obj.chart.name, name))
+            self._used.add((chart.name, name))
             self.names[key] = name
-            self.sections[kind].append((name, obj.chart, comps))
+            lines = [f"[{kind} {name} @ {chart.name}]"]
+            for coord, comp, text in zip(chart.coords, obj.components, texts):
+                if comp.terms:
+                    lines.append(f"{coord.name} = {text}")
+            lines.append("")
+            self.sections[kind].append(lines)
         return self.names[key]
 
 
@@ -110,15 +124,6 @@ def _chart_lines(chart: Chart) -> list[str]:
             lines.append(
                 f"{coord.name} = {coord.kind} {_fmt_value(bound.lo)} {_fmt_value(bound.hi)}"
             )
-    lines.append("")
-    return lines
-
-
-def _component_lines(header: str, chart: Chart, comps: Iterable[Expr]) -> list[str]:
-    lines = [header]
-    for coord, comp in zip(chart.coords, comps):
-        if comp.terms:
-            lines.append(f"{coord.name} = {comp}")
     lines.append("")
     return lines
 
@@ -189,9 +194,9 @@ def dump_model(model: OpenBookModel) -> str:
     out.append("")
     for chart in charts:
         out.extend(_chart_lines(chart))
-    for kind, sections in namer.sections.items():
-        for name, chart, comps in sections:
-            out.extend(_component_lines(f"[{kind} {name} @ {chart.name}]", chart, comps))
+    for sections in namer.sections.values():
+        for lines in sections:
+            out.extend(lines)
     out.extend(piece_lines)
     out.extend(gluing_lines)
     while out and out[-1] == "":

@@ -858,8 +858,8 @@ def build_collar_engel(lam, k, a: float = math.pi / 4) -> ModelPiece:
             ("phi", KIND_ANGULAR),
         ],
     )
-    sin_ra = chart.parse(f"sin(r + {a})")
-    cos_ra = chart.parse(f"cos(r + {a})")
+    sin_ra = _wave(chart, Mode.SIN, {"r": 1}, a)
+    cos_ra = _wave(chart, Mode.COS, {"r": 1}, a)
     s_field = VectorField(chart, (sin_ra, cos_ra, chart.zero(), chart.zero()), label="S")
     dr = chart.basis_vector("r")
 
@@ -965,7 +965,7 @@ def build_binding_engel(l, k, r0: float = 1.0) -> ModelPiece:
     x_field = shear.pushforward(x_pre)
     x_field = VectorField(chart, x_field.components, label="X")
 
-    alpha = chart.one_form({"x": 1.0, "y": "-r^2", "phi": "r^2"}, label="alpha")
+    alpha = chart.one_form({"x": 1.0, "y": -r2, "phi": r2}, label="alpha")
     cos_b = _wave(chart, Mode.COS, {"phi": k})
     sin_b = _wave(chart, Mode.SIN, {"phi": k})
     c1 = VectorField(chart, (sin_b * r2, sin_b, cos_b, chart.zero()), label="C1")
@@ -1083,7 +1083,9 @@ def looseness_probe(piece: ModelPiece, path: Path, n_samples: int = 512) -> int:
     direction where the piece declares one; open segments round their
     fractional turn count, so short probes report zero.  Fewer than 16
     samples are refused: they alias the field's turns (one or two samples
-    of the collar's phi circle count 0 or -1 of its 3 turns).
+    of the collar's phi circle count 0 or -1 of its 3 turns).  So is a
+    sample count at which a term of the field or frame moves its phase by
+    pi or more from one sample to the next (``invariants._winding``).
     """
     if n_samples < MIN_TURN_SAMPLES:
         raise ValueError(

@@ -7,8 +7,8 @@ so that two runs with the same configuration produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -74,20 +74,64 @@ def construct_document(report: PipelineReport, config: dict) -> dict:
     )
 
 
-def _finite_json(value):
-    """``value`` with each non-finite float spelled as the string "NaN",
-    "Infinity" or "-Infinity", which strict JSON parsers accept."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, dict):
-        return {key: _finite_json(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_json(v) for v in value]
-    return value
+# the repr of each non-finite float, and the string strict JSON parsers accept for it
+_NON_FINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
+
+
+def _write_json(value, indent: str, put) -> None:
+    """Append the JSON text of ``value`` through ``put``.  ``indent`` is a
+    newline and the indent of ``value``'s level; each nested level adds two
+    spaces."""
+    if isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        put(_NON_FINITE.get(text, text))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            put(sep)
+            put(_quote(key))  # raises TypeError on a key that is not a str
+            put(": ")
+            _write_json(value[key], inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(_finite_json(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``document`` as JSON text: keys sorted, two spaces of indent a level,
+    strings ASCII-escaped, floats by ``repr``, each non-finite float as the
+    string "NaN", "Infinity" or "-Infinity", and a closing newline.  A key
+    that is not a str, or a value of no JSON type, raises ``TypeError``."""
+    out: list[str] = []
+    _write_json(document, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
 
 
 # -- foliation portraits -------------------------------------------------------

@@ -494,6 +494,28 @@ def test_probe_rejects_too_few_samples(capsys, piece, circle, samples):
     assert capsys.readouterr().out.strip() == {"collar": "3", "binding": "5"}[piece]
 
 
+# at 512 samples these printed -212 (exit 0) and reported tw_gamma_y -212 (exit 1)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe-looseness", "--lambda", "300", "--k", "3", "--piece", "collar", "--circle", "y"],
+        ["invariants", "--lambda", "300", "--k", "3"],
+    ],
+    ids=["probe", "invariants"],
+)
+def test_samples_that_alias_the_field_are_refused(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[EB-PARAM] 512 path samples alias the field: ")
+    assert err.rstrip().endswith("use at least 601 samples")
+
+
+def test_probe_counts_the_collar_twist_at_enough_samples(capsys):
+    argv = ["probe-looseness", "--lambda", "300", "--k", "3", "--piece", "collar", "--circle", "y"]
+    assert run([*argv, "--samples", "1024"]) == 0
+    assert capsys.readouterr().out.strip() == "300"
+
+
 def test_probe_rejects_tangent_circle(capsys):
     code = run(
         ["probe-looseness", "--model", "engel_darboux_loose", "--piece", "loose-tube",

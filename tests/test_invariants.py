@@ -1,5 +1,7 @@
 """Unit tests for winding invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,21 @@ class TestTwisting:
         # d/dt is normal to the frame plane: both frame coordinates are 0
         with pytest.raises(ValueError, match="cannot see"):
             twisting_number(PROLONG.basis_vector("t"), xi_frame(), T_CIRCLE)
+
+    def test_samples_that_alias_a_term_raise(self):
+        # cos(128 t) moves its phase by 128 * tau / 256 = pi between samples
+        with pytest.raises(ValueError, match="256 path samples alias .* at least 257 samples"):
+            twisting_number(twisted_field(128), xi_frame(), T_CIRCLE)
+        result = twisting_number(twisted_field(128), xi_frame(), T_CIRCLE, n_samples=257)
+        assert result.value == 128
+        assert twisting_number(twisted_field(127), xi_frame(), T_CIRCLE).value == 127
+
+    def test_open_segment_samples_that_alias_a_term_raise(self):
+        # 65 samples of [0, pi] are 64 steps of pi / 64, each moving cos(64 t) by pi
+        seg = Path.coordinate_segment(PROLONG, "t", {"r": 0.3}, 0.0, math.pi)
+        with pytest.raises(ValueError, match="65 path samples alias .* at least 66 samples"):
+            twisting_number(twisted_field(64), xi_frame(), seg, n_samples=65)
+        assert twisting_number(twisted_field(64), xi_frame(), seg, n_samples=66).value == 32
 
 
 EPS = 0.25

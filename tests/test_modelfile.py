@@ -11,7 +11,7 @@ from engelbook.models import (
     model_catalog,
     piece_checks,
 )
-from engelbook.trigpoly import canonical_equal
+from engelbook.trigpoly import Expr, canonical_equal
 
 CATALOG_NAMES = tuple(name for name, _ in list_models())
 
@@ -36,6 +36,21 @@ def test_assembled_model_round_trip():
     assert row[chart.index("y")] == 1
     assert row[chart.index("phi")] == 1
     assert glue.region["r"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dump_formats_each_component_once(monkeypatch):
+    model = assemble(2, 3, min_points=300).model
+    text = dump_model(model)
+    formatted = []
+    to_string = Expr.to_string
+
+    def counting(self):
+        formatted.append(self)
+        return to_string(self)
+
+    monkeypatch.setattr(Expr, "to_string", counting)
+    assert dump_model(model) == text
+    assert len(formatted) == len({id(e) for e in formatted}) > 0
 
 
 def test_loaded_collar_without_tori_fails_adaptedness():

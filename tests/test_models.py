@@ -163,6 +163,17 @@ def test_collar_requires_odd_positive_k(lam, k):
         build_collar_engel(lam, k)
 
 
+@pytest.mark.parametrize("a", [math.pi / 4, 0.3, 1.2345678901234567])
+def test_collar_builds_the_expressions_the_parser_gives(a):
+    # sin(r + a) and cos(r + a) are built from the float a, not parsed from its text
+    piece = build_collar_engel(1, 3, a=a)
+    chart = piece.chart
+    sin_ra, cos_ra = piece.named_fields["S"].components[:2]
+    assert sin_ra == chart.parse(f"sin(r + {a})")
+    assert cos_ra == chart.parse(f"cos(r + {a})")
+    assert piece.form.components == (cos_ra, -sin_ra, chart.zero(), sin_ra)
+
+
 @pytest.mark.parametrize("a", [0.0, math.pi / 2, -0.3, 3.0])
 def test_collar_rejects_bad_interface_angle(a):
     with pytest.raises(ValueError, match="a must lie"):
@@ -189,6 +200,13 @@ def test_binding_sheared_field_formula(l, k):
     for name, want in expected.items():
         got = x_field.components[chart.index(name)]
         assert canonical_equal(got, want, tol=1e-12)
+
+
+def test_binding_builds_the_form_the_parser_gives():
+    piece = build_binding_engel(5, 3)
+    chart = piece.chart
+    want = (chart.const(1.0), chart.parse("-r^2"), chart.zero(), chart.parse("r^2"))
+    assert piece.form.components == want
 
 
 def test_binding_kernel_direction_after_shear():
@@ -492,6 +510,18 @@ def test_assemble_refuses_fewer_turn_samples_than_the_probe_floor(few, monkeypat
     monkeypatch.setattr("engelbook.models.build_collar_engel", build)
     with pytest.raises(ValueError, match=f"an assembly needs at least 16 samples, got {few}"):
         assemble(0, 1, n_samples=few)
+
+
+def test_assemble_refuses_turn_samples_that_alias_the_collar_twist():
+    # at 512 samples of the y circle, sin(256 y) moves its phase by pi a step;
+    # the parent reported tw_gamma_y 86 for lambda 256 and -212 for 300
+    for lam in (256, 300):
+        with pytest.raises(ValueError, match="512 path samples alias the field"):
+            assemble(lam, 3)
+    report = assemble(255, 3)
+    assert report.overall_pass
+    assert report.invariants["tw_gamma_y"] == 255
+    assert assemble(300, 3, n_samples=1024).invariants["tw_gamma_y"] == 300
 
 
 def two_pass_delta(d_first, d_second, frame, rows, path, n_samples):

@@ -6,14 +6,17 @@ for the functions the expressions denote and not only for their term lists.
 
 import functools
 import itertools
+import json
 import math
 import operator
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from engelbook import cli, reports
 from engelbook.charts import (
     Chart,
     Interval,
@@ -28,6 +31,7 @@ from engelbook.charts import (
 )
 from engelbook.invariants import _project_onto_frame
 from engelbook.models import assemble, list_models, model_catalog
+from engelbook.reports import render_json
 from engelbook.trigpoly import (
     HALF_PI,
     KIND_ANGULAR,
@@ -979,3 +983,86 @@ def test_product_grid_is_bit_identical_to_meshgrid_and_stack(values):
     got = _product_grid(axes)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+# -- JSON reports ----------------------------------------------------------
+
+
+def finite_json(value):
+    """Reference: ``value`` with each non-finite float spelled as the string
+    "NaN", "Infinity" or "-Infinity", every tuple a list, copied."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_json(v) for v in value]
+    return value
+
+
+def ref_render_json(document):
+    """The report text through the standard library's encoder."""
+    return json.dumps(finite_json(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+json_text = st.text(
+    st.characters() | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀"]),
+    max_size=8,
+)
+json_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1e-5, 1e22, math.nan, math.inf, -math.inf]
+)
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | json_floats | json_text
+)
+
+
+def json_values(depth):
+    """Leaves, and dicts, lists and tuples nested at most ``depth`` deep."""
+    if depth == 0:
+        return json_leaves
+    inner = json_values(depth - 1)
+    return (
+        json_leaves
+        | st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_text, inner, max_size=4)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values(4))
+@example({})
+@example({"a": [], "b": {}, "c": ()})
+@example({"gap": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 2**70, True, None]})
+def test_report_text_is_the_standard_library_encoding(document):
+    assert render_json(document) == ref_render_json(document)
+
+
+def catalog_report_documents():
+    """The documents the command line renders: one ``verify`` report per
+    catalog model, one ``construct`` report and one ``invariants`` report."""
+    documents = []
+
+    def capture(document):
+        documents.append(document)
+        return ""
+
+    runs = [["verify", "--model", name] for name, _ in list_models()]
+    runs += [["construct", "--lambda", "2", "--k", "3"], ["invariants", "--lambda", "1", "--k", "5"]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "render_json", capture)
+        for argv in runs:
+            cli.run([*argv, "--out", os.devnull])
+    assert len(documents) == len(runs)
+    return documents
+
+
+def test_catalog_reports_are_the_standard_library_encoding():
+    for document in catalog_report_documents():
+        assert render_json(document) == ref_render_json(document)
+
+
+def test_report_text_refuses_a_key_that_is_not_a_str():
+    with pytest.raises(TypeError, match="must be a string, not int"):
+        render_json({"checks": [{1: "one"}]})
