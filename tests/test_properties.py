@@ -1039,27 +1039,17 @@ def test_report_text_is_the_standard_library_encoding(document):
     assert render_json(document) == ref_render_json(document)
 
 
-def catalog_report_documents():
-    """The documents the command line renders: one ``verify`` report per
-    catalog model, one ``construct`` report and one ``invariants`` report."""
+def test_catalog_reports_are_the_standard_library_encoding(monkeypatch):
+    # the documents the command line renders: one verify report per catalog
+    # model, one construct report and one invariants report
     documents = []
-
-    def capture(document):
-        documents.append(document)
-        return ""
-
+    monkeypatch.setattr(reports, "render_json", lambda document: documents.append(document) or "")
     runs = [["verify", "--model", name] for name, _ in list_models()]
     runs += [["construct", "--lambda", "2", "--k", "3"], ["invariants", "--lambda", "1", "--k", "5"]]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reports, "render_json", capture)
-        for argv in runs:
-            cli.run([*argv, "--out", os.devnull])
+    for argv in runs:
+        cli.run([*argv, "--out", os.devnull])
     assert len(documents) == len(runs)
-    return documents
-
-
-def test_catalog_reports_are_the_standard_library_encoding():
-    for document in catalog_report_documents():
+    for document in documents:
         assert render_json(document) == ref_render_json(document)
 
 
