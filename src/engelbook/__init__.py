@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 - ``interval``: closed intervals with outward rounding, the proven
-  arithmetic behind ``Expr.bound`` and the disk's Newton trap.
+  arithmetic behind ``Expr.bound`` and the proof of the disk's zero count.
 - ``trigpoly``: exact trigonometric polynomial arithmetic over named chart
   coordinates, the scalar layer everything else is built on.
 - ``charts``: charts, vector fields, differential forms, brackets, exterior

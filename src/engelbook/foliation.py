@@ -21,9 +21,24 @@ so that its zeros are exactly the prescribed singularities.  The page
 foliation is directed by V and beta = -i_V(dp ^ dq), so beta and its
 partials are read off the classifier's value and Jacobian.  Outside a
 stated radius u is exactly 1, c is exactly 1, and s is exactly 0, so beta
-agrees with p dq - q dp to the last float bit.  All certificates (contact
-positivity, boundary exactness, singularity counts, index identities) are
-checked numerically on dense grids before the object is returned.
+agrees with p dq - q dp to the last float bit.  Contact positivity and
+boundary exactness are checked on dense grids before the object is
+returned.
+
+The singularity counts, types and signs are proven (``find_and_classify``).
+Newton's method from the design seeds, the bump centres and the midpoints
+between them, finds the zeros; around each, a Krawczyk box (Krawczyk 1969;
+Moore, Kearfott and Cloud, *Introduction to Interval Analysis*, 2009)
+holds exactly one zero, and interval enclosures of det J and of u over it
+fix the zero's type and sign.  A cover of boxes on whose enclosure of V 0
+is excluded fills the rest of the disk inside the bump cluster, and past
+it |V| >= min(swirl, s_fall[0]) in closed form.  The enclosures
+(``interval``, ``_disk_bounds``) assume two things of the float
+arithmetic beyond correctly rounded +, -, *, / and sqrt: numpy's exp is
+within ``interval.EXP_ULPS`` = 4 ulps of the exact value, and a float sum
+of n terms in input order is within gamma(n - 1) = (n - 1) u / (1 - (n -
+1) u) times the sum of their magnitudes of the exact sum (u = 2^-53).  The
+proof is of the exact field with the float constants the code uses.
 
 The disk constructor is plain numpy, so this module imports only numpy and
 the standard library at module level; the functions that take charts, forms
@@ -39,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from . import DEFAULT_MIN_POINTS
-from .interval import Enclosure
+from .interval import SMOOTHSTEP, Enclosure, exclude_zeros, prove_zeros, smoothstep, smoothstep_slope
 
 if TYPE_CHECKING:
     from .charts import Chart, OneForm, VectorField
@@ -66,12 +81,9 @@ _RETRACE_TOL = 1e-4
 _DISK_RADIUS = 1.0  # the page disk on which singularities are searched
 _ZERO_RESIDUAL = 1e-10  # |V| at an accepted zero
 _DEDUPE_TOL = 1e-6
-_NEWTON_ROUNDS = 60  # Newton rounds of the singularity search
+_NEWTON_ROUNDS = 60  # Newton rounds from each design seed
 _WINDING_SAMPLES = 2048
 _CONTACT_GRID_N = 281
-_TRAP_CANDIDATE = (0.4115, 0.4440)  # the radii a disk's Newton trap is proven on
-_TRAP_MARGIN = 1e-6  # delta: how far inside the trap its proven image stays
-_TRAP_PIECES = 512  # subintervals of the trap's interval bound
 _REPLAY_CHUNK = 256  # steps a straight-leaf replay predicts per direction call
 _MIN_NORM = 1e-14  # smallest direction norm the tracer accepts
 _EVAL_ALLOWANCE = 1e-12  # the evaluator's rounding, per unit of the sum of |term|
@@ -609,6 +621,40 @@ class ClassifierField:
 
 
 @dataclass(frozen=True)
+class ClassifierBounds:
+    """Interval enclosures of a classifier field over boxes: the proof data
+    of ``find_and_classify``.
+
+    Each callable takes the lower and upper corners, (m, 2) arrays, of m
+    closed boxes, and encloses the exact field there.  ``value`` returns
+    the enclosures (V_p, V_q), ``jacobian`` ((J_pp, J_pq), (J_qp, J_qq)),
+    and ``level`` that of the level function.
+    """
+
+    value: Callable[[np.ndarray, np.ndarray], tuple[Enclosure, Enclosure]]
+    jacobian: Callable[[np.ndarray, np.ndarray], tuple[tuple[Enclosure, Enclosure], ...]]
+    level: Callable[[np.ndarray, np.ndarray], Enclosure]
+
+
+def _affine_bounds(matrix, offset, level: float) -> ClassifierBounds:
+    """The bounds of V(z) = matrix z + offset with a constant level."""
+    a = np.asarray(matrix, float)
+    b = np.asarray(offset, float)
+
+    def value(lo, hi):
+        p, q = Enclosure(lo[:, 0], hi[:, 0]), Enclosure(lo[:, 1], hi[:, 1])
+        return tuple(p * a[i, 0] + q * a[i, 1] + b[i] for i in range(2))
+
+    def jacobian(lo, hi):
+        return tuple(tuple(Enclosure.of(np.full(len(lo), a[i, j])) for j in range(2)) for i in range(2))
+
+    def bound_level(lo, hi):
+        return Enclosure.of(np.full(len(lo), float(level)))
+
+    return ClassifierBounds(value, jacobian, bound_level)
+
+
+@dataclass(frozen=True)
 class SingularityReport:
     zeros: tuple[dict, ...]
     counts: dict
@@ -628,46 +674,34 @@ class SingularityReport:
 
 
 def find_and_classify(
-    classifier: ClassifierField,
-    grid_n: int = 161,
-    trap: "tuple[float, float] | None" = None,
-    seed_radius: "float | None" = None,
+    classifier: ClassifierField, bounds: ClassifierBounds, seeds: np.ndarray, radius: float
 ) -> SingularityReport:
-    """Locate and classify the zeros of a plane direction field on the unit disk.
+    """Locate the zeros of a plane direction field on the unit disk, and
+    prove their count, types and signs on the disk of ``radius``.
 
-    The points of a ``grid_n`` x ``grid_n`` grid inside the disk of radius
-    0.98 seed a batched Newton iteration of at most ``_NEWTON_ROUNDS``
-    rounds with the analytic Jacobian.  With ``seed_radius``, only the grid
-    points with ``_radius`` at most that radius seed it, in grid order; the
-    disk constructor passes its ``cluster_end``, past which
-    ``_assemble_pieces`` proves that its classifier has no zero.  A seed's
-    trajectory does not depend on the other seeds, so each kept seed ends
-    bit-identical to its end in the search from the whole grid; only the
-    seed that stands for a zero may change, which moves it by its last
-    bits.  Points inside the disk with ``|V| <= 1e-10`` are deduplicated
-    (the first in grid order stands for every point within 1e-6 of it) and
-    classified by the sign of the Jacobian determinant (positive: elliptic,
-    negative: hyperbolic) and the sign of the level function.
+    The caller proves that no zero lies between ``radius`` and the unit
+    circle, and ``bounds`` encloses the field over boxes.  Newton's method
+    with the analytic Jacobian runs from each of ``seeds`` for at most
+    ``_NEWTON_ROUNDS`` rounds; a seed leaves the active set when it dies
+    (singular Jacobian, or ``|z| >= 2``) or when it starts a round with
+    ``|V| <= 1e-10``: it takes that round's step and stops.  Each round
+    takes V and J from one ``jacobian`` call.  The end points inside the
+    disk that pass the final ``|V| <= 1e-10`` test, one ``value`` call over
+    all of them, are deduplicated (the first in seed order stands for every
+    point within 1e-6 of it) and sorted.
 
-    Each round evaluates the field only on the active seeds.  A seed leaves
-    the active set when it dies (singular Jacobian, or ``|z| >= 2``), when
-    a round takes it into the annulus ``trap[0] < |z| < trap[1]``, or when
-    it starts a round with ``|V| <= 1e-10``, the final zero test: it takes
-    that round's step and stops.  A trap is an annulus that the Newton step
-    maps into itself and on which no point passes the ``|V|`` test
-    (``_newton_trap`` proves both for the disk classifier), so a seed taken
-    into it would stay there and end as no zero.  Every seed that never
-    enters the trap therefore ends bit-identical to iterating every seed
-    for all ``_NEWTON_ROUNDS`` rounds with the same stop rule, and a seed
-    that enters it ends inside it, as it would have; the zeros found are
-    the same.  Without the stop rule a converged seed would only move its
-    last bits in the later rounds: on the disks k = 3..19 the counts, types,
-    signs and ``degenerate`` equal those of the stop-free loop, and each
-    zero lies within 1e-15 of its zero there.  Each round, and the
-    classification of the zeros found, takes V and J from one ``jacobian``
-    call; the final ``|V|`` test calls ``value`` once, over every end point.
+    The proof (``interval.prove_zeros``, ``interval.exclude_zeros``): a
+    Krawczyk box around each zero found holds exactly one zero of the
+    field, and there the enclosures of det J and of the level exclude 0,
+    which fixes its type (elliptic where det J > 0, hyperbolic where it is
+    negative) and sign; every other point of the disk of ``radius`` lies in
+    a box where the enclosure of V excludes 0.  Where either fails, no count is proven and
+    ``ValueError`` names the box.  The ``det``, ``level`` and ``residual``
+    of a zero are the float values at its point, from one ``jacobian``
+    call over the zeros; ``degenerate`` says that one of |det| and |level|
+    is below 1e-8 there.
     """
-    z = _newton_points(classifier, grid_n, _NEWTON_ROUNDS, trap, seed_radius)
+    z = _newton_points(classifier, seeds)
     small = _plane_norms(classifier.value(z)) <= _ZERO_RESIDUAL
     good = small & (_plane_norms(z) < _DISK_RADIUS)  # False on non-finite rows
 
@@ -677,22 +711,24 @@ def find_and_classify(
         unique.append(rest[0])
         rest = rest[_plane_norms(rest - rest[0]) > _DEDUPE_TOL]
     unique.sort(key=lambda p: (round(float(p[0]), 9), round(float(p[1]), 9)))
+    arr = np.stack(unique) if unique else np.zeros((0, 2))
 
     zeros = []
     counts = {"e_plus": 0, "e_minus": 0, "h_plus": 0, "h_minus": 0}
     degenerate = False
+    boxes = (arr, arr)
     if unique:
-        arr = np.stack(unique)
         V, jac = classifier.jacobian(arr)
         dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         levels = classifier.level(arr)
         residuals = _plane_norms(V)
-        for p, det, lev, res in zip(arr, dets, levels, residuals):
+        elliptic, positive, boxes = prove_zeros(bounds, arr, jac, radius)
+        for p, det, lev, res, ell, pos in zip(arr, dets, levels, residuals, elliptic, positive):
             if abs(det) < 1e-8 or abs(lev) < 1e-8:
                 degenerate = True
-            kind = "elliptic" if det > 0 else "hyperbolic"
-            sign = 1 if lev > 0 else -1
-            key = ("e" if kind == "elliptic" else "h") + ("_plus" if sign > 0 else "_minus")
+            kind = "elliptic" if ell else "hyperbolic"
+            sign = 1 if pos else -1
+            key = ("e" if ell else "h") + ("_plus" if pos else "_minus")
             counts[key] += 1
             zeros.append(
                 {
@@ -705,35 +741,19 @@ def find_and_classify(
                     "residual": float(res),
                 }
             )
+    exclude_zeros(bounds.value, radius, *boxes)
     euler = counts["e_plus"] + counts["e_minus"] - counts["h_plus"] - counts["h_minus"]
     relative = counts["e_plus"] - counts["e_minus"] - counts["h_plus"] + counts["h_minus"]
     return SingularityReport(tuple(zeros), counts, euler, relative, degenerate)
 
 
-def _newton_points(
-    classifier: ClassifierField,
-    grid_n: int,
-    newton_iters: int,
-    trap: "tuple[float, float] | None" = None,
-    seed_radius: "float | None" = None,
-) -> np.ndarray:
-    """Where each disk grid seed is after the Newton rounds (active-set and
-    stop rules in ``find_and_classify``).
-
-    The seeds are the points of ``_disk_grid(0.98, grid_n)`` with
-    ``_radius`` at most ``seed_radius`` (the disk's ``cluster_end``), in
-    grid order, or all of them when it is None.  A seed that never enters
-    ``trap`` ends bit-identical to the dense loop that freezes each seed
-    after the round that starts with ``|V| <= 1e-10`` at it; one that
-    enters the trap is dropped there and ends inside it, never at a zero.
-    Each round takes V and J at the active seeds from one ``jacobian`` call.
-    """
-    z = _disk_grid(0.98 * _DISK_RADIUS, grid_n)
-    if seed_radius is not None:
-        z = z[_radius(z) <= seed_radius]
+def _newton_points(classifier: ClassifierField, seeds: np.ndarray) -> np.ndarray:
+    """Where each seed is after the Newton rounds (active-set and stop rules
+    in ``find_and_classify``)."""
+    z = np.array(seeds, float).reshape(-1, 2)
     active = np.arange(len(z))
     za = z.copy()  # the points of the active seeds, z[active]
-    for _ in range(newton_iters):
+    for _ in range(_NEWTON_ROUNDS):
         if not active.size:
             break
         V, J = classifier.jacobian(za)
@@ -749,9 +769,6 @@ def _newton_points(
             za, moved, active, converged = za[alive], moved[alive], active[alive], converged[alive]
         z[active] = moved
         keep = ~converged
-        if trap is not None:
-            rho = _plane_norms(moved)
-            keep &= ~((trap[0] < rho) & (rho < trap[1]))
         active, za = active[keep], moved[keep]
     return z
 
@@ -796,14 +813,6 @@ def boundary_winding_vs_index(
 # -- the disk constructor ---------------------------------------------------------
 
 
-# smoothstep 10t^3 - 15t^4 + 6t^5 and its first two derivatives, for 0 < t < 1
-_SMOOTHSTEP = (
-    lambda t: t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
-    lambda t: 30.0 * t * t * (1.0 - t) * (1.0 - t),
-    lambda t: 60.0 * t * (2.0 * t - 1.0) * (t - 1.0),
-)
-
-
 def _smoothstep_jet(t: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
     """The asked orders of smoothstep at ``t`` clipped to [0, 1], in the
     order asked: 0 is the value, 1 and 2 the derivatives.
@@ -821,7 +830,7 @@ def _smoothstep_jet(t: np.ndarray, orders: Sequence[int]) -> tuple[np.ndarray, .
     for order in orders:
         jet = t.clip(0.0, 1.0) if order == 0 else np.zeros(t.shape)
         if band.size:
-            jet.reshape(-1)[band] = _SMOOTHSTEP[order](tb)
+            jet.reshape(-1)[band] = SMOOTHSTEP[order](tb)
         jets.append(jet)
     return tuple(jets)
 
@@ -868,12 +877,79 @@ class _RadialRamps:
                     np.add(acc, jump, out=acc, where=above)
                 if band.size:
                     if order not in steps:
-                        steps[order] = _SMOOTHSTEP[order](tb)
+                        steps[order] = SMOOTHSTEP[order](tb)
                     scale = jump if order == 0 else jump / (b - a)
                     acc[band] += scale * steps[order]
         if 0 in orders and not shared["top"] < self.ramps[-1][1]:
             np.copyto(jets[list(orders).index(0)], self.final, where=flat >= self.ramps[-1][1])
         return tuple(jet.reshape(rho.shape) for jet in jets)
+
+    def enclose(
+        self, rho: Enclosure, orders: Sequence[int], shared: "dict | None" = None
+    ) -> tuple[Enclosure, ...]:
+        """Enclosures of the asked orders over ``rho``: the sum over the
+        ramps of jump S(t), or jump S'(t) / (end - start), at t = (rho -
+        start) / (end - start), and also ``final`` where rho reaches the
+        last ramp's end.
+
+        A ramp that starts at or past the largest rho adds exactly 0 and is
+        skipped.  ``shared``, passed along by profiles taken on the same
+        ``rho``, holds each (start, end) ramp's t and its S and S'
+        enclosures, computed once.
+        """
+        shared = {} if shared is None else shared
+        top = rho.hi.max(initial=-np.inf)
+        jets = []
+        for order in orders:
+            jet = Enclosure.of(0.0)
+            for a, b, jump in self.ramps:
+                if top <= a:
+                    continue
+                if (a, b) not in shared:
+                    shared[a, b] = {"t": (rho - a) / (b - a)}
+                steps = shared[a, b]
+                if order not in steps:
+                    steps[order] = (smoothstep if order == 0 else smoothstep_slope)(steps["t"])
+                jet = jet + (steps[order] * jump if order == 0 else steps[order] * jump / (b - a))
+            if order == 0:
+                # where rho reaches past the last ramp, the value there is final
+                past = rho.hi >= self.ramps[-1][1]
+                jet = Enclosure(
+                    np.where(past, np.minimum(jet.lo, self.final), jet.lo),
+                    np.where(past, np.maximum(jet.hi, self.final), jet.hi),
+                )
+            jets.append(jet)
+        return tuple(jets)
+
+    def span(self, near: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The least and greatest value over rho in [near, far], in plain
+        float arithmetic, with an allowance for their rounding.
+
+        Each ramp adds jump S(t) over t in [t(near), t(far)], from the ends
+        since S rises; past the last ramp's end the value is ``final``.  A
+        computed t is within 4 u (rho + start) / (end - start) of the exact
+        one when rho is within 2 u rho of its own (u = 2^-53), S moves by at
+        most 15/8 per unit of t, and its float value is within 248 u of the
+        exact one (``smoothstep``), so each ramp's ends, and their sums, are
+        within 270 u |jump| (1 + (far + start) / (end - start)) of exact;
+        the allowance is 2^-40 = 8192 u times that.  A ramp that starts at
+        or past every ``far`` adds exactly 0 and is skipped.
+        """
+        lo, hi, slack = np.zeros(len(far)), np.zeros(len(far)), np.zeros(len(far))
+        top = far.max(initial=-np.inf)
+        for a, b, jump in self.ramps:
+            if top <= a:
+                continue
+            at_near = SMOOTHSTEP[0](np.clip((near - a) / (b - a), 0.0, 1.0)) * jump
+            at_far = SMOOTHSTEP[0](np.clip((far - a) / (b - a), 0.0, 1.0)) * jump
+            lo += np.minimum(at_near, at_far)
+            hi += np.maximum(at_near, at_far)
+            slack += abs(jump) * (1.0 + (far + a) / (b - a))
+        if not top < self.ramps[-1][1]:
+            past = far >= self.ramps[-1][1]
+            lo = np.where(past, np.minimum(lo, self.final), lo)
+            hi = np.where(past, np.maximum(hi, self.final), hi)
+        return lo, hi, 2.0**-40 * slack
 
 
 def _gaussian_bundle(
@@ -1006,13 +1082,18 @@ class _DiskPieces:
     only the orders asked.
     ``cluster_end``: the radius past which every bump is exactly 0, and
     the classifier provably has no zero: |V| >= min(swirl, s_fall[0]) there
-    (``_assemble_pieces`` checks the conditions), so the Newton search
-    seeds only inside it.
+    (``_assemble_pieces`` checks the conditions), so the proof of the zero
+    count covers only the disk inside it.
+    ``bounds``: the classifier's enclosures over boxes (``_disk_bounds``).
+    ``seeds``: the design seeds, the bump centres and the midpoints between
+    neighbouring centres.
     """
 
     u: Callable
     profiles: Callable
     cluster_end: float
+    bounds: ClassifierBounds
+    seeds: np.ndarray
 
 
 def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
@@ -1048,7 +1129,7 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
         if band.size:
             tb, (pb, qb) = t[band], flat[band].T
             safe = np.maximum(rho[band], 1e-30)
-            w1 = one_plus * _SMOOTHSTEP[1](tb) / wall_w
+            w1 = one_plus * SMOOTHSTEP[1](tb) / wall_w
         del t  # the bundle pass below is the peak on the contact grid
         jets = []
         for order, jet in zip(orders, bundle(flat, orders)):
@@ -1058,7 +1139,7 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
                 jet[band, 0] += w1 * pb / safe
                 jet[band, 1] += w1 * qb / safe
             elif band.size:
-                w2 = one_plus * _SMOOTHSTEP[2](tb) / (wall_w * wall_w)
+                w2 = one_plus * SMOOTHSTEP[2](tb) / (wall_w * wall_w)
                 up, uq = pb / safe, qb / safe
                 radial = w1 / safe
                 jet[band, 0, 0] += w2 * up * up + radial * uq * uq
@@ -1102,7 +1183,7 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     # there.  On [cluster_end, s_fall[0]], past the c/s band, s = swirl exactly;
     # past s_fall[0], beyond the wall ramp and the c rise, w' = 0 and c = 1, so
     # V = -rho e_rho + s e_theta.  Hence |V| >= min(swirl, s_fall[0]) > 0 past
-    # cluster_end: no zero lies there, and the Newton search seeds only inside it
+    # cluster_end: no zero lies there, and the zero count is proven inside it
     if not (
         cb <= cluster_end
         and wall_hi <= s_fall[0]
@@ -1111,7 +1192,264 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
     ):
         raise ValueError("classifier is not proven zero-free past the peak cluster")
 
-    return _DiskPieces(u=u, profiles=profiles, cluster_end=cluster_end)
+    return _DiskPieces(
+        u=u,
+        profiles=profiles,
+        cluster_end=cluster_end,
+        bounds=_disk_bounds(centers, params, c_profile, s_profile),
+        seeds=np.concatenate([centers, 0.5 * (centers[:-1] + centers[1:])]),
+    )
+
+
+def _floor_at(x: Enclosure, a: float) -> Enclosure:
+    """``x`` with both ends raised to at least ``a`` > 0.  A term that is 0
+    wherever x <= a may divide by this instead of x: where x > a the two
+    agree, and where x <= a the term's other factor holds 0."""
+    return Enclosure(np.maximum(x.lo, a), np.maximum(x.hi, a))
+
+
+def _product_span(a_lo, a_hi, x_lo, x_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest float product of an end of [a_lo, a_hi] and
+    one of [x_lo, x_hi]."""
+    ends = (a_lo * x_lo, a_lo * x_hi, a_hi * x_lo, a_hi * x_hi)
+    return (
+        np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3])),
+        np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3])),
+    )
+
+
+def _disk_bounds(
+    centers: np.ndarray,
+    params: dict,
+    c_profile: _RadialRamps,
+    s_profile: _RadialRamps,
+) -> ClassifierBounds:
+    """Enclosures of the disk classifier V = grad u - c rho e_rho + s
+    e_theta, of its Jacobian and of u, over boxes.
+
+    They enclose the exact field with the float constants the float code
+    uses (the centres, w^2, the fade's start and width, each ramp's width).
+    A bump is G(d) = E(d) chi(d) at distance d from its centre, with E =
+    exp(-d^2 / 2 w^2) and chi = 1 - S((d - t0 w) / ((t1 - t0) w)); with r
+    the offset from the centre, its gradient is g1 r and its Hessian a r r^T
+    + g1 I, where
+        g1 = -E chi / w^2 - E S' / (f d),
+        a = E (chi / w^4 + 2 S' / (w^2 f d) - S'' / (f^2 d^2) + S' / (f d^3)),
+    f = (t1 - t0) w and S', S'' taken at the fade parameter.  The S' and
+    S'' terms vanish where d <= t0 w, so they divide by d floored at t0 w
+    (``_floor_at``); likewise the wall's and the profiles' terms that divide
+    by rho, which vanish below the wall and below the first ramp.
+    Each call takes the (box, bump) pairs within 1.001 t1 w of each other
+    along both axes in one pass, as ``_gaussian_bundle`` does, and sums
+    them per box with ``Enclosure.group_sums``; every other pair adds
+    exactly 0.  ``value``, which the exclusion cover calls once per level,
+    runs in plain float arithmetic with stated allowances (``slopes``);
+    ``jacobian`` and ``level`` use ``Enclosure`` arithmetic, with S'' the
+    natural interval extension of its polynomial on t clipped to [0, 1].
+    """
+    width = params["width"]
+    amplitude = params["amplitude"]
+    t0, t1 = params["trunc"]
+    w2 = width * width
+    fade_lo = t0 * width
+    fade_w = (t1 - t0) * width
+    reach = 1.001 * t1 * width
+    cx, cy = centers.T.copy()
+    one_plus = 1.0 + params["floor"]
+    wall_lo, wall_hi = params["wall"]
+    wall_w = wall_hi - wall_lo
+    ramp_lo = min(a for a, _, _ in c_profile.ramps + s_profile.ramps)
+
+    def pairs(lo, hi, orders):
+        """The box index of each (box, bump) pair within reach, its offsets
+        from the bump's centre, and the bump's g1 (order 1), a (order 2)
+        and G (order 0) times the amplitude."""
+        gap_p = np.maximum(lo[:, 0, None] - cx, cx - hi[:, 0, None])
+        gap_q = np.maximum(lo[:, 1, None] - cy, cy - hi[:, 1, None])
+        box, bump = ((gap_p <= reach) & (gap_q <= reach)).nonzero()
+        dp = Enclosure(lo[box, 0], hi[box, 0]) - cx[bump]
+        dq = Enclosure(lo[box, 1], hi[box, 1]) - cy[bump]
+        d2 = dp**2 + dq**2
+        E = (d2 * -0.5 / w2).exp() * amplitude
+        d = d2.sqrt()
+        t = (d - fade_lo) / fade_w
+        chi = 1.0 - smoothstep(t)
+        out = {}
+        if 0 in orders:
+            out[0] = E * chi
+        if max(orders) >= 1:
+            far = _floor_at(d, fade_lo) * fade_w  # f d, where S' and S'' live
+            slope = E * smoothstep_slope(t)
+            out[1] = -(E * chi) / w2 - slope / far
+        if 2 in orders:
+            tc = Enclosure(np.clip(t.lo, 0.0, 1.0), np.clip(t.hi, 0.0, 1.0))
+            out[2] = (
+                E * chi / w2 / w2
+                + 2.0 * slope / w2 / far
+                - E * SMOOTHSTEP[2](tc) / (far * far)
+                + slope * fade_w * fade_w / (far * far * far)
+            )
+        return box, dp, dq, out
+
+    def radial(lo, hi):
+        p, q = Enclosure(lo[:, 0], hi[:, 0]), Enclosure(lo[:, 1], hi[:, 1])
+        return p, q, (p**2 + q**2).sqrt()
+
+    def wall_slope(rho):
+        """w1 / rho, with w1 = (1 + floor) S'(t) / wall_w the wall's slope;
+        exactly 0 where every rho is at most wall_lo."""
+        if rho.hi.max(initial=-np.inf) <= wall_lo:
+            return 0.0
+        return smoothstep_slope((rho - wall_lo) / wall_w) * one_plus / wall_w / _floor_at(rho, wall_lo)
+
+    # |g1| <= g_max everywhere: chi <= 1 and S' <= 15/8 where f d >= f t0 w
+    g_max = amplitude * (1.0 / w2 + 1.875 / (fade_w * fade_lo))
+
+    def slopes(lo, hi):
+        """Enclosures of the bumps' gradient sum, one (box, bump) pair pass.
+
+        For an offset r from a centre over the box, with d = |r| between
+        the box's nearest and farthest distances dn and df from the centre,
+        -g1(d) = E(d) (chi / w^2 + S' / (f max(d, t0 w))) lies between
+        E(df) (chi(df) / w^2 + S'_min / (f max(df, t0 w))) and E(dn) (chi(dn)
+        / w^2 + S'_max / (f max(dn, t0 w))), since E and chi fall with d;
+        S'_min and S'_max bound S' over the clipped fade parameters of dn
+        and df as ``smoothstep_slope`` does.  The product of that range with
+        each coordinate range of r is taken from the ends.
+
+        These steps run in plain float arithmetic.  Each rounding is
+        relative to the quantity it rounds (u = 2^-53), and no step
+        subtracts nearly equal magnitudes except 1 - S; an error theta
+        relative to the exp's argument y moves A e^-y by at most A theta y
+        e^-y <= A theta / e; exp itself is within ``interval.EXP_ULPS``; S and S'
+        move by at most 15/8 and 2.9 per unit of t, and t by a few u per
+        unit of d / f.  So each computed end is within 1,000 u g_max R of
+        its exact value, with R the largest |r| over the box, and each is
+        widened by 2^-40 g_max R, eight times that.  ``group_sums`` then
+        adds them per box.
+        """
+        ap, bp = lo[:, 0, None] - cx, hi[:, 0, None] - cx
+        aq, bq = lo[:, 1, None] - cy, hi[:, 1, None] - cy
+        near_p = np.maximum(np.maximum(ap, -bp), 0.0)
+        near_q = np.maximum(np.maximum(aq, -bq), 0.0)
+        within = (near_p <= reach) & (near_q <= reach)
+        box = within.nonzero()[0]
+        ap, bp, aq, bq, near_p, near_q = (x[within] for x in (ap, bp, aq, bq, near_p, near_q))
+        far_p, far_q = np.maximum(-ap, bp), np.maximum(-aq, bq)
+        dn2, df2 = near_p * near_p + near_q * near_q, far_p * far_p + far_q * far_q
+        dn, df = np.sqrt(dn2), np.sqrt(df2)
+        tn = np.clip((dn - fade_lo) / fade_w, 0.0, 1.0)
+        tf = np.clip((df - fade_lo) / fade_w, 0.0, 1.0)
+        sn, sf = SMOOTHSTEP[1](tn), SMOOTHSTEP[1](tf)
+        s_min = np.minimum(sn, sf)
+        s_max = np.where((tn <= 0.5) & (0.5 <= tf), 1.875, np.maximum(sn, sf))
+        g_lo = (amplitude * np.exp(df2 * (-0.5 / w2))) * (
+            (1.0 - SMOOTHSTEP[0](tf)) / w2 + s_min / (fade_w * np.maximum(df, fade_lo))
+        )
+        g_hi = (amplitude * np.exp(dn2 * (-0.5 / w2))) * (
+            (1.0 - SMOOTHSTEP[0](tn)) / w2 + s_max / (fade_w * np.maximum(dn, fade_lo))
+        )
+        slack = 2.0**-40 * g_max * df
+        sums = []
+        # g1 r over [-g_hi, -g_lo] x [a, b] is [g_lo, g_hi] x [-b, -a]
+        for a, b in ((ap, bp), (aq, bq)):
+            lower = -b * np.where(b > 0.0, g_hi, g_lo) - slack
+            upper = -a * np.where(a < 0.0, g_hi, g_lo) + slack
+            sums.append(Enclosure(lower, upper).group_sums(box, len(lo)))
+        return sums
+
+    def value(lo, hi):
+        """The bumps' sums (``slopes``) plus (w1 / rho - c) z + (s / rho)
+        (-q, p), the latter in plain float arithmetic over the box's radii
+        [near, far]: the ranges of c and s come from ``_RadialRamps.span``
+        and that of w1 / rho from its ends, as ``smoothstep_slope`` takes
+        them, with its own allowance 2^-40 (1 + floor) / (wall_w wall_lo)
+        (1 + (far + wall_lo) / wall_w); s / rho divides by rho floored at
+        the first ramp's start.  Each product with p or q is taken from the
+        ends, and each sum is widened by the allowances times max |p| or
+        max |q| plus 2^-40 times its terms' magnitudes, which is far more
+        than its own roundings."""
+        n_p = np.maximum(np.maximum(lo[:, 0], -hi[:, 0]), 0.0)
+        n_q = np.maximum(np.maximum(lo[:, 1], -hi[:, 1]), 0.0)
+        f_p = np.maximum(-lo[:, 0], hi[:, 0])
+        f_q = np.maximum(-lo[:, 1], hi[:, 1])
+        near, far = np.sqrt(n_p * n_p + n_q * n_q), np.sqrt(f_p * f_p + f_q * f_q)
+        c_lo, c_hi, c_slack = c_profile.span(near, far)
+        s_lo, s_hi, s_slack = s_profile.span(near, far)
+        a_lo, a_hi, a_slack = -c_hi, -c_lo, c_slack
+        if far.max(initial=-np.inf) > wall_lo:
+            t_near = np.clip((near - wall_lo) / wall_w, 0.0, 1.0)
+            t_far = np.clip((far - wall_lo) / wall_w, 0.0, 1.0)
+            at_near, at_far = SMOOTHSTEP[1](t_near), SMOOTHSTEP[1](t_far)
+            most = np.where((t_near <= 0.5) & (0.5 <= t_far), 1.875, np.maximum(at_near, at_far))
+            scale = one_plus / wall_w
+            a_lo = a_lo + np.minimum(at_near, at_far) * scale / np.maximum(far, wall_lo)
+            a_hi = a_hi + most * scale / np.maximum(near, wall_lo)
+            a_slack = a_slack + 2.0**-40 * scale / wall_lo * (1.0 + (far + wall_lo) / wall_w)
+        r_near, r_far = np.maximum(near, ramp_lo), np.maximum(far, ramp_lo)
+        b_lo = s_lo / np.where(s_lo >= 0.0, r_far, r_near)
+        b_hi = s_hi / np.where(s_hi >= 0.0, r_near, r_far)
+        b_slack = s_slack / ramp_lo
+        size_a = np.maximum(np.abs(a_lo), np.abs(a_hi))
+        size_b = np.maximum(np.abs(b_lo), np.abs(b_hi))
+        ap, aq = (_product_span(a_lo, a_hi, lo[:, i], hi[:, i]) for i in range(2))
+        bp, bq = (_product_span(b_lo, b_hi, lo[:, i], hi[:, i]) for i in range(2))
+        slack_p = a_slack * f_p + b_slack * f_q + 2.0**-40 * (size_a * f_p + size_b * f_q)
+        slack_q = a_slack * f_q + b_slack * f_p + 2.0**-40 * (size_a * f_q + size_b * f_p)
+        g_p, g_q = slopes(lo, hi)
+        return (
+            g_p + Enclosure(ap[0] - bq[1] - slack_p, ap[1] - bq[0] + slack_p),
+            g_q + Enclosure(aq[0] + bp[0] - slack_q, aq[1] + bp[1] + slack_q),
+        )
+
+    def jacobian(lo, hi):
+        n = len(lo)
+        box, dp, dq, g = pairs(lo, hi, (1, 2))
+        h_pp = (g[2] * dp**2 + g[1]).group_sums(box, n)
+        h_pq = (g[2] * (dp * dq)).group_sums(box, n)
+        h_qq = (g[2] * dq**2 + g[1]).group_sums(box, n)
+        p, q, rho = radial(lo, hi)
+        pp, pq, qq = p**2, p * q, q**2
+        # the wall's gradient w1(rho) z / rho has the Jacobian
+        # (w1' / rho^2 - w1 / rho^3) z z^T + (w1 / rho) I
+        w1 = w_zz = wall_slope(rho)
+        if isinstance(w1, Enclosure):
+            tw = (rho - wall_lo) / wall_w
+            rw = _floor_at(rho, wall_lo)
+            tc = Enclosure(np.clip(tw.lo, 0.0, 1.0), np.clip(tw.hi, 0.0, 1.0))
+            w_zz = (SMOOTHSTEP[2](tc) * one_plus / wall_w / wall_w - w1) / (rw * rw)
+        # -d(c z) = -(c I + (c' / rho) z z^T); d(s (-q, p) / rho) =
+        # (s' / rho^2 - s / rho^3) (-q, p) z^T + (s / rho) [[0, -1], [1, 0]]
+        rs = _floor_at(rho, ramp_lo)
+        shared: dict = {}
+        (c, c1), (s, s1) = (profile.enclose(rho, (0, 1), shared) for profile in (c_profile, s_profile))
+        c_zz = c1 / rs
+        swirl = s / rs
+        s_z = (s1 - swirl) / (rs * rs)
+        diag = w1 - c
+        return (
+            (h_pp + (w_zz - c_zz) * pp + diag - s_z * pq, h_pq + (w_zz - c_zz) * pq - s_z * qq - swirl),
+            (h_pq + (w_zz - c_zz) * pq + s_z * pp + swirl, h_qq + (w_zz - c_zz) * qq + diag + s_z * pq),
+        )
+
+    def level(lo, hi):
+        """u(m) + grad u(X) . (X - m), with m the box's midpoint (the mean
+        value theorem), which grows with the box's size squared where the
+        direct enclosure of the bump sum grows with its size."""
+        mid = np.clip(0.5 * (lo + hi), lo, hi)
+        box, _, _, g = pairs(mid, mid, (0,))
+        _, _, rho = radial(mid, mid)
+        wall = 1.0 - one_plus * (1.0 - smoothstep((rho - wall_lo) / wall_w))
+        p, q, rho = radial(lo, hi)
+        w1 = wall_slope(rho)
+        g_p, g_q = slopes(lo, hi)
+        return (
+            g[0].group_sums(box, len(lo)) + wall
+            + (g_p + w1 * p) * (Enclosure(lo[:, 0], hi[:, 0]) - mid[:, 0])
+            + (g_q + w1 * q) * (Enclosure(lo[:, 1], hi[:, 1]) - mid[:, 1])
+        )
+
+    return ClassifierBounds(value, jacobian, level)
 
 
 def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
@@ -1174,74 +1512,6 @@ def _classifier_from_pieces(pieces: _DiskPieces) -> ClassifierField:
         return pieces.u(pts, _radius(pts), (0,))[0]
 
     return ClassifierField(value, jacobian, level)
-
-
-def _shell_newton_radius(params: dict, rho: Enclosure) -> tuple[Enclosure, ...]:
-    """Enclosures of f, f' and the Newton image radius R over ``rho``, on
-    the shell where the disk classifier is radial (see ``_newton_trap``).
-
-    R is an enclosure only where f > 0 and f' > 0 on ``rho``, since the
-    divisions assume positive divisors.
-    """
-    wall_lo, wall_hi = params["wall"]
-    wall_w = wall_hi - wall_lo
-    one_plus = 1.0 + params["floor"]
-    c_dip, g = params["c_dip"], Enclosure.of(params["swirl"])
-    t = (rho - wall_lo) / wall_w
-    # smoothstep's first two derivatives on the enclosure, and the wall's
-    # scaling of them, as _assemble_pieces writes it
-    f = one_plus * _SMOOTHSTEP[1](t) / wall_w + c_dip * rho
-    df = one_plus * _SMOOTHSTEP[2](t) / (wall_w * wall_w) + c_dip
-    s_rho = (f * f + g * g) / (f * df)
-    s_theta = rho * g / f
-    x = rho - s_rho
-    return f, df, (x * x + s_theta * s_theta).sqrt()
-
-
-def _newton_trap(
-    params: dict, cluster_end: float, interval: tuple[float, float] = _TRAP_CANDIDATE
-) -> "tuple[float, float] | None":
-    """``interval`` = (a, b) when the disk classifier's Newton step is
-    proven to map the annulus a < rho < b into itself, else None.
-
-    Past ``cluster_end`` every bump is exactly 0, and past the c/s band
-    ``cb = c_on[1] * width`` but short of ``c_rise[0]`` and ``s_fall[0]``
-    the profiles are exactly c = -c_dip and s = swirl.  Inside the wall
-    ramp, u = w(rho) = -floor + (1 + floor) smoothstep((rho - wall_lo) /
-    wall_w).  So on that shell
-
-        V = f e_rho + g e_theta,   f = w'(rho) + c_dip rho,   g = swirl,
-
-    and where f and f' = w'' + c_dip are positive, the exact Newton step is
-    s_rho = (f^2 + g^2) / (f f') along e_rho and s_theta = rho g / f along
-    e_theta, so the new radius is R(rho) = hypot(rho - s_rho, s_theta).
-
-    The trap holds when [a - delta, b + delta] lies in the shell, and
-    interval arithmetic over 512 pieces of it bounds f above the zero
-    residual, f' above 0 and R inside [a + delta, b - delta], with delta =
-    1e-6.  Then every Newton step from a radius within delta of the trap
-    lands at least delta inside it.  That margin covers the rounding of a
-    radius and the float step's distance from the exact one, which is below
-    1e-15 on 1e5 points of the trap.
-    No point of the trap passes the ``|V| <= 1e-10`` test, since |V| >= f.
-    """
-    a, b = interval
-    lo, hi = a - _TRAP_MARGIN, b + _TRAP_MARGIN
-    shell_lo = max(cluster_end, params["c_on"][1] * params["width"], params["wall"][0])
-    shell_hi = min(params["wall"][1], params["c_rise"][0], params["s_fall"][0])
-    if not shell_lo < lo < hi < shell_hi:
-        return None
-    edges = np.linspace(lo, hi, _TRAP_PIECES + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f, df, R = _shell_newton_radius(params, Enclosure(edges[:-1], edges[1:]))
-    # R encloses the image radius only where f and f' are positive
-    proven = (
-        (f.lo > _ZERO_RESIDUAL).all()
-        and (df.lo > 0.0).all()
-        and R.lo.min() >= a + _TRAP_MARGIN
-        and R.hi.max() <= b - _TRAP_MARGIN
-    )
-    return interval if proven else None
 
 
 def _contact_coefficient(pieces: _DiskPieces) -> Callable[[np.ndarray], np.ndarray]:
@@ -1336,7 +1606,8 @@ def _exact_disk_form() -> DiskContactForm:
         return np.ones(np.asarray(pts, float).shape[:-1])
 
     classifier = ClassifierField(value, jacobian, level)
-    report = find_and_classify(classifier, grid_n=41)
+    bounds = _affine_bounds(-np.eye(2), (0.0, 0.0), 1.0)
+    report = find_and_classify(classifier, bounds, np.zeros((1, 2)), _DISK_RADIUS)
     certificates = {
         "contact_min": 2.0,
         "boundary_residual": 0.0,
@@ -1388,12 +1659,13 @@ def construct_xi_prime(k: int) -> DiskContactForm:
     ``params["exact_radius"]`` the form agrees with dx + p dq - q dp
     exactly.  F is sampled at the grid points inside the bump cluster, and
     past it, where F depends on the radius alone, once at each radius of
-    the grid's points there.  The Newton search for the singularities
-    starts only from the seed grid points inside the bump cluster: past it
-    the classifier is V = f e_rho + g e_theta with |V| >= min(swirl,
-    s_fall[0]) > 0 (``_assemble_pieces``), so no zero lies there.  The disk
-    is built once from ``_disk_params(k)``; ``passed`` records whether every
-    certificate held.
+    the grid's points there.  The singularity counts, types and signs are
+    proven on the disk inside the bump cluster (``find_and_classify``, from
+    the design seeds and ``_disk_bounds``); past it the classifier is V = f
+    e_rho + g e_theta with |V| >= min(swirl, s_fall[0]) > 0
+    (``_assemble_pieces``), so no zero lies there.  The disk is built once
+    from ``_disk_params(k)``; ``passed`` records whether every certificate
+    held.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
@@ -1434,11 +1706,7 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     )
     vmin_boundary = float(np.linalg.norm(V, axis=-1).min())
 
-    report = find_and_classify(
-        classifier,
-        trap=_newton_trap(params, pieces.cluster_end),
-        seed_radius=pieces.cluster_end,
-    )
+    report = find_and_classify(classifier, pieces.bounds, pieces.seeds, pieces.cluster_end)
     boundary_turns = classifier_boundary_winding(classifier, 0.5 * (exact_radius + 1.0))
 
     certificates = {

@@ -472,14 +472,14 @@ def _binding_core_piece(r0: float) -> ModelPiece:
             ("v", KIND_POLYNOMIAL, Interval(-half, half)),
         ],
     )
-    alpha = chart.one_form(
-        {"x": 1.0, "y": "-u^2 - v^2", "u": "-v", "v": "u"}, label="alpha"
-    )
-    w = chart.vector_field({"y": 1.0, "u": "-v", "v": "u"}, label="W")
+    # built as Expr values, not parsed, since every construct op builds the core
+    u, v = chart.coordinate_expr("u"), chart.coordinate_expr("v")
+    alpha = chart.one_form({"x": 1.0, "y": -u * u - v * v, "u": -v, "v": u}, label="alpha")
+    w = chart.vector_field({"y": 1.0, "u": -v, "v": u}, label="W")
     spanning = (
         w,
-        chart.vector_field({"u": 1.0, "x": "v"}, label="Z1"),
-        chart.vector_field({"v": 1.0, "x": "-u"}, label="Z2"),
+        chart.vector_field({"u": 1.0, "x": v}, label="Z1"),
+        chart.vector_field({"v": 1.0, "x": -u}, label="Z2"),
     )
     return ModelPiece(
         name="binding-core",
@@ -935,7 +935,8 @@ def build_binding_engel(l, k, r0: float = 1.0) -> ModelPiece:
     r0 = _finite(r0, "r0", positive=True)
     chart = _binding_boundary_chart(r0)
     _check_slope_radius(r0)
-    r2 = chart.parse("r^2")
+    r = chart.coordinate_expr("r")
+    r2 = r * r
     s_field = VectorField(chart, (r2, chart.const(1.0), chart.zero(), chart.zero()), label="S")
     dr = chart.basis_vector("r")
 

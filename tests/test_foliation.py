@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,24 +15,24 @@ from engelbook import foliation
 from engelbook.charts import Chart, Interval
 from engelbook.foliation import (
     _REPLAY_CHUNK,
-    _TRAP_CANDIDATE,
-    _TRAP_MARGIN,
+    ClassifierBounds,
     ClassifierField,
     SingularityReport,
     SliceEmbedding,
+    _affine_bounds,
     _annulus_grid,
     _assemble_pieces,
     _build_disk_form,
     _classifier_from_pieces,
     _contact_coefficient,
+    _disk_bounds,
     _disk_grid,
     _disk_params,
     _gaussian_bundle,
     _newton_points,
-    _newton_trap,
     _plane_norms,
     _radius,
-    _shell_newton_radius,
+    _RadialRamps,
     _smoothstep_jet,
     _trace_leaves,
     annulus_foliation_check,
@@ -42,7 +43,7 @@ from engelbook.foliation import (
     torus_slope,
     trace_leaf,
 )
-from engelbook.interval import Enclosure
+from engelbook.interval import Enclosure, krawczyk_image, strictly_inside
 from engelbook.invariants import Path
 from engelbook.models import PAGE_ANNULUS, model_catalog
 from engelbook.reports import portrait_rows
@@ -901,8 +902,13 @@ def radial_sink(level_sign=1.0):
     return ClassifierField(value, jacobian, level)
 
 
+def hand_search(field, bounds):
+    """A hand field's zeros on the unit disk, searched from the 41 x 41 grid."""
+    return find_and_classify(field, bounds, _disk_grid(0.98, 41), 1.0)
+
+
 def test_radial_sink_is_one_positive_elliptic_point():
-    report = find_and_classify(radial_sink(), grid_n=41)
+    report = hand_search(radial_sink(), _affine_bounds(-np.eye(2), (0.0, 0.0), 1.0))
     assert report.counts == {"e_plus": 1, "e_minus": 0, "h_plus": 0, "h_minus": 0}
     assert report.euler_identity == 1
     assert report.relative_euler == 1
@@ -928,7 +934,8 @@ def test_saddle_with_negative_level_counts_as_h_minus():
     def level(pts):
         return np.full(np.asarray(pts, float).shape[:-1], -0.5)
 
-    report = find_and_classify(ClassifierField(value, jacobian, level), grid_n=41)
+    bounds = _affine_bounds(np.diag([1.0, -1.0]), (0.0, 0.0), -0.5)
+    report = hand_search(ClassifierField(value, jacobian, level), bounds)
     assert report.counts == {"e_plus": 0, "e_minus": 0, "h_plus": 0, "h_minus": 1}
     assert report.euler_identity == -1
     assert report.relative_euler == 1
@@ -952,7 +959,7 @@ def test_offset_zero_is_located():
     def level(pts):
         return np.ones(np.asarray(pts, float).shape[:-1])
 
-    report = find_and_classify(ClassifierField(value, jacobian, level), grid_n=41)
+    report = hand_search(ClassifierField(value, jacobian, level), _affine_bounds(-np.eye(2), z0, 1.0))
     assert len(report.zeros) == 1
     assert report.zeros[0]["p"] == pytest.approx(0.31, abs=1e-9)
     assert report.zeros[0]["q"] == pytest.approx(-0.22, abs=1e-9)
@@ -981,14 +988,14 @@ def test_boundary_winding_comparison():
     assert not boundary_winding_vs_index(field, (e1, e2), loop, off)["match"]
 
 
-def dense_newton_points(classifier, newton_iters, stop=True, seed_radius=None):
+def dense_newton_points(classifier, newton_iters, stop=True, seed_radius=None, seeds=None):
     """Reference Newton rounds on the unit disk: every seed in every round.
 
     With ``stop``, as in the search, a seed freezes after the round that
     starts with |V| <= 1e-10 at it; without it every live seed runs every
-    round.  With ``seed_radius``, only the grid points with rho at most it
-    are seeds."""
-    z = _disk_grid(0.98, 161)
+    round.  The seeds are ``seeds``, or else the 161 x 161 grid points, and
+    with ``seed_radius`` only those with rho at most it."""
+    z = _disk_grid(0.98, 161) if seeds is None else np.array(seeds, float)
     if seed_radius is not None:
         z = z[_radius(z) <= seed_radius]
     alive = np.ones(len(z), dtype=bool)
@@ -1075,6 +1082,23 @@ def fold_field():
     return ClassifierField(value, jacobian, level)
 
 
+def fold_bounds():
+    """The fold field's enclosures: V = (p^2 - 1/4, q), J = diag(2p, 1)."""
+
+    def value(lo, hi):
+        p, q = Enclosure(lo[:, 0], hi[:, 0]), Enclosure(lo[:, 1], hi[:, 1])
+        return p**2 - 0.25, q
+
+    def jacobian(lo, hi):
+        zero, one = Enclosure.of(np.zeros(len(lo))), Enclosure.of(np.ones(len(lo)))
+        return (Enclosure(lo[:, 0], hi[:, 0]) * 2.0, zero), (zero, one)
+
+    def level(lo, hi):
+        return Enclosure.of(np.ones(len(lo)))
+
+    return ClassifierBounds(value, jacobian, level)
+
+
 @functools.lru_cache(maxsize=None)
 def search_field(name):
     if name == "sink":
@@ -1083,6 +1107,28 @@ def search_field(name):
         return fold_field()
     k = int(name[1:])
     return _classifier_from_pieces(_assemble_pieces(k, _disk_params(k)))
+
+
+@functools.lru_cache(maxsize=None)
+def disk_pieces(k):
+    return _assemble_pieces(k, _disk_params(k))
+
+
+def search_proof(name):
+    """The bounds and the radius the proof of a search field takes."""
+    if name == "sink":
+        return _affine_bounds(-np.eye(2), (0.0, 0.0), 1.0), 1.0
+    if name == "fold":
+        return fold_bounds(), 1.0
+    pieces = disk_pieces(int(name[1:]))
+    return pieces.bounds, pieces.cluster_end
+
+
+def disk_search(k, classifier=None):
+    """find_and_classify on the disk with k twists, as its constructor runs it."""
+    pieces = disk_pieces(k)
+    classifier = search_field(f"k{k}") if classifier is None else classifier
+    return find_and_classify(classifier, pieces.bounds, pieces.seeds, pieces.cluster_end)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1098,18 +1144,19 @@ def bitwise_equal(a, b):
 @pytest.mark.parametrize("newton_iters", [1, 2, 60])
 @pytest.mark.parametrize("name", ["k3", "k7", "sink", "fold"])
 def test_active_set_search_is_bit_identical_to_dense_loop(name, newton_iters, monkeypatch):
+    # the search from every grid point, with at most newton_iters rounds
     classifier = search_field(name)
     dense_z = dense_search(name, newton_iters)
-    z = _newton_points(classifier, 161, newton_iters)
-    assert bitwise_equal(z, dense_z)
-
     monkeypatch.setattr(foliation, "_NEWTON_ROUNDS", newton_iters)
-    report = find_and_classify(classifier)
-    zeros, counts, degenerate = dense_classify(classifier, dense_z)
-    assert repr(report.zeros) == repr(zeros)
-    assert report.counts == counts
-    assert report.degenerate == degenerate
+    z = _newton_points(classifier, _disk_grid(0.98, 161))
+    assert bitwise_equal(z, dense_z)
     if newton_iters == 60:
+        bounds, radius = search_proof(name)
+        report = find_and_classify(classifier, bounds, _disk_grid(0.98, 161), radius)
+        zeros, counts, degenerate = dense_classify(classifier, dense_z)
+        assert repr(report.zeros) == repr(zeros)
+        assert report.counts == counts
+        assert report.degenerate == degenerate
         assert len(zeros) == {"k3": 3, "k7": 7, "sink": 1, "fold": 2}[name]
 
 
@@ -1118,7 +1165,7 @@ def test_stop_rule_finds_the_zeros_of_the_stop_free_loop(k):
     # converged seeds stop instead of moving their last bits for the rest of
     # the 60 rounds; the zeros may move by those bits and nothing more
     classifier = search_field(f"k{k}")
-    report = find_and_classify(classifier, trap=disk_trap(k))
+    report = disk_search(k)
     zeros, counts, degenerate = dense_classify(classifier, dense_search(f"k{k}", 60, stop=False))
     assert report.counts == counts
     assert report.degenerate == degenerate
@@ -1127,96 +1174,51 @@ def test_stop_rule_finds_the_zeros_of_the_stop_free_loop(k):
         assert abs(found["p"] - free["p"]) <= 1e-15 and abs(found["q"] - free["q"]) <= 1e-15
 
 
-@functools.lru_cache(maxsize=None)
-def disk_trap(k):
-    params = _disk_params(k)
-    return _newton_trap(params, _assemble_pieces(k, params).cluster_end)
-
-
-def newton_step(classifier, z):
-    """One float Newton step from each point, with the search's arithmetic."""
-    V, J = classifier.jacobian(z)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    step_p = (J[:, 1, 1] * V[:, 0] - J[:, 0, 1] * V[:, 1]) / det
-    step_q = (-J[:, 1, 0] * V[:, 0] + J[:, 0, 0] * V[:, 1]) / det
-    return z - np.stack([step_p, step_q], axis=-1)
-
-
-@pytest.mark.parametrize("k", range(3, 20, 2))
-def test_newton_trap_keeps_every_zero(k):
-    classifier = search_field(f"k{k}")
-    assert disk_trap(k) == _TRAP_CANDIDATE
-    plain = find_and_classify(classifier)
-    trapped = find_and_classify(classifier, trap=disk_trap(k))
-    assert repr(trapped.zeros) == repr(plain.zeros)
-    assert trapped.counts == plain.counts
-    assert trapped.degenerate == plain.degenerate
-
-
-@pytest.mark.parametrize("name", ["k3", "k7", "k19"])
-def test_seeds_the_trap_drops_end_in_it_after_every_round(name):
-    # the dense loop iterates the dropped seeds for all 60 rounds, and the
-    # trap must hold each of them to the end
-    a, b = disk_trap(int(name[1:]))
-    z = _newton_points(search_field(name), 161, 60, (a, b))
-    dense_z = dense_search(name, 60)
-    differ = (z.view(np.int64) != dense_z.view(np.int64)).any(axis=-1)
-    assert differ.sum() > 1000
-    for ends in (z[differ], dense_z[differ]):
-        rho = _plane_norms(ends)
-        assert ((a < rho) & (rho < b)).all()
-
-
 def cluster_end(k):
-    return _assemble_pieces(k, _disk_params(k)).cluster_end
+    return disk_pieces(k).cluster_end
 
 
 @pytest.mark.parametrize("k", [3, 11, 17, 19])
 def test_cluster_seeded_search_is_bit_identical_to_dense_loop(k):
-    # the seeds inside cluster_end, in grid order, end where the dense loop
-    # on those seeds ends them and where the whole-grid search ends them,
-    # except that a seed the trap drops ends inside it
-    name, radius = f"k{k}", cluster_end(k)
-    a, b = disk_trap(k)
-    z = _newton_points(search_field(name), 161, 60, (a, b), radius)
-    dense_z = dense_search(name, 60, seed_radius=radius)
-    grid = _disk_grid(0.98, 161)
-    inside = _radius(grid) <= radius
-    assert len(z) == len(dense_z) == inside.sum() < len(grid) // 10
-    whole = _newton_points(search_field(name), 161, 60, (a, b))
-    assert bitwise_equal(z, whole[inside])
-    differ = (z.view(np.int64) != dense_z.view(np.int64)).any(axis=-1)
-    assert differ.any()
-    for ends in (z[differ], dense_z[differ]):
-        rho = _plane_norms(ends)
-        assert ((a < rho) & (rho < b)).all()
+    # the cluster's design seeds, the bump centres and the midpoints between
+    # them, end where the dense loop from those seeds ends them
+    seeds = disk_pieces(k).seeds
+    e = (k + 1) // 2
+    assert len(seeds) == k and (seeds[:, 1] == 0.0).all()
+    assert bitwise_equal(seeds[e:], 0.5 * (seeds[: e - 1] + seeds[1:e]))
+    z = _newton_points(search_field(f"k{k}"), seeds)
+    assert bitwise_equal(z, dense_newton_points(search_field(f"k{k}"), 60, seeds=seeds))
+    assert (_plane_norms(search_field(f"k{k}").value(z)) <= 1e-10).all()
 
 
 @pytest.mark.parametrize("k", range(3, 22, 2))
-def test_cluster_seeds_find_the_zeros_of_the_whole_grid(k, monkeypatch):
-    # k = 21 is past the supported range: it has off-axis zero pairs, which
-    # lie inside cluster_end too
+def test_cluster_seeds_find_the_zeros_of_the_whole_grid(k):
+    # the oracle: the dense loop from every grid point inside cluster_end,
+    # past which the classifier provably has no zero; k = 21 is past the
+    # supported range, with off-axis zero pairs that no design seed reaches
     params = _disk_params(k)
     expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
-    seeded = _build_disk_form(k, params, expected)
-    search = foliation.find_and_classify
-
-    def whole_grid_search(classifier, trap, seed_radius):
-        return search(classifier, trap=trap)
-
-    monkeypatch.setattr(foliation, "find_and_classify", whole_grid_search)
-    whole = _build_disk_form(k, params, expected)
-    cut, full = seeded.singularities, whole.singularities
-    assert cut.counts == full.counts
-    assert cut.degenerate == full.degenerate
-    kinds = [[(z["type"], z["sign"]) for z in report.zeros] for report in (cut, full)]
-    assert kinds[0] == kinds[1]
-    for found, ref in zip(cut.zeros, full.zeros):
-        assert abs(found["p"] - ref["p"]) <= 1e-15 and abs(found["q"] - ref["q"]) <= 1e-15
-    assert repr(seeded.certificates) == repr(whole.certificates)
-    assert seeded.passed == (k <= 19)
+    oracle, counts, degenerate = dense_classify(
+        search_field(f"k{k}"), dense_search(f"k{k}", 60, seed_radius=cluster_end(k))
+    )
     if k == 21:
-        assert cut.counts == {"e_plus": 11, "e_minus": 2, "h_plus": 0, "h_minus": 12}
+        assert counts == {"e_plus": 11, "e_minus": 2, "h_plus": 0, "h_minus": 12}
+        with pytest.raises(ValueError, match="no proof that the box") as err:
+            _build_disk_form(k, params, expected)
+        # the box lies at one of the four zeros off the axis
+        lo_p, hi_p, lo_q, hi_q = named_box(err)
+        extra = [(z["p"], z["q"]) for z in oracle if abs(z["q"]) > 0.01]
+        assert len(extra) == 4
+        assert any(lo_p - 1e-4 <= p <= hi_p + 1e-4 and lo_q - 1e-4 <= q <= hi_q + 1e-4 for p, q in extra)
+        return
+    seeded = _build_disk_form(k, params, expected)
+    assert seeded.passed
+    cut = seeded.singularities
+    assert cut.counts == counts == expected
+    assert cut.degenerate == degenerate
+    assert [(z["type"], z["sign"]) for z in cut.zeros] == [(z["type"], z["sign"]) for z in oracle]
+    for found, ref in zip(cut.zeros, oracle):
+        assert abs(found["p"] - ref["p"]) <= 1e-15 and abs(found["q"] - ref["q"]) <= 1e-15
 
 
 @pytest.mark.parametrize("k", range(3, 22, 2))
@@ -1247,53 +1249,218 @@ def test_assemble_pieces_refuses_a_zero_past_the_bump_cluster_it_cannot_exclude(
         _assemble_pieces(5, params)
 
 
-@pytest.mark.parametrize("k", [3, 19])
-def test_shell_radius_encloses_the_float_newton_step(k):
-    # 500 radii by 200 angles inside the trap; k = 19 has a deeper c dip
-    a, b = disk_trap(k)
-    radii, angles = np.meshgrid(
-        np.linspace(a, b, 502)[1:-1], np.linspace(0.0, math.tau, 200, endpoint=False), indexing="ij"
-    )
-    z = np.stack([(radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()], axis=-1)
-    image = _plane_norms(newton_step(search_field(f"k{k}"), z))
-    rho = _plane_norms(z)
-    f, df, R = _shell_newton_radius(_disk_params(k), Enclosure(rho, rho))
-    assert (f.lo > 0.0).all() and (df.lo > 0.0).all()
-    # a point enclosure is tight, so the comparison below has teeth
-    assert (R.hi - R.lo).max() < 1e-12
-    gap = np.maximum(np.maximum(R.lo - image, image - R.hi), 0.0)
-    assert gap.max() < 1e-3 * _TRAP_MARGIN
-    assert ((a + _TRAP_MARGIN <= image) & (image <= b - _TRAP_MARGIN)).all()
-
-
-def test_newton_trap_refuses_what_it_cannot_prove():
-    params = _disk_params(3)
-    cluster_end = _assemble_pieces(3, params).cluster_end
-    # reaches the foot of the wall ramp
-    assert _newton_trap(params, cluster_end, (0.40, 0.46)) is None
-    # inside the shell, but steps from (0.405, 0.46) leave through its outer
-    # edge, and steps into (0.4121, 0.444) come as low as 0.412093
-    assert _newton_trap(params, cluster_end, (0.405, 0.46)) is None
-    assert _newton_trap(params, cluster_end, (0.4121, 0.444)) is None
-    out = _plane_norms(newton_step(search_field("k3"), np.array([[0.4051, 0.0], [0.42415, 0.0]])))
-    assert out[0] > 0.46 and out[1] < 0.4121
-    # c starts to rise, or the bumps reach, inside the candidate
-    assert _newton_trap({**params, "c_rise": (0.43, 0.68)}, cluster_end) is None
-    assert _newton_trap(params, 0.42) is None
-    assert _newton_trap(params, cluster_end) == _TRAP_CANDIDATE
-
-
-def test_disk_constructor_searches_with_its_trap(monkeypatch):
+def test_disk_constructor_proves_with_its_design_seeds(monkeypatch):
     calls = []
     search = foliation.find_and_classify
 
     def spy(classifier, *args, **kwargs):
-        calls.append((kwargs.get("trap"), kwargs.get("seed_radius")))
+        calls.append(args)
         return search(classifier, *args, **kwargs)
 
     monkeypatch.setattr(foliation, "find_and_classify", spy)
     assert construct_xi_prime(1).passed and construct_xi_prime(3).passed
-    assert calls == [(None, None), (_TRAP_CANDIDATE, cluster_end(3))]
+    (bounds1, seeds1, radius1), (bounds3, seeds3, radius3) = calls
+    assert isinstance(bounds1, ClassifierBounds) and isinstance(bounds3, ClassifierBounds)
+    assert seeds1.tolist() == [[0.0, 0.0]] and radius1 == 1.0
+    assert bitwise_equal(seeds3, disk_pieces(3).seeds) and radius3 == cluster_end(3)
+
+
+# -- the proof of the zero count ----------------------------------------------------
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.MPContext()  # its own context: the global precision stays as it is
+mp.dps = 50
+
+
+def exact_disk(k):
+    """V, u and J of the disk classifier in 50-digit arithmetic, from the
+    float constants the float code uses; J by differentiating V."""
+    params = _disk_params(k)
+    pieces = disk_pieces(k)
+    centers = (pieces.seeds[: (k + 1) // 2]).tolist()
+    width, amplitude = params["width"], params["amplitude"]
+    t0, t1 = params["trunc"]
+    w2, fade_lo, fade_w = width * width, t0 * width, (t1 - t0) * width
+    one_plus = 1.0 + params["floor"]
+    wall_lo, wall_hi = params["wall"]
+    ca, cb = params["c_on"][0] * width, params["c_on"][1] * width
+    c_rise, s_fall = params["c_rise"], params["s_fall"]
+
+    def S(t):
+        t = min(max(t, mp.mpf(0)), mp.mpf(1))
+        return t**3 * (10 - 15 * t + 6 * t * t)
+
+    def u(p, q):
+        total = 1 - one_plus * (1 - S((mp.hypot(p, q) - wall_lo) / (wall_hi - wall_lo)))
+        for cx, cy in centers:
+            d = mp.hypot(p - cx, q - cy)
+            total += amplitude * mp.exp(-d * d / (2 * w2)) * (1 - S((d - fade_lo) / fade_w))
+        return total
+
+    def V(p, q):
+        rho = mp.hypot(p, q)
+        c = -params["c_dip"] * S((rho - ca) / (cb - ca)) + (1 + params["c_dip"]) * S(
+            (rho - c_rise[0]) / (c_rise[1] - c_rise[0])
+        )
+        s = params["swirl"] * (S((rho - ca) / (cb - ca)) - S((rho - s_fall[0]) / (s_fall[1] - s_fall[0])))
+        grad = (mp.diff(lambda x: u(x, q), p), mp.diff(lambda y: u(p, y), q))
+        swirl = s / rho if rho else mp.mpf(0)
+        return grad[0] - c * p - swirl * q, grad[1] - c * q + swirl * p
+
+    def J(p, q):
+        return [[mp.diff(lambda x: V(x, q)[i], p), mp.diff(lambda y: V(p, y)[i], q)] for i in range(2)]
+
+    return V, u, J
+
+
+def within(enclosure, i, value):
+    return mp.mpf(float(enclosure.lo[i])) <= value <= mp.mpf(float(enclosure.hi[i]))
+
+
+@pytest.mark.parametrize("k", [3, 19])
+def test_disk_bounds_hold_the_exact_field_in_their_boxes(k):
+    # boxes of several sizes around the zeros, the bump cluster's edge,
+    # random places and the outer bands; at a random point of each, the
+    # 50-digit V, u and J lie in the enclosures
+    V, u, J = exact_disk(k)
+    bounds = disk_pieces(k).bounds
+    rng = np.random.default_rng(k)
+    zeros = np.array([[z["p"], z["q"]] for z in disk_search(k).zeros])
+    # and points of the wall, c-rise and s-fall bands, which the cover never reaches
+    bands = np.array([[0.45, 0.0], [0.0, -0.52], [-0.42, 0.3], [0.5, 0.5], [0.0, 0.75]])
+    centres = np.concatenate([zeros, rng.uniform(-0.3, 0.3, (12, 2)), [[cluster_end(k), 0.0]], bands])
+    half = rng.choice([0.0, 1e-4, 2e-3, 0.02], len(centres))
+    lo, hi = centres - half[:, None], centres + half[:, None]
+    vp, vq = bounds.value(lo, hi)
+    jac = bounds.jacobian(lo, hi)
+    level = bounds.level(lo, hi)
+    points = lo + rng.uniform(0.0, 1.0, lo.shape) * (hi - lo)
+    for i, (p, q) in enumerate(points):
+        p, q = mp.mpf(float(p)), mp.mpf(float(q))
+        exact_v, exact_j = V(p, q), J(p, q)
+        assert within(vp, i, exact_v[0]) and within(vq, i, exact_v[1]), i
+        assert within(level, i, u(p, q)), i
+        for a in range(2):
+            for b in range(2):
+                assert within(jac[a][b], i, exact_j[a][b]), (i, a, b)
+    # and tight: at a point, V's enclosure is narrower than 1e-8
+    assert (vp.hi - vp.lo)[half == 0.0].max() < 1e-8
+
+
+def test_a_lone_bump_slope_enclosure_holds_its_exact_gradient():
+    # one bump at the origin and profiles that start past its reach, so V
+    # is the bump's gradient alone; at points of its fade band the float
+    # pair arithmetic errs by tens of ulps, which its allowance must cover
+    params = _disk_params(3)
+    width, amplitude = params["width"], params["amplitude"]
+    t0, t1 = params["trunc"]
+    far = _RadialRamps(((8.0 * width, 9.0 * width, 1.0),), final=1.0)
+    bounds = _disk_bounds(np.zeros((1, 2)), params, far, far)
+    rng = np.random.default_rng(3)
+    radii = rng.uniform(0.2 * width, t1 * width, 400)
+    angles = rng.uniform(0.0, math.tau, 400)
+    pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], -1)
+    vp, vq = bounds.value(pts, pts)
+    w2, fade_lo, fade_w = width * width, t0 * width, (t1 - t0) * width
+
+    def bump(d):
+        t = min(max((d - fade_lo) / fade_w, mp.mpf(0)), mp.mpf(1))
+        return amplitude * mp.exp(-d * d / (2 * w2)) * (1 - t**3 * (10 - 15 * t + 6 * t * t))
+
+    for i, (p, q) in enumerate(pts):
+        p, q = mp.mpf(float(p)), mp.mpf(float(q))
+        d = mp.hypot(p, q)
+        slope = mp.diff(bump, d) / d
+        assert within(vp, i, slope * p) and within(vq, i, slope * q), i
+
+
+def krawczyk_inputs(matrix, zero, half):
+    """A linear field's Krawczyk data around its zero, with Y = J^-1."""
+    bounds = _affine_bounds(matrix, -np.asarray(matrix) @ zero, 1.0)
+    mid = np.array([zero])
+    return bounds, mid, np.linalg.inv(matrix)[None], mid - half, mid + half
+
+
+def test_krawczyk_image_of_a_linear_field_is_its_zero():
+    matrix = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    bounds, mid, inverse, lo, hi = krawczyk_inputs(matrix, np.array([0.25, -0.5]), 0.1)
+    image, _ = krawczyk_image(bounds, mid, inverse, lo, hi)
+    assert strictly_inside(image, lo, hi).all()
+    assert all(k.hi[0] - k.lo[0] < 1e-14 for k in image)
+
+
+def test_an_image_that_touches_its_box_proves_nothing():
+    # every zero in a box lies in its image, so an image inside the closed
+    # box proves a zero there, but only one inside its interior proves that
+    # zero the box's only one
+    lo, hi = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
+    inner = (Enclosure(np.array([0.25]), np.array([0.75])),) * 2
+    assert strictly_inside(inner, lo, hi).all()
+    for touching in ((Enclosure(np.array([0.0]), np.array([0.5])), inner[1]),
+                     (inner[0], Enclosure(np.array([0.5]), np.array([1.0])))):
+        assert not strictly_inside(touching, lo, hi).any()
+
+
+def linear_field(matrix, level_value=1.0):
+    def value(pts):
+        return np.asarray(pts, float) @ np.asarray(matrix).T
+
+    def jacobian(pts):
+        pts = np.asarray(pts, float)
+        return value(pts), np.broadcast_to(np.asarray(matrix, float), pts.shape[:-1] + (2, 2)).copy()
+
+    def level(pts):
+        return np.full(np.asarray(pts, float).shape[:-1], level_value)
+
+    return ClassifierField(value, jacobian, level)
+
+
+def test_a_strict_krawczyk_inclusion_leaves_the_det_enclosure_clear_of_zero():
+    # det J = J_pp J_qq - J_pq J_qp uses each entry once, so its enclosure
+    # is the range of det over the matrices of the J enclosure, up to
+    # rounding; an image strictly inside its box makes each of them
+    # invertible, so that range is clear of 0 whenever the test passes
+    rng = np.random.default_rng(7)
+    passed = 0
+    for _ in range(300):
+        matrix = rng.normal(size=(2, 2)) * np.exp(rng.normal(size=(2, 2)))
+        widths = np.abs(rng.normal(size=(2, 2))) * abs(np.linalg.det(matrix)) / np.abs(matrix).max()
+        bounds, mid, inverse, lo, hi = krawczyk_inputs(matrix, np.zeros(2), 0.01)
+
+        def wide(lo, hi, bounds=bounds, widths=widths):
+            return tuple(
+                tuple(Enclosure(e.lo - widths[i, j], e.hi + widths[i, j]) for j, e in enumerate(row))
+                for i, row in enumerate(bounds.jacobian(lo, hi))
+            )
+
+        image, ((j00, j01), (j10, j11)) = krawczyk_image(
+            ClassifierBounds(bounds.value, wide, bounds.level), mid, inverse, lo, hi
+        )
+        if strictly_inside(image, lo, hi)[0]:
+            passed += 1
+            assert not (j00 * j11 - j01 * j10).contains_zero()[0]
+    assert 30 < passed < 270
+
+
+def test_a_zero_whose_level_enclosure_meets_zero_is_refused():
+    field = linear_field(-np.eye(2), 0.0)
+    with pytest.raises(ValueError, match="level enclosure that meets 0"):
+        hand_search(field, _affine_bounds(-np.eye(2), (0.0, 0.0), 0.0))
+
+
+def named_box(error):
+    """The box a cover failure names, as (lo_p, hi_p, lo_q, hi_q)."""
+    found = re.search(r"box \[(\S+), (\S+)\] x \[(\S+), (\S+)\]", str(error.value))
+    return tuple(float(x) for x in found.groups())
+
+
+def test_a_zero_no_seed_reaches_fails_the_cover():
+    # V = (p^2 - 1/4, q) searched from one seed finds one of its two zeros;
+    # the cover then cannot close the boxes around the other
+    with pytest.raises(ValueError, match="no proof that the box") as err:
+        find_and_classify(fold_field(), fold_bounds(), np.array([[0.4, 0.1]]), 1.0)
+    lo_p, hi_p, lo_q, hi_q = named_box(err)
+    assert lo_p - 1e-3 <= -0.5 <= hi_p + 1e-3 and lo_q - 1e-3 <= 0.0 <= hi_q + 1e-3
 
 
 # -- the disk constructor -----------------------------------------------------------
@@ -1679,8 +1846,8 @@ def test_one_pass_classifier_is_bit_identical_to_two_pass_reference(k):
         for orders in ORDER_SUBSETS:
             for order, jet in zip(orders, pieces.u(pts, _radius(pts), orders)):
                 assert bitwise_equal(jet, refs[order]), (region, orders)
-    z = _newton_points(classifier, 161, 60)
-    assert bitwise_equal(z, dense_newton_points(reference, 60))
+    seeds = pieces.seeds
+    assert bitwise_equal(_newton_points(classifier, seeds), dense_newton_points(reference, 60, seeds=seeds))
 
 
 def counted_classifier(k, points=None):
@@ -1703,8 +1870,8 @@ def counted_classifier(k, points=None):
 def test_final_residual_test_is_one_value_pass_over_every_end_point():
     points = []
     classifier, passes = counted_classifier(7, points)
-    report = find_and_classify(classifier, trap=disk_trap(7))
-    ends = _newton_points(search_field("k7"), 161, 60, disk_trap(7))
+    report = disk_search(7, classifier)
+    ends = _newton_points(search_field("k7"), disk_pieces(7).seeds)
     # every round and the classification run the jacobian pass; the final
     # |V| test is the one V-only pass, over the end points as the search
     # returns them
@@ -1732,15 +1899,14 @@ def test_search_takes_v_and_j_from_one_call_per_newton_round(k):
         counting("jacobian", classifier.jacobian),
         classifier.level,
     )
-    trap, radius = disk_trap(k), cluster_end(k)
-    report = find_and_classify(counted, trap=trap, seed_radius=radius)
-    assert repr(report) == repr(find_and_classify(classifier, trap=trap, seed_radius=radius))
+    report = disk_search(k, counted)
+    assert repr(report) == repr(disk_search(k))
     # a jacobian call per round, the final |V| test, then the zeros' call
     rounds = len(calls) - 2
     assert 1 <= rounds <= foliation._NEWTON_ROUNDS
     assert [kind for kind, _ in calls] == ["jacobian"] * rounds + ["value", "jacobian"]
     sizes = [n for _, n in calls]
-    seeds = len(_newton_points(classifier, 161, 60, trap, radius))
+    seeds = len(disk_pieces(k).seeds)
     assert sizes[0] == sizes[rounds] == seeds
     # the active set only shrinks, and a round runs only while it is nonempty
     assert all(a >= b > 0 for a, b in zip(sizes[:rounds], sizes[1:rounds]))
@@ -1761,12 +1927,12 @@ def test_non_finite_rows_stay_non_finite_and_never_pass_the_residual_test(k, mon
         V, _ = classifier.jacobian(NON_FINITE_ROWS)
         assert (~np.isfinite(V)).any(axis=-1).all()
     # end points with non-finite rows, each twice, add no zero
-    reference = find_and_classify(classifier, trap=disk_trap(k))
-    ends = _newton_points(classifier, 161, 60, disk_trap(k))
+    reference = disk_search(k)
+    ends = _newton_points(classifier, disk_pieces(k).seeds)
     padded = np.concatenate([NON_FINITE_ROWS, ends, NON_FINITE_ROWS])
     monkeypatch.setattr(foliation, "_newton_points", lambda *_args: padded)
     with np.errstate(invalid="ignore"):
-        report = find_and_classify(classifier, trap=disk_trap(k))
+        report = disk_search(k)
     assert repr(report) == repr(reference)
 
 
@@ -1889,13 +2055,19 @@ RETIRED_TWEAKS = (
 
 def retired_search(k):
     """Reference: the retired retry search; the first passing attempt wins.
+    An attempt whose zero count cannot be proven (its extra zeros lie
+    where no design seed reaches) does not pass.
 
     Returns the attempt number (from 1) and the winning disk."""
     expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
     for attempt, tweak in enumerate(RETIRED_TWEAKS, start=1):
         params = {**retired_base_params(k), **tweak}
         params["width"] *= params.pop("width_scale", 1.0)
-        d = _build_disk_form(k, params, expected)
+        try:
+            d = _build_disk_form(k, params, expected)
+        except ValueError as err:
+            assert "no proof that the box" in str(err)
+            continue
         if d.passed:
             return attempt, d
     raise AssertionError(f"no attempt passed at k = {k}")

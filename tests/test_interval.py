@@ -5,10 +5,10 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engelbook.interval import TRIG_HULL, Enclosure
+from engelbook.interval import TRIG_HULL, Enclosure, smoothstep, smoothstep_slope
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL, Coordinate, Expr, Mode
 
 mpmath = pytest.importorskip("mpmath")
@@ -189,3 +189,84 @@ def test_bound_of_catalog_like_coefficients():
     assert lo < -0.8 < 1.2 < hi and hi - lo < 2.0 + 1e-14
     with pytest.raises(ValueError, match="one range per coordinate"):
         v.bound(((0.0, 1.0),))
+
+
+# -- exp, smoothstep and sums ------------------------------------------------------
+
+# exp stays finite and its enclosure's ends clear the subnormals here
+exp_args = st.floats(-700.0, 700.0, allow_nan=False)
+
+
+@quick
+@given(exp_args, exp_args, fractions)
+def test_exp_encloses_every_exact_exp(a, b, ts):
+    x = Enclosure(*sorted((a, b)))
+    r = x.exp()
+    for v in reals_in(x, ts):
+        assert_encloses(r, mp.exp(v))
+    # EXP_ULPS floats and no more beyond numpy's value at each end
+    assert float(r.hi) <= float(np.exp(x.hi)) * (1.0 + 2.0**-49)
+
+
+def test_exp_of_a_point_encloses_its_exact_exp_at_both_ends():
+    # exp(x) is irrational at a float x != 0, so numpy's value misses it on
+    # one side, and an enclosure must move that end
+    xs = np.linspace(-30.0, 30.0, 2001)
+    r = Enclosure(xs, xs).exp()
+    for x, lo, hi in zip(xs, r.lo, r.hi):
+        assert mp.mpf(float(lo)) <= mp.exp(mp.mpf(float(x))) <= mp.mpf(float(hi))
+    assert (Enclosure(-800.0, -800.0).exp().lo >= 0.0).all()
+
+
+def exact_smoothstep(t):
+    t = min(max(t, mp.mpf(0)), mp.mpf(1))
+    return t**3 * (10 - 15 * t + 6 * t * t), 30 * t * t * (1 - t) ** 2
+
+
+ramp_args = st.floats(-0.5, 1.5, allow_nan=False)
+
+
+@quick
+@given(ramp_args, ramp_args, fractions)
+def test_smoothstep_and_its_slope_enclose_every_exact_value(a, b, ts):
+    x = Enclosure(*sorted((a, b)))
+    step, slope = smoothstep(x), smoothstep_slope(x)
+    for v in reals_in(x, ts) + [mp.mpf(0.5)] * (a <= 0.5 <= b):
+        s, s1 = exact_smoothstep(v)
+        assert_encloses(step, s)
+        assert_encloses(slope, s1)
+    # the slope's peak is 15/8, at t = 1/2
+    assert float(slope.hi) <= 1.875 * (1.0 + 2.0**-50)
+
+
+def test_smoothstep_enclosures_are_tight_at_points():
+    ts = np.linspace(-0.2, 1.2, 1401)
+    for f, order in ((smoothstep, 0), (smoothstep_slope, 1)):
+        r = f(Enclosure(ts, ts))
+        for t, lo, hi in zip(ts, r.lo, r.hi):
+            exact = exact_smoothstep(mp.mpf(float(t)))[order]
+            assert mp.mpf(float(lo)) <= exact <= mp.mpf(float(hi))
+            assert hi - lo <= 2.0**-40
+
+
+terms = st.lists(
+    st.tuples(st.floats(-1e16, 1e16, allow_nan=False), st.floats(0.0, 1e3), st.integers(0, 3)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@quick
+@given(terms)
+@example([(1e16, 0.0, 0), (1.0, 0.0, 0), (-1e16, 0.0, 0)])
+def test_group_sums_enclose_every_exact_sum(rows):
+    # each term is [x, x + w] in group g; the groups' float sums round, and
+    # cancel, but the widened sums hold the exact sums of the ends
+    lo = np.array([x for x, _, _ in rows])
+    hi = lo + np.array([w for _, w, _ in rows])
+    groups = np.array([g for _, _, g in rows])
+    r = Enclosure(lo, hi).group_sums(groups, 4)
+    for g in range(4):
+        exact_lo = mp.fsum(mp.mpf(float(x)) for x, gg in zip(lo, groups) if gg == g)
+        exact_hi = mp.fsum(mp.mpf(float(x)) for x, gg in zip(hi, groups) if gg == g)
+        assert mp.mpf(float(r.lo[g])) <= exact_lo and exact_hi <= mp.mpf(float(r.hi[g])), g

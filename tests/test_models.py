@@ -209,6 +209,40 @@ def test_binding_builds_the_form_the_parser_gives():
     assert piece.form.components == want
 
 
+def test_binding_builds_its_fields_and_core_as_the_parser_gives():
+    # r^2 and the core's expressions are built as Expr values, not parsed
+    piece = build_binding_engel(5, 3)
+    chart = piece.chart
+    assert piece.named_fields["S"].components[0] == chart.parse("r^2")
+    core = piece.core
+    parse, zero, one = core.chart.parse, core.chart.zero(), core.chart.const(1.0)
+    assert core.form.components == (one, parse("-u^2 - v^2"), parse("-v"), parse("u"))
+    assert core.named_fields["W"].components == (zero, one, parse("-v"), parse("u"))
+    assert core.named_fields["Z1"].components == (parse("v"), zero, one, zero)
+    assert core.named_fields["Z2"].components == (parse("-u"), zero, zero, one)
+
+
+def test_a_construct_op_parses_no_expression(monkeypatch, tmp_path):
+    from engelbook import charts, cli, trigpoly
+
+    texts = []
+    parse = trigpoly.parse_expression
+
+    def counting(text, coords):
+        texts.append(text)
+        return parse(text, coords)
+
+    monkeypatch.setattr(trigpoly, "parse_expression", counting)
+    monkeypatch.setattr(charts, "parse_expression", counting)
+    for lam, k in ((0, 3), (1, 5)):
+        argv = ["construct", "--lambda", str(lam), "--k", str(k), "--out", str(tmp_path / "c.json")]
+        assert cli.run(argv) == 0
+    assert texts == []
+    # the counter sees the chart's parses
+    build_binding_engel(5, 3).chart.parse("r^2")
+    assert texts == ["r^2"]
+
+
 def test_binding_kernel_direction_after_shear():
     piece = build_binding_engel(5, 3)
     chart = piece.chart
