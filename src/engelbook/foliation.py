@@ -1434,8 +1434,9 @@ def _disk_bounds(
 
     def level(lo, hi):
         """u(m) + grad u(X) . (X - m), with m the box's midpoint (the mean
-        value theorem), which grows with the box's size squared where the
-        direct enclosure of the bump sum grows with its size."""
+        value theorem): its width is about |grad u| times the box's size,
+        where a direct enclosure of the bump sum adds up every bump's own
+        slope, which is far larger between two bumps."""
         mid = np.clip(0.5 * (lo + hi), lo, hi)
         box, _, _, g = pairs(mid, mid, (0,))
         _, _, rho = radial(mid, mid)
