@@ -1633,13 +1633,38 @@ def _exact_disk_form() -> DiskContactForm:
 def _disk_grid(radius: float, n: int) -> np.ndarray:
     """The points of the n x n grid on [-radius, radius]^2 with
     ``_plane_norms`` at most radius, in row-major order."""
-    axis = np.linspace(-radius, radius, n)
+    return _disk_points(np.linspace(-radius, radius, n), radius)
+
+
+def _disk_points(axis: np.ndarray, radius: float) -> np.ndarray:
+    """The points of the grid axis x axis with ``_plane_norms`` at most
+    radius, in row-major order."""
     square = axis * axis
     inside = np.sqrt(square[:, None] + square) <= radius
     pts = np.empty((np.count_nonzero(inside), 2))
     pts[:, 0] = np.repeat(axis, inside.sum(axis=1))
     pts[:, 1] = np.broadcast_to(axis, inside.shape)[inside]
     return pts
+
+
+def _contact_sample(cluster_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points of ``_disk_grid(1.0, _CONTACT_GRID_N)`` with ``_radius``
+    at most ``cluster_end``, in row-major order, and the distinct radii of
+    its points past it, without building the whole grid.
+
+    The inner points lie in the sub-square |p|, |q| <= cluster_end of the
+    grid's axis.  The radii are those of the pairs m1 <= m2 of the axis's
+    distinct magnitudes: ``np.hypot`` is even in each argument and
+    symmetric (C99 Annex F.10.4.3), and the disk test sums squares, so a
+    grid point and its pair give the same radius and the same verdict.
+    """
+    axis = np.linspace(-1.0, 1.0, _CONTACT_GRID_N)
+    pts = _disk_points(axis[np.abs(axis) <= cluster_end], 1.0)
+    mags = np.unique(np.abs(axis))
+    m1, m2 = mags[np.stack(np.triu_indices(len(mags)))]
+    rho = np.hypot(m1, m2)
+    ring = (np.sqrt(m1 * m1 + m2 * m2) <= 1.0) & (rho > cluster_end)
+    return pts[_radius(pts) <= cluster_end], np.unique(rho[ring])
 
 
 def _annulus_grid(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:
@@ -1660,7 +1685,10 @@ def construct_xi_prime(k: int) -> DiskContactForm:
     ``params["exact_radius"]`` the form agrees with dx + p dq - q dp
     exactly.  F is sampled at the grid points inside the bump cluster, and
     past it, where F depends on the radius alone, once at each radius of
-    the grid's points there.  The singularity counts, types and signs are
+    the grid's points there (``_contact_sample``): those radii are read off
+    the pairs of the grid axis's magnitudes, which give the grid points'
+    own radii because ``np.hypot`` is even and symmetric (C99 Annex
+    F.10.4.3).  The singularity counts, types and signs are
     proven on the disk inside the bump cluster (``find_and_classify``, from
     the design seeds and ``_disk_bounds``); past it the classifier is V = f
     e_rho + g e_theta with |V| >= min(swirl, s_fall[0]) > 0
@@ -1683,15 +1711,14 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     classifier = _classifier_from_pieces(pieces)
     F = _contact_coefficient(pieces)
 
-    # contact positivity on a dense disk grid.  Past cluster_end every bump
-    # is exactly 0 and u, c and s are radial, so F depends on rho alone
-    # there: it is taken once per distinct radius of the grid, at (rho, 0)
-    pts = _disk_grid(1.0, _CONTACT_GRID_N)
-    rho = _radius(pts)
-    inner = rho <= pieces.cluster_end
-    radii = np.unique(rho[~inner])
+    # contact positivity on the dense disk grid: at its points inside
+    # cluster_end, and past it, where every bump is exactly 0 and u, c and s
+    # are radial, so F depends on rho alone, once per distinct radius of its
+    # points, at (rho, 0).  Those radii come from pairs of the axis's
+    # magnitudes, since np.hypot is even and symmetric (C99 Annex F.10.4.3)
+    inner, radii = _contact_sample(pieces.cluster_end)
     ring = np.stack([radii, np.zeros_like(radii)], axis=-1)
-    contact_min = float(min(F(pts[inner]).min(), F(ring).min()))
+    contact_min = float(min(F(inner).min(), F(ring).min()))
 
     # boundary exactness: u == 1 and beta = (V_q, -V_p) == (-q, p) outside
     # the radius; the same V gives the boundary speed

@@ -71,6 +71,8 @@ _KRAWCZYK_TRIES = 4  # box sizes tried around a zero, each half the last
 _COVER_START = 16  # boxes per side of the exclusion cover's first level
 _COVER_LEVELS = 16  # levels of the exclusion cover before it gives up
 _COVER_MAX_BOXES = 100_000  # open boxes of one level before it gives up
+# the (p, q) rows of (lo, mid, hi) that each quarter of a box starts and ends at
+_QUARTER_CUTS = np.array([[[0, 0], [1, 0], [0, 1], [1, 1]], [[1, 1], [2, 1], [1, 2], [2, 2]]])
 
 # smoothstep 10t^3 - 15t^4 + 6t^5 and its first two derivatives, for 0 < t < 1,
 # on float arrays; the second derivative also takes an Enclosure
@@ -378,10 +380,14 @@ def exclude_zeros(value: Callable, radius: float, lo_z: np.ndarray, hi_z: np.nda
     and each level splits every open box into four.  A box is closed when
     all its points lie outside the closed disk, or when it lies in one of
     the given boxes, or when the enclosure of V over it excludes 0: then it
-    holds no zero.  ``value`` maps box corners to the enclosures (V_p, V_q)
-    and runs once per level, over the boxes still open.  ``ValueError``
-    names an open box after ``_COVER_LEVELS`` levels, or when more than
-    ``_COVER_MAX_BOXES`` are open.
+    holds no zero.  The disk test takes the lower end of the enclosure of
+    p^2 + q^2 at the point of the box nearest the origin, in plain floats:
+    each square moved one float down (and kept at 0 or above), their sum
+    moved one float down, the floats ``Enclosure.of(p) ** 2 +
+    Enclosure.of(q) ** 2`` gives.  ``value`` maps box corners to the
+    enclosures (V_p, V_q) and runs once per level, over the boxes still
+    open.  ``ValueError`` names an open box after ``_COVER_LEVELS`` levels,
+    or when more than ``_COVER_MAX_BOXES`` are open.
     """
     edges = np.linspace(-radius, radius, _COVER_START + 1)
     corners = np.stack(np.meshgrid(edges[:-1], edges[:-1], indexing="ij"), -1).reshape(-1, 2)
@@ -390,22 +396,22 @@ def exclude_zeros(value: Callable, radius: float, lo_z: np.ndarray, hi_z: np.nda
     reach = (Enclosure.of(radius) ** 2).hi
     for _ in range(_COVER_LEVELS):
         near = np.clip(0.0, lo, hi)  # the point of each box nearest the origin
-        p, q = Enclosure.of(near[:, 0]), Enclosure.of(near[:, 1])
-        inside = (p**2 + q**2).lo <= reach
+        square = np.maximum(np.nextafter(near * near, -np.inf), 0.0)
+        inside = np.nextafter(square[:, 0] + square[:, 1], -np.inf) <= reach
         lo, hi = lo[inside], hi[inside]
         vp, vq = value(lo, hi)
-        open_ = vp.contains_zero() & vq.contains_zero()
-        open_ &= ~((lo[:, None] >= lo_z[None]) & (hi[:, None] <= hi_z[None])).all(-1).any(-1)
+        open_ = (vp.lo <= 0.0) & (0.0 <= vp.hi) & (vq.lo <= 0.0) & (0.0 <= vq.hi)
+        lo, hi = lo[open_], hi[open_]
+        open_ = ~((lo[:, None] >= lo_z[None]) & (hi[:, None] <= hi_z[None])).all(-1).any(-1)
         lo, hi = lo[open_], hi[open_]
         if not len(lo):
             return
         if len(lo) > _COVER_MAX_BOXES:
             break
-        # the four quarters: the corners' coordinates from (lo, mid, hi)
+        # the four quarters, each quarter's boxes in turn, with the corners'
+        # coordinates from (lo, mid, hi)
         cuts = np.stack([lo, 0.5 * (lo + hi), hi])
-        p, q = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-        lo = np.stack([cuts[p, :, 0], cuts[q, :, 1]], -1).reshape(-1, 2)
-        hi = np.stack([cuts[p + 1, :, 0], cuts[q + 1, :, 1]], -1).reshape(-1, 2)
+        lo, hi = cuts[_QUARTER_CUTS, :, (0, 1)].transpose(0, 1, 3, 2).reshape(2, -1, 2)
     raise ValueError(
         f"no proof that the box {_box_text(lo[0], hi[0])} holds no zero but the ones found"
     )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelbook import foliation
+from engelbook import foliation, interval
 from engelbook.charts import Chart, Interval
 from engelbook.foliation import (
     _REPLAY_CHUNK,
@@ -25,6 +25,7 @@ from engelbook.foliation import (
     _build_disk_form,
     _classifier_from_pieces,
     _contact_coefficient,
+    _contact_sample,
     _disk_bounds,
     _disk_grid,
     _disk_params,
@@ -1463,6 +1464,73 @@ def test_a_zero_no_seed_reaches_fails_the_cover():
     assert lo_p - 1e-3 <= -0.5 <= hi_p + 1e-3 and lo_q - 1e-3 <= 0.0 <= hi_q + 1e-3
 
 
+def reference_exclude_zeros(value, radius, lo_z, hi_z):
+    """The exclusion cover with its box tests on ``Enclosure`` objects, as
+    ``interval.exclude_zeros`` ran it before those tests moved to plain
+    floats: the reference for the boxes each level hands to ``value``."""
+    edges = np.linspace(-radius, radius, interval._COVER_START + 1)
+    corners = np.stack(np.meshgrid(edges[:-1], edges[:-1], indexing="ij"), -1).reshape(-1, 2)
+    ends = np.stack(np.meshgrid(edges[1:], edges[1:], indexing="ij"), -1).reshape(-1, 2)
+    lo, hi = corners, ends
+    reach = (Enclosure.of(radius) ** 2).hi
+    for _ in range(interval._COVER_LEVELS):
+        near = np.clip(0.0, lo, hi)
+        p, q = Enclosure.of(near[:, 0]), Enclosure.of(near[:, 1])
+        inside = (p**2 + q**2).lo <= reach
+        lo, hi = lo[inside], hi[inside]
+        vp, vq = value(lo, hi)
+        open_ = vp.contains_zero() & vq.contains_zero()
+        open_ &= ~((lo[:, None] >= lo_z[None]) & (hi[:, None] <= hi_z[None])).all(-1).any(-1)
+        lo, hi = lo[open_], hi[open_]
+        if not len(lo):
+            return
+        if len(lo) > interval._COVER_MAX_BOXES:
+            break
+        cuts = np.stack([lo, 0.5 * (lo + hi), hi])
+        p, q = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+        lo = np.stack([cuts[p, :, 0], cuts[q, :, 1]], -1).reshape(-1, 2)
+        hi = np.stack([cuts[p + 1, :, 0], cuts[q + 1, :, 1]], -1).reshape(-1, 2)
+    raise ValueError(
+        f"no proof that the box {interval._box_text(lo[0], hi[0])} holds no zero but the ones found"
+    )
+
+
+def cover_levels(cover, args):
+    """The (lo, hi) boxes ``cover`` hands to ``value`` at each level, and
+    the message of the ``ValueError`` it raises, or None."""
+    value, radius, lo_z, hi_z = args
+    levels = []
+
+    def recorded(lo, hi):
+        levels.append((lo.copy(), hi.copy()))
+        return value(lo, hi)
+
+    try:
+        cover(recorded, radius, lo_z, hi_z)
+    except ValueError as error:
+        return levels, str(error)
+    return levels, None
+
+
+@pytest.mark.parametrize("name", [f"k{k}" for k in range(3, 20, 2)] + ["fold"])
+def test_cover_hands_value_the_boxes_of_the_enclosure_tests(name, monkeypatch):
+    # the float disk and open tests keep every level's boxes, and the
+    # failing fold search names the same box
+    calls = []
+    monkeypatch.setattr(foliation, "exclude_zeros", lambda *args: calls.append(args))
+    if name == "fold":
+        find_and_classify(fold_field(), fold_bounds(), np.array([[0.4, 0.1]]), 1.0)
+    else:
+        disk_search(int(name[1:]))
+    (args,) = calls
+    want, want_error = cover_levels(reference_exclude_zeros, args)
+    got, got_error = cover_levels(interval.exclude_zeros, args)
+    assert got_error == want_error and (want_error is None) == (name != "fold")
+    assert len(got) == len(want) > 1
+    for (lo, hi), (ref_lo, ref_hi) in zip(got, want):
+        assert bitwise_equal(lo, ref_lo) and bitwise_equal(hi, ref_hi)
+
+
 # -- the disk constructor -----------------------------------------------------------
 
 
@@ -1518,6 +1586,38 @@ def test_contact_coefficient_is_radial_past_the_bump_cluster(k):
     on_axis = F(np.stack([rho[outer], np.zeros(outer.sum())], axis=-1))
     assert (np.abs(full[outer] - on_axis) <= 1e-14 * np.maximum(1.0, np.abs(full[outer]))).all()
     assert bitwise_equal(disk(k).certificates["contact_min"], full.min())
+
+
+def full_contact_sample(cluster_end):
+    """The contact sample from every point of the disk grid: the points
+    with radius at most cluster_end, and the distinct radii past it."""
+    pts = _disk_grid(1.0, foliation._CONTACT_GRID_N)
+    rho = _radius(pts)
+    inner = rho <= cluster_end
+    return pts[inner], np.unique(rho[~inner])
+
+
+def test_contact_sample_matches_the_full_grid():
+    # at each disk's cluster_end and at grid radii, where the inner and
+    # outer tests split ties, and at their float neighbours
+    grid_radii = full_contact_sample(0.0)[1]
+    ends = [disk_pieces(k).cluster_end for k in range(3, 20, 2)]
+    ends += list(grid_radii[[0, 100, 2500, -1]])
+    for end in ends:
+        for at in (np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)):
+            inner, radii = _contact_sample(float(at))
+            want_inner, want_radii = full_contact_sample(float(at))
+            assert np.array_equal(inner, want_inner) and np.array_equal(radii, want_radii), at
+
+
+def test_hypot_is_even_and_symmetric_on_the_contact_grid():
+    # _contact_sample takes each radius from the magnitudes in either order
+    # (C99 Annex F.10.4.3); a libm that breaks this fails here
+    axis = np.linspace(-1.0, 1.0, foliation._CONTACT_GRID_N)
+    p, q = np.meshgrid(axis, axis, indexing="ij")
+    want = np.hypot(np.abs(p), np.abs(q))
+    for a, b in [(p, q), (-p, q), (p, -q), (-p, -q), (q, p)]:
+        assert bitwise_equal(np.hypot(a, b), want)
 
 
 def central_difference(fn, pts, h=1e-6):
