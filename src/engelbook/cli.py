@@ -136,11 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    """Reject counts below their least useful value and negative (or NaN)
-    tolerances.  A portrait grid of 1 or 2 points per axis has no point
-    inside the 0.98 disk, so ``--grid`` starts at 3, and turn counts take
-    the looseness probe's floor of path samples."""
-    for dest, least in (("samples", 1), ("turn_samples", MIN_TURN_SAMPLES), ("grid", 3)):
+    """Reject counts below their least useful value, negative seeds and
+    negative (or NaN) tolerances.  A portrait grid of 1 or 2 points per axis
+    has no point inside the 0.98 disk, so ``--grid`` starts at 3, turn
+    counts take the looseness probe's floor of path samples, and a seed is
+    what numpy's generator accepts."""
+    limits = (("samples", 1), ("turn_samples", MIN_TURN_SAMPLES), ("grid", 3), ("seed", 0))
+    for dest, least in limits:
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")

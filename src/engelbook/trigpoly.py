@@ -425,10 +425,22 @@ class Expr:
     def max_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
-    def is_zero(self, tol: float = ZERO_TOL) -> bool:
-        """Coefficient-bound zero test; a certificate only where monomial
-        factors are bounded by 1 in magnitude."""
-        return self.max_coeff() <= tol
+    def is_zero(
+        self, box: Sequence[tuple[float, float]] | None = None, tol: float = ZERO_TOL
+    ) -> bool:
+        """Whether |self| <= ``tol`` everywhere in ``box`` (one (lo, hi) per
+        coordinate): the sum over the terms of the largest magnitude each
+        term's enclosure allows (``_bound_and_size``) is at most ``tol``.  A
+        bound that is not finite, or a Laurent pole in the box, proves
+        nothing.  The expression with no terms is zero in any box, and it is
+        the only one that is zero with no box."""
+        if box is None or not self.terms:
+            return not self.terms
+        try:
+            _, size = self._bound_and_size(box)
+        except ValueError:
+            return False
+        return math.isfinite(size) and size <= tol
 
     def _check_same_chart(self, other: "Expr") -> None:
         coords = self.coords

@@ -268,7 +268,7 @@ def even_contact_span_check(
     fields = list(frame) + [lie_bracket(a, b) for a, b in itertools.combinations(frame, 2)]
     sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
-    steps = {3: pointwise_rank(mats[:, :3], tol), 4: pointwise_rank(mats, tol)}
+    steps = {3: _rank_step(mats[:, :3], tol), 4: _rank_step(mats, tol)}
     return _rank_report(name, chart, sample, {"route": "span"}, steps)
 
 
@@ -305,7 +305,7 @@ def _engel_and_bracket_span(
     those of the two public checks.
     """
     chart, sample, mats, steps = _engel_stack(pair, None, min_points, tol)
-    span_steps = {3: steps[3], 4: pointwise_rank(mats[:, _BRACKET_SPAN_ROWS], tol)}
+    span_steps = {3: steps[3], 4: _rank_step(mats[:, _BRACKET_SPAN_ROWS], tol)}
     return (
         _rank_report(names[0], chart, sample, {}, steps),
         _rank_report(names[1], chart, sample, {"route": "span"}, span_steps),
@@ -330,11 +330,54 @@ def _engel_stack(pair, points, min_points, tol):
     sample = _sample(chart, [c for f in fields for c in f.components], points, min_points)
     mats = field_matrix(fields, sample.pts)
     steps = {
-        2: pointwise_rank(mats[:, :2], tol),
-        3: pointwise_rank(mats[:, :3], tol),
-        4: pointwise_rank(mats, tol),
+        2: _rank_step(mats[:, :2], tol),
+        3: _rank_step(mats[:, :3], tol),
+        4: _rank_step(mats, tol),
     }
     return chart, sample, mats, steps
+
+
+# a stack of fewer matrices goes straight to the SVD, which is cheaper there
+_SCREEN_MIN = 64
+
+
+def _rank_step(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pointwise_rank`` of an (n, rows, cols) stack, taken only where a gap
+    can be the stack's least or at most ``tol``; every other gap reads +inf.
+
+    One batched ``eigvalsh`` gives lam, the least eigenvalue of each Gram
+    matrix (A A^T for rows <= cols, A^T A otherwise): sigma_min^2.  The
+    rounded Gram, ``eigvalsh`` and LAPACK's SVD each put sigma_min^2 off by
+    at most about (d + 10) u |A|_F^2, d the larger side and u = 2**-53
+    (Higham 2002, 3.1; LAPACK Users' Guide 4.9), far below eta = 2**-40
+    |A|_F^2 + 2**-1000, that is 8192 u |A|_F^2 and an underflow allowance.  So a matrix whose lam - eta lies above
+    tol^2 and above the stack's least lam + eta has full rank, and a gap
+    above tol and above the stack's least.  The SVD sees every other
+    matrix, and each whose |A|_F^2 (the Gram's trace) or lam is not finite,
+    or whose |A|_F^2 reaches 2**1000.  An SVD gives a matrix the same bits
+    in any stack, so the least gap, the rank-deficient points and their
+    gaps are those of ``pointwise_rank(mats, tol)``.  The screen goes with
+    the sampled rank stack, once exact minors decide rank growth.
+    """
+    n, rows, cols = mats.shape
+    if n < _SCREEN_MIN:
+        return pointwise_rank(mats, tol)
+    t = mats.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = mats @ t if rows <= cols else t @ mats
+    sq = np.trace(gram, axis1=1, axis2=2)
+    ok = sq < 2.0**1000
+    if not ok.all():
+        # eigvalsh reads no NaN: it returns numbers for them
+        gram[~ok] = 0.0
+    lam = np.linalg.eigvalsh(gram)[:, 0]
+    eta = 2.0**-40 * sq + 2.0**-1000
+    ok &= np.isfinite(lam)
+    least_upper = np.min(lam + eta, where=ok, initial=np.inf)
+    svd = ~ok | (lam - eta <= max(least_upper, tol * tol))
+    ranks, gaps = np.full(n, min(rows, cols)), np.full(n, np.inf)
+    ranks[svd], gaps[svd] = pointwise_rank(mats[svd], tol)
+    return ranks, gaps
 
 
 def _rank_report(name, chart, sample, details, steps) -> CheckReport:
@@ -380,7 +423,7 @@ def isotropic_line_check(
     details = {
         "alpha_w_residual": float(residuals[:, 0].max()),
         "pairing_residual": float(residuals.max()),
-        "alpha_w_exact_zero": bool(alpha_w.is_zero(tol)),
+        "alpha_w_exact_zero": alpha_w.is_zero([(b.lo, b.hi) for b in chart.bounds], tol),
     }
     return _decide(name, chart, sample, norms, bad, norms.min(), details)
 
@@ -437,7 +480,8 @@ def contact_vector_field_check(
         details["field_not_finite"] = int(np.count_nonzero(undefined))
     numeric_pass = bool(residual.max() <= tol)
     details["max_residual"] = float(residual.max())
-    symbolic_pass = all(c.is_zero(tol) for c in wedge.components)
+    box = [(b.lo, b.hi) for b in chart.bounds]
+    symbolic_pass = all(c.is_zero(box, tol) for c in wedge.components)
     details["symbolic_zero"] = bool(symbolic_pass)
     agree = symbolic_pass == numeric_pass
     if not agree:

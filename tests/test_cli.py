@@ -209,6 +209,31 @@ def test_turn_samples_take_the_looseness_probe_floor(capsys, tmp_path, command):
     assert report["config"]["turn_samples"] == 16
 
 
+# verify --seed -1 used to run every piece check and then exit with numpy's
+# bare "expected non-negative integer"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "binding_Eb"],
+        ["construct", "--lambda", "0", "--k", "1"],
+        ["invariants", "--lambda", "0", "--k", "1"],
+    ],
+    ids=["verify", "construct", "invariants"],
+)
+def test_negative_seed_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    from engelbook import models
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(models, "model_catalog", no_work)
+    monkeypatch.setattr(models, "assemble", no_work)
+    out = tmp_path / "report.json"
+    assert run([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error[EB-PARAM] --seed must be at least 0, got -1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--zero-tol", "1e-10"), ("--slope-tol", "0"), ("--residual-tol", "0.3")],

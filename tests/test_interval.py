@@ -191,6 +191,26 @@ def test_bound_of_catalog_like_coefficients():
         v.bound(((0.0, 1.0),))
 
 
+def test_is_zero_reads_the_box():
+    annulus = ((0.0, math.tau), (0.6, 1.4), (0.0, 1.0))
+    # 1e-9 * r^8 reaches 1.4e-8 at r = 1.4: its coefficient is at the
+    # tolerance, but the expression is not
+    tiny_high_power = Expr.term(COORDS, 1e-9, (0, 8, 0))
+    assert not tiny_high_power.is_zero(annulus, tol=1e-9)
+    assert tiny_high_power.is_zero(((0.0, 1.0), (0.0, 0.5), (0.0, 1.0)), tol=1e-9)
+    # 2e-12 * r^2 stays at or below 2e-14 on r in [0, 0.1]
+    assert Expr.term(COORDS, 2e-12, (0, 2, 0)).is_zero(((0.0, 1.0), (0.0, 0.1), (0.0, 1.0)))
+    # a bound that overflows, or a pole in the box, proves nothing
+    huge = Expr.term(COORDS, 1.0, (0, 0, 8))
+    assert not huge.is_zero(((0.0, 1.0), (0.0, 1.0), (0.0, 1e100)), tol=math.inf)
+    pole = Expr.term(COORDS, 1e-11, (0, 0, -1))
+    assert not pole.is_zero(((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)), tol=1.0)
+    assert pole.is_zero(((0.0, 1.0), (0.0, 1.0), (1.0, 2.0)), tol=2e-11)
+    # with no box, only the expression with no terms is zero
+    assert Expr.zero(COORDS).is_zero() and Expr.zero(COORDS).is_zero(annulus, tol=0.0)
+    assert not Expr.term(COORDS, 2e-12, (0, 2, 0)).is_zero()
+
+
 # -- exp, smoothstep and sums ------------------------------------------------------
 
 # exp stays finite and its enclosure's ends clear the subnormals here

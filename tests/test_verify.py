@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engelbook import charts, cli, verify
 from engelbook.charts import (
@@ -14,6 +16,7 @@ from engelbook.charts import (
     Interval,
     dependent_axes,
     exterior_derivative,
+    pointwise_rank,
     wedge_top,
 )
 from engelbook.models import XY_TORUS, assemble, list_models, model_catalog
@@ -608,3 +611,87 @@ def test_verify_derives_each_form_once(monkeypatch, tmp_path):
         ("exterior_derivative", "theta"),
         ("wedge_top", "alpha"),
     ]
+
+
+# -- the rank screen ---------------------------------------------------------------
+
+_SCREEN_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["copy", "ulp", "deficient", "zero", "nan", "inf", "tiny", "huge"]),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+    ),
+    max_size=24,
+)
+
+
+@st.composite
+def _screen_stacks(draw):
+    """Stacks of 64 to 400 matrices of 2 to 6 rows and 4 columns, with
+    repeats, copies whose entries are one ulp up (sigma_min ties within an
+    ulp), rank-deficient, zero and non-finite matrices, and scales 1e+-150."""
+    n, rows = draw(st.integers(64, 400)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.normal(size=(n, rows, 4))
+    if draw(st.booleans()):
+        mats = np.round(2.0 * mats)  # small integers: exact repeats and deficient rows
+    for kind, i, j in draw(_SCREEN_EDITS):
+        i, j = i % n, j % n
+        if kind == "copy":
+            mats[i] = mats[j]
+        elif kind == "ulp":
+            mats[i] = np.nextafter(mats[j], np.inf)
+        elif kind == "deficient":
+            k = min(rows, 4) - 1
+            mats[i] = rng.normal(size=(rows, k)) @ rng.normal(size=(k, 4))
+        elif kind == "zero":
+            mats[i] = 0.0
+        elif kind in ("nan", "inf"):
+            mats[i, j % rows, j % 4] = np.nan if kind == "nan" else -np.inf
+        else:
+            with np.errstate(over="ignore"):
+                mats[i] *= 1e-150 if kind == "tiny" else 1e150
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mats * draw(st.sampled_from([1e-150, 1.0, 1e150]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screen_stacks(), st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_rank_screen_keeps_the_least_gap_and_every_failure(mats, tol):
+    want_ranks, want_gaps = pointwise_rank(mats, tol)
+    ranks, gaps = verify._rank_step(mats, tol)
+    assert ranks.dtype == want_ranks.dtype and np.array_equal(ranks, want_ranks)
+    assert gaps.min().tobytes() == want_gaps.min().tobytes()
+    bad = want_ranks != min(mats.shape[1:])
+    assert gaps[bad].tobytes() == want_gaps[bad].tobytes()
+    seen = gaps != np.inf
+    assert gaps[seen].tobytes() == want_gaps[seen].tobytes()
+    assert (want_gaps[~seen] > tol).all()
+
+
+def test_rank_screen_reports_what_the_whole_stack_reports(monkeypatch):
+    # x1 = dw, x2 = dx + w dy + x w^2/2 dz: x12 = dy + x w dz, x112 = x dz and
+    # x212 = w dz, so rank 4 (and the span of x1, x2, x12 and their
+    # brackets) fails near x = w = 0
+    pair = [R4.basis_vector("w"), R4.vector_field({"x": 1.0, "y": "w", "z": "0.5*x*w^2"})]
+    frame = [R4.basis_vector("w"), R4.vector_field({"x": 1.0, "z": "w*y"}), R4.basis_vector("y")]
+
+    def run():
+        return [
+            *verify._engel_and_bracket_span(pair, ("engel", "span"), 10_000, tol=0.3),
+            even_contact_span_check(frame, min_points=10_000, tol=0.3),
+        ]
+
+    seen = []
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "pointwise_rank", lambda m, tol: seen.append(len(m)) or pointwise_rank(m, tol))
+        screened = run()
+        patched.setattr(verify, "_SCREEN_MIN", math.inf)
+        stacks = len(seen)
+        whole = run()
+    assert all(n >= 64 for n in seen[stacks:]) and sum(seen[:stacks]) < sum(seen[stacks:]) / 2
+    assert [r.to_dict() for r in screened] == [r.to_dict() for r in whole]
+    engel, span, frame_span = screened
+    assert not engel.passed and not span.passed and not frame_span.passed
+    assert engel.details["rank4_gap"] <= 0.3 < engel.details["rank3_gap"]
+    assert len(engel.failures) == len(frame_span.failures) == 5
