@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     probe.add_argument("--lambda", dest="lam", type=int, help="y twist count for built pieces")
     probe.add_argument("--k", type=int, help="angular twist count for built pieces")
-    probe.add_argument("--a", type=float, default=math.pi / 4)
+    probe.add_argument("--a", type=float, help="interface angle for built pieces (default pi/4)")
     probe.add_argument("--piece", required=True, help="piece name, e.g. collar or binding")
     probe.add_argument("--circle", help="angular coordinate for a closed probe circle")
     probe.add_argument(
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("COORD", "LO", "HI"),
         help="open probe segment along a coordinate",
     )
-    probe.add_argument("--turns", type=int, default=1, help="turns of the probe circle")
+    probe.add_argument("--turns", type=int, help="turns of the probe circle (default 1)")
     probe.add_argument(
         "--base",
         default="",
@@ -333,6 +333,18 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_probe_flags(args: argparse.Namespace) -> None:
+    """Refuse a probe flag that the chosen piece or path would ignore."""
+    if args.model:
+        built = [f"--{n}" for n, v in (("lambda", args.lam), ("k", args.k), ("a", args.a)) if v is not None]
+        if built:
+            raise ValueError(f"{', '.join(built)} set built pieces and are not read with --model")
+    elif args.param:
+        raise ValueError("--param sets catalog model parameters and needs --model")
+    if args.segment and args.turns is not None:
+        raise ValueError("--turns sets the turns of a --circle and is not read with --segment")
+
+
 def _probe_piece(args: argparse.Namespace):
     from .models import build_binding_engel, build_collar_engel, model_catalog
 
@@ -341,10 +353,11 @@ def _probe_piece(args: argparse.Namespace):
         return model.piece(args.piece)
     if args.lam is None or args.k is None:
         raise ValueError("probe-looseness needs either --model or both --lambda and --k")
+    a = math.pi / 4 if args.a is None else args.a
     if args.piece == "collar":
-        return build_collar_engel(args.lam, args.k, a=args.a)
+        return build_collar_engel(args.lam, args.k, a=a)
     if args.piece == "binding":
-        return build_binding_engel(args.k + args.lam, args.k, r0=math.sqrt(math.tan(args.a)))
+        return build_binding_engel(args.k + args.lam, args.k, r0=math.sqrt(math.tan(a)))
     raise ValueError(f"built pieces are named collar and binding, got {args.piece!r}")
 
 
@@ -352,6 +365,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     from .invariants import Path
     from .models import looseness_probe
 
+    _check_probe_flags(args)
     piece = _probe_piece(args)
     chart = piece.chart
     base = {
@@ -367,7 +381,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         raise ValueError("pass exactly one of --circle or --segment")
     if args.circle:
         path = Path.coordinate_circle(
-            chart, args.circle, base, turns=args.turns, label="probe"
+            chart, args.circle, base, turns=1 if args.turns is None else args.turns, label="probe"
         )
     else:
         coord, lo, hi = args.segment

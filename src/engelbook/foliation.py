@@ -84,7 +84,6 @@ _DEDUPE_TOL = 1e-6
 _NEWTON_ROUNDS = 60  # Newton rounds from each design seed
 _WINDING_SAMPLES = 2048
 _CONTACT_GRID_N = 281
-_REPLAY_CHUNK = 256  # steps a straight-leaf replay predicts per direction call
 _MIN_NORM = 1e-14  # smallest direction norm the tracer accepts
 _EVAL_ALLOWANCE = 1e-12  # the evaluator's rounding, per unit of the sum of |term|
 _MAX_BOUND = 1e150  # largest proven |c1|: its square stays a normal float
@@ -190,100 +189,6 @@ def _radius(pts: np.ndarray) -> np.ndarray:
     return np.hypot(pts[..., 0], pts[..., 1])
 
 
-def _replay_straight(
-    direction: Callable[[np.ndarray], np.ndarray],
-    z0: np.ndarray,
-    e: np.ndarray,
-    half: np.ndarray,
-    full: np.ndarray,
-    sixth: np.ndarray,
-    budget: np.ndarray,
-    inside: "Callable[[np.ndarray], np.ndarray] | None",
-    angular: list[int],
-    step: float,
-    proven: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The RK4 loop's traces of the rows whose leaves are straight, bit for bit.
-
-    ``e`` is each row's unit vector at its start ``z0``, and ``half``,
-    ``full`` and ``sixth`` are the loop's signed step factors.  If every
-    stage unit vector of a row equals ``e`` in bits, its RK4 stages are all
-    ``e``, so its step ``((e + 2e) + 2e + e) * sixth`` is one constant
-    (taken with the loop's operations, in its order), its path is the float
-    recurrence z_i = z_{i-1} + step, and its stage points are z_{i-1},
-    z_{i-1} + half * e (stages 2 and 3 coincide) and z_{i-1} + full * e.
-
-    Each round predicts ``_REPLAY_CHUNK`` steps of every row still running,
-    finds its first stop on them with the loop's rules, and evaluates
-    ``direction`` once, on the stage points of the steps up to that stop;
-    no point beyond a leaf's exit is evaluated.  A row is replayed when
-    every one of these stage unit vectors equals ``e`` and every norm is at
-    least 1e-14.  Any other row, and a row that does not start finite, is
-    left to the loop, which traces it from its start (and raises where the
-    field vanishes).  With ``proven``, the caller has proven that every
-    stage unit vector of every row equals its ``e`` with a norm of at least
-    1e-14, so no stage point is evaluated and every finite row is replayed.
-    Returns a mask of the replayed rows and, on those rows, the end points,
-    exit flags and step counts.
-    """
-    m, dim = z0.shape
-    done = np.zeros(m, bool)
-    ends, exits, steps = z0.copy(), np.zeros(m, bool), np.zeros(m, int)
-    two = e + e
-    delta = (e + two + two + e) * sixth
-    to_mid, to_end, e3 = half * e, full * e, np.tile(e, 3)
-    live = np.flatnonzero(np.isfinite(z0).all(1) & np.isfinite(e).all(1))
-    za = z0[live]
-    taken = 0  # steps every live row has replayed
-    while len(live):
-        n = min(_REPLAY_CHUNK, int(budget[live].max()) - taken)
-        path = np.add.accumulate(
-            np.concatenate([za[:, None], np.broadcast_to(delta[live, None], (len(live), n, dim))], 1),
-            axis=1,
-        )
-        pts = path[:, 1:]
-        i = taken + np.arange(1, n + 1)
-        stop = i == budget[live, None]
-        if inside is not None:
-            out = ~np.asarray(inside(pts.reshape(-1, dim))).reshape(len(live), n)
-            stop |= out
-        d = pts - z0[live, None]
-        for a in angular:
-            np.subtract((d[..., a] + math.pi) % math.tau, math.pi, out=d[..., a])
-        stop |= (i > 100) & (_row_norms(d.reshape(-1, dim)).reshape(len(live), n) < 0.5 * step)
-        stopped = stop.any(1)
-        last = np.where(stopped, stop.argmax(1), n - 1)
-        if proven:
-            straight = np.ones(len(live), bool)
-        else:
-            counts = last + 1
-            first = np.cumsum(counts) - counts
-            prev = path[:, :-1][np.arange(n) < counts[:, None]]
-            er, hr, fr = (np.repeat(a[live], counts, axis=0) for a in (e3, to_mid, to_end))
-            # the three stage points of a step side by side, so that each row's
-            # points are contiguous and one reduceat per test gives its verdict
-            v = np.asarray(direction(np.stack([prev, prev + hr, prev + fr], 1).reshape(-1, dim)), float)
-            norms = _row_norms(v)
-            # points past a bend are not on the leaf: the loop, not their
-            # arithmetic, decides what a row that bends meets there
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = v / norms[:, None]
-            same = u.view(np.int64).reshape(er.shape) == er.view(np.int64)
-            straight = np.logical_and.reduceat(same.ravel(), first * er.shape[1])
-            straight &= np.logical_and.reduceat(norms >= _MIN_NORM, first * 3)
-        fin = straight & stopped
-        j, at = live[fin], last[fin]
-        done[j] = True
-        ends[j] = pts[fin, at]
-        if inside is not None:
-            exits[j] = out[fin, at]
-        steps[j] = taken + 1 + at
-        keep = straight & ~stopped
-        live, za = live[keep], path[keep, -1]
-        taken += n
-    return done, ends, exits, steps
-
-
 def _trace_leaves(
     direction: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
@@ -292,7 +197,6 @@ def _trace_leaves(
     max_steps: np.ndarray,
     inside: "Callable[[np.ndarray], np.ndarray] | None",
     wrap: tuple[bool, ...],
-    proven_straight: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 on every row of ``starts`` at once.
 
@@ -306,15 +210,6 @@ def _trace_leaves(
     step counts, one row per leaf.  The RK4 sum keeps the one-leaf loop's
     order (``k + k`` is bitwise ``2 * k``) and never writes the array
     ``direction`` returns.
-
-    Rows whose leaves are straight, with every stage unit vector equal to
-    the start's in bits, are replayed first in a few batched passes
-    (``_replay_straight``), with the same result as the loop.  The loop
-    below traces every other row from its start, with the stop tests on
-    every step.  ``proven_straight`` says that the caller has proven every
-    row straight, with each stage norm at least 1e-14 (as
-    ``annulus_foliation_check`` does): ``direction`` is then evaluated at
-    the starts only.
     """
     z = np.array(starts, float)
     exited = np.zeros(len(z), bool)
@@ -338,16 +233,6 @@ def _trace_leaves(
         with np.errstate(invalid="ignore"):
             return v / n[:, None]
 
-    if len(rows):
-        # the loop's first stage, so a start where the field vanishes raises
-        replayed, ends, exits, steps = _replay_straight(
-            direction, z[rows], unit(z[rows]), half, full, sixth, n_steps[rows], inside, angular, step,
-            proven_straight,
-        )
-        z[rows[replayed]] = ends[replayed]
-        exited[rows[replayed]] = exits[replayed]
-        n_steps[rows[replayed]] = steps[replayed]
-        rows, half, full, sixth = (a[~replayed] for a in (rows, half, full, sixth))
     za, z0, budget = z[rows], z[rows], n_steps[rows]
 
     i = 0
@@ -416,10 +301,27 @@ def trace_leaf(
     return z[0], bool(exited[0]), int(n_steps[0])
 
 
-def _proves_vertical(pulled: OneForm, box: tuple[tuple[float, float], ...]) -> bool:
-    """Whether every point of ``box`` gives the compiled form's kernel
-    direction (-c2, c1) of c1 du + c2 dv the unit vector (+0.0, s), with one
-    sign s and a norm of at least 1e-14, in the tracer's float arithmetic.
+def _vertical_leaf(v0: float, dv: float, lo: float, hi: float, budget: int) -> tuple[float, bool, int]:
+    """The RK4 loop's trace of a leaf whose every stage unit vector is
+    (+0.0, s): each step leaves u's bits as they are and adds the same dv
+    to v, so the leaf is the float recurrence v += dv, stopped by the loop's
+    rules (v leaves (lo, hi); after step 100, v is within half a step of
+    v0; the budget is spent).  Returns the end v, whether it left (lo, hi),
+    and the step count."""
+    v = v0
+    for i in range(1, budget + 1):
+        v += dv
+        out = not lo < v < hi
+        if out or i == budget or (i > 100 and abs(v - v0) < 0.5 * _LEAF_STEP):
+            return v, out, i
+    return v, False, 0
+
+
+def _proves_vertical(pulled: OneForm, box: tuple[tuple[float, float], ...]) -> float:
+    """The sign s, +1.0 or -1.0, where every point of ``box`` gives the
+    compiled form's kernel direction (-c2, c1) of c1 du + c2 dv the unit
+    vector (+0.0, s) with a norm of at least 1e-14, in the tracer's float
+    arithmetic; 0.0 where that is not proven.
 
     c2 must be the zero ``Expr``, whose evaluator column is exactly +0.0.
     ``Expr.bound`` follows the evaluator's operations in their order, so
@@ -436,13 +338,15 @@ def _proves_vertical(pulled: OneForm, box: tuple[tuple[float, float], ...]) -> b
     """
     c1, c2 = pulled.components
     if c2.terms:
-        return False
+        return 0.0
     try:
         total, size = c1._bound_and_size(box)
     except ValueError:
-        return False
+        return 0.0
     floor = _MIN_NORM + _EVAL_ALLOWANCE * size
-    return size < _MAX_BOUND and (total.lo > floor or total.hi < -floor)
+    if not size < _MAX_BOUND:
+        return 0.0
+    return 1.0 if total.lo > floor else -1.0 if total.hi < -floor else 0.0
 
 
 def _sign_change(pulled: OneForm, v_range: tuple[float, float]) -> "tuple[int, list[dict]] | None":
@@ -493,10 +397,10 @@ def annulus_foliation_check(
     magnitudes for the evaluator's rounding (``_proves_vertical`` states
     the assumptions), the kernel line is vertical on the whole band, so
     every leaf crosses it, not only the traced ones; both catalog annuli
-    are such.  That box holds every stage point of both batches, since a
+    are such.  That box holds every stage point of the leaves, since a
     vertical leaf keeps its seed's u and moves v by one step per step, so
-    every traced leaf is straight: the tracer replays it without evaluating
-    the field at a stage point, with the bits the RK4 loop would give.
+    the leaves are ``_vertical_leaf``'s recurrences, with the RK4 loop's
+    bits, and the field is not evaluated.
     Where c2 is zero and the bound proves nothing, c1 is sampled on a grid
     across the band (``_sign_change``); if it takes both signs there, c1
     vanishes or has a pole between them, so the line field is not defined
@@ -512,8 +416,8 @@ def annulus_foliation_check(
     step = _LEAF_STEP
     max_arc = _LEAF_ARC_FACTOR * (hi - lo)
     details = {"step": step, "max_arc": max_arc}
-    vertical = _proves_vertical(pulled, ((0.0, math.tau), (lo - 2.0 * step, hi + 2.0 * step)))
-    if not vertical and not pulled.components[1].terms:
+    sign = _proves_vertical(pulled, ((0.0, math.tau), (lo - 2.0 * step, hi + 2.0 * step)))
+    if not sign and not pulled.components[1].terms:
         change = _sign_change(pulled, v_range)
         if change is not None:
             sampled, failures = change
@@ -525,17 +429,6 @@ def annulus_foliation_check(
                 failures=tuple(failures),
                 details=details,
             )
-    form = pulled.compile()
-
-    # the kernel direction (-c2, c1) of c1 du + c2 dv: the tracer's
-    # per-column signs flip c2, so the reversed view is never copied
-    def direction(pts: np.ndarray) -> np.ndarray:
-        return form(pts)[..., ::-1]
-
-    kernel = np.array([-1.0, 1.0])
-
-    def inside(z: np.ndarray) -> np.ndarray:
-        return (lo < z[:, 1]) & (z[:, 1] < hi)
 
     n = _LEAF_SEEDS
     mid = 0.5 * (lo + hi)
@@ -543,30 +436,57 @@ def annulus_foliation_check(
     seeds = np.stack(
         [np.linspace(0.0, math.tau, n, endpoint=False), np.full(n, mid)], axis=-1
     )
-    # forward leaves in rows :n, backward leaves in rows n:
-    ends, exits, steps = _trace_leaves(
-        direction,
-        np.concatenate([seeds, seeds]),
-        np.repeat([1.0, -1.0], n)[:, None] * kernel,
-        step,
-        np.full(2 * n, int(math.ceil(max_arc / step))),
-        inside,
-        wrap,
-        vertical,
-    )
-    # reversibility: integrating each exited forward leaf back over its
-    # own step count must reproduce its seed
-    retraced = np.flatnonzero(exits[:n])
-    backs, _, _ = _trace_leaves(
-        direction,
-        ends[retraced],
-        np.full((len(retraced), 1), -1.0) * kernel,
-        step,
-        steps[retraced],
-        None,
-        wrap,
-        vertical,
-    )
+    budget = int(math.ceil(max_arc / step))
+    # forward leaves in rows :n, backward leaves in rows n:; an angular v
+    # closes a vertical leaf modulo its period, which the loop tests
+    if sign and not wrap[1]:
+        # the loop's step ((e + 2e) + 2e + e) * (step / 6) of e = (+0.0, s);
+        # every seed's leaf is the same recurrence in v
+        dv = sign * (6.0 * (step / 6.0))
+        fwd = _vertical_leaf(mid, dv, lo, hi, budget)
+        bwd = _vertical_leaf(mid, -dv, lo, hi, budget)
+        ends = np.concatenate([seeds, seeds])
+        ends[:n, 1], ends[n:, 1] = fwd[0], bwd[0]
+        exits = np.repeat([fwd[1], bwd[1]], n)
+        steps = np.repeat([fwd[2], bwd[2]], n)
+        retraced = np.flatnonzero(exits[:n])
+        backs = seeds[retraced]
+        if fwd[1]:
+            backs[:, 1] = _vertical_leaf(fwd[0], -dv, -math.inf, math.inf, fwd[2])[0]
+    else:
+        form = pulled.compile()
+
+        # the kernel direction (-c2, c1) of c1 du + c2 dv: the tracer's
+        # per-column signs flip c2, so the reversed view is never copied
+        def direction(pts: np.ndarray) -> np.ndarray:
+            return form(pts)[..., ::-1]
+
+        kernel = np.array([-1.0, 1.0])
+
+        def inside(z: np.ndarray) -> np.ndarray:
+            return (lo < z[:, 1]) & (z[:, 1] < hi)
+
+        ends, exits, steps = _trace_leaves(
+            direction,
+            np.concatenate([seeds, seeds]),
+            np.repeat([1.0, -1.0], n)[:, None] * kernel,
+            step,
+            np.full(2 * n, budget),
+            inside,
+            wrap,
+        )
+        retraced = np.flatnonzero(exits[:n])
+        backs, _, _ = _trace_leaves(
+            direction,
+            ends[retraced],
+            np.full((len(retraced), 1), -1.0) * kernel,
+            step,
+            steps[retraced],
+            None,
+            wrap,
+        )
+    # reversibility: integrating each exited forward leaf back over its own
+    # step count must reproduce its seed
     retrace_ok = np.ones(n, bool)
     for j, back in zip(retraced, backs):
         retrace_ok[j] = np.linalg.norm(back - seeds[j]) <= _RETRACE_TOL

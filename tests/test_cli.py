@@ -497,6 +497,18 @@ def test_invariants_reports_singularity_counts(tmp_path):
             "0",
             id="argv3-0",
         ),
+        pytest.param(
+            ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar", "--circle", "phi",
+             "--turns", "2", "--a", "0.3"],
+            "6",
+            id="turns-and-a-6",
+        ),
+        pytest.param(
+            ["probe-looseness", "--model", "engel_prolongation_Dk", "--piece", "spinning-prolongation",
+             "--circle", "t"],
+            "1",
+            id="model-1",
+        ),
     ],
 )
 def test_probe_looseness_turn_counts(capsys, argv, expected):
@@ -576,6 +588,38 @@ def test_probe_needs_model_or_build_parameters(capsys):
     code = run(["probe-looseness", "--piece", "collar", "--circle", "phi"])
     assert code == 2
     assert "either --model or both" in capsys.readouterr().err
+
+
+MODEL_PROBE = ["probe-looseness", "--model", "engel_prolongation_Dk", "--piece", "spinning-prolongation"]
+BUILT_PROBE = ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "collar"]
+
+
+# each of these printed a count and exited 0, with the flag read by nothing
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ([*MODEL_PROBE, "--circle", "t", "--lambda", "5", "--k", "7", "--a", "0.2"], "--lambda, --k, --a"),
+        ([*MODEL_PROBE, "--circle", "t", "--lambda", "5"], "--lambda"),
+        ([*MODEL_PROBE, "--circle", "t", "--k", "7"], "--k"),
+        ([*MODEL_PROBE, "--circle", "t", "--a", "0.2"], "--a"),
+        ([*BUILT_PROBE, "--circle", "phi", "--param", "lam=1"], "--param"),
+        ([*BUILT_PROBE, "--segment", "phi", "0.0", "0.3", "--turns", "2"], "--turns"),
+        ([*MODEL_PROBE, "--segment", "t", "0.0", "0.3", "--turns", "1"], "--turns"),
+    ],
+    ids=["model-built-flags", "model-lambda", "model-k", "model-a", "param-without-model",
+         "turns-with-segment", "model-turns-with-segment"],
+)
+def test_probe_refuses_a_flag_it_would_ignore_before_building(capsys, monkeypatch, argv, flags):
+    from engelbook import models
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a piece was built")
+
+    for name in ("model_catalog", "build_collar_engel", "build_binding_engel"):
+        monkeypatch.setattr(models, name, no_build)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[EB-PARAM] {flags} ")
 
 
 def test_missing_subcommand_is_usage_error():

@@ -6,15 +6,15 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelbook import foliation, interval
+from engelbook import charts, foliation, interval, trigpoly
 from engelbook.charts import Chart, Interval
 from engelbook.foliation import (
-    _REPLAY_CHUNK,
     ClassifierBounds,
     ClassifierField,
     SingularityReport,
@@ -576,51 +576,13 @@ def straight_up(pts):
     return np.stack([np.zeros(pts.shape[:-1]), np.ones(pts.shape[:-1])], -1)
 
 
-@pytest.fixture
-def replayed(monkeypatch):
-    """The mask of the rows that each call of the straight-leaf replay took."""
-    masks = []
-    replay = foliation._replay_straight
-
-    def recording(*args):
-        result = replay(*args)
-        masks.append(result[0].tolist())
-        return result
-
-    monkeypatch.setattr(foliation, "_replay_straight", recording)
-    return masks
-
-
-def test_replay_stops_at_chunk_edges_like_one_leaf_loop():
-    # v moves by about one step per step, so a start n - 1/2 steps below the
-    # top exits on step n: the last step of the first chunk, the first of
-    # the second, and the same at the bottom; two more rows spend budgets
-    # that end on either side of the chunk edge
-    step, lo, hi, c = 1e-3, 0.1, 0.9, _REPLAY_CHUNK
-    starts = np.array(
-        [[0.0, hi - (c - 0.5) * step], [1.0, hi - (c + 0.5) * step],
-         [2.0, lo + (c - 0.5) * step], [3.0, lo + (c + 0.5) * step],
-         [4.0, 0.5], [5.0, 0.5]]
-    )
-    signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
-    budgets = np.array([2000, 2000, 2000, 2000, c, c + 1])
-    wrap = (True, False)
-    dense = [
-        dense_trace_leaf(signed(straight_up, s), z, step, int(n), lambda z: lo < z[1] < hi, wrap)
-        for z, s, n in zip(starts, signs, budgets)
-    ]
-    assert [d[2] for d in dense] == [c, c + 1, c, c + 1, c, c + 1]
-    assert [d[1] for d in dense] == [True] * 4 + [False] * 2
-    assert_same_traces(_trace_leaves(straight_up, starts, signs, step, budgets, band_mask(lo, hi), wrap), dense)
-
-
-def test_replay_hands_a_leaf_whose_field_turns_to_the_loop(replayed):
+def test_replay_hands_a_leaf_whose_field_turns_to_the_loop():
     # the kernel (0, v - 0.3) of (v - 0.3) du flips sign at v = 0.3: the
     # backward leaf from v = 0.5003 runs down onto that circle and stalls
     # next to it, so its stage unit vectors stop being its first one; the
-    # forward leaf is straight and crosses two chunks before it exits (a
-    # start 200 steps above 0.3 would bring a stage point within rounding
-    # of the circle, where the field vanishes)
+    # forward leaf is straight to its exit (a start 200 steps above 0.3
+    # would bring a stage point within rounding of the circle, where the
+    # field vanishes)
     pulled = ANNULUS.one_form({"u": "v - 0.3"})
     direction = kernel_direction(pulled)
     starts = np.array([[0.0, 0.5003], [1.0, 0.5]])
@@ -632,7 +594,6 @@ def test_replay_hands_a_leaf_whose_field_turns_to_the_loop(replayed):
     ]
     batch = _trace_leaves(direction, starts, signs, step, budgets, band_mask(0.05, 0.95), wrap)
     assert_same_traces(batch, dense)
-    assert replayed == [[False, True]]
     ends, exited, n_steps = batch
     assert exited.tolist() == [False, True] and n_steps.tolist() == [600, 450]
     assert abs(ends[0, 1] - 0.3) < step
@@ -697,11 +658,10 @@ def test_replay_closes_an_axis_aligned_leaf_like_one_leaf_loop(axis):
         for z, s, n in zip(starts, signs, budgets)
     ]
     assert [d[1:] for d in dense] == [(False, 700), (False, 700), (False, 650)]
-    for proven in (False, True):
-        assert_same_traces(_trace_leaves(aligned, starts, signs, step, budgets, None, wrap, proven), dense)
+    assert_same_traces(_trace_leaves(aligned, starts, signs, step, budgets, None, wrap), dense)
 
 
-def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop(replayed):
+def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop():
     # mixed_direction below v = 0.6, a slanted constant field above it: row
     # 0 is straight to its exit, row 1 runs straight down into the curved
     # part, row 2 is curved from its start, and row 3 circles on v = 0.5,
@@ -719,68 +679,14 @@ def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop(replayed)
         for z, s in zip(starts, signs)
     ]
     assert_same_traces(_trace_leaves(direction, starts, signs, step, budgets, band_mask(0.1, 0.9), wrap), dense)
-    assert replayed == [[True, False, False, True]]
     # rows 0 and 2 exit, row 1 is drawn onto v = 0.5 and spends its budget,
     # and row 3 closes after one turn
     assert [d[1:] for d in dense] == [(True, 21), (False, 2000), (True, 79), (False, 628)]
 
 
-@pytest.mark.parametrize("name", ["s3_openbook", "stabilization_local"])
-def test_catalog_annulus_replays_in_a_few_direction_calls(monkeypatch, name):
-    # stepping RK4 one step at a time was about 3,000 direction calls and
-    # 380 band tests per check; the bound proves both catalog annuli
-    # vertical, so the replay evaluates the field only at the starts of
-    # each batch, and tests the band once per chunk
-    calls, tests = [], []
-
-    def counting(direction, starts, signs, step, max_steps, inside, wrap, *proven):
-        def counted(pts):
-            calls.append(np.array(pts))
-            return direction(pts)
-
-        def tested(z):
-            tests.append(len(z))
-            return inside(z)
-
-        return _trace_leaves(
-            counted, starts, signs, step, max_steps, None if inside is None else tested, wrap, *proven
-        )
-
-    monkeypatch.setattr(foliation, "_trace_leaves", counting)
-    pulled, (lo, hi) = catalog_annulus(name)
-    report = annulus_foliation_check(pulled, (lo, hi))
-    assert report.passed
-    # the seeds, forward and backward, then the 8 forward ends
-    assert [len(c) for c in calls] == [16, 8]
-    assert (calls[0][:, 1] == 0.5 * (lo + hi)).all()
-    assert 0 < len(tests) <= 2
-    v = calls[1][:, 1]
-    step = report.details["step"]
-    assert ((hi <= v) & (v <= hi + step) | (lo - step <= v) & (v <= lo)).all()
-
-
-def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
-    # a test per step was 380 calls of inside in the forward and backward
-    # batch; the replay tests the band once per chunk
-    calls = []
-
-    def counting(direction, starts, signs, step, max_steps, inside, wrap, *proven):
-        def counted(z):
-            calls.append(len(z))
-            return inside(z)
-
-        return _trace_leaves(
-            direction, starts, signs, step, max_steps, None if inside is None else counted, wrap, *proven
-        )
-
-    monkeypatch.setattr(foliation, "_trace_leaves", counting)
-    pulled, (lo, hi) = catalog_annulus("s3_openbook")
-    report = annulus_foliation_check(pulled, (lo, hi))
-    assert report.passed
-    assert 0 < len(calls) <= 20
-
-
 POLE_ANNULUS = Chart.make("pole-annulus", [("u", KIND_ANGULAR), ("v", KIND_POLYNOMIAL, Interval(-0.5, 0.5))])
+# v near 1e14, where ulp(v) = 0.0156 is more than twice the step, so v + dv == v
+FAR_ANNULUS = Chart.make("far-annulus", [("u", KIND_ANGULAR), ("v", KIND_POLYNOMIAL, Interval(1e14, 1e14 + 1.0))])
 
 VERTICAL_CASES = {
     "s3_openbook": lambda: catalog_annulus("s3_openbook"),
@@ -789,6 +695,8 @@ VERTICAL_CASES = {
     "inverse_square": lambda: (POLE_ANNULUS.one_form({"u": "v^-2"}), (0.1, 0.4)),
     # c1 < 0 everywhere, so every forward leaf runs down
     "negative": lambda: (ANNULUS.one_form({"u": "-0.5 - v^2 - 0.3*cos(u)"}), (0.05, 0.95)),
+    # every leaf stalls at its seed and closes at step 101, so the check fails
+    "stalled": lambda: (FAR_ANNULUS.one_form({"u": 1.0}), (1e14, 1e14 + 1.0)),
 }
 
 
@@ -800,42 +708,104 @@ def same_bits(a, b):
     return all(np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64)) for x, y in zip(a, b))
 
 
+# where 200 steps of 1e-3 up from 0.5 land: a leaf that reaches the top
+# edge exactly is outside
+EDGE = functools.reduce(lambda v, _: v + 1e-3, range(200), 0.5)
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "v0, band, budget, way, end",
+    [
+        (0.5, (0.1, 0.9), 2000, 1.0, (True, 400)),
+        (0.5, (0.1, 0.9), 2000, -1.0, (True, 400)),
+        (0.5, (0.1, 0.9), 300, 1.0, (False, 300)),
+        (1e14 + 0.5, (1e14, 1e14 + 1.0), 50000, 1.0, (False, 101)),
+        (0.5, (0.1, EDGE), 2000, 1.0, (True, 200)),
+    ],
+    ids=["top", "bottom", "budget", "stalled", "on-the-edge"],
+)
+def test_vertical_leaf_is_the_one_leaf_loop_on_a_vertical_field(s, v0, band, budget, way, end):
+    # the field (0, 0.7 s) has the unit vector (0, s) everywhere; the leaf
+    # follows it with the sign t = way * s, so it moves `way` in v
+    def direction(pts):
+        return np.stack([np.zeros(len(pts)), np.full(len(pts), 0.7 * s)], -1)
+
+    lo, hi = band
+    t = way * s
+    ref_end, exited, steps = dense_trace_leaf(
+        signed(direction, t), np.array([1.0, v0]), 1e-3, budget, lambda z: lo < z[1] < hi, (True, False)
+    )
+    assert (exited, steps) == end
+    if exited:
+        assert (ref_end[1] >= hi) == (way == 1.0)
+    dv = t * s * (6.0 * (1e-3 / 6.0))
+    v, out, n = foliation._vertical_leaf(v0, dv, lo, hi, budget)
+    assert same_bits((v,), (ref_end[1],)) and (out, n) == (exited, steps)
+
+
 @pytest.mark.parametrize("case", VERTICAL_CASES)
 def test_proven_vertical_leaves_replay_like_the_per_stage_replay(case):
+    # on a proven band the RK4 loop's leaves are the vertical recurrences
     pulled, (lo, hi) = VERTICAL_CASES[case]()
-    assert foliation._proves_vertical(pulled, check_box(lo, hi))
-    # the check's batches, each traced with and without the proof
+    s = foliation._proves_vertical(pulled, check_box(lo, hi))
+    assert s == (-1.0 if case == "negative" else 1.0)
     form = pulled.compile()
 
     def direction(pts):
         return form(pts)[..., ::-1]
 
-    seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, 0.5 * (lo + hi))], -1)
+    mid = 0.5 * (lo + hi)
+    seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, mid)], -1)
     signs = np.repeat([1.0, -1.0], 8)[:, None] * [-1.0, 1.0]
-    budgets = np.full(16, int(math.ceil(50.0 * (hi - lo) / 1e-3)))
-    wrap = (True, False)
-    traces = [
-        _trace_leaves(direction, np.concatenate([seeds, seeds]), signs, 1e-3, budgets, band_mask(lo, hi), wrap, p)
-        for p in (True, False)
-    ]
-    assert same_bits(*traces)
-    ends, exits, steps = traces[0]
-    assert exits.all() and (steps < budgets).all()
-    retraces = [
-        _trace_leaves(direction, ends[:8], signs[8:], 1e-3, steps[:8], None, wrap, p) for p in (True, False)
-    ]
-    assert same_bits(*retraces)
-    # and the check gives the report of the one-leaf loop
-    assert repr(annulus_foliation_check(pulled, (lo, hi))) == repr(dense_annulus_check(pulled, (lo, hi))[2])
+    budget = int(math.ceil(50.0 * (hi - lo) / 1e-3))
+    ends, exits, steps = _trace_leaves(
+        direction, np.concatenate([seeds, seeds]), signs, 1e-3, np.full(16, budget), band_mask(lo, hi), (True, False)
+    )
+    dv = s * (6.0 * (1e-3 / 6.0))
+    fwd = foliation._vertical_leaf(mid, dv, lo, hi, budget)
+    bwd = foliation._vertical_leaf(mid, -dv, lo, hi, budget)
+    assert same_bits((ends[:, 0],), (np.concatenate([seeds[:, 0], seeds[:, 0]]),))
+    for rows, (v, out, n) in ((slice(8), fwd), (slice(8, 16), bwd)):
+        assert same_bits((ends[rows, 1],), (np.full(8, v),))
+        assert exits[rows].tolist() == [out] * 8 and steps[rows].tolist() == [n] * 8
+    assert exits.all() == (case != "stalled")
+    if fwd[1]:
+        backs, _, _ = _trace_leaves(direction, ends[:8], signs[8:], 1e-3, steps[:8], None, (True, False))
+        back = foliation._vertical_leaf(fwd[0], -dv, -math.inf, math.inf, fwd[2])
+        assert same_bits((backs[:, 1],), (np.full(8, back[0]),))
+
+
+def test_a_proven_band_traces_and_evaluates_nothing(monkeypatch):
+    bands = {case: make() for case, make in VERTICAL_CASES.items()}
+    dense = {case: repr(dense_annulus_check(*band)[2]) for case, band in bands.items()}
+
+    def refuse(*args):
+        raise AssertionError("a leaf was traced or the form was evaluated")
+
+    monkeypatch.setattr(foliation, "_trace_leaves", refuse)
+    monkeypatch.setattr(charts, "_evaluator", refuse)
+    monkeypatch.setattr(trigpoly, "_evaluator", refuse)
+    for case, (pulled, v_range) in bands.items():
+        assert repr(annulus_foliation_check(pulled, v_range)) == dense[case]
+    assert "passed=False" in dense["stalled"]
+
+
+def test_a_vertical_field_on_an_angular_v_closes_its_leaves():
+    # on an angular v a vertical leaf is a circle: after one turn it is back
+    # at its seed, which the loop's closure test, taken modulo 2 pi, finds
+    report = annulus_foliation_check(TORUS.one_form({"x": 1.0}), (0.0, 20.0))
+    assert not report.passed and report.min_gap == 0.0
+    assert [f["value"] for f in report.failures] == [math.nan] * len(report.failures)
 
 
 def test_the_proof_needs_a_zero_dv_part_and_c1_clear_of_its_floor():
     # the floor is 1e-14 plus 1e-12 times the sum of the terms' magnitudes,
     # 5.1e-13 for v on v <= 0.5
     v_du = ANNULUS.one_form({"u": "v"})
-    for form in (v_du, v_du.scaled(-1.0)):
-        assert foliation._proves_vertical(form, ((0.0, math.tau), (6e-13, 0.5)))
-        assert not foliation._proves_vertical(form, ((0.0, math.tau), (4e-13, 0.5)))
+    for form, s in ((v_du, 1.0), (v_du.scaled(-1.0), -1.0)):
+        assert foliation._proves_vertical(form, ((0.0, math.tau), (6e-13, 0.5))) == s
+        assert foliation._proves_vertical(form, ((0.0, math.tau), (4e-13, 0.5))) == 0.0
     assert not foliation._proves_vertical(ANNULUS.one_form({"u": "v", "v": "1e-6*v"}), check_box(0.1, 0.9))
     # a Laurent pole in the box, and a c1 whose square may overflow, prove nothing
     pole = POLE_ANNULUS.one_form({"u": "v^-2"})
@@ -843,23 +813,13 @@ def test_the_proof_needs_a_zero_dv_part_and_c1_clear_of_its_floor():
     assert not foliation._proves_vertical(ANNULUS.one_form({"u": "1e160*v^2"}), check_box(0.1, 0.9))
 
 
-def test_a_field_that_turns_past_the_band_takes_the_per_stage_route(monkeypatch):
+def test_a_field_that_turns_past_the_band_takes_the_per_stage_route():
     # v - 0.3 is positive on the band, but the box reaches v = 0.2985, so
     # the bound proves nothing; c1 takes one sign on the band's grid, so
     # the leaves are traced, with the stage points evaluated
     pulled, band = ANNULUS.one_form({"u": "v - 0.3"}), (0.3005, 0.9)
     assert not foliation._proves_vertical(pulled, check_box(*band))
-    proven = []
-    replay = foliation._replay_straight
-
-    def recording(*args):
-        proven.append(args[-1])
-        return replay(*args)
-
-    monkeypatch.setattr(foliation, "_replay_straight", recording)
-    report = annulus_foliation_check(pulled, band)
-    assert proven == [False, False]
-    assert repr(report) == repr(dense_annulus_check(pulled, band)[2])
+    assert repr(annulus_foliation_check(pulled, band)) == repr(dense_annulus_check(pulled, band)[2])
 
 
 @pytest.mark.parametrize(
@@ -1268,7 +1228,6 @@ def test_disk_constructor_proves_with_its_design_seeds(monkeypatch):
 
 # -- the proof of the zero count ----------------------------------------------------
 
-mpmath = pytest.importorskip("mpmath")
 mp = mpmath.MPContext()  # its own context: the global precision stays as it is
 mp.dps = 50
 

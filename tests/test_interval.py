@@ -3,6 +3,7 @@
 import math
 import operator
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from engelbook.interval import TRIG_HULL, Enclosure, smoothstep, smoothstep_slope
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL, Coordinate, Expr, Mode
 
-mpmath = pytest.importorskip("mpmath")
 mp = mpmath.MPContext()  # its own context: the global precision stays as it is
 mp.dps = 50
 
