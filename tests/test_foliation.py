@@ -776,6 +776,45 @@ def test_proven_vertical_leaves_replay_like_the_per_stage_replay(case):
         assert same_bits((backs[:, 1],), (np.full(8, back[0]),))
 
 
+def counting_tracer(calls, tests):
+    # _trace_leaves with its direction calls and band tests recorded
+    def counting(direction, starts, signs, step, max_steps, inside, wrap):
+        def counted(pts):
+            calls.append(np.array(pts))
+            return direction(pts)
+
+        def tested(z):
+            tests.append(len(z))
+            return inside(z)
+
+        return _trace_leaves(counted, starts, signs, step, max_steps, None if inside is None else tested, wrap)
+
+    return counting
+
+
+@pytest.mark.parametrize("name", ["s3_openbook", "stabilization_local"])
+def test_catalog_annulus_replays_in_a_few_direction_calls(monkeypatch, name):
+    # stepping RK4 one step at a time was about 3,000 direction calls and
+    # 380 band tests per check; the bound proves both catalog annuli
+    # vertical, so their leaves are the v recurrence and the field is
+    # never evaluated
+    calls, tests = [], []
+    monkeypatch.setattr(foliation, "_trace_leaves", counting_tracer(calls, tests))
+    report = annulus_foliation_check(*catalog_annulus(name))
+    assert report.passed
+    assert calls == [] and tests == []
+
+
+def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
+    # a test per step was 380 calls of inside in the forward and backward
+    # batch; the proven band stops its leaves by the v recurrence alone
+    calls, tests = [], []
+    monkeypatch.setattr(foliation, "_trace_leaves", counting_tracer(calls, tests))
+    report = annulus_foliation_check(*catalog_annulus("s3_openbook"))
+    assert report.passed and report.details["step"] > 0.0
+    assert tests == []
+
+
 def test_a_proven_band_traces_and_evaluates_nothing(monkeypatch):
     bands = {case: make() for case, make in VERTICAL_CASES.items()}
     dense = {case: repr(dense_annulus_check(*band)[2]) for case, band in bands.items()}
