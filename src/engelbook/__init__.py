@@ -10,8 +10,9 @@ The package is organized bottom-up:
   calculus, and dense sampling; every component is an exact ``Expr``.
 - ``verify``: pointwise certificates (contact, even contact, Engel, isotropic
   line, transversality, adaptedness) with explicit margins.
-- ``foliation``: surface pullbacks, characteristic foliations, singularity
-  classification, leaf tracing, and the disk contact-form constructor.
+- ``foliation``: surface pullbacks, characteristic foliations, the proof
+  that a foliation crosses an annulus, singularity classification, and the
+  disk contact-form constructor.
 - ``invariants``: twisting and rotation numbers, and the boundary
   homomorphism delta.
 - ``models``: the catalog of local models and the collar/binding assembly

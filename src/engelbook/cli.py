@@ -22,18 +22,21 @@ _TOLERANCE_HELP = {
     "rank": "rank and residual tolerance for pointwise certificates (default 1e-9)",
     "zero": "coefficient tolerance for symbolic equality (default 1e-12)",
     "slope": "tolerance for torus slope comparisons (default 1e-9)",
-    "residual": "recorded in the report; no command applies another value (default 0.25)",
 }
 
 
-def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
+def _add_tolerance_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """The tolerance flags that some check of the command reads."""
     group = sub.add_argument_group("tolerances")
-    for name, default in TOLERANCE_DEFAULTS.items():
-        group.add_argument(f"--{name}-tol", type=float, default=default, help=_TOLERANCE_HELP[name])
+    for name in names:
+        group.add_argument(
+            f"--{name}-tol", type=float, default=TOLERANCE_DEFAULTS[name], help=_TOLERANCE_HELP[name]
+        )
 
 
 def _tolerance_config(args: argparse.Namespace) -> dict:
-    return {name: getattr(args, f"{name}_tol") for name in TOLERANCE_DEFAULTS}
+    """Every tolerance, as the command's flags set it or at its default."""
+    return {name: getattr(args, f"{name}_tol", value) for name, value in TOLERANCE_DEFAULTS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=DEFAULT_MIN_POINTS, help="minimum grid points")
     verify.add_argument("--seed", type=int, default=0, help="seed for the sampled re-check")
     verify.add_argument("--out", help="write the JSON report here instead of stdout")
-    _add_tolerance_flags(verify)
+    _add_tolerance_flags(verify, "rank")
 
     construct = sub.add_parser(
         "construct", help="assemble the collar and binding pieces and certify them"
@@ -77,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--seed", type=int, default=0, help="recorded in the config block")
     construct.add_argument("--out", help="write the JSON report here instead of stdout")
     construct.add_argument("--model-out", help="also write the assembled model file here")
-    _add_tolerance_flags(construct)
+    _add_tolerance_flags(construct, "rank", "zero", "slope")
 
     foliation = sub.add_parser(
         "foliation", help="export the page foliation portrait of the interior disk"
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     invariants.add_argument("--seed", type=int, default=0, help="recorded in the config block")
     invariants.add_argument("--out", help="write the JSON report here instead of stdout")
-    _add_tolerance_flags(invariants)
+    _add_tolerance_flags(invariants, "zero", "slope")
 
     probe = sub.add_parser(
         "probe-looseness", help="count field turns along a probe path on one piece"
@@ -146,34 +149,10 @@ def _check_ranges(args: argparse.Namespace) -> None:
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
-    for dest in ("rank_tol", "zero_tol", "slope_tol", "residual_tol"):
-        value = getattr(args, dest, None)
+    for name in TOLERANCE_DEFAULTS:
+        value = getattr(args, f"{name}_tol", None)
         if value is not None and not value >= 0:
-            raise ValueError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
-
-
-# Tolerance flags that decide no check of a command: no verify check reads
-# the last three, the winding residuals of construct and invariants are
-# float rounding on closed loops (at most 1.8e-15 over the construct sweep),
-# and invariants reports none of the piece checks, the only readers of the
-# rank tolerance.
-_UNREAD_TOLERANCES = {
-    "verify": ("zero", "slope", "residual"),
-    "construct": ("residual",),
-    "invariants": ("rank", "residual"),
-}
-
-
-def _check_unread_tolerances(args: argparse.Namespace) -> None:
-    """Reject an unread tolerance flag off its default, which would be
-    recorded in the report and then ignored."""
-    for name in _UNREAD_TOLERANCES.get(args.command, ()):
-        value = getattr(args, f"{name}_tol")
-        if value != TOLERANCE_DEFAULTS[name]:
-            raise ValueError(
-                f"--{name}-tol is not applied by {args.command}; "
-                f"leave it at its default {TOLERANCE_DEFAULTS[name]:g}, got {value:g}"
-            )
+            raise ValueError(f"--{name}-tol must be nonnegative, got {value}")
 
 
 def _fail(code: str, message: str) -> None:
@@ -258,6 +237,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _assemble(args: argparse.Namespace, min_points: int):
     from .models import assemble
 
+    tol = _tolerance_config(args)
     return assemble(
         args.lam,
         args.k,
@@ -265,9 +245,9 @@ def _assemble(args: argparse.Namespace, min_points: int):
         r0=args.r0,
         min_points=min_points,
         n_samples=args.turn_samples,
-        rank_tol=args.rank_tol,
-        symbol_tol=args.zero_tol,
-        slope_tol=args.slope_tol,
+        rank_tol=tol["rank"],
+        symbol_tol=tol["zero"],
+        slope_tol=tol["slope"],
     )
 
 
@@ -445,7 +425,6 @@ def run(argv=None) -> int:
         setattr(args, dest, _unshield(value))
     try:
         _check_ranges(args)
-        _check_unread_tolerances(args)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         _fail("EB-PARAM", str(exc))

@@ -3,9 +3,10 @@
 This module owns everything that happens on 2-dimensional pieces: exact
 pullbacks of one-forms to coordinate-slice surfaces (every surface the
 catalog and the assembly use is such a slice), slopes of linear torus
-foliations, leaf tracing on annuli, locating and classifying the
-singularities of a direction field, and the construction of a contact form
-on a disk bundle with a prescribed odd number of boundary twists.
+foliations, interval proofs that the kernel foliation of a form crosses an
+annulus, locating and classifying the singularities of a direction field,
+and the construction of a contact form on a disk bundle with a prescribed
+odd number of boundary twists.
 
 The constructor realizes the form
 
@@ -58,6 +59,7 @@ from .interval import SMOOTHSTEP, Enclosure, exclude_zeros, prove_zeros, smooths
 
 if TYPE_CHECKING:
     from .charts import Chart, OneForm, VectorField
+    from .trigpoly import Expr
 
 __all__ = [
     "ClassifierField",
@@ -74,7 +76,7 @@ __all__ = [
 ]
 
 _SLOPE_CONST_TOL = 1e-9  # largest non-constant part of a torus pullback
-_LEAF_SEEDS = 8  # leaves traced per annulus
+_LEAF_SEEDS = 8  # seed leaves of a vertical annulus report
 _LEAF_STEP = 1e-3
 _LEAF_ARC_FACTOR = 50.0  # arc budget per leaf, in annulus widths
 _RETRACE_TOL = 1e-4
@@ -86,7 +88,7 @@ _WINDING_SAMPLES = 2048
 _CONTACT_GRID_N = 281
 _MIN_NORM = 1e-14  # smallest direction norm the tracer accepts
 _EVAL_ALLOWANCE = 1e-12  # the evaluator's rounding, per unit of the sum of |term|
-_MAX_BOUND = 1e150  # largest proven |c1|: its square stays a normal float
+_BISECT_LEVELS = 6  # an annulus band is cut into at most 2^6 v pieces
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -166,110 +168,7 @@ def torus_slope(pulled: OneForm) -> float:
     return -c1 / c2
 
 
-# -- leaf tracing on annuli ------------------------------------------------------
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    # the stacked matmul reduces each row with the same dot routine as
-    # np.linalg.norm of a single vector, so one leaf traced alone or in a
-    # batch takes the same bits
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def _plane_norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1) of (..., 2) vectors, with the same bits:
-    both take sqrt(v0 * v0 + v1 * v1), without a reduction over an axis of
-    length 2, which costs several times the arithmetic."""
-    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
-
-
-def _radius(pts: np.ndarray) -> np.ndarray:
-    """rho = hypot(p, q) of (..., 2) points, the radius every radial piece
-    of the disk classifier reads."""
-    return np.hypot(pts[..., 0], pts[..., 1])
-
-
-def _trace_leaves(
-    direction: Callable[[np.ndarray], np.ndarray],
-    starts: np.ndarray,
-    signs: np.ndarray,
-    step: float,
-    max_steps: np.ndarray,
-    inside: "Callable[[np.ndarray], np.ndarray] | None",
-    wrap: tuple[bool, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on every row of ``starts`` at once.
-
-    Row j follows ``signs[j] * direction``, normalized, for at most
-    ``max_steps[j]`` steps.  The signs are +1 or -1, one per row, or (m, d)
-    to flip single columns.  ``inside`` maps (m, 2) points to a boolean
-    mask, ``True`` meaning inside, and ``None`` means no row exits.  A row
-    stops when it leaves ``inside``, returns within half a step of its
-    start after more than 100 steps, or spends its budget; a stopped row is
-    frozen and no longer evaluated.  Returns the end points, exit flags and
-    step counts, one row per leaf.  The RK4 sum keeps the one-leaf loop's
-    order (``k + k`` is bitwise ``2 * k``) and never writes the array
-    ``direction`` returns.
-    """
-    z = np.array(starts, float)
-    exited = np.zeros(len(z), bool)
-    n_steps = np.array(max_steps, int)
-    rows = np.flatnonzero(n_steps > 0)
-    sa = np.asarray(signs, float)[rows]
-    if sa.ndim == 1:
-        sa = sa[:, None]
-    # a sign flip is exact and commutes with normalizing and with every
-    # rounding, so the signs scale the steps instead of the stages
-    half, full, sixth = sa * (0.5 * step), sa * step, sa * (step / 6.0)
-    angular = [i for i, w in enumerate(wrap) if w]
-
-    def unit(p: np.ndarray) -> np.ndarray:
-        v = np.asarray(direction(p), float)
-        n = _row_norms(v)
-        # fmin skips NaN rows, so a vanishing row raises beside them too
-        if np.fmin.reduce(n) < _MIN_NORM:
-            raise ValueError("direction field vanishes on the traced leaf")
-        # a non-finite row becomes NaN here, as in the one-leaf loop
-        with np.errstate(invalid="ignore"):
-            return v / n[:, None]
-
-    za, z0, budget = z[rows], z[rows], n_steps[rows]
-
-    i = 0
-    while len(rows):
-        i += 1
-        k1 = unit(za)
-        k2 = unit(za + half * k1)
-        k3 = unit(za + half * k2)
-        k4 = unit(za + full * k3)
-        k2 += k2
-        k3 += k3
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= sixth
-        za = za + k1
-        done = budget == i
-        if inside is not None:
-            out = ~np.asarray(inside(za))
-            done |= out
-        # closed-leaf detection once the trace is clearly under way
-        if i > 100:
-            d = za - z0
-            for a in angular:
-                np.subtract((d[:, a] + math.pi) % math.tau, math.pi, out=d[:, a])
-            done |= _row_norms(d) < 0.5 * step
-        if done.any():
-            stop = rows[done]
-            z[stop] = za[done]
-            if inside is not None:
-                exited[stop] = out[done]
-            n_steps[stop] = i
-            keep = ~done
-            rows, za, z0, half, full, sixth, budget = (
-                a[keep] for a in (rows, za, z0, half, full, sixth, budget)
-            )
-    return z, exited, n_steps
+# -- crossing of annuli ----------------------------------------------------------
 
 
 def trace_leaf(
@@ -282,23 +181,43 @@ def trace_leaf(
 ) -> tuple[np.ndarray, bool, int]:
     """Fixed-step RK4 integration of a normalized direction field.
 
-    ``inside`` takes one point and returns a bool.  Returns (end_point,
-    exited, n_steps), a point, a bool and an int.  ``exited`` is False
-    when the leaf either closed up (returned to its start) or exhausted
-    ``max_arc``.  ``wrap`` marks angular coordinates so closure is
-    detected modulo their period.
+    ``direction`` maps (m, d) points to (m, d) vectors and is called on one
+    point at a time; ``inside`` takes one point and returns a bool.  The
+    leaf stops when it leaves ``inside``, when it returns within half a step
+    of its start after more than 100 steps, or after ceil(max_arc / step)
+    steps.  ``wrap`` marks angular coordinates, so closure is detected
+    modulo their period.  Returns (end_point, exited, n_steps), a point, a
+    bool and an int; ``exited`` is False when the leaf closed up or
+    exhausted ``max_arc``.  A direction shorter than 1e-14 raises
+    ``ValueError``; a non-finite one makes the leaf NaN.
     """
     n_max = int(math.ceil(max_arc / step))
-    z, exited, n_steps = _trace_leaves(
-        direction,
-        np.asarray(start, float)[None, :],
-        np.ones(1),
-        step,
-        np.array([n_max]),
-        lambda pts: np.array([bool(inside(p)) for p in pts]),
-        wrap,
-    )
-    return z[0], bool(exited[0]), int(n_steps[0])
+    z = z0 = np.array(start, float)
+
+    def unit(p: np.ndarray) -> np.ndarray:
+        v = np.asarray(direction(p[None, :]), float)[0]
+        n = np.linalg.norm(v)
+        if n < _MIN_NORM:
+            raise ValueError("direction field vanishes on the traced leaf")
+        with np.errstate(invalid="ignore"):
+            return v / n
+
+    for i in range(1, n_max + 1):
+        k1 = unit(z)
+        k2 = unit(z + 0.5 * step * k1)
+        k3 = unit(z + 0.5 * step * k2)
+        k4 = unit(z + step * k3)
+        z = z + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not inside(z):
+            return z, True, i
+        if i > 100:
+            d = z - z0
+            for a, angular in enumerate(wrap):
+                if angular:
+                    d[a] = (d[a] + math.pi) % math.tau - math.pi
+            if np.linalg.norm(d) < 0.5 * step:
+                return z, False, i
+    return z, False, n_max
 
 
 def _vertical_leaf(v0: float, dv: float, lo: float, hi: float, budget: int) -> tuple[float, bool, int]:
@@ -317,46 +236,62 @@ def _vertical_leaf(v0: float, dv: float, lo: float, hi: float, budget: int) -> t
     return v, False, 0
 
 
-def _proves_vertical(pulled: OneForm, box: tuple[tuple[float, float], ...]) -> float:
-    """The sign s, +1.0 or -1.0, where every point of ``box`` gives the
-    compiled form's kernel direction (-c2, c1) of c1 du + c2 dv the unit
-    vector (+0.0, s) with a norm of at least 1e-14, in the tracer's float
-    arithmetic; 0.0 where that is not proven.
+def _proven_sign(c1: "Expr", lo: float, hi: float) -> tuple[float, list, list]:
+    """The sign, +1.0 or -1.0, that ``Expr.bound`` proves c1 keeps on the
+    closed band [0, 2 pi] x [lo, hi], with the v pieces that prove it and
+    c1's bound on each; (0.0, [], []) where no cut proves a sign.
 
-    c2 must be the zero ``Expr``, whose evaluator column is exactly +0.0.
-    ``Expr.bound`` follows the evaluator's operations in their order, so
-    the bound of each term of c1 encloses the evaluator's value of that
-    term, and their outward-rounded sum encloses the column, which adds the
-    terms in order, up to the C library's error in a power other than 1, 2
-    and -1, within one ulp of each such power.  The allowance of 1e-12
-    times the sum of the terms' largest magnitudes covers that by far.  c1
-    must clear 1e-14 plus that allowance, with one sign, and the sum of
-    magnitudes must stay below 1e150.  Then c1 * c1 neither underflows nor
-    overflows, and in binary64 sqrt(fl(x * x)) = |x| for every such x, so
-    ``_row_norms`` returns |c1| and the unit vector is exactly (+0.0, s).
-    A bound that is NaN, or a Laurent pole in the box, proves nothing.
+    The whole band is bounded first.  Where that bound holds 0, the v range
+    is cut into 2^j equal pieces, for j = 1 .. ``_BISECT_LEVELS``, and every
+    piece must prove the same sign.  Only v is cut: u is angular, and
+    ``Expr.bound`` reads no range for an angular coordinate.  A Laurent
+    pole in a piece proves nothing.
     """
-    c1, c2 = pulled.components
-    if c2.terms:
-        return 0.0
+    for level in range(_BISECT_LEVELS + 1):
+        m = 2**level
+        cuts = [lo + (hi - lo) * i / m for i in range(m)] + [hi]
+        pieces = list(zip(cuts, cuts[1:]))
+        try:
+            bounds = [c1.bound(((0.0, math.tau), piece)) for piece in pieces]
+        except ValueError:
+            continue
+        if all(b_lo > 0.0 for b_lo, _ in bounds):
+            return 1.0, pieces, bounds
+        if all(b_hi < 0.0 for _, b_hi in bounds):
+            return -1.0, pieces, bounds
+    return 0.0, [], []
+
+
+def _arc_bound(c1_bounds: list, c2: "Expr", pieces: list) -> "float | None":
+    """An upper bound on the arc of a leaf across the band that ``pieces``
+    cut, where c1 keeps one sign on each piece: v moves at least |c1| /
+    |(c1, c2)| per unit of arc, so a leaf crosses within (hi - lo) * sqrt(1
+    + (max|c2| / min|c1|)^2), rounded up.  None where c2's bound is not
+    finite or has a pole."""
     try:
-        total, size = c1._bound_and_size(box)
+        c2_bounds = [c2.bound(((0.0, math.tau), piece)) for piece in pieces]
     except ValueError:
-        return 0.0
-    floor = _MIN_NORM + _EVAL_ALLOWANCE * size
-    if not size < _MAX_BOUND:
-        return 0.0
-    return 1.0 if total.lo > floor else -1.0 if total.hi < -floor else 0.0
+        return None
+    if not all(math.isfinite(b) for bound in c2_bounds for b in bound):
+        return None
+    slowest = min(min(abs(b_lo), abs(b_hi)) for b_lo, b_hi in c1_bounds)
+    steepest = max(max(-b_lo, b_hi) for b_lo, b_hi in c2_bounds)
+    with np.errstate(over="ignore"):
+        ratio = Enclosure.of(steepest) / slowest
+        arc = float(((Enclosure.of(pieces[-1][1]) - pieces[0][0]) * (ratio**2 + 1.0).sqrt()).hi)
+    return arc if math.isfinite(arc) else None
 
 
-def _sign_change(pulled: OneForm, v_range: tuple[float, float]) -> "tuple[int, list[dict]] | None":
-    """Where c1 of c1 du takes both signs on a grid across the band: the
-    number of grid points and the failures at its largest and smallest
-    values, or None.  Between two such points c1 vanishes or has a Laurent
-    pole, so the line field is not defined everywhere in the band.
+def _grid_failures(pulled: OneForm, lo: float, hi: float) -> tuple[int, list[dict], bool]:
+    """c1 of c1 du + c2 dv on a grid across the band: the number of grid
+    points, the failures, and whether c1 takes both signs there.  If it
+    does, c1 vanishes or has a Laurent pole between two grid points, so the
+    line field is not defined everywhere in the band, and the failures are
+    at c1's largest and smallest values; otherwise the failure is at the
+    point of least |c1|, where the line field is nearest to horizontal.
 
     c1 is evaluated at the chart's u samples of a default check, times as
-    many v values across ``v_range``.  A value counts only beyond
+    many v values across [lo, hi].  A value counts as signed only beyond
     ``_EVAL_ALLOWANCE`` times the sum of the terms' magnitudes there.
     """
     from .charts import _product_grid
@@ -364,16 +299,18 @@ def _sign_change(pulled: OneForm, v_range: tuple[float, float]) -> "tuple[int, l
 
     c1 = pulled.components[0]
     u_axis = pulled.chart.axes_for_min_points(DEFAULT_MIN_POINTS)[0]
-    pts = _product_grid((u_axis, np.linspace(*v_range, len(u_axis))))
+    pts = _product_grid((u_axis, np.linspace(lo, hi, len(u_axis))))
     values = _evaluator([c1, *(type(c1)(c1.coords, (t,)) for t in c1.terms)])(pts)
     c, allowance = values[:, 0], _EVAL_ALLOWANCE * np.abs(values[:, 1:]).sum(1)
     up, down = c > allowance, c < -allowance
-    if not (up.any() and down.any()):
-        return None
-    worst = (np.where(up, c, -np.inf).argmax(), np.where(down, c, np.inf).argmin())
+    both = bool(up.any() and down.any())
+    if both:
+        worst = (np.where(up, c, -np.inf).argmax(), np.where(down, c, np.inf).argmin())
+    else:
+        worst = (np.where(np.isnan(c), np.inf, np.abs(c)).argmin(),)
     return len(pts), [
         {"point": {"u": float(pts[i, 0]), "v": float(pts[i, 1])}, "value": float(c[i])} for i in worst
-    ]
+    ], both
 
 
 def annulus_foliation_check(
@@ -381,148 +318,104 @@ def annulus_foliation_check(
     v_range: tuple[float, float],
     name: str = "annulus_foliation",
 ):
-    """Every leaf of the kernel foliation must cross the annulus.
+    """Every leaf of the kernel foliation of c1 du + c2 dv must cross the
+    band lo <= v <= hi, within an arc of 50 band widths.
 
-    Traces the normalized kernel direction forward and backward from 8
-    seeds on the middle circle; a passing foliation exits through both
-    boundary components, and re-integrating backward from the forward
-    endpoint reproduces the seed within 1e-4.  Closed, trapped or non-finite
-    leaves fail.  The 16 leaves are traced as one batch, and the retraces of
-    the exited forward leaves as a second.  A leaf is inside while
-    ``lo < v < hi``, which is false for NaN.
+    ``v_range`` must be a nonempty finite interval (``charts.Interval``).
+    The check asks ``Expr.bound`` whether c1 keeps one sign on the closed
+    band, first on the whole band and then on up to 2^6 equal v pieces
+    (``_proven_sign``).  Where it does, the kernel line (-c2, c1) is nowhere
+    tangent to a circle v = const, v is strictly monotone along every leaf,
+    and every leaf crosses:
 
-    Where c2 is the zero ``Expr`` and ``Expr.bound`` proves that c1 keeps
-    one sign on the seeds' u range times [lo - 2 step, hi + 2 step], and
-    clears 1e-14 plus an allowance of 1e-12 times the sum of its terms'
-    magnitudes for the evaluator's rounding (``_proves_vertical`` states
-    the assumptions), the kernel line is vertical on the whole band, so
-    every leaf crosses it, not only the traced ones; both catalog annuli
-    are such.  That box holds every stage point of the leaves, since a
-    vertical leaf keeps its seed's u and moves v by one step per step, so
-    the leaves are ``_vertical_leaf``'s recurrences, with the RK4 loop's
-    bits, and the field is not evaluated.
-    Where c2 is zero and the bound proves nothing, c1 is sampled on a grid
-    across the band (``_sign_change``); if it takes both signs there, c1
-    vanishes or has a pole between them, so the line field is not defined
-    on the whole band, and the check fails at the points of its largest and
-    smallest values without tracing.  Every other form is
-    traced as above, which samples 8 leaves and proves nothing about the
-    leaves between them.
+    - where c2 is the zero ``Expr``, the leaves are the vertical lines u =
+      const.  The report is that of the fixed-step RK4 loop's leaves from 8
+      seeds on the middle circle, forward, backward and retraced, which on
+      a vertical line field are one float recurrence in v
+      (``_vertical_leaf``); ``min_gap`` is the headroom of their step
+      counts against the arc budget.  A leaf that stalls, where a step
+      rounds away, fails.
+    - otherwise every leaf's arc across the band is at most the bound L of
+      ``_arc_bound``, taken over the pieces' bounds of c1 and c2.  The check
+      passes where L is within the budget; ``min_gap`` is 1 - L / budget,
+      ``details["arc_bound"]`` is L, and ``n_points`` counts the pieces.
+
+    On an angular v, a band of one period or more has no edge to cross: its
+    leaves circle back, and the check fails at the 8 seeds.  Where no sign
+    is proven, or L is over the budget, c1 is sampled on a grid across the
+    band (``_grid_failures``).  Where it takes both signs there, the check
+    fails at the points of its largest and smallest values; otherwise the
+    crossing is not proven (``details["not_proven"]`` where no sign is), and
+    the check fails at the grid point of least |c1|.
     """
+    from .charts import Interval
     from .verify import MAX_FAILURES, CheckReport
 
-    chart = pulled.chart
     lo, hi = v_range
+    Interval(lo, hi)  # refuses an empty, falling or non-finite band
     step = _LEAF_STEP
     max_arc = _LEAF_ARC_FACTOR * (hi - lo)
     details = {"step": step, "max_arc": max_arc}
-    sign = _proves_vertical(pulled, ((0.0, math.tau), (lo - 2.0 * step, hi + 2.0 * step)))
-    if not sign and not pulled.components[1].terms:
-        change = _sign_change(pulled, v_range)
-        if change is not None:
-            sampled, failures = change
-            return CheckReport(
-                name=name,
-                passed=False,
-                n_points=sampled,
-                min_gap=0.0,
-                failures=tuple(failures),
-                details=details,
-            )
-
-    n = _LEAF_SEEDS
     mid = 0.5 * (lo + hi)
-    wrap = (chart.coords[0].is_angular, chart.coords[1].is_angular)
-    seeds = np.stack(
-        [np.linspace(0.0, math.tau, n, endpoint=False), np.full(n, mid)], axis=-1
-    )
-    budget = int(math.ceil(max_arc / step))
-    # forward leaves in rows :n, backward leaves in rows n:; an angular v
-    # closes a vertical leaf modulo its period, which the loop tests
-    if sign and not wrap[1]:
-        # the loop's step ((e + 2e) + 2e + e) * (step / 6) of e = (+0.0, s);
-        # every seed's leaf is the same recurrence in v
+
+    def report(passed: bool, n_points: int, min_gap: float, failures: list) -> CheckReport:
+        return CheckReport(
+            name=name,
+            passed=passed,
+            n_points=n_points,
+            min_gap=float(min_gap),
+            failures=tuple(failures[:MAX_FAILURES]),
+            details=details,
+        )
+
+    def at_seeds(value: float) -> list[dict]:
+        seeds = np.linspace(0.0, math.tau, _LEAF_SEEDS, endpoint=False)
+        return [{"point": {"u": float(u), "v": float(mid)}, "value": float(value)} for u in seeds]
+
+    c1, c2 = pulled.components
+    sign, pieces, c1_bounds = _proven_sign(c1, lo, hi)
+    if sign and pulled.chart.coords[1].is_angular and hi - lo >= math.tau:
+        return report(False, _LEAF_SEEDS, 0.0, at_seeds(math.nan))
+    if sign and not c2.terms:
+        budget = int(math.ceil(max_arc / step))
+        # the loop's step ((e + 2e) + 2e + e) * (step / 6) of e = (+0.0, s)
         dv = sign * (6.0 * (step / 6.0))
         fwd = _vertical_leaf(mid, dv, lo, hi, budget)
         bwd = _vertical_leaf(mid, -dv, lo, hi, budget)
-        ends = np.concatenate([seeds, seeds])
-        ends[:n, 1], ends[n:, 1] = fwd[0], bwd[0]
-        exits = np.repeat([fwd[1], bwd[1]], n)
-        steps = np.repeat([fwd[2], bwd[2]], n)
-        retraced = np.flatnonzero(exits[:n])
-        backs = seeds[retraced]
-        if fwd[1]:
-            backs[:, 1] = _vertical_leaf(fwd[0], -dv, -math.inf, math.inf, fwd[2])[0]
-    else:
-        form = pulled.compile()
-
-        # the kernel direction (-c2, c1) of c1 du + c2 dv: the tracer's
-        # per-column signs flip c2, so the reversed view is never copied
-        def direction(pts: np.ndarray) -> np.ndarray:
-            return form(pts)[..., ::-1]
-
-        kernel = np.array([-1.0, 1.0])
-
-        def inside(z: np.ndarray) -> np.ndarray:
-            return (lo < z[:, 1]) & (z[:, 1] < hi)
-
-        ends, exits, steps = _trace_leaves(
-            direction,
-            np.concatenate([seeds, seeds]),
-            np.repeat([1.0, -1.0], n)[:, None] * kernel,
-            step,
-            np.full(2 * n, budget),
-            inside,
-            wrap,
-        )
-        retraced = np.flatnonzero(exits[:n])
-        backs, _, _ = _trace_leaves(
-            direction,
-            ends[retraced],
-            np.full((len(retraced), 1), -1.0) * kernel,
-            step,
-            steps[retraced],
-            None,
-            wrap,
-        )
-    # reversibility: integrating each exited forward leaf back over its own
-    # step count must reproduce its seed
-    retrace_ok = np.ones(n, bool)
-    for j, back in zip(retraced, backs):
-        retrace_ok[j] = np.linalg.norm(back - seeds[j]) <= _RETRACE_TOL
-
-    failures = []
-    headroom = math.inf
-    for j, seed in enumerate(seeds):
-        fwd_end, fwd_exit, fwd_steps = ends[j], bool(exits[j]), int(steps[j])
-        bwd_end, bwd_exit, bwd_steps = ends[n + j], bool(exits[n + j]), int(steps[n + j])
-        # a non-finite end is not inside, but it crossed no boundary
-        crossed = (
-            fwd_exit and bwd_exit and np.isfinite([fwd_end, bwd_end]).all()
-            and ((fwd_end[1] >= hi) != (bwd_end[1] >= hi))
-        )
-        if not (crossed and retrace_ok[j]):
-            failures.append(
-                {
-                    "point": {"u": float(seed[0]), "v": float(mid)},
-                    "value": float(fwd_end[1] if fwd_exit else math.nan),
-                }
-            )
-        else:
-            used = (fwd_steps + bwd_steps) * step
-            headroom = min(headroom, 1.0 - used / max_arc)
-    passed = not failures
-    return CheckReport(
-        name=name,
-        passed=passed,
-        n_points=n,
-        min_gap=0.0 if not passed else float(headroom),
-        failures=tuple(failures[:MAX_FAILURES]),
-        details=details,
-    )
+        ok = fwd[1] and bwd[1] and (fwd[0] >= hi) != (bwd[0] >= hi)
+        if ok:
+            # integrating the forward leaf back over its own step count
+            # must reproduce its seed
+            back = _vertical_leaf(fwd[0], -dv, -math.inf, math.inf, fwd[2])[0]
+            ok = abs(back - mid) <= _RETRACE_TOL
+        if ok:
+            return report(True, _LEAF_SEEDS, 1.0 - (fwd[2] + bwd[2]) * step / max_arc, [])
+        return report(False, _LEAF_SEEDS, 0.0, at_seeds(fwd[0] if fwd[1] else math.nan))
+    arc = _arc_bound(c1_bounds, c2, pieces) if sign else None
+    if arc is not None:
+        details["arc_bound"] = arc
+        if arc <= max_arc:
+            return report(True, len(pieces), 1.0 - arc / max_arc, [])
+    sampled, failures, both = _grid_failures(pulled, lo, hi)
+    if arc is None and not both:
+        details["not_proven"] = True
+    return report(False, sampled, 0.0 if arc is None else 1.0 - arc / max_arc, failures)
 
 
 # -- singularities of direction fields -------------------------------------------
+
+
+def _plane_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of (..., 2) vectors, with the same bits:
+    both take sqrt(v0 * v0 + v1 * v1), without a reduction over an axis of
+    length 2, which costs several times the arithmetic."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
+def _radius(pts: np.ndarray) -> np.ndarray:
+    """rho = hypot(p, q) of (..., 2) points, the radius every radial piece
+    of the disk classifier reads."""
+    return np.hypot(pts[..., 0], pts[..., 1])
 
 
 @dataclass(frozen=True)

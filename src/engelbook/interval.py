@@ -16,10 +16,9 @@ Integer powers are products of the ends, so they enclose the exact power
 and the correctly rounded square.  numpy's ``**`` of a float by an integer
 other than 1, 2 and -1 goes through the C library's ``pow``, which is
 assumed within one ulp of the exact power, so an enclosure of its result
-needs that much allowance; the annulus proof in ``foliation`` allows 1e-12
-times the sum of the terms' magnitudes.  cos and sin are enclosed by their
-hull [-1, 1] (``TRIG_HULL``), which holds every value numpy's cos and sin
-return at a finite argument, however the argument was rounded.
+needs that much allowance.  cos and sin are enclosed by their hull [-1, 1]
+(``TRIG_HULL``), which holds every value numpy's cos and sin return at a
+finite argument, however the argument was rounded.
 
 numpy's exp is not correctly rounded, so ``Enclosure.exp`` moves each end
 ``EXP_ULPS`` = 4 floats outward, which assumes an error below 3 ulps; the

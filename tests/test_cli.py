@@ -165,7 +165,7 @@ def test_verify_unknown_parameter_is_usage_error(capsys, argv, accepts):
     [
         pytest.param(["verify", "--model", "binding_Eb", "--samples", "0"], id="argv0"),
         pytest.param(["verify", "--model", "binding_Eb", "--rank-tol=-1e-9"], id="argv1"),
-        pytest.param(["verify", "--model", "binding_Eb", "--zero-tol", "-1"], id="argv2"),
+        pytest.param(["verify", "--model", "binding_Eb", "--rank-tol", "nan"], id="argv2"),
         pytest.param(
             ["construct", "--lambda", "2", "--k", "3", "--turn-samples", "0"], id="argv3"
         ),
@@ -173,7 +173,7 @@ def test_verify_unknown_parameter_is_usage_error(capsys, argv, accepts):
             ["construct", "--lambda", "2", "--k", "3", "--slope-tol", "nan"], id="argv4"
         ),
         pytest.param(
-            ["invariants", "--lambda", "2", "--k", "3", "--residual-tol", "-0.25"], id="argv5"
+            ["invariants", "--lambda", "2", "--k", "3", "--zero-tol", "-0.25"], id="argv5"
         ),
         pytest.param(["foliation", "--k", "3", "--grid", "0"], id="argv6"),
         pytest.param(
@@ -183,7 +183,7 @@ def test_verify_unknown_parameter_is_usage_error(capsys, argv, accepts):
         ),
         pytest.param(["verify", "--model", "binding_Eb", "--rank-tol", "-1e-9"], id="argv8"),
         pytest.param(
-            ["verify", "--model", "binding_Eb", "--residual-tol", "-2.5e-1"], id="argv9"
+            ["invariants", "--lambda", "2", "--k", "3", "--slope-tol", "-2.5e-1"], id="argv9"
         ),
     ],
 )
@@ -234,61 +234,61 @@ def test_negative_seed_is_refused_before_any_work(capsys, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def assert_unrecognized(capsys, argv, flag):
+    assert run(argv) == 2
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--zero-tol", "1e-10"), ("--slope-tol", "0"), ("--residual-tol", "0.3")],
     ids=["zero", "slope", "residual"],
 )
 def test_verify_rejects_tolerances_it_does_not_apply(capsys, tmp_path, flag, value):
-    # only --rank-tol reaches verify's checks; another tolerance that is not
-    # at its default would be written into the report and then ignored
+    # only --rank-tol reaches verify's checks, and verify has no other
+    # tolerance flag, not even at its default
     out = tmp_path / "report.json"
-    assert run(["verify", "--model", "binding_Eb", flag, value, "--out", str(out)]) == 2
-    assert f"error[EB-PARAM] {flag} is not applied by verify" in capsys.readouterr().err
+    for tol in (value, engelbook.TOLERANCE_DEFAULTS[flag[2:-4]]):
+        assert_unrecognized(capsys, ["verify", "--model", "binding_Eb", flag, str(tol), "--out", str(out)], flag)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["construct", "invariants"])
 def test_assembly_commands_reject_a_residual_tolerance_off_its_default(capsys, tmp_path, command):
-    # the winding residuals are float rounding on closed loops, so the flag
-    # decides nothing; the default spelled out gives the same bytes
-    argv = [command, "--lambda", "0", "--k", "1", "--out", str(tmp_path / "report.json")]
-    for value in ("0.3", "1e-20"):
-        assert run([*argv, "--residual-tol", value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error[EB-PARAM] --residual-tol is not applied by {command}")
-    assert not (tmp_path / "report.json").exists()
+    # the winding residuals are float rounding on closed loops, so no
+    # residual tolerance could decide anything: the flag is refused at any
+    # value, and the report records the default
+    out = tmp_path / "report.json"
+    argv = [command, "--lambda", "0", "--k", "1", "--out", str(out)]
+    for value in ("0.3", "1e-20", "0.25"):
+        assert_unrecognized(capsys, [*argv, "--residual-tol", value], "--residual-tol")
+    assert not out.exists()
     assert run(argv) == 0
-    default = (tmp_path / "report.json").read_bytes()
-    assert run([*argv, "--residual-tol", "0.25"]) == 0
-    assert (tmp_path / "report.json").read_bytes() == default
+    assert json.loads(out.read_text())["config"]["tolerances"]["residual"] == 0.25
 
 
 def test_invariants_rejects_a_rank_tolerance_off_its_default(capsys, tmp_path):
     # the rank tolerance reaches only the piece checks, which invariants
-    # leaves out of its report, so a value off the default would be
-    # recorded and ignored; construct applies it and fails its checks
+    # leaves out of its report, so invariants has no such flag, while
+    # construct applies it and fails its checks
     out = tmp_path / "report.json"
     argv = ["--lambda", "1", "--k", "5", "--rank-tol", "1e9", "--out", str(out)]
-    assert run(["invariants", *argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error[EB-PARAM] --rank-tol is not applied by invariants")
+    assert_unrecognized(capsys, ["invariants", *argv], "--rank-tol")
     assert not out.exists()
     assert run(["construct", *argv]) == 1
     assert "error[EB-VERIFY]" in capsys.readouterr().err
-    argv = ["invariants", "--lambda", "0", "--k", "1", "--out", str(out)]
-    assert run(argv) == 0
-    default = out.read_bytes()
-    assert run([*argv, "--rank-tol", "1e-9"]) == 0
-    assert out.read_bytes() == default
+    assert run(["invariants", "--lambda", "0", "--k", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["tolerances"]["rank"] == 1e-9
 
 
 def test_verify_accepts_the_default_tolerances_spelled_out(capsys):
     assert run(["verify", "--model", "binding_Eb"]) == 0
     default = capsys.readouterr().out
-    argv = ["--zero-tol", "1e-12", "--slope-tol", "1e-9", "--residual-tol", "0.25"]
-    assert run(["verify", "--model", "binding_Eb", *argv]) == 0
+    assert run(["verify", "--model", "binding_Eb", "--rank-tol", "1e-9"]) == 0
     assert capsys.readouterr().out == default
+    # the report records every tolerance, the ones verify has no flag for
+    # at their defaults
+    assert json.loads(default)["config"]["tolerances"] == engelbook.TOLERANCE_DEFAULTS
 
 
 def test_string_option_takes_negative_number_verbatim(tmp_path, monkeypatch):

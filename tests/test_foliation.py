@@ -35,7 +35,6 @@ from engelbook.foliation import (
     _radius,
     _RadialRamps,
     _smoothstep_jet,
-    _trace_leaves,
     annulus_foliation_check,
     boundary_winding_vs_index,
     classifier_boundary_winding,
@@ -179,7 +178,7 @@ def test_nonconstant_pullback_is_rejected():
         torus_slope(wavy)
 
 
-# -- leaf tracing ----------------------------------------------------------------
+# -- leaf tracing and annulus crossing ---------------------------------------------
 
 
 def test_transverse_foliation_crosses_annulus():
@@ -241,8 +240,27 @@ def signed(direction, sign):
     return lambda pts: sign * direction(pts)
 
 
-def band_mask(lo, hi):
-    return lambda z: (lo < z[:, 1]) & (z[:, 1] < hi)
+def budget_leaf(direction, start, step, n, inside, wrap):
+    # trace_leaf with a budget of n steps: an arc of n - 1/2 steps is a
+    # budget of ceil(n - 1/2) = n steps
+    return trace_leaf(direction, start, step, max(n - 0.5, 0.0) * step, inside, wrap)
+
+
+def assert_same_leaf(leaf, ref):
+    assert np.array_equal(leaf[0].view(np.int64), np.asarray(ref[0]).view(np.int64))
+    assert leaf[1:] == tuple(ref[1:])
+    assert type(leaf[1]) is bool and type(leaf[2]) is int
+
+
+def check_rows(direction, starts, signs, step, budgets, inside, wrap):
+    """trace_leaf from each start, following the direction times its sign
+    for its budget, is the reference loop bit for bit; returns the leaves."""
+    leaves = []
+    for z, s, n in zip(starts, signs, budgets):
+        leaf = budget_leaf(signed(direction, s), z, step, int(n), inside, wrap)
+        assert_same_leaf(leaf, dense_trace_leaf(signed(direction, s), z, step, int(n), inside, wrap))
+        leaves.append(leaf)
+    return leaves
 
 
 def kernel_direction(pulled):
@@ -252,7 +270,8 @@ def kernel_direction(pulled):
 
 
 def dense_annulus_check(pulled, v_range):
-    """Reference annulus check on the reference tracer.
+    """Reference annulus check on the reference tracer: 8 leaves, traced
+    forward and backward from the middle circle and retraced, must cross.
 
     Returns the traces of the forward then backward leaves, the traces of
     the retraces, and the report.
@@ -296,14 +315,6 @@ def dense_annulus_check(pulled, v_range):
     return fwd + bwd, retraces, report
 
 
-def assert_same_traces(batch, dense):
-    ends, exited, n_steps = batch
-    dense_ends = np.array([d[0] for d in dense]).reshape(-1, 2)
-    assert np.array_equal(ends.view(np.int64), dense_ends.view(np.int64))
-    assert exited.tolist() == [d[1] for d in dense]
-    assert n_steps.tolist() == [d[2] for d in dense]
-
-
 def catalog_annulus(name):
     (annulus,) = [a for piece in model_catalog(name).pieces for a in piece.annuli]
     return annulus.pullback(), annulus.v_range
@@ -318,7 +329,7 @@ LEAF_CASES = {
     ),
     "slanted": lambda: (ANNULUS.one_form({"u": -0.3, "v": 1.0}), (0.05, 0.95)),
     "closed": lambda: (ANNULUS.one_form({"v": 1.0}), (0.05, 0.95)),
-    # both components vary, so every row norm sums two nonzero squares
+    # both components vary, so every direction norm sums two nonzero squares
     "wavy": lambda: (
         ANNULUS.one_form({"u": "1 + 0.2*cos(u)", "v": "0.3*v*sin(u)"}),
         (0.05, 0.95),
@@ -330,39 +341,22 @@ LEAF_CASES = {
 
 @pytest.mark.parametrize("case", LEAF_CASES)
 def test_batched_tracer_is_bit_identical_to_one_leaf_loop(case):
+    # trace_leaf on the 16 leaves of the check's seeds, forward and backward
+    # over 120 steps (past the closure horizon), is the reference loop bit
+    # for bit; the check passes on every case but the closed one
     pulled, (lo, hi) = LEAF_CASES[case]()
-    leaves, retraces, dense_report = dense_annulus_check(pulled, (lo, hi))
-    direction = kernel_direction(pulled)
-    wrap = tuple(c.is_angular for c in pulled.chart.coords)
     seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, 0.5 * (lo + hi))], -1)
-    n_max = int(math.ceil(50.0 * (hi - lo) / 1e-3))
-
-    batch = _trace_leaves(
-        direction,
+    wrap = tuple(c.is_angular for c in pulled.chart.coords)
+    check_rows(
+        kernel_direction(pulled),
         np.concatenate([seeds, seeds]),
         np.repeat([1.0, -1.0], 8),
         1e-3,
-        np.full(16, n_max),
-        band_mask(lo, hi),
+        np.full(16, 120),
+        lambda z: lo < z[1] < hi,
         wrap,
     )
-    assert_same_traces(batch, leaves)
-    ends, exited, n_steps = batch
-    retrace = functools.partial(
-        _trace_leaves,
-        direction,
-        ends[:8][exited[:8]],
-        np.full(exited[:8].sum(), -1.0),
-        1e-3,
-        n_steps[:8][exited[:8]],
-    )
-    back = retrace(lambda z: np.ones(len(z), bool), wrap)
-    assert_same_traces(back, retraces)
-    # no mask at all is the same as a mask that is always true
-    assert_same_traces(retrace(None, wrap), retraces)
-
     report = annulus_foliation_check(pulled, (lo, hi))
-    assert repr(report) == repr(dense_report)
     assert report.passed == (case != "closed")
 
 
@@ -379,63 +373,48 @@ def test_mixed_batch_exits_closes_and_runs_out_like_one_leaf_loop():
     )
     signs = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
     budgets = np.array([2000, 2000, 50, 2000, 2000, 0, 2000])
-    step, wrap = 1e-2, (True, False)
-
-    dense = [
-        dense_trace_leaf(signed(mixed_direction, s), z, step, int(n), lambda z: 0.1 < z[1] < 0.9, wrap)
-        for z, s, n in zip(starts, signs, budgets)
-    ]
-    batch = _trace_leaves(mixed_direction, starts, signs, step, budgets, band_mask(0.1, 0.9), wrap)
-    assert_same_traces(batch, dense)
-    _, exited, n_steps = batch
-    # every way of finishing occurs in the one call: rows 0 and 6 exit,
-    # rows 1 and 4 close up after one turn, rows 2, 3 and 5 spend their
-    # budgets
-    assert exited.tolist() == [True, False, False, False, False, False, True]
-    assert n_steps.tolist() == [61, 628, 50, 2000, 628, 0, 96]
-
-    # trace_leaf is the one-row call of the same loop; an arc of n - 1/2
-    # steps is a budget of ceil(n - 1/2) = n steps
-    for z, s, n, d in zip(starts, signs, budgets, dense):
-        arc = max(n - 0.5, 0.0) * step
-        end, out, steps = trace_leaf(
-            signed(mixed_direction, s), z, step, arc, lambda z: 0.1 < z[1] < 0.9, wrap
-        )
-        assert_same_traces((end[None, :], np.array([out]), np.array([steps])), [d])
-        assert type(out) is bool and type(steps) is int
+    leaves = check_rows(mixed_direction, starts, signs, 1e-2, budgets, lambda z: 0.1 < z[1] < 0.9, (True, False))
+    # every way of finishing occurs: rows 0 and 6 exit, rows 1 and 4 close
+    # up after one turn, rows 2, 3 and 5 spend their budgets
+    assert [leaf[1] for leaf in leaves] == [True, False, False, False, False, False, True]
+    assert [leaf[2] for leaf in leaves] == [61, 628, 50, 2000, 628, 0, 96]
 
 
 def test_direction_returning_one_buffer_traces_like_one_leaf_loop():
     # the tracer must not write into what direction returns: here every
-    # call with the same number of rows returns the same array object
-    buffers = {}
+    # call returns the same array object
+    def buffered(sign):
+        buf = np.empty((1, 2))
 
-    def buffered(pts):
-        buf = buffers.setdefault(pts.shape, np.empty(pts.shape))
-        buf[...] = mixed_direction(pts)
-        return buf
+        def direction(pts):
+            buf[...] = sign * mixed_direction(pts)
+            return buf
+
+        return direction
 
     starts = np.array([[0.0, 0.6], [1.0, 0.5], [3.0, 0.45], [0.5, 0.52]])
     signs = np.array([1.0, 1.0, -1.0, 1.0])
     step, wrap = 1e-2, (True, False)
-    dense = [
-        dense_trace_leaf(signed(mixed_direction, s), z, step, 700, lambda z: 0.1 < z[1] < 0.9, wrap)
-        for z, s in zip(starts, signs)
-    ]
-    batch = _trace_leaves(buffered, starts, signs, step, np.full(4, 700), band_mask(0.1, 0.9), wrap)
-    assert_same_traces(batch, dense)
+    for z, s in zip(starts, signs):
+        ref = dense_trace_leaf(signed(mixed_direction, s), z, step, 700, lambda z: 0.1 < z[1] < 0.9, wrap)
+        assert_same_leaf(budget_leaf(buffered(s), z, step, 700, lambda z: 0.1 < z[1] < 0.9, wrap), ref)
 
 
 def test_leaf_ending_at_a_non_finite_point_does_not_cross():
-    # every seed sits on v = 0, the pole of v^-2 du, where the direction is
-    # not finite, so no leaf may count as crossing
+    # v = 0 is the pole of v^-2 du: a leaf from there steps to a non-finite
+    # point, which is outside the band, and no sign is proven across the
+    # pole, so the check fails
     chart = Chart.make("pole-annulus", [("u", KIND_ANGULAR), ("v", KIND_POLYNOMIAL, Interval(-0.5, 0.5))])
     pole = chart.one_form({"u": "v^-2"})
     with np.errstate(divide="ignore", invalid="ignore"):
-        report = annulus_foliation_check(pole, (-0.4, 0.4))
+        end, exited, steps = trace_leaf(
+            kernel_direction(pole), np.array([1.0, 0.0]), 1e-3, 1.0, lambda z: -0.4 < z[1] < 0.4, (True, False)
+        )
+    assert exited and steps == 1 and not np.isfinite(end).all()
+    report = annulus_foliation_check(pole, (-0.4, 0.4))
     assert not report.passed
     assert report.min_gap == 0.0
-    assert len(report.failures) == min(8, MAX_FAILURES)
+    assert report.details["not_proven"] and len(report.failures) == 1
 
     # the same form on a band off the pole crosses
     clean = annulus_foliation_check(pole, (0.1, 0.4))
@@ -450,28 +429,24 @@ def test_field_vanishing_on_one_leaf_raises():
 
     starts = np.array([[0.0, 0.6], [1.0, 0.3], [2.0, 0.8]])
     with pytest.raises(ValueError, match="vanishes"):
-        _trace_leaves(
-            direction, starts, np.ones(3), 1e-3, np.full(3, 10),
-            lambda z: np.ones(len(z), bool), (True, False),
-        )
+        budget_leaf(direction, starts[1], 1e-3, 10, lambda z: True, (True, False))
     with pytest.raises(ValueError, match="vanishes"):
         dense_trace_leaf(direction, starts[1], 1e-3, 10, lambda z: True, (True, False))
-    for z in starts[[0, 2]]:
-        dense_trace_leaf(direction, z, 1e-3, 10, lambda z: True, (True, False))
+    check_rows(direction, starts[[0, 2]], np.ones(2), 1e-3, np.full(2, 10), lambda z: True, (True, False))
 
-    # 1 + cos(u) vanishes at the seed u = pi, one of the eight
-    vanishing = ANNULUS.one_form({"u": "1 + cos(u)", "v": 0.0})
-    with pytest.raises(ValueError, match="vanishes"):
-        dense_annulus_check(vanishing, (0.05, 0.95))
-    with pytest.raises(ValueError, match="vanishes"):
-        annulus_foliation_check(vanishing, (0.05, 0.95))
+    # 1 + cos(u) du vanishes on the segment u = pi, where the check's grid
+    # meets it: no sign is proven, and the check fails there
+    report = annulus_foliation_check(ANNULUS.one_form({"u": "1 + cos(u)", "v": 0.0}), (0.05, 0.95))
+    assert not report.passed and report.details["not_proven"]
+    (failure,) = report.failures
+    assert failure["point"]["u"] == math.pi and failure["value"] == 0.0
 
 
 @pytest.mark.parametrize("high, far", [(np.nan, np.nan), (np.inf, -np.inf)], ids=["nan", "inf"])
 def test_leaves_turning_non_finite_trace_like_one_leaf_loop(high, far):
     # mixed_direction, but `high` in both components above v = 0.72 and
-    # `far` in the v component beyond u = 4.4, so some rows turn non-finite
-    # partway along, both before step 101 and after
+    # `far` in the v component beyond u = 4.4, so some leaves turn
+    # non-finite partway along, both before step 101 and after
     def direction(pts):
         out = mixed_direction(pts)
         out[pts[..., 1] > 0.72] = high
@@ -482,34 +457,25 @@ def test_leaves_turning_non_finite_trace_like_one_leaf_loop(high, far):
         [[0.0, 0.6], [1.0, 0.5], [3.0, 0.45], [4.0, 0.5], [0.5, 0.52], [5.0, 0.7], [4.35, 0.3]]
     )
     signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-    budgets = np.array([2000, 2000, 2000, 2000, 2000, 0, 2000])
-    step, wrap = 1e-2, (True, False)
-    for inside, dense_inside in [
-        (band_mask(0.1, 0.9), lambda z: 0.1 < z[1] < 0.9),
-        (None, lambda z: True),
-    ]:
-        batch = _trace_leaves(direction, starts, signs, step, budgets, inside, wrap)
-        dense = [
-            dense_trace_leaf(signed(direction, s), z, step, int(n), dense_inside, wrap)
-            for z, s, n in zip(starts, signs, budgets)
-        ]
-        assert_same_traces(batch, dense)
-        ends, exited, n_steps = batch
-        # rows 0, 1, 4 and 6 turn non-finite, one of them after step 101;
-        # a non-finite row is outside the band, and without a band it runs
-        # on to its budget
-        finite = np.isfinite(ends).all(axis=1)
+    budgets = np.array([400, 400, 400, 400, 400, 0, 400])
+    for banded, inside in [(True, lambda z: 0.1 < z[1] < 0.9), (False, lambda z: True)]:
+        leaves = check_rows(direction, starts, signs, 1e-2, budgets, inside, (True, False))
+        finite = np.array([np.isfinite(leaf[0]).all() for leaf in leaves])
+        # leaves 0, 1, 4 and 6 turn non-finite, one of them after step 101;
+        # a non-finite point is outside the band, and without a band the
+        # leaf runs on to its budget
         assert finite.tolist() == [False, False, True, True, False, True, False]
-        if inside is None:
-            assert n_steps[~finite].tolist() == [2000] * 4
+        broken = [leaf[1:] for leaf, ok in zip(leaves, finite) if not ok]
+        if banded:
+            assert broken == [(True, 33), (True, 341), (True, 73), (True, 6)]
         else:
-            assert exited[~finite].all()
-            assert n_steps[~finite].tolist() == [33, 341, 73, 6]
+            assert broken == [(False, 400)] * 4
 
 
 LEAF_FIELDS = {
-    # the kernel of (1 + q cos u) du + (a + b v sin u) dv never vanishes
-    # and always crosses the band
+    # the kernel of (1 + q cos u) du + (a + b v sin u) dv: for |q| < 1 it
+    # never vanishes and crosses the band, for |q| > 1 c1 takes both signs
+    # on every circle
     "wavy": lambda q, a, b: ANNULUS.one_form(
         {"u": 1.0 + q * ANNULUS.parse("cos(u)"), "v": a + b * ANNULUS.parse("v*sin(u)")}
     ),
@@ -538,7 +504,7 @@ LEAF_FIELDS = {
     ),
 )
 def test_horizon_skips_no_stop(field, coeffs, band, turn, rows):
-    """The tracer is the one-leaf loop, bit for bit, on starts within one
+    """trace_leaf is the one-leaf loop, bit for bit, on starts within one
     step of an edge, at budgets around step 100, and on leaves that close
     just before or after the closure horizon at step 101."""
     pulled = LEAF_FIELDS[field](*coeffs)
@@ -550,26 +516,43 @@ def test_horizon_skips_no_stop(field, coeffs, band, turn, rows):
     signs = np.array([s for *_, s, _ in rows])
     budgets = np.array([n for *_, n in rows])
     direction = kernel_direction(pulled)
-    c1, c2 = (ref_compile(c) for c in pulled.components)
-    wrap = (True, False)
-    for inside, dense_inside in [
-        (band_mask(lo, hi), lambda z: lo < z[1] < hi),
-        (None, lambda z: True),
-    ]:
-        dense = [
-            dense_trace_leaf(signed(direction, s), z, step, int(n), dense_inside, wrap)
-            for z, s, n in zip(starts, signs, budgets)
+    for inside in (lambda z: lo < z[1] < hi, lambda z: True):
+        check_rows(direction, starts, signs, step, budgets, inside, (True, False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(sorted(LEAF_FIELDS)),
+    q=st.floats(-1.5, 1.5),
+    coeffs=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+    band=st.tuples(st.floats(0.05, 0.45), st.floats(0.1, 0.5)),
+    seeds=st.lists(st.tuples(st.floats(0.0, math.tau), st.floats(0.0, 1.0)), min_size=1, max_size=2),
+)
+def test_a_passing_check_bounds_the_arc_of_every_traced_crossing(field, q, coeffs, band, seeds):
+    """Where the check passes, the leaf through any point of the band exits
+    through both edges, one each way, within the check's arc bound (the
+    band's width for vertical leaves); where c1 takes both signs on the
+    band, the check fails."""
+    pulled = LEAF_FIELDS[field](q, *coeffs)
+    lo, hi = band[0], band[0] + band[1]
+    report = annulus_foliation_check(pulled, (lo, hi))
+    if field == "wavy" and abs(q) > 1.0:
+        assert not report.passed
+    if not report.passed:
+        return
+    arc = report.details.get("arc_bound", hi - lo)
+    # each leaf's last step may end past the edge
+    step = arc / 50.0
+    direction = kernel_direction(pulled)
+    for u, t in seeds:
+        z = np.array([u, lo + t * (hi - lo)])
+        leaves = [
+            trace_leaf(signed(direction, s), z, step, arc + 2.0 * step, lambda z: lo < z[1] < hi, (True, False))
+            for s in (1.0, -1.0)
         ]
-        assert_same_traces(_trace_leaves(direction, starts, signs, step, budgets, inside, wrap), dense)
-        # the annulus check's form: (c2, c1) with the first column negated
-        # by the signs
-        assert_same_traces(
-            _trace_leaves(
-                lambda pts: np.stack([c2(pts), c1(pts)], -1),
-                starts, signs[:, None] * [-1.0, 1.0], step, budgets, inside, wrap,
-            ),
-            dense,
-        )
+        (f_end, f_out, f_steps), (b_end, b_out, b_steps) = leaves
+        assert f_out and b_out and (f_end[1] >= hi) != (b_end[1] >= hi)
+        assert (f_steps + b_steps) * step <= arc + 2.0 * step * (1.0 + 1e-9)
 
 
 def straight_up(pts):
@@ -579,24 +562,15 @@ def straight_up(pts):
 def test_replay_hands_a_leaf_whose_field_turns_to_the_loop():
     # the kernel (0, v - 0.3) of (v - 0.3) du flips sign at v = 0.3: the
     # backward leaf from v = 0.5003 runs down onto that circle and stalls
-    # next to it, so its stage unit vectors stop being its first one; the
-    # forward leaf is straight to its exit (a start 200 steps above 0.3
-    # would bring a stage point within rounding of the circle, where the
-    # field vanishes)
-    pulled = ANNULUS.one_form({"u": "v - 0.3"})
-    direction = kernel_direction(pulled)
+    # next to it; the forward leaf is straight to its exit (a start 200
+    # steps above 0.3 would bring a stage point within rounding of the
+    # circle, where the field vanishes)
+    direction = kernel_direction(ANNULUS.one_form({"u": "v - 0.3"}))
     starts = np.array([[0.0, 0.5003], [1.0, 0.5]])
-    signs = np.array([-1.0, 1.0])
-    step, budgets, wrap = 1e-3, np.array([600, 600]), (True, False)
-    dense = [
-        dense_trace_leaf(signed(direction, s), z, step, int(n), lambda z: 0.05 < z[1] < 0.95, wrap)
-        for z, s, n in zip(starts, signs, budgets)
-    ]
-    batch = _trace_leaves(direction, starts, signs, step, budgets, band_mask(0.05, 0.95), wrap)
-    assert_same_traces(batch, dense)
-    ends, exited, n_steps = batch
-    assert exited.tolist() == [False, True] and n_steps.tolist() == [600, 450]
-    assert abs(ends[0, 1] - 0.3) < step
+    step = 1e-3
+    leaves = check_rows(direction, starts, [-1.0, 1.0], step, [600, 600], lambda z: 0.05 < z[1] < 0.95, (True, False))
+    assert [leaf[1:] for leaf in leaves] == [(False, 600), (True, 450)]
+    assert abs(leaves[0][0][1] - 0.3) < step
 
 
 def test_straight_leaf_vanishing_partway_raises_like_one_leaf_loop():
@@ -609,14 +583,13 @@ def test_straight_leaf_vanishing_partway_raises_like_one_leaf_loop():
 
     step, wrap = 1e-3, (True, False)
     starts = np.array([[0.0, 0.3], [1.0, 0.5]])
-    with pytest.raises(ValueError, match="vanishes"):
-        _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_mask(0.1, 0.9), wrap)
-    with pytest.raises(ValueError, match="vanishes"):
-        dense_trace_leaf(direction, starts[1], step, 800, lambda z: 0.1 < z[1] < 0.9, wrap)
-    dense = [dense_trace_leaf(direction, z, step, 800, lambda z: 0.1 < z[1] < 0.59, wrap) for z in starts]
-    batch = _trace_leaves(direction, starts, np.ones(2), step, np.full(2, 800), band_mask(0.1, 0.59), wrap)
-    assert_same_traces(batch, dense)
-    assert batch[1].all()
+    for z in starts:
+        with pytest.raises(ValueError, match="vanishes"):
+            budget_leaf(direction, z, step, 800, lambda z: 0.1 < z[1] < 0.9, wrap)
+        with pytest.raises(ValueError, match="vanishes"):
+            dense_trace_leaf(direction, z, step, 800, lambda z: 0.1 < z[1] < 0.9, wrap)
+    leaves = check_rows(direction, starts, np.ones(2), step, np.full(2, 800), lambda z: 0.1 < z[1] < 0.59, wrap)
+    assert all(leaf[1] for leaf in leaves)
 
 
 def test_replay_closes_a_slanted_constant_leaf_like_one_leaf_loop():
@@ -627,16 +600,9 @@ def test_replay_closes_a_slanted_constant_leaf_like_one_leaf_loop():
 
     step, wrap = math.tau / 700.3, (True, False)
     starts = np.array([[0.0, 0.5], [2.0, 0.3]])
-    signs = np.array([1.0, -1.0])
-    budgets = np.full(2, 2000)
-    dense = [
-        dense_trace_leaf(signed(slanted, s), z, step, 2000, lambda z: 0.1 < z[1] < 0.9, wrap)
-        for z, s in zip(starts, signs)
-    ]
-    for inside in (band_mask(0.1, 0.9), None):
-        assert_same_traces(_trace_leaves(slanted, starts, signs, step, budgets, inside, wrap), dense)
-    assert [d[1] for d in dense] == [False, False]
-    assert [d[2] for d in dense] == [700, 700]
+    for inside in (lambda z: 0.1 < z[1] < 0.9, lambda z: True):
+        leaves = check_rows(slanted, starts, [1.0, -1.0], step, [2000, 2000], inside, wrap)
+        assert [leaf[1:] for leaf in leaves] == [(False, 700), (False, 700)]
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -649,22 +615,17 @@ def test_replay_closes_an_axis_aligned_leaf_like_one_leaf_loop(axis):
         out[..., axis] = 1.0
         return out
 
-    step, wrap = math.tau / 700.3, (True, True)
     starts = np.array([[0.0, 0.5], [2.0, -0.3], [-1.0, 3.0]])
-    signs = np.array([1.0, -1.0, 1.0])
-    budgets = np.array([2000, 2000, 650])
-    dense = [
-        dense_trace_leaf(signed(aligned, s), z, step, int(n), lambda z: True, wrap)
-        for z, s, n in zip(starts, signs, budgets)
-    ]
-    assert [d[1:] for d in dense] == [(False, 700), (False, 700), (False, 650)]
-    assert_same_traces(_trace_leaves(aligned, starts, signs, step, budgets, None, wrap), dense)
+    leaves = check_rows(
+        aligned, starts, [1.0, -1.0, 1.0], math.tau / 700.3, [2000, 2000, 650], lambda z: True, (True, True)
+    )
+    assert [leaf[1:] for leaf in leaves] == [(False, 700), (False, 700), (False, 650)]
 
 
 def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop():
-    # mixed_direction below v = 0.6, a slanted constant field above it: row
-    # 0 is straight to its exit, row 1 runs straight down into the curved
-    # part, row 2 is curved from its start, and row 3 circles on v = 0.5,
+    # mixed_direction below v = 0.6, a slanted constant field above it: leaf
+    # 0 is straight to its exit, leaf 1 runs straight down into the curved
+    # part, leaf 2 is curved from its start, and leaf 3 circles on v = 0.5,
     # where the v component is 0, so its unit vector is (1, 0) throughout
     def direction(pts):
         out = mixed_direction(pts)
@@ -672,16 +633,12 @@ def test_straight_and_curved_rows_in_one_call_trace_like_one_leaf_loop():
         return out
 
     starts = np.array([[1.0, 0.7], [2.0, 0.65], [0.5, 0.52], [1.0, 0.5]])
-    signs = np.array([1.0, -1.0, 1.0, 1.0])
-    step, budgets, wrap = 1e-2, np.full(4, 2000), (True, False)
-    dense = [
-        dense_trace_leaf(signed(direction, s), z, step, 2000, lambda z: 0.1 < z[1] < 0.9, wrap)
-        for z, s in zip(starts, signs)
-    ]
-    assert_same_traces(_trace_leaves(direction, starts, signs, step, budgets, band_mask(0.1, 0.9), wrap), dense)
-    # rows 0 and 2 exit, row 1 is drawn onto v = 0.5 and spends its budget,
-    # and row 3 closes after one turn
-    assert [d[1:] for d in dense] == [(True, 21), (False, 2000), (True, 79), (False, 628)]
+    leaves = check_rows(
+        direction, starts, [1.0, -1.0, 1.0, 1.0], 1e-2, np.full(4, 2000), lambda z: 0.1 < z[1] < 0.9, (True, False)
+    )
+    # leaves 0 and 2 exit, leaf 1 is drawn onto v = 0.5 and spends its
+    # budget, and leaf 3 closes after one turn
+    assert [leaf[1:] for leaf in leaves] == [(True, 21), (False, 2000), (True, 79), (False, 628)]
 
 
 POLE_ANNULUS = Chart.make("pole-annulus", [("u", KIND_ANGULAR), ("v", KIND_POLYNOMIAL, Interval(-0.5, 0.5))])
@@ -698,10 +655,6 @@ VERTICAL_CASES = {
     # every leaf stalls at its seed and closes at step 101, so the check fails
     "stalled": lambda: (FAR_ANNULUS.one_form({"u": 1.0}), (1e14, 1e14 + 1.0)),
 }
-
-
-def check_box(lo, hi, step=1e-3):
-    return ((0.0, math.tau), (lo - 2.0 * step, hi + 2.0 * step))
 
 
 def same_bits(a, b):
@@ -746,83 +699,80 @@ def test_vertical_leaf_is_the_one_leaf_loop_on_a_vertical_field(s, v0, band, bud
 
 @pytest.mark.parametrize("case", VERTICAL_CASES)
 def test_proven_vertical_leaves_replay_like_the_per_stage_replay(case):
-    # on a proven band the RK4 loop's leaves are the vertical recurrences
+    # on a band where c1 of c1 du is proven of one sign, the RK4 loop's
+    # leaves are the check's vertical recurrences: forward from every seed,
+    # and backward and retraced from one
     pulled, (lo, hi) = VERTICAL_CASES[case]()
-    s = foliation._proves_vertical(pulled, check_box(lo, hi))
+    s = foliation._proven_sign(pulled.components[0], lo, hi)[0]
     assert s == (-1.0 if case == "negative" else 1.0)
-    form = pulled.compile()
-
-    def direction(pts):
-        return form(pts)[..., ::-1]
-
-    mid = 0.5 * (lo + hi)
-    seeds = np.stack([np.linspace(0.0, math.tau, 8, endpoint=False), np.full(8, mid)], -1)
-    signs = np.repeat([1.0, -1.0], 8)[:, None] * [-1.0, 1.0]
-    budget = int(math.ceil(50.0 * (hi - lo) / 1e-3))
-    ends, exits, steps = _trace_leaves(
-        direction, np.concatenate([seeds, seeds]), signs, 1e-3, np.full(16, budget), band_mask(lo, hi), (True, False)
-    )
+    direction = kernel_direction(pulled)
+    mid, max_arc = 0.5 * (lo + hi), 50.0 * (hi - lo)
     dv = s * (6.0 * (1e-3 / 6.0))
+    budget = int(math.ceil(max_arc / 1e-3))
     fwd = foliation._vertical_leaf(mid, dv, lo, hi, budget)
     bwd = foliation._vertical_leaf(mid, -dv, lo, hi, budget)
-    assert same_bits((ends[:, 0],), (np.concatenate([seeds[:, 0], seeds[:, 0]]),))
-    for rows, (v, out, n) in ((slice(8), fwd), (slice(8, 16), bwd)):
-        assert same_bits((ends[rows, 1],), (np.full(8, v),))
-        assert exits[rows].tolist() == [out] * 8 and steps[rows].tolist() == [n] * 8
-    assert exits.all() == (case != "stalled")
+
+    def assert_leaf(sign, z, arc, inside, want):
+        end, out, n = trace_leaf(signed(direction, sign), z, 1e-3, arc, inside, (True, False))
+        assert same_bits(end, (z[0], want[0])) and (out, n) == want[1:]
+
+    band = lambda z: lo < z[1] < hi  # noqa: E731
+    for u in np.linspace(0.0, math.tau, 8, endpoint=False):
+        assert_leaf(1.0, np.array([u, mid]), max_arc, band, fwd)
+    assert_leaf(-1.0, np.array([0.0, mid]), max_arc, band, bwd)
+    assert fwd[1] == bwd[1] == (case != "stalled")
     if fwd[1]:
-        backs, _, _ = _trace_leaves(direction, ends[:8], signs[8:], 1e-3, steps[:8], None, (True, False))
         back = foliation._vertical_leaf(fwd[0], -dv, -math.inf, math.inf, fwd[2])
-        assert same_bits((backs[:, 1],), (np.full(8, back[0]),))
+        assert_leaf(-1.0, np.array([0.0, fwd[0]]), (fwd[2] - 0.5) * 1e-3, lambda z: True, back)
 
 
-def counting_tracer(calls, tests):
-    # _trace_leaves with its direction calls and band tests recorded
-    def counting(direction, starts, signs, step, max_steps, inside, wrap):
-        def counted(pts):
-            calls.append(np.array(pts))
-            return direction(pts)
+def counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
 
-        def tested(z):
-            tests.append(len(z))
-            return inside(z)
-
-        return _trace_leaves(counted, starts, signs, step, max_steps, None if inside is None else tested, wrap)
-
-    return counting
+    return counted
 
 
 @pytest.mark.parametrize("name", ["s3_openbook", "stabilization_local"])
 def test_catalog_annulus_replays_in_a_few_direction_calls(monkeypatch, name):
-    # stepping RK4 one step at a time was about 3,000 direction calls and
-    # 380 band tests per check; the bound proves both catalog annuli
-    # vertical, so their leaves are the v recurrence and the field is
-    # never evaluated
-    calls, tests = [], []
-    monkeypatch.setattr(foliation, "_trace_leaves", counting_tracer(calls, tests))
-    report = annulus_foliation_check(*catalog_annulus(name))
-    assert report.passed
-    assert calls == [] and tests == []
+    # stepping RK4 one step at a time was about 3,000 direction calls per
+    # check; the bound proves both catalog annuli vertical, so their leaves
+    # are the v recurrence, no leaf is traced and the form is never
+    # evaluated
+    band = catalog_annulus(name)
+    calls = []
+    monkeypatch.setattr(foliation, "trace_leaf", counting(calls, trace_leaf))
+    monkeypatch.setattr(charts, "_evaluator", counting(calls, charts._evaluator))
+    monkeypatch.setattr(trigpoly, "_evaluator", counting(calls, trigpoly._evaluator))
+    assert annulus_foliation_check(*band).passed
+    assert calls == []
 
 
 def test_catalog_annulus_runs_few_stop_tests(monkeypatch):
-    # a test per step was 380 calls of inside in the forward and backward
-    # batch; the proven band stops its leaves by the v recurrence alone
-    calls, tests = [], []
-    monkeypatch.setattr(foliation, "_trace_leaves", counting_tracer(calls, tests))
-    report = annulus_foliation_check(*catalog_annulus("s3_openbook"))
+    # a stop test per step was 380 calls in the forward and backward batch;
+    # the proven band runs three v recurrences, forward, backward and the
+    # retrace, which stop by themselves
+    band = catalog_annulus("s3_openbook")
+    calls = []
+    monkeypatch.setattr(foliation, "trace_leaf", counting(calls, trace_leaf))
+    monkeypatch.setattr(foliation, "_vertical_leaf", counting(calls, foliation._vertical_leaf))
+    report = annulus_foliation_check(*band)
     assert report.passed and report.details["step"] > 0.0
-    assert tests == []
+    assert calls == ["_vertical_leaf"] * 3
 
 
 def test_a_proven_band_traces_and_evaluates_nothing(monkeypatch):
     bands = {case: make() for case, make in VERTICAL_CASES.items()}
+    # v - 0.3 is positive on the closed band, so it is proven there, though
+    # the RK4 loop's last stage points reach v = 0.2985, where it is not
+    bands["turns_past"] = (ANNULUS.one_form({"u": "v - 0.3"}), (0.3005, 0.9))
     dense = {case: repr(dense_annulus_check(*band)[2]) for case, band in bands.items()}
 
     def refuse(*args):
         raise AssertionError("a leaf was traced or the form was evaluated")
 
-    monkeypatch.setattr(foliation, "_trace_leaves", refuse)
+    monkeypatch.setattr(foliation, "trace_leaf", refuse)
     monkeypatch.setattr(charts, "_evaluator", refuse)
     monkeypatch.setattr(trigpoly, "_evaluator", refuse)
     for case, (pulled, v_range) in bands.items():
@@ -838,29 +788,6 @@ def test_a_vertical_field_on_an_angular_v_closes_its_leaves():
     assert [f["value"] for f in report.failures] == [math.nan] * len(report.failures)
 
 
-def test_the_proof_needs_a_zero_dv_part_and_c1_clear_of_its_floor():
-    # the floor is 1e-14 plus 1e-12 times the sum of the terms' magnitudes,
-    # 5.1e-13 for v on v <= 0.5
-    v_du = ANNULUS.one_form({"u": "v"})
-    for form, s in ((v_du, 1.0), (v_du.scaled(-1.0), -1.0)):
-        assert foliation._proves_vertical(form, ((0.0, math.tau), (6e-13, 0.5))) == s
-        assert foliation._proves_vertical(form, ((0.0, math.tau), (4e-13, 0.5))) == 0.0
-    assert not foliation._proves_vertical(ANNULUS.one_form({"u": "v", "v": "1e-6*v"}), check_box(0.1, 0.9))
-    # a Laurent pole in the box, and a c1 whose square may overflow, prove nothing
-    pole = POLE_ANNULUS.one_form({"u": "v^-2"})
-    assert not foliation._proves_vertical(pole, check_box(-0.1, 0.4))
-    assert not foliation._proves_vertical(ANNULUS.one_form({"u": "1e160*v^2"}), check_box(0.1, 0.9))
-
-
-def test_a_field_that_turns_past_the_band_takes_the_per_stage_route():
-    # v - 0.3 is positive on the band, but the box reaches v = 0.2985, so
-    # the bound proves nothing; c1 takes one sign on the band's grid, so
-    # the leaves are traced, with the stage points evaluated
-    pulled, band = ANNULUS.one_form({"u": "v - 0.3"}), (0.3005, 0.9)
-    assert not foliation._proves_vertical(pulled, check_box(*band))
-    assert repr(annulus_foliation_check(pulled, band)) == repr(dense_annulus_check(pulled, band)[2])
-
-
 @pytest.mark.parametrize(
     "c1, band, values",
     [("0.2 + cos(8*u)", (0.12, 0.88), (1.2, -0.8)), ("v - 0.3", (0.05, 0.95), (0.65, -0.25))],
@@ -872,13 +799,83 @@ def test_a_line_field_that_vanishes_in_the_band_fails_without_tracing(monkeypatc
     def no_trace(*args):
         raise AssertionError("a leaf was traced")
 
-    monkeypatch.setattr(foliation, "_trace_leaves", no_trace)
+    monkeypatch.setattr(foliation, "trace_leaf", no_trace)
     report = annulus_foliation_check(PAGE_ANNULUS.one_form({"u": c1}), band)
     assert not report.passed and report.min_gap == 0.0
     # the chart's 32 u samples of a default check, by 32 v values
     assert report.n_points == 1024
     assert [f["value"] for f in report.failures] == pytest.approx(values)
     assert all(band[0] <= f["point"]["v"] <= band[1] for f in report.failures)
+
+
+@pytest.mark.parametrize(
+    "band", [(0.9, 0.1), (0.5, 0.5), (math.nan, 0.9), (0.05, math.inf)], ids=["falling", "empty", "nan", "inf"]
+)
+def test_an_empty_falling_or_non_finite_band_is_refused(band):
+    # a bound over such a band would prove nothing, or prove a sign on a
+    # box that holds no point
+    with pytest.raises(ValueError, match="interval"):
+        annulus_foliation_check(ANNULUS.one_form({"u": "v^2 - v + 0.3", "v": 0.5}), band)
+
+
+def test_a_band_that_passes_only_after_cutting():
+    # (v^2 - v + 0.3) du + 0.5 dv: c1's least value is 0.05, at v = 0.5, but
+    # its bound on the whole band is [-0.65, 1.15]; 32 equal v pieces prove
+    # it positive
+    pulled, band = ANNULUS.one_form({"u": "v^2 - v + 0.3", "v": 0.5}), (0.05, 0.95)
+    whole = pulled.components[0].bound(((0.0, math.tau), band))
+    assert whole == pytest.approx((-0.65, 1.15), abs=3e-3)
+    report = annulus_foliation_check(pulled, band)
+    assert report.passed and report.n_points == 32
+    arc = report.details["arc_bound"]
+    # the least bound of c1 over the pieces is at most 0.05, the bound of c2 is 0.5
+    assert 0.9 * math.hypot(1.0, 0.5 / 0.05) <= arc <= 45.0
+    assert report.min_gap == 1.0 - arc / report.details["max_arc"]
+
+
+@pytest.mark.parametrize("c2", [0.5, "cos(u)"])
+def test_a_sign_change_fails_whatever_the_dv_part(c2):
+    # (v - 0.3) du + c2 dv: the line field is tangent to the circle v = 0.3
+    # where c1 = 0, so no sign is proven, and the check fails at c1's largest
+    # and smallest grid values, as without a dv part (the line field case)
+    report = annulus_foliation_check(PAGE_ANNULUS.one_form({"u": "v - 0.3", "v": c2}), (0.05, 0.95))
+    assert not report.passed and report.min_gap == 0.0
+    assert report.n_points == 1024 and "not_proven" not in report.details
+    assert [f["value"] for f in report.failures] == pytest.approx([0.65, -0.25])
+
+
+def test_an_angular_band_shorter_than_a_period_is_crossed():
+    # on the torus v is angular; a band of width 3 < 2 pi has two edges, and
+    # the vertical and the slanted leaves cross it
+    vertical, slanted = TORUS.one_form({"x": 1.0}), TORUS.one_form({"x": 1.0, "y": 0.5})
+    report = annulus_foliation_check(vertical, (0.0, 3.0))
+    assert report.passed and report.min_gap == pytest.approx(1.0 - 3.0 / 150.0, abs=1e-4)
+    report = annulus_foliation_check(slanted, (0.0, 3.0))
+    assert report.passed and report.details["arc_bound"] == pytest.approx(3.0 * math.hypot(1.0, 0.5))
+    # a band of one period has no edge: the leaves circle back, and the
+    # check fails at the seeds
+    report = annulus_foliation_check(slanted, (0.0, math.tau))
+    assert not report.passed and report.min_gap == 0.0 and report.n_points == 8
+    assert [f["value"] for f in report.failures] == [math.nan] * MAX_FAILURES
+
+
+def test_an_unproven_band_fails_at_its_least_c1():
+    # the bound of v on [0, 0.5] reaches 0, so no sign is proven, though v
+    # >= 0 there: the check fails as not proven at the grid point of least
+    # |c1|, on the edge v = 0; the same form on a band clear of 0 crosses,
+    # with the one-sign proof
+    pulled = PAGE_ANNULUS.one_form({"u": "v", "v": "0.1*v"})
+    report = annulus_foliation_check(pulled, (0.0, 0.5))
+    assert not report.passed and report.min_gap == 0.0 and report.details["not_proven"]
+    assert report.failures == ({"point": {"u": 0.0, "v": 0.0}, "value": 0.0},)
+    assert annulus_foliation_check(pulled, (0.01, 0.5)).passed
+    # a c1 of one sign whose arc bound is over the budget: the margin is
+    # negative, and the failure is at the grid point of least |c1|
+    report = annulus_foliation_check(PAGE_ANNULUS.one_form({"u": 0.01, "v": 1.0}), (0.05, 0.95))
+    assert not report.passed and report.min_gap < 0.0 and "not_proven" not in report.details
+    assert report.details["arc_bound"] > report.details["max_arc"]
+    assert [f["value"] for f in report.failures] == [0.01]
+
 
 # -- singularity classification ----------------------------------------------------
 
