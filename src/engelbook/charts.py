@@ -3,7 +3,8 @@
 Every scalar component is an exact trigonometric polynomial (``Expr``), so
 the calculus below (brackets, exterior derivatives, wedges, interior
 products, pushforwards) is exact up to float round-off in coefficients, and
-a field or form compiles to one evaluator over its components.
+the components of a batch of fields are evaluated together
+(``batch_eval_scalars``, ``field_matrix``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -243,10 +244,6 @@ class _Components:
         if isinstance(s, (int, float)):
             s = self.chart.const(float(s))
         return type(self)(self.chart, tuple(s * c for c in self.components))
-
-    def compile(self) -> Callable[[np.ndarray], np.ndarray]:
-        """(..., dim) points to (..., n), on one evaluator of every component."""
-        return _evaluator(self.components)
 
 
 @dataclass(frozen=True)

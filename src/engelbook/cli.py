@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from . import DEFAULT_MIN_POINTS, MIN_TURN_SAMPLES, TOLERANCE_DEFAULTS
@@ -39,8 +40,22 @@ def _tolerance_config(args: argparse.Namespace) -> dict:
     return {name: getattr(args, f"{name}_tol", value) for name, value in TOLERANCE_DEFAULTS.items()}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose error messages quote each negative number
+    as the user wrote it, not in the form ``_shield_negative_numbers``
+    passed it on in."""
+
+    def error(self, message: str):
+        super().error(_SHIELDED.sub(lambda m: m[1] if _is_number(m[1]) else m[0], message))
+
+
+# a space and a word that starts with "-": in an argparse message, the
+# shielded form of an argument that is a negative number
+_SHIELDED = re.compile(r" (-[^\s']+)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="engelbook",
         description="verify and construct the packaged geometric structures",
     )
@@ -234,33 +249,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _assemble(args: argparse.Namespace, min_points: int):
+def _cmd_construct(args: argparse.Namespace) -> int:
     from .models import assemble
+    from .reports import construct_document, render_json
 
     tol = _tolerance_config(args)
-    return assemble(
+    report = assemble(
         args.lam,
         args.k,
         a=args.a,
         r0=args.r0,
-        min_points=min_points,
+        min_points=args.samples,
         n_samples=args.turn_samples,
         rank_tol=tol["rank"],
         symbol_tol=tol["zero"],
         slope_tol=tol["slope"],
     )
-
-
-def _cmd_construct(args: argparse.Namespace) -> int:
-    from .reports import construct_document, render_json
-
-    report = _assemble(args, args.samples)
     config = {
         "command": "construct",
         "samples": args.samples,
         "turn_samples": args.turn_samples,
         "seed": args.seed,
-        "tolerances": _tolerance_config(args),
+        "tolerances": tol,
     }
     _write_text(args.out, render_json(construct_document(report, config)))
     if args.model_out:
@@ -288,21 +298,29 @@ def _cmd_foliation(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    from .models import assemble_invariants
     from .reports import json_document, render_json
 
-    report = _assemble(args, 256)
+    tol = _tolerance_config(args)
+    report = assemble_invariants(
+        args.lam,
+        args.k,
+        a=args.a,
+        r0=args.r0,
+        n_samples=args.turn_samples,
+        symbol_tol=tol["zero"],
+        slope_tol=tol["slope"],
+    )
     config = {
         "command": "invariants",
         "turn_samples": args.turn_samples,
         "seed": args.seed,
-        "tolerances": _tolerance_config(args),
+        "tolerances": tol,
     }
     config.update(report.params)
-    wanted = ("twisting_invariants", "boundary_euler_chain", "gluing")
-    checks = [c for c in report.checks if c.name in wanted]
     document = json_document(
         config,
-        checks,
+        report.checks,
         invariants=report.invariants,
         singularities=report.singularities,
     )

@@ -48,6 +48,7 @@ or fields import ``trigpoly``, ``invariants`` or ``verify`` when called.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -236,16 +237,14 @@ def _vertical_leaf(v0: float, dv: float, lo: float, hi: float, budget: int) -> t
     return v, False, 0
 
 
-def _proven_sign(c1: "Expr", lo: float, hi: float) -> tuple[float, list, list]:
-    """The sign, +1.0 or -1.0, that ``Expr.bound`` proves c1 keeps on the
-    closed band [0, 2 pi] x [lo, hi], with the v pieces that prove it and
-    c1's bound on each; (0.0, [], []) where no cut proves a sign.
+def _proven_signs(c1: "Expr", lo: float, hi: float):
+    """Each cut of the closed band [0, 2 pi] x [lo, hi] into 2^j equal v
+    pieces, j = 0 .. ``_BISECT_LEVELS`` in turn, on which ``Expr.bound``
+    proves that c1 keeps one sign: yields that sign, +1.0 or -1.0, the
+    pieces and c1's bound on each.
 
-    The whole band is bounded first.  Where that bound holds 0, the v range
-    is cut into 2^j equal pieces, for j = 1 .. ``_BISECT_LEVELS``, and every
-    piece must prove the same sign.  Only v is cut: u is angular, and
-    ``Expr.bound`` reads no range for an angular coordinate.  A Laurent
-    pole in a piece proves nothing.
+    Only v is cut: u is angular, and ``Expr.bound`` reads no range for an
+    angular coordinate.  A Laurent pole in a piece proves nothing.
     """
     for level in range(_BISECT_LEVELS + 1):
         m = 2**level
@@ -256,30 +255,42 @@ def _proven_sign(c1: "Expr", lo: float, hi: float) -> tuple[float, list, list]:
         except ValueError:
             continue
         if all(b_lo > 0.0 for b_lo, _ in bounds):
-            return 1.0, pieces, bounds
-        if all(b_hi < 0.0 for _, b_hi in bounds):
-            return -1.0, pieces, bounds
-    return 0.0, [], []
+            yield 1.0, pieces, bounds
+        elif all(b_hi < 0.0 for _, b_hi in bounds):
+            yield -1.0, pieces, bounds
 
 
-def _arc_bound(c1_bounds: list, c2: "Expr", pieces: list) -> "float | None":
-    """An upper bound on the arc of a leaf across the band that ``pieces``
-    cut, where c1 keeps one sign on each piece: v moves at least |c1| /
-    |(c1, c2)| per unit of arc, so a leaf crosses within (hi - lo) * sqrt(1
-    + (max|c2| / min|c1|)^2), rounded up.  None where c2's bound is not
-    finite or has a pole."""
-    try:
-        c2_bounds = [c2.bound(((0.0, math.tau), piece)) for piece in pieces]
-    except ValueError:
-        return None
-    if not all(math.isfinite(b) for bound in c2_bounds for b in bound):
-        return None
-    slowest = min(min(abs(b_lo), abs(b_hi)) for b_lo, b_hi in c1_bounds)
-    steepest = max(max(-b_lo, b_hi) for b_lo, b_hi in c2_bounds)
-    with np.errstate(over="ignore"):
-        ratio = Enclosure.of(steepest) / slowest
-        arc = float(((Enclosure.of(pieces[-1][1]) - pieces[0][0]) * (ratio**2 + 1.0).sqrt()).hi)
-    return arc if math.isfinite(arc) else None
+def _arc_bound(c2: "Expr", proofs, max_arc: float) -> tuple["float | None", int]:
+    """An upper bound on the arc of a leaf across the band, and the number of
+    pieces of the cut that gave it; (None, 0) where no cut gives one.
+
+    ``proofs`` are cuts from ``_proven_signs``.  On a piece where c1 keeps
+    one sign, v moves at least min|c1| / |(c1, c2)| per unit of arc, so a
+    leaf crosses the band within the sum over the pieces of height *
+    sqrt(1 + (max|c2| / min|c1|)^2), rounded up.  The cuts are read in turn
+    until one gives a bound within ``max_arc``, and the least bound is kept.
+    A cut where c2's bound is not finite or has a pole gives none.
+    """
+    best, count = None, 0
+    for _, pieces, c1_bounds in proofs:
+        try:
+            c2_bounds = [c2.bound(((0.0, math.tau), piece)) for piece in pieces]
+        except ValueError:
+            continue
+        if not all(math.isfinite(b) for bound in c2_bounds for b in bound):
+            continue
+        slowest = np.array([min(abs(b_lo), abs(b_hi)) for b_lo, b_hi in c1_bounds])
+        steepest = np.array([max(-b_lo, b_hi) for b_lo, b_hi in c2_bounds])
+        ends = np.array(pieces)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = Enclosure.of(steepest) / slowest
+            arcs = (Enclosure.of(ends[:, 1]) - ends[:, 0]) * (ratio**2 + 1.0).sqrt()
+            arc = float(arcs.group_sums(np.zeros(len(pieces), np.intp), 1).hi[0])
+        if math.isfinite(arc) and (best is None or arc < best):
+            best, count = arc, len(pieces)
+        if best is not None and best <= max_arc:
+            break
+    return best, count
 
 
 def _grid_failures(pulled: OneForm, lo: float, hi: float) -> tuple[int, list[dict], bool]:
@@ -324,7 +335,7 @@ def annulus_foliation_check(
     ``v_range`` must be a nonempty finite interval (``charts.Interval``).
     The check asks ``Expr.bound`` whether c1 keeps one sign on the closed
     band, first on the whole band and then on up to 2^6 equal v pieces
-    (``_proven_sign``).  Where it does, the kernel line (-c2, c1) is nowhere
+    (``_proven_signs``).  Where it does, the kernel line (-c2, c1) is nowhere
     tangent to a circle v = const, v is strictly monotone along every leaf,
     and every leaf crosses:
 
@@ -336,9 +347,12 @@ def annulus_foliation_check(
       counts against the arc budget.  A leaf that stalls, where a step
       rounds away, fails.
     - otherwise every leaf's arc across the band is at most the bound L of
-      ``_arc_bound``, taken over the pieces' bounds of c1 and c2.  The check
-      passes where L is within the budget; ``min_gap`` is 1 - L / budget,
-      ``details["arc_bound"]`` is L, and ``n_points`` counts the pieces.
+      ``_arc_bound``, a sum over the pieces of a cut that proves c1's sign,
+      each piece's term read from its own bounds of c1 and c2.  While L is
+      over the budget, v is cut finer, up to the 2^6 pieces, and the least
+      L is kept.  The check passes where L is within the budget;
+      ``min_gap`` is 1 - L / budget, ``details["arc_bound"]`` is L, and
+      ``n_points`` counts the pieces of its cut.
 
     On an angular v, a band of one period or more has no edge to cross: its
     leaves circle back, and the check fails at the 8 seeds.  Where no sign
@@ -373,7 +387,9 @@ def annulus_foliation_check(
         return [{"point": {"u": float(u), "v": float(mid)}, "value": float(value)} for u in seeds]
 
     c1, c2 = pulled.components
-    sign, pieces, c1_bounds = _proven_sign(c1, lo, hi)
+    proofs = _proven_signs(c1, lo, hi)
+    first = next(proofs, None)
+    sign = first[0] if first else 0.0
     if sign and pulled.chart.coords[1].is_angular and hi - lo >= math.tau:
         return report(False, _LEAF_SEEDS, 0.0, at_seeds(math.nan))
     if sign and not c2.terms:
@@ -391,11 +407,11 @@ def annulus_foliation_check(
         if ok:
             return report(True, _LEAF_SEEDS, 1.0 - (fwd[2] + bwd[2]) * step / max_arc, [])
         return report(False, _LEAF_SEEDS, 0.0, at_seeds(fwd[0] if fwd[1] else math.nan))
-    arc = _arc_bound(c1_bounds, c2, pieces) if sign else None
+    arc, count = _arc_bound(c2, itertools.chain([first], proofs), max_arc) if sign else (None, 0)
     if arc is not None:
         details["arc_bound"] = arc
         if arc <= max_arc:
-            return report(True, len(pieces), 1.0 - arc / max_arc, [])
+            return report(True, count, 1.0 - arc / max_arc, [])
     sampled, failures, both = _grid_failures(pulled, lo, hi)
     if arc is None and not both:
         details["not_proven"] = True

@@ -371,6 +371,18 @@ def _point_text(z: np.ndarray) -> str:
     return f"({float(z[0])!r}, {float(z[1])!r})"
 
 
+def _meets_disk(lo: np.ndarray, hi: np.ndarray, reach: float) -> np.ndarray:
+    """Whether each box [lo, hi] of (m, 2) corners may meet the closed disk
+    of squared radius at most ``reach``: whether the lower end of the
+    enclosure of p^2 + q^2 at the point of the box nearest the origin is at
+    most ``reach``.  The end is taken in plain floats: each square moved one
+    float down (and kept at 0 or above), their sum moved one float down, the
+    floats ``(Enclosure.of(p) ** 2 + Enclosure.of(q) ** 2).lo`` gives."""
+    near = np.clip(0.0, lo, hi)
+    square = np.maximum(np.nextafter(near * near, -np.inf), 0.0)
+    return np.nextafter(square[:, 0] + square[:, 1], -np.inf) <= reach
+
+
 def exclude_zeros(value: Callable, radius: float, lo_z: np.ndarray, hi_z: np.ndarray) -> None:
     """Prove that every zero of the field on the disk of ``radius`` lies in
     one of the boxes [lo_z, hi_z].
@@ -379,11 +391,7 @@ def exclude_zeros(value: Callable, radius: float, lo_z: np.ndarray, hi_z: np.nda
     and each level splits every open box into four.  A box is closed when
     all its points lie outside the closed disk, or when it lies in one of
     the given boxes, or when the enclosure of V over it excludes 0: then it
-    holds no zero.  The disk test takes the lower end of the enclosure of
-    p^2 + q^2 at the point of the box nearest the origin, in plain floats:
-    each square moved one float down (and kept at 0 or above), their sum
-    moved one float down, the floats ``Enclosure.of(p) ** 2 +
-    Enclosure.of(q) ** 2`` gives.  ``value`` maps box corners to the
+    holds no zero (``_meets_disk``).  ``value`` maps box corners to the
     enclosures (V_p, V_q) and runs once per level, over the boxes still
     open.  ``ValueError`` names an open box after ``_COVER_LEVELS`` levels,
     or when more than ``_COVER_MAX_BOXES`` are open.
@@ -394,9 +402,7 @@ def exclude_zeros(value: Callable, radius: float, lo_z: np.ndarray, hi_z: np.nda
     lo, hi = corners, ends
     reach = (Enclosure.of(radius) ** 2).hi
     for _ in range(_COVER_LEVELS):
-        near = np.clip(0.0, lo, hi)  # the point of each box nearest the origin
-        square = np.maximum(np.nextafter(near * near, -np.inf), 0.0)
-        inside = np.nextafter(square[:, 0] + square[:, 1], -np.inf) <= reach
+        inside = _meets_disk(lo, hi, reach)
         lo, hi = lo[inside], hi[inside]
         vp, vq = value(lo, hi)
         open_ = (vp.lo <= 0.0) & (0.0 <= vp.hi) & (vq.lo <= 0.0) & (0.0 <= vq.hi)

@@ -69,6 +69,7 @@ __all__ = [
     "OpenBookModel",
     "PipelineReport",
     "assemble",
+    "assemble_invariants",
     "build_binding_engel",
     "build_collar_engel",
     "gluing_check",
@@ -1139,7 +1140,31 @@ def assemble(
     symbol_tol: float = SYMBOL_TOL,
     slope_tol: float = SLOPE_TOL,
 ) -> PipelineReport:
-    """Build both boundary pieces, certify them, and aggregate a report."""
+    """Build both boundary pieces, certify them, and aggregate a report: the
+    piece checks of the collar and the binding, then the checks of
+    ``assemble_invariants``."""
+    return _assemble(lam, k, a, r0, n_samples, symbol_tol, slope_tol, (min_points, rank_tol))
+
+
+def assemble_invariants(
+    lam,
+    k,
+    a: float = math.pi / 4,
+    r0: float | None = None,
+    n_samples: int = 512,
+    symbol_tol: float = SYMBOL_TOL,
+    slope_tol: float = SLOPE_TOL,
+) -> PipelineReport:
+    """Build both boundary pieces and report the assembly's own checks: the
+    gluing, the turn counts along the collar's circles and the binding's
+    boundary Euler chain, with the invariants, the singularities and the
+    assembled model; ``assemble`` adds the piece checks."""
+    return _assemble(lam, k, a, r0, n_samples, symbol_tol, slope_tol, None)
+
+
+def _assemble(lam, k, a, r0, n_samples, symbol_tol, slope_tol, piece_grid) -> PipelineReport:
+    """``assemble``, whose piece checks run first on ``piece_grid``, its
+    (min_points, rank_tol); ``assemble_invariants`` where that is None."""
     lam = _as_int(lam, "lam")
     k = _odd_positive_k(k)
     l = k + lam
@@ -1154,8 +1179,11 @@ def assemble(
     collar = build_collar_engel(lam, k, a)
     binding = build_binding_engel(l, k, r0=r0)
 
-    checks = list(piece_checks(collar, min_points=min_points, tol=rank_tol))
-    checks.extend(piece_checks(binding, min_points=min_points, tol=rank_tol))
+    checks = []
+    if piece_grid is not None:
+        min_points, rank_tol = piece_grid
+        checks.extend(piece_checks(collar, min_points=min_points, tol=rank_tol))
+        checks.extend(piece_checks(binding, min_points=min_points, tol=rank_tol))
     checks.append(gluing_check(collar, binding, tol=symbol_tol, slope_tol=slope_tol))
 
     chart = collar.chart

@@ -73,17 +73,22 @@ SHEAR_CHART = Chart.make(
 
 
 def central_difference(f, pts, i, h=1e-6):
-    """The partial of the compiled ``f`` along axis i at ``pts``, by central
-    differences."""
+    """The partial of ``f`` along axis i at ``pts``, by central differences."""
     step = np.zeros(pts.shape[-1])
     step[i] = h
     return (f(pts + step) - f(pts - step)) / (2.0 * h)
 
 
 def central_difference_bracket(X, Y, pts):
-    """[X, Y] at ``pts`` from central differences of the compiled components:
-    [X, Y]^j = sum_i X^i d_i Y^j - Y^i d_i X^j."""
-    fx, fy = X.compile(), Y.compile()
+    """[X, Y] at ``pts`` from central differences of the fields' values
+    (``field_matrix``): [X, Y]^j = sum_i X^i d_i Y^j - Y^i d_i X^j."""
+
+    def fx(p):
+        return field_matrix([X], p)[..., 0, :]
+
+    def fy(p):
+        return field_matrix([Y], p)[..., 0, :]
+
     vx, vy = fx(pts), fy(pts)
     return sum(
         vx[:, i : i + 1] * central_difference(fy, pts, i)

@@ -228,6 +228,7 @@ def test_negative_seed_is_refused_before_any_work(capsys, tmp_path, monkeypatch,
 
     monkeypatch.setattr(models, "model_catalog", no_work)
     monkeypatch.setattr(models, "assemble", no_work)
+    monkeypatch.setattr(models, "assemble_invariants", no_work)
     out = tmp_path / "report.json"
     assert run([*argv, "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error[EB-PARAM] --seed must be at least 0, got -1")
@@ -269,7 +270,7 @@ def test_assembly_commands_reject_a_residual_tolerance_off_its_default(capsys, t
 
 def test_invariants_rejects_a_rank_tolerance_off_its_default(capsys, tmp_path):
     # the rank tolerance reaches only the piece checks, which invariants
-    # leaves out of its report, so invariants has no such flag, while
+    # does not run, so invariants has no such flag, while
     # construct applies it and fails its checks
     out = tmp_path / "report.json"
     argv = ["--lambda", "1", "--k", "5", "--rank-tol", "1e9", "--out", str(out)]
@@ -295,6 +296,22 @@ def test_string_option_takes_negative_number_verbatim(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["verify", "--model", "darboux_even", "--out", "-1"]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["-1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--model", "binding_Eb", "--zero-tol", "-1"], "unrecognized arguments: --zero-tol -1"),
+        (["construct", "--lambda", "-1.5", "--k", "3"], "argument --lambda: invalid int value: '-1.5'"),
+        (["verify", "--model", "binding_Eb", "--samples", "-1e5"], "argument --samples: invalid int value: '-1e5'"),
+    ],
+    ids=["unrecognized", "invalid-int", "scientific"],
+)
+def test_argparse_errors_quote_the_users_own_argument(capsys, argv, message):
+    # run shields a negative number with a leading space before argparse
+    # reads it; an error message shows the argument as it was given
+    assert run(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 def test_parser_reuse_keeps_runs_apart(monkeypatch):
@@ -437,6 +454,38 @@ def test_round12_is_python_round_bit_for_bit(xs):
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+def csv_writer_text(rows):
+    buf = io.StringIO()
+    header = ["u", "v", "direction_u", "direction_v", "singular_flag"]
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+# the cells render_csv writes from its tables (12-digit decimals in [-1, 1],
+# exact decimal ties among them, signed zeros) and the ones it leaves to
+# repr (|x| below 1e-4 or above 1, unrounded floats, NaN and infinities)
+cells = (
+    st.floats(-1.0, 1.0).map(lambda x: round(x, 12))
+    | ties.filter(lambda x: abs(x) <= 1.0)
+    | st.integers(-(10**12), 10**12).map(lambda n: n / 1e12)
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-4, -1e-4, 0.1, 0.5])
+    | st.floats(-1e-4, 1e-4)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(cells, cells, cells, cells, st.integers(0, 1)), max_size=40))
+def test_render_csv_is_what_csv_writer_writes(rows):
+    assert render_csv(rows) == csv_writer_text(rows)
+
+
+@pytest.mark.parametrize("flag", [2, -1, 0.5, math.nan])
+def test_render_csv_refuses_a_flag_that_is_not_0_or_1(flag):
+    with pytest.raises(ValueError, match="singular_flag must be 0 or 1"):
+        render_csv([(0.0, 0.0, 1.0, 0.0, 0), (0.0, 0.5, 1.0, 0.0, flag)])
+
+
 @pytest.mark.parametrize("grid", [1, 2])
 def test_foliation_rejects_a_grid_with_no_point_in_the_disk(tmp_path, capsys, grid):
     assert len(_disk_grid(0.98, grid)) == 0
@@ -469,6 +518,40 @@ def test_invariants_reports_singularity_counts(tmp_path):
     assert doc["singularities"]["relative_euler"] == 5
     names = [entry["name"] for entry in doc["checks"]]
     assert names == ["gluing", "twisting_invariants", "boundary_euler_chain"]
+
+
+@pytest.mark.parametrize(
+    "lam, k, flags",
+    [
+        (0, 1, []),
+        (1, 3, []),
+        (-2, 3, []),
+        (4, 5, []),
+        (1, 3, ["--a", "0.7", "--turn-samples", "64", "--zero-tol", "0.5"]),
+    ],
+    ids=["0-1", "1-3", "-2-3", "4-5", "1-3-flags"],
+)
+def test_invariants_report_is_the_assembly_report_cut_to_its_three_checks(tmp_path, lam, k, flags):
+    # invariants runs no piece check; its report is what it was when it ran
+    # the whole assembly at 256 grid points and kept three of its checks
+    from engelbook.models import assemble
+    from engelbook.reports import json_document, render_json
+
+    out = tmp_path / "inv.json"
+    assert run(["invariants", "--lambda", str(lam), "--k", str(k), *flags, "--out", str(out)]) == 0
+    given = dict(zip(flags[::2], flags[1::2]))
+    a, turns = float(given.get("--a", math.pi / 4)), int(given.get("--turn-samples", 512))
+    tolerances = dict(engelbook.TOLERANCE_DEFAULTS, zero=float(given.get("--zero-tol", 1e-12)))
+    report = assemble(lam, k, a=a, min_points=256, n_samples=turns, symbol_tol=tolerances["zero"])
+    wanted = ("twisting_invariants", "boundary_euler_chain", "gluing")
+    config = {"command": "invariants", "turn_samples": turns, "seed": 0, "tolerances": tolerances}
+    document = json_document(
+        {**config, **report.params},
+        [c for c in report.checks if c.name in wanted],
+        invariants=report.invariants,
+        singularities=report.singularities,
+    )
+    assert out.read_text() == render_json(document)
 
 
 # fixed case ids, as for test_invalid_counts_and_tolerances_are_rejected

@@ -703,7 +703,7 @@ def test_proven_vertical_leaves_replay_like_the_per_stage_replay(case):
     # leaves are the check's vertical recurrences: forward from every seed,
     # and backward and retraced from one
     pulled, (lo, hi) = VERTICAL_CASES[case]()
-    s = foliation._proven_sign(pulled.components[0], lo, hi)[0]
+    s = next(foliation._proven_signs(pulled.components[0], lo, hi))[0]
     assert s == (-1.0 if case == "negative" else 1.0)
     direction = kernel_direction(pulled)
     mid, max_arc = 0.5 * (lo + hi), 50.0 * (hi - lo)
@@ -828,9 +828,26 @@ def test_a_band_that_passes_only_after_cutting():
     report = annulus_foliation_check(pulled, band)
     assert report.passed and report.n_points == 32
     arc = report.details["arc_bound"]
-    # the least bound of c1 over the pieces is at most 0.05, the bound of c2 is 0.5
-    assert 0.9 * math.hypot(1.0, 0.5 / 0.05) <= arc <= 45.0
+    # every leaf's arc is the integral of sqrt(1 + (c2 / c1)^2) over the
+    # band, which the sum over the pieces bounds from above
+    exact = mpmath.quad(lambda v: mpmath.sqrt(1 + (0.5 / (v * v - v + 0.3)) ** 2), band)
+    assert exact <= arc <= 45.0
     assert report.min_gap == 1.0 - arc / report.details["max_arc"]
+
+
+def test_the_arc_bound_pairs_each_pieces_own_c1_and_c2():
+    # v du + 0.1 v dv on (0.001, 0.5): every leaf's arc is 0.499 * sqrt(1.01),
+    # but the whole band pairs max|c2| = 0.05 with min|c1| = 0.001, a bound
+    # of 24.97 against the budget of 24.95; cut in two, each piece pairs its
+    # own bounds, and the sum is within the budget
+    pulled = PAGE_ANNULUS.one_form({"u": "v", "v": "0.1*v"})
+    report = annulus_foliation_check(pulled, (0.001, 0.5))
+    assert report.passed and report.n_points == 2
+    height = 0.5 - 0.2505
+    assert report.details["arc_bound"] == pytest.approx(
+        height * math.hypot(1.0, 0.1 * 0.2505 / 0.001) + height * math.hypot(1.0, 0.1 * 0.5 / 0.2505)
+    )
+    assert report.details["arc_bound"] >= 0.499 * math.sqrt(1.01)
 
 
 @pytest.mark.parametrize("c2", [0.5, "cos(u)"])

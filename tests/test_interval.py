@@ -2,6 +2,7 @@
 
 import math
 import operator
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engelbook.interval import TRIG_HULL, Enclosure, smoothstep, smoothstep_slope
+from engelbook.interval import TRIG_HULL, Enclosure, _meets_disk, smoothstep, smoothstep_slope
 from engelbook.trigpoly import KIND_ANGULAR, KIND_LINEAR, KIND_POLYNOMIAL, Coordinate, Expr, Mode
 
 mp = mpmath.MPContext()  # its own context: the global precision stays as it is
@@ -290,3 +291,36 @@ def test_group_sums_enclose_every_exact_sum(rows):
         exact_lo = mp.fsum(mp.mpf(float(x)) for x, gg in zip(lo, groups) if gg == g)
         exact_hi = mp.fsum(mp.mpf(float(x)) for x, gg in zip(hi, groups) if gg == g)
         assert mp.mpf(float(r.lo[g])) <= exact_lo and exact_hi <= mp.mpf(float(r.hi[g])), g
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+def test_the_cover_disk_test_is_the_enclosure_end_a_few_ulps_from_the_circle(theta):
+    # boxes whose point nearest the origin lies up to 2 ulps inside or
+    # outside the circle of radius 0.98 along each axis, in all four
+    # quadrants: each verdict is that of the Enclosure lower end of p^2 +
+    # q^2, so a box the exact disk meets is kept, and so is every box that
+    # only the sum's move one float down brings within reach
+    radius = 0.98
+    reach = (Enclosure.of(radius) ** 2).hi
+    steps = np.arange(-2, 3)
+    p0, q0 = radius * math.cos(theta), radius * math.sin(theta)
+    axes = (p0 + steps * math.ulp(p0), q0 + steps * math.ulp(q0))
+    near = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+    width = 0.01
+    for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        corner = near * signs
+        lo = np.where(corner > 0, corner, corner - width)
+        hi = np.where(corner > 0, corner + width, corner)
+        got = _meets_disk(lo, hi, reach)
+        want = (Enclosure.of(near[:, 0]) ** 2 + Enclosure.of(near[:, 1]) ** 2).lo <= reach
+        assert got.tolist() == want.tolist()
+        assert 0 < got.sum() < len(got)
+        exact = [Fraction(p) ** 2 + Fraction(q) ** 2 <= Fraction(radius) ** 2 for p, q in near.tolist()]
+        assert all(got[exact])
+        # the boxes that a sum rounded to nearest would put past the reach
+        squares = np.maximum(np.nextafter(near * near, -np.inf), 0.0)
+        assert (got & (squares.sum(axis=1) > reach)).any()
+    # a box across an axis is nearest the origin on that axis
+    lo, hi = np.array([[-0.1, q0]]), np.array([[0.1, q0 + width]])
+    assert _meets_disk(lo, hi, reach).tolist() == [True]
+    assert _meets_disk(lo, hi, q0 * q0 * (1.0 - 1e-15)).tolist() == [False]
