@@ -377,6 +377,10 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             base[name] = float(value)
     if bool(args.circle) == bool(args.segment):
         raise ValueError("pass exactly one of --circle or --segment")
+    coord = args.circle or args.segment[0]
+    if coord not in chart.coord_names():
+        names = ", ".join(chart.coord_names())
+        raise ValueError(f"unknown probe coordinate {coord!r}; the chart's coordinates are {names}")
     if args.circle:
         path = Path.coordinate_circle(
             chart, args.circle, base, turns=1 if args.turns is None else args.turns, label="probe"

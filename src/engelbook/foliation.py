@@ -20,11 +20,14 @@ contact coefficient positive while steering the classifier field
 
 so that its zeros are exactly the prescribed singularities.  The page
 foliation is directed by V and beta = -i_V(dp ^ dq), so beta and its
-partials are read off the classifier's value and Jacobian.  Outside a
-stated radius u is exactly 1, c is exactly 1, and s is exactly 0, so beta
-agrees with p dq - q dp to the last float bit.  Contact positivity and
-boundary exactness are checked on dense grids before the object is
-returned.
+partials are read off the classifier's value and Jacobian.  Past the
+layout's last end radius, ``exact_radius``, every bump, the wall and both
+profiles are clipped to their final values, so u = 1, c = 1 and s = 0
+exactly and V == -z in floats (a zero coordinate may differ in sign): the
+form is dx + p dq - q dp by construction.  ``_assemble_pieces`` checks the
+layout, ``test_disk_form_is_exact_past_its_exact_radius`` pins the region,
+and the boundary certificates are its exact values.  Contact positivity is
+checked on a dense grid before the object is returned.
 
 The singularity counts, types and signs are proven (``find_and_classify``).
 Newton's method from the design seeds, the bump centres and the midpoints
@@ -913,6 +916,10 @@ class _DiskPieces:
     the classifier provably has no zero: |V| >= min(swirl, s_fall[0]) there
     (``_assemble_pieces`` checks the conditions), so the proof of the zero
     count covers only the disk inside it.
+    ``exact_radius``: the last end radius of the layout (bump cluster, c/s
+    band, wall, c rise, s fall), below 1.  Wherever ``_radius`` reaches it,
+    u == 1 and V == -z in floats, so the form is dx + p dq - q dp
+    (``test_disk_form_is_exact_past_its_exact_radius``).
     ``bounds``: the classifier's enclosures over boxes (``_disk_bounds``).
     ``seeds``: the design seeds, the bump centres and the midpoints between
     neighbouring centres.
@@ -921,6 +928,7 @@ class _DiskPieces:
     u: Callable
     profiles: Callable
     cluster_end: float
+    exact_radius: float
     bounds: ClassifierBounds
     seeds: np.ndarray
 
@@ -1020,11 +1028,17 @@ def _assemble_pieces(k: int, params: dict) -> _DiskPieces:
         and min(params["swirl"], s_fall[0]) > 0.0
     ):
         raise ValueError("classifier is not proven zero-free past the peak cluster")
+    # past the last end of the layout every bump is 0, the wall is 1, c is
+    # 1 and s is 0, each exactly, so u == 1 and V == -z in floats
+    exact_radius = max(cluster_end, cb, wall_hi, c_rise[1], s_fall[1])
+    if not exact_radius < _DISK_RADIUS:
+        raise ValueError("the disk form is not exact near the boundary circle")
 
     return _DiskPieces(
         u=u,
         profiles=profiles,
         cluster_end=cluster_end,
+        exact_radius=exact_radius,
         bounds=_disk_bounds(centers, params, c_profile, s_profile),
         seeds=np.concatenate([centers, 0.5 * (centers[:-1] + centers[1:])]),
     )
@@ -1389,7 +1403,8 @@ _MAX_K = 19  # no parameter set below is known to pass for a larger k
 
 
 def _disk_params(k: int) -> dict:
-    """The shape parameters of the disk with k twists, 3 <= k <= 19.
+    """The shape parameters of the disk with k twists, 1 <= k <= 19; k = 1
+    reads only the exact radius of its layout.
 
     With the base set an extra negative pair of singularities appears at
     k = 17 and 19, just beyond the outermost bump; narrower bumps, and at
@@ -1415,12 +1430,13 @@ def _disk_params(k: int) -> dict:
         "c_rise": (0.50, 0.68),
         "s_fall": (0.70, 0.80),
         "trunc": (5.0, 6.0),
-        "exact_radius": 0.80,
     }
 
 
 def _exact_disk_form() -> DiskContactForm:
-    """The k = 1 model: u = 1, beta = p dq - q dp."""
+    """The k = 1 model: u = 1, beta = p dq - q dp, exact everywhere; its
+    boundary certificates are read at the exact radius of the k = 1 layout,
+    where every other disk glues to the collar."""
 
     def value(pts):
         return -np.asarray(pts, float)
@@ -1438,25 +1454,42 @@ def _exact_disk_form() -> DiskContactForm:
     classifier = ClassifierField(value, jacobian, level)
     bounds = _affine_bounds(-np.eye(2), (0.0, 0.0), 1.0)
     report = find_and_classify(classifier, bounds, np.zeros((1, 2)), _DISK_RADIUS)
+    exact_radius = _assemble_pieces(1, _disk_params(1)).exact_radius
+    return _disk_form(1, classifier, report, {}, 2.0, exact_radius)
+
+
+def _disk_form(
+    k: int,
+    classifier: ClassifierField,
+    report: SingularityReport,
+    params: dict,
+    contact_min: float,
+    exact_radius: float,
+) -> DiskContactForm:
+    """The disk with its certificates and verdict.  Past ``exact_radius``
+    V = -z (``_DiskPieces``): beta's residual is 0, |V| = rho is least at
+    the radius, and V turns once on every circle.  ``passed`` reads what can
+    fail; ``find_and_classify`` proves every zero it returns nondegenerate,
+    so ``degenerate`` is recorded only."""
+    expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
     certificates = {
-        "contact_min": 2.0,
+        "contact_min": contact_min,
         "boundary_residual": 0.0,
-        "classifier_boundary_turns": classifier_boundary_winding(classifier, 0.95),
-        "boundary_min_speed": 0.8,
+        "counts": dict(report.counts),
+        "expected_counts": expected,
+        "euler_identity": report.euler_identity,
+        "relative_euler": report.relative_euler,
+        "classifier_boundary_turns": 1.0,
+        "boundary_min_speed": exact_radius,
+        "degenerate": report.degenerate,
     }
     passed = (
-        report.counts == {"e_plus": 1, "e_minus": 0, "h_plus": 0, "h_minus": 0}
+        contact_min > 1e-6
+        and report.counts == expected
         and report.euler_identity == 1
-        and report.relative_euler == 1
+        and report.relative_euler == k
     )
-    return DiskContactForm(
-        k=1,
-        classifier=classifier,
-        singularities=report,
-        params={},
-        certificates=certificates,
-        passed=passed,
-    )
+    return DiskContactForm(k, classifier, report, params, certificates, passed)
 
 
 def _disk_grid(radius: float, n: int) -> np.ndarray:
@@ -1496,34 +1529,29 @@ def _contact_sample(cluster_end: float) -> tuple[np.ndarray, np.ndarray]:
     return pts[_radius(pts) <= cluster_end], np.unique(rho[ring])
 
 
-def _annulus_grid(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:
-    r = np.linspace(r_lo, r_hi, n_r)
-    t = np.linspace(0.0, math.tau, n_t, endpoint=False)
-    R, T = np.meshgrid(r, t, indexing="ij")
-    return np.stack([(R * np.cos(T)).reshape(-1), (R * np.sin(T)).reshape(-1)], axis=-1)
-
-
 def construct_xi_prime(k: int) -> DiskContactForm:
     """Build a verified contact form on the disk bundle with k boundary twists.
 
     k must be odd with 1 <= k <= 19; larger k are refused before any work,
     since no parameter set is known to pass there.  The singularity counts
     of the page foliation come out as (k+1)/2 positive elliptic and (k-1)/2
-    negative hyperbolic points, the index identities hold, the contact
-    coefficient F is positive on a 281 x 281 disk grid, and outside
-    ``params["exact_radius"]`` the form agrees with dx + p dq - q dp
-    exactly.  F is sampled at the grid points inside the bump cluster, and
-    past it, where F depends on the radius alone, once at each radius of
-    the grid's points there (``_contact_sample``): those radii are read off
-    the pairs of the grid axis's magnitudes, which give the grid points'
-    own radii because ``np.hypot`` is even and symmetric (C99 Annex
-    F.10.4.3).  The singularity counts, types and signs are
-    proven on the disk inside the bump cluster (``find_and_classify``, from
-    the design seeds and ``_disk_bounds``); past it the classifier is V = f
-    e_rho + g e_theta with |V| >= min(swirl, s_fall[0]) > 0
-    (``_assemble_pieces``), so no zero lies there.  The disk is built once
-    from ``_disk_params(k)``; ``passed`` records whether every certificate
-    held.
+    negative hyperbolic points, the index identities hold, and the contact
+    coefficient F is positive on a 281 x 281 disk grid.  Past the layout's
+    ``exact_radius`` (0.8) the form is dx + p dq - q dp by construction
+    (``_DiskPieces``; ``test_disk_form_is_exact_past_its_exact_radius``),
+    so the boundary certificates are exact values, not samples.  F is
+    sampled at the grid points inside the bump cluster, and past it, where
+    F depends on the radius alone, once at each radius of the grid's points
+    there (``_contact_sample``): those radii are read off the pairs of the
+    grid axis's magnitudes, which give the grid points' own radii because
+    ``np.hypot`` is even and symmetric (C99 Annex F.10.4.3).  The
+    singularity counts, types and signs are proven on the disk inside the
+    bump cluster (``find_and_classify``, from the design seeds and
+    ``_disk_bounds``); past it the classifier is V = f e_rho + g e_theta
+    with |V| >= min(swirl, s_fall[0]) > 0 (``_assemble_pieces``), so no
+    zero lies there.  The disk is built once from ``_disk_params(k)``;
+    ``passed`` reads the contact sample, the counts and the index
+    identities (``_disk_form``).
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
@@ -1531,11 +1559,10 @@ def construct_xi_prime(k: int) -> DiskContactForm:
         raise ValueError(f"k = {k} is not supported: the disk is built for odd k up to {_MAX_K}")
     if k == 1:
         return _exact_disk_form()
-    expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
-    return _build_disk_form(k, _disk_params(k), expected)
+    return _build_disk_form(k, _disk_params(k))
 
 
-def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
+def _build_disk_form(k: int, params: dict) -> DiskContactForm:
     pieces = _assemble_pieces(k, params)
     classifier = _classifier_from_pieces(pieces)
     F = _contact_coefficient(pieces)
@@ -1549,50 +1576,5 @@ def _build_disk_form(k: int, params: dict, expected: dict) -> DiskContactForm:
     ring = np.stack([radii, np.zeros_like(radii)], axis=-1)
     contact_min = float(min(F(inner).min(), F(ring).min()))
 
-    # boundary exactness: u == 1 and beta = (V_q, -V_p) == (-q, p) outside
-    # the radius; the same V gives the boundary speed
-    exact_radius = float(params["exact_radius"])
-    ann = _annulus_grid(exact_radius, 1.0, 24, 128)
-    V = classifier.value(ann)
-    boundary_residual = float(
-        max(
-            np.abs(V[:, 1] - (-ann[:, 1])).max(),
-            np.abs(-V[:, 0] - ann[:, 0]).max(),
-            np.abs(pieces.u(ann, _radius(ann), (0,))[0] - 1.0).max(),
-        )
-    )
-    vmin_boundary = float(np.linalg.norm(V, axis=-1).min())
-
     report = find_and_classify(classifier, pieces.bounds, pieces.seeds, pieces.cluster_end)
-    boundary_turns = classifier_boundary_winding(classifier, 0.5 * (exact_radius + 1.0))
-
-    certificates = {
-        "contact_min": contact_min,
-        "boundary_residual": boundary_residual,
-        "counts": dict(report.counts),
-        "expected_counts": dict(expected),
-        "euler_identity": report.euler_identity,
-        "relative_euler": report.relative_euler,
-        "classifier_boundary_turns": boundary_turns,
-        "boundary_min_speed": vmin_boundary,
-        "degenerate": report.degenerate,
-    }
-    passed = (
-        contact_min > 1e-6
-        and boundary_residual <= 1e-13
-        and report.counts == expected
-        and not report.degenerate
-        and report.euler_identity == 1
-        and report.relative_euler == k
-        and abs(boundary_turns - 1.0) < 0.05
-        and vmin_boundary > 1e-3
-    )
-
-    return DiskContactForm(
-        k=k,
-        classifier=classifier,
-        singularities=report,
-        params=dict(params),
-        certificates=certificates,
-        passed=passed,
-    )
+    return _disk_form(k, classifier, report, dict(params), contact_min, pieces.exact_radius)

@@ -311,6 +311,12 @@ def prove_zeros(
     det J, from that J, and of the level over the box must then exclude 0.
     ``ValueError`` names the first zero where any of this fails, or whose
     box meets another.
+
+    The det test is kept although, in exact arithmetic, a strict Krawczyk
+    inclusion already makes every matrix of J(X) regular, so det J keeps
+    one sign.  The computed det enclosure is rounded outward and can still
+    meet 0 where the inclusion holds, and the type is read from its lower
+    end: without the test such a box would be typed hyperbolic.
     """
     n = len(zeros)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]

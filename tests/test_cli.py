@@ -1,5 +1,6 @@
 """Exit codes, report schema, and reproducibility of the command line."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engelbook
-from engelbook.cli import run
+from engelbook.cli import build_parser, run
 from engelbook.foliation import _disk_grid, construct_xi_prime
 from engelbook.modelfile import load_model
 from engelbook.reports import _round12, render_csv
@@ -158,8 +159,85 @@ def test_verify_unknown_parameter_is_usage_error(capsys, argv, accepts):
     assert accepts in err
 
 
+# What each option of each subcommand is: it decides some verdict or
+# margin, sets the grid a check samples, names an output, or is only
+# recorded in the report.  A ranged option gives a value out of its range,
+# which test_invalid_counts_and_tolerances_are_rejected runs.
+DECIDES, GRID, OUTPUT, RECORDED = "decides", "sets the grid", "names an output", "recorded only"
+OPTIONS = {
+    ("verify", "--model"): (DECIDES, None),
+    ("verify", "--param"): (DECIDES, None),
+    ("verify", "--samples"): (GRID, "0"),
+    ("verify", "--seed"): (GRID, "-1"),
+    ("verify", "--out"): (OUTPUT, None),
+    ("verify", "--rank-tol"): (DECIDES, "-1e-9"),
+    ("construct", "--lambda"): (DECIDES, None),
+    ("construct", "--k"): (DECIDES, None),
+    ("construct", "--a"): (DECIDES, None),
+    ("construct", "--r0"): (DECIDES, None),
+    ("construct", "--samples"): (GRID, "0"),
+    ("construct", "--turn-samples"): (GRID, "15"),
+    ("construct", "--seed"): (RECORDED, "-1"),
+    ("construct", "--out"): (OUTPUT, None),
+    ("construct", "--model-out"): (OUTPUT, None),
+    ("construct", "--rank-tol"): (DECIDES, "-1"),
+    ("construct", "--zero-tol"): (DECIDES, "-1"),
+    ("construct", "--slope-tol"): (DECIDES, "-1"),
+    ("foliation", "--k"): (DECIDES, None),
+    ("foliation", "--grid"): (GRID, "2"),
+    ("foliation", "--out"): (OUTPUT, None),
+    ("foliation", "--svg"): (OUTPUT, None),
+    ("invariants", "--lambda"): (DECIDES, None),
+    ("invariants", "--k"): (DECIDES, None),
+    ("invariants", "--a"): (DECIDES, None),
+    ("invariants", "--r0"): (DECIDES, None),
+    ("invariants", "--turn-samples"): (GRID, "15"),
+    ("invariants", "--seed"): (RECORDED, "-1"),
+    ("invariants", "--out"): (OUTPUT, None),
+    ("invariants", "--zero-tol"): (DECIDES, "-1"),
+    ("invariants", "--slope-tol"): (DECIDES, "-1"),
+    ("probe-looseness", "--model"): (DECIDES, None),
+    ("probe-looseness", "--param"): (DECIDES, None),
+    ("probe-looseness", "--lambda"): (DECIDES, None),
+    ("probe-looseness", "--k"): (DECIDES, None),
+    ("probe-looseness", "--a"): (DECIDES, None),
+    ("probe-looseness", "--piece"): (DECIDES, None),
+    ("probe-looseness", "--circle"): (DECIDES, None),
+    ("probe-looseness", "--segment"): (DECIDES, None),
+    ("probe-looseness", "--turns"): (DECIDES, None),
+    ("probe-looseness", "--base"): (DECIDES, None),
+    ("probe-looseness", "--samples"): (GRID, "0"),
+}
+# a request that each command accepts, to which a ranged option is added
+VALID_ARGV = {
+    "verify": ["verify", "--model", "binding_Eb"],
+    "construct": ["construct", "--lambda", "2", "--k", "3"],
+    "foliation": ["foliation", "--k", "3"],
+    "invariants": ["invariants", "--lambda", "2", "--k", "3"],
+    "probe-looseness": ["probe-looseness", "--lambda", "2", "--k", "3", "--piece", "binding", "--circle", "y"],
+}
+
+
+def parser_options():
+    """(command, long option, action) for every option of every subcommand."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                yield command, max(action.option_strings, key=len), action
+
+
+def test_every_cli_option_has_a_row():
+    options = {(command, flag): action for command, flag, action in parser_options()}
+    assert sorted(options) == sorted(OPTIONS)
+    for key, (kind, _) in OPTIONS.items():
+        if kind == RECORDED:
+            assert "recorded" in options[key].help, key
+
+
 # The case ids are fixed strings, so deleting a case leaves the ids of the
 # others as they are; they keep the positional names first given to them.
+# The table's ranged rows follow them, named by command and option.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -184,6 +262,11 @@ def test_verify_unknown_parameter_is_usage_error(capsys, argv, accepts):
         pytest.param(["verify", "--model", "binding_Eb", "--rank-tol", "-1e-9"], id="argv8"),
         pytest.param(
             ["invariants", "--lambda", "2", "--k", "3", "--slope-tol", "-2.5e-1"], id="argv9"
+        ),
+        *(
+            pytest.param([*VALID_ARGV[command], flag, bad], id=f"{command} {flag}")
+            for (command, flag), (_, bad) in OPTIONS.items()
+            if bad is not None
         ),
     ],
 )
@@ -659,6 +742,16 @@ def test_probe_rejects_path_that_does_not_move(capsys, path_args):
     assert code == 2
     err = capsys.readouterr().err
     assert "EB-PARAM" in err and "tangent vanishes" in err
+
+
+# these printed a KeyError traceback and exited 1, the code of a failed certificate
+@pytest.mark.parametrize(
+    "path_args", [["--circle", "q"], ["--segment", "q", "0", "1"]], ids=["circle", "segment"]
+)
+def test_probe_refuses_an_unknown_coordinate(capsys, path_args):
+    assert run(["probe-looseness", "--lambda", "1", "--k", "3", "--piece", "collar", *path_args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[EB-PARAM] unknown probe coordinate 'q'; the chart's coordinates are x, y, r, phi")
 
 
 def test_probe_requires_exactly_one_path_kind(capsys):

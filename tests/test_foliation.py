@@ -20,7 +20,6 @@ from engelbook.foliation import (
     SingularityReport,
     SliceEmbedding,
     _affine_bounds,
-    _annulus_grid,
     _assemble_pieces,
     _build_disk_form,
     _classifier_from_pieces,
@@ -1218,14 +1217,14 @@ def test_cluster_seeds_find_the_zeros_of_the_whole_grid(k):
     if k == 21:
         assert counts == {"e_plus": 11, "e_minus": 2, "h_plus": 0, "h_minus": 12}
         with pytest.raises(ValueError, match="no proof that the box") as err:
-            _build_disk_form(k, params, expected)
+            _build_disk_form(k, params)
         # the box lies at one of the four zeros off the axis
         lo_p, hi_p, lo_q, hi_q = named_box(err)
         extra = [(z["p"], z["q"]) for z in oracle if abs(z["q"]) > 0.01]
         assert len(extra) == 4
         assert any(lo_p - 1e-4 <= p <= hi_p + 1e-4 and lo_q - 1e-4 <= q <= hi_q + 1e-4 for p, q in extra)
         return
-    seeded = _build_disk_form(k, params, expected)
+    seeded = _build_disk_form(k, params)
     assert seeded.passed
     cut = seeded.singularities
     assert cut.counts == counts == expected
@@ -1562,10 +1561,59 @@ def test_disk_form_counts_and_identities(k):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_disk_form_contact_certificates(k):
+    # past the exact radius V = -z: no residual, |V| = rho, one turn
     d = disk(k)
     assert d.certificates["contact_min"] > 1e-3
-    assert d.certificates["boundary_residual"] <= 1e-13
-    assert abs(d.certificates["classifier_boundary_turns"] - 1.0) < 0.05
+    assert d.certificates["boundary_residual"] == 0.0
+    assert d.certificates["boundary_min_speed"] == 0.8
+    assert d.certificates["classifier_boundary_turns"] == 1.0
+
+
+def old_boundary_ring(r_lo):
+    """The 24 x 128 polar grid on [r_lo, 1] that the boundary certificates
+    used to be sampled on."""
+    r = np.linspace(r_lo, 1.0, 24)
+    t = np.linspace(0.0, math.tau, 128, endpoint=False)
+    R, T = np.meshgrid(r, t, indexing="ij")
+    return np.stack([(R * np.cos(T)).reshape(-1), (R * np.sin(T)).reshape(-1)], axis=-1)
+
+
+@pytest.mark.parametrize("k", range(1, 20, 2))
+def test_disk_form_is_exact_past_its_exact_radius(k):
+    # the boundary certificates read the exact values of dx + p dq - q dp
+    # past exact_radius: V == -z (a zero coordinate may differ in sign) and
+    # u == 1 at every point whose computed radius is at least exact_radius:
+    # random points of the annulus, points within a few ulps of the radius,
+    # the axis points at the radius, and the old boundary ring's points
+    radius = disk_pieces(k).exact_radius
+    assert radius == 0.8 == disk(k).certificates["boundary_min_speed"]
+    rng = np.random.default_rng(k)
+    annulus = np.sqrt(rng.uniform(radius**2, 1.0, 100_000))
+    at_the_radius = radius + rng.integers(-4, 5, 20_000) * math.ulp(radius)
+    r = np.concatenate([annulus, at_the_radius])
+    t = rng.uniform(0.0, math.tau, len(r))
+    on_axes = [(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius), (-0.0, radius), (radius, -0.0)]
+    ring = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+    pts = np.concatenate([ring, on_axes, old_boundary_ring(radius)])
+    pts = pts[_radius(pts) >= radius]
+    assert len(pts) >= 100_000
+    classifier = disk(k).classifier
+    assert np.array_equal(classifier.value(pts), -pts)
+    assert (classifier.level(pts) == 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"wall": (0.40, 0.85)}, "not proven zero-free"),
+        ({"c_rise": (0.50, 0.85)}, "not proven zero-free"),
+        ({"s_fall": (0.70, 1.0)}, "not exact near the boundary circle"),
+    ],
+    ids=["wall-past-s_fall", "c_rise-past-s_fall", "s_fall-to-the-rim"],
+)
+def test_a_layout_that_breaks_the_exact_region_is_refused(change, message):
+    with pytest.raises(ValueError, match=message):
+        _assemble_pieces(5, {**_disk_params(5), **change})
 
 
 def test_hand_coefficient_matches_wedge_route():
@@ -1662,7 +1710,7 @@ def disk_regions(k):
         ),
         "c/s transition band": ring(params["c_on"][0] * width, params["c_on"][1] * width, 200),
         "wall ramp": ring(*params["wall"], 200),
-        "exact region": ring(params["exact_radius"], 1.0, 200),
+        "exact region": ring(disk_pieces(k).exact_radius, 1.0, 200),
         "c_rise ramp": ring(*params["c_rise"], 200),
         "s_fall ramp": ring(*params["s_fall"], 200),
     }
@@ -2055,7 +2103,6 @@ def v_only_inputs():
     return {
         "seed grid": _disk_grid(0.98, 161),
         "portrait grid": _disk_grid(0.98, 41),
-        "boundary annulus": _annulus_grid(0.8, 1.0, 24, 128),
         "winding circle": 0.9 * np.stack([np.cos(t), np.sin(t)], axis=-1),
         "odd points": np.array(
             [[np.nan, 0.0], [0.2, np.nan], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0],
@@ -2152,7 +2199,6 @@ def retired_base_params(k):
         "c_rise": (0.50, 0.68),
         "s_fall": (0.70, 0.80),
         "trunc": (5.0, 6.0),
-        "exact_radius": 0.80,
     }
 
 
@@ -2171,12 +2217,11 @@ def retired_search(k):
     where no design seed reaches) does not pass.
 
     Returns the attempt number (from 1) and the winning disk."""
-    expected = {"e_plus": (k + 1) // 2, "e_minus": 0, "h_plus": 0, "h_minus": (k - 1) // 2}
     for attempt, tweak in enumerate(RETIRED_TWEAKS, start=1):
         params = {**retired_base_params(k), **tweak}
         params["width"] *= params.pop("width_scale", 1.0)
         try:
-            d = _build_disk_form(k, params, expected)
+            d = _build_disk_form(k, params)
         except ValueError as err:
             assert "no proof that the box" in str(err)
             continue

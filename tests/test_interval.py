@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +178,43 @@ def test_bound_holds_every_compiled_value_in_the_box(e, r, s, seed):
     assert (lo - slack <= values).all() and (values <= hi + slack).all()
     if all(p in (-1, 0, 1, 2) for t in e.terms for p in t.powers):
         assert (lo <= values).all() and (values <= hi).all()
+
+
+def exact_extrema(coeffs, lo, hi):
+    """The least and greatest value of sum(c_i s^i) on [lo, hi], in sympy's
+    exact arithmetic: each is taken at an end or at a real root of the
+    derivative between them."""
+    s = sympy.Symbol("s", real=True)
+    poly = sympy.Poly.from_list([sympy.Rational(c) for c in reversed(coeffs)], s)
+    lo, hi = sympy.Rational(lo), sympy.Rational(hi)
+    points = [lo, hi]
+    if poly.degree() > 1:
+        points += [x for x in sympy.real_roots(poly.diff(s)) if lo <= x <= hi]
+    values = [poly.as_expr().subs(s, x) for x in points]
+    return sympy.Min(*values), sympy.Max(*values)
+
+
+# halves up to 4 in absolute value, and ends on a grid of 1/8: exact floats
+halves = st.integers(-8, 8).map(lambda c: c / 2)
+eighths = st.tuples(st.integers(-16, 16), st.integers(0, 16)).map(lambda r: (r[0] / 8, (r[0] + r[1]) / 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(halves, min_size=1, max_size=4), eighths, st.sampled_from(list(Mode)), st.integers(1, 3))
+def test_bound_holds_the_exact_extrema(coeffs, ends, mode, freq):
+    # P(s) times 1, cos(freq u) or sin(freq u): on the box, with u over a
+    # whole period, the trig factor takes every value in [-1, 1], so the
+    # exact extrema are those of P, or -+ the largest |P|
+    freqs = None if mode == Mode.CONST else (freq, 0, 0)
+    e = sum(
+        (Expr.term(COORDS, c, (0, 0, i), mode, freqs) for i, c in enumerate(coeffs)), Expr.zero(COORDS)
+    )
+    least, greatest = exact_extrema(coeffs, *ends)
+    if mode != Mode.CONST:
+        greatest = sympy.Max(-least, greatest)
+        least = -greatest
+    lo, hi = e.bound(((0.0, math.tau), (0.0, 1.0), ends))
+    assert sympy.Rational(lo) <= least and greatest <= sympy.Rational(hi)
 
 
 def test_bound_of_catalog_like_coefficients():
